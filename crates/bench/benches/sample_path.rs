@@ -17,15 +17,27 @@
 //! into a reused buffer, zero-copy `codec::parse_bytes`, and the
 //! `Sym`-keyed `JobAccum`.
 //!
+//! The `collect` case is the node side of the same path — register
+//! reads, pseudo-file render, collector parse — through
+//! `Sampler::sample_into` refilling one `Sample`. Its "before" is frozen
+//! history (the `probe.collect.sample` row of `benchmark/REFERENCE.md`
+//! at the commit before the collection path ran in caller-owned
+//! buffers), not a reconstruction. Two hard bars ride with it:
+//! `sample_into` allocates nothing in steady state, and one
+//! `TaccStatsd` collection allocates at most twice (the shared `Bytes`
+//! handed to the transport: its buffer and its reference count).
+//!
 //! Results are printed and written to `BENCH_sample_path.json` at the
 //! workspace root so the numbers ride along with the tree.
 
+use bytes::Bytes;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::HashMap;
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 use tacc_collect::codec;
+use tacc_collect::daemon::{Publisher, TaccStatsd};
 use tacc_collect::discovery::{discover, BuildOptions};
 use tacc_collect::engine::Sampler;
 use tacc_collect::record::{HostHeader, RawFile, Sample, FORMAT_VERSION};
@@ -80,9 +92,21 @@ fn measure<R>(iters: u64, mut f: impl FnMut() -> R) -> (f64, f64) {
     )
 }
 
-/// A realistic node: WRF-like process, full device complement, two
-/// samples 600 s apart (so counters have deltas to accumulate).
-fn fixture() -> (HostHeader, Vec<Sample>) {
+/// `probe.collect.sample` of `benchmark/REFERENCE.md` (`fleet_clean`,
+/// seed 42) at the commit before `Sampler::sample_into`: ns and
+/// allocations per collection.
+const COLLECT_BEFORE: (f64, f64) = (98_642.0, 592.0);
+/// Where `COLLECT_BEFORE` comes from, written next to it in the JSON:
+/// the allocation counts compare like for like, the times do not.
+const COLLECT_BEFORE_NOTE: &str =
+    "collect.before is probe.collect.sample of benchmark/REFERENCE.md \
+     (in-fleet, caches cold, 16 processes per node); collect.after is this fixture \
+     (hot loop, 1 process): the bar is allocs_per_op, the speedup is not like for like";
+
+/// A realistic node: WRF-like process, full device complement, four
+/// samples 600 s apart (so counters have deltas to accumulate). The
+/// node and its sampler come back too, for the `collect` case.
+fn fixture() -> (SimNode, Sampler, Vec<Sample>) {
     let mut node = SimNode::new("c401-0001", NodeTopology::stampede());
     node.spawn_process("wrf.exe", 5000, 16, u64::MAX);
     let demand = NodeDemand {
@@ -102,7 +126,7 @@ fn fixture() -> (HostHeader, Vec<Sample>) {
         let fs = NodeFs::new(&node);
         samples.push(s.sample(&fs, SimTime::from_secs(600 * k), &["3001".to_string()], &[]));
     }
-    (s.header().clone(), samples)
+    (node, s, samples)
 }
 
 /// The seed's `itoa`: one heap String per rendered numeric value.
@@ -259,6 +283,15 @@ impl LegacyAccum {
     }
 }
 
+/// A transport that accepts every message and keeps none.
+struct Discard;
+
+impl Publisher for Discard {
+    fn publish(&mut self, _queue: &str, _key: &str, _seq: u64, _payload: Bytes) -> bool {
+        true
+    }
+}
+
 struct Case {
     name: &'static str,
     before: (f64, f64),
@@ -266,7 +299,8 @@ struct Case {
 }
 
 fn main() {
-    let (header, samples) = fixture();
+    let (node, mut sampler, samples) = fixture();
+    let header = sampler.header().clone();
     let n_devices = samples[0].devices.len();
     let msg = RawFile::render_message(&header, &samples[0]);
     let payloads: Vec<Vec<u8>> = samples
@@ -286,6 +320,48 @@ fn main() {
 
     const ITERS: u64 = 2_000;
     let mut cases = Vec::new();
+
+    // --- collect (the node side: one Sampler refilling one Sample) ---
+    let fs = NodeFs::new(&node);
+    let jobids = ["3001".to_string()];
+    let now = SimTime::from_secs(3000);
+    let mut sample = Sample::default();
+    let after = measure(ITERS, || {
+        sampler.sample_into(&fs, now, &jobids, &[], &mut sample);
+        sample.devices.len()
+    });
+    assert_eq!(sample.devices.len(), n_devices);
+    assert_eq!(
+        after.1, 0.0,
+        "Sampler::sample_into must not allocate in steady state"
+    );
+    cases.push(Case {
+        name: "collect",
+        before: COLLECT_BEFORE,
+        after,
+    });
+    // The whole daemon collection — sample, render, hand over — into
+    // a transport that drops the payload, so only the daemon's own
+    // allocations are counted.
+    let mut daemon = TaccStatsd::new(
+        sampler,
+        SimDuration::from_mins(10),
+        "stats",
+        Box::new(Discard),
+        now,
+    );
+    let mut t = now;
+    let (daemon_ns, daemon_allocs) = measure(ITERS, || {
+        daemon.tick(&fs, t);
+        t = t + SimDuration::from_mins(10);
+    });
+    println!(
+        "  TaccStatsd collection (sample + render + hand-over): {daemon_ns:.0} ns, {daemon_allocs:.2} allocs"
+    );
+    assert!(
+        daemon_allocs <= 2.0,
+        "a TaccStatsd collection allocates the Bytes it hands over, nothing else: {daemon_allocs}"
+    );
 
     // --- render ---
     let legacy_msg = legacy_render_message(&header, &samples[0]);
@@ -408,15 +484,20 @@ fn main() {
             if i + 1 == cases.len() { "" } else { "," }
         ));
     }
-    let (e2e_before_ns, _) = cases[3].before;
-    let (e2e_after_ns, _) = cases[3].after;
+    println!("  note: {COLLECT_BEFORE_NOTE}");
+    let e2e = cases
+        .iter()
+        .find(|c| c.name == "consumer_to_accum")
+        .expect("case exists");
+    let (e2e_before_ns, _) = e2e.before;
+    let (e2e_after_ns, _) = e2e.after;
     println!(
         "  consumer→accumulator throughput: {:.0} samples/s before, {:.0} samples/s after",
         e2e_n * 1e9 / e2e_before_ns,
         e2e_n * 1e9 / e2e_after_ns
     );
     json.push_str(&format!(
-        "  }},\n  \"consumer_to_accum_samples_per_sec\": {{\"before\": {:.0}, \"after\": {:.0}}}\n}}\n",
+        "  }},\n  \"collect_note\": \"{COLLECT_BEFORE_NOTE}\",\n  \"daemon_collection\": {{\"ns_per_op\": {daemon_ns:.1}, \"allocs_per_op\": {daemon_allocs:.2}}},\n  \"consumer_to_accum_samples_per_sec\": {{\"before\": {:.0}, \"after\": {:.0}}}\n}}\n",
         e2e_n * 1e9 / e2e_before_ns,
         e2e_n * 1e9 / e2e_after_ns
     ));

@@ -8,7 +8,7 @@
 //! 1. **No fresh allocations per sample.** All `render_*_into`
 //!    functions append to a caller-owned `Vec<u8>`; callers clear and
 //!    reuse one buffer per message (`buf.clear()` keeps the capacity).
-//!    Integers are written digit-by-digit — no `format!`, no
+//!    Integers are written through a stack buffer — no `format!`, no
 //!    intermediate `String`s.
 //! 2. **Bytes are the native representation.** The daemon→broker→
 //!    consumer path moves byte payloads; [`parse_bytes`] validates
@@ -52,15 +52,23 @@ impl Out for String {
     }
 }
 
-/// Append `v` in decimal. Infallible by construction: digits are pushed
-/// most-significant first via the recursion (depth ≤ 20 for u64), each
-/// as a single ASCII byte — there is no intermediate buffer and no
-/// UTF-8 conversion that could fail or fall back.
-pub(crate) fn put_u64<O: Out + ?Sized>(out: &mut O, v: u64) {
-    if v >= 10 {
-        put_u64(out, v / 10);
+/// Append `v` in decimal: the digits are written into the tail of a
+/// stack buffer (a `u64` has at most 20) and appended with one
+/// `put_str`.
+pub(crate) fn put_u64<O: Out + ?Sized>(out: &mut O, mut v: u64) {
+    let mut buf = [0u8; 20];
+    let mut start = buf.len();
+    for slot in buf.iter_mut().rev() {
+        *slot = b'0' + (v % 10) as u8;
+        start -= 1;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
     }
-    out.put_ascii(b'0' + (v % 10) as u8);
+    // Only ASCII digits were written, so neither fallback is reachable.
+    let digits = buf.get(start..).and_then(|d| std::str::from_utf8(d).ok());
+    out.put_str(digits.unwrap_or(""));
 }
 
 /// Render the `$`/`!` header block.
@@ -373,6 +381,19 @@ mod tests {
             render_file_into(&f, &mut buf);
             let parsed = parse_bytes(&buf).unwrap();
             prop_assert_eq!(parsed, f);
+        }
+
+        /// Both sinks write any integer exactly as `Display` does.
+        #[test]
+        fn put_u64_matches_display_for_arbitrary_values(v in any::<u64>(), shift in 0u32..64) {
+            // Shifted so every digit count is drawn, not just 19-20.
+            let v = v >> shift;
+            let mut buf = Vec::new();
+            put_u64(&mut buf, v);
+            prop_assert_eq!(buf, v.to_string().into_bytes());
+            let mut s = String::new();
+            put_u64(&mut s, v);
+            prop_assert_eq!(s, v.to_string());
         }
 
         /// Byte rendering and legacy String rendering agree bytewise for

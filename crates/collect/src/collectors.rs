@@ -9,9 +9,15 @@
 //!
 //! Missing hardware is not an error: §III-B — "if any of these are not
 //! present on a node TACC Stats will execute successfully at run time".
-//! Collectors return an empty vector when their device is absent.
+//! Collectors produce no records when their device is absent.
+//!
+//! A collection runs in buffers its caller owns: [`Collector::collect_into`]
+//! appends records to the caller's vector and reads every pseudo-file
+//! through a [`Scratch`]; values go straight into each record's inline
+//! [`ValueVec`]. [`Collector::collect`] and [`PsCollector::collect_ps`]
+//! are the owned-return wrappers.
 
-use crate::record::{DeviceRecord, PsRecord};
+use crate::record::{DeviceRecord, PsRecord, ValueVec};
 use tacc_simnode::intern::Sym;
 use tacc_simnode::node::{
     UncoreDev, MSR_DRAM_ENERGY_STATUS, MSR_FIXED_CTR0, MSR_FIXED_CTR1, MSR_FIXED_CTR2,
@@ -21,27 +27,56 @@ use tacc_simnode::pseudofs::NodeFs;
 use tacc_simnode::schema::DeviceType;
 use tacc_simnode::topology::CpuArch;
 
+/// The text buffers one collection reads through, reused from file to
+/// file and from sample to sample (they grow to the node's largest file
+/// in the first collection and stay).
+#[derive(Default)]
+pub struct Scratch {
+    /// Text of the pseudo-file being parsed.
+    text: String,
+    /// Path of the pseudo-file being read.
+    path: String,
+    /// Directory entry being visited.
+    name: String,
+}
+
+/// Read the file whose path is the concatenation of `parts` into `text`,
+/// building the path in `path`. For the collectors that visit a
+/// directory, where the listing holds the scratch's `name`.
+fn read_joined(fs: &NodeFs<'_>, path: &mut String, parts: &[&str], text: &mut String) -> bool {
+    path.clear();
+    for part in parts {
+        path.push_str(part);
+    }
+    fs.read_into(path, text)
+}
+
 /// A collector for one device type.
 pub trait Collector: Send + Sync {
     /// The device type this collector produces.
     fn dev_type(&self) -> DeviceType;
+    /// Append one record per instance of the device to `out`. Nothing
+    /// if absent.
+    fn collect_into(&self, fs: &NodeFs<'_>, scratch: &mut Scratch, out: &mut Vec<DeviceRecord>);
     /// Read every instance of the device. Empty if absent.
-    fn collect(&self, fs: &NodeFs<'_>) -> Vec<DeviceRecord>;
+    // alloc: cold-fn (owned-return wrapper over collect_into)
+    fn collect(&self, fs: &NodeFs<'_>) -> Vec<DeviceRecord> {
+        let mut out = Vec::with_capacity(16);
+        self.collect_into(fs, &mut Scratch::default(), &mut out);
+        out
+    }
 }
 
-fn rec(dev_type: DeviceType, instance: impl AsRef<str>, values: Vec<u64>) -> DeviceRecord {
-    DeviceRecord {
-        dev_type,
-        // Instance names recur every sample; interning makes this a
-        // table lookup after the first collection.
-        instance: Sym::new(instance.as_ref()),
-        values: values.into(),
-    }
+/// Symbols of the instance names `"0"`..`"n-1"`, resolved once so the
+/// per-CPU and per-socket collectors never format or intern a number.
+// alloc: cold-fn (collector construction)
+fn index_syms(n: usize) -> Vec<Sym> {
+    (0..n).map(|i| Sym::new(&i.to_string())).collect()
 }
 
 /// Core hardware counters via MSR reads (`/dev/cpu/<n>/msr` equivalent).
 pub struct CpuCollector {
-    n_cpus: usize,
+    cpus: Vec<Sym>,
     n_programmable: usize,
 }
 
@@ -52,7 +87,7 @@ impl CpuCollector {
         // 3 + 6 (9) on 8-counter archs.
         let n_programmable = DeviceType::Cpu.schema(arch).len() - 3;
         CpuCollector {
-            n_cpus,
+            cpus: index_syms(n_cpus),
             n_programmable,
         }
     }
@@ -63,31 +98,25 @@ impl Collector for CpuCollector {
         DeviceType::Cpu
     }
 
-    fn collect(&self, fs: &NodeFs<'_>) -> Vec<DeviceRecord> {
+    fn collect_into(&self, fs: &NodeFs<'_>, _: &mut Scratch, out: &mut Vec<DeviceRecord>) {
         let node = fs.node();
-        let mut out = Vec::with_capacity(self.n_cpus);
-        for cpu in 0..self.n_cpus {
-            let mut values = Vec::with_capacity(3 + self.n_programmable);
-            let fixed = [MSR_FIXED_CTR0, MSR_FIXED_CTR1, MSR_FIXED_CTR2];
-            let mut ok = true;
-            for addr in fixed {
+        'cpus: for (cpu, &instance) in self.cpus.iter().enumerate() {
+            let mut values = ValueVec::new();
+            for addr in [MSR_FIXED_CTR0, MSR_FIXED_CTR1, MSR_FIXED_CTR2] {
                 match node.read_msr(cpu, addr) {
                     Some(v) => values.push(v),
-                    None => {
-                        ok = false;
-                        break;
-                    }
+                    None => continue 'cpus, // node down or CPU offline
                 }
-            }
-            if !ok {
-                continue; // node down or CPU offline
             }
             for i in 0..self.n_programmable {
                 values.push(node.read_msr(cpu, MSR_PMC0 + i as u32).unwrap_or(0));
             }
-            out.push(rec(DeviceType::Cpu, cpu.to_string(), values));
+            out.push(DeviceRecord {
+                dev_type: DeviceType::Cpu,
+                instance,
+                values,
+            });
         }
-        out
     }
 }
 
@@ -95,7 +124,7 @@ impl Collector for CpuCollector {
 pub struct UncoreCollector {
     dev: UncoreDev,
     dev_type: DeviceType,
-    sockets: usize,
+    sockets: Vec<Sym>,
     n_counters: usize,
 }
 
@@ -110,7 +139,7 @@ impl UncoreCollector {
         UncoreCollector {
             dev,
             dev_type,
-            sockets,
+            sockets: index_syms(sockets),
             n_counters: dev_type.schema(arch).len(),
         }
     }
@@ -121,27 +150,29 @@ impl Collector for UncoreCollector {
         self.dev_type
     }
 
-    fn collect(&self, fs: &NodeFs<'_>) -> Vec<DeviceRecord> {
+    fn collect_into(&self, fs: &NodeFs<'_>, _: &mut Scratch, out: &mut Vec<DeviceRecord>) {
         let node = fs.node();
-        let mut out = Vec::with_capacity(self.sockets);
-        for socket in 0..self.sockets {
-            let mut values = Vec::with_capacity(self.n_counters);
+        for (socket, &instance) in self.sockets.iter().enumerate() {
+            let mut values = ValueVec::new();
             for idx in 0..self.n_counters {
                 match node.read_pci_counter(socket, self.dev, idx) {
                     Some(v) => values.push(v),
-                    None => return out, // device absent / node down
+                    None => return, // device absent / node down
                 }
             }
-            out.push(rec(self.dev_type, socket.to_string(), values));
+            out.push(DeviceRecord {
+                dev_type: self.dev_type,
+                instance,
+                values,
+            });
         }
-        out
     }
 }
 
 /// RAPL energy counters via MSR, one read per socket (through the first
 /// CPU of the socket).
 pub struct RaplCollector {
-    sockets: usize,
+    sockets: Vec<Sym>,
     cpus_per_socket: usize,
 }
 
@@ -149,7 +180,7 @@ impl RaplCollector {
     /// New RAPL collector.
     pub fn new(sockets: usize, cpus_per_socket: usize) -> Self {
         RaplCollector {
-            sockets,
+            sockets: index_syms(sockets),
             cpus_per_socket,
         }
     }
@@ -160,104 +191,37 @@ impl Collector for RaplCollector {
         DeviceType::Rapl
     }
 
-    fn collect(&self, fs: &NodeFs<'_>) -> Vec<DeviceRecord> {
+    fn collect_into(&self, fs: &NodeFs<'_>, _: &mut Scratch, out: &mut Vec<DeviceRecord>) {
         let node = fs.node();
-        let mut out = Vec::with_capacity(self.sockets);
-        for socket in 0..self.sockets {
+        for (socket, &instance) in self.sockets.iter().enumerate() {
             let cpu = socket * self.cpus_per_socket;
-            let regs = [
+            let mut values = ValueVec::new();
+            for addr in [
                 MSR_PKG_ENERGY_STATUS,
                 MSR_PP0_ENERGY_STATUS,
                 MSR_DRAM_ENERGY_STATUS,
-            ];
-            let mut values = Vec::with_capacity(3);
-            for addr in regs {
+            ] {
                 match node.read_msr(cpu, addr) {
                     Some(v) => values.push(v),
-                    None => return out,
+                    None => return,
                 }
             }
-            out.push(rec(DeviceType::Rapl, socket.to_string(), values));
+            out.push(DeviceRecord {
+                dev_type: DeviceType::Rapl,
+                instance,
+                values,
+            });
         }
-        out
     }
 }
 
-/// `/proc/stat` CPU time accounting.
-pub struct CpustatCollector;
-
-impl Collector for CpustatCollector {
-    fn dev_type(&self) -> DeviceType {
-        DeviceType::Cpustat
-    }
-
-    fn collect(&self, fs: &NodeFs<'_>) -> Vec<DeviceRecord> {
-        let Some(text) = fs.read("/proc/stat") else {
-            return Vec::new();
-        };
-        let mut out = Vec::new();
-        for line in complete_lines(&text) {
-            // Per-CPU lines are "cpu<N> user nice system idle iowait …";
-            // skip the aggregate "cpu " line.
-            let Some(rest) = line.strip_prefix("cpu") else {
-                continue;
-            };
-            let mut toks = rest.split_whitespace();
-            let Some(first) = toks.next() else { continue };
-            let Ok(_cpu_idx) = first.parse::<usize>() else {
-                continue; // aggregate line: first token is "user" count
-            };
-            let values: Vec<u64> = toks.take(5).filter_map(|t| t.parse().ok()).collect();
-            if values.len() == 5 {
-                out.push(rec(DeviceType::Cpustat, first, values));
-            }
-        }
-        out
-    }
-}
-
-/// Per-NUMA-node memory from `/sys/devices/system/node/node*/meminfo`.
-pub struct MemCollector;
-
-impl Collector for MemCollector {
-    fn dev_type(&self) -> DeviceType {
-        DeviceType::Mem
-    }
-
-    fn collect(&self, fs: &NodeFs<'_>) -> Vec<DeviceRecord> {
-        let mut out = Vec::new();
-        for node_dir in fs.list("/sys/devices/system/node") {
-            let Some(idx) = node_dir.strip_prefix("node") else {
-                continue;
-            };
-            let Some(text) = fs.read(&format!("/sys/devices/system/node/{node_dir}/meminfo"))
-            else {
-                continue;
-            };
-            let mut total = 0u64;
-            let mut used = 0u64;
-            let mut file = 0u64;
-            let mut anon = 0u64;
-            for line in text.lines() {
-                // "Node 0 MemTotal:  33554432 kB"
-                let mut toks = line.split_whitespace();
-                let (Some(_node), Some(_idx), Some(key), Some(val)) =
-                    (toks.next(), toks.next(), toks.next(), toks.next())
-                else {
-                    continue;
-                };
-                let Ok(v) = val.parse::<u64>() else { continue };
-                match key {
-                    "MemTotal:" => total = v,
-                    "MemUsed:" => used = v,
-                    "FilePages:" => file = v,
-                    "AnonPages:" => anon = v,
-                    _ => {}
-                }
-            }
-            out.push(rec(DeviceType::Mem, idx, vec![total, used, file, anon]));
-        }
-        out
+/// A record for a text-backed device. Instance names recur every sample,
+/// so interning one is a table lookup after the first collection.
+fn rec<const N: usize>(dev_type: DeviceType, instance: &str, values: [u64; N]) -> DeviceRecord {
+    DeviceRecord {
+        dev_type,
+        instance: Sym::new(instance),
+        values: values.into(),
     }
 }
 
@@ -273,6 +237,102 @@ fn complete_lines(text: &str) -> std::str::Lines<'_> {
     }
 }
 
+/// The values of those `(key, value)` lines whose key is one of `keys`,
+/// in `keys` order; `None` for a key with no numeric line of its own.
+fn keyed_values<'t, const N: usize>(
+    lines: impl Iterator<Item = (&'t str, &'t str)>,
+    keys: &[&str; N],
+) -> [Option<u64>; N] {
+    let mut found = [None; N];
+    for (key, val) in lines {
+        let slot = keys.iter().position(|k| *k == key);
+        if let Some(slot) = slot.and_then(|i| found.get_mut(i)) {
+            *slot = val.parse().ok();
+        }
+    }
+    found
+}
+
+/// All of `found`, or `None` if any is missing.
+fn all_found<T: Copy + Default, const N: usize>(found: [Option<T>; N]) -> Option<[T; N]> {
+    let mut values = [T::default(); N];
+    for (v, f) in values.iter_mut().zip(found) {
+        *v = f?;
+    }
+    Some(values)
+}
+
+/// `/proc/stat` CPU time accounting.
+pub struct CpustatCollector;
+
+impl Collector for CpustatCollector {
+    fn dev_type(&self) -> DeviceType {
+        DeviceType::Cpustat
+    }
+
+    fn collect_into(&self, fs: &NodeFs<'_>, s: &mut Scratch, out: &mut Vec<DeviceRecord>) {
+        if !fs.read_into("/proc/stat", &mut s.text) {
+            return;
+        }
+        for line in complete_lines(&s.text) {
+            // Per-CPU lines are "cpu<N> user nice system idle iowait …";
+            // skip the aggregate "cpu " line.
+            let Some(rest) = line.strip_prefix("cpu") else {
+                continue;
+            };
+            let mut toks = rest.split_whitespace();
+            let Some(first) = toks.next() else { continue };
+            if first.parse::<usize>().is_err() {
+                continue; // aggregate line: first token is "user" count
+            }
+            let mut values = ValueVec::new();
+            for v in toks.take(5).filter_map(|t| t.parse().ok()) {
+                values.push(v);
+            }
+            if values.len() == 5 {
+                out.push(DeviceRecord {
+                    dev_type: DeviceType::Cpustat,
+                    instance: Sym::new(first),
+                    values,
+                });
+            }
+        }
+    }
+}
+
+/// Per-NUMA-node memory from `/sys/devices/system/node/node*/meminfo`.
+pub struct MemCollector;
+
+impl Collector for MemCollector {
+    fn dev_type(&self) -> DeviceType {
+        DeviceType::Mem
+    }
+
+    fn collect_into(&self, fs: &NodeFs<'_>, s: &mut Scratch, out: &mut Vec<DeviceRecord>) {
+        let Scratch { text, path, name } = s;
+        fs.for_each_entry("/sys/devices/system/node", name, |node_dir| {
+            let Some(idx) = node_dir.strip_prefix("node") else {
+                return;
+            };
+            let parts = ["/sys/devices/system/node/", node_dir, "/meminfo"];
+            if !read_joined(fs, path, &parts, text) {
+                return;
+            }
+            // "Node 0 MemTotal:  33554432 kB"
+            let lines = complete_lines(text).filter_map(|line| {
+                let mut toks = line.split_whitespace().skip(2);
+                Some((toks.next()?, toks.next()?))
+            });
+            let keys = ["MemTotal:", "MemUsed:", "FilePages:", "AnonPages:"];
+            // A truncated read loses the tail keys: the node is absent
+            // for this sample rather than reported with zeros.
+            if let Some(values) = all_found(keyed_values(lines, &keys)) {
+                out.push(rec(DeviceType::Mem, idx, values));
+            }
+        });
+    }
+}
+
 /// Ethernet counters from `/proc/net/dev`.
 pub struct NetCollector;
 
@@ -281,12 +341,11 @@ impl Collector for NetCollector {
         DeviceType::Net
     }
 
-    fn collect(&self, fs: &NodeFs<'_>) -> Vec<DeviceRecord> {
-        let Some(text) = fs.read("/proc/net/dev") else {
-            return Vec::new();
-        };
-        let mut out = Vec::new();
-        for line in complete_lines(&text).skip(2) {
+    fn collect_into(&self, fs: &NodeFs<'_>, s: &mut Scratch, out: &mut Vec<DeviceRecord>) {
+        if !fs.read_into("/proc/net/dev", &mut s.text) {
+            return;
+        }
+        for line in complete_lines(&s.text).skip(2) {
             let Some((iface, rest)) = line.split_once(':') else {
                 continue;
             };
@@ -294,22 +353,20 @@ impl Collector for NetCollector {
             if iface == "lo" {
                 continue;
             }
-            let f: Vec<u64> = rest
-                .split_whitespace()
-                .filter_map(|t| t.parse().ok())
-                .collect();
             // Fields: rx_bytes rx_packets … (8 rx fields) tx_bytes tx_packets …
-            if let [rx_bytes, rx_packets, _, _, _, _, _, _, tx_bytes, tx_packets, ..] =
-                *f.as_slice()
-            {
-                out.push(rec(
-                    DeviceType::Net,
-                    iface,
-                    vec![rx_bytes, rx_packets, tx_bytes, tx_packets],
-                ));
-            }
+            let mut f = rest.split_whitespace().filter_map(|t| t.parse().ok());
+            let (Some(rx_bytes), Some(rx_packets)) = (f.next(), f.next()) else {
+                continue;
+            };
+            let (Some(tx_bytes), Some(tx_packets)) = (f.nth(6), f.next()) else {
+                continue;
+            };
+            out.push(rec(
+                DeviceType::Net,
+                iface,
+                [rx_bytes, rx_packets, tx_bytes, tx_packets],
+            ));
         }
-        out
     }
 }
 
@@ -321,78 +378,90 @@ impl Collector for IbCollector {
         DeviceType::Ib
     }
 
-    fn collect(&self, fs: &NodeFs<'_>) -> Vec<DeviceRecord> {
-        let mut out = Vec::new();
-        for hca in fs.list("/sys/class/infiniband") {
-            let port = 1; // all our HCAs are single-port
-            let mut values = Vec::with_capacity(4);
-            let mut ok = true;
-            for counter in [
+    fn collect_into(&self, fs: &NodeFs<'_>, s: &mut Scratch, out: &mut Vec<DeviceRecord>) {
+        let Scratch { text, path, name } = s;
+        fs.for_each_entry("/sys/class/infiniband", name, |hca| {
+            // All our HCAs are single-port.
+            let mut values = [0u64; 4];
+            let counters = [
                 "port_xmit_data",
                 "port_rcv_data",
                 "port_xmit_pkts",
                 "port_rcv_pkts",
-            ] {
-                let path = format!("/sys/class/infiniband/{hca}/ports/{port}/counters/{counter}");
-                match fs
-                    .read(&path)
-                    .filter(|t| t.ends_with('\n')) // truncated value is no value
-                    .and_then(|t| t.trim().parse().ok())
-                {
-                    Some(v) => values.push(v),
-                    None => {
-                        ok = false;
-                        break;
-                    }
+            ];
+            for (value, counter) in values.iter_mut().zip(counters) {
+                let parts = ["/sys/class/infiniband/", hca, "/ports/1/counters/", counter];
+                // A truncated value is no value.
+                if !(read_joined(fs, path, &parts, text) && text.ends_with('\n')) {
+                    return;
+                }
+                match text.trim().parse() {
+                    Ok(v) => *value = v,
+                    Err(_) => return,
                 }
             }
-            if ok {
-                out.push(rec(DeviceType::Ib, format!("{hca}/{port}"), values));
-            }
-        }
-        out
+            path.clear();
+            path.push_str(hca);
+            path.push_str("/1");
+            out.push(rec(DeviceType::Ib, path, values));
+        });
     }
 }
 
-/// Parse a Lustre `stats` file into (name → (count, sum)) pairs.
+/// `(count, sum)` of each of the `names` lines of a Lustre `stats` file,
+/// in `names` order, parsed in one pass.
 ///
-/// Lines look like `open 123 samples [regs]` (count only) or
-/// `read_bytes 4 samples [bytes] 0 1048576 4194304` (count, min, max, sum).
-fn parse_lustre_stats(text: &str) -> Vec<(String, u64, u64)> {
-    let mut out = Vec::new();
-    for line in complete_lines(text) {
-        let toks: Vec<&str> = line.split_whitespace().collect();
-        let (Some(&name), Some(count_tok)) = (toks.first(), toks.get(1)) else {
-            continue;
-        };
-        if toks.len() < 4 || name == "snapshot_time" {
-            continue;
-        }
-        let Ok(count) = count_tok.parse::<u64>() else {
-            continue;
-        };
-        let sum = toks.get(6).and_then(|t| t.parse::<u64>().ok()).unwrap_or(0);
-        out.push((name.to_string(), count, sum));
-    }
-    out
-}
-
-fn lustre_lookup(stats: &[(String, u64, u64)], name: &str) -> (u64, u64) {
-    stats
-        .iter()
-        .find(|(n, _, _)| n == name)
-        .map(|(_, c, s)| (*c, *s))
-        .unwrap_or((0, 0))
-}
-
-/// Are all `names` present in a parsed stats file? A truncated read can
-/// cut the tail lines off; reporting those counters as zero would be
+/// Lines look like `open 123 samples [regs]` (count only, sum 0) or
+/// `read_bytes 4 samples [bytes] 0 1048576 4194304` (count, min, max,
+/// sum). `None` if any wanted line is missing: a truncated read cuts
+/// the tail lines off, and reporting those counters as zero would be
 /// indistinguishable from real idle, so an incomplete file makes the
 /// collector report the device *absent* for this sample instead.
-fn lustre_complete(stats: &[(String, u64, u64)], names: &[&str]) -> bool {
-    names
-        .iter()
-        .all(|n| stats.iter().any(|(have, _, _)| have == n))
+fn parse_lustre_stats<const N: usize>(text: &str, names: &[&str; N]) -> Option<[(u64, u64); N]> {
+    let mut found = [None; N];
+    for line in complete_lines(text) {
+        let mut toks = line.split_whitespace();
+        let (Some(name), Some(count)) = (toks.next(), toks.next()) else {
+            continue;
+        };
+        // Four tokens at least: `<name> <count> samples [<unit>]`.
+        if toks.nth(1).is_none() {
+            continue;
+        }
+        let Ok(count) = count.parse::<u64>() else {
+            continue;
+        };
+        let sum = toks.nth(2).and_then(|t| t.parse().ok()).unwrap_or(0);
+        let slot = names.iter().position(|n| *n == name);
+        // The first line of a name wins.
+        if let Some(slot) = slot.and_then(|i| found.get_mut(i)) {
+            slot.get_or_insert((count, sum));
+        }
+    }
+    all_found(found)
+}
+
+/// One record per `stats` file under the Lustre directory `dir`, named
+/// after the filesystem: the `names` lines of the file, mapped to the
+/// device's schema order by `values`.
+fn collect_lustre<const N: usize, const M: usize>(
+    (dev_type, dir): (DeviceType, &str),
+    names: &[&str; N],
+    values: impl Fn([(u64, u64); N]) -> [u64; M],
+    fs: &NodeFs<'_>,
+    s: &mut Scratch,
+    out: &mut Vec<DeviceRecord>,
+) {
+    let Scratch { text, path, name } = s;
+    fs.for_each_entry(dir, name, |entry| {
+        if !read_joined(fs, path, &[dir, "/", entry, "/stats"], text) {
+            return;
+        }
+        let fsname = entry.split('-').next().unwrap_or(entry);
+        if let Some(stats) = parse_lustre_stats(text, names) {
+            out.push(rec(dev_type, fsname, values(stats)));
+        }
+    });
 }
 
 /// Lustre client (llite) statistics per filesystem.
@@ -403,42 +472,29 @@ impl Collector for LliteCollector {
         DeviceType::Llite
     }
 
-    fn collect(&self, fs: &NodeFs<'_>) -> Vec<DeviceRecord> {
-        let mut out = Vec::new();
-        for dir in fs.list("/proc/fs/lustre/llite") {
-            let Some(text) = fs.read(&format!("/proc/fs/lustre/llite/{dir}/stats")) else {
-                continue;
-            };
-            let fsname = dir.split('-').next().unwrap_or(&dir).to_string();
-            let stats = parse_lustre_stats(&text);
-            if !lustre_complete(
-                &stats,
-                &[
-                    "read_bytes",
-                    "write_bytes",
-                    "open",
-                    "close",
-                    "getattr",
-                    "statfs",
-                    "seek",
-                    "fsync",
-                ],
-            ) {
-                continue;
-            }
-            let values = vec![
-                lustre_lookup(&stats, "read_bytes").1,
-                lustre_lookup(&stats, "write_bytes").1,
-                lustre_lookup(&stats, "open").0,
-                lustre_lookup(&stats, "close").0,
-                lustre_lookup(&stats, "getattr").0,
-                lustre_lookup(&stats, "statfs").0,
-                lustre_lookup(&stats, "seek").0,
-                lustre_lookup(&stats, "fsync").0,
-            ];
-            out.push(rec(DeviceType::Llite, fsname, values));
-        }
-        out
+    fn collect_into(&self, fs: &NodeFs<'_>, s: &mut Scratch, out: &mut Vec<DeviceRecord>) {
+        let names = [
+            "read_bytes",
+            "write_bytes",
+            "open",
+            "close",
+            "getattr",
+            "statfs",
+            "seek",
+            "fsync",
+        ];
+        collect_lustre(
+            (DeviceType::Llite, "/proc/fs/lustre/llite"),
+            &names,
+            |[rb, wb, open, close, getattr, statfs, seek, fsync]| {
+                [
+                    rb.1, wb.1, open.0, close.0, getattr.0, statfs.0, seek.0, fsync.0,
+                ]
+            },
+            fs,
+            s,
+            out,
+        );
     }
 }
 
@@ -450,21 +506,15 @@ impl Collector for MdcCollector {
         DeviceType::Mdc
     }
 
-    fn collect(&self, fs: &NodeFs<'_>) -> Vec<DeviceRecord> {
-        let mut out = Vec::new();
-        for dir in fs.list("/proc/fs/lustre/mdc") {
-            let Some(text) = fs.read(&format!("/proc/fs/lustre/mdc/{dir}/stats")) else {
-                continue;
-            };
-            let fsname = dir.split('-').next().unwrap_or(&dir).to_string();
-            let stats = parse_lustre_stats(&text);
-            if !lustre_complete(&stats, &["req_waittime"]) {
-                continue;
-            }
-            let (reqs, wait) = lustre_lookup(&stats, "req_waittime");
-            out.push(rec(DeviceType::Mdc, fsname, vec![reqs, wait]));
-        }
-        out
+    fn collect_into(&self, fs: &NodeFs<'_>, s: &mut Scratch, out: &mut Vec<DeviceRecord>) {
+        collect_lustre(
+            (DeviceType::Mdc, "/proc/fs/lustre/mdc"),
+            &["req_waittime"],
+            |[(reqs, wait)]| [reqs, wait],
+            fs,
+            s,
+            out,
+        );
     }
 }
 
@@ -476,27 +526,15 @@ impl Collector for OscCollector {
         DeviceType::Osc
     }
 
-    fn collect(&self, fs: &NodeFs<'_>) -> Vec<DeviceRecord> {
-        let mut out = Vec::new();
-        for dir in fs.list("/proc/fs/lustre/osc") {
-            let Some(text) = fs.read(&format!("/proc/fs/lustre/osc/{dir}/stats")) else {
-                continue;
-            };
-            let fsname = dir.split('-').next().unwrap_or(&dir).to_string();
-            let stats = parse_lustre_stats(&text);
-            if !lustre_complete(&stats, &["req_waittime", "read_bytes", "write_bytes"]) {
-                continue;
-            }
-            let (reqs, wait) = lustre_lookup(&stats, "req_waittime");
-            let values = vec![
-                reqs,
-                wait,
-                lustre_lookup(&stats, "read_bytes").1,
-                lustre_lookup(&stats, "write_bytes").1,
-            ];
-            out.push(rec(DeviceType::Osc, fsname, values));
-        }
-        out
+    fn collect_into(&self, fs: &NodeFs<'_>, s: &mut Scratch, out: &mut Vec<DeviceRecord>) {
+        collect_lustre(
+            (DeviceType::Osc, "/proc/fs/lustre/osc"),
+            &["req_waittime", "read_bytes", "write_bytes"],
+            |[(reqs, wait), rb, wb]| [reqs, wait, rb.1, wb.1],
+            fs,
+            s,
+            out,
+        );
     }
 }
 
@@ -508,28 +546,28 @@ impl Collector for LnetCollector {
         DeviceType::Lnet
     }
 
-    fn collect(&self, fs: &NodeFs<'_>) -> Vec<DeviceRecord> {
-        let Some(text) = fs.read("/proc/sys/lnet/stats") else {
-            return Vec::new();
-        };
-        if !text.ends_with('\n') {
-            return Vec::new(); // truncated single-line file
+    fn collect_into(&self, fs: &NodeFs<'_>, s: &mut Scratch, out: &mut Vec<DeviceRecord>) {
+        // A single-line file: without its newline it was truncated.
+        if !fs.read_into("/proc/sys/lnet/stats", &mut s.text) || !s.text.ends_with('\n') {
+            return;
         }
-        let f: Vec<u64> = text
-            .split_whitespace()
-            .filter_map(|t| t.parse().ok())
-            .collect();
         // Real layout: msgs_alloc msgs_max errors send_count recv_count
         //              route_count drop_count send_length recv_length …
-        let [_, _, _, send_count, recv_count, _, _, send_length, recv_length, ..] = *f.as_slice()
-        else {
-            return Vec::new();
+        let mut f = s
+            .text
+            .split_whitespace()
+            .filter_map(|t| t.parse::<u64>().ok());
+        let (Some(send_count), Some(recv_count)) = (f.nth(3), f.next()) else {
+            return;
         };
-        vec![rec(
+        let (Some(send_length), Some(recv_length)) = (f.nth(2), f.next()) else {
+            return;
+        };
+        out.push(rec(
             DeviceType::Lnet,
             "lnet",
-            vec![send_length, recv_length, send_count, recv_count],
-        )]
+            [send_length, recv_length, send_count, recv_count],
+        ));
     }
 }
 
@@ -541,33 +579,41 @@ impl Collector for MicCollector {
         DeviceType::Mic
     }
 
-    fn collect(&self, fs: &NodeFs<'_>) -> Vec<DeviceRecord> {
-        let mut out = Vec::new();
-        for card in fs.list("/sys/class/mic") {
-            let Some(text) = fs.read(&format!("/sys/class/mic/{card}/stats")) else {
-                continue;
-            };
-            let mut user = 0u64;
-            let mut sys = 0u64;
-            let mut idle = 0u64;
-            for line in complete_lines(&text) {
-                let mut toks = line.split_whitespace();
-                let (Some(k), Some(v)) = (toks.next(), toks.next()) else {
-                    continue;
-                };
-                let Ok(v) = v.parse::<u64>() else { continue };
-                match k {
-                    "user_sum" => user = v,
-                    "sys_sum" => sys = v,
-                    "idle_sum" => idle = v,
-                    _ => {}
-                }
+    fn collect_into(&self, fs: &NodeFs<'_>, s: &mut Scratch, out: &mut Vec<DeviceRecord>) {
+        let Scratch { text, path, name } = s;
+        fs.for_each_entry("/sys/class/mic", name, |card| {
+            if !read_joined(fs, path, &["/sys/class/mic/", card, "/stats"], text) {
+                return;
             }
-            out.push(rec(DeviceType::Mic, card, vec![user, sys, idle]));
-        }
-        out
+            let lines = complete_lines(text).filter_map(|line| {
+                let mut toks = line.split_whitespace();
+                Some((toks.next()?, toks.next()?))
+            });
+            let found = keyed_values(lines, &["user_sum", "sys_sum", "idle_sum"]);
+            out.push(rec(DeviceType::Mic, card, found.map(|v| v.unwrap_or(0))));
+        });
     }
 }
+
+/// Position in the `ps` schema, and radix, of a `/proc/<pid>/status` key.
+fn ps_status_slot(key: &str) -> Option<(usize, u32)> {
+    Some(match key {
+        "VmSize" => (0, 10),
+        "VmHWM" => (1, 10),
+        "VmRSS" => (2, 10),
+        "VmLck" => (3, 10),
+        "VmData" => (4, 10),
+        "VmStk" => (5, 10),
+        "VmExe" => (6, 10),
+        "Threads" => (7, 10),
+        "Cpus_allowed" => (9, 16),
+        "Mems_allowed" => (10, 16),
+        _ => return None,
+    })
+}
+
+/// Position of `utime` (field 14 of `/proc/<pid>/stat`) in the `ps` schema.
+const PS_UTIME_SLOT: usize = 8;
 
 /// Per-process collection from procfs (§III-B item 4): executable names,
 /// memory sizes and high-water marks, locked memory, segment sizes,
@@ -577,93 +623,65 @@ pub struct PsCollector;
 impl PsCollector {
     /// Collect the process table. Separate from [`Collector`] because ps
     /// records are structured (pid/comm/uid), not plain value vectors.
+    // alloc: cold-fn (owned-return wrapper over collect_ps_into)
     pub fn collect_ps(&self, fs: &NodeFs<'_>) -> Vec<PsRecord> {
-        let mut out = Vec::new();
-        for pid_s in fs.list("/proc") {
+        let mut out = Vec::with_capacity(16);
+        self.collect_ps_into(fs, &mut Scratch::default(), &mut out);
+        out
+    }
+
+    /// Append one record per process to `out`. A process whose `status`
+    /// or `stat` cannot be read whole — it raced with exit, or the read
+    /// was cut short and lost a schema key — is absent for this sample.
+    pub fn collect_ps_into(&self, fs: &NodeFs<'_>, s: &mut Scratch, out: &mut Vec<PsRecord>) {
+        let Scratch { text, path, name } = s;
+        fs.for_each_entry("/proc", name, |pid_s| {
             let Ok(pid) = pid_s.parse::<u32>() else {
-                continue;
+                return;
             };
-            let Some(status) = fs.read(&format!("/proc/{pid}/status")) else {
-                continue; // raced with process exit
-            };
+            if !read_joined(fs, path, &["/proc/", pid_s, "/status"], text) {
+                return;
+            }
             let mut comm = Sym::default();
             let mut uid = 0u32;
-            let mut fields: std::collections::HashMap<&str, u64> = std::collections::HashMap::new();
-            for line in status.lines() {
+            let mut values: [Option<u64>; 11] = [None; 11];
+            for line in complete_lines(text) {
                 let Some((key, val)) = line.split_once(':') else {
                     continue;
                 };
-                let val = val.trim();
+                let first = val.split_ascii_whitespace().next();
                 match key {
-                    "Name" => comm = Sym::new(val),
-                    "Uid" => {
-                        uid = val
-                            .split_whitespace()
-                            .next()
-                            .and_then(|t| t.parse().ok())
-                            .unwrap_or(0)
-                    }
-                    "Threads" => {
-                        fields.insert("Threads", val.parse().unwrap_or(0));
-                    }
-                    "Cpus_allowed" => {
-                        fields.insert("Cpus_allowed", u64::from_str_radix(val, 16).unwrap_or(0));
-                    }
-                    "Mems_allowed" => {
-                        fields.insert("Mems_allowed", u64::from_str_radix(val, 16).unwrap_or(0));
-                    }
-                    k if k.starts_with("Vm") => {
-                        let n = val
-                            .split_whitespace()
-                            .next()
-                            .and_then(|t| t.parse().ok())
-                            .unwrap_or(0);
-                        match k {
-                            "VmSize" => fields.insert("VmSize", n),
-                            "VmHWM" => fields.insert("VmHWM", n),
-                            "VmRSS" => fields.insert("VmRSS", n),
-                            "VmLck" => fields.insert("VmLck", n),
-                            "VmData" => fields.insert("VmData", n),
-                            "VmStk" => fields.insert("VmStk", n),
-                            "VmExe" => fields.insert("VmExe", n),
-                            _ => None,
+                    "Name" => comm = Sym::new(val.trim()),
+                    "Uid" => uid = first.and_then(|t| t.parse().ok()).unwrap_or(0),
+                    _ => {
+                        let Some((slot, radix)) = ps_status_slot(key) else {
+                            continue;
                         };
+                        if let Some(slot) = values.get_mut(slot) {
+                            *slot = first.and_then(|t| u64::from_str_radix(t, radix).ok());
+                        }
                     }
-                    _ => {}
                 }
             }
             // utime from /proc/<pid>/stat, field 14 (1-based).
-            let utime = fs
-                .read(&format!("/proc/{pid}/stat"))
-                .and_then(|s| {
-                    s.split_whitespace()
-                        .nth(13)
-                        .and_then(|t| t.parse::<u64>().ok())
-                })
-                .unwrap_or(0);
-            let g = |k: &str| fields.get(k).copied().unwrap_or(0);
-            out.push(PsRecord {
-                pid,
-                comm,
-                uid,
-                values: [
-                    g("VmSize"),
-                    g("VmHWM"),
-                    g("VmRSS"),
-                    g("VmLck"),
-                    g("VmData"),
-                    g("VmStk"),
-                    g("VmExe"),
-                    g("Threads"),
-                    utime,
-                    g("Cpus_allowed"),
-                    g("Mems_allowed"),
-                ]
-                .into_iter()
-                .collect(),
-            });
-        }
-        out
+            if !read_joined(fs, path, &["/proc/", pid_s, "/stat"], text) {
+                return;
+            }
+            let utime = complete_lines(text)
+                .next()
+                .and_then(|line| line.split_whitespace().nth(13)?.parse().ok());
+            if let Some(slot) = values.get_mut(PS_UTIME_SLOT) {
+                *slot = utime;
+            }
+            if let Some(values) = all_found(values) {
+                out.push(PsRecord {
+                    pid,
+                    comm,
+                    uid,
+                    values: values.into(),
+                });
+            }
+        });
     }
 }
 
@@ -863,9 +881,14 @@ mod tests {
         let text = "snapshot_time 0.0 secs.usecs\n\
                     open 42 samples [regs]\n\
                     read_bytes 3 samples [bytes] 0 99 12345\n";
-        let stats = parse_lustre_stats(text);
-        assert_eq!(lustre_lookup(&stats, "open"), (42, 0));
-        assert_eq!(lustre_lookup(&stats, "read_bytes"), (3, 12345));
-        assert_eq!(lustre_lookup(&stats, "absent"), (0, 0));
+        assert_eq!(
+            parse_lustre_stats(text, &["read_bytes", "open"]),
+            Some([(3, 12345), (42, 0)])
+        );
+        assert_eq!(parse_lustre_stats(text, &["open", "absent"]), None);
+        // A line cut off mid-value is not a reading.
+        let cut = "open 42 samples [regs]\nread_bytes 3 samples [bytes] 0 99 123";
+        assert_eq!(parse_lustre_stats(cut, &["open"]), Some([(42, 0)]));
+        assert_eq!(parse_lustre_stats(cut, &["read_bytes"]), None);
     }
 }

@@ -32,6 +32,7 @@
 
 use crate::codec;
 use crate::engine::Sampler;
+use crate::record::Sample;
 use crate::spool::{Spool, SpoolConfig};
 use bytes::Bytes;
 use tacc_broker::Broker;
@@ -117,6 +118,9 @@ pub struct TaccStatsd {
     /// Reused per-message render buffer (cleared between messages so
     /// its capacity, sized by the first message, is paid once).
     render_buf: Vec<u8>,
+    /// The one sample every collection refills (its record vectors,
+    /// sized by the first collection, are likewise paid once).
+    sample: Sample,
     /// Samples collected (each consumed one sequence number).
     pub collected: u64,
     /// Messages successfully published (first attempts + replays).
@@ -160,6 +164,7 @@ impl TaccStatsd {
             lost_seqs: Vec::new(),
             header_buf,
             render_buf: Vec::new(),
+            sample: Sample::default(),
             collected: 0,
             published: 0,
             publish_failures: 0,
@@ -261,7 +266,8 @@ impl TaccStatsd {
     }
 
     fn collect_and_publish(&mut self, fs: &NodeFs<'_>, now: SimTime, marks: &[String]) {
-        let sample = self.sampler.sample(fs, now, &self.jobids, marks);
+        self.sampler
+            .sample_into(fs, now, &self.jobids, marks, &mut self.sample);
         let seq = self.seq;
         self.seq += 1;
         self.collected += 1;
@@ -272,7 +278,7 @@ impl TaccStatsd {
         self.render_buf.clear();
         self.render_buf.extend_from_slice(&self.header_buf);
         codec::render_seq(seq, &mut self.render_buf);
-        codec::render_sample_into(&sample, &mut self.render_buf);
+        codec::render_sample_into(&self.sample, &mut self.render_buf);
         // Interned: resolving the routing key is a table lookup, not a
         // per-message String clone.
         let host = self.sampler.header().hostname.as_str();

@@ -13,10 +13,9 @@
 //! measurement of this implementation's collection path, reported by the
 //! overhead bench.
 
-use crate::collectors::{Collector, PsCollector};
+use crate::collectors::{Collector, PsCollector, Scratch};
 use crate::discovery::{build_collectors, NodeConfig};
-use crate::record::{HostHeader, Sample, SimTimeRepr};
-use std::collections::HashMap;
+use crate::record::{DeviceRecord, HostHeader, Sample, SimTimeRepr};
 use tacc_simnode::pseudofs::NodeFs;
 use tacc_simnode::schema::DeviceType;
 use tacc_simnode::{SimDuration, SimTime};
@@ -84,11 +83,14 @@ pub struct Sampler {
     header: HostHeader,
     collectors: Vec<Box<dyn Collector>>,
     ps: PsCollector,
+    /// Text buffers every collection reads through.
+    scratch: Scratch,
     account: OverheadAccount,
     busy_until: SimTime,
-    /// Most instances ever observed per device type — the yardstick a
-    /// degraded sample is measured against.
-    baseline: HashMap<DeviceType, usize>,
+    /// Most instances ever observed per device type (indexed by the
+    /// type's discriminant) — the yardstick a degraded sample is
+    /// measured against.
+    baseline: [usize; DeviceType::ALL.len()],
     degraded_reads: u64,
 }
 
@@ -99,9 +101,10 @@ impl Sampler {
             header: cfg.header(hostname),
             collectors: build_collectors(cfg),
             ps: PsCollector,
+            scratch: Scratch::default(),
             account: OverheadAccount::default(),
             busy_until: SimTime::EPOCH,
-            baseline: HashMap::new(),
+            baseline: [0; DeviceType::ALL.len()],
             degraded_reads: 0,
         }
     }
@@ -139,25 +142,21 @@ impl Sampler {
 
     /// Compare this sample's device inventory against the baseline:
     /// count shortfalls, then ratchet the baseline up with anything new.
-    fn account_degradation(&mut self, devices: &[crate::record::DeviceRecord]) {
+    fn account_degradation(&mut self, devices: &[DeviceRecord]) {
         // A totally empty sample is a crashed node, not a degraded read;
         // node outages are accounted separately.
         if devices.is_empty() {
             return;
         }
-        let mut counts: HashMap<DeviceType, usize> = HashMap::new();
+        let mut counts = [0usize; DeviceType::ALL.len()];
         for d in devices {
-            *counts.entry(d.dev_type).or_insert(0) += 1;
-        }
-        for (dt, &base) in &self.baseline {
-            let have = counts.get(dt).copied().unwrap_or(0);
-            if have < base {
-                self.degraded_reads += (base - have) as u64;
+            if let Some(n) = counts.get_mut(d.dev_type as usize) {
+                *n += 1;
             }
         }
-        for (dt, have) in counts {
-            let e = self.baseline.entry(dt).or_insert(0);
-            *e = (*e).max(have);
+        for (base, have) in self.baseline.iter_mut().zip(counts) {
+            self.degraded_reads += base.saturating_sub(have) as u64;
+            *base = (*base).max(have);
         }
     }
 
@@ -174,6 +173,7 @@ impl Sampler {
     /// the scheduler integration); `marks` are scheduler annotations
     /// (`begin <job>`, `end <job>`, `procstart <pid>` …) recorded with the
     /// sample.
+    // alloc: cold-fn (owned-return wrapper over sample_into; the daemon reuses one Sample)
     pub fn sample(
         &mut self,
         fs: &NodeFs<'_>,
@@ -181,27 +181,46 @@ impl Sampler {
         jobids: &[String],
         marks: &[String],
     ) -> Sample {
+        let mut sample = Sample {
+            devices: Vec::with_capacity(64),
+            processes: Vec::with_capacity(16),
+            ..Sample::default()
+        };
+        self.sample_into(fs, now, jobids, marks, &mut sample);
+        sample
+    }
+
+    /// [`Sampler::sample`] into a caller-owned `sample`, which is
+    /// overwritten whole. Refilling the same `Sample` every collection
+    /// reuses its vectors (and the text of unchanged job ids and marks),
+    /// so a steady-state collection allocates nothing.
+    pub fn sample_into(
+        &mut self,
+        fs: &NodeFs<'_>,
+        now: SimTime,
+        jobids: &[String],
+        marks: &[String],
+        sample: &mut Sample,
+    ) {
         let wall_start = std::time::Instant::now();
-        let mut devices = Vec::with_capacity(64);
+        sample.devices.clear();
         for c in &self.collectors {
-            devices.extend(c.collect(fs));
+            c.collect_into(fs, &mut self.scratch, &mut sample.devices);
         }
-        let processes = self.ps.collect_ps(fs);
-        self.account_degradation(&devices);
-        let cost = Self::cost_model(devices.len(), processes.len());
+        sample.processes.clear();
+        self.ps
+            .collect_ps_into(fs, &mut self.scratch, &mut sample.processes);
+        self.account_degradation(&sample.devices);
+        let cost = Self::cost_model(sample.devices.len(), sample.processes.len());
         self.account.busy = self.account.busy + cost;
         self.account.collections += 1;
         self.account.real_nanos += wall_start.elapsed().as_nanos() as u64;
         self.busy_until = now + cost;
-        Sample {
-            // Truncate to whole seconds: the raw-file format carries Unix
-            // seconds, and samples must round-trip through it.
-            time: SimTimeRepr::from(SimTime::from_secs(now.as_secs())),
-            jobids: jobids.to_vec(),
-            marks: marks.to_vec(),
-            devices,
-            processes,
-        }
+        // Truncate to whole seconds: the raw-file format carries Unix
+        // seconds, and samples must round-trip through it.
+        sample.time = SimTimeRepr::from(SimTime::from_secs(now.as_secs()));
+        jobids.clone_into(&mut sample.jobids);
+        marks.clone_into(&mut sample.marks);
     }
 }
 
@@ -336,6 +355,8 @@ mod tests {
     fn failed_reads_degrade_gracefully() {
         use tacc_simnode::faults::{ReadFault, ReadFaultMode};
         let mut node = SimNode::new("c401-0001", NodeTopology::stampede());
+        let pid = node.spawn_process("wrf.exe", 5000, 16, 0xFFFF);
+        node.advance(SimDuration::from_secs(600), &busy());
         let mut s = sampler_for(&node);
         {
             let fs = NodeFs::new(&node);
@@ -385,11 +406,45 @@ mod tests {
             .all(|d| d.instance != "scratch"));
         assert_eq!(s.degraded_reads(), 2);
 
+        // Truncated meminfo: the cut falls inside the MemUsed line, whose
+        // digits must not be read short, and the later keys are gone —
+        // the NUMA node is absent, not reported with a wrong MemUsed and
+        // zero FilePages.
+        node.set_read_faults(vec![ReadFault {
+            prefix: "/sys/devices/system/node/node0/meminfo".to_string(),
+            mode: ReadFaultMode::Truncated,
+        }]);
+        let sample = {
+            let fs = NodeFs::new(&node);
+            s.sample(&fs, SimTime::from_secs(1800), &[], &[])
+        };
+        let mem: Vec<_> = sample.devices_of(DeviceType::Mem).collect();
+        assert_eq!(mem.len(), 1, "node0 absent, node1 intact");
+        assert_eq!(mem[0].instance, "1");
+        assert_eq!(s.degraded_reads(), 3);
+
+        // Truncated /proc/<pid>/status (loses the tail keys) or stat
+        // (loses field 14): the process is absent from that sample, not
+        // reported with zeros. Processes come and go, so they are not
+        // part of the degradation inventory.
+        for file in ["status", "stat"] {
+            node.set_read_faults(vec![ReadFault {
+                prefix: format!("/proc/{pid}/{file}"),
+                mode: ReadFaultMode::Truncated,
+            }]);
+            let fs = NodeFs::new(&node);
+            let sample = s.sample(&fs, SimTime::from_secs(2400), &[], &[]);
+            assert!(sample.processes.is_empty(), "truncated {file}");
+            assert_eq!(s.degraded_reads(), 3);
+        }
+
         // Faults cleared: back to the full inventory, counter holds.
         node.set_read_faults(Vec::new());
         let fs = NodeFs::new(&node);
-        s.sample(&fs, SimTime::from_secs(1800), &[], &[]);
-        assert_eq!(s.degraded_reads(), 2);
+        let sample = s.sample(&fs, SimTime::from_secs(3000), &[], &[]);
+        assert_eq!(sample.devices_of(DeviceType::Mem).count(), 2);
+        assert_eq!(sample.processes.len(), 1);
+        assert_eq!(s.degraded_reads(), 3);
     }
 
     #[test]

@@ -169,6 +169,12 @@ impl From<Vec<u64>> for ValueVec {
     }
 }
 
+impl<const N: usize> From<[u64; N]> for ValueVec {
+    fn from(vs: [u64; N]) -> ValueVec {
+        vs.into_iter().collect()
+    }
+}
+
 impl FromIterator<u64> for ValueVec {
     fn from_iter<I: IntoIterator<Item = u64>>(iter: I) -> ValueVec {
         let mut out = ValueVec::new();

@@ -101,9 +101,14 @@ impl SimDevice {
         self.counters.iter().map(Counter::read).collect()
     }
 
+    /// Read one register by schema position, truncated to its width.
+    pub fn read_at(&self, idx: usize) -> Option<u64> {
+        self.counters.get(idx).map(Counter::read)
+    }
+
     /// Read one register by event name.
     pub fn read(&self, event: &str) -> Option<u64> {
-        self.schema.index_of(event).map(|i| self.counters[i].read())
+        self.read_at(self.schema.index_of(event)?)
     }
 
     /// Full-precision ground-truth totals (test oracle).
@@ -162,6 +167,10 @@ mod tests {
         assert_eq!(v.len(), 4);
         assert_eq!(v[0], 100); // port_xmit_data
         assert_eq!(v[3], 7); // port_rcv_pkts
+        for (i, want) in v.iter().enumerate() {
+            assert_eq!(d.read_at(i), Some(*want));
+        }
+        assert_eq!(d.read_at(v.len()), None);
     }
 
     #[test]

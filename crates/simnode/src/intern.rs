@@ -109,6 +109,14 @@ impl SymbolTable {
         Sym(id)
     }
 
+    /// The symbol of `s` if it has been interned already. Read lock
+    /// only and never inserts, so probing for text that may not be an
+    /// identity at all (a misspelt event name, a bogus counter file)
+    /// cannot grow the table.
+    pub fn get(&self, s: &str) -> Option<Sym> {
+        self.inner.read().ids.get(s).copied().map(Sym)
+    }
+
     /// Combine four symbols into one routing hash that depends only on
     /// the underlying *strings* (not on intern order), so it is stable
     /// across process restarts — the property the durable store's
@@ -269,6 +277,15 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(a.id(), b.id());
         assert_eq!(a.as_str(), "scratch");
+    }
+
+    #[test]
+    fn get_finds_interned_text_and_never_inserts() {
+        let t = SymbolTable::global();
+        assert_eq!(t.get("get-probe-never-interned"), None);
+        assert_eq!(t.get("get-probe-never-interned"), None, "probe leaked");
+        let s = Sym::new("get-probe-interned");
+        assert_eq!(t.get("get-probe-interned"), Some(s));
     }
 
     #[test]

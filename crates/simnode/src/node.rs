@@ -511,38 +511,29 @@ impl SimNode {
     /// Read a model-specific register of a logical CPU, as the collector
     /// would through `/dev/cpu/<cpu>/msr`. Returns `None` for unknown
     /// addresses, out-of-range CPUs, or a crashed node.
+    ///
+    /// An address maps straight to a schema position — the fixed
+    /// counters are events 0..3 of the `cpu` schema, the programmable
+    /// ones follow, the RAPL registers are events 0..3 of `rapl` — so a
+    /// read touches exactly one counter.
     pub fn read_msr(&self, cpu: usize, addr: u32) -> Option<u64> {
         if self.crashed || cpu >= self.topology.n_cpus() {
             return None;
         }
-        let cpu_dev = |ev: &str| self.devices(DeviceType::Cpu).get(cpu)?.read(ev);
-        match addr {
-            MSR_FIXED_CTR0 => cpu_dev("FIXED_CTR0"),
-            MSR_FIXED_CTR1 => cpu_dev("FIXED_CTR1"),
-            MSR_FIXED_CTR2 => cpu_dev("FIXED_CTR2"),
+        let socket = self.topology.socket_of_cpu(cpu);
+        let (dt, dev, idx) = match addr {
+            MSR_FIXED_CTR0 => (DeviceType::Cpu, cpu, 0),
+            MSR_FIXED_CTR1 => (DeviceType::Cpu, cpu, 1),
+            MSR_FIXED_CTR2 => (DeviceType::Cpu, cpu, 2),
             a if (MSR_PMC0..MSR_PMC0 + 8).contains(&a) => {
-                let prog_idx = (a - MSR_PMC0) as usize;
-                let dev = self.devices(DeviceType::Cpu).get(cpu)?;
-                // Programmable counters hold events 3.. of the schema.
-                let idx = 3 + prog_idx;
-                if idx < dev.schema().len() {
-                    Some(dev.read_all()[idx])
-                } else {
-                    None
-                }
+                (DeviceType::Cpu, cpu, 3 + (a - MSR_PMC0) as usize)
             }
-            MSR_PKG_ENERGY_STATUS | MSR_PP0_ENERGY_STATUS | MSR_DRAM_ENERGY_STATUS => {
-                let socket = self.topology.socket_of_cpu(cpu);
-                let dev = self.devices(DeviceType::Rapl).get(socket)?;
-                let ev = match addr {
-                    MSR_PKG_ENERGY_STATUS => "MSR_PKG_ENERGY_STATUS",
-                    MSR_PP0_ENERGY_STATUS => "MSR_PP0_ENERGY_STATUS",
-                    _ => "MSR_DRAM_ENERGY_STATUS",
-                };
-                dev.read(ev)
-            }
-            _ => None,
-        }
+            MSR_PKG_ENERGY_STATUS => (DeviceType::Rapl, socket, 0),
+            MSR_PP0_ENERGY_STATUS => (DeviceType::Rapl, socket, 1),
+            MSR_DRAM_ENERGY_STATUS => (DeviceType::Rapl, socket, 2),
+            _ => return None,
+        };
+        self.devices(dt).get(dev)?.read_at(idx)
     }
 
     /// Read an uncore counter from (simulated) PCI configuration space.
@@ -556,8 +547,7 @@ impl SimNode {
             UncoreDev::Qpi => DeviceType::Qpi,
             UncoreDev::Cbo => DeviceType::Cbo,
         };
-        let d = self.devices(dt).get(socket)?;
-        d.read_all().get(idx).copied()
+        self.devices(dt).get(socket)?.read_at(idx)
     }
 
     /// Direct mutable access to a device (used by tests and failure
@@ -730,6 +720,45 @@ mod tests {
             n.read_msr(8, MSR_PKG_ENERGY_STATUS),
             n.devices(DeviceType::Rapl)[1].read("MSR_PKG_ENERGY_STATUS")
         );
+        // Every address lands on the schema position of its event.
+        let cpu_events = [
+            (MSR_FIXED_CTR0, "FIXED_CTR0"),
+            (MSR_FIXED_CTR1, "FIXED_CTR1"),
+            (MSR_FIXED_CTR2, "FIXED_CTR2"),
+            (MSR_PMC0 + 1, "FP_VECTOR"),
+            (MSR_PMC0 + 2, "LOAD_ALL"),
+            (MSR_PMC0 + 3, "LOAD_L1_HIT"),
+            (MSR_PMC0 + 4, "LOAD_L2_HIT"),
+            (MSR_PMC0 + 5, "LOAD_LLC_HIT"),
+        ];
+        for (addr, ev) in cpu_events {
+            let want = n.devices(DeviceType::Cpu)[3].read(ev);
+            assert!(want.is_some_and(|v| v > 0), "{ev}");
+            assert_eq!(n.read_msr(3, addr), want, "{ev}");
+        }
+        assert_eq!(n.read_msr(3, MSR_PMC0 + 6), None, "past the schema");
+        for (addr, ev) in [
+            (MSR_PKG_ENERGY_STATUS, "MSR_PKG_ENERGY_STATUS"),
+            (MSR_PP0_ENERGY_STATUS, "MSR_PP0_ENERGY_STATUS"),
+            (MSR_DRAM_ENERGY_STATUS, "MSR_DRAM_ENERGY_STATUS"),
+        ] {
+            assert_eq!(
+                n.read_msr(0, addr),
+                n.devices(DeviceType::Rapl)[0].read(ev),
+                "{ev}"
+            );
+        }
+        for (dev, dt) in [
+            (UncoreDev::Imc, DeviceType::Imc),
+            (UncoreDev::Qpi, DeviceType::Qpi),
+            (UncoreDev::Cbo, DeviceType::Cbo),
+        ] {
+            let all = n.devices(dt)[1].read_all();
+            for (i, want) in all.iter().enumerate() {
+                assert_eq!(n.read_pci_counter(1, dev, i), Some(*want));
+            }
+            assert_eq!(n.read_pci_counter(1, dev, all.len()), None);
+        }
         assert_eq!(n.read_msr(99, MSR_FIXED_CTR0), None);
         assert_eq!(n.read_msr(0, 0xdead), None);
     }

@@ -10,22 +10,41 @@
 //! [`NodeFs`] is a read-only view over a [`SimNode`] routing path lookups
 //! to renderers. A crashed node returns `None` for every path, exactly as
 //! an unreachable node would.
+//!
+//! A collection reads some sixty files per node, so the renderers write
+//! into a buffer the caller owns ([`NodeFs::read_into`],
+//! [`NodeFs::for_each_entry`]) and take one register at a time by schema
+//! position; the allocating [`NodeFs::read`] and [`NodeFs::list`] wrap
+//! them.
 
+use crate::devices::SimDevice;
 use crate::faults::ReadFaultMode;
 use crate::node::SimNode;
 use crate::schema::DeviceType;
+use std::fmt::Write as _;
 
-/// First half of `text`, snapped back to a char boundary — what a racy
-/// partial read of a pseudo-file yields. (The renderers emit ASCII, so
-/// the snap is a no-op in practice; it keeps slicing panic-free anyway.)
-fn truncate_half(text: String) -> String {
+/// Capacity [`NodeFs::read`] gives its buffer: the largest file a
+/// collection reads, `/proc/stat` of a 16-CPU node, is about 0.7 KB.
+const READ_CAPACITY: usize = 1024;
+/// Capacity [`NodeFs::list`] gives its vector: a full Stampede node
+/// lists 16 pids, every other directory a handful of entries.
+const LIST_CAPACITY: usize = 16;
+
+/// The first `N` registers of `dev`, in schema order.
+fn regs<const N: usize>(dev: &SimDevice) -> [u64; N] {
+    std::array::from_fn(|i| dev.read_at(i).unwrap_or(0))
+}
+
+/// Cut `text` to its first half, snapped back to a char boundary — what
+/// a racy partial read of a pseudo-file yields. (The renderers emit
+/// ASCII, so the snap is a no-op in practice; it keeps the cut
+/// panic-free anyway.)
+fn truncate_half(text: &mut String) {
     let mut cut = text.len() / 2;
     while cut > 0 && !text.is_char_boundary(cut) {
         cut -= 1;
     }
-    let mut t = text;
-    t.truncate(cut);
-    t
+    text.truncate(cut);
 }
 
 /// Read-only pseudo-filesystem view of one node.
@@ -47,103 +66,190 @@ impl<'a> NodeFs<'a> {
     /// Read a file. Returns `None` if the path does not exist, the node
     /// is down, or an active read fault makes the file vanish; an active
     /// truncation fault returns only a prefix of the rendered text.
+    // alloc: cold-fn (owned-return wrapper over read_into; the collectors reuse a buffer)
     pub fn read(&self, path: &str) -> Option<String> {
+        let mut text = String::with_capacity(READ_CAPACITY);
+        self.read_into(path, &mut text).then_some(text)
+    }
+
+    /// [`NodeFs::read`] into a caller-owned buffer: `out` is cleared and
+    /// holds the file's text if the result is `true`, nothing otherwise.
+    pub fn read_into(&self, path: &str, out: &mut String) -> bool {
+        out.clear();
         if self.node.is_crashed() {
-            return None;
+            return false;
         }
         let fault = self.node.read_fault(path);
         if fault == Some(ReadFaultMode::Missing) {
-            return None;
+            return false;
         }
-        let text = match path {
-            "/proc/cpuinfo" => Some(self.node.topology.render_cpuinfo()),
-            "/proc/stat" => Some(self.render_proc_stat()),
-            "/proc/net/dev" => Some(self.render_net_dev()),
-            "/proc/sys/lnet/stats" => self.render_lnet_stats(),
-            _ => self.read_routed(path),
-        }?;
+        if self.render(path, out).is_none() {
+            out.clear();
+            return false;
+        }
         if fault == Some(ReadFaultMode::Truncated) {
-            return Some(truncate_half(text));
+            truncate_half(out);
         }
-        Some(text)
+        true
     }
 
     /// List directory entries. Returns an empty vector for unknown paths
     /// or a crashed node.
+    // alloc: cold-fn (owned-return wrapper over for_each_entry)
     pub fn list(&self, dir: &str) -> Vec<String> {
+        let mut entries = Vec::with_capacity(LIST_CAPACITY);
+        self.for_each_entry(dir, &mut String::new(), |e| entries.push(e.to_owned()));
+        entries
+    }
+
+    /// Call `f` with the name of each entry of `dir`, in [`NodeFs::list`]
+    /// order, rendering every name into the caller-owned `name`. Calls
+    /// nothing for unknown paths or a crashed node.
+    pub fn for_each_entry(&self, dir: &str, name: &mut String, mut f: impl FnMut(&str)) {
         if self.node.is_crashed() {
-            return Vec::new();
+            return;
         }
-        match dir {
-            "/proc" => self
-                .node
-                .processes()
-                .iter()
-                .map(|p| p.pid.to_string())
-                .collect(),
-            "/sys/devices/system/node" => (0..self.node.topology.sockets)
-                .map(|s| format!("node{s}"))
-                .collect(),
-            "/proc/fs/lustre/llite" => self
-                .node
-                .devices(DeviceType::Llite)
-                .iter()
-                .map(|d| format!("{}-ffff8800", d.instance))
-                .collect(),
-            "/proc/fs/lustre/mdc" => self
-                .node
-                .devices(DeviceType::Mdc)
-                .iter()
-                .map(|d| format!("{}-MDT0000-mdc-ffff8800", d.instance))
-                .collect(),
-            "/proc/fs/lustre/osc" => self
-                .node
-                .devices(DeviceType::Osc)
-                .iter()
-                .map(|d| format!("{}-OST0000-osc-ffff8800", d.instance))
-                .collect(),
-            "/sys/class/infiniband" => self
-                .node
-                .devices(DeviceType::Ib)
-                .iter()
-                .map(|d| d.instance.split('/').next().unwrap_or("hca0").to_string())
-                .collect(),
-            "/sys/class/mic" => self
-                .node
-                .devices(DeviceType::Mic)
-                .iter()
-                .map(|d| d.instance.clone())
-                .collect(),
-            _ => Vec::new(),
+        // Writing to a `String` cannot fail (here and in the renderers).
+        let (dt, suffix) = match dir {
+            "/proc" => {
+                for p in self.node.processes() {
+                    name.clear();
+                    let _ = write!(name, "{}", p.pid);
+                    f(name);
+                }
+                return;
+            }
+            "/sys/devices/system/node" => {
+                for s in 0..self.node.topology.sockets {
+                    name.clear();
+                    let _ = write!(name, "node{s}");
+                    f(name);
+                }
+                return;
+            }
+            "/proc/fs/lustre/llite" => (DeviceType::Llite, "-ffff8800"),
+            "/proc/fs/lustre/mdc" => (DeviceType::Mdc, "-MDT0000-mdc-ffff8800"),
+            "/proc/fs/lustre/osc" => (DeviceType::Osc, "-OST0000-osc-ffff8800"),
+            "/sys/class/infiniband" => (DeviceType::Ib, ""),
+            "/sys/class/mic" => (DeviceType::Mic, ""),
+            _ => return,
+        };
+        for d in self.node.devices(dt) {
+            // An IB instance is `<hca>/<port>`; its directory is the HCA.
+            let stem = match dt {
+                DeviceType::Ib => d.instance.split('/').next().unwrap_or("hca0"),
+                _ => d.instance.as_str(),
+            };
+            name.clear();
+            name.push_str(stem);
+            name.push_str(suffix);
+            f(name);
         }
     }
 
-    fn read_routed(&self, path: &str) -> Option<String> {
+    fn device(&self, dt: DeviceType, instance: &str) -> Option<&SimDevice> {
+        self.node
+            .devices(dt)
+            .iter()
+            .find(|d| d.instance == instance)
+    }
+
+    /// Route `path` to its renderer, which appends the file to `out`.
+    /// `None`: no such file.
+    fn render(&self, path: &str, out: &mut String) -> Option<()> {
+        match path {
+            "/proc/cpuinfo" => {
+                // alloc: cold (discovery reads cpuinfo once per daemon)
+                out.push_str(&self.node.topology.render_cpuinfo());
+                Some(())
+            }
+            "/proc/stat" => self.render_proc_stat(out),
+            "/proc/net/dev" => self.render_net_dev(out),
+            "/proc/sys/lnet/stats" => {
+                let dev = self.node.devices(DeviceType::Lnet).first()?;
+                let [tx_bytes, rx_bytes, tx_msgs, rx_msgs] = regs(dev);
+                // Real format: msgs_alloc msgs_max errors send_count recv_count
+                //              route_count drop_count send_length recv_length
+                //              route_length drop_length
+                writeln!(
+                    out,
+                    "0 0 0 {tx_msgs} {rx_msgs} 0 0 {tx_bytes} {rx_bytes} 0 0"
+                )
+                .ok()
+            }
+            _ => self.render_routed(path, out),
+        }
+    }
+
+    fn render_routed(&self, path: &str, out: &mut String) -> Option<()> {
         // /sys/devices/system/node/node<N>/meminfo
         if let Some(rest) = path.strip_prefix("/sys/devices/system/node/node") {
             let (idx, tail) = rest.split_once('/')?;
             if tail != "meminfo" {
                 return None;
             }
-            let idx: usize = idx.parse().ok()?;
-            return self.render_numa_meminfo(idx);
+            let n: usize = idx.parse().ok()?;
+            let [total, used, file, anon] = regs(self.node.devices(DeviceType::Mem).get(n)?);
+            return write!(
+                out,
+                "Node {n} MemTotal:       {total} kB\n\
+                 Node {n} MemFree:        {free} kB\n\
+                 Node {n} MemUsed:        {used} kB\n\
+                 Node {n} FilePages:      {file} kB\n\
+                 Node {n} AnonPages:      {anon} kB\n",
+                free = total.saturating_sub(used),
+            )
+            .ok();
         }
         // Lustre stats files.
         if let Some(rest) = path.strip_prefix("/proc/fs/lustre/llite/") {
             let inst = rest.strip_suffix("/stats")?.strip_suffix("-ffff8800")?;
-            return self.render_llite_stats(inst);
+            let [rb, wb, open, close, getattr, statfs, seek, fsync] =
+                regs(self.device(DeviceType::Llite, inst)?);
+            return write!(
+                out,
+                "snapshot_time             0.0 secs.usecs\n\
+                 read_bytes                {rb_n} samples [bytes] 0 1048576 {rb}\n\
+                 write_bytes               {wb_n} samples [bytes] 0 1048576 {wb}\n\
+                 open                      {open} samples [regs]\n\
+                 close                     {close} samples [regs]\n\
+                 getattr                   {getattr} samples [regs]\n\
+                 statfs                    {statfs} samples [regs]\n\
+                 seek                      {seek} samples [regs]\n\
+                 fsync                     {fsync} samples [regs]\n",
+                rb_n = rb / (1 << 20),
+                wb_n = wb / (1 << 20),
+            )
+            .ok();
         }
         if let Some(rest) = path.strip_prefix("/proc/fs/lustre/mdc/") {
             let inst = rest
                 .strip_suffix("/stats")?
                 .strip_suffix("-MDT0000-mdc-ffff8800")?;
-            return self.render_mdc_stats(inst);
+            let [reqs, wait] = regs(self.device(DeviceType::Mdc, inst)?);
+            return write!(
+                out,
+                "snapshot_time             0.0 secs.usecs\n\
+                 req_waittime              {reqs} samples [usec] 1 100000 {wait}\n\
+                 req_active                {reqs} samples [reqs] 1 16 {reqs}\n",
+            )
+            .ok();
         }
         if let Some(rest) = path.strip_prefix("/proc/fs/lustre/osc/") {
             let inst = rest
                 .strip_suffix("/stats")?
                 .strip_suffix("-OST0000-osc-ffff8800")?;
-            return self.render_osc_stats(inst);
+            let [reqs, wait, rb, wb] = regs(self.device(DeviceType::Osc, inst)?);
+            return write!(
+                out,
+                "snapshot_time             0.0 secs.usecs\n\
+                 req_waittime              {reqs} samples [usec] 1 100000 {wait}\n\
+                 read_bytes                {rb_n} samples [bytes] 0 1048576 {rb}\n\
+                 write_bytes               {wb_n} samples [bytes] 0 1048576 {wb}\n",
+                rb_n = rb / (1 << 20),
+                wb_n = wb / (1 << 20),
+            )
+            .ok();
         }
         // Infiniband sysfs counters: .../<hca>/ports/<port>/counters/<name>
         if let Some(rest) = path.strip_prefix("/sys/class/infiniband/") {
@@ -160,203 +266,100 @@ impl<'a> NodeFs<'a> {
             if parts.next().is_some() {
                 return None;
             }
-            let inst = format!("{hca}/{port}");
             let dev = self
                 .node
                 .devices(DeviceType::Ib)
                 .iter()
-                .find(|d| d.instance == inst)?;
-            return dev.read(counter).map(|v| format!("{v}\n"));
+                .find(|d| d.instance.split_once('/') == Some((hca, port)))?;
+            return writeln!(out, "{}", dev.read(counter)?).ok();
         }
         // Xeon Phi utilization pseudo-file.
         if let Some(rest) = path.strip_prefix("/sys/class/mic/") {
             let card = rest.strip_suffix("/stats")?;
-            let dev = self
-                .node
-                .devices(DeviceType::Mic)
-                .iter()
-                .find(|d| d.instance == card)?;
-            let v = dev.read_all();
-            return Some(format!(
-                "user_sum {}\nsys_sum {}\nidle_sum {}\n",
-                v[0], v[1], v[2]
-            ));
+            let [user, sys, idle] = regs(self.device(DeviceType::Mic, card)?);
+            return write!(out, "user_sum {user}\nsys_sum {sys}\nidle_sum {idle}\n").ok();
         }
         // Per-process files.
-        if let Some(rest) = path.strip_prefix("/proc/") {
-            let (pid, file) = rest.split_once('/')?;
-            let pid: u32 = pid.parse().ok()?;
-            let p = self.node.processes().iter().find(|p| p.pid == pid)?;
-            return match file {
-                "status" => Some(format!(
-                    "Name:\t{}\n\
-                     Uid:\t{uid}\t{uid}\t{uid}\t{uid}\n\
-                     VmPeak:\t{} kB\n\
-                     VmSize:\t{} kB\n\
-                     VmLck:\t{} kB\n\
-                     VmHWM:\t{} kB\n\
-                     VmRSS:\t{} kB\n\
-                     VmData:\t{} kB\n\
-                     VmStk:\t{} kB\n\
-                     VmExe:\t{} kB\n\
-                     Threads:\t{}\n\
-                     Cpus_allowed:\t{:x}\n\
-                     Mems_allowed:\t{:x}\n",
-                    p.comm,
-                    p.vm_peak_kib,
-                    p.vm_size_kib,
-                    p.vm_lck_kib,
-                    p.vm_hwm_kib,
-                    p.vm_rss_kib,
-                    p.vm_data_kib,
-                    p.vm_stk_kib,
-                    p.vm_exe_kib,
-                    p.threads,
-                    p.cpus_allowed,
-                    p.mems_allowed,
-                    uid = p.uid,
-                )),
-                "comm" => Some(format!("{}\n", p.comm)),
-                // Fields 1, 2, and 14 (utime) of /proc/<pid>/stat are what
-                // the collector needs; intermediate fields are zeroed.
-                "stat" => Some(format!(
-                    "{} ({}) R 0 0 0 0 0 0 0 0 0 0 {} 0 0 0 0 0 {} 0\n",
-                    p.pid, p.comm, p.utime_jiffies, p.threads
-                )),
-                _ => None,
-            };
+        let (pid, file) = path.strip_prefix("/proc/")?.split_once('/')?;
+        let pid: u32 = pid.parse().ok()?;
+        let p = self.node.processes().iter().find(|p| p.pid == pid)?;
+        match file {
+            "status" => write!(
+                out,
+                "Name:\t{}\n\
+                 Uid:\t{uid}\t{uid}\t{uid}\t{uid}\n\
+                 VmPeak:\t{} kB\n\
+                 VmSize:\t{} kB\n\
+                 VmLck:\t{} kB\n\
+                 VmHWM:\t{} kB\n\
+                 VmRSS:\t{} kB\n\
+                 VmData:\t{} kB\n\
+                 VmStk:\t{} kB\n\
+                 VmExe:\t{} kB\n\
+                 Threads:\t{}\n\
+                 Cpus_allowed:\t{:x}\n\
+                 Mems_allowed:\t{:x}\n",
+                p.comm,
+                p.vm_peak_kib,
+                p.vm_size_kib,
+                p.vm_lck_kib,
+                p.vm_hwm_kib,
+                p.vm_rss_kib,
+                p.vm_data_kib,
+                p.vm_stk_kib,
+                p.vm_exe_kib,
+                p.threads,
+                p.cpus_allowed,
+                p.mems_allowed,
+                uid = p.uid,
+            )
+            .ok(),
+            "comm" => writeln!(out, "{}", p.comm).ok(),
+            // Fields 1, 2, and 14 (utime) of /proc/<pid>/stat are what
+            // the collector needs; intermediate fields are zeroed.
+            "stat" => writeln!(
+                out,
+                "{} ({}) R 0 0 0 0 0 0 0 0 0 0 {} 0 0 0 0 0 {} 0",
+                p.pid, p.comm, p.utime_jiffies, p.threads
+            )
+            .ok(),
+            _ => None,
         }
-        None
     }
 
-    fn render_proc_stat(&self) -> String {
+    fn render_proc_stat(&self, out: &mut String) -> Option<()> {
         let stats = self.node.devices(DeviceType::Cpustat);
         let mut totals = [0u64; 5];
-        let mut body = String::new();
         for dev in stats {
-            let v = dev.read_all();
-            for (t, val) in totals.iter_mut().zip(&v) {
-                *t += val;
+            for (t, v) in totals.iter_mut().zip(regs::<5>(dev)) {
+                *t += v;
             }
-            body.push_str(&format!(
-                "cpu{} {} {} {} {} {}\n",
-                dev.instance, v[0], v[1], v[2], v[3], v[4]
-            ));
         }
-        format!(
-            "cpu  {} {} {} {} {}\n{body}",
-            totals[0], totals[1], totals[2], totals[3], totals[4]
-        )
+        let [user, nice, system, idle, iowait] = totals;
+        writeln!(out, "cpu  {user} {nice} {system} {idle} {iowait}").ok()?;
+        for dev in stats {
+            let [user, nice, system, idle, iowait] = regs(dev);
+            let cpu = &dev.instance;
+            writeln!(out, "cpu{cpu} {user} {nice} {system} {idle} {iowait}").ok()?;
+        }
+        Some(())
     }
 
-    fn render_numa_meminfo(&self, node_idx: usize) -> Option<String> {
-        let dev = self.node.devices(DeviceType::Mem).get(node_idx)?;
-        let v = dev.read_all();
-        let (total, used, file, anon) = (v[0], v[1], v[2], v[3]);
-        Some(format!(
-            "Node {n} MemTotal:       {total} kB\n\
-             Node {n} MemFree:        {free} kB\n\
-             Node {n} MemUsed:        {used} kB\n\
-             Node {n} FilePages:      {file} kB\n\
-             Node {n} AnonPages:      {anon} kB\n",
-            n = node_idx,
-            free = total.saturating_sub(used),
-        ))
-    }
-
-    fn render_net_dev(&self) -> String {
-        let mut out = String::from(
+    fn render_net_dev(&self, out: &mut String) -> Option<()> {
+        out.push_str(
             "Inter-|   Receive                                                |  Transmit\n \
              face |bytes    packets errs drop fifo frame compressed multicast|bytes    packets errs drop fifo colls carrier compressed\n",
         );
         for dev in self.node.devices(DeviceType::Net) {
-            let v = dev.read_all(); // rx_bytes rx_packets tx_bytes tx_packets
-            out.push_str(&format!(
-                "{:>6}: {} {} 0 0 0 0 0 0 {} {} 0 0 0 0 0 0\n",
-                dev.instance, v[0], v[1], v[2], v[3]
-            ));
+            let [rx_bytes, rx_packets, tx_bytes, tx_packets] = regs(dev);
+            writeln!(
+                out,
+                "{:>6}: {rx_bytes} {rx_packets} 0 0 0 0 0 0 {tx_bytes} {tx_packets} 0 0 0 0 0 0",
+                dev.instance
+            )
+            .ok()?;
         }
-        out
-    }
-
-    fn render_llite_stats(&self, inst: &str) -> Option<String> {
-        let dev = self
-            .node
-            .devices(DeviceType::Llite)
-            .iter()
-            .find(|d| d.instance == inst)?;
-        let v = dev.read_all();
-        // Schema order: read_bytes write_bytes open close getattr statfs seek fsync
-        Some(format!(
-            "snapshot_time             0.0 secs.usecs\n\
-             read_bytes                {rb_n} samples [bytes] 0 1048576 {rb}\n\
-             write_bytes               {wb_n} samples [bytes] 0 1048576 {wb}\n\
-             open                      {open} samples [regs]\n\
-             close                     {close} samples [regs]\n\
-             getattr                   {getattr} samples [regs]\n\
-             statfs                    {statfs} samples [regs]\n\
-             seek                      {seek} samples [regs]\n\
-             fsync                     {fsync} samples [regs]\n",
-            rb_n = v[0] / (1 << 20),
-            rb = v[0],
-            wb_n = v[1] / (1 << 20),
-            wb = v[1],
-            open = v[2],
-            close = v[3],
-            getattr = v[4],
-            statfs = v[5],
-            seek = v[6],
-            fsync = v[7],
-        ))
-    }
-
-    fn render_mdc_stats(&self, inst: &str) -> Option<String> {
-        let dev = self
-            .node
-            .devices(DeviceType::Mdc)
-            .iter()
-            .find(|d| d.instance == inst)?;
-        let v = dev.read_all(); // reqs wait
-        Some(format!(
-            "snapshot_time             0.0 secs.usecs\n\
-             req_waittime              {reqs} samples [usec] 1 100000 {wait}\n\
-             req_active                {reqs} samples [reqs] 1 16 {reqs}\n",
-            reqs = v[0],
-            wait = v[1],
-        ))
-    }
-
-    fn render_osc_stats(&self, inst: &str) -> Option<String> {
-        let dev = self
-            .node
-            .devices(DeviceType::Osc)
-            .iter()
-            .find(|d| d.instance == inst)?;
-        let v = dev.read_all(); // reqs wait read_bytes write_bytes
-        Some(format!(
-            "snapshot_time             0.0 secs.usecs\n\
-             req_waittime              {reqs} samples [usec] 1 100000 {wait}\n\
-             read_bytes                {rb_n} samples [bytes] 0 1048576 {rb}\n\
-             write_bytes               {wb_n} samples [bytes] 0 1048576 {wb}\n",
-            reqs = v[0],
-            wait = v[1],
-            rb_n = v[2] / (1 << 20),
-            rb = v[2],
-            wb_n = v[3] / (1 << 20),
-            wb = v[3],
-        ))
-    }
-
-    fn render_lnet_stats(&self) -> Option<String> {
-        let dev = self.node.devices(DeviceType::Lnet).first()?;
-        let v = dev.read_all(); // tx_bytes rx_bytes tx_msgs rx_msgs
-                                // Real format: msgs_alloc msgs_max errors send_count recv_count
-                                //              route_count drop_count send_length recv_length
-                                //              route_length drop_length
-        Some(format!(
-            "0 0 0 {} {} 0 0 {} {} 0 0\n",
-            v[2], v[3], v[0], v[1]
-        ))
+        Some(())
     }
 }
 

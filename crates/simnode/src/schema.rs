@@ -14,7 +14,7 @@
 //! (CPU time accounting, memory, Infiniband, Ethernet, Lustre llite / MDC /
 //! OSC / lnet).
 
-use crate::intern::Sym;
+use crate::intern::{Sym, SymbolTable};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -174,9 +174,12 @@ impl Schema {
         self.events.is_empty()
     }
 
-    /// Index of an event by name.
+    /// Index of an event by name: one intern-table lookup, then id
+    /// compares. Every event name was interned when its schema was
+    /// built, so text the table has never seen names no event.
     pub fn index_of(&self, name: &str) -> Option<usize> {
-        self.events.iter().position(|e| e.name == name)
+        let sym = SymbolTable::global().get(name)?;
+        self.events.iter().position(|e| e.name == sym)
     }
 
     /// Render the schema as a raw-stats header payload:

@@ -16,7 +16,10 @@
 //! per update. The portal's fused Fig. 4 scan (`portal::fused`) and
 //! query cache (`portal::cache`) join the scope:
 //! `BENCH_query_path.json` records the warm scan+merge and cache-hit
-//! paths at 0 allocs/op.
+//! paths at 0 allocs/op. So does the node side of a collection — the
+//! pseudo-file renderers (`simnode::pseudofs`), the collectors and the
+//! sampler (`collect::collectors`, `collect::engine`):
+//! `BENCH_sample_path.json` holds `Sampler::sample_into` at 0 allocs/op.
 //!
 //! Cold paths inside a hot module (error formatting, constructors,
 //! recovery) are annotated in the source rather than allowlisted in a
@@ -46,7 +49,10 @@ use std::path::Path;
 /// deny: a new allocation is a violation unless annotated cold.
 pub const SCOPE: &[&str] = &[
     "crates/collect/src/codec.rs",
+    "crates/collect/src/collectors.rs",
+    "crates/collect/src/engine.rs",
     "crates/simnode/src/mem.rs",
+    "crates/simnode/src/pseudofs.rs",
     "crates/broker/src/tcp.rs",
     "crates/tsdb/src/block.rs",
     "crates/tsdb/src/shard.rs",
