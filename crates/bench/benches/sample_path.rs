@@ -27,6 +27,16 @@
 //! `TaccStatsd` collection allocates at most twice (the shared `Bytes`
 //! handed to the transport: its buffer and its reference count).
 //!
+//! The `consume` case is the other end of the wire: what the consumer
+//! does with one message between taking it off the queue and appending
+//! to the archive. "After" is `codec::decode_into` against a warm
+//! schema cache into reused storage, then slicing the sample's wire
+//! bytes; its "before" — `parse_bytes` plus `render_sample_into` — is
+//! frozen history too. Hard bar: the warm decode allocates nothing.
+//! `accumulate_warm` settles what `accumulate`'s 110 allocations are:
+//! first-feed slot resolution of a fresh accumulator, not a per-sample
+//! cost.
+//!
 //! Results are printed and written to `BENCH_sample_path.json` at the
 //! workspace root so the numbers ride along with the tree.
 
@@ -102,6 +112,25 @@ const COLLECT_BEFORE_NOTE: &str =
     "collect.before is probe.collect.sample of benchmark/REFERENCE.md \
      (in-fleet, caches cold, 16 processes per node); collect.after is this fixture \
      (hot loop, 1 process): the bar is allocs_per_op, the speedup is not like for like";
+
+/// The consumer's decode-and-re-render of one message at the commit
+/// before `codec::decode_into`: `parse_bytes` (24.0 µs, 27 allocations —
+/// this file's `parse.after` as committed then) plus
+/// `render_sample_into` (5.3 µs, 0 — ISSUE 17's hot-loop measurement).
+const CONSUME_BEFORE: (f64, f64) = (29_300.0, 27.0);
+/// What the system benchmark's parse probe does and does not show.
+const CONSUME_NOTE: &str =
+    "consume.before is parse_bytes (parse.after of this file at the parent commit) + \
+     render_sample_into (5.3 us hot, ISSUE 17), frozen; consume.after is decode_into with a warm \
+     SchemaCache into a reused Decoded plus the span slice. collect.codec_parse.* in the system \
+     benchmark probes the stateless parse_bytes wrapper (cache off, fresh storage) and so \
+     understates the consumer's gain; collect.consumer_poll.* is the row that shows it";
+/// What `accumulate`'s allocations are.
+const ACCUM_NOTE: &str =
+    "accumulate builds a fresh JobAccum per op (4 samples) and so counts first-feed slot \
+     resolution: HostAccum::new plus one stored value row per device instance. \
+     accumulate_warm feeds one long-lived accumulator one sample per op, which is what \
+     metrics.accum_feed.allocs_per_sample measures in-fleet";
 
 /// A realistic node: WRF-like process, full device complement, four
 /// samples 600 s apart (so counters have deltas to accumulate). The
@@ -398,6 +427,24 @@ fn main() {
         after,
     });
 
+    // --- consume (the consumer's share of one message: decode against
+    // a warm cache into reused storage, then the bytes to archive) ---
+    let mut cache = codec::SchemaCache::new();
+    let mut decoded = codec::Decoded::default();
+    let after = measure(ITERS, || {
+        let envelope = codec::decode_into(&payload, &mut cache, &mut decoded).expect("parses");
+        let span = decoded.spans[0];
+        assert!(span.canonical, "daemon output is archived verbatim");
+        black_box(&payload[span.start..span.end]);
+        envelope.hostname
+    });
+    assert_eq!(after.1, 0.0, "a warm decode_into must not allocate");
+    cases.push(Case {
+        name: "consume",
+        before: CONSUME_BEFORE,
+        after,
+    });
+
     // --- accumulate (fresh accumulator per run: samples must stay in
     // time order, and one accumulator per job is the real usage) ---
     let before = measure(ITERS, || {
@@ -418,6 +465,21 @@ fn main() {
         name: "accumulate",
         before,
         after,
+    });
+
+    // --- accumulate, warm: one long-lived accumulator, one sample per
+    // op, times strictly increasing ---
+    let stream: Vec<Sample> = (0..ITERS + 6)
+        .map(|k| {
+            let mut s = samples[(k % 4) as usize].clone();
+            s.time = SimTime::from_secs(600 * (k + 1)).into();
+            s
+        })
+        .collect();
+    let mut acc = JobAccum::new();
+    let mut next = stream.iter();
+    let accum_warm = measure(ITERS, || {
+        acc.feed(&header, next.next().expect("one sample per op"));
     });
 
     // --- consumer→accumulator end to end ---
@@ -485,6 +547,11 @@ fn main() {
         ));
     }
     println!("  note: {COLLECT_BEFORE_NOTE}");
+    println!("  note: {CONSUME_NOTE}");
+    println!(
+        "  accumulate_warm: {:.0} ns, {:.2} allocs per sample — {ACCUM_NOTE}",
+        accum_warm.0, accum_warm.1
+    );
     let e2e = cases
         .iter()
         .find(|c| c.name == "consumer_to_accum")
@@ -497,7 +564,9 @@ fn main() {
         e2e_n * 1e9 / e2e_after_ns
     );
     json.push_str(&format!(
-        "  }},\n  \"collect_note\": \"{COLLECT_BEFORE_NOTE}\",\n  \"daemon_collection\": {{\"ns_per_op\": {daemon_ns:.1}, \"allocs_per_op\": {daemon_allocs:.2}}},\n  \"consumer_to_accum_samples_per_sec\": {{\"before\": {:.0}, \"after\": {:.0}}}\n}}\n",
+        "  }},\n  \"collect_note\": \"{COLLECT_BEFORE_NOTE}\",\n  \"consume_note\": \"{CONSUME_NOTE}\",\n  \"accumulate_warm\": {{\"ns_per_op\": {:.1}, \"allocs_per_op\": {:.2}}},\n  \"accumulate_note\": \"{ACCUM_NOTE}\",\n  \"daemon_collection\": {{\"ns_per_op\": {daemon_ns:.1}, \"allocs_per_op\": {daemon_allocs:.2}}},\n  \"consumer_to_accum_samples_per_sec\": {{\"before\": {:.0}, \"after\": {:.0}}}\n}}\n",
+        accum_warm.0,
+        accum_warm.1,
         e2e_n * 1e9 / e2e_before_ns,
         e2e_n * 1e9 / e2e_after_ns
     ));

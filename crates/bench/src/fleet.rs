@@ -520,13 +520,14 @@ pub fn run_soak(cfg: &FleetConfig) -> SoakOutcome {
      -> u64 {
         let mut n = 0u64;
         for _ in 0..budget_msgs {
-            let Some((host, sample)) = consumer.poll_once(now, std::time::Duration::from_millis(0))
-            else {
+            let polled = consumer.poll_with(now, std::time::Duration::ZERO, |host, sample| {
+                let delta = now.as_secs().saturating_sub(sample.time.as_secs());
+                *lat_hist.entry(delta).or_insert(0) += 1;
+                mirror_sample(&tsdb, host.as_str(), sample, tsdb_points);
+            });
+            if !polled {
                 break;
-            };
-            let delta = now.as_secs().saturating_sub(sample.time.as_secs());
-            *lat_hist.entry(delta).or_insert(0) += 1;
-            mirror_sample(&tsdb, host.as_str(), &sample, tsdb_points);
+            }
             n += 1;
         }
         n

@@ -11,17 +11,32 @@
 //!    Integers are written through a stack buffer — no `format!`, no
 //!    intermediate `String`s.
 //! 2. **Bytes are the native representation.** The daemon→broker→
-//!    consumer path moves byte payloads; [`parse_bytes`] validates
-//!    UTF-8 once and parses in place, so no layer needs to build an
-//!    owned `String` just to look at a message.
+//!    consumer path moves byte payloads; [`decode_into`] validates
+//!    UTF-8 once and decodes in place into caller-owned storage, so no
+//!    layer needs to build an owned `String` just to look at a message.
+//! 3. **One grammar.** [`decode_into`] is the only parser of the
+//!    format. It skips a `!` schema block it has seen before (by byte
+//!    equality, against a [`SchemaCache`]), and reports where each
+//!    sample sits in the payload and whether those bytes are exactly
+//!    what rendering it would write — in which case the consumer
+//!    archives them as they are. [`parse_bytes`] and
+//!    [`RawFile::parse`] are its stateless, owned-return wrappers.
 //!
 //! The legacy `String`-returning render methods on
 //! [`crate::record::RawFile`] are thin wrappers over the same generic
 //! rendering code (via the [`Out`] sink below), so the two APIs cannot
 //! drift: `parse_bytes(render_message_into(...)) == parse(render_message(...))`.
 
-use crate::record::{HostHeader, ParseError, RawFile, Sample, FORMAT_VERSION};
-use tacc_simnode::schema::EventKind;
+use crate::record::{
+    DeviceRecord, HostHeader, ParseError, PsRecord, RawFile, Sample, ValueVec, FORMAT_VERSION,
+};
+use std::collections::BTreeMap;
+use std::sync::Arc;
+use tacc_simnode::clock::NANOS_PER_SEC;
+use tacc_simnode::intern::Sym;
+use tacc_simnode::schema::{DeviceType, EventKind, Schema};
+use tacc_simnode::topology::CpuArch;
+use tacc_simnode::SimTime;
 
 /// Byte sink the rendering code writes through. Implemented for
 /// `Vec<u8>` (the reused-buffer hot path) and `String` (the legacy
@@ -195,12 +210,720 @@ pub fn render_file_into(f: &RawFile, out: &mut Vec<u8>) {
     }
 }
 
-/// Parse a raw-stats message directly from bytes: one UTF-8 validation
-/// pass, then the same grammar as [`RawFile::parse`] — no owned
-/// `String` is ever built. This is the consumer-side entry point for
-/// payloads arriving off the broker.
-pub fn parse_bytes(bytes: &[u8]) -> Result<RawFile, ParseError> {
-    let text = std::str::from_utf8(bytes).map_err(|e| ParseError {
+// ---------------------------------------------------------------- decode
+//
+// The one grammar of the raw format. Every parser in the crate —
+// [`parse_bytes`], [`RawFile::parse`], the consumer — runs
+// [`decode_into`]; they differ only in the storage and the cache they
+// hand it.
+
+/// Cached schema blocks a [`SchemaCache`] keeps at most. A block is
+/// shared by every host of one node type, so entries count node
+/// *types*, never hosts or messages.
+pub const MAX_CACHED_BLOCKS: usize = 16;
+/// Largest schema block (wire bytes) worth caching; a larger one is
+/// parsed on every sight, as every block was before the cache.
+pub const MAX_CACHED_BLOCK_BYTES: usize = 16 * 1024;
+
+const N_DEVICE_TYPES: usize = DeviceType::ALL.len();
+
+/// One maximal run of consecutive `!` schema lines, parsed once.
+#[derive(Debug)]
+pub struct SchemaBlock {
+    /// The run's wire bytes, kept when the block is cached: the key.
+    key: Box<[u8]>,
+    /// Bytes and lines in the run.
+    len: usize,
+    lines: usize,
+    schemas: BTreeMap<DeviceType, Schema>,
+    /// `schemas[dt].len()` by `dt as usize`: the value count a record
+    /// line of that type must carry.
+    counts: [Option<usize>; N_DEVICE_TYPES],
+}
+
+impl SchemaBlock {
+    // alloc: cold-fn (schema-block cache miss or merge, not per message)
+    fn new(
+        key: &[u8],
+        len: usize,
+        lines: usize,
+        schemas: BTreeMap<DeviceType, Schema>,
+    ) -> SchemaBlock {
+        let mut counts = [None; N_DEVICE_TYPES];
+        for (dt, schema) in &schemas {
+            if let Some(slot) = counts.get_mut(*dt as usize) {
+                *slot = Some(schema.len());
+            }
+        }
+        SchemaBlock {
+            key: key.into(),
+            len,
+            lines,
+            schemas,
+            counts,
+        }
+    }
+
+    /// This block with `later`'s lines applied after it (a payload with
+    /// more than one `!` run: later lines override earlier ones).
+    // alloc: cold-fn (a second `!` run in one payload; daemons and the archive write one)
+    fn overridden_by(&self, later: &SchemaBlock) -> SchemaBlock {
+        let mut merged = self.schemas.clone();
+        merged.extend(later.schemas.iter().map(|(dt, s)| (*dt, s.clone())));
+        SchemaBlock::new(&[], 0, 0, merged)
+    }
+
+    fn count(&self, dt: DeviceType) -> Option<usize> {
+        self.counts.get(dt as usize).copied().flatten()
+    }
+}
+
+#[derive(Clone)]
+struct CacheEntry {
+    block: Arc<SchemaBlock>,
+    /// Device and process records of the last sample decoded against
+    /// this block: what a fresh `Sample` is pre-sized to.
+    devices: usize,
+    processes: usize,
+}
+
+/// Parsed `!` schema blocks keyed by their wire bytes.
+///
+/// A daemon renders its header from a cached prefix, so the block
+/// repeats byte for byte in every message of every host of a node
+/// type. A hit is decided by `memcmp` alone — never by hostname — so
+/// the cache can change what a decode costs and never what it returns.
+/// At most [`MAX_CACHED_BLOCKS`] blocks of at most
+/// [`MAX_CACHED_BLOCK_BYTES`] each are kept (oldest out first).
+#[derive(Clone)]
+pub struct SchemaCache {
+    entries: Vec<CacheEntry>,
+    /// Blocks kept at most: [`MAX_CACHED_BLOCKS`], or 0 for the
+    /// stateless wrappers, whose cache would die before its second use.
+    capacity: usize,
+}
+
+impl Default for SchemaCache {
+    fn default() -> SchemaCache {
+        SchemaCache::new()
+    }
+}
+
+impl SchemaCache {
+    /// An empty cache.
+    pub fn new() -> SchemaCache {
+        SchemaCache {
+            // alloc: cold (constructor; allocates nothing until the first block)
+            entries: Vec::new(),
+            capacity: MAX_CACHED_BLOCKS,
+        }
+    }
+
+    /// A cache that stays empty: every block is parsed where it stands.
+    fn disabled() -> SchemaCache {
+        SchemaCache {
+            // alloc: cold (constructor; never grows)
+            entries: Vec::new(),
+            capacity: 0,
+        }
+    }
+
+    /// Cached blocks.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// True when nothing is cached.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// Adopt the blocks `other` learned that this cache lacks.
+    pub fn absorb(&mut self, other: SchemaCache) {
+        for e in other.entries {
+            if !self.entries.iter().any(|m| m.block.key == e.block.key) {
+                self.insert(e);
+            }
+        }
+    }
+
+    /// Keep `entry` (oldest out first); its slot, if the cache keeps
+    /// anything.
+    fn insert(&mut self, entry: CacheEntry) -> Option<usize> {
+        if self.capacity == 0 {
+            return None;
+        }
+        if self.entries.len() >= self.capacity {
+            self.entries.remove(0);
+        }
+        self.entries.push(entry);
+        Some(self.entries.len() - 1)
+    }
+
+    /// The block for the `!` run at the start of `tail` (whose first
+    /// line is `lineno`), and its cache slot if it has one.
+    fn resolve(
+        &mut self,
+        tail: &str,
+        lineno: usize,
+    ) -> Result<(Arc<SchemaBlock>, Option<usize>), ParseError> {
+        // Cached runs end in `\n`, so a prefix match that is not
+        // followed by another `!` line is the whole run.
+        let hit = self.entries.iter().enumerate().find(|(_, e)| {
+            let key = &*e.block.key;
+            tail.as_bytes().starts_with(key) && tail.as_bytes().get(key.len()) != Some(&b'!')
+        });
+        if let Some((slot, e)) = hit {
+            return Ok((Arc::clone(&e.block), Some(slot)));
+        }
+        let (len, lines, schemas) = parse_schema_run(tail, lineno)?;
+        let run = tail.as_bytes().get(..len).unwrap_or(&[]);
+        let cached = self.capacity > 0 && len <= MAX_CACHED_BLOCK_BYTES && run.ends_with(b"\n");
+        let key = if cached { run } else { &[] };
+        // alloc: cold (cache miss: once per node type, not per message)
+        let block = Arc::new(SchemaBlock::new(key, len, lines, schemas));
+        let entry = CacheEntry {
+            block: Arc::clone(&block),
+            devices: 0,
+            processes: 0,
+        };
+        let slot = if cached { self.insert(entry) } else { None };
+        Ok((block, slot))
+    }
+}
+
+/// Parse the maximal run of `!` lines `tail` starts with: its length in
+/// bytes and lines, and the schemas it leaves.
+// alloc: cold-fn (schema-block cache miss: once per node type, not per message)
+fn parse_schema_run(
+    tail: &str,
+    lineno: usize,
+) -> Result<(usize, usize, BTreeMap<DeviceType, Schema>), ParseError> {
+    let mut schemas = BTreeMap::new();
+    let mut lines = 0usize;
+    let mut rest = tail;
+    while rest.starts_with('!') {
+        let (raw, next) = split_line(rest);
+        let at = lineno + lines;
+        let (name, body) = raw
+            .trim_end()
+            .get(1..)
+            .and_then(|r| r.split_once(' '))
+            .ok_or_else(|| err(at, "malformed ! line"))?;
+        let dt = DeviceType::parse(name)
+            .ok_or_else(|| err(at, &format!("unknown device type {name}")))?;
+        let schema = Schema::parse(body).ok_or_else(|| err(at, "malformed schema"))?;
+        schemas.insert(dt, schema);
+        lines += 1;
+        rest = next;
+    }
+    Ok((tail.len() - rest.len(), lines, schemas))
+}
+
+/// What a message says about itself, apart from its samples.
+#[derive(Clone, Debug)]
+pub struct Envelope {
+    /// `$hostname`.
+    pub hostname: Sym,
+    /// `$arch`.
+    pub arch: CpuArch,
+    /// `$seq`, if the message carries one.
+    pub seq: Option<u64>,
+    schemas: Option<Arc<SchemaBlock>>,
+}
+
+impl Envelope {
+    /// The owned header. Moves the schemas out when this envelope holds
+    /// the block's last reference (the stateless wrappers, which cache
+    /// nothing) and copies them otherwise.
+    // alloc: cold-fn (once per host-day in the consumer; once per file in the owned-return wrappers)
+    pub fn into_header(self) -> HostHeader {
+        let schemas = match self.schemas.map(Arc::try_unwrap) {
+            None => BTreeMap::new(),
+            Some(Ok(block)) => block.schemas,
+            Some(Err(shared)) => shared.schemas.clone(),
+        };
+        HostHeader {
+            hostname: self.hostname,
+            arch: self.arch,
+            schemas,
+        }
+    }
+}
+
+/// Where one decoded sample sits in the payload.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SampleSpan {
+    /// Offset of the timestamp line's first byte.
+    pub start: usize,
+    /// Offset of the next sample's timestamp line, or the payload's
+    /// length.
+    pub end: usize,
+    /// `payload[start..end]` is byte for byte what
+    /// [`render_sample_into`] writes for the decoded sample. Cleared by
+    /// anything the renderer would not have written: a repeated or
+    /// non-space separator, trailing whitespace or `\r`, a blank line, a
+    /// leading `0` or `+` on a number, a timestamp line without its
+    /// jobid token or with extra ones, a mark after a device line or a
+    /// device line after a `ps` line, a `$`/`!` line inside the span, a
+    /// last line without `\n`, or any non-ASCII record line.
+    pub canonical: bool,
+}
+
+/// Caller-owned decode output, refilled by every [`decode_into`]:
+/// `samples[i]` sits at `spans[i]`. Kept across messages, its `Vec`s
+/// and `String`s are reused and a steady-state decode allocates
+/// nothing.
+#[derive(Debug, Default)]
+pub struct Decoded {
+    /// The message's samples, in order.
+    pub samples: Vec<Sample>,
+    /// Each sample's place in the payload.
+    pub spans: Vec<SampleSpan>,
+}
+
+fn err(line: usize, message: &str) -> ParseError {
+    ParseError {
+        line,
+        // alloc: cold (error construction; the message is rejected)
+        message: message.to_string(),
+    }
+}
+
+/// `(line without its '\n', everything after it)`.
+fn split_line(rest: &str) -> (&str, &str) {
+    rest.split_once('\n').unwrap_or((rest, ""))
+}
+
+/// What `char::is_whitespace` accepts below 0x80.
+fn is_ascii_ws(b: u8) -> bool {
+    matches!(b, 9..=13 | b' ')
+}
+
+/// Checked decimal: accepts exactly what `str::parse::<u64>` accepts
+/// (ASCII digits after an optional `+`, no overflow). Clears `plain`
+/// when [`put_u64`] would have written the value differently.
+fn parse_dec(tok: &str, plain: &mut bool) -> Option<u64> {
+    let digits = match tok.as_bytes().split_first() {
+        Some((b'+', rest)) => {
+            *plain = false;
+            rest
+        }
+        _ => tok.as_bytes(),
+    };
+    let (&lead, more) = digits.split_first()?;
+    if lead == b'0' && !more.is_empty() {
+        *plain = false;
+    }
+    let mut v = 0u64;
+    for &b in digits {
+        let d = b.wrapping_sub(b'0');
+        if d > 9 {
+            return None;
+        }
+        v = v.checked_mul(10)?.checked_add(u64::from(d))?;
+    }
+    Some(v)
+}
+
+fn parse_dec32(tok: &str, plain: &mut bool) -> Option<u32> {
+    parse_dec(tok, plain).and_then(|v| u32::try_from(v).ok())
+}
+
+/// The whitespace-separated tokens of one record line.
+trait Tokens<'a> {
+    fn next_tok(&mut self) -> Option<&'a str>;
+    /// The next token as a number: `None` at the end of the line,
+    /// `Some(None)` for a token [`parse_dec`] rejects.
+    fn next_dec(&mut self, plain: &mut bool) -> Option<Option<u64>> {
+        self.next_tok().map(|t| parse_dec(t, plain))
+    }
+    /// True while the line began with a token and every separator so
+    /// far was a single space — what the renderer writes.
+    fn tidy(&self) -> bool;
+}
+
+/// Tokens of an ASCII line, split on bytes.
+struct AsciiTokens<'a> {
+    line: &'a str,
+    pos: usize,
+    tidy: bool,
+}
+
+impl<'a> Tokens<'a> for AsciiTokens<'a> {
+    fn next_tok(&mut self) -> Option<&'a str> {
+        let rest = self.line.as_bytes().get(self.pos..)?;
+        let gap = rest.iter().position(|&b| !is_ascii_ws(b))?;
+        let tok = rest.get(gap..)?;
+        let len = tok
+            .iter()
+            .position(|&b| is_ascii_ws(b))
+            .unwrap_or(tok.len());
+        self.tidy &= if self.pos == 0 {
+            gap == 0
+        } else {
+            gap == 1 && rest.first() == Some(&b' ')
+        };
+        let start = self.pos + gap;
+        self.pos = start + len;
+        // An ASCII line has a char boundary at every offset.
+        self.line.get(start..self.pos)
+    }
+    /// One pass for the common shape — a single space, then at most 19
+    /// digits with no leading zero, then a separator or the end —
+    /// instead of finding the token and then scanning it again.
+    fn next_dec(&mut self, plain: &mut bool) -> Option<Option<u64>> {
+        let rest = self.line.as_bytes().get(self.pos..)?;
+        if let (Some((b' ', digits)), true) = (rest.split_first(), self.pos > 0) {
+            let mut v = 0u64;
+            let mut len = 0usize;
+            for &b in digits {
+                let d = b.wrapping_sub(b'0');
+                if d > 9 {
+                    break;
+                }
+                v = v.wrapping_mul(10).wrapping_add(u64::from(d));
+                len += 1;
+            }
+            let leading_zero = len > 1 && digits.first() == Some(&b'0');
+            let ended = digits.get(len).is_none_or(|&b| is_ascii_ws(b));
+            if (1..=19).contains(&len) && ended && !leading_zero {
+                self.pos += 1 + len;
+                return Some(Some(v));
+            }
+        }
+        self.next_tok().map(|t| parse_dec(t, plain))
+    }
+    fn tidy(&self) -> bool {
+        self.tidy
+    }
+}
+
+/// Tokens of a line holding non-ASCII text: the `str` grammar, so
+/// Unicode whitespace separates exactly as it always has. Never tidy —
+/// such a sample is re-rendered rather than copied.
+struct UnicodeTokens<'a>(std::str::SplitWhitespace<'a>);
+
+impl<'a> Tokens<'a> for UnicodeTokens<'a> {
+    fn next_tok(&mut self) -> Option<&'a str> {
+        self.0.next()
+    }
+    fn tidy(&self) -> bool {
+        false
+    }
+}
+
+/// Overwrite `dst` with `src`, reusing the `String`s already there.
+fn set_strings<'a>(dst: &mut Vec<String>, src: impl Iterator<Item = &'a str>) {
+    let mut n = 0;
+    for s in src {
+        set_string(dst, n, s);
+        n += 1;
+    }
+    dst.truncate(n);
+}
+
+fn set_string(dst: &mut Vec<String>, i: usize, s: &str) {
+    match dst.get_mut(i) {
+        Some(d) => {
+            d.clear();
+            d.push_str(s);
+        }
+        // alloc: cold (the list grew past what the reused Sample has held before)
+        None => dst.push(s.to_owned()),
+    }
+}
+
+/// Render order of a sample's lines after the timestamp.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Stage {
+    Marks,
+    Devices,
+    Processes,
+}
+
+/// The sample being filled.
+struct Open {
+    start: usize,
+    canonical: bool,
+    stage: Stage,
+    /// Marks written so far (the slot's `marks` may hold stale
+    /// `String`s past this, kept for their capacity).
+    marks: usize,
+}
+
+/// Decoder state across the lines of one payload.
+struct Decoder<'c> {
+    cache: &'c mut SchemaCache,
+    hostname: Option<Sym>,
+    arch: Option<CpuArch>,
+    seq: Option<u64>,
+    schemas: Option<Arc<SchemaBlock>>,
+    /// Cache slot of `schemas`, while it is one cached block.
+    slot: Option<usize>,
+    /// Samples completed so far; the open one fills `samples[n]`.
+    n: usize,
+    open: Option<Open>,
+    /// Device type of the previous record line (runs of one type are
+    /// the rule, so most lines skip the name search).
+    last_dt: DeviceType,
+}
+
+impl Decoder<'_> {
+    fn untidy(&mut self) {
+        if let Some(o) = &mut self.open {
+            o.canonical = false;
+        }
+    }
+
+    /// Finish the open sample: its span ends at `end`.
+    fn close(&mut self, end: usize, out: &mut Decoded) {
+        let Some(o) = self.open.take() else {
+            return;
+        };
+        if let Some(s) = out.samples.get_mut(self.n) {
+            s.marks.truncate(o.marks);
+            if let Some(e) = self.slot.and_then(|i| self.cache.entries.get_mut(i)) {
+                e.devices = s.devices.len();
+                e.processes = s.processes.len();
+            }
+        }
+        out.spans.push(SampleSpan {
+            start: o.start,
+            end,
+            canonical: o.canonical,
+        });
+        self.n += 1;
+    }
+
+    fn dollar(&mut self, line: &str, lineno: usize) -> Result<(), ParseError> {
+        let (key, value) = line
+            .get(1..)
+            .and_then(|r| r.split_once(' '))
+            .ok_or_else(|| err(lineno, "malformed $ line"))?;
+        match key {
+            "tacc_stats" if value != FORMAT_VERSION => {
+                // alloc: cold (error construction)
+                return Err(err(lineno, &format!("unsupported version {value}")));
+            }
+            "tacc_stats" => {}
+            "hostname" => self.hostname = Some(Sym::new(value)),
+            "arch" => {
+                self.arch = Some(
+                    CpuArch::HOST_ARCHS
+                        .iter()
+                        .copied()
+                        .chain([CpuArch::KnightsCorner])
+                        .find(|a| a.name() == value)
+                        // alloc: cold (error construction)
+                        .ok_or_else(|| err(lineno, &format!("unknown arch {value}")))?,
+                )
+            }
+            "seq" => {
+                self.seq = Some(
+                    parse_dec(value, &mut false)
+                        // alloc: cold (error construction)
+                        .ok_or_else(|| err(lineno, &format!("bad seq {value}")))?,
+                )
+            }
+            _ => {} // forward-compatible: ignore unknown header keys
+        }
+        Ok(())
+    }
+
+    /// Apply the `!` run `tail` starts with; returns what follows it
+    /// and the run's line count.
+    fn schema_run<'a>(
+        &mut self,
+        tail: &'a str,
+        lineno: usize,
+    ) -> Result<(&'a str, usize), ParseError> {
+        let (block, slot) = self.cache.resolve(tail, lineno)?;
+        let after = tail.get(block.len..).unwrap_or("");
+        let lines = block.lines;
+        (self.schemas, self.slot) = match self.schemas.take() {
+            None => (Some(block), slot),
+            // alloc: cold (a second `!` run in one payload; daemons and the archive write one)
+            Some(prev) => (Some(Arc::new(prev.overridden_by(&block))), None),
+        };
+        Ok((after, lines))
+    }
+
+    fn mark(
+        &mut self,
+        line: &str,
+        tidy: bool,
+        lineno: usize,
+        out: &mut Decoded,
+    ) -> Result<(), ParseError> {
+        let (Some(o), Some(s)) = (self.open.as_mut(), out.samples.get_mut(self.n)) else {
+            return Err(err(lineno, "mark before any timestamp"));
+        };
+        set_string(&mut s.marks, o.marks, line.get(1..).unwrap_or(""));
+        o.marks += 1;
+        o.canonical &= tidy && o.stage == Stage::Marks;
+        Ok(())
+    }
+
+    /// `<unix seconds> <jobids|->`: a new record group starting at
+    /// payload offset `start`.
+    fn timestamp<'a>(
+        &mut self,
+        first: &str,
+        mut toks: impl Tokens<'a>,
+        tidy: bool,
+        start: usize,
+        lineno: usize,
+        out: &mut Decoded,
+    ) -> Result<(), ParseError> {
+        self.close(start, out);
+        let mut plain = tidy;
+        let secs = parse_dec(first, &mut plain).ok_or_else(|| err(lineno, "bad timestamp"))?;
+        // What `SimTime::from_secs` computes in a release build; past
+        // ~584 years it wraps, and the sample no longer renders back.
+        let time = SimTime::from_nanos(secs.wrapping_mul(NANOS_PER_SEC));
+        plain &= time.as_secs() == secs;
+        if self.n == out.samples.len() {
+            // alloc: cold (first message, or one with more samples than any before it)
+            out.samples.push(Sample::default());
+        }
+        let Some(s) = out.samples.get_mut(self.n) else {
+            return Ok(());
+        };
+        s.time = time.into();
+        match toks.next_tok() {
+            None => {
+                plain = false;
+                s.jobids.clear();
+            }
+            Some("-") => s.jobids.clear(),
+            Some(j) => set_strings(&mut s.jobids, j.split(',')),
+        }
+        plain &= toks.next_tok().is_none() && toks.tidy();
+        s.devices.clear();
+        s.processes.clear();
+        // A Sample handed out by value comes back empty: size it to
+        // what this node type sent last instead of growing it by
+        // doubling.
+        if let Some(e) = self.slot.and_then(|i| self.cache.entries.get(i)) {
+            if s.devices.capacity() == 0 {
+                s.devices.reserve(e.devices);
+            }
+            if s.processes.capacity() == 0 {
+                s.processes.reserve(e.processes);
+            }
+        }
+        self.open = Some(Open {
+            start,
+            canonical: plain,
+            stage: Stage::Marks,
+            marks: 0,
+        });
+        Ok(())
+    }
+
+    /// A timestamp or record line.
+    fn record<'a>(
+        &mut self,
+        mut toks: impl Tokens<'a>,
+        tidy: bool,
+        start: usize,
+        lineno: usize,
+        out: &mut Decoded,
+    ) -> Result<(), ParseError> {
+        let first = toks.next_tok().ok_or_else(|| err(lineno, "empty line"))?;
+        if first.bytes().all(|b| b.is_ascii_digit()) {
+            return self.timestamp(first, toks, tidy, start, lineno, out);
+        }
+        let (Some(o), Some(s)) = (self.open.as_mut(), out.samples.get_mut(self.n)) else {
+            return Err(err(lineno, "record before any timestamp"));
+        };
+        let dt = if first == self.last_dt.name() {
+            self.last_dt
+        } else {
+            DeviceType::parse(first)
+                // alloc: cold (error construction)
+                .ok_or_else(|| err(lineno, &format!("unknown device {first}")))?
+        };
+        self.last_dt = dt;
+        let expect = self.schemas.as_ref().and_then(|b| b.count(dt));
+        let mut plain = tidy;
+        if dt == DeviceType::Ps {
+            let pid = toks
+                .next_tok()
+                .and_then(|t| parse_dec32(t, &mut plain))
+                .ok_or_else(|| err(lineno, "ps line missing pid"))?;
+            let comm = toks
+                .next_tok()
+                .map(Sym::new)
+                .ok_or_else(|| err(lineno, "ps line missing comm"))?;
+            let uid = toks
+                .next_tok()
+                .and_then(|t| parse_dec32(t, &mut plain))
+                .ok_or_else(|| err(lineno, "ps line missing uid"))?;
+            let values =
+                values(&mut toks, expect, &mut plain).ok_or_else(|| err(lineno, "bad ps value"))?;
+            if expect.is_some_and(|n| n != values.len()) {
+                return Err(err(lineno, "ps value count mismatch"));
+            }
+            s.processes.push(PsRecord {
+                pid,
+                comm,
+                uid,
+                values,
+            });
+            o.stage = Stage::Processes;
+        } else {
+            let instance = toks
+                .next_tok()
+                .map(Sym::new)
+                .ok_or_else(|| err(lineno, "record missing instance"))?;
+            let values =
+                values(&mut toks, expect, &mut plain).ok_or_else(|| err(lineno, "bad value"))?;
+            if let Some(n) = expect.filter(|&n| n != values.len()) {
+                // alloc: cold (error construction)
+                let message = format!("{dt} value count {} != schema {n}", values.len());
+                return Err(err(lineno, &message));
+            }
+            s.devices.push(DeviceRecord {
+                dev_type: dt,
+                instance,
+                values,
+            });
+            plain &= o.stage <= Stage::Devices;
+            o.stage = o.stage.max(Stage::Devices);
+        }
+        o.canonical &= plain && toks.tidy();
+        Ok(())
+    }
+}
+
+/// The rest of a record line as values: Table-I-width rows land in the
+/// inline buffer, wider ones pre-size the spill `Vec` from the schema.
+fn values<'a>(
+    toks: &mut impl Tokens<'a>,
+    expect: Option<usize>,
+    plain: &mut bool,
+) -> Option<ValueVec> {
+    let mut values = ValueVec::with_capacity(expect.unwrap_or(0));
+    while let Some(v) = toks.next_dec(plain) {
+        values.push(v?);
+    }
+    Some(values)
+}
+
+/// Decode one payload — a daemon message or a whole raw file — into
+/// caller-owned storage: one UTF-8 validation pass, then one pass over
+/// the lines. A `!` block `cache` has seen before is recognised by byte
+/// equality and not parsed again; ASCII lines are tokenised as bytes;
+/// `out`'s samples are cleared and refilled, not dropped. Result and
+/// error are the same for any state of `cache`.
+pub fn decode_into(
+    payload: &[u8],
+    cache: &mut SchemaCache,
+    out: &mut Decoded,
+) -> Result<Envelope, ParseError> {
+    let text = std::str::from_utf8(payload).map_err(|e| ParseError {
         line: 0,
         // alloc: cold (invalid-UTF-8 error path; the happy path never gets here)
         message: format!(
@@ -208,7 +931,86 @@ pub fn parse_bytes(bytes: &[u8]) -> Result<RawFile, ParseError> {
             e.valid_up_to()
         ),
     })?;
-    RawFile::parse(text)
+    let ascii = payload.is_ascii();
+    out.spans.clear();
+    let mut d = Decoder {
+        cache,
+        hostname: None,
+        arch: None,
+        seq: None,
+        schemas: None,
+        slot: None,
+        n: 0,
+        open: None,
+        last_dt: DeviceType::Cpu,
+    };
+    let mut rest = text;
+    let mut lineno = 0usize;
+    while !rest.is_empty() {
+        lineno += 1;
+        let tail = rest;
+        let start = text.len() - tail.len();
+        let (raw, next) = split_line(tail);
+        let line = raw.trim_end();
+        // Nothing trimmed, and a '\n' follows: what the renderer ends
+        // every line with.
+        let tidy = line.len() == raw.len() && raw.len() < tail.len();
+        rest = next;
+        match line.as_bytes().first() {
+            None => d.untidy(),
+            Some(b'$') => {
+                d.untidy();
+                d.dollar(line, lineno)?;
+            }
+            Some(b'!') => {
+                d.untidy();
+                let (after, lines) = d.schema_run(tail, lineno)?;
+                rest = after;
+                lineno += lines.saturating_sub(1);
+            }
+            Some(b'%') => d.mark(line, tidy, lineno, out)?,
+            Some(_) if ascii || line.is_ascii() => {
+                let toks = AsciiTokens {
+                    line,
+                    pos: 0,
+                    tidy: true,
+                };
+                d.record(toks, tidy, start, lineno, out)?;
+            }
+            Some(_) => d.record(
+                UnicodeTokens(line.split_whitespace()),
+                tidy,
+                start,
+                lineno,
+                out,
+            )?,
+        }
+    }
+    d.close(text.len(), out);
+    out.samples.truncate(d.n);
+    Ok(Envelope {
+        hostname: d.hostname.ok_or_else(|| err(0, "missing $hostname"))?,
+        arch: d.arch.ok_or_else(|| err(0, "missing $arch"))?,
+        seq: d.seq,
+        schemas: d.schemas,
+    })
+}
+
+/// Parse a raw-stats message from bytes into an owned [`RawFile`]:
+/// [`decode_into`] with a cache that stays empty and fresh storage. This is the
+/// stateless entry point; a consumer that sees many messages keeps a
+/// [`SchemaCache`] and a [`Decoded`] and calls [`decode_into`] itself.
+pub fn parse_bytes(bytes: &[u8]) -> Result<RawFile, ParseError> {
+    let mut cache = SchemaCache::disabled();
+    let mut out = Decoded::default();
+    let envelope = decode_into(bytes, &mut cache, &mut out)?;
+    // Nothing was cached, so the envelope holds the only reference to
+    // its block and the header takes the schemas instead of copying them.
+    Ok(RawFile {
+        seq: envelope.seq,
+        header: envelope.into_header(),
+        samples: out.samples,
+    })
 }
 
 #[cfg(test)]
@@ -280,6 +1082,30 @@ mod tests {
     fn parse_bytes_rejects_invalid_utf8() {
         let e = parse_bytes(&[0x24, 0xFF, 0xFE]).unwrap_err();
         assert!(e.message.contains("UTF-8"), "{e}");
+    }
+
+    #[test]
+    fn a_second_schema_run_overrides_the_first() {
+        // `!` lines may appear anywhere; later ones win, and records
+        // are checked against the schemas seen so far.
+        let text = "$hostname h\n$arch haswell\n!mdc reqs,E,C,64\n100 -\nmdc a 1\n\
+                    !mdc reqs,E,C,64 wait,US,C,64\n!osc reqs,E,C,64\nmdc a 1 2\nosc b 3\n";
+        let rf = parse_bytes(text.as_bytes()).unwrap();
+        assert_eq!(rf.header.schemas[&DeviceType::Mdc].len(), 2);
+        assert_eq!(rf.header.schemas[&DeviceType::Osc].len(), 1);
+        assert_eq!(rf.samples[0].devices.len(), 3);
+        // The same through a cache that keeps both runs.
+        let mut cache = SchemaCache::new();
+        let mut out = Decoded::default();
+        for _ in 0..2 {
+            let env = decode_into(text.as_bytes(), &mut cache, &mut out).unwrap();
+            assert_eq!(env.into_header(), rf.header);
+            assert_eq!(out.samples, rf.samples);
+            assert!(!out.spans[0].canonical, "a `!` line sits inside the span");
+        }
+        assert_eq!(cache.len(), 2);
+        let e = parse_bytes(b"$hostname h\n$arch haswell\n!mdc reqs,E,C,64\n\n!bogus x\n");
+        assert_eq!(e.unwrap_err().line, 5, "line numbers count through a run");
     }
 
     /// Build a one-sample file with the Mdc+Ps schemas.
@@ -381,6 +1207,47 @@ mod tests {
             render_file_into(&f, &mut buf);
             let parsed = parse_bytes(&buf).unwrap();
             prop_assert_eq!(parsed, f);
+        }
+
+        /// The checked decimal accepts exactly what `str::parse::<u64>`
+        /// accepts, and calls a token plain exactly when `put_u64`
+        /// writes it back.
+        #[test]
+        fn parse_dec_is_str_parse(tok in "[0-9+-]{0,22}", small in "[0-9]{1,3}") {
+            for tok in [tok, small] {
+                let mut plain = true;
+                let got = parse_dec(&tok, &mut plain);
+                prop_assert_eq!(got, tok.parse::<u64>().ok(), "{}", tok);
+                if let Some(v) = got {
+                    prop_assert_eq!(plain, v.to_string() == tok, "{}", tok);
+                }
+            }
+        }
+
+        /// The byte tokenizer splits an ASCII line where
+        /// `split_whitespace` does, reads numbers as `parse_dec` does
+        /// whichever way they are asked for, and is tidy exactly when
+        /// the line is its tokens joined by single spaces.
+        #[test]
+        fn ascii_tokens_are_split_whitespace(
+            line in "[a-c0-9 \t\x0b\x0c\r+]{0,48}",
+            as_numbers in any::<u64>(),
+        ) {
+            let line = line.trim_end();
+            let want: Vec<&str> = line.split_whitespace().collect();
+            let mut toks = AsciiTokens { line, pos: 0, tidy: true };
+            for (i, w) in want.iter().enumerate() {
+                if i > 0 && as_numbers >> (i % 64) & 1 == 1 {
+                    let (mut a, mut b) = (true, true);
+                    prop_assert_eq!(toks.next_dec(&mut a), Some(parse_dec(w, &mut b)), "{:?}", line);
+                    prop_assert_eq!(a, b);
+                } else {
+                    prop_assert_eq!(toks.next_tok(), Some(*w), "{:?}", line);
+                }
+            }
+            prop_assert_eq!(toks.next_tok(), None);
+            prop_assert_eq!(toks.next_dec(&mut true), None);
+            prop_assert_eq!(toks.tidy(), want.join(" ") == line, "{:?}", line);
         }
 
         /// Both sinks write any integer exactly as `Display` does.

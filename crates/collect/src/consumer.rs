@@ -6,12 +6,13 @@
 //! (§VI-B) without waiting for the daily archive cycle.
 
 use crate::archive::Archive;
-use crate::codec;
-use crate::record::Sample;
+use crate::codec::{self, Decoded, Envelope, SchemaCache};
+use crate::record::{ParseError, Sample};
+use crate::seqs::SeqSet;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Duration;
-use tacc_broker::{Broker, Consumer};
+use tacc_broker::{Broker, Consumer, Delivery};
 use tacc_simnode::intern::Sym;
 use tacc_simnode::pool::WorkerPool;
 use tacc_simnode::SimTime;
@@ -35,11 +36,15 @@ pub struct StatsConsumer {
     /// hash an integer instead of re-hashing the hostname text.
     headered: HashSet<(Sym, u64)>,
     /// Per-host sequence numbers already archived.
-    seen: HashMap<Sym, HashSet<u64>>,
-    /// Per-host highest sequence number seen.
-    max_seq: HashMap<Sym, u64>,
-    /// Reused render buffer for archive appends: cleared (capacity
-    /// kept) per sample instead of building a fresh `String` each time.
+    seqs: HashMap<Sym, SeqSet>,
+    /// Schema blocks already parsed: every message of a node type
+    /// repeats its block byte for byte.
+    schemas: SchemaCache,
+    /// The message being processed, decoded into storage reused from
+    /// one message to the next.
+    decoded: Decoded,
+    /// Render buffer for the appends that cannot copy the wire bytes: a
+    /// host-day's first (header + sample) and non-canonical samples.
     render_buf: Vec<u8>,
     dead_letter: Option<String>,
     /// Messages processed (unique — duplicates excluded).
@@ -59,6 +64,7 @@ pub struct StatsConsumer {
 
 impl StatsConsumer {
     /// Attach to `queue` on `broker`, writing into `archive`.
+    // alloc: cold-fn (constructor)
     pub fn new(broker: &Broker, queue: &str, archive: Arc<Archive>) -> Option<StatsConsumer> {
         Some(StatsConsumer {
             consumer: broker.consume(queue)?,
@@ -66,8 +72,9 @@ impl StatsConsumer {
             broker: broker.clone(),
             archive,
             headered: HashSet::new(),
-            seen: HashMap::new(),
-            max_seq: HashMap::new(),
+            seqs: HashMap::new(),
+            schemas: SchemaCache::new(),
+            decoded: Decoded::default(),
             render_buf: Vec::new(),
             dead_letter: None,
             received: 0,
@@ -87,6 +94,7 @@ impl StatsConsumer {
     /// instead of dropping them after counting.
     pub fn set_dead_letter(&mut self, queue: &str) {
         self.broker.declare(queue);
+        // alloc: cold (configuration)
         self.dead_letter = Some(queue.to_string());
     }
 
@@ -97,280 +105,236 @@ impl StatsConsumer {
 
     /// Has this host's sequence number been archived?
     pub fn has_seen(&self, host: &str, seq: u64) -> bool {
-        self.seen
+        self.seqs
             .get(&Sym::new(host))
-            .is_some_and(|s| s.contains(&seq))
+            .is_some_and(|s| s.contains(seq))
     }
 
     /// Sequence numbers below the host's high-water mark that never
     /// arrived — the candidates for dropped/lost classification.
     pub fn missing(&self, host: &str) -> Vec<u64> {
-        let host = Sym::new(host);
-        let Some(seen) = self.seen.get(&host) else {
-            return Vec::new();
-        };
-        let max = self.max_seq.get(&host).copied().unwrap_or(0);
-        (0..=max).filter(|s| !seen.contains(s)).collect()
+        let seqs = self.seqs.get(&Sym::new(host));
+        let absent = |s: &u64| seqs.is_some_and(|h| !h.contains(*s));
+        let max = seqs.and_then(SeqSet::max).unwrap_or(0);
+        // alloc: cold (delivery reporting, not the sample path)
+        (0..=max).filter(absent).collect()
     }
 
-    /// Adopt a frame buffer reclaimed at ack time as the render buffer's
-    /// backing storage when it is the larger of the two — the consume
-    /// loop then cycles one allocation between "network frame" and
-    /// "archive render" roles instead of growing each separately.
-    fn adopt_buffer(&mut self, buf: bytes::BytesMut) {
-        let mut v: Vec<u8> = buf.into();
-        if v.capacity() > self.render_buf.capacity() {
-            v.clear();
-            self.render_buf = v;
-        }
-    }
-
-    fn reject(&mut self, delivery: tacc_broker::Delivery) {
+    fn reject(&mut self, delivery: Delivery) {
         self.parse_failures += 1;
         if let Some(dlq) = &self.dead_letter {
             // Keep the original routing key so operators can trace the
             // poison message back to its producer.
+            // alloc: cold (poison message; the clone is a refcount bump)
+            let payload = delivery.payload.clone();
             if self
                 .broker
-                .publish(dlq, delivery.routing_key.as_str(), delivery.payload.clone())
+                .publish(dlq, delivery.routing_key.as_str(), payload)
             {
                 self.dead_lettered += 1;
             }
         }
-        // Dead-lettered payloads stay alive on the DLQ, so the recycle
-        // only reclaims the buffer when the message was truly dropped.
-        let (_, buf) = self.consumer.ack_recycle(delivery);
-        if let Some(b) = buf {
-            self.adopt_buffer(b);
+        self.consumer.ack(delivery.tag);
+    }
+
+    /// The one stateful path every decoded message takes, in arrival
+    /// order: sequence dedup, gap detection, header once per host-day,
+    /// archive append, ack. False for a replay (counted and skipped).
+    fn accept(
+        &mut self,
+        delivery: Delivery,
+        envelope: &Envelope,
+        decoded: &Decoded,
+        now: SimTime,
+    ) -> bool {
+        let host = envelope.hostname;
+        if let Some(seq) = envelope.seq {
+            let seqs = self.seqs.entry(host).or_default();
+            let expected = seqs.max().map_or(0, |m| m.wrapping_add(1));
+            if !seqs.insert(seq) {
+                // At-least-once replay after a lost ack: already
+                // archived, skip.
+                self.duplicates += 1;
+                self.consumer.ack(delivery.tag);
+                return false;
+            }
+            if seq > expected {
+                self.gap_events += 1;
+            }
+        }
+        for (sample, span) in decoded.samples.iter().zip(&decoded.spans) {
+            let t = sample.time.time();
+            let day = t.start_of_day();
+            // A canonical span is byte for byte what rendering the
+            // sample would produce: archive the wire bytes themselves.
+            let wire = delivery
+                .payload
+                .get(span.start..span.end)
+                .filter(|_| span.canonical);
+            let first = self.headered.insert((host, day.as_secs()))
+                && !self.archive.has_file(host.as_str(), day);
+            let bytes = match (wire, first) {
+                (Some(bytes), false) => bytes,
+                _ => {
+                    self.render_buf.clear();
+                    if first {
+                        // alloc: cold (once per host-day: the envelope's schemas are copied into a header)
+                        let header = envelope.clone().into_header();
+                        codec::render_header_into(&header, &mut self.render_buf);
+                    }
+                    match wire {
+                        Some(bytes) => self.render_buf.extend_from_slice(bytes),
+                        None => codec::render_sample_into(sample, &mut self.render_buf),
+                    }
+                    &self.render_buf
+                }
+            };
+            self.archive.append_bytes(host, day, bytes, &[t], now);
+        }
+        self.consumer.ack(delivery.tag);
+        self.received += 1;
+        true
+    }
+
+    /// Consume deliveries until one is accepted, leaving it decoded in
+    /// `self.decoded`; returns its host if it carried a sample. Rejected
+    /// and duplicate messages are consumed on the way, so one poison
+    /// message can't stall a drain.
+    fn next(&mut self, now: SimTime, timeout: Duration) -> Option<Sym> {
+        loop {
+            let delivery = self.consumer.get(timeout)?;
+            let mut decoded = std::mem::take(&mut self.decoded);
+            // Decode straight out of the delivered frame buffer.
+            let fresh = match codec::decode_into(&delivery.payload, &mut self.schemas, &mut decoded)
+            {
+                Ok(envelope) => self
+                    .accept(delivery, &envelope, &decoded, now)
+                    .then_some(envelope.hostname),
+                Err(_) => {
+                    self.reject(delivery);
+                    None
+                }
+            };
+            self.decoded = decoded;
+            if let Some(host) = fresh {
+                return (!self.decoded.samples.is_empty()).then_some(host);
+            }
         }
     }
 
-    /// Process at most one message. `now` is the (simulated) arrival
-    /// time used for data-availability latency accounting. Returns the
-    /// (interned) hostname and sample if a message was processed.
-    pub fn poll_once(&mut self, now: SimTime, timeout: Duration) -> Option<(Sym, Sample)> {
-        // Rejected and duplicate messages are consumed without yielding a
-        // sample; keep pulling so one poison message can't stall a drain.
-        loop {
-            let delivery = self.consumer.get(timeout)?;
-            // Parse straight out of the delivered frame buffer — the
-            // payload is never copied into an intermediate `String`.
-            let rf = match codec::parse_bytes(&delivery.payload) {
-                Ok(rf) => rf,
-                Err(_) => {
-                    self.reject(delivery);
-                    continue;
-                }
-            };
-            let host = rf.header.hostname;
-            if let Some(seq) = rf.seq {
-                let seen = self.seen.entry(host).or_default();
-                if !seen.insert(seq) {
-                    // At-least-once replay after a lost ack: already
-                    // archived, skip (and reclaim the frame buffer).
-                    self.duplicates += 1;
-                    let (_, buf) = self.consumer.ack_recycle(delivery);
-                    if let Some(b) = buf {
-                        self.adopt_buffer(b);
-                    }
-                    continue;
-                }
-                let expected = self.max_seq.get(&host).map(|m| m + 1).unwrap_or(0);
-                if seq > expected {
-                    self.gap_events += 1;
-                }
-                let max = self.max_seq.entry(host).or_insert(0);
-                *max = (*max).max(seq);
-            }
-            let mut last = None;
-            for sample in rf.samples {
-                let t = sample.time.time();
-                let day = t.start_of_day();
-                let key = (host, day.as_secs());
-                self.render_buf.clear();
-                if self.headered.insert(key) && !self.archive.has_file(host.as_str(), day) {
-                    codec::render_header_into(&rf.header, &mut self.render_buf);
-                }
-                codec::render_sample_into(&sample, &mut self.render_buf);
-                // The archive stores bytes now, so the rendered sample
-                // goes in directly — no UTF-8 revalidation, no copy into
-                // an intermediate `String`.
-                self.archive
-                    .append_bytes(host, day, &self.render_buf, &[t], now);
-                last = Some(sample);
-            }
-            // Ack and recycle: if nobody else kept the payload alive the
-            // frame buffer comes back and is reused as render scratch.
-            let (_, buf) = self.consumer.ack_recycle(delivery);
-            if let Some(b) = buf {
-                self.adopt_buffer(b);
-            }
-            self.received += 1;
-            return last.map(|s| (host, s));
+    /// Process at most one message and lend its last sample to `f`.
+    /// `now` is the (simulated) arrival time used for data-availability
+    /// latency accounting. False when nothing was processed. The sample
+    /// lives in storage the consumer reuses, so in steady state this
+    /// allocates nothing.
+    pub fn poll_with(
+        &mut self,
+        now: SimTime,
+        timeout: Duration,
+        f: impl FnOnce(Sym, &Sample),
+    ) -> bool {
+        let Some(host) = self.next(now, timeout) else {
+            return false;
+        };
+        if let Some(sample) = self.decoded.samples.last() {
+            f(host, sample);
         }
+        true
+    }
+
+    /// [`StatsConsumer::poll_with`] handing the sample out by value:
+    /// returns the (interned) hostname and sample if a message was
+    /// processed.
+    pub fn poll_once(&mut self, now: SimTime, timeout: Duration) -> Option<(Sym, Sample)> {
+        let host = self.next(now, timeout)?;
+        let sample = self.decoded.samples.last_mut()?;
+        Some((host, std::mem::take(sample)))
     }
 
     /// Drain everything currently queued; returns the processed samples.
     pub fn drain(&mut self, now: SimTime) -> Vec<(Sym, Sample)> {
+        // alloc: cold (owned-return wrapper: callers that keep nothing use poll_with)
         let mut out = Vec::new();
-        while let Some(hs) = self.poll_once(now, Duration::from_millis(0)) {
-            out.push(hs);
-        }
+        // alloc: cold (same)
+        while self.poll_with(now, Duration::ZERO, |host, s| out.push((host, s.clone()))) {}
         out
     }
 
     /// Drain everything currently queued, fanning the CPU-bound work
-    /// (payload parse + archive-line rendering) out over `pool` while
-    /// keeping every stateful decision sequential in arrival order.
-    ///
-    /// Deliveries are grouped by routing key (the publishing host) and
-    /// each per-host stream is parsed and rendered on the pool as a
-    /// pure function of the payload. The merge then walks the original
-    /// arrival order, so sequence dedup/gap detection, header-once
-    /// bookkeeping, archive appends, dead-lettering, and buffer
-    /// recycling all observe exactly what [`StatsConsumer::drain`]
-    /// would — the result is identical for any grouping, and the
+    /// (payload decode) out over `pool` while keeping every stateful
+    /// decision sequential in arrival order: the merge walks the
+    /// deliveries through the same accept path as
+    /// [`StatsConsumer::poll_with`], so sequence dedup/gap detection,
+    /// header-once bookkeeping, archive appends and dead-lettering all
+    /// observe exactly what [`StatsConsumer::drain`] would, and the
     /// returned samples come back in arrival order.
     ///
     /// A pool with no extra workers runs everything inline anyway, so
-    /// that configuration takes the plain [`StatsConsumer::drain`]
-    /// path and skips the grouping/staging overhead entirely.
+    /// that configuration takes the plain [`StatsConsumer::drain`] path.
+    // alloc: cold-fn (batch fan-out: stages every delivery and returns owned samples by contract)
     pub fn drain_parallel(&mut self, now: SimTime, pool: &WorkerPool) -> Vec<(Sym, Sample)> {
         if pool.workers() <= 1 {
             return self.drain(now);
         }
         let mut deliveries = Vec::new();
-        while let Some(d) = self.consumer.get(Duration::from_millis(0)) {
+        while let Some(d) = self.consumer.get(Duration::ZERO) {
             deliveries.push(d);
         }
         if deliveries.is_empty() {
             return Vec::new();
         }
-        // One partition per publishing host: per-host streams stay
-        // whole, and a slow host's backlog parses alongside the others.
-        let mut by_host: HashMap<Sym, Vec<usize>> = HashMap::new();
-        for (i, d) in deliveries.iter().enumerate() {
-            by_host.entry(d.routing_key).or_default().push(i);
-        }
-        let groups: Vec<Vec<usize>> = by_host.into_values().collect();
-        let parsed_groups = pool.map_parts(groups.len(), |gi, _scratch| {
-            let mut out: Vec<(usize, Result<ParsedMsg, ()>)> = Vec::new();
-            if let Some(idxs) = groups.get(gi) {
-                for &i in idxs {
-                    if let Some(d) = deliveries.get(i) {
-                        out.push((i, parse_message(&d.payload)));
-                    }
-                }
-            }
-            out
+        // One contiguous run of deliveries per worker, each decoded as a
+        // pure function of its payload against the worker's own copy of
+        // the schema cache.
+        let chunk = deliveries.len().div_ceil(pool.workers());
+        let known = &self.schemas;
+        let parts = pool.map_parts(deliveries.len().div_ceil(chunk), |part, _scratch| {
+            let mut schemas = known.clone();
+            let run = deliveries.iter().skip(part * chunk).take(chunk);
+            let msgs: Vec<ParsedMsg> = run
+                .map(|d| parse_message(&d.payload, &mut schemas))
+                .collect();
+            (msgs, schemas)
         });
-        let mut parsed: Vec<Option<Result<ParsedMsg, ()>>> =
-            (0..deliveries.len()).map(|_| None).collect();
-        for (i, r) in parsed_groups.into_iter().flatten() {
-            if let Some(slot) = parsed.get_mut(i) {
-                *slot = Some(r);
-            }
+        let mut parsed = Vec::with_capacity(deliveries.len());
+        for (msgs, learned) in parts {
+            // Keep what the workers learned: the next batch starts warm.
+            self.schemas.absorb(learned);
+            parsed.extend(msgs);
         }
         // Sequential merge in arrival order: all consumer state mutates
         // here, exactly as the one-at-a-time path would.
+        let mut parsed = parsed.into_iter();
         let mut out = Vec::new();
-        for (delivery, slot) in deliveries.into_iter().zip(parsed) {
-            // The groups partition 0..n, so the slot is always filled;
-            // re-parse inline rather than assume.
-            let res = slot.unwrap_or_else(|| parse_message(&delivery.payload));
-            let msg = match res {
-                Ok(m) => m,
-                Err(()) => {
-                    self.reject(delivery);
-                    continue;
-                }
-            };
-            if let Some(seq) = msg.seq {
-                let seen = self.seen.entry(msg.host).or_default();
-                if !seen.insert(seq) {
-                    self.duplicates += 1;
-                    let (_, buf) = self.consumer.ack_recycle(delivery);
-                    if let Some(b) = buf {
-                        self.adopt_buffer(b);
+        for delivery in deliveries {
+            // The parts tile 0..n, so there is a result per delivery;
+            // decode inline rather than assume.
+            let res = parsed
+                .next()
+                .unwrap_or_else(|| parse_message(&delivery.payload, &mut self.schemas));
+            match res {
+                Ok((envelope, mut decoded)) => {
+                    if self.accept(delivery, &envelope, &decoded, now) {
+                        out.extend(decoded.samples.pop().map(|s| (envelope.hostname, s)));
                     }
-                    continue;
                 }
-                let expected = self.max_seq.get(&msg.host).map(|m| m + 1).unwrap_or(0);
-                if seq > expected {
-                    self.gap_events += 1;
-                }
-                let max = self.max_seq.entry(msg.host).or_insert(0);
-                *max = (*max).max(seq);
-            }
-            let mut start = 0usize;
-            for &(t, day, end) in &msg.samples {
-                let key = (msg.host, day.as_secs());
-                self.render_buf.clear();
-                if self.headered.insert(key) && !self.archive.has_file(msg.host.as_str(), day) {
-                    self.render_buf.extend_from_slice(&msg.header);
-                }
-                if let Some(line) = msg.body.get(start..end) {
-                    self.render_buf.extend_from_slice(line);
-                }
-                start = end;
-                self.archive
-                    .append_bytes(msg.host, day, &self.render_buf, &[t], now);
-            }
-            let (_, buf) = self.consumer.ack_recycle(delivery);
-            if let Some(b) = buf {
-                self.adopt_buffer(b);
-            }
-            self.received += 1;
-            if let Some(s) = msg.last {
-                out.push((msg.host, s));
+                Err(_) => self.reject(delivery),
             }
         }
         out
     }
 }
 
-/// One delivery parsed and rendered off-thread: everything the merge
-/// stage needs, computed purely from the payload bytes.
-struct ParsedMsg {
-    host: Sym,
-    seq: Option<u64>,
-    /// Rendered header block, spliced in front of a sample when its
-    /// `(host, day)` file doesn't have one yet.
-    header: Vec<u8>,
-    /// All samples rendered back-to-back; `samples` records each one's
-    /// end offset.
-    body: Vec<u8>,
-    /// Per sample: timestamp, its archive day, end offset into `body`.
-    samples: Vec<(SimTime, SimTime, usize)>,
-    /// The message's last sample, handed to online analysis.
-    last: Option<Sample>,
-}
+/// One delivery decoded off-thread: the envelope plus each sample and
+/// its span in the payload (the delivery outlives the merge, so nothing
+/// is rendered or copied here).
+type ParsedMsg = Result<(Envelope, Decoded), ParseError>;
 
-/// Parse a payload and pre-render its archive lines. Pure: no consumer
-/// state is read or written, so any number of these can run on pool
-/// workers concurrently.
-fn parse_message(payload: &[u8]) -> Result<ParsedMsg, ()> {
-    let rf = codec::parse_bytes(payload).map_err(|_| ())?;
-    let host = rf.header.hostname;
-    let mut header = Vec::new();
-    codec::render_header_into(&rf.header, &mut header);
-    let mut body = Vec::new();
-    let mut samples = Vec::with_capacity(rf.samples.len());
-    let mut last = None;
-    for sample in rf.samples {
-        codec::render_sample_into(&sample, &mut body);
-        let t = sample.time.time();
-        samples.push((t, t.start_of_day(), body.len()));
-        last = Some(sample);
-    }
-    Ok(ParsedMsg {
-        host,
-        seq: rf.seq,
-        header,
-        body,
-        samples,
-        last,
-    })
+/// Decode a payload into fresh storage. Pure but for `schemas`, which
+/// is the worker's own: any number of these can run concurrently.
+fn parse_message(payload: &[u8], schemas: &mut SchemaCache) -> ParsedMsg {
+    let mut decoded = Decoded::default();
+    codec::decode_into(payload, schemas, &mut decoded).map(|envelope| (envelope, decoded))
 }
 
 #[cfg(test)]

@@ -10,8 +10,9 @@
 //!   are interned [`tacc_simnode::intern::Sym`]s.
 //! * [`codec`] — the buffer-reusing byte codec for that format:
 //!   `render_*_into(&mut Vec<u8>)` appends without per-sample
-//!   allocations, `parse_bytes` parses payloads without building an
-//!   owned `String`.
+//!   allocations; `decode_into` is the one grammar, decoding a payload
+//!   into caller-owned storage against a cache of schema blocks, and
+//!   `parse_bytes` / `RawFile::parse` are its stateless wrappers.
 //! * [`collectors`] — one collector per device type. MSR- and PCI-space
 //!   collectors read binary registers via [`tacc_simnode::SimNode`]
 //!   accessors; everything else genuinely parses the procfs/sysfs-style
@@ -30,7 +31,8 @@
 //!   publishes every sample to a broker queue immediately, plus the
 //!   §VI-C process start/stop signal queue.
 //! * [`consumer`] — drains the broker queue into the archive and feeds
-//!   online analysis callbacks in (soft) real time.
+//!   online analysis callbacks in (soft) real time; per-host dedup
+//!   state is an exact bitmap (`seqs`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -44,6 +46,7 @@ pub mod daemon;
 pub mod discovery;
 pub mod engine;
 pub mod record;
+mod seqs;
 pub mod spool;
 
 pub use archive::{Archive, RetentionStats};

@@ -395,181 +395,11 @@ impl RawFile {
         out
     }
 
-    /// Parse a rendered file.
+    /// Parse a rendered file: [`codec::parse_bytes`] over its bytes (the
+    /// one grammar lives in [`codec::decode_into`]).
     pub fn parse(text: &str) -> Result<RawFile, ParseError> {
-        let err = |line: usize, message: &str| ParseError {
-            line,
-            message: message.to_string(),
-        };
-        let mut hostname = None;
-        let mut arch = None;
-        let mut seq = None;
-        let mut schemas: BTreeMap<DeviceType, Schema> = BTreeMap::new();
-        let mut samples: Vec<Sample> = Vec::new();
-        let mut current: Option<Sample> = None;
-
-        for (idx, line) in text.lines().enumerate() {
-            let lineno = idx + 1;
-            let line = line.trim_end();
-            if line.is_empty() {
-                continue;
-            }
-            if let Some(rest) = line.strip_prefix('$') {
-                let (key, value) = rest
-                    .split_once(' ')
-                    .ok_or_else(|| err(lineno, "malformed $ line"))?;
-                match key {
-                    "tacc_stats" if value != FORMAT_VERSION => {
-                        return Err(err(lineno, &format!("unsupported version {value}")));
-                    }
-                    "tacc_stats" => {}
-                    "hostname" => hostname = Some(Sym::new(value)),
-                    "arch" => {
-                        arch = Some(
-                            CpuArch::HOST_ARCHS
-                                .iter()
-                                .copied()
-                                .chain([CpuArch::KnightsCorner])
-                                .find(|a| a.name() == value)
-                                .ok_or_else(|| err(lineno, &format!("unknown arch {value}")))?,
-                        )
-                    }
-                    "seq" => {
-                        seq = Some(
-                            value
-                                .parse()
-                                .map_err(|_| err(lineno, &format!("bad seq {value}")))?,
-                        )
-                    }
-                    _ => {} // forward-compatible: ignore unknown header keys
-                }
-                continue;
-            }
-            if let Some(rest) = line.strip_prefix('!') {
-                let (name, body) = rest
-                    .split_once(' ')
-                    .ok_or_else(|| err(lineno, "malformed ! line"))?;
-                let dt = DeviceType::parse(name)
-                    .ok_or_else(|| err(lineno, &format!("unknown device type {name}")))?;
-                let schema = Schema::parse(body).ok_or_else(|| err(lineno, "malformed schema"))?;
-                schemas.insert(dt, schema);
-                continue;
-            }
-            if let Some(rest) = line.strip_prefix('%') {
-                let s = current
-                    .as_mut()
-                    .ok_or_else(|| err(lineno, "mark before any timestamp"))?;
-                s.marks.push(rest.to_string());
-                continue;
-            }
-            let mut toks = line.split_whitespace();
-            let first = toks.next().ok_or_else(|| err(lineno, "empty line"))?;
-            if first.chars().all(|c| c.is_ascii_digit()) && DeviceType::parse(first).is_none() {
-                // New record group: "<unix seconds> <jobids|->".
-                if let Some(s) = current.take() {
-                    samples.push(s);
-                }
-                let secs: u64 = first.parse().map_err(|_| err(lineno, "bad timestamp"))?;
-                let jobids = match toks.next() {
-                    None | Some("-") => Vec::new(),
-                    Some(j) => j.split(',').map(|s| s.to_string()).collect(),
-                };
-                current = Some(Sample {
-                    time: SimTimeRepr::from(SimTime::from_secs(secs)),
-                    jobids,
-                    ..Sample::default()
-                });
-                continue;
-            }
-            // Device record line.
-            let s = current
-                .as_mut()
-                .ok_or_else(|| err(lineno, "record before any timestamp"))?;
-            let dt = DeviceType::parse(first)
-                .ok_or_else(|| err(lineno, &format!("unknown device {first}")))?;
-            if dt == DeviceType::Ps {
-                let pid: u32 = toks
-                    .next()
-                    .and_then(|t| t.parse().ok())
-                    .ok_or_else(|| err(lineno, "ps line missing pid"))?;
-                let comm = toks
-                    .next()
-                    .map(Sym::new)
-                    .ok_or_else(|| err(lineno, "ps line missing comm"))?;
-                let uid: u32 = toks
-                    .next()
-                    .and_then(|t| t.parse().ok())
-                    .ok_or_else(|| err(lineno, "ps line missing uid"))?;
-                let expect = schemas.get(&DeviceType::Ps).map(Schema::len);
-                let values =
-                    collect_values(toks, expect).map_err(|()| err(lineno, "bad ps value"))?;
-                if let Some(schema) = schemas.get(&DeviceType::Ps) {
-                    if values.len() != schema.len() {
-                        return Err(err(lineno, "ps value count mismatch"));
-                    }
-                }
-                s.processes.push(PsRecord {
-                    pid,
-                    comm,
-                    uid,
-                    values,
-                });
-            } else {
-                let instance = toks
-                    .next()
-                    .map(Sym::new)
-                    .ok_or_else(|| err(lineno, "record missing instance"))?;
-                let expect = schemas.get(&dt).map(Schema::len);
-                let values = collect_values(toks, expect).map_err(|()| err(lineno, "bad value"))?;
-                if let Some(schema) = schemas.get(&dt) {
-                    if values.len() != schema.len() {
-                        return Err(err(
-                            lineno,
-                            &format!(
-                                "{dt} value count {} != schema {}",
-                                values.len(),
-                                schema.len()
-                            ),
-                        ));
-                    }
-                }
-                s.devices.push(DeviceRecord {
-                    dev_type: dt,
-                    instance,
-                    values,
-                });
-            }
-        }
-        if let Some(s) = current.take() {
-            samples.push(s);
-        }
-        let hostname = hostname.ok_or_else(|| err(0, "missing $hostname"))?;
-        let arch = arch.ok_or_else(|| err(0, "missing $arch"))?;
-        Ok(RawFile {
-            header: HostHeader {
-                hostname,
-                arch,
-                schemas,
-            },
-            seq,
-            samples,
-        })
+        codec::parse_bytes(text.as_bytes())
     }
-}
-
-/// Collect whitespace-split values into a [`ValueVec`]: Table-I-width
-/// rows land in the inline buffer (no allocation per record line), and
-/// wider rows pre-size the spill Vec from the schema so there is no
-/// doubling growth on the parse hot path.
-fn collect_values<'a>(
-    toks: impl Iterator<Item = &'a str>,
-    expect: Option<usize>,
-) -> Result<ValueVec, ()> {
-    let mut values = ValueVec::with_capacity(expect.unwrap_or(0));
-    for t in toks {
-        values.push(t.parse().map_err(|_| ())?);
-    }
-    Ok(values)
 }
 
 #[cfg(test)]

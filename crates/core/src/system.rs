@@ -14,6 +14,7 @@ use crate::pool::WorkerPool;
 use bytes::Bytes;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
+use std::time::Duration;
 use tacc_broker::Broker;
 use tacc_collect::consumer::StatsConsumer;
 use tacc_collect::cron::{CronCollector, CronConfig};
@@ -33,6 +34,7 @@ use tacc_scheduler::sched::{SchedEvent, Scheduler};
 use tacc_scheduler::xalt::XaltDb;
 use tacc_simnode::counter::wrapping_delta;
 use tacc_simnode::faults::{fault_path, DeviceFaultKind, FaultPlan, ReadFault, ReadFaultMode};
+use tacc_simnode::intern::Sym;
 use tacc_simnode::lustre_server::MdsModel;
 use tacc_simnode::pseudofs::NodeFs;
 use tacc_simnode::schema::DeviceType;
@@ -979,25 +981,23 @@ impl MonitoringSystem {
         // Consumer drain + online analysis (daemon mode).
         let mut to_suspend: Vec<JobId> = Vec::new();
         if let Some(consumer) = &mut self.consumer {
-            let drained = match self.pool.as_deref() {
-                Some(pool) if pool.workers() > 1 => consumer.drain_parallel(now2, pool),
-                _ => consumer.drain(now2),
-            };
-            for (host, sample) in drained {
-                let Some(idx) = self.host_index(host.as_str()) else {
-                    continue;
+            let headers = &self.headers;
+            let auto_suspend = self.auto_suspend;
+            let mut on_sample = |host: Sym, sample: &Sample| {
+                let Some(idx) = headers.iter().position(|h| h.hostname == host) else {
+                    return;
                 };
                 Self::feed_sample(
-                    &self.headers,
+                    headers,
                     &mut self.accums,
                     &mut self.mirror,
                     self.tsdb.as_ref(),
                     idx,
-                    &sample,
+                    sample,
                 );
                 if let Some(online) = &mut self.online {
-                    for alert in online.observe(now2, &self.headers[idx], &sample) {
-                        if self.auto_suspend {
+                    for alert in online.observe(now2, &headers[idx], sample) {
+                        if auto_suspend {
                             for jid in &alert.jobids {
                                 if let Ok(id) = jid.parse::<JobId>() {
                                     to_suspend.push(id);
@@ -1006,6 +1006,16 @@ impl MonitoringSystem {
                         }
                     }
                 }
+            };
+            match self.pool.as_deref() {
+                Some(pool) if pool.workers() > 1 => {
+                    for (host, sample) in consumer.drain_parallel(now2, pool) {
+                        on_sample(host, &sample);
+                    }
+                }
+                // Each sample is lent from the consumer's own storage:
+                // nothing is collected into a Vec first.
+                _ => while consumer.poll_with(now2, Duration::ZERO, &mut on_sample) {},
             }
             if let Some(online) = &mut self.online {
                 online.check_silence(now2);

@@ -20,6 +20,10 @@
 //! pseudo-file renderers (`simnode::pseudofs`), the collectors and the
 //! sampler (`collect::collectors`, `collect::engine`):
 //! `BENCH_sample_path.json` holds `Sampler::sample_into` at 0 allocs/op.
+//! And the consumer side of the same path (`collect::consumer` over the
+//! decoder in `collect::codec`): `crates/collect/tests/decode_props.rs`
+//! holds a steady-state `StatsConsumer::poll_with` at 0 allocations per
+//! message.
 //!
 //! Cold paths inside a hot module (error formatting, constructors,
 //! recovery) are annotated in the source rather than allowlisted in a
@@ -50,7 +54,9 @@ use std::path::Path;
 pub const SCOPE: &[&str] = &[
     "crates/collect/src/codec.rs",
     "crates/collect/src/collectors.rs",
+    "crates/collect/src/consumer.rs",
     "crates/collect/src/engine.rs",
+    "crates/collect/src/seqs.rs",
     "crates/simnode/src/mem.rs",
     "crates/simnode/src/pseudofs.rs",
     "crates/broker/src/tcp.rs",

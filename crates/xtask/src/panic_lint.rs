@@ -75,6 +75,7 @@ pub const DENY: &[&str] = &[
     "crates/collect/src/daemon.rs",
     "crates/collect/src/spool.rs",
     "crates/collect/src/consumer.rs",
+    "crates/collect/src/seqs.rs",
     "crates/collect/src/codec.rs",
     "crates/broker/src/queue.rs",
     "crates/broker/src/tcp.rs",
