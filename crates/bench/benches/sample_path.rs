@@ -19,11 +19,16 @@
 //!
 //! The `collect` case is the node side of the same path — register
 //! reads, pseudo-file render, collector parse — through
-//! `Sampler::sample_into` refilling one `Sample`. Its "before" is frozen
-//! history (the `probe.collect.sample` row of `benchmark/REFERENCE.md`
-//! at the commit before the collection path ran in caller-owned
-//! buffers), not a reconstruction. Two hard bars ride with it:
-//! `sample_into` allocates nothing in steady state, and one
+//! `Sampler::sample_into`, on the system benchmark's fleet shape: 64
+//! Stampede nodes of 16 processes each, every node with its own sampler
+//! and `Sample`, visited round-robin so that no node's state stays in
+//! cache from one visit to the next. `collect_ps` is its process-table
+//! share and `collect_render` the `render_sample_into` that follows it
+//! in the daemon. Their "before" columns are frozen history (measured on
+//! this fixture at the commit before the text path went byte-level:
+//! `fmt`-rendered pseudo-files, `str`-method collector parsers), not a
+//! reconstruction. Three hard bars ride along: `sample_into` takes at
+//! most 26 µs hot, allocates nothing in steady state, and one
 //! `TaccStatsd` collection allocates at most twice (the shared `Bytes`
 //! handed to the transport: its buffer and its reference count).
 //!
@@ -47,6 +52,7 @@ use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 use tacc_collect::codec;
+use tacc_collect::collectors::{PsCollector, Scratch};
 use tacc_collect::daemon::{Publisher, TaccStatsd};
 use tacc_collect::discovery::{discover, BuildOptions};
 use tacc_collect::engine::Sampler;
@@ -56,7 +62,7 @@ use tacc_simnode::counter::wrapping_delta;
 use tacc_simnode::pseudofs::NodeFs;
 use tacc_simnode::schema::{DeviceType, EventKind, Schema};
 use tacc_simnode::topology::NodeTopology;
-use tacc_simnode::workload::NodeDemand;
+use tacc_simnode::workload::{LustreDemand, NodeDemand};
 use tacc_simnode::{SimDuration, SimNode, SimTime};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
@@ -102,16 +108,34 @@ fn measure<R>(iters: u64, mut f: impl FnMut() -> R) -> (f64, f64) {
     )
 }
 
-/// `probe.collect.sample` of `benchmark/REFERENCE.md` (`fleet_clean`,
-/// seed 42) at the commit before `Sampler::sample_into`: ns and
-/// allocations per collection.
-const COLLECT_BEFORE: (f64, f64) = (98_642.0, 592.0);
-/// Where `COLLECT_BEFORE` comes from, written next to it in the JSON:
-/// the allocation counts compare like for like, the times do not.
-const COLLECT_BEFORE_NOTE: &str =
-    "collect.before is probe.collect.sample of benchmark/REFERENCE.md \
-     (in-fleet, caches cold, 16 processes per node); collect.after is this fixture \
-     (hot loop, 1 process): the bar is allocs_per_op, the speedup is not like for like";
+/// [`measure`] in twenty short batches, keeping the fastest: what the
+/// code costs when the host leaves it alone for ten milliseconds, which
+/// is what a hard bar on a time can be held to on a shared machine.
+/// Allocations are the worst batch's.
+fn measure_undisturbed<R>(iters: u64, mut f: impl FnMut() -> R) -> (f64, f64) {
+    (0..20)
+        .map(|_| measure(iters / 4, &mut f))
+        .reduce(|best, batch| (best.0.min(batch.0), best.1.max(batch.1)))
+        .expect("twenty batches")
+}
+
+/// The fleet fixture at the commit before the node-side text path went
+/// byte-level (ISSUE 18's measurements): ns and allocations per
+/// `Sampler::sample_into`, per `PsCollector::collect_ps_into` (its
+/// share of the former) and per `render_sample_into` of the 5.3 KB the
+/// sample renders to.
+const COLLECT_BEFORE: (f64, f64) = (38_500.0, 0.0);
+const COLLECT_PS_BEFORE: (f64, f64) = (20_300.0, 0.0);
+const COLLECT_RENDER_BEFORE: (f64, f64) = (10_200.0, 0.0);
+/// Hard bar on `collect.after`, hot.
+const COLLECT_BAR_NS: f64 = 26_000.0;
+/// What the `collect*` cases run on, written next to them in the JSON.
+const COLLECT_NOTE: &str =
+    "collect, collect_ps and collect_render run on 64 stampede nodes of 16 processes, one \
+     sampler and Sample per node, round-robin (the system benchmark's fleet_clean shape, hot \
+     loop, fastest of twenty batches); before is the same fixture at the commit before ISSUE 18, \
+     frozen. Bars: \
+     collect.after <= 26000 ns and 0 allocs, daemon_collection <= 2 allocs";
 
 /// The consumer's decode-and-re-render of one message at the commit
 /// before `codec::decode_into`: `parse_bytes` (24.0 µs, 27 allocations —
@@ -156,6 +180,55 @@ fn fixture() -> (SimNode, Sampler, Vec<Sample>) {
         samples.push(s.sample(&fs, SimTime::from_secs(600 * k), &["3001".to_string()], &[]));
     }
     (node, s, samples)
+}
+
+/// Nodes of the `collect*` cases.
+const FLEET_NODES: usize = 64;
+
+/// The system benchmark's `fleet_clean` shape: Stampede nodes running
+/// one single-threaded process per core, mid-job (every counter of
+/// every device non-zero).
+fn fleet_fixture() -> Vec<(SimNode, Sampler, Sample)> {
+    let demand = NodeDemand {
+        active_cores: 16,
+        cpu_user_frac: 0.83,
+        cpu_sys_frac: 0.04,
+        cpu_iowait_frac: 0.01,
+        flops_per_sec: 4.7e10,
+        vector_frac: 0.6,
+        mem_bw_bytes_per_sec: 2.3e10,
+        mem_used_bytes: 9 << 30,
+        ib_bytes_per_sec: 1.3e8,
+        gige_bytes_per_sec: 2.9e4,
+        mic_user_frac: 0.2,
+        lustre: vec![
+            LustreDemand {
+                mdc_reqs_per_sec: 50.0,
+                mdc_wait_us: 210.0,
+                osc_reqs_per_sec: 20.0,
+                osc_wait_us: 1100.0,
+                opens_per_sec: 2.0,
+                getattr_per_sec: 11.0,
+                read_bytes_per_sec: 3.1e6,
+                write_bytes_per_sec: 7.3e6,
+            };
+            2
+        ],
+        ..NodeDemand::default()
+    };
+    (0..FLEET_NODES)
+        .map(|i| {
+            let host = format!("c401-{:04}", i + 1);
+            let mut node = SimNode::new(host.as_str(), NodeTopology::stampede());
+            for _ in 0..16 {
+                node.spawn_process("wrf.exe", 5000 + (i / 8) as u32, 1, u64::MAX);
+            }
+            node.advance(SimDuration::from_secs(86_400 + 600 * i as u64), &demand);
+            let cfg = discover(&NodeFs::new(&node), BuildOptions::default()).expect("discovery");
+            let sampler = Sampler::new(&host, &cfg);
+            (node, sampler, Sample::default())
+        })
+        .collect()
 }
 
 /// The seed's `itoa`: one heap String per rendered numeric value.
@@ -328,7 +401,7 @@ struct Case {
 }
 
 fn main() {
-    let (node, mut sampler, samples) = fixture();
+    let (node, sampler, samples) = fixture();
     let header = sampler.header().clone();
     let n_devices = samples[0].devices.len();
     let msg = RawFile::render_message(&header, &samples[0]);
@@ -350,25 +423,64 @@ fn main() {
     const ITERS: u64 = 2_000;
     let mut cases = Vec::new();
 
-    // --- collect (the node side: one Sampler refilling one Sample) ---
-    let fs = NodeFs::new(&node);
+    // --- collect (the node side: each node's Sampler refilling its
+    // Sample, round-robin over the fleet) ---
+    let mut fleet = fleet_fixture();
     let jobids = ["3001".to_string()];
     let now = SimTime::from_secs(3000);
-    let mut sample = Sample::default();
-    let after = measure(ITERS, || {
-        sampler.sample_into(&fs, now, &jobids, &[], &mut sample);
+    let mut turn = (0..FLEET_NODES).cycle();
+    // Every node's first collection sizes its buffers.
+    for (node, sampler, sample) in &mut fleet {
+        sampler.sample_into(&NodeFs::new(node), now, &jobids, &[], sample);
+    }
+    let after = measure_undisturbed(ITERS, || {
+        let (node, sampler, sample) = &mut fleet[turn.next().expect("cycle")];
+        sampler.sample_into(&NodeFs::new(node), now, &jobids, &[], sample);
         sample.devices.len()
     });
-    assert_eq!(sample.devices.len(), n_devices);
+    assert_eq!(fleet[0].2.devices.len(), n_devices);
+    assert_eq!(fleet[0].2.processes.len(), 16);
     assert_eq!(
         after.1, 0.0,
         "Sampler::sample_into must not allocate in steady state"
+    );
+    assert!(
+        after.0 <= COLLECT_BAR_NS,
+        "Sampler::sample_into took {:.0} ns on the fleet fixture, bar {COLLECT_BAR_NS:.0}",
+        after.0
     );
     cases.push(Case {
         name: "collect",
         before: COLLECT_BEFORE,
         after,
     });
+    let mut scratch = Scratch::default();
+    let mut processes = Vec::with_capacity(16);
+    let after = measure_undisturbed(ITERS, || {
+        let (node, _, _) = &fleet[turn.next().expect("cycle")];
+        processes.clear();
+        PsCollector.collect_ps_into(&NodeFs::new(node), &mut scratch, &mut processes);
+        processes.len()
+    });
+    cases.push(Case {
+        name: "collect_ps",
+        before: COLLECT_PS_BEFORE,
+        after,
+    });
+    let mut rendered: Vec<u8> = Vec::new();
+    let after = measure_undisturbed(ITERS, || {
+        let (_, _, sample) = &fleet[turn.next().expect("cycle")];
+        rendered.clear();
+        codec::render_sample_into(sample, &mut rendered);
+        rendered.len()
+    });
+    cases.push(Case {
+        name: "collect_render",
+        before: COLLECT_RENDER_BEFORE,
+        after,
+    });
+    let sample_bytes = rendered.len();
+    let fs = NodeFs::new(&node);
     // The whole daemon collection — sample, render, hand over — into
     // a transport that drops the payload, so only the daemon's own
     // allocations are counted.
@@ -546,7 +658,7 @@ fn main() {
             if i + 1 == cases.len() { "" } else { "," }
         ));
     }
-    println!("  note: {COLLECT_BEFORE_NOTE}");
+    println!("  note: {COLLECT_NOTE} (sample renders to {sample_bytes} bytes)");
     println!("  note: {CONSUME_NOTE}");
     println!(
         "  accumulate_warm: {:.0} ns, {:.2} allocs per sample — {ACCUM_NOTE}",
@@ -564,7 +676,7 @@ fn main() {
         e2e_n * 1e9 / e2e_after_ns
     );
     json.push_str(&format!(
-        "  }},\n  \"collect_note\": \"{COLLECT_BEFORE_NOTE}\",\n  \"consume_note\": \"{CONSUME_NOTE}\",\n  \"accumulate_warm\": {{\"ns_per_op\": {:.1}, \"allocs_per_op\": {:.2}}},\n  \"accumulate_note\": \"{ACCUM_NOTE}\",\n  \"daemon_collection\": {{\"ns_per_op\": {daemon_ns:.1}, \"allocs_per_op\": {daemon_allocs:.2}}},\n  \"consumer_to_accum_samples_per_sec\": {{\"before\": {:.0}, \"after\": {:.0}}}\n}}\n",
+        "  }},\n  \"collect_note\": \"{COLLECT_NOTE}\",\n  \"collect_sample_bytes\": {sample_bytes},\n  \"consume_note\": \"{CONSUME_NOTE}\",\n  \"accumulate_warm\": {{\"ns_per_op\": {:.1}, \"allocs_per_op\": {:.2}}},\n  \"accumulate_note\": \"{ACCUM_NOTE}\",\n  \"daemon_collection\": {{\"ns_per_op\": {daemon_ns:.1}, \"allocs_per_op\": {daemon_allocs:.2}}},\n  \"consumer_to_accum_samples_per_sec\": {{\"before\": {:.0}, \"after\": {:.0}}}\n}}\n",
         accum_warm.0,
         accum_warm.1,
         e2e_n * 1e9 / e2e_before_ns,

@@ -8,7 +8,8 @@
 //! 1. **No fresh allocations per sample.** All `render_*_into`
 //!    functions append to a caller-owned `Vec<u8>`; callers clear and
 //!    reuse one buffer per message (`buf.clear()` keeps the capacity).
-//!    Integers are written through a stack buffer — no `format!`, no
+//!    Integers are written by the writer the node's pseudo-file
+//!    renderers use ([`tacc_simnode::digits`]) — no `format!`, no
 //!    intermediate `String`s.
 //! 2. **Bytes are the native representation.** The daemon→broker→
 //!    consumer path moves byte payloads; [`decode_into`] validates
@@ -30,10 +31,12 @@
 use crate::record::{
     DeviceRecord, HostHeader, ParseError, PsRecord, RawFile, Sample, ValueVec, FORMAT_VERSION,
 };
+use crate::tokens::{parse_dec, parse_dec32, split_line, AsciiTokens, Tokens, UnicodeTokens};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use tacc_simnode::clock::NANOS_PER_SEC;
-use tacc_simnode::intern::Sym;
+use tacc_simnode::digits;
+use tacc_simnode::intern::{Sym, SymbolTable};
 use tacc_simnode::schema::{DeviceType, EventKind, Schema};
 use tacc_simnode::topology::CpuArch;
 use tacc_simnode::SimTime;
@@ -47,6 +50,9 @@ pub(crate) trait Out {
     fn put_str(&mut self, s: &str);
     /// Append one ASCII byte (`b < 0x80`).
     fn put_ascii(&mut self, b: u8);
+    /// Append `v` in decimal, through the one integer writer
+    /// ([`tacc_simnode::digits`]).
+    fn put_u64(&mut self, v: u64);
 }
 
 impl Out for Vec<u8> {
@@ -55,6 +61,9 @@ impl Out for Vec<u8> {
     }
     fn put_ascii(&mut self, b: u8) {
         self.push(b);
+    }
+    fn put_u64(&mut self, v: u64) {
+        digits::push_dec(self, v);
     }
 }
 
@@ -65,34 +74,19 @@ impl Out for String {
     fn put_ascii(&mut self, b: u8) {
         self.push(char::from(b));
     }
-}
-
-/// Append `v` in decimal: the digits are written into the tail of a
-/// stack buffer (a `u64` has at most 20) and appended with one
-/// `put_str`.
-pub(crate) fn put_u64<O: Out + ?Sized>(out: &mut O, mut v: u64) {
-    let mut buf = [0u8; 20];
-    let mut start = buf.len();
-    for slot in buf.iter_mut().rev() {
-        *slot = b'0' + (v % 10) as u8;
-        start -= 1;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
+    fn put_u64(&mut self, v: u64) {
+        digits::push_dec_str(self, v);
     }
-    // Only ASCII digits were written, so neither fallback is reachable.
-    let digits = buf.get(start..).and_then(|d| std::str::from_utf8(d).ok());
-    out.put_str(digits.unwrap_or(""));
 }
 
 /// Render the `$`/`!` header block.
 pub(crate) fn render_header<O: Out + ?Sized>(h: &HostHeader, out: &mut O) {
+    let names = SymbolTable::global().reader();
     out.put_str("$tacc_stats ");
     out.put_str(FORMAT_VERSION);
     out.put_ascii(b'\n');
     out.put_str("$hostname ");
-    out.put_str(h.hostname.as_str());
+    out.put_str(names.resolve(h.hostname));
     out.put_ascii(b'\n');
     out.put_str("$arch ");
     out.put_str(h.arch.name());
@@ -107,7 +101,7 @@ pub(crate) fn render_header<O: Out + ?Sized>(h: &HostHeader, out: &mut O) {
             if i > 0 {
                 out.put_ascii(b' ');
             }
-            out.put_str(e.name.as_str());
+            out.put_str(names.resolve(e.name));
             out.put_ascii(b',');
             out.put_str(e.unit.label());
             out.put_ascii(b',');
@@ -116,7 +110,7 @@ pub(crate) fn render_header<O: Out + ?Sized>(h: &HostHeader, out: &mut O) {
                 EventKind::Gauge => b'G',
             });
             out.put_ascii(b',');
-            put_u64(out, u64::from(e.width));
+            out.put_u64(u64::from(e.width));
         }
         out.put_ascii(b'\n');
     }
@@ -125,13 +119,15 @@ pub(crate) fn render_header<O: Out + ?Sized>(h: &HostHeader, out: &mut O) {
 /// Render a `$seq <n>` header line.
 pub(crate) fn render_seq<O: Out + ?Sized>(seq: u64, out: &mut O) {
     out.put_str("$seq ");
-    put_u64(out, seq);
+    out.put_u64(seq);
     out.put_ascii(b'\n');
 }
 
 /// Render one timestamped record group.
 pub(crate) fn render_sample<O: Out + ?Sized>(s: &Sample, out: &mut O) {
-    put_u64(out, s.time.as_secs());
+    // One lock acquisition for every name of the sample.
+    let names = SymbolTable::global().reader();
+    out.put_u64(s.time.as_secs());
     out.put_ascii(b' ');
     if s.jobids.is_empty() {
         out.put_ascii(b'-');
@@ -154,23 +150,23 @@ pub(crate) fn render_sample<O: Out + ?Sized>(s: &Sample, out: &mut O) {
     for d in &s.devices {
         out.put_str(d.dev_type.name());
         out.put_ascii(b' ');
-        out.put_str(d.instance.as_str());
+        out.put_str(names.resolve(d.instance));
         for v in &d.values {
             out.put_ascii(b' ');
-            put_u64(out, *v);
+            out.put_u64(*v);
         }
         out.put_ascii(b'\n');
     }
     for p in &s.processes {
         out.put_str("ps ");
-        put_u64(out, u64::from(p.pid));
+        out.put_u64(u64::from(p.pid));
         out.put_ascii(b' ');
-        out.put_str(p.comm.as_str());
+        out.put_str(names.resolve(p.comm));
         out.put_ascii(b' ');
-        put_u64(out, u64::from(p.uid));
+        out.put_u64(u64::from(p.uid));
         for v in &p.values {
             out.put_ascii(b' ');
-            put_u64(out, *v);
+            out.put_u64(*v);
         }
         out.put_ascii(b'\n');
     }
@@ -487,129 +483,6 @@ fn err(line: usize, message: &str) -> ParseError {
         line,
         // alloc: cold (error construction; the message is rejected)
         message: message.to_string(),
-    }
-}
-
-/// `(line without its '\n', everything after it)`.
-fn split_line(rest: &str) -> (&str, &str) {
-    rest.split_once('\n').unwrap_or((rest, ""))
-}
-
-/// What `char::is_whitespace` accepts below 0x80.
-fn is_ascii_ws(b: u8) -> bool {
-    matches!(b, 9..=13 | b' ')
-}
-
-/// Checked decimal: accepts exactly what `str::parse::<u64>` accepts
-/// (ASCII digits after an optional `+`, no overflow). Clears `plain`
-/// when [`put_u64`] would have written the value differently.
-fn parse_dec(tok: &str, plain: &mut bool) -> Option<u64> {
-    let digits = match tok.as_bytes().split_first() {
-        Some((b'+', rest)) => {
-            *plain = false;
-            rest
-        }
-        _ => tok.as_bytes(),
-    };
-    let (&lead, more) = digits.split_first()?;
-    if lead == b'0' && !more.is_empty() {
-        *plain = false;
-    }
-    let mut v = 0u64;
-    for &b in digits {
-        let d = b.wrapping_sub(b'0');
-        if d > 9 {
-            return None;
-        }
-        v = v.checked_mul(10)?.checked_add(u64::from(d))?;
-    }
-    Some(v)
-}
-
-fn parse_dec32(tok: &str, plain: &mut bool) -> Option<u32> {
-    parse_dec(tok, plain).and_then(|v| u32::try_from(v).ok())
-}
-
-/// The whitespace-separated tokens of one record line.
-trait Tokens<'a> {
-    fn next_tok(&mut self) -> Option<&'a str>;
-    /// The next token as a number: `None` at the end of the line,
-    /// `Some(None)` for a token [`parse_dec`] rejects.
-    fn next_dec(&mut self, plain: &mut bool) -> Option<Option<u64>> {
-        self.next_tok().map(|t| parse_dec(t, plain))
-    }
-    /// True while the line began with a token and every separator so
-    /// far was a single space — what the renderer writes.
-    fn tidy(&self) -> bool;
-}
-
-/// Tokens of an ASCII line, split on bytes.
-struct AsciiTokens<'a> {
-    line: &'a str,
-    pos: usize,
-    tidy: bool,
-}
-
-impl<'a> Tokens<'a> for AsciiTokens<'a> {
-    fn next_tok(&mut self) -> Option<&'a str> {
-        let rest = self.line.as_bytes().get(self.pos..)?;
-        let gap = rest.iter().position(|&b| !is_ascii_ws(b))?;
-        let tok = rest.get(gap..)?;
-        let len = tok
-            .iter()
-            .position(|&b| is_ascii_ws(b))
-            .unwrap_or(tok.len());
-        self.tidy &= if self.pos == 0 {
-            gap == 0
-        } else {
-            gap == 1 && rest.first() == Some(&b' ')
-        };
-        let start = self.pos + gap;
-        self.pos = start + len;
-        // An ASCII line has a char boundary at every offset.
-        self.line.get(start..self.pos)
-    }
-    /// One pass for the common shape — a single space, then at most 19
-    /// digits with no leading zero, then a separator or the end —
-    /// instead of finding the token and then scanning it again.
-    fn next_dec(&mut self, plain: &mut bool) -> Option<Option<u64>> {
-        let rest = self.line.as_bytes().get(self.pos..)?;
-        if let (Some((b' ', digits)), true) = (rest.split_first(), self.pos > 0) {
-            let mut v = 0u64;
-            let mut len = 0usize;
-            for &b in digits {
-                let d = b.wrapping_sub(b'0');
-                if d > 9 {
-                    break;
-                }
-                v = v.wrapping_mul(10).wrapping_add(u64::from(d));
-                len += 1;
-            }
-            let leading_zero = len > 1 && digits.first() == Some(&b'0');
-            let ended = digits.get(len).is_none_or(|&b| is_ascii_ws(b));
-            if (1..=19).contains(&len) && ended && !leading_zero {
-                self.pos += 1 + len;
-                return Some(Some(v));
-            }
-        }
-        self.next_tok().map(|t| parse_dec(t, plain))
-    }
-    fn tidy(&self) -> bool {
-        self.tidy
-    }
-}
-
-/// Tokens of a line holding non-ASCII text: the `str` grammar, so
-/// Unicode whitespace separates exactly as it always has. Never tidy —
-/// such a sample is re-rendered rather than copied.
-struct UnicodeTokens<'a>(std::str::SplitWhitespace<'a>);
-
-impl<'a> Tokens<'a> for UnicodeTokens<'a> {
-    fn next_tok(&mut self) -> Option<&'a str> {
-        self.0.next()
-    }
-    fn tidy(&self) -> bool {
-        false
     }
 }
 
@@ -970,20 +843,9 @@ pub fn decode_into(
             }
             Some(b'%') => d.mark(line, tidy, lineno, out)?,
             Some(_) if ascii || line.is_ascii() => {
-                let toks = AsciiTokens {
-                    line,
-                    pos: 0,
-                    tidy: true,
-                };
-                d.record(toks, tidy, start, lineno, out)?;
+                d.record(AsciiTokens::new(line), tidy, start, lineno, out)?;
             }
-            Some(_) => d.record(
-                UnicodeTokens(line.split_whitespace()),
-                tidy,
-                start,
-                lineno,
-                out,
-            )?,
+            Some(_) => d.record(UnicodeTokens::new(line), tidy, start, lineno, out)?,
         }
     }
     d.close(text.len(), out);
@@ -1039,10 +901,10 @@ mod tests {
             u64::MAX,
         ] {
             let mut buf = Vec::new();
-            put_u64(&mut buf, v);
+            buf.put_u64(v);
             assert_eq!(buf, v.to_string().into_bytes());
             let mut s = String::new();
-            put_u64(&mut s, v);
+            s.put_u64(v);
             assert_eq!(s, v.to_string());
         }
     }
@@ -1209,57 +1071,16 @@ mod tests {
             prop_assert_eq!(parsed, f);
         }
 
-        /// The checked decimal accepts exactly what `str::parse::<u64>`
-        /// accepts, and calls a token plain exactly when `put_u64`
-        /// writes it back.
-        #[test]
-        fn parse_dec_is_str_parse(tok in "[0-9+-]{0,22}", small in "[0-9]{1,3}") {
-            for tok in [tok, small] {
-                let mut plain = true;
-                let got = parse_dec(&tok, &mut plain);
-                prop_assert_eq!(got, tok.parse::<u64>().ok(), "{}", tok);
-                if let Some(v) = got {
-                    prop_assert_eq!(plain, v.to_string() == tok, "{}", tok);
-                }
-            }
-        }
-
-        /// The byte tokenizer splits an ASCII line where
-        /// `split_whitespace` does, reads numbers as `parse_dec` does
-        /// whichever way they are asked for, and is tidy exactly when
-        /// the line is its tokens joined by single spaces.
-        #[test]
-        fn ascii_tokens_are_split_whitespace(
-            line in "[a-c0-9 \t\x0b\x0c\r+]{0,48}",
-            as_numbers in any::<u64>(),
-        ) {
-            let line = line.trim_end();
-            let want: Vec<&str> = line.split_whitespace().collect();
-            let mut toks = AsciiTokens { line, pos: 0, tidy: true };
-            for (i, w) in want.iter().enumerate() {
-                if i > 0 && as_numbers >> (i % 64) & 1 == 1 {
-                    let (mut a, mut b) = (true, true);
-                    prop_assert_eq!(toks.next_dec(&mut a), Some(parse_dec(w, &mut b)), "{:?}", line);
-                    prop_assert_eq!(a, b);
-                } else {
-                    prop_assert_eq!(toks.next_tok(), Some(*w), "{:?}", line);
-                }
-            }
-            prop_assert_eq!(toks.next_tok(), None);
-            prop_assert_eq!(toks.next_dec(&mut true), None);
-            prop_assert_eq!(toks.tidy(), want.join(" ") == line, "{:?}", line);
-        }
-
         /// Both sinks write any integer exactly as `Display` does.
         #[test]
         fn put_u64_matches_display_for_arbitrary_values(v in any::<u64>(), shift in 0u32..64) {
             // Shifted so every digit count is drawn, not just 19-20.
             let v = v >> shift;
             let mut buf = Vec::new();
-            put_u64(&mut buf, v);
+            buf.put_u64(v);
             prop_assert_eq!(buf, v.to_string().into_bytes());
             let mut s = String::new();
-            put_u64(&mut s, v);
+            s.put_u64(v);
             prop_assert_eq!(s, v.to_string());
         }
 

@@ -16,8 +16,20 @@
 //! through a [`Scratch`]; values go straight into each record's inline
 //! [`ValueVec`]. [`Collector::collect`] and [`PsCollector::collect_ps`]
 //! are the owned-return wrappers.
+//!
+//! The text side is split in two. The `parse_*` functions are the
+//! grammars of the pseudo-files — text in, values out, read through the
+//! crate's one tokenizer (bytes for ASCII text, the `str` grammar for a
+//! text that holds anything else) — and are public so that
+//! `tests/collect_parse_props.rs` can hold each against the `str`-method
+//! parser it replaced. The collectors around them only find the files:
+//! paths whose instance is fixed by discovery are built once, at
+//! construction, and a name read from a file keeps the symbol it got in
+//! the previous collection for as long as it reads the same
+//! ([`Scratch`]'s name cache).
 
 use crate::record::{DeviceRecord, PsRecord, ValueVec};
+use crate::tokens::{parse_dec, parse_dec32, parse_hex, AsciiTokens, Tokens, UnicodeTokens};
 use tacc_simnode::intern::Sym;
 use tacc_simnode::node::{
     UncoreDev, MSR_DRAM_ENERGY_STATUS, MSR_FIXED_CTR0, MSR_FIXED_CTR1, MSR_FIXED_CTR2,
@@ -27,9 +39,40 @@ use tacc_simnode::pseudofs::NodeFs;
 use tacc_simnode::schema::DeviceType;
 use tacc_simnode::topology::CpuArch;
 
-/// The text buffers one collection reads through, reused from file to
-/// file and from sample to sample (they grow to the node's largest file
-/// in the first collection and stay).
+/// The name read at each record position of each device type in the
+/// previous collection, beside its symbol. A node's names do not change
+/// from sample to sample, so interning one is a `memcmp` against what
+/// was there last time — no table lock, no hash — and a table lookup
+/// only when it differs.
+#[derive(Default)]
+struct NameCache {
+    seen: [Vec<(&'static str, Sym)>; DeviceType::ALL.len()],
+}
+
+impl NameCache {
+    /// The symbol of `name`, the `i`th name of `dt` in this collection.
+    fn sym(&mut self, dt: DeviceType, i: usize, name: &str) -> Sym {
+        let Some(seen) = self.seen.get_mut(dt as usize) else {
+            return Sym::new(name);
+        };
+        if let Some((_, sym)) = seen.get(i).filter(|(text, _)| *text == name) {
+            return *sym;
+        }
+        let sym = Sym::new(name);
+        let entry = (sym.as_str(), sym);
+        match seen.get_mut(i) {
+            Some(stale) => *stale = entry,
+            // Positions are visited in order, so a missing one is the
+            // next: the listing grew.
+            None => seen.push(entry),
+        }
+        sym
+    }
+}
+
+/// The buffers one collection reads through, reused from file to file
+/// and from sample to sample (they grow to the node's largest file in
+/// the first collection and stay).
 #[derive(Default)]
 pub struct Scratch {
     /// Text of the pseudo-file being parsed.
@@ -38,17 +81,8 @@ pub struct Scratch {
     path: String,
     /// Directory entry being visited.
     name: String,
-}
-
-/// Read the file whose path is the concatenation of `parts` into `text`,
-/// building the path in `path`. For the collectors that visit a
-/// directory, where the listing holds the scratch's `name`.
-fn read_joined(fs: &NodeFs<'_>, path: &mut String, parts: &[&str], text: &mut String) -> bool {
-    path.clear();
-    for part in parts {
-        path.push_str(part);
-    }
-    fs.read_into(path, text)
+    /// Names read in the previous collection.
+    names: NameCache,
 }
 
 /// A collector for one device type.
@@ -215,42 +249,44 @@ impl Collector for RaplCollector {
     }
 }
 
-/// A record for a text-backed device. Instance names recur every sample,
-/// so interning one is a table lookup after the first collection.
-fn rec<const N: usize>(dev_type: DeviceType, instance: &str, values: [u64; N]) -> DeviceRecord {
+/// A record for a text-backed device.
+fn rec<const N: usize>(dev_type: DeviceType, instance: Sym, values: [u64; N]) -> DeviceRecord {
     DeviceRecord {
         dev_type,
-        instance: Sym::new(instance),
+        instance,
         values: values.into(),
     }
 }
 
-/// Lines of `text` known to be complete. Every pseudo-file the node
-/// renders ends with a newline, so a read cut off mid-file leaves the
-/// final line without one; parsing that fragment would turn a truncated
-/// counter like `12345` into a plausible-looking `123`. The fragment is
-/// dropped instead — an absent reading, never a wrong one.
-fn complete_lines(text: &str) -> std::str::Lines<'_> {
-    match text.rfind('\n').and_then(|i| text.get(..i + 1)) {
-        Some(head) => head.lines(),
-        None => "".lines(),
-    }
+/// Run the parser `$body` over the complete lines of `$text` — every
+/// pseudo-file the node renders ends with a newline, so a read cut off
+/// mid-file leaves a last line without one, and parsing that fragment
+/// would turn a truncated counter like `12345` into a plausible-looking
+/// `123`; the fragment is never seen: an absent reading, never a wrong
+/// one — as bytes when the text is ASCII, by the `str` grammar when it
+/// is not.
+macro_rules! over_lines {
+    ($text:expr, $body:ident $(, $arg:expr)*) => {
+        if $text.is_ascii() {
+            $body(AsciiTokens::lines($text) $(, $arg)*)
+        } else {
+            $body(UnicodeTokens::lines($text) $(, $arg)*)
+        }
+    };
 }
 
-/// The values of those `(key, value)` lines whose key is one of `keys`,
-/// in `keys` order; `None` for a key with no numeric line of its own.
-fn keyed_values<'t, const N: usize>(
-    lines: impl Iterator<Item = (&'t str, &'t str)>,
+/// Record `val` as the value of `key` if it is one of `keys`: the last
+/// line of a key decides, and a value that is no number un-finds it.
+fn keyed_value<const N: usize>(
+    found: &mut [Option<u64>; N],
     keys: &[&str; N],
-) -> [Option<u64>; N] {
-    let mut found = [None; N];
-    for (key, val) in lines {
-        let slot = keys.iter().position(|k| *k == key);
-        if let Some(slot) = slot.and_then(|i| found.get_mut(i)) {
-            *slot = val.parse().ok();
-        }
+    key: &str,
+    val: Option<u64>,
+) {
+    let slot = keys.iter().position(|k| *k == key);
+    if let Some(slot) = slot.and_then(|i| found.get_mut(i)) {
+        *slot = val;
     }
-    found
 }
 
 /// All of `found`, or `None` if any is missing.
@@ -260,6 +296,44 @@ fn all_found<T: Copy + Default, const N: usize>(found: [Option<T>; N]) -> Option
         *v = f?;
     }
     Some(values)
+}
+
+/// The line's first `N` tokens that are numbers.
+fn numbers<'t, const N: usize>(toks: &mut impl Tokens<'t>) -> Option<[u64; N]> {
+    let mut values = [0u64; N];
+    for v in &mut values {
+        *v = toks.next_number()?;
+    }
+    Some(values)
+}
+
+/// `/proc/stat`: `f(<N>, [user, nice, system, idle, iowait])` for each
+/// `cpu<N> user nice system idle iowait …` line. The aggregate `cpu `
+/// line, one field short once its first is read as the name, is not
+/// one of them.
+pub fn parse_proc_stat<'t>(text: &'t str, f: impl FnMut(&'t str, [u64; 5])) {
+    over_lines!(text, proc_stat, f)
+}
+
+fn proc_stat<'t>(mut toks: impl Tokens<'t>, mut f: impl FnMut(&'t str, [u64; 5])) {
+    'lines: while toks.next_line() {
+        if !toks.eat("cpu") {
+            continue;
+        }
+        let Some(cpu) = toks.next_tok() else { continue };
+        let index = parse_dec(cpu, &mut true).and_then(|v| usize::try_from(v).ok());
+        if index.is_none() {
+            continue;
+        }
+        let mut values = [0u64; 5];
+        for v in &mut values {
+            match toks.next_dec(&mut true) {
+                Some(Some(n)) => *v = n,
+                _ => continue 'lines,
+            }
+        }
+        f(cpu, values);
+    }
 }
 
 /// `/proc/stat` CPU time accounting.
@@ -274,34 +348,52 @@ impl Collector for CpustatCollector {
         if !fs.read_into("/proc/stat", &mut s.text) {
             return;
         }
-        for line in complete_lines(&s.text) {
-            // Per-CPU lines are "cpu<N> user nice system idle iowait …";
-            // skip the aggregate "cpu " line.
-            let Some(rest) = line.strip_prefix("cpu") else {
-                continue;
-            };
-            let mut toks = rest.split_whitespace();
-            let Some(first) = toks.next() else { continue };
-            if first.parse::<usize>().is_err() {
-                continue; // aggregate line: first token is "user" count
-            }
-            let mut values = ValueVec::new();
-            for v in toks.take(5).filter_map(|t| t.parse().ok()) {
-                values.push(v);
-            }
-            if values.len() == 5 {
-                out.push(DeviceRecord {
-                    dev_type: DeviceType::Cpustat,
-                    instance: Sym::new(first),
-                    values,
-                });
-            }
-        }
+        let mut i = 0;
+        parse_proc_stat(&s.text, |cpu, values| {
+            let instance = s.names.sym(DeviceType::Cpustat, i, cpu);
+            out.push(rec(DeviceType::Cpustat, instance, values));
+            i += 1;
+        });
     }
 }
 
+/// A per-NUMA-node `meminfo`: `[MemTotal, MemUsed, FilePages,
+/// AnonPages]` from its `Node 0 MemTotal:  33554432 kB` lines. `None`
+/// if any of the four is missing: a truncated read loses the tail keys,
+/// and the node is absent for this sample rather than reported with
+/// zeros.
+pub fn parse_meminfo(text: &str) -> Option<[u64; 4]> {
+    over_lines!(text, meminfo)
+}
+
+fn meminfo<'t>(mut toks: impl Tokens<'t>) -> Option<[u64; 4]> {
+    let keys = ["MemTotal:", "MemUsed:", "FilePages:", "AnonPages:"];
+    let mut found = [None; 4];
+    while toks.next_line() {
+        if let (Some(key), Some(val)) = (toks.nth_tok(2), toks.next_dec(&mut true)) {
+            keyed_value(&mut found, &keys, key, val);
+        }
+    }
+    all_found(found)
+}
+
 /// Per-NUMA-node memory from `/sys/devices/system/node/node*/meminfo`.
-pub struct MemCollector;
+pub struct MemCollector {
+    /// `(meminfo path, instance)` of each NUMA node discovery found.
+    nodes: Vec<(String, Sym)>,
+}
+
+impl MemCollector {
+    /// New collector for NUMA nodes `0..numa_nodes`.
+    // alloc: cold-fn (collector construction)
+    pub fn new(numa_nodes: usize) -> Self {
+        let nodes = index_syms(numa_nodes)
+            .into_iter()
+            .map(|n| (format!("/sys/devices/system/node/node{n}/meminfo"), n))
+            .collect();
+        MemCollector { nodes }
+    }
+}
 
 impl Collector for MemCollector {
     fn dev_type(&self) -> DeviceType {
@@ -309,27 +401,42 @@ impl Collector for MemCollector {
     }
 
     fn collect_into(&self, fs: &NodeFs<'_>, s: &mut Scratch, out: &mut Vec<DeviceRecord>) {
-        let Scratch { text, path, name } = s;
-        fs.for_each_entry("/sys/devices/system/node", name, |node_dir| {
-            let Some(idx) = node_dir.strip_prefix("node") else {
-                return;
-            };
-            let parts = ["/sys/devices/system/node/", node_dir, "/meminfo"];
-            if !read_joined(fs, path, &parts, text) {
-                return;
+        for (path, instance) in &self.nodes {
+            if !fs.read_into(path, &mut s.text) {
+                continue;
             }
-            // "Node 0 MemTotal:  33554432 kB"
-            let lines = complete_lines(text).filter_map(|line| {
-                let mut toks = line.split_whitespace().skip(2);
-                Some((toks.next()?, toks.next()?))
-            });
-            let keys = ["MemTotal:", "MemUsed:", "FilePages:", "AnonPages:"];
-            // A truncated read loses the tail keys: the node is absent
-            // for this sample rather than reported with zeros.
-            if let Some(values) = all_found(keyed_values(lines, &keys)) {
-                out.push(rec(DeviceType::Mem, idx, values));
+            if let Some(values) = parse_meminfo(&s.text) {
+                out.push(rec(DeviceType::Mem, *instance, values));
             }
-        });
+        }
+    }
+}
+
+/// `/proc/net/dev`: `f(<iface>, [rx_bytes, rx_packets, tx_bytes,
+/// tx_packets])` for each interface line after the two header lines,
+/// `lo` excepted. Fields: `rx_bytes rx_packets …` (8 rx fields)
+/// `tx_bytes tx_packets …`.
+pub fn parse_net_dev<'t>(text: &'t str, f: impl FnMut(&'t str, [u64; 4])) {
+    over_lines!(text, net_dev, f)
+}
+
+fn net_dev<'t>(mut toks: impl Tokens<'t>, mut f: impl FnMut(&'t str, [u64; 4])) {
+    if !(toks.next_line() && toks.next_line()) {
+        return;
+    }
+    while toks.next_line() {
+        let Some(iface) = toks.until(b':') else {
+            continue;
+        };
+        let iface = iface.trim();
+        if iface == "lo" {
+            continue;
+        }
+        if let Some([rx_bytes, rx_packets, _, _, _, _, _, _, tx_bytes, tx_packets]) =
+            numbers(&mut toks)
+        {
+            f(iface, [rx_bytes, rx_packets, tx_bytes, tx_packets]);
+        }
     }
 }
 
@@ -345,33 +452,54 @@ impl Collector for NetCollector {
         if !fs.read_into("/proc/net/dev", &mut s.text) {
             return;
         }
-        for line in complete_lines(&s.text).skip(2) {
-            let Some((iface, rest)) = line.split_once(':') else {
-                continue;
-            };
-            let iface = iface.trim();
-            if iface == "lo" {
-                continue;
-            }
-            // Fields: rx_bytes rx_packets … (8 rx fields) tx_bytes tx_packets …
-            let mut f = rest.split_whitespace().filter_map(|t| t.parse().ok());
-            let (Some(rx_bytes), Some(rx_packets)) = (f.next(), f.next()) else {
-                continue;
-            };
-            let (Some(tx_bytes), Some(tx_packets)) = (f.nth(6), f.next()) else {
-                continue;
-            };
-            out.push(rec(
-                DeviceType::Net,
-                iface,
-                [rx_bytes, rx_packets, tx_bytes, tx_packets],
-            ));
-        }
+        let mut i = 0;
+        parse_net_dev(&s.text, |iface, values| {
+            let instance = s.names.sym(DeviceType::Net, i, iface);
+            out.push(rec(DeviceType::Net, instance, values));
+            i += 1;
+        });
     }
 }
 
+/// A sysfs file holding one number on one line. A truncated value is no
+/// value.
+pub fn parse_counter_file(text: &str) -> Option<u64> {
+    if !text.ends_with('\n') {
+        return None;
+    }
+    parse_dec(text.trim(), &mut true)
+}
+
+/// The four port counters an [`IbCollector`] reads, in schema order.
+const IB_COUNTERS: [&str; 4] = [
+    "port_xmit_data",
+    "port_rcv_data",
+    "port_xmit_pkts",
+    "port_rcv_pkts",
+];
+
 /// Infiniband port counters from sysfs.
-pub struct IbCollector;
+pub struct IbCollector {
+    /// `(counter paths, instance)` of port 1 of each HCA discovery
+    /// found. All our HCAs are single-port.
+    ports: Vec<([String; 4], Sym)>,
+}
+
+impl IbCollector {
+    /// New collector for port 1 of each of `hcas`.
+    // alloc: cold-fn (collector construction)
+    pub fn new(hcas: &[String]) -> Self {
+        let ports = hcas
+            .iter()
+            .map(|hca| {
+                let paths = IB_COUNTERS
+                    .map(|c| format!("/sys/class/infiniband/{hca}/ports/1/counters/{c}"));
+                (paths, Sym::new(&format!("{hca}/1")))
+            })
+            .collect();
+        IbCollector { ports }
+    }
+}
 
 impl Collector for IbCollector {
     fn dev_type(&self) -> DeviceType {
@@ -379,32 +507,19 @@ impl Collector for IbCollector {
     }
 
     fn collect_into(&self, fs: &NodeFs<'_>, s: &mut Scratch, out: &mut Vec<DeviceRecord>) {
-        let Scratch { text, path, name } = s;
-        fs.for_each_entry("/sys/class/infiniband", name, |hca| {
-            // All our HCAs are single-port.
+        'ports: for (paths, instance) in &self.ports {
             let mut values = [0u64; 4];
-            let counters = [
-                "port_xmit_data",
-                "port_rcv_data",
-                "port_xmit_pkts",
-                "port_rcv_pkts",
-            ];
-            for (value, counter) in values.iter_mut().zip(counters) {
-                let parts = ["/sys/class/infiniband/", hca, "/ports/1/counters/", counter];
-                // A truncated value is no value.
-                if !(read_joined(fs, path, &parts, text) && text.ends_with('\n')) {
-                    return;
+            for (value, path) in values.iter_mut().zip(paths) {
+                if !fs.read_into(path, &mut s.text) {
+                    continue 'ports;
                 }
-                match text.trim().parse() {
-                    Ok(v) => *value = v,
-                    Err(_) => return,
+                match parse_counter_file(&s.text) {
+                    Some(v) => *value = v,
+                    None => continue 'ports,
                 }
             }
-            path.clear();
-            path.push_str(hca);
-            path.push_str("/1");
-            out.push(rec(DeviceType::Ib, path, values));
-        });
+            out.push(rec(DeviceType::Ib, *instance, values));
+        }
     }
 }
 
@@ -417,33 +532,51 @@ impl Collector for IbCollector {
 /// the tail lines off, and reporting those counters as zero would be
 /// indistinguishable from real idle, so an incomplete file makes the
 /// collector report the device *absent* for this sample instead.
-fn parse_lustre_stats<const N: usize>(text: &str, names: &[&str; N]) -> Option<[(u64, u64); N]> {
+pub fn parse_lustre_stats<const N: usize>(
+    text: &str,
+    names: &[&str; N],
+) -> Option<[(u64, u64); N]> {
+    over_lines!(text, lustre_stats, names)
+}
+
+fn lustre_stats<'t, const N: usize>(
+    mut toks: impl Tokens<'t>,
+    names: &[&str; N],
+) -> Option<[(u64, u64); N]> {
     let mut found = [None; N];
-    for line in complete_lines(text) {
-        let mut toks = line.split_whitespace();
-        let (Some(name), Some(count)) = (toks.next(), toks.next()) else {
+    while toks.next_line() {
+        let Some(name) = toks.next_tok() else {
+            continue;
+        };
+        let slot = names.iter().position(|n| *n == name);
+        let Some(slot) = slot.and_then(|i| found.get_mut(i)) else {
+            continue;
+        };
+        // The first line of a name wins.
+        if slot.is_some() {
+            continue;
+        }
+        let Some(count) = toks.next_dec(&mut true) else {
             continue;
         };
         // Four tokens at least: `<name> <count> samples [<unit>]`.
-        if toks.nth(1).is_none() {
+        if toks.nth_tok(1).is_none() {
             continue;
         }
-        let Ok(count) = count.parse::<u64>() else {
+        let Some(count) = count else {
             continue;
         };
-        let sum = toks.nth(2).and_then(|t| t.parse().ok()).unwrap_or(0);
-        let slot = names.iter().position(|n| *n == name);
-        // The first line of a name wins.
-        if let Some(slot) = slot.and_then(|i| found.get_mut(i)) {
-            slot.get_or_insert((count, sum));
-        }
+        let sum = toks.nth_tok(2).and_then(|t| parse_dec(t, &mut true));
+        *slot = Some((count, sum.unwrap_or(0)));
     }
     all_found(found)
 }
 
 /// One record per `stats` file under the Lustre directory `dir`, named
 /// after the filesystem: the `names` lines of the file, mapped to the
-/// device's schema order by `values`.
+/// device's schema order by `values`. The directory is listed every
+/// time — its entries end in a mount-specific suffix no configuration
+/// knows.
 fn collect_lustre<const N: usize, const M: usize>(
     (dev_type, dir): (DeviceType, &str),
     names: &[&str; N],
@@ -452,14 +585,25 @@ fn collect_lustre<const N: usize, const M: usize>(
     s: &mut Scratch,
     out: &mut Vec<DeviceRecord>,
 ) {
-    let Scratch { text, path, name } = s;
+    let Scratch {
+        text,
+        path,
+        name,
+        names: seen,
+    } = s;
+    let mut i = 0;
     fs.for_each_entry(dir, name, |entry| {
-        if !read_joined(fs, path, &[dir, "/", entry, "/stats"], text) {
+        path.clear();
+        for part in [dir, "/", entry, "/stats"] {
+            path.push_str(part);
+        }
+        if !fs.read_into(path, text) {
             return;
         }
         let fsname = entry.split('-').next().unwrap_or(entry);
         if let Some(stats) = parse_lustre_stats(text, names) {
-            out.push(rec(dev_type, fsname, values(stats)));
+            out.push(rec(dev_type, seen.sym(dev_type, i, fsname), values(stats)));
+            i += 1;
         }
     });
 }
@@ -538,6 +682,36 @@ impl Collector for OscCollector {
     }
 }
 
+/// `/proc/sys/lnet/stats`: `[send_length, recv_length, send_count,
+/// recv_count]`. Real layout: `msgs_alloc msgs_max errors send_count
+/// recv_count route_count drop_count send_length recv_length …`. A
+/// single-line file: without its newline it was truncated.
+pub fn parse_lnet_stats(text: &str) -> Option<[u64; 4]> {
+    if !text.ends_with('\n') {
+        return None;
+    }
+    over_lines!(text, lnet_stats)
+}
+
+fn lnet_stats<'t>(mut toks: impl Tokens<'t>) -> Option<[u64; 4]> {
+    // The first nine numbers of the file, wherever its lines break.
+    let mut fields = [0u64; 9];
+    let mut unread = fields.iter_mut();
+    while toks.next_line() {
+        while let Some(v) = toks.next_number() {
+            match unread.next() {
+                Some(field) => *field = v,
+                None => break,
+            }
+        }
+    }
+    if unread.next().is_some() {
+        return None;
+    }
+    let [_, _, _, send_count, recv_count, _, _, send_length, recv_length] = fields;
+    Some([send_length, recv_length, send_count, recv_count])
+}
+
 /// Lustre networking statistics from `/proc/sys/lnet/stats`.
 pub struct LnetCollector;
 
@@ -547,32 +721,51 @@ impl Collector for LnetCollector {
     }
 
     fn collect_into(&self, fs: &NodeFs<'_>, s: &mut Scratch, out: &mut Vec<DeviceRecord>) {
-        // A single-line file: without its newline it was truncated.
-        if !fs.read_into("/proc/sys/lnet/stats", &mut s.text) || !s.text.ends_with('\n') {
+        if !fs.read_into("/proc/sys/lnet/stats", &mut s.text) {
             return;
         }
-        // Real layout: msgs_alloc msgs_max errors send_count recv_count
-        //              route_count drop_count send_length recv_length …
-        let mut f = s
-            .text
-            .split_whitespace()
-            .filter_map(|t| t.parse::<u64>().ok());
-        let (Some(send_count), Some(recv_count)) = (f.nth(3), f.next()) else {
-            return;
-        };
-        let (Some(send_length), Some(recv_length)) = (f.nth(2), f.next()) else {
-            return;
-        };
-        out.push(rec(
-            DeviceType::Lnet,
-            "lnet",
-            [send_length, recv_length, send_count, recv_count],
-        ));
+        if let Some(values) = parse_lnet_stats(&s.text) {
+            let instance = s.names.sym(DeviceType::Lnet, 0, "lnet");
+            out.push(rec(DeviceType::Lnet, instance, values));
+        }
     }
 }
 
+/// A Xeon Phi `stats` file: `[user_sum, sys_sum, idle_sum]`. `None` if
+/// any of the three is missing — a half-read file reported with zeros
+/// would read downstream as two counters that were reset.
+pub fn parse_mic_stats(text: &str) -> Option<[u64; 3]> {
+    over_lines!(text, mic_stats)
+}
+
+fn mic_stats<'t>(mut toks: impl Tokens<'t>) -> Option<[u64; 3]> {
+    let keys = ["user_sum", "sys_sum", "idle_sum"];
+    let mut found = [None; 3];
+    while toks.next_line() {
+        if let (Some(key), Some(val)) = (toks.next_tok(), toks.next_dec(&mut true)) {
+            keyed_value(&mut found, &keys, key, val);
+        }
+    }
+    all_found(found)
+}
+
 /// Xeon Phi utilization, read from the host (§III-B item 2).
-pub struct MicCollector;
+pub struct MicCollector {
+    /// `(stats path, instance)` of each card discovery found.
+    cards: Vec<(String, Sym)>,
+}
+
+impl MicCollector {
+    /// New collector for `cards`.
+    // alloc: cold-fn (collector construction)
+    pub fn new(cards: &[String]) -> Self {
+        let cards = cards
+            .iter()
+            .map(|c| (format!("/sys/class/mic/{c}/stats"), Sym::new(c)))
+            .collect();
+        MicCollector { cards }
+    }
+}
 
 impl Collector for MicCollector {
     fn dev_type(&self) -> DeviceType {
@@ -580,40 +773,145 @@ impl Collector for MicCollector {
     }
 
     fn collect_into(&self, fs: &NodeFs<'_>, s: &mut Scratch, out: &mut Vec<DeviceRecord>) {
-        let Scratch { text, path, name } = s;
-        fs.for_each_entry("/sys/class/mic", name, |card| {
-            if !read_joined(fs, path, &["/sys/class/mic/", card, "/stats"], text) {
-                return;
+        for (path, instance) in &self.cards {
+            if !fs.read_into(path, &mut s.text) {
+                continue;
             }
-            let lines = complete_lines(text).filter_map(|line| {
-                let mut toks = line.split_whitespace();
-                Some((toks.next()?, toks.next()?))
-            });
-            let found = keyed_values(lines, &["user_sum", "sys_sum", "idle_sum"]);
-            out.push(rec(DeviceType::Mic, card, found.map(|v| v.unwrap_or(0))));
-        });
+            if let Some(values) = parse_mic_stats(&s.text) {
+                out.push(rec(DeviceType::Mic, *instance, values));
+            }
+        }
     }
 }
 
-/// Position in the `ps` schema, and radix, of a `/proc/<pid>/status` key.
-fn ps_status_slot(key: &str) -> Option<(usize, u32)> {
-    Some(match key {
-        "VmSize" => (0, 10),
-        "VmHWM" => (1, 10),
-        "VmRSS" => (2, 10),
-        "VmLck" => (3, 10),
-        "VmData" => (4, 10),
-        "VmStk" => (5, 10),
-        "VmExe" => (6, 10),
-        "Threads" => (7, 10),
-        "Cpus_allowed" => (9, 16),
-        "Mems_allowed" => (10, 16),
-        _ => return None,
-    })
+/// What a `/proc/<pid>/status` line holds, by its key.
+#[derive(Clone, Copy)]
+enum StatusField {
+    /// `Name:` — the executable's name, the whole value.
+    Name,
+    /// `Uid:` — real, effective, saved and filesystem uid; the first is
+    /// read.
+    Uid,
+    /// A decimal for this position of the `ps` schema.
+    Dec(usize),
+    /// A hexadecimal mask for this position of the `ps` schema.
+    Hex(usize),
+}
+
+impl StatusField {
+    fn of(key: &str) -> Option<StatusField> {
+        Some(match key {
+            "Name" => StatusField::Name,
+            "Uid" => StatusField::Uid,
+            "VmSize" => StatusField::Dec(0),
+            "VmHWM" => StatusField::Dec(1),
+            "VmRSS" => StatusField::Dec(2),
+            "VmLck" => StatusField::Dec(3),
+            "VmData" => StatusField::Dec(4),
+            "VmStk" => StatusField::Dec(5),
+            "VmExe" => StatusField::Dec(6),
+            "Threads" => StatusField::Dec(7),
+            "Cpus_allowed" => StatusField::Hex(9),
+            "Mems_allowed" => StatusField::Hex(10),
+            _ => return None,
+        })
+    }
 }
 
 /// Position of `utime` (field 14 of `/proc/<pid>/stat`) in the `ps` schema.
 const PS_UTIME_SLOT: usize = 8;
+
+/// What a `/proc/<pid>/status` file says.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PidStatus<'t> {
+    /// `Name:`, trimmed; empty if the file has none.
+    pub comm: &'t str,
+    /// `Uid:`'s first number; 0 if the file has none.
+    pub uid: u32,
+    /// The `ps` schema's values, those read from this file filled in.
+    pub values: [Option<u64>; 11],
+}
+
+impl PidStatus<'_> {
+    /// Record the number read for `field`: the last line of a key
+    /// decides, and a value that is no number un-finds it.
+    fn set(&mut self, field: StatusField, value: Option<u64>) {
+        match field {
+            StatusField::Name => {}
+            StatusField::Uid => {
+                let uid = value.and_then(|v| u32::try_from(v).ok());
+                self.uid = uid.unwrap_or(0);
+            }
+            StatusField::Dec(slot) | StatusField::Hex(slot) => {
+                if let Some(slot) = self.values.get_mut(slot) {
+                    *slot = value;
+                }
+            }
+        }
+    }
+}
+
+/// `/proc/<pid>/status`, its complete lines. A value's first token is
+/// the one `split_ascii_whitespace` yields — the kernel writes a tab
+/// before it — which, unlike every other grammar here, does not end at a
+/// vertical tab, and splits at no whitespace beyond ASCII: so a text
+/// holding either goes by that `str` method, and only a text holding
+/// neither through the byte cursor.
+pub fn parse_pid_status(text: &str) -> PidStatus<'_> {
+    let mut status = PidStatus {
+        comm: "",
+        uid: 0,
+        values: [None; 11],
+    };
+    if text.is_ascii() && !text.as_bytes().contains(&0x0b) {
+        let mut toks = AsciiTokens::lines(text);
+        while toks.next_line() {
+            let Some(field) = toks.until(b':').and_then(StatusField::of) else {
+                continue;
+            };
+            let value = match field {
+                StatusField::Name => {
+                    status.comm = toks.rest_of_line().trim();
+                    continue;
+                }
+                StatusField::Hex(_) => toks.next_tok().and_then(parse_hex),
+                _ => toks.next_dec(&mut true).flatten(),
+            };
+            status.set(field, value);
+        }
+    } else {
+        let mut toks = UnicodeTokens::lines(text);
+        while toks.next_line() {
+            let Some(field) = toks.until(b':').and_then(StatusField::of) else {
+                continue;
+            };
+            let val = toks.rest_of_line();
+            let first = val.split_ascii_whitespace().next();
+            let value = match field {
+                StatusField::Name => {
+                    status.comm = val.trim();
+                    continue;
+                }
+                StatusField::Hex(_) => first.and_then(parse_hex),
+                _ => first.and_then(|t| parse_dec(t, &mut true)),
+            };
+            status.set(field, value);
+        }
+    }
+    status
+}
+
+/// `utime`: field 14 (1-based) of the one line of `/proc/<pid>/stat`.
+pub fn parse_pid_stat(text: &str) -> Option<u64> {
+    over_lines!(text, pid_stat)
+}
+
+fn pid_stat<'t>(mut toks: impl Tokens<'t>) -> Option<u64> {
+    if !toks.next_line() {
+        return None;
+    }
+    parse_dec(toks.nth_tok(13)?, &mut true)
+}
 
 /// Per-process collection from procfs (§III-B item 4): executable names,
 /// memory sizes and high-water marks, locked memory, segment sizes,
@@ -634,52 +932,45 @@ impl PsCollector {
     /// or `stat` cannot be read whole — it raced with exit, or the read
     /// was cut short and lost a schema key — is absent for this sample.
     pub fn collect_ps_into(&self, fs: &NodeFs<'_>, s: &mut Scratch, out: &mut Vec<PsRecord>) {
-        let Scratch { text, path, name } = s;
+        let Scratch {
+            text,
+            path,
+            name,
+            names,
+        } = s;
+        let mut i = 0;
         fs.for_each_entry("/proc", name, |pid_s| {
-            let Ok(pid) = pid_s.parse::<u32>() else {
+            let Some(pid) = parse_dec32(pid_s, &mut true) else {
                 return;
             };
-            if !read_joined(fs, path, &["/proc/", pid_s, "/status"], text) {
+            path.clear();
+            path.push_str("/proc/");
+            path.push_str(pid_s);
+            let dir = path.len();
+            // utime from /proc/<pid>/stat, read first: `status`, whose
+            // `Name:` the record's `comm` borrows, then stays in `text`.
+            path.push_str("/stat");
+            if !fs.read_into(path, text) {
                 return;
             }
-            let mut comm = Sym::default();
-            let mut uid = 0u32;
-            let mut values: [Option<u64>; 11] = [None; 11];
-            for line in complete_lines(text) {
-                let Some((key, val)) = line.split_once(':') else {
-                    continue;
-                };
-                let first = val.split_ascii_whitespace().next();
-                match key {
-                    "Name" => comm = Sym::new(val.trim()),
-                    "Uid" => uid = first.and_then(|t| t.parse().ok()).unwrap_or(0),
-                    _ => {
-                        let Some((slot, radix)) = ps_status_slot(key) else {
-                            continue;
-                        };
-                        if let Some(slot) = values.get_mut(slot) {
-                            *slot = first.and_then(|t| u64::from_str_radix(t, radix).ok());
-                        }
-                    }
-                }
-            }
-            // utime from /proc/<pid>/stat, field 14 (1-based).
-            if !read_joined(fs, path, &["/proc/", pid_s, "/stat"], text) {
+            let utime = parse_pid_stat(text);
+            path.truncate(dir);
+            path.push_str("/status");
+            if !fs.read_into(path, text) {
                 return;
             }
-            let utime = complete_lines(text)
-                .next()
-                .and_then(|line| line.split_whitespace().nth(13)?.parse().ok());
-            if let Some(slot) = values.get_mut(PS_UTIME_SLOT) {
+            let mut status = parse_pid_status(text);
+            if let Some(slot) = status.values.get_mut(PS_UTIME_SLOT) {
                 *slot = utime;
             }
-            if let Some(values) = all_found(values) {
+            if let Some(values) = all_found(status.values) {
                 out.push(PsRecord {
                     pid,
-                    comm,
-                    uid,
+                    comm: names.sym(DeviceType::Ps, i, status.comm),
+                    uid: status.uid,
                     values: values.into(),
                 });
+                i += 1;
             }
         });
     }
@@ -774,7 +1065,7 @@ mod tests {
     fn mem_collector_reads_numa_nodes() {
         let n = running_node();
         let fs = NodeFs::new(&n);
-        let recs = MemCollector.collect(&fs);
+        let recs = MemCollector::new(2).collect(&fs);
         assert_eq!(recs.len(), 2);
         // MemTotal per socket = 16 GiB in KiB.
         assert_eq!(recs[0].values[0], 16 * 1024 * 1024);
@@ -795,7 +1086,7 @@ mod tests {
     fn ib_collector_reads_port_counters() {
         let n = running_node();
         let fs = NodeFs::new(&n);
-        let recs = IbCollector.collect(&fs);
+        let recs = IbCollector::new(&["mlx4_0".to_string()]).collect(&fs);
         assert_eq!(recs.len(), 1);
         assert_eq!(recs[0].instance, "mlx4_0/1");
         assert_eq!(recs[0].values, n.devices(DeviceType::Ib)[0].read_all());
@@ -821,7 +1112,7 @@ mod tests {
     fn mic_collector_reads_cards() {
         let n = running_node();
         let fs = NodeFs::new(&n);
-        let recs = MicCollector.collect(&fs);
+        let recs = MicCollector::new(&["mic0".to_string()]).collect(&fs);
         assert_eq!(recs.len(), 1);
         assert_eq!(recs[0].instance, "mic0");
         assert!(recs[0].values[0] > 0, "user_sum after activity");
@@ -854,8 +1145,8 @@ mod tests {
         };
         let n = SimNode::new("bare", topo);
         let fs = NodeFs::new(&n);
-        assert!(IbCollector.collect(&fs).is_empty());
-        assert!(MicCollector.collect(&fs).is_empty());
+        assert!(IbCollector::new(&[]).collect(&fs).is_empty());
+        assert!(MicCollector::new(&[]).collect(&fs).is_empty());
         assert!(LliteCollector.collect(&fs).is_empty());
         assert!(MdcCollector.collect(&fs).is_empty());
         assert!(OscCollector.collect(&fs).is_empty());

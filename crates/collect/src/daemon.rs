@@ -103,6 +103,8 @@ pub enum SignalOutcome {
 /// Per-node daemon state.
 pub struct TaccStatsd {
     sampler: Sampler,
+    /// The hostname — every message's routing key — resolved once.
+    host: &'static str,
     interval: SimDuration,
     queue: String,
     publisher: Box<dyn Publisher>,
@@ -141,18 +143,15 @@ impl TaccStatsd {
         publisher: Box<dyn Publisher>,
         start: SimTime,
     ) -> TaccStatsd {
-        let jitter_seed = sampler
-            .header()
-            .hostname
-            .as_str()
-            .bytes()
-            .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-                (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-            });
+        let host = sampler.header().hostname.as_str();
+        let jitter_seed = host.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        });
         let mut header_buf = Vec::new();
         codec::render_header_into(sampler.header(), &mut header_buf);
         TaccStatsd {
             sampler,
+            host,
             interval,
             queue: queue.to_string(),
             publisher,
@@ -279,9 +278,6 @@ impl TaccStatsd {
         self.render_buf.extend_from_slice(&self.header_buf);
         codec::render_seq(seq, &mut self.render_buf);
         codec::render_sample_into(&self.sample, &mut self.render_buf);
-        // Interned: resolving the routing key is a table lookup, not a
-        // per-message String clone.
-        let host = self.sampler.header().hostname.as_str();
         let payload = Bytes::copy_from_slice(&self.render_buf);
         if !self.spool.is_empty() {
             // Earlier messages are still waiting: spool behind them so
@@ -292,7 +288,7 @@ impl TaccStatsd {
             self.try_replay(now);
         } else if self
             .publisher
-            .publish(&self.queue, host, seq, payload.clone())
+            .publish(&self.queue, self.host, seq, payload.clone())
         {
             self.published += 1;
         } else {
@@ -305,7 +301,7 @@ impl TaccStatsd {
     /// Replay spooled messages in order while the backoff schedule
     /// allows and publishes keep succeeding.
     fn try_replay(&mut self, now: SimTime) {
-        let host = self.sampler.header().hostname.as_str();
+        let host = self.host;
         while self.spool.ready(now) {
             // `ready` implies non-empty, but the hot path must not bet
             // the daemon's life on it: an empty front just ends replay.

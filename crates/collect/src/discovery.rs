@@ -235,10 +235,10 @@ pub fn build_collectors(cfg: &NodeConfig) -> Vec<Box<dyn Collector>> {
         )));
     }
     v.push(Box::new(CpustatCollector));
-    v.push(Box::new(MemCollector));
+    v.push(Box::new(MemCollector::new(cfg.numa_nodes)));
     v.push(Box::new(NetCollector));
     if !cfg.ib_hcas.is_empty() {
-        v.push(Box::new(IbCollector));
+        v.push(Box::new(IbCollector::new(&cfg.ib_hcas)));
     }
     if !cfg.lustre_fs.is_empty() {
         v.push(Box::new(LliteCollector));
@@ -247,7 +247,7 @@ pub fn build_collectors(cfg: &NodeConfig) -> Vec<Box<dyn Collector>> {
         v.push(Box::new(LnetCollector));
     }
     if !cfg.mic_cards.is_empty() {
-        v.push(Box::new(MicCollector));
+        v.push(Box::new(MicCollector::new(&cfg.mic_cards)));
     }
     v
 }

@@ -423,6 +423,23 @@ mod tests {
         assert_eq!(mem[0].instance, "1");
         assert_eq!(s.degraded_reads(), 3);
 
+        // Truncated mic stats: the cut leaves `user_sum` whole and loses
+        // the two keys after it. The card is absent — reported as
+        // `[user, 0, 0]` it would read downstream as two counters reset.
+        node.set_read_faults(vec![ReadFault {
+            prefix: "/sys/class/mic/mic0/stats".to_string(),
+            mode: ReadFaultMode::Truncated,
+        }]);
+        let sample = {
+            let fs = NodeFs::new(&node);
+            assert!(fs
+                .read("/sys/class/mic/mic0/stats")
+                .is_some_and(|cut| cut.contains('\n') && !cut.contains("idle_sum")));
+            s.sample(&fs, SimTime::from_secs(2100), &[], &[])
+        };
+        assert_eq!(sample.devices_of(DeviceType::Mic).count(), 0);
+        assert_eq!(s.degraded_reads(), 4);
+
         // Truncated /proc/<pid>/status (loses the tail keys) or stat
         // (loses field 14): the process is absent from that sample, not
         // reported with zeros. Processes come and go, so they are not
@@ -435,7 +452,7 @@ mod tests {
             let fs = NodeFs::new(&node);
             let sample = s.sample(&fs, SimTime::from_secs(2400), &[], &[]);
             assert!(sample.processes.is_empty(), "truncated {file}");
-            assert_eq!(s.degraded_reads(), 3);
+            assert_eq!(s.degraded_reads(), 4);
         }
 
         // Faults cleared: back to the full inventory, counter holds.
@@ -443,8 +460,9 @@ mod tests {
         let fs = NodeFs::new(&node);
         let sample = s.sample(&fs, SimTime::from_secs(3000), &[], &[]);
         assert_eq!(sample.devices_of(DeviceType::Mem).count(), 2);
+        assert_eq!(sample.devices_of(DeviceType::Mic).count(), 1);
         assert_eq!(sample.processes.len(), 1);
-        assert_eq!(s.degraded_reads(), 3);
+        assert_eq!(s.degraded_reads(), 4);
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //! * [`collectors`] — one collector per device type. MSR- and PCI-space
 //!   collectors read binary registers via [`tacc_simnode::SimNode`]
 //!   accessors; everything else genuinely parses the procfs/sysfs-style
-//!   text that [`tacc_simnode::pseudofs::NodeFs`] renders.
+//!   text that [`tacc_simnode::pseudofs::NodeFs`] renders, through the
+//!   same byte tokenizer (`tokens`) the codec's decoder reads with.
 //! * [`discovery`] — §III-B auto-configuration: parse `/proc/cpuinfo` to
 //!   identify the architecture, detect hyperthreading from topology
 //!   fields, and probe for optional hardware (Infiniband, Xeon Phi,
@@ -48,6 +49,7 @@ pub mod engine;
 pub mod record;
 mod seqs;
 pub mod spool;
+mod tokens;
 
 pub use archive::{Archive, RetentionStats};
 pub use engine::Sampler;

@@ -171,7 +171,14 @@ impl From<Vec<u64>> for ValueVec {
 
 impl<const N: usize> From<[u64; N]> for ValueVec {
     fn from(vs: [u64; N]) -> ValueVec {
-        vs.into_iter().collect()
+        let mut buf = [0; ValueVec::INLINE];
+        match (buf.get_mut(..N), u8::try_from(N)) {
+            (Some(head), Ok(len)) => {
+                head.copy_from_slice(&vs);
+                ValueVec::Inline { len, buf }
+            }
+            _ => ValueVec::Heap(vs.to_vec()),
+        }
     }
 }
 

@@ -10,8 +10,10 @@
 //!   returning a fresh value; and the `_into` readers equal the
 //!   owned-return ones on every path and directory.
 //! * **Bytes do not drift.** `golden/` pins every pseudo-file and two
-//!   daemon messages of a fixed Stampede node, byte for byte, as the
-//!   `format!`-per-line renderers this path replaced wrote them.
+//!   daemon messages of a fixed Stampede node and of a fixed Lonestar 5
+//!   node, byte for byte, each as the renderers of the commit before a
+//!   rewrite wrote them (`format!` per line for the first, `write!` per
+//!   file for the second; the renderers now write bytes without `fmt`).
 //!
 //! The vendored proptest is primitive-only, so raw integer draws are
 //! decoded into operations inside the test body.
@@ -121,8 +123,8 @@ fn busy_demand() -> NodeDemand {
     }
 }
 
-/// The node the golden files were written from.
-fn golden_node() -> SimNode {
+/// The Stampede node `golden/*_stampede.txt` were written from.
+fn stampede_golden_node() -> SimNode {
     let mut n = SimNode::new("c401-0001", NodeTopology::stampede());
     n.spawn_process("wrf.exe", 5000, 16, 0xFFFF);
     n.spawn_process("sshd", 0, 1, 0x1);
@@ -132,15 +134,32 @@ fn golden_node() -> SimNode {
     n
 }
 
+/// The Lonestar 5 node `golden/*_lonestar5.txt` were written from:
+/// Haswell, 48 logical CPUs (two-digit CPU names, a 12-digit affinity
+/// mask), no MIC, one Lustre filesystem.
+fn lonestar5_golden_node() -> SimNode {
+    let mut n = SimNode::new("nid00001", NodeTopology::lonestar5());
+    n.spawn_process("namd2", 5001, 48, 0xFFFF_FFFF_FFFF);
+    n.spawn_process("python2.7", 5001, 3, 0xF0F0);
+    n.spawn_process("sshd", 0, 1, 0x1);
+    let d = NodeDemand {
+        active_cores: 24,
+        ..busy_demand()
+    };
+    n.advance(SimDuration::from_secs(600), &d);
+    n.advance(SimDuration::from_secs(587), &d);
+    n
+}
+
 fn sampler_for(node: &SimNode) -> Sampler {
     let cfg = discover(&NodeFs::new(node), BuildOptions::default()).expect("discovery");
     Sampler::new(&node.hostname, &cfg)
 }
 
-#[test]
-fn pseudo_files_match_golden_bytes() {
-    let node = golden_node();
-    let fs = NodeFs::new(&node);
+/// Every directory listing and every pseudo-file of `node`, in the
+/// golden files' layout.
+fn render_pseudofs(node: &SimNode) -> String {
+    let fs = NodeFs::new(node);
     let mut got = String::new();
     for dir in DIRS {
         let _ = writeln!(got, "==> ls {dir} <==");
@@ -152,7 +171,19 @@ fn pseudo_files_match_golden_bytes() {
         let _ = writeln!(got, "==> {path} <==");
         got.push_str(&fs.read(&path).expect("golden path readable"));
     }
-    assert_eq!(got, include_str!("golden/pseudofs_stampede.txt"));
+    got
+}
+
+#[test]
+fn pseudo_files_match_golden_bytes() {
+    assert_eq!(
+        render_pseudofs(&stampede_golden_node()),
+        include_str!("golden/pseudofs_stampede.txt")
+    );
+    assert_eq!(
+        render_pseudofs(&lonestar5_golden_node()),
+        include_str!("golden/pseudofs_lonestar5.txt")
+    );
 }
 
 /// A transport that keeps what the daemon hands it.
@@ -165,28 +196,42 @@ impl Publisher for Capture {
     }
 }
 
-#[test]
-fn daemon_messages_match_golden_bytes() {
-    let node = golden_node();
-    let fs = NodeFs::new(&node);
+/// Two collections of `node` through a daemon's one reused `Sample`: a
+/// marked one, then an interval one whose marks must come out empty.
+fn render_daemon_messages(node: &SimNode) -> Vec<u8> {
+    let fs = NodeFs::new(node);
     let sent = Arc::new(Mutex::new(Vec::new()));
     let mut d = TaccStatsd::new(
-        sampler_for(&node),
+        sampler_for(node),
         SimDuration::from_mins(10),
         "stats",
         Box::new(Capture(Arc::clone(&sent))),
         SimTime::from_secs(1_443_657_600),
     );
     d.set_jobs(vec!["3001".to_string(), "3002".to_string()]);
-    // Two collections through the daemon's one reused `Sample`: a marked
-    // one, then an interval one whose marks must come out empty.
     d.collect_marked(&fs, SimTime::from_secs(1_443_657_000), "begin 3001");
     d.tick(&fs, SimTime::from_secs(1_443_657_600));
     let sent = sent.lock().expect("capture lock");
     assert_eq!(sent.len(), 2);
-    let got: Vec<u8> = sent.iter().flat_map(|b| b.iter().copied()).collect();
-    let want: &[u8] = include_bytes!("golden/daemon_messages_stampede.txt");
-    assert_eq!(String::from_utf8_lossy(&got), String::from_utf8_lossy(want));
+    sent.iter().flat_map(|b| b.iter().copied()).collect()
+}
+
+#[test]
+fn daemon_messages_match_golden_bytes() {
+    let goldens: [(SimNode, &[u8]); 2] = [
+        (
+            stampede_golden_node(),
+            include_bytes!("golden/daemon_messages_stampede.txt"),
+        ),
+        (
+            lonestar5_golden_node(),
+            include_bytes!("golden/daemon_messages_lonestar5.txt"),
+        ),
+    ];
+    for (node, want) in goldens {
+        let got = render_daemon_messages(&node);
+        assert_eq!(String::from_utf8_lossy(&got), String::from_utf8_lossy(want));
+    }
 }
 
 /// `read_into == read` on every path and `for_each_entry == list` on

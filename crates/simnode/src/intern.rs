@@ -32,7 +32,7 @@
 //! resolves to the same string on every other. Lookups of
 //! already-interned strings take only the read lock.
 
-use parking_lot::RwLock;
+use parking_lot::{RwLock, RwLockReadGuard};
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::fmt;
@@ -136,12 +136,15 @@ impl SymbolTable {
     /// by [`SymbolTable::intern`], so the lookup always succeeds; the
     /// empty-string fallback exists only to keep this path panic-free.
     pub fn resolve(&self, sym: Sym) -> &'static str {
-        self.inner
-            .read()
-            .strings
-            .get(sym.0 as usize)
-            .copied()
-            .unwrap_or("")
+        self.reader().resolve(sym)
+    }
+
+    /// A read view of the table, for resolving many symbols under one
+    /// lock acquisition (a rendered message resolves some seventy).
+    /// Interning a *new* string waits for every reader, so do not
+    /// intern on the thread that holds one.
+    pub fn reader(&self) -> SymReader<'_> {
+        SymReader(self.inner.read())
     }
 
     /// Number of distinct strings interned so far.
@@ -152,6 +155,17 @@ impl SymbolTable {
     /// True if nothing has been interned yet.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+}
+
+/// The table's read lock, held: see [`SymbolTable::reader`].
+pub struct SymReader<'t>(RwLockReadGuard<'t, TableInner>);
+
+impl SymReader<'_> {
+    /// [`SymbolTable::resolve`] without taking the lock again.
+    #[inline]
+    pub fn resolve(&self, sym: Sym) -> &'static str {
+        self.0.strings.get(sym.0 as usize).copied().unwrap_or("")
     }
 }
 
@@ -184,9 +198,12 @@ impl Sym {
     }
 }
 
+/// The empty string's symbol, interned at the first call and kept: a
+/// placeholder must not cost a table lookup every time it is made.
 impl Default for Sym {
     fn default() -> Sym {
-        Sym::new("")
+        static EMPTY: OnceLock<Sym> = OnceLock::new();
+        *EMPTY.get_or_init(|| Sym::new(""))
     }
 }
 
@@ -340,6 +357,17 @@ mod tests {
     fn default_is_empty_string() {
         assert_eq!(Sym::default().as_str(), "");
         assert_eq!(Sym::default(), Sym::new(""));
+        assert_eq!(Sym::default().id(), Sym::new("").id());
+    }
+
+    #[test]
+    fn reader_resolves_like_as_str() {
+        let syms = [Sym::new("reader-a"), Sym::new("reader-b"), Sym::default()];
+        // Resolved before the reader exists: this thread must not ask
+        // for the lock again while it holds it.
+        let want = syms.map(Sym::as_str);
+        let reader = SymbolTable::global().reader();
+        assert_eq!(syms.map(|s| reader.resolve(s)), want);
     }
 
     #[test]

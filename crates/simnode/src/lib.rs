@@ -32,6 +32,7 @@ pub mod clock;
 pub mod cluster;
 pub mod counter;
 pub mod devices;
+pub mod digits;
 pub mod faults;
 pub mod intern;
 pub mod lustre_server;

@@ -15,13 +15,15 @@
 //! into a buffer the caller owns ([`NodeFs::read_into`],
 //! [`NodeFs::for_each_entry`]) and take one register at a time by schema
 //! position; the allocating [`NodeFs::read`] and [`NodeFs::list`] wrap
-//! them.
+//! them. A file is appended as bytes — literals copied, numbers written
+//! by [`crate::digits`], nothing through `fmt` — and checked as UTF-8
+//! once, whole, when it is handed back as the caller's `String`.
 
 use crate::devices::SimDevice;
+use crate::digits;
 use crate::faults::ReadFaultMode;
 use crate::node::SimNode;
 use crate::schema::DeviceType;
-use std::fmt::Write as _;
 
 /// Capacity [`NodeFs::read`] gives its buffer: the largest file a
 /// collection reads, `/proc/stat` of a 16-CPU node, is about 0.7 KB.
@@ -45,6 +47,42 @@ fn truncate_half(text: &mut String) {
         cut -= 1;
     }
     text.truncate(cut);
+}
+
+/// The pseudo-file being rendered: literals and numbers appended to the
+/// caller's bytes.
+struct Text<'a>(&'a mut Vec<u8>);
+
+impl Text<'_> {
+    /// Append `text` as it is.
+    fn s(&mut self, text: &str) -> &mut Self {
+        self.0.extend_from_slice(text.as_bytes());
+        self
+    }
+
+    /// Append `v` in decimal.
+    fn d(&mut self, v: u64) -> &mut Self {
+        digits::push_dec(self.0, v);
+        self
+    }
+
+    /// Append `v` in lower-case hexadecimal.
+    fn x(&mut self, v: u64) -> &mut Self {
+        digits::push_hex(self.0, v);
+        self
+    }
+
+    /// A Lustre `stats` line with a sum: `<name> <count> samples
+    /// [<unit>] <min> <max> <sum>`, the name padded to 26 columns.
+    fn lustre(&mut self, padded_name: &str, count: u64, unit_min_max: &str, sum: u64) {
+        self.s(padded_name)
+            .d(count)
+            .s(" samples ")
+            .s(unit_min_max)
+            .s(" ")
+            .d(sum)
+            .s("\n");
+    }
 }
 
 /// Read-only pseudo-filesystem view of one node.
@@ -83,14 +121,22 @@ impl<'a> NodeFs<'a> {
         if fault == Some(ReadFaultMode::Missing) {
             return false;
         }
-        if self.render(path, out).is_none() {
-            out.clear();
-            return false;
+        // alloc: cold (moves the caller's buffer out and back in; nothing is allocated)
+        let mut bytes = std::mem::take(out).into_bytes();
+        let found = self.render(path, &mut bytes).is_some();
+        if !found {
+            bytes.clear();
         }
-        if fault == Some(ReadFaultMode::Truncated) {
+        // One validation pass per file. It cannot fail: the renderers
+        // write ASCII around `comm`, which is a `String`.
+        let Ok(text) = String::from_utf8(bytes) else {
+            return false;
+        };
+        *out = text;
+        if found && fault == Some(ReadFaultMode::Truncated) {
             truncate_half(out);
         }
-        true
+        found
     }
 
     /// List directory entries. Returns an empty vector for unknown paths
@@ -109,12 +155,11 @@ impl<'a> NodeFs<'a> {
         if self.node.is_crashed() {
             return;
         }
-        // Writing to a `String` cannot fail (here and in the renderers).
         let (dt, suffix) = match dir {
             "/proc" => {
                 for p in self.node.processes() {
                     name.clear();
-                    let _ = write!(name, "{}", p.pid);
+                    digits::push_dec_str(name, u64::from(p.pid));
                     f(name);
                 }
                 return;
@@ -122,7 +167,8 @@ impl<'a> NodeFs<'a> {
             "/sys/devices/system/node" => {
                 for s in 0..self.node.topology.sockets {
                     name.clear();
-                    let _ = write!(name, "node{s}");
+                    name.push_str("node");
+                    digits::push_dec_str(name, s as u64);
                     f(name);
                 }
                 return;
@@ -156,32 +202,30 @@ impl<'a> NodeFs<'a> {
 
     /// Route `path` to its renderer, which appends the file to `out`.
     /// `None`: no such file.
-    fn render(&self, path: &str, out: &mut String) -> Option<()> {
+    fn render(&self, path: &str, out: &mut Vec<u8>) -> Option<()> {
+        let mut t = Text(out);
         match path {
             "/proc/cpuinfo" => {
                 // alloc: cold (discovery reads cpuinfo once per daemon)
-                out.push_str(&self.node.topology.render_cpuinfo());
-                Some(())
+                t.s(&self.node.topology.render_cpuinfo());
             }
-            "/proc/stat" => self.render_proc_stat(out),
-            "/proc/net/dev" => self.render_net_dev(out),
+            "/proc/stat" => self.render_proc_stat(&mut t),
+            "/proc/net/dev" => self.render_net_dev(&mut t),
             "/proc/sys/lnet/stats" => {
                 let dev = self.node.devices(DeviceType::Lnet).first()?;
                 let [tx_bytes, rx_bytes, tx_msgs, rx_msgs] = regs(dev);
                 // Real format: msgs_alloc msgs_max errors send_count recv_count
                 //              route_count drop_count send_length recv_length
                 //              route_length drop_length
-                writeln!(
-                    out,
-                    "0 0 0 {tx_msgs} {rx_msgs} 0 0 {tx_bytes} {rx_bytes} 0 0"
-                )
-                .ok()
+                t.s("0 0 0 ").d(tx_msgs).s(" ").d(rx_msgs);
+                t.s(" 0 0 ").d(tx_bytes).s(" ").d(rx_bytes).s(" 0 0\n");
             }
-            _ => self.render_routed(path, out),
+            _ => return self.render_routed(path, &mut t),
         }
+        Some(())
     }
 
-    fn render_routed(&self, path: &str, out: &mut String) -> Option<()> {
+    fn render_routed(&self, path: &str, t: &mut Text<'_>) -> Option<()> {
         // /sys/devices/system/node/node<N>/meminfo
         if let Some(rest) = path.strip_prefix("/sys/devices/system/node/node") {
             let (idx, tail) = rest.split_once('/')?;
@@ -190,66 +234,61 @@ impl<'a> NodeFs<'a> {
             }
             let n: usize = idx.parse().ok()?;
             let [total, used, file, anon] = regs(self.node.devices(DeviceType::Mem).get(n)?);
-            return write!(
-                out,
-                "Node {n} MemTotal:       {total} kB\n\
-                 Node {n} MemFree:        {free} kB\n\
-                 Node {n} MemUsed:        {used} kB\n\
-                 Node {n} FilePages:      {file} kB\n\
-                 Node {n} AnonPages:      {anon} kB\n",
-                free = total.saturating_sub(used),
-            )
-            .ok();
+            let rows = [
+                (" MemTotal:       ", total),
+                (" MemFree:        ", total.saturating_sub(used)),
+                (" MemUsed:        ", used),
+                (" FilePages:      ", file),
+                (" AnonPages:      ", anon),
+            ];
+            for (key, kib) in rows {
+                t.s("Node ").d(n as u64).s(key).d(kib).s(" kB\n");
+            }
+            return Some(());
         }
         // Lustre stats files.
+        const SNAPSHOT: &str = "snapshot_time             0.0 secs.usecs\n";
+        const BYTES: &str = "[bytes] 0 1048576";
         if let Some(rest) = path.strip_prefix("/proc/fs/lustre/llite/") {
             let inst = rest.strip_suffix("/stats")?.strip_suffix("-ffff8800")?;
             let [rb, wb, open, close, getattr, statfs, seek, fsync] =
                 regs(self.device(DeviceType::Llite, inst)?);
-            return write!(
-                out,
-                "snapshot_time             0.0 secs.usecs\n\
-                 read_bytes                {rb_n} samples [bytes] 0 1048576 {rb}\n\
-                 write_bytes               {wb_n} samples [bytes] 0 1048576 {wb}\n\
-                 open                      {open} samples [regs]\n\
-                 close                     {close} samples [regs]\n\
-                 getattr                   {getattr} samples [regs]\n\
-                 statfs                    {statfs} samples [regs]\n\
-                 seek                      {seek} samples [regs]\n\
-                 fsync                     {fsync} samples [regs]\n",
-                rb_n = rb / (1 << 20),
-                wb_n = wb / (1 << 20),
-            )
-            .ok();
+            t.s(SNAPSHOT);
+            t.lustre("read_bytes                ", rb / (1 << 20), BYTES, rb);
+            t.lustre("write_bytes               ", wb / (1 << 20), BYTES, wb);
+            let counts = [
+                ("open                      ", open),
+                ("close                     ", close),
+                ("getattr                   ", getattr),
+                ("statfs                    ", statfs),
+                ("seek                      ", seek),
+                ("fsync                     ", fsync),
+            ];
+            for (padded_name, count) in counts {
+                t.s(padded_name).d(count).s(" samples [regs]\n");
+            }
+            return Some(());
         }
         if let Some(rest) = path.strip_prefix("/proc/fs/lustre/mdc/") {
             let inst = rest
                 .strip_suffix("/stats")?
                 .strip_suffix("-MDT0000-mdc-ffff8800")?;
             let [reqs, wait] = regs(self.device(DeviceType::Mdc, inst)?);
-            return write!(
-                out,
-                "snapshot_time             0.0 secs.usecs\n\
-                 req_waittime              {reqs} samples [usec] 1 100000 {wait}\n\
-                 req_active                {reqs} samples [reqs] 1 16 {reqs}\n",
-            )
-            .ok();
+            t.s(SNAPSHOT);
+            t.lustre("req_waittime              ", reqs, "[usec] 1 100000", wait);
+            t.lustre("req_active                ", reqs, "[reqs] 1 16", reqs);
+            return Some(());
         }
         if let Some(rest) = path.strip_prefix("/proc/fs/lustre/osc/") {
             let inst = rest
                 .strip_suffix("/stats")?
                 .strip_suffix("-OST0000-osc-ffff8800")?;
             let [reqs, wait, rb, wb] = regs(self.device(DeviceType::Osc, inst)?);
-            return write!(
-                out,
-                "snapshot_time             0.0 secs.usecs\n\
-                 req_waittime              {reqs} samples [usec] 1 100000 {wait}\n\
-                 read_bytes                {rb_n} samples [bytes] 0 1048576 {rb}\n\
-                 write_bytes               {wb_n} samples [bytes] 0 1048576 {wb}\n",
-                rb_n = rb / (1 << 20),
-                wb_n = wb / (1 << 20),
-            )
-            .ok();
+            t.s(SNAPSHOT);
+            t.lustre("req_waittime              ", reqs, "[usec] 1 100000", wait);
+            t.lustre("read_bytes                ", rb / (1 << 20), BYTES, rb);
+            t.lustre("write_bytes               ", wb / (1 << 20), BYTES, wb);
+            return Some(());
         }
         // Infiniband sysfs counters: .../<hca>/ports/<port>/counters/<name>
         if let Some(rest) = path.strip_prefix("/sys/class/infiniband/") {
@@ -271,95 +310,91 @@ impl<'a> NodeFs<'a> {
                 .devices(DeviceType::Ib)
                 .iter()
                 .find(|d| d.instance.split_once('/') == Some((hca, port)))?;
-            return writeln!(out, "{}", dev.read(counter)?).ok();
+            t.d(dev.read(counter)?).s("\n");
+            return Some(());
         }
         // Xeon Phi utilization pseudo-file.
         if let Some(rest) = path.strip_prefix("/sys/class/mic/") {
             let card = rest.strip_suffix("/stats")?;
             let [user, sys, idle] = regs(self.device(DeviceType::Mic, card)?);
-            return write!(out, "user_sum {user}\nsys_sum {sys}\nidle_sum {idle}\n").ok();
+            t.s("user_sum ").d(user).s("\nsys_sum ").d(sys);
+            t.s("\nidle_sum ").d(idle).s("\n");
+            return Some(());
         }
         // Per-process files.
         let (pid, file) = path.strip_prefix("/proc/")?.split_once('/')?;
         let pid: u32 = pid.parse().ok()?;
         let p = self.node.processes().iter().find(|p| p.pid == pid)?;
         match file {
-            "status" => write!(
-                out,
-                "Name:\t{}\n\
-                 Uid:\t{uid}\t{uid}\t{uid}\t{uid}\n\
-                 VmPeak:\t{} kB\n\
-                 VmSize:\t{} kB\n\
-                 VmLck:\t{} kB\n\
-                 VmHWM:\t{} kB\n\
-                 VmRSS:\t{} kB\n\
-                 VmData:\t{} kB\n\
-                 VmStk:\t{} kB\n\
-                 VmExe:\t{} kB\n\
-                 Threads:\t{}\n\
-                 Cpus_allowed:\t{:x}\n\
-                 Mems_allowed:\t{:x}\n",
-                p.comm,
-                p.vm_peak_kib,
-                p.vm_size_kib,
-                p.vm_lck_kib,
-                p.vm_hwm_kib,
-                p.vm_rss_kib,
-                p.vm_data_kib,
-                p.vm_stk_kib,
-                p.vm_exe_kib,
-                p.threads,
-                p.cpus_allowed,
-                p.mems_allowed,
-                uid = p.uid,
-            )
-            .ok(),
-            "comm" => writeln!(out, "{}", p.comm).ok(),
+            "status" => {
+                let uid = u64::from(p.uid);
+                t.s("Name:\t").s(&p.comm);
+                t.s("\nUid:\t").d(uid).s("\t").d(uid);
+                t.s("\t").d(uid).s("\t").d(uid);
+                t.s("\nVmPeak:\t").d(p.vm_peak_kib);
+                t.s(" kB\nVmSize:\t").d(p.vm_size_kib);
+                t.s(" kB\nVmLck:\t").d(p.vm_lck_kib);
+                t.s(" kB\nVmHWM:\t").d(p.vm_hwm_kib);
+                t.s(" kB\nVmRSS:\t").d(p.vm_rss_kib);
+                t.s(" kB\nVmData:\t").d(p.vm_data_kib);
+                t.s(" kB\nVmStk:\t").d(p.vm_stk_kib);
+                t.s(" kB\nVmExe:\t").d(p.vm_exe_kib);
+                t.s(" kB\nThreads:\t").d(u64::from(p.threads));
+                t.s("\nCpus_allowed:\t").x(p.cpus_allowed);
+                t.s("\nMems_allowed:\t").x(p.mems_allowed).s("\n");
+            }
+            "comm" => {
+                t.s(&p.comm).s("\n");
+            }
             // Fields 1, 2, and 14 (utime) of /proc/<pid>/stat are what
             // the collector needs; intermediate fields are zeroed.
-            "stat" => writeln!(
-                out,
-                "{} ({}) R 0 0 0 0 0 0 0 0 0 0 {} 0 0 0 0 0 {} 0",
-                p.pid, p.comm, p.utime_jiffies, p.threads
-            )
-            .ok(),
-            _ => None,
-        }
-    }
-
-    fn render_proc_stat(&self, out: &mut String) -> Option<()> {
-        let stats = self.node.devices(DeviceType::Cpustat);
-        let mut totals = [0u64; 5];
-        for dev in stats {
-            for (t, v) in totals.iter_mut().zip(regs::<5>(dev)) {
-                *t += v;
+            "stat" => {
+                t.d(u64::from(p.pid)).s(" (").s(&p.comm);
+                t.s(") R 0 0 0 0 0 0 0 0 0 0 ").d(p.utime_jiffies);
+                t.s(" 0 0 0 0 0 ").d(u64::from(p.threads)).s(" 0\n");
             }
-        }
-        let [user, nice, system, idle, iowait] = totals;
-        writeln!(out, "cpu  {user} {nice} {system} {idle} {iowait}").ok()?;
-        for dev in stats {
-            let [user, nice, system, idle, iowait] = regs(dev);
-            let cpu = &dev.instance;
-            writeln!(out, "cpu{cpu} {user} {nice} {system} {idle} {iowait}").ok()?;
+            _ => return None,
         }
         Some(())
     }
 
-    fn render_net_dev(&self, out: &mut String) -> Option<()> {
-        out.push_str(
+    fn render_proc_stat(&self, t: &mut Text<'_>) {
+        let stats = self.node.devices(DeviceType::Cpustat);
+        let mut totals = [0u64; 5];
+        for dev in stats {
+            for (total, v) in totals.iter_mut().zip(regs::<5>(dev)) {
+                *total += v;
+            }
+        }
+        t.s("cpu ");
+        for v in totals {
+            t.s(" ").d(v);
+        }
+        t.s("\n");
+        for dev in stats {
+            t.s("cpu").s(&dev.instance);
+            for v in regs::<5>(dev) {
+                t.s(" ").d(v);
+            }
+            t.s("\n");
+        }
+    }
+
+    fn render_net_dev(&self, t: &mut Text<'_>) {
+        t.s(
             "Inter-|   Receive                                                |  Transmit\n \
              face |bytes    packets errs drop fifo frame compressed multicast|bytes    packets errs drop fifo colls carrier compressed\n",
         );
         for dev in self.node.devices(DeviceType::Net) {
             let [rx_bytes, rx_packets, tx_bytes, tx_packets] = regs(dev);
-            writeln!(
-                out,
-                "{:>6}: {rx_bytes} {rx_packets} 0 0 0 0 0 0 {tx_bytes} {tx_packets} 0 0 0 0 0 0",
-                dev.instance
-            )
-            .ok()?;
+            // The interface name, right-aligned in six columns.
+            for _ in dev.instance.chars().count()..6 {
+                t.s(" ");
+            }
+            t.s(&dev.instance).s(": ").d(rx_bytes).s(" ").d(rx_packets);
+            t.s(" 0 0 0 0 0 0 ").d(tx_bytes).s(" ").d(tx_packets);
+            t.s(" 0 0 0 0 0 0\n");
         }
-        Some(())
     }
 }
 

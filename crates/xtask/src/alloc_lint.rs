@@ -19,7 +19,9 @@
 //! paths at 0 allocs/op. So does the node side of a collection — the
 //! pseudo-file renderers (`simnode::pseudofs`), the collectors and the
 //! sampler (`collect::collectors`, `collect::engine`):
-//! `BENCH_sample_path.json` holds `Sampler::sample_into` at 0 allocs/op.
+//! `BENCH_sample_path.json` holds `Sampler::sample_into` at 0 allocs/op,
+//! and the tokenizer and the integer writer both sides of that path
+//! read and write through (`collect::tokens`, `simnode::digits`).
 //! And the consumer side of the same path (`collect::consumer` over the
 //! decoder in `collect::codec`): `crates/collect/tests/decode_props.rs`
 //! holds a steady-state `StatsConsumer::poll_with` at 0 allocations per
@@ -57,6 +59,8 @@ pub const SCOPE: &[&str] = &[
     "crates/collect/src/consumer.rs",
     "crates/collect/src/engine.rs",
     "crates/collect/src/seqs.rs",
+    "crates/collect/src/tokens.rs",
+    "crates/simnode/src/digits.rs",
     "crates/simnode/src/mem.rs",
     "crates/simnode/src/pseudofs.rs",
     "crates/broker/src/tcp.rs",

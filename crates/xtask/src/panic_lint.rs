@@ -23,7 +23,9 @@
 //! sample now rides: the interner (`simnode::intern` and its
 //! `core::intern` re-export), the byte codec (`collect::codec`), and
 //! the columnar block codec every stored point round-trips through
-//! (`tsdb::block`). The parallel execution layer joins them: the
+//! (`tsdb::block`) — with the tokenizer and the integer writer that
+//! codec and the node side both read and write through
+//! (`collect::tokens`, `simnode::digits`). The parallel execution layer joins them: the
 //! scoped worker pool (`simnode::pool` and its `core::pool`
 //! re-export) runs under every fan-out site, and the shard layer
 //! (`tsdb::shard`) routes every stored sample — a panic in either
@@ -77,9 +79,11 @@ pub const DENY: &[&str] = &[
     "crates/collect/src/consumer.rs",
     "crates/collect/src/seqs.rs",
     "crates/collect/src/codec.rs",
+    "crates/collect/src/tokens.rs",
     "crates/broker/src/queue.rs",
     "crates/broker/src/tcp.rs",
     "crates/simnode/src/intern.rs",
+    "crates/simnode/src/digits.rs",
     "crates/simnode/src/pool.rs",
     "crates/simnode/src/mem.rs",
     "crates/core/src/intern.rs",
