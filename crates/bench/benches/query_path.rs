@@ -1,42 +1,38 @@
-//! Query-path bench: the fused portal query engine before and after.
+//! Query-path bench: the read side's hot loops — the fused portal
+//! query engine, its watermark cache, and the tsdb's month aggregate.
 //!
-//! The pre-fused portal query ran the filter scan, an unconditional
-//! O(n log n) re-sort, and then **four** independent `column()` →
-//! `Histogram::build` pipelines — twelve row passes and an
-//! intermediate `Vec<f64>` per panel. `BENCH_parallel_path.json`
-//! measured the consequence: ~300 µs of sequential merge/histogram
-//! remainder capped the projected 4-worker speedup at 1.32x, and the
-//! real threaded wall time *regressed* as workers were added (thread
-//! startup swamped the per-chunk work on a 5 000-row table).
+//! These are the stages that carry `portal_read`'s wall in the system
+//! benchmark (`tsdb.aggregate`, `portal.search`, `portal.fig4`, each
+//! about 30 % in `benchmark/REFERENCE.md`'s stage table); in-fleet
+//! speeds are read there, this file is the isolated view. A case's arms
+//! are timed interleaved in one iteration loop, minimum over iterations
+//! (preemption only ever inflates a sample), under a counting global
+//! allocator.
 //!
-//! This bench measures the replacement end to end, with the same
-//! methodology as `parallel_path.rs` (see that file's module docs:
-//! serially-timed independent units, LPT-projected makespan plus the
-//! Amdahl sequential remainder, min-of-interleaved-iterations, and a
-//! counting global allocator):
+//! * `fused_search_fig4` — search plus all four Fig. 4 panels through
+//!   the fused single-pass engine with a warm [`FusedScratch`], and the
+//!   real threaded wall of `run_par` + `fig4_par` at W ∈ {1, 2} (the
+//!   reference host has two vCPUs; the spawn gate keeps a 5 000-row
+//!   table inline at both). The pipeline it replaced — filter scan,
+//!   re-sort, four `column()` → `Histogram::build` passes — is the
+//!   frozen [`BASELINE_SEARCH_FIG4`] constant, not code.
+//! * `fused_scan` — the scan stage alone with a warm scratch.
+//! * `query_cache` — cold miss vs warm hit through the watermark-keyed
+//!   [`QueryCache`].
+//! * `tsdb_aggregate_month` — `TsDb::aggregate` of one event over a
+//!   month of 8 hosts × 8 Table-I series into 1 h buckets, wall at
+//!   W ∈ {1, 2}.
 //!
-//! * `baseline_search_fig4` — the pre-fused pipeline, kept alive as
-//!   `JobList::fig4_baseline`: filter scan units plus the old
-//!   merge/histogram remainder.
-//! * `fused_search_fig4` — the fused single-pass engine: per-chunk
-//!   units that filter *and* compute all four panels' extents and
-//!   dense bucket counts, leaving only compile + ordered-concat +
-//!   tree-merge + panel finalization as the sequential remainder.
-//! * `fused_scan` — the scan stage alone with a warm
-//!   [`FusedScratch`]: the steady-state 0 allocs/op invariant the
-//!   alloc lint (`cargo xtask lint`) pins on `portal::fused`.
-//! * `query_cache` — cold miss vs warm hit through the
-//!   watermark-keyed [`QueryCache`]; a warm Fig. 4 hit is a refcount
-//!   bump at 0 allocs/op.
-//!
-//! Results go to `BENCH_query_path.json` at the workspace root, with
-//! an `acceptance` block checking the issue's bars: fused merge
-//! remainder ≤ 30 µs, projected 4-worker speedup ≥ 3x, fused scan at
-//! 0 allocs/op, and multi-worker wall time no longer regressing.
+//! Results go to `BENCH_query_path.json` at the workspace root. Its
+//! `acceptance` block reports, not enforces: the allocation-free warm
+//! scan and warm hit are asserted in `tests/alloc_invariants.rs` where
+//! tier-1 runs them, and "W = 2 is not slower than W = 1" is a
+//! wall-clock observation (`wall_no_regression`), not an invariant.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 use tacc_jobdb::Database;
 use tacc_metrics::flags::FlagRules;
@@ -51,11 +47,12 @@ use tacc_simnode::apps::AppModel;
 use tacc_simnode::pool::WorkerPool;
 use tacc_simnode::topology::NodeTopology;
 use tacc_simnode::{SimDuration, SimTime};
+use tacc_tsdb::{Aggregation, SeriesKey, TagFilter, TsDb};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
-/// System allocator wrapper counting allocation events (see
-/// `storage_path.rs`).
+/// System allocator wrapper counting allocation events (allocs and
+/// growing reallocs).
 struct CountingAlloc;
 
 // SAFETY: delegates every operation unchanged to the system allocator;
@@ -86,10 +83,9 @@ fn timed<R>(f: impl FnOnce() -> R) -> (f64, f64) {
     (ns, (ALLOCS.load(Ordering::Relaxed) - a0) as f64)
 }
 
-/// Min-of-iterations accumulator (see `parallel_path.rs`): preemption
-/// only inflates a sample, so the minimum is the noise-robust
-/// estimator; allocation counts are deterministic and the last (warm)
-/// sample wins.
+/// Min-of-iterations accumulator: preemption only inflates a sample,
+/// so the minimum is the noise-robust estimator; allocation counts are
+/// deterministic and the last (warm) sample wins.
 struct MinStat {
     ns: f64,
     allocs: f64,
@@ -113,31 +109,53 @@ impl MinStat {
     }
 }
 
-/// LPT schedule makespan of `units` over `w` workers (see
-/// `parallel_path.rs`).
-fn lpt_makespan(units: &[f64], w: usize) -> f64 {
-    let mut sorted: Vec<f64> = units.to_vec();
-    sorted.sort_by(|a, b| b.total_cmp(a));
-    let mut bins = vec![0.0f64; w.max(1)];
-    for u in sorted {
-        let min = bins
-            .iter()
-            .enumerate()
-            .min_by(|a, b| a.1.total_cmp(b.1))
-            .map(|(i, _)| i)
-            .unwrap_or(0);
-        bins[min] += u;
+/// Worker counts of the threaded arms: the reference host's two vCPUs.
+const WORKERS: [usize; 2] = [1, 2];
+
+/// The pre-fused pipeline on the 5 000-job fixture — (ns, allocations)
+/// of `run` + four column materializations + four three-pass histogram
+/// builds, and the ns of that which was merge/histogram remainder after
+/// the filter scan — frozen from the `BENCH_query_path.json` committed
+/// at PR 18, the last run that still timed `JobList::fig4_baseline`
+/// (now a test-local oracle in `portal/tests/fused_props.rs`).
+const BASELINE_SEARCH_FIG4: (f64, f64) = (188_223.0, 81.0);
+const BASELINE_MERGE_NS: f64 = 86_906.0;
+
+/// The month fixture of the aggregate case: `MONTH_HOSTS` hosts × eight
+/// Table-I-shaped series at the paper's 10-minute cadence.
+const MONTH_EVENTS: [&str; 8] = [
+    "gflops",
+    "mem_bw",
+    "mem_used",
+    "lustre_bw",
+    "lustre_iops",
+    "md_reqs",
+    "ib_bw",
+    "cpu_user",
+];
+const MONTH_SECS: u64 = 30 * 86_400;
+const MONTH_HOSTS: usize = 8;
+
+fn month_db() -> TsDb {
+    const CADENCE: u64 = 600;
+    let db = TsDb::new();
+    for h in 0..MONTH_HOSTS {
+        let hostname = format!("c401-{h:04}");
+        for (e, ev) in MONTH_EVENTS.iter().enumerate() {
+            let key = SeriesKey::new(&hostname, "job", "table1", ev);
+            for i in 0..(MONTH_SECS / CADENCE) {
+                let t = i * CADENCE;
+                let v = (h + 1) as f64 * 100.0
+                    + (e + 1) as f64 * ((t % 86_400) as f64 / 8640.0)
+                    + (i % 7) as f64 * 0.25;
+                db.insert(key.clone(), t, v);
+            }
+        }
     }
-    bins.iter().cloned().fold(0.0, f64::max)
+    db
 }
 
-const WORKERS: [usize; 4] = [1, 2, 4, 8];
-
-fn projected(units: &[f64], merge_ns: f64, w: usize) -> f64 {
-    lpt_makespan(units, w) + merge_ns
-}
-
-/// The `parallel_path.rs` portal fixture: 5 000 ingested jobs.
+/// The portal fixture: `n` ingested jobs, a third of them `wrf.exe`.
 fn jobs_fixture(n: usize) -> Database {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -174,19 +192,8 @@ fn jobs_fixture(n: usize) -> Database {
     db
 }
 
-/// The compiled form of the bench query (`SearchSpec::filter` is
-/// private, so the conjunction is restated here — same predicates).
-fn compiled_filter(table: &tacc_jobdb::table::Table) -> tacc_jobdb::CompiledFilter {
-    tacc_jobdb::Filter::new()
-        .kw("exec", "wrf.exe")
-        .kw("run_time__gte", 600i64)
-        .kw("MetaDataRate__gte", 10_000.0)
-        .compile(table)
-        .expect("columns exist")
-}
-
 /// [`FIG4_PANELS`] resolved against the table schema — what the fused
-/// scan units bin against.
+/// scan bins against.
 fn panel_cfgs(table: &tacc_jobdb::table::Table) -> [PanelCfg; PANELS] {
     let mut cfgs = [PanelCfg {
         col: None,
@@ -208,13 +215,12 @@ fn main() {
         .map(|n| n.get())
         .unwrap_or(1);
     println!(
-        "\n=== query-path (fused portal engine + watermark cache), host_cores = {host_cores} ==="
+        "\n=== query-path (fused portal engine, watermark cache, tsdb aggregate), host_cores = {host_cores} ==="
     );
 
     let jobs_db = jobs_fixture(5000);
     let table = jobs_db.table(JOBS_TABLE).expect("jobs table");
-    let rows = table.rows();
-    println!("  portal fixture: {} job rows", rows.len());
+    println!("  portal fixture: {} job rows", table.rows().len());
     let spec = SearchSpec {
         exec: Some("wrf.exe".into()),
         min_runtime_secs: Some(600),
@@ -222,25 +228,22 @@ fn main() {
     }
     .field("MetaDataRate__gte", 10_000.0);
     let cfgs = panel_cfgs(table);
-    let n_chunks = 8usize;
-    let chunk = rows.len().div_ceil(n_chunks).max(1);
-    let pools: Vec<WorkerPool> = WORKERS.iter().map(|&w| WorkerPool::new(w)).collect();
+    let pools: Vec<Arc<WorkerPool>> = WORKERS
+        .iter()
+        .map(|&w| Arc::new(WorkerPool::new(w)))
+        .collect();
 
     const ITERS: u64 = 80;
-    let mut base_seq = MinStat::new();
-    let mut base_units = vec![f64::INFINITY; n_chunks];
     let mut fused_seq = MinStat::new();
-    let mut fused_units = vec![f64::INFINITY; n_chunks];
     let mut fused_wall: Vec<MinStat> = WORKERS.iter().map(|_| MinStat::new()).collect();
     let mut scan_only = MinStat::new();
     let mut cache_cold = MinStat::new();
     let mut cache_warm_fig4 = MinStat::new();
     let mut cache_warm_search = MinStat::new();
+    let mut agg_wall: Vec<MinStat> = WORKERS.iter().map(|_| MinStat::new()).collect();
 
     // Long-lived state the warm arms reuse across iterations.
     let mut seq_scratch = FusedScratch::default();
-    let mut unit_scratch = FusedScratch::default();
-    let mut unit_matches: Vec<&tacc_jobdb::table::Row> = Vec::new();
     let scan_list = spec.run(table).expect("columns exist");
     let mut scan_scratch = FusedScratch::default();
     // Prime the scan scratch so the alloc arm measures steady state.
@@ -261,64 +264,16 @@ fn main() {
         .expect("columns exist");
 
     for _ in 0..ITERS {
-        // Baseline: the pre-fused pipeline — filter scan + jobid sort
-        // inside `run`, then four column materializations and four
-        // three-pass histogram builds.
-        base_seq.push(timed(|| {
-            let list = spec.run(table).expect("columns exist");
-            (list.len(), list.fig4_baseline().runtime.total())
-        }));
-        // Baseline units: the filter scan was the only parallelizable
-        // stage; everything else (sort, columns, histograms) sat in
-        // the sequential remainder.
-        let compiled = compiled_filter(table);
-        for (g, acc) in base_units.iter_mut().enumerate() {
-            let start = (g * chunk).min(rows.len());
-            let end = ((g + 1) * chunk).min(rows.len());
-            let t0 = Instant::now();
-            let n = rows[start..end]
-                .iter()
-                .filter(|r| compiled.matches(r))
-                .count();
-            *acc = acc.min(t0.elapsed().as_nanos() as f64);
-            black_box(n);
-        }
-
-        // Fused: same query through the fused single-pass engine with
-        // a warm scratch.
+        // The query through the fused single-pass engine with a warm
+        // scratch.
         fused_seq.push(timed(|| {
             let list = spec.run(table).expect("columns exist");
             let panels = list.fig4_scratch(None, &mut seq_scratch);
             (list.len(), panels.runtime.total())
         }));
-        // Fused units: one chunk's *entire* per-worker work — the
-        // match-index collect `matched_indices` runs per chunk
-        // (including its fresh result vector, which each worker
-        // allocates for itself) and both fused passes (extents +
-        // dense bucket counts for all four panels) over the matches.
-        // Only compile, ordered-concat, tree merge, and panel
-        // finalization remain sequential.
-        let compiled = compiled_filter(table);
-        for (g, acc) in fused_units.iter_mut().enumerate() {
-            let start = (g * chunk).min(rows.len());
-            let end = ((g + 1) * chunk).min(rows.len());
-            let t0 = Instant::now();
-            let idxs: Vec<u32> = rows[start..end]
-                .iter()
-                .enumerate()
-                .filter(|(_, r)| compiled.matches(r))
-                .map(|(off, _)| (start + off) as u32)
-                .collect();
-            unit_matches.clear();
-            unit_matches.extend(idxs.iter().filter_map(|i| rows.get(*i as usize)));
-            let f = fused::scan(&unit_matches, &cfgs, None, &mut unit_scratch);
-            *acc = acc.min(t0.elapsed().as_nanos() as f64);
-            black_box(f.counts[0][0]);
-        }
-        // Fused wall: the real threaded path. The spawn gate keeps a
-        // 5 000-row table inline at every worker count — that is the
-        // fix for the old multi-worker wall regression, and this arm
-        // verifies it stays flat.
+        // The real threaded path. The spawn gate keeps a 5 000-row
+        // table inline at every worker count; this arm shows it stays
+        // flat.
         for (stat, pool) in fused_wall.iter_mut().zip(&pools) {
             stat.push(timed(|| {
                 let list = spec.run_par(table, pool).expect("columns exist");
@@ -326,7 +281,7 @@ fn main() {
             }));
         }
 
-        // Scan stage alone, warm scratch: the 0 allocs/op invariant.
+        // Scan stage alone, warm scratch.
         scan_only.push(timed(|| {
             fused::scan(scan_list.rows(), &cfgs, None, &mut scan_scratch).counts[0][0]
         }));
@@ -355,22 +310,38 @@ fn main() {
         }));
     }
 
-    let base_merge = (base_seq.get().0 - base_units.iter().sum::<f64>()).max(0.0);
-    let fused_merge = (fused_seq.get().0 - fused_units.iter().sum::<f64>()).max(0.0);
-    let base_speedup_4w =
-        projected(&base_units, base_merge, 1) / projected(&base_units, base_merge, 4);
-    let fused_speedup_4w =
-        projected(&fused_units, fused_merge, 1) / projected(&fused_units, fused_merge, 4);
-    let wall_1w = fused_wall.first().map(|s| s.get().0).unwrap_or(f64::NAN);
-    let wall_worst = fused_wall
-        .iter()
-        .map(|s| s.get().0)
-        .fold(f64::NEG_INFINITY, f64::max);
-    // 15% headroom over the 1-worker wall: "adding workers no longer
-    // regresses", not "threads are free".
-    let wall_ok = wall_worst <= wall_1w * 1.15;
-    let merge_ok = fused_merge <= 30_000.0;
-    let speedup_ok = fused_speedup_4w >= 3.0;
+    // One event of every host over the whole month, 1 h buckets: a
+    // 1-worker pool folds inline, two workers fan the series out. Its
+    // own loop: decoding a month of blocks would evict the jobs table
+    // from under the portal arms.
+    let mut month = month_db();
+    let md_reqs = TagFilter::any().event("md_reqs");
+    println!(
+        "  tsdb fixture: {} series, {} points",
+        month.n_series(),
+        month.n_points()
+    );
+    for _ in 0..ITERS {
+        for (stat, pool) in agg_wall.iter_mut().zip(&pools) {
+            month.set_pool(Arc::clone(pool));
+            stat.push(timed(|| {
+                month
+                    .aggregate(&md_reqs, Aggregation::Sum, 0, MONTH_SECS, 3600)
+                    .len()
+            }));
+        }
+    }
+
+    /// Slowest arm over the one-worker arm.
+    fn worst_over_1w(wall: &[MinStat]) -> f64 {
+        let worst = wall.iter().map(|s| s.ns).fold(f64::NEG_INFINITY, f64::max);
+        worst / wall.first().map_or(f64::NAN, |s| s.ns)
+    }
+    let fused_ratio = worst_over_1w(&fused_wall);
+    let agg_ratio = worst_over_1w(&agg_wall);
+    // 15% headroom over the 1-worker wall: "adding a worker does not
+    // regress", not "threads are free".
+    let wall_ok = fused_ratio <= 1.15;
     let scan_allocs = scan_only.get().1;
     let scan_ok = scan_allocs == 0.0;
     let warm_fig4_allocs = cache_warm_fig4.get().1;
@@ -380,96 +351,53 @@ fn main() {
         let (ns, a) = stat.get();
         println!("  {name:<28} {ns:>12.0} ns/op {a:>9.1} allocs/op");
     };
-    report("baseline sequential", &base_seq);
     println!(
-        "  {:<28} units {:?} ns, merge {:.0} ns, projected 4w {:.2}x",
-        "",
-        base_units.iter().map(|u| *u as u64).collect::<Vec<_>>(),
-        base_merge,
-        base_speedup_4w
+        "  {:<28} {:>12.0} ns/op {:>9.1} allocs/op (frozen, PR 18)",
+        "pre-fused search+fig4", BASELINE_SEARCH_FIG4.0, BASELINE_SEARCH_FIG4.1
     );
-    report("fused sequential", &fused_seq);
-    println!(
-        "  {:<28} units {:?} ns, merge {:.0} ns, projected 4w {:.2}x",
-        "",
-        fused_units.iter().map(|u| *u as u64).collect::<Vec<_>>(),
-        fused_merge,
-        fused_speedup_4w
-    );
-    for (wi, &w) in WORKERS.iter().enumerate() {
-        let (wns, wa) = fused_wall[wi].get();
-        println!(
-            "  {:<28}   {w}w wall {wns:>12.0} ns/op {wa:>9.1} allocs/op",
-            ""
-        );
+    report("fused search+fig4", &fused_seq);
+    for (stat, w) in fused_wall.iter().zip(WORKERS) {
+        report(&format!("  run_par+fig4_par {w}w wall"), stat);
     }
     report("fused scan (warm scratch)", &scan_only);
     report("cache cold fig4", &cache_cold);
     report("cache warm fig4 hit", &cache_warm_fig4);
     report("cache warm search hit", &cache_warm_search);
+    for (stat, w) in agg_wall.iter().zip(WORKERS) {
+        report(&format!("tsdb aggregate month {w}w wall"), stat);
+    }
     println!(
-        "  acceptance: merge {:.0} ns <= 30000: {merge_ok}; projected 4w {fused_speedup_4w:.2}x >= 3: {speedup_ok}; \
-         scan allocs {scan_allocs:.0} == 0: {scan_ok}; warm-hit allocs {warm_fig4_allocs:.0} == 0: {warm_ok}; \
-         wall worst/1w {:.2}: {wall_ok}",
-        fused_merge,
-        wall_worst / wall_1w
+        "  reported: scan allocs {scan_allocs:.0} == 0: {scan_ok}; warm-hit allocs {warm_fig4_allocs:.0} == 0: {warm_ok}; \
+         fused wall worst/1w {fused_ratio:.2}: {wall_ok}; aggregate wall worst/1w {agg_ratio:.2}"
     );
 
-    let methodology = "Same methodology as parallel_path.rs: independent per-chunk \
-units timed serially in isolation, interleaved with the sequential and threaded \
-arms in one iteration loop (min over iterations); projected time at W workers is \
-the LPT makespan of the units plus the sequential remainder (measured sequential \
-minus the units' total). Baseline units are filter-only chunk scans (the old \
-engine's only parallelizable stage); fused units filter AND compute all four \
-panels' extents and bucket counts, so the fused remainder is just compile + \
-ordered-concat + tree merge + panel finalization.";
     let arm = |stat: &MinStat| {
         let (ns, a) = stat.get();
         format!("{{\"ns_per_op\": {ns:.1}, \"allocs_per_op\": {a:.2}}}")
     };
-    let units_json = |units: &[f64]| {
-        units
-            .iter()
-            .map(|u| format!("{u:.1}"))
-            .collect::<Vec<_>>()
-            .join(", ")
-    };
-    let proj_json = |units: &[f64], merge: f64| {
-        WORKERS
-            .iter()
-            .map(|&w| format!("\"{w}\": {:.1}", projected(units, merge, w)))
+    let wall_json = |wall: &[MinStat]| {
+        wall.iter()
+            .zip(WORKERS)
+            .map(|(stat, w)| format!("\"{w}\": {}", arm(stat)))
             .collect::<Vec<_>>()
             .join(", ")
     };
     let mut json = String::from("{\n  \"bench\": \"query_path\",\n");
     json.push_str(&format!("  \"host_cores\": {host_cores},\n"));
-    json.push_str(&format!("  \"methodology\": \"{methodology}\",\n"));
-    json.push_str("  \"workers\": [1, 2, 4, 8],\n");
+    json.push_str(
+        "  \"methodology\": \"A case's arms interleaved in one iteration loop, min over iterations, \
+         counting global allocator. wall is the real threaded path at W workers on this host; \
+         baseline_search_fig4 is frozen history (PR 18), not measured.\",\n",
+    );
     json.push_str(&format!(
-        "  \"baseline_search_fig4\": {{\n    \"sequential\": {},\n    \"units_ns\": [{}],\n    \
-         \"merge_ns\": {:.1},\n    \"projected_ns\": {{{}}},\n    \
-         \"speedup_projected_4w_vs_1w\": {:.2}\n  }},\n",
-        arm(&base_seq),
-        units_json(&base_units),
-        base_merge,
-        proj_json(&base_units, base_merge),
-        base_speedup_4w
+        "  \"baseline_search_fig4\": {{\"frozen_at\": \"PR 18\", \"sequential\": \
+         {{\"ns_per_op\": {:.1}, \"allocs_per_op\": {:.2}}}, \"merge_ns\": {BASELINE_MERGE_NS:.1}}},\n",
+        BASELINE_SEARCH_FIG4.0, BASELINE_SEARCH_FIG4.1
     ));
     json.push_str(&format!(
-        "  \"fused_search_fig4\": {{\n    \"sequential\": {},\n    \"units_ns\": [{}],\n    \
-         \"merge_ns\": {:.1},\n    \"projected_ns\": {{{}}},\n    \
-         \"speedup_projected_4w_vs_1w\": {:.2},\n    \"wall\": {{{}}}\n  }},\n",
+        "  \"fused_search_fig4\": {{\n    \"sequential\": {},\n    \"wall\": {{{}}}\n  }},\n",
         arm(&fused_seq),
-        units_json(&fused_units),
-        fused_merge,
-        proj_json(&fused_units, fused_merge),
-        fused_speedup_4w,
-        WORKERS
-            .iter()
-            .enumerate()
-            .map(|(wi, &w)| format!("\"{w}\": {}", arm(&fused_wall[wi])))
-            .collect::<Vec<_>>()
-            .join(", ")
+        wall_json(&fused_wall)
     ));
     json.push_str(&format!("  \"fused_scan\": {},\n", arm(&scan_only)));
     json.push_str(&format!(
@@ -479,12 +407,16 @@ ordered-concat + tree merge + panel finalization.";
         arm(&cache_warm_search)
     ));
     json.push_str(&format!(
-        "  \"acceptance\": {{\n    \"fused_merge_ns\": {fused_merge:.1}, \"merge_ns_max\": 30000, \"merge_ok\": {merge_ok},\n    \
-         \"fused_speedup_projected_4w\": {fused_speedup_4w:.2}, \"speedup_4w_min\": 3.0, \"speedup_ok\": {speedup_ok},\n    \
+        "  \"tsdb_aggregate_month\": {{\"series\": {}, \"points\": {}, \"wall\": {{{}}}, \"wall_worst_over_1w\": {agg_ratio:.3}}},\n",
+        month.n_series(),
+        month.n_points(),
+        wall_json(&agg_wall)
+    ));
+    json.push_str(&format!(
+        "  \"acceptance\": {{\n    \
          \"fused_scan_allocs_per_op\": {scan_allocs:.0}, \"scan_allocs_ok\": {scan_ok},\n    \
          \"cache_warm_fig4_allocs_per_op\": {warm_fig4_allocs:.0}, \"warm_hit_allocs_ok\": {warm_ok},\n    \
-         \"wall_worst_over_1w\": {:.3}, \"wall_no_regression\": {wall_ok}\n  }}\n}}\n",
-        wall_worst / wall_1w
+         \"wall_worst_over_1w\": {fused_ratio:.3}, \"wall_no_regression\": {wall_ok}\n  }}\n}}\n"
     ));
 
     let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))

@@ -1,21 +1,21 @@
-//! Sample-path before/after bench: legacy String representation vs the
-//! interned, buffer-reusing byte codec, measured in both wall-clock and
-//! allocations per operation (a counting global allocator wraps the
-//! system one — bench binaries are separate crates, so the library's
-//! `forbid(unsafe_code)` does not extend here).
+//! Sample-path bench: what one sample costs on the shipped path — the
+//! interned, buffer-reusing byte codec and the `Sym`-keyed accumulator —
+//! in wall-clock and in allocations per operation (a counting global
+//! allocator wraps the system one — bench binaries are separate crates,
+//! so the library's `forbid(unsafe_code)` does not extend here).
 //!
-//! "Before" is the seed's data path, reconstructed line for line from
-//! the pre-refactor sources: render builds a fresh `String` per message
-//! through per-value `itoa` Strings and per-event `format!` calls
-//! (exactly the seed's `render_message`), parse copies the payload into
-//! an owned `String` and then materializes the owned name Strings the
-//! seed's parser returned (hostname, schema event names, instances,
-//! comms — the shared parser now interns those, so "before" must
-//! re-create the allocations), and the accumulator keys per-instance
-//! state by `(DeviceType, String)` with a cloned instance name per
-//! record. "After" is the shipped path: `codec::render_message_into`
-//! into a reused buffer, zero-copy `codec::parse_bytes`, and the
-//! `Sym`-keyed `JobAccum`.
+//! Only "after" is measured. Every "before" column is a constant frozen
+//! from the `BENCH_sample_path.json` committed when the code it timed
+//! was still reconstructed in this file (see the `*_BEFORE` constants
+//! for the PR each was frozen at): the seed's data path rendered a fresh
+//! `String` per message through one heap `String` per number and one
+//! `format!` per event, parsed an owned copy of the payload into owned
+//! name `String`s, and keyed accumulator state by `(DeviceType, String)`
+//! with a cloned instance name per record. "After" is
+//! `codec::render_message_into` into a reused buffer, zero-copy
+//! `codec::parse_bytes`, and `JobAccum`. Speeds in the fleet are the
+//! system benchmark's (`benchmark/REFERENCE.md` stage tables); this file
+//! is the hot-loop view of the stages that carry its wall.
 //!
 //! The `collect` case is the node side of the same path — register
 //! reads, pseudo-file render, collector parse — through
@@ -47,7 +47,6 @@
 
 use bytes::Bytes;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::collections::HashMap;
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -56,11 +55,9 @@ use tacc_collect::collectors::{PsCollector, Scratch};
 use tacc_collect::daemon::{Publisher, TaccStatsd};
 use tacc_collect::discovery::{discover, BuildOptions};
 use tacc_collect::engine::Sampler;
-use tacc_collect::record::{HostHeader, RawFile, Sample, FORMAT_VERSION};
+use tacc_collect::record::{RawFile, Sample};
 use tacc_metrics::accum::JobAccum;
-use tacc_simnode::counter::wrapping_delta;
 use tacc_simnode::pseudofs::NodeFs;
-use tacc_simnode::schema::{DeviceType, EventKind, Schema};
 use tacc_simnode::topology::NodeTopology;
 use tacc_simnode::workload::{LustreDemand, NodeDemand};
 use tacc_simnode::{SimDuration, SimNode, SimTime};
@@ -149,6 +146,18 @@ const CONSUME_NOTE: &str =
      SchemaCache into a reused Decoded plus the span slice. collect.codec_parse.* in the system \
      benchmark probes the stateless parse_bytes wrapper (cache off, fresh storage) and so \
      understates the consumer's gain; collect.consumer_poll.* is the row that shows it";
+
+/// The seed's data path on the one-node fixture, (ns, allocations) per
+/// op, frozen from the `BENCH_sample_path.json` committed at PR 18 —
+/// the last run that still compiled line-for-line reconstructions of
+/// the code PR 3 deleted: render through a `String` per number, parse
+/// into owned name `String`s, a `(DeviceType, String)`-keyed
+/// accumulator, and the three end to end over four messages.
+const RENDER_BEFORE: (f64, f64) = (20_458.0, 561.0);
+const PARSE_BEFORE: (f64, f64) = (20_695.0, 152.0);
+const ACCUMULATE_BEFORE: (f64, f64) = (26_492.0, 438.0);
+const CONSUMER_TO_ACCUM_BEFORE: (f64, f64) = (123_431.0, 1_046.0);
+
 /// What `accumulate`'s allocations are.
 const ACCUM_NOTE: &str =
     "accumulate builds a fresh JobAccum per op (4 samples) and so counts first-feed slot \
@@ -231,160 +240,6 @@ fn fleet_fixture() -> Vec<(SimNode, Sampler, Sample)> {
         .collect()
 }
 
-/// The seed's `itoa`: one heap String per rendered numeric value.
-fn legacy_itoa(mut v: u64) -> String {
-    if v == 0 {
-        return "0".to_string();
-    }
-    let mut buf = [0u8; 20];
-    let mut i = buf.len();
-    while v > 0 {
-        i -= 1;
-        buf[i] = b'0' + (v % 10) as u8;
-        v /= 10;
-    }
-    String::from_utf8_lossy(&buf[i..]).into_owned()
-}
-
-/// The seed's `Schema::render`: per-event `format!` String.
-fn legacy_schema_render(schema: &Schema) -> String {
-    let mut out = String::new();
-    for (i, e) in schema.events.iter().enumerate() {
-        if i > 0 {
-            out.push(' ');
-        }
-        let kind = match e.kind {
-            EventKind::Counter => "C",
-            EventKind::Gauge => "G",
-        };
-        out.push_str(&format!(
-            "{},{},{},{}",
-            e.name,
-            e.unit.label(),
-            kind,
-            e.width
-        ));
-    }
-    out
-}
-
-/// The seed's `RawFile::render_message`, reconstructed byte for byte
-/// (header via `format!` per line, sample via `itoa` per value).
-fn legacy_render_message(header: &HostHeader, s: &Sample) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("$tacc_stats {FORMAT_VERSION}\n"));
-    out.push_str(&format!("$hostname {}\n", header.hostname));
-    out.push_str(&format!("$arch {}\n", header.arch.name()));
-    for (dt, schema) in &header.schemas {
-        out.push_str(&format!(
-            "!{} {}\n",
-            dt.name(),
-            legacy_schema_render(schema)
-        ));
-    }
-    out.push_str(&format!(
-        "{} {}\n",
-        s.time.as_secs(),
-        if s.jobids.is_empty() {
-            "-".to_string()
-        } else {
-            s.jobids.join(",")
-        }
-    ));
-    for m in &s.marks {
-        out.push('%');
-        out.push_str(m);
-        out.push('\n');
-    }
-    for d in &s.devices {
-        out.push_str(d.dev_type.name());
-        out.push(' ');
-        out.push_str(d.instance.as_str());
-        for v in &d.values {
-            out.push(' ');
-            out.push_str(legacy_itoa(*v).as_str());
-        }
-        out.push('\n');
-    }
-    for p in &s.processes {
-        out.push_str("ps ");
-        out.push_str(legacy_itoa(u64::from(p.pid)).as_str());
-        out.push(' ');
-        out.push_str(p.comm.as_str());
-        out.push(' ');
-        out.push_str(legacy_itoa(u64::from(p.uid)).as_str());
-        for v in &p.values {
-            out.push(' ');
-            out.push_str(legacy_itoa(*v).as_str());
-        }
-        out.push('\n');
-    }
-    out
-}
-
-/// The seed's parser returned owned Strings for every name; the shared
-/// parser now interns them, so the "before" measurement re-creates
-/// those allocations after parsing. Returns total bytes to keep the
-/// work observable.
-fn legacy_materialize(rf: &RawFile) -> usize {
-    let mut n = black_box(rf.header.hostname.as_str().to_string()).len();
-    for schema in rf.header.schemas.values() {
-        for e in &schema.events {
-            n += black_box(e.name.as_str().to_string()).len();
-        }
-    }
-    for s in &rf.samples {
-        for d in &s.devices {
-            n += black_box(d.instance.as_str().to_string()).len();
-        }
-        for p in &s.processes {
-            n += black_box(p.comm.as_str().to_string()).len();
-        }
-    }
-    n
-}
-
-/// The seed's accumulator keying, reconstructed: per-instance state in a
-/// `(DeviceType, String)`-keyed map, one cloned instance name per device
-/// record per sample. Delta math matches `HostAccum::feed` so the two
-/// paths do identical arithmetic work.
-type LegacyKey = (DeviceType, String);
-
-#[derive(Default)]
-struct LegacyAccum {
-    prev: HashMap<LegacyKey, (u64, Vec<u64>)>,
-    cum: HashMap<DeviceType, Vec<f64>>,
-}
-
-impl LegacyAccum {
-    fn feed(&mut self, header: &HostHeader, sample: &Sample) {
-        let t = sample.time.as_secs();
-        for rec in &sample.devices {
-            let Some(schema) = header.schemas.get(&rec.dev_type) else {
-                continue;
-            };
-            if rec.values.len() != schema.len() {
-                continue;
-            }
-            let key = (rec.dev_type, rec.instance.to_string());
-            let prev = self.prev.insert(key, (t, rec.values.to_vec()));
-            let Some((_pt, prev_vals)) = prev else {
-                continue;
-            };
-            let cum = self
-                .cum
-                .entry(rec.dev_type)
-                .or_insert_with(|| vec![0.0; schema.len()]);
-            for (i, ev) in schema.events.iter().enumerate() {
-                if ev.kind != EventKind::Counter {
-                    continue;
-                }
-                cum[i] += wrapping_delta(prev_vals[i], rec.values[i], ev.width) as f64;
-            }
-        }
-    }
-}
-
 /// A transport that accepts every message and keeps none.
 struct Discard;
 
@@ -413,7 +268,7 @@ fn main() {
             v
         })
         .collect();
-    println!("\n=== sample-path before/after (String path vs interned byte codec) ===");
+    println!("\n=== sample-path (interned byte codec; before columns frozen) ===");
     println!(
         "  fixture: one stampede-node sample, {} bytes, {} device records",
         msg.len(),
@@ -505,12 +360,6 @@ fn main() {
     );
 
     // --- render ---
-    let legacy_msg = legacy_render_message(&header, &samples[0]);
-    assert_eq!(
-        legacy_msg, msg,
-        "legacy render reconstruction must stay byte-identical"
-    );
-    let before = measure(ITERS, || legacy_render_message(&header, &samples[0]));
     let mut buf: Vec<u8> = Vec::new();
     let after = measure(ITERS, || {
         buf.clear();
@@ -519,23 +368,16 @@ fn main() {
     });
     cases.push(Case {
         name: "render",
-        before,
+        before: RENDER_BEFORE,
         after,
     });
 
     // --- parse ---
     let payload = payloads[0].clone();
-    let before = measure(ITERS, || {
-        // Seed consumer: copy payload into an owned String, parse, and
-        // come away holding owned name Strings.
-        let text = String::from_utf8(payload.clone()).expect("utf8");
-        let rf = RawFile::parse(&text).expect("parses");
-        legacy_materialize(&rf)
-    });
     let after = measure(ITERS, || codec::parse_bytes(&payload).expect("parses"));
     cases.push(Case {
         name: "parse",
-        before,
+        before: PARSE_BEFORE,
         after,
     });
 
@@ -559,13 +401,6 @@ fn main() {
 
     // --- accumulate (fresh accumulator per run: samples must stay in
     // time order, and one accumulator per job is the real usage) ---
-    let before = measure(ITERS, || {
-        let mut legacy = LegacyAccum::default();
-        for s in &samples {
-            legacy.feed(&header, s);
-        }
-        legacy.prev.len()
-    });
     let after = measure(ITERS, || {
         let mut acc = JobAccum::new();
         for s in &samples {
@@ -575,7 +410,7 @@ fn main() {
     });
     cases.push(Case {
         name: "accumulate",
-        before,
+        before: ACCUMULATE_BEFORE,
         after,
     });
 
@@ -595,18 +430,6 @@ fn main() {
     });
 
     // --- consumer→accumulator end to end ---
-    let before = measure(ITERS, || {
-        let mut legacy = LegacyAccum::default();
-        for p in &payloads {
-            let text = String::from_utf8(p.clone()).expect("utf8");
-            let rf = RawFile::parse(&text).expect("parses");
-            black_box(legacy_materialize(&rf));
-            for s in &rf.samples {
-                legacy.feed(&rf.header, s);
-            }
-        }
-        legacy.prev.len()
-    });
     let after = measure(ITERS, || {
         let mut acc = JobAccum::new();
         for p in &payloads {
@@ -620,7 +443,7 @@ fn main() {
     let e2e_n = payloads.len() as f64;
     cases.push(Case {
         name: "consumer_to_accum",
-        before,
+        before: CONSUMER_TO_ACCUM_BEFORE,
         after,
     });
 

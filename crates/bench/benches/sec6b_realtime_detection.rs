@@ -3,14 +3,15 @@
 //! "Problem jobs [can] be quickly identified and suspended before they
 //! create system-wide slowdowns or crashes." Measures the detection
 //! latency of a metadata storm in daemon mode, contrasts it with the
-//! cron-mode floor (data unavailable until the next day's rsync), and
-//! benchmarks the analyzer's per-sample cost.
+//! cron-mode floor (data unavailable until the next day's rsync),
+//! reports what adaptive per-node cadence saves in samples at equal
+//! first-alert latency, and benchmarks the analyzer's per-sample cost.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use tacc_bench::{report_header, report_row, request, t0};
 use tacc_core::config::{Mode, SystemConfig};
 use tacc_core::online::{AlertKind, OnlineConfig};
-use tacc_core::MonitoringSystem;
+use tacc_core::{AdaptiveConfig, MonitoringSystem};
 use tacc_simnode::apps::AppModel;
 use tacc_simnode::SimDuration;
 
@@ -66,6 +67,40 @@ fn bench(c: &mut Criterion) {
         &format!("{speedup:.0}x faster"),
     );
     assert!(speedup > 20.0);
+
+    // Adaptive cadence: three quiet hours, then a storm on 2 of 4
+    // nodes, from a 5-minute base cadence so the adaptive arm has room
+    // in both directions (60 s .. 20 min). Samples collected and the
+    // first alert's sample→flag latency, fixed vs adaptive.
+    let run = |adaptive: bool| {
+        let mut cfg = SystemConfig::small(4, Mode::daemon());
+        cfg.interval = SimDuration::from_mins(5);
+        let mut sys = MonitoringSystem::new(cfg);
+        sys.enable_online(OnlineConfig::default(), true);
+        if adaptive {
+            sys.enable_adaptive(AdaptiveConfig::default());
+        }
+        let storm = request(17, AppModel::wrf_metadata_storm(), 2, 120);
+        sys.enqueue_jobs(vec![(t0() + SimDuration::from_hours(3), storm)]);
+        sys.run_until(t0() + SimDuration::from_hours(4));
+        let first_alert = sys.alerts().first().map(|a| a.latency_secs);
+        (sys.delivery_report().collected, first_alert)
+    };
+    let (fixed, fixed_alert) = run(false);
+    let (adaptive, adaptive_alert) = run(true);
+    let saved = 1.0 - adaptive as f64 / fixed as f64;
+    report_row(
+        "adaptive cadence: samples, first alert",
+        "(extension)",
+        &format!(
+            "{fixed} fixed vs {adaptive} adaptive ({:.0} % saved), first alert {:.0} s vs {:.0} s",
+            saved * 100.0,
+            fixed_alert.expect("fixed arm alerts"),
+            adaptive_alert.expect("adaptive arm alerts"),
+        ),
+    );
+    assert!(adaptive < fixed);
+    assert_eq!(fixed_alert, adaptive_alert);
     println!();
 
     // Analyzer throughput: samples/s it can inspect (cluster-scale

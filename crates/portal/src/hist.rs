@@ -5,7 +5,6 @@
 use crate::fused::{Extent, FusedFig4, Grid, BINS};
 use crate::render;
 use tacc_metrics::sketch::QuantileSketch;
-use tacc_simnode::pool::WorkerPool;
 
 /// The canonical Fig. 4 panel layout: `(title, column, divisor, log)`
 /// per panel, in panel order. Single source of truth shared by the
@@ -52,6 +51,21 @@ impl Histogram {
         Self::build(title, values, bins, true)
     }
 
+    /// The panel of no finite values: `bins` zero counts beside a
+    /// single placeholder edge (the shape the portal cache's byte
+    /// costing has always charged for).
+    fn empty(title: &str, bins: usize, log: bool) -> Histogram {
+        Histogram {
+            title: title.to_string(),
+            edges: vec![0.0],
+            counts: vec![0; bins],
+            min: 0.0,
+            max: 0.0,
+            n: 0,
+            log,
+        }
+    }
+
     fn build(title: &str, values: &[f64], bins: usize, log: bool) -> Histogram {
         assert!(bins > 0, "need at least one bin");
         // Single extent pass over the original slice — no intermediate
@@ -63,15 +77,7 @@ impl Histogram {
             max = max.max(*v);
         }
         if n == 0 {
-            return Histogram {
-                title: title.to_string(),
-                edges: vec![0.0],
-                counts: vec![0; bins],
-                min: 0.0,
-                max: 0.0,
-                n: 0,
-                log,
-            };
+            return Self::empty(title, bins, log);
         }
         let tx = |v: f64| -> f64 {
             if log {
@@ -125,15 +131,7 @@ impl Histogram {
         log: bool,
     ) -> Histogram {
         if e.n == 0 {
-            return Histogram {
-                title: title.to_string(),
-                edges: vec![0.0],
-                counts: vec![0; BINS],
-                min: 0.0,
-                max: 0.0,
-                n: 0,
-                log,
-            };
+            return Self::empty(title, BINS, log);
         }
         let edges = (0..BINS)
             .map(|i| {
@@ -171,15 +169,7 @@ impl Histogram {
     pub fn from_sketch(title: &str, sketch: &QuantileSketch, bins: usize, log: bool) -> Histogram {
         assert!(bins > 0, "need at least one bin");
         let (Some(min), Some(max)) = (sketch.min(), sketch.max()) else {
-            return Histogram {
-                title: title.to_string(),
-                edges: vec![0.0],
-                counts: vec![0; bins],
-                min: 0.0,
-                max: 0.0,
-                n: 0,
-                log,
-            };
+            return Self::empty(title, bins, log);
         };
         let tx = |v: f64| -> f64 {
             if log {
@@ -227,134 +217,28 @@ impl Histogram {
         }
     }
 
-    /// [`Histogram::linear`] built as a parallel partition scan.
-    pub fn linear_par(title: &str, values: &[f64], bins: usize, pool: &WorkerPool) -> Histogram {
-        Self::build_par(title, values, bins, false, pool)
-    }
-
-    /// [`Histogram::log10`] built as a parallel partition scan.
-    pub fn log10_par(title: &str, values: &[f64], bins: usize, pool: &WorkerPool) -> Histogram {
-        Self::build_par(title, values, bins, true, pool)
-    }
-
-    /// Two parallel passes over contiguous chunks of `values`: first
-    /// per-chunk `(n, min, max)` merged into the global extent, then
-    /// per-chunk integer bin counts merge-summed. Counts are exact
-    /// integers and min/max merges are order-insensitive, so the result
-    /// is bit-identical to the sequential [`Histogram::build`] for any
-    /// chunking.
-    fn build_par(
-        title: &str,
-        values: &[f64],
-        bins: usize,
-        log: bool,
-        pool: &WorkerPool,
-    ) -> Histogram {
-        assert!(bins > 0, "need at least one bin");
-        let parts = pool.workers().max(1);
-        let chunk = values.len().div_ceil(parts).max(1);
-        let part = |i: usize| -> &[f64] {
-            let start = (i * chunk).min(values.len());
-            let end = ((i + 1) * chunk).min(values.len());
-            &values[start..end]
-        };
-        let extents = pool.map_parts(parts, |i, _scratch| {
-            let mut n = 0usize;
-            let mut min = f64::INFINITY;
-            let mut max = f64::NEG_INFINITY;
-            for v in part(i).iter().filter(|v| v.is_finite()) {
-                n += 1;
-                min = min.min(*v);
-                max = max.max(*v);
-            }
-            (n, min, max)
-        });
-        let (n, min, max) = extents
-            .into_iter()
-            .fold((0, f64::INFINITY, f64::NEG_INFINITY), |a, e| {
-                (a.0 + e.0, a.1.min(e.1), a.2.max(e.2))
-            });
-        if n == 0 {
-            return Histogram {
-                title: title.to_string(),
-                edges: vec![0.0],
-                counts: vec![0; bins],
-                min: 0.0,
-                max: 0.0,
-                n: 0,
-                log,
-            };
-        }
-        let tx = |v: f64| -> f64 {
-            if log {
-                v.max(1e-9).log10()
-            } else {
-                v
-            }
-        };
-        let (lo, hi) = (tx(min), tx(max));
-        let width = if hi > lo {
-            (hi - lo) / bins as f64
-        } else {
-            1.0
-        };
-        let partials = pool.map_parts(parts, |i, _scratch| {
-            let mut counts = vec![0usize; bins];
-            for v in part(i).iter().filter(|v| v.is_finite()) {
-                let idx = (((tx(*v) - lo) / width) as usize).min(bins - 1);
-                counts[idx] += 1;
-            }
-            counts
-        });
-        let mut counts = vec![0usize; bins];
-        for p in partials {
-            for (c, pc) in counts.iter_mut().zip(p) {
-                *c += pc;
-            }
-        }
-        let edges = (0..bins)
-            .map(|i| {
-                let e = lo + i as f64 * width;
-                if log {
-                    10f64.powf(e)
-                } else {
-                    e
-                }
-            })
-            .collect();
-        Histogram {
-            title: title.to_string(),
-            edges,
-            counts,
-            min,
-            max,
-            n,
-            log,
-        }
-    }
-
     /// Total count across bins (== number of finite values).
     pub fn total(&self) -> usize {
         self.counts.iter().sum()
     }
 
-    /// Render as a horizontal-bar ASCII panel.
+    /// Render as a horizontal-bar ASCII panel: the title line, then one
+    /// bar per bin. A panel of no values has no bin edges to label and
+    /// renders as its title line alone.
     pub fn render(&self) -> String {
         let mut out = format!("{} (n = {})\n", self.title, self.n);
+        if self.n == 0 {
+            return out;
+        }
         let peak = self.counts.iter().copied().max().unwrap_or(0).max(1);
-        for (i, c) in self.counts.iter().enumerate() {
-            let lo = self.edges[i];
-            let hi = if i + 1 < self.edges.len() {
-                self.edges[i + 1]
-            } else {
-                self.max
-            };
+        let uppers = self.edges.iter().skip(1).chain(std::iter::once(&self.max));
+        for ((lo, hi), c) in self.edges.iter().zip(uppers).zip(&self.counts) {
             let bar_len = (c * 50).div_ceil(peak);
             let bar: String = "#".repeat(if *c > 0 { bar_len.max(1) } else { 0 });
             out.push_str(&format!(
                 "  [{:>10} – {:>10}] {:>7} {}\n",
-                render::num(lo),
-                render::num(hi),
+                render::num(*lo),
+                render::num(*hi),
                 c,
                 bar
             ));
@@ -390,28 +274,6 @@ impl Fig4Panels {
             nodes: Histogram::linear("Jobs vs Nodes", nodes, 12),
             queue_wait: Histogram::linear("Jobs vs Queue Wait (h)", queue_wait_hours, 12),
             metadata_reqs: Histogram::log10("Jobs vs Max Metadata Reqs (1/s)", metadata_reqs, 12),
-        }
-    }
-
-    /// [`Fig4Panels::new`] with each panel built as a parallel
-    /// partition scan on `pool`.
-    pub fn new_par(
-        runtime_hours: &[f64],
-        nodes: &[f64],
-        queue_wait_hours: &[f64],
-        metadata_reqs: &[f64],
-        pool: &WorkerPool,
-    ) -> Fig4Panels {
-        Fig4Panels {
-            runtime: Histogram::linear_par("Jobs vs Runtime (h)", runtime_hours, 12, pool),
-            nodes: Histogram::linear_par("Jobs vs Nodes", nodes, 12, pool),
-            queue_wait: Histogram::linear_par("Jobs vs Queue Wait (h)", queue_wait_hours, 12, pool),
-            metadata_reqs: Histogram::log10_par(
-                "Jobs vs Max Metadata Reqs (1/s)",
-                metadata_reqs,
-                12,
-                pool,
-            ),
         }
     }
 
@@ -489,6 +351,24 @@ mod tests {
         assert_eq!(s.lines().count(), 6);
     }
 
+    /// A panel of no finite values stores one placeholder edge beside
+    /// `bins` counts; rendering it must not index past that edge.
+    #[test]
+    fn empty_panels_render_their_title_line_only() {
+        let sketch = QuantileSketch::new(0.01);
+        for h in [
+            Histogram::linear("e", &[], 12),
+            Histogram::log10("e", &[f64::NAN, f64::INFINITY], 12),
+            Histogram::from_sketch("e", &sketch, 12, true),
+        ] {
+            assert_eq!((h.edges.len(), h.counts.len()), (1, 12), "stored shape");
+            assert_eq!(h.render(), "e (n = 0)\n");
+        }
+        let panels = Fig4Panels::new(&[], &[], &[], &[]).render();
+        assert_eq!(panels.lines().filter(|l| l.ends_with("(n = 0)")).count(), 4);
+        assert!(!panels.contains('['), "no bars: {panels}");
+    }
+
     #[test]
     fn fig4_panels_build() {
         let p = Fig4Panels::new(
@@ -503,43 +383,7 @@ mod tests {
         assert!(p.metadata_reqs.log);
     }
 
-    #[test]
-    fn parallel_build_handles_degenerate_inputs() {
-        let pool = WorkerPool::new(4);
-        assert_eq!(
-            Histogram::linear_par("e", &[], 5, &pool),
-            Histogram::linear("e", &[], 5)
-        );
-        assert_eq!(
-            Histogram::linear_par("n", &[f64::NAN, 1.0], 5, &pool),
-            Histogram::linear("n", &[f64::NAN, 1.0], 5)
-        );
-        assert_eq!(
-            Histogram::log10_par("f", &[3.0, 3.0], 5, &pool),
-            Histogram::log10("f", &[3.0, 3.0], 5)
-        );
-    }
-
     proptest! {
-        /// Parallel build is bit-identical to sequential for any input
-        /// and any worker count.
-        #[test]
-        fn parallel_build_matches_sequential(
-            vals in proptest::collection::vec(-1e6f64..1e6, 0..300),
-            bins in 1usize..20,
-            workers in 1usize..6,
-        ) {
-            let pool = WorkerPool::new(workers);
-            prop_assert_eq!(
-                Histogram::linear_par("p", &vals, bins, &pool),
-                Histogram::linear("p", &vals, bins)
-            );
-            prop_assert_eq!(
-                Histogram::log10_par("p", &vals, bins, &pool),
-                Histogram::log10("p", &vals, bins)
-            );
-        }
-
         /// Bin conservation: every finite value lands in exactly one bin.
         #[test]
         fn counts_conserve_values(

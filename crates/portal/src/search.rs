@@ -404,7 +404,8 @@ impl<'t> JobList<'t> {
     /// over the rows fills all four panels' extents and dense bucket
     /// counts, replacing four column materializations and four
     /// three-pass histogram builds. Bit-identical to
-    /// [`JobList::fig4_baseline`] (proptested).
+    /// [`Fig4Panels::new`] over [`JobList::column`]s (proptested in
+    /// `tests/fused_props.rs`).
     pub fn fig4(&self) -> Fig4Panels {
         self.fig4_scratch(None, &mut FusedScratch::default())
     }
@@ -426,25 +427,6 @@ impl<'t> JobList<'t> {
         scratch: &mut FusedScratch,
     ) -> Fig4Panels {
         Fig4Panels::from_fused(&fused::scan(&self.rows, &self.panel_cfgs(), pool, scratch))
-    }
-
-    /// The pre-fused reference pipeline — one column materialization
-    /// and one histogram build per panel. Kept as the oracle the fused
-    /// path is proptested against and the baseline the `query_path`
-    /// bench measures.
-    pub fn fig4_baseline(&self) -> Fig4Panels {
-        fn hours(mut secs: Vec<f64>) -> Vec<f64> {
-            for s in &mut secs {
-                *s /= 3600.0;
-            }
-            secs
-        }
-        Fig4Panels::new(
-            &hours(self.column("run_time")),
-            &self.column("nodes"),
-            &hours(self.column("queue_wait")),
-            &self.column("MetaDataRate"),
-        )
     }
 
     /// Render the job list with the portal's metadata columns.

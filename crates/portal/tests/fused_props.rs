@@ -9,7 +9,7 @@ use proptest::prelude::*;
 use tacc_jobdb::table::Table;
 use tacc_jobdb::{TableSchema, Value, ValueType};
 use tacc_portal::fused::PAR_MIN_ROWS_PER_WORKER;
-use tacc_portal::SearchSpec;
+use tacc_portal::{Fig4Panels, JobList, SearchSpec};
 use tacc_simnode::pool::WorkerPool;
 
 /// One synthetic job row: jobid plus the four Fig. 4 columns, each
@@ -68,10 +68,22 @@ fn jobs_table(rows: &[JobRow]) -> Table {
     t
 }
 
+/// The pre-fused reference pipeline, kept here as the oracle: one
+/// column materialization and one three-pass histogram build per panel.
+fn fig4_baseline(list: &JobList) -> Fig4Panels {
+    let hours = |name: &str| -> Vec<f64> { list.column(name).iter().map(|s| s / 3600.0).collect() };
+    Fig4Panels::new(
+        &hours("run_time"),
+        &list.column("nodes"),
+        &hours("queue_wait"),
+        &list.column("MetaDataRate"),
+    )
+}
+
 fn assert_fig4_eq(rows: &[JobRow], workers: usize) {
     let t = jobs_table(rows);
     let list = SearchSpec::default().run(&t).expect("empty filter");
-    let baseline = list.fig4_baseline();
+    let baseline = fig4_baseline(&list);
     assert_eq!(list.fig4(), baseline, "sequential fused != baseline");
     let pool = WorkerPool::new(workers);
     assert_eq!(
@@ -185,5 +197,31 @@ fn threaded_paths_match_inline_above_gate() {
     let seq = spec.run(&t).unwrap();
     let par = spec.run_par(&t, &pool).unwrap();
     assert_eq!(seq.rows(), par.rows());
-    assert_eq!(seq.fig4_baseline(), par.fig4_par(&pool));
+    assert_eq!(fig4_baseline(&seq), par.fig4_par(&pool));
+}
+
+/// What `tacc-stats-sim search` prints for a filter matching nothing,
+/// and for a result whose metadata column is all `Null`: panels with no
+/// finite value render as their title line, they do not panic.
+#[test]
+fn panels_without_values_render() {
+    let row = |id: i64| (id, [Some(3600.0 * id as f64), Some(2.0), Some(60.0), None]);
+    let t = jobs_table(&[row(1), row(2), row(3)]);
+
+    let none = SearchSpec::default()
+        .field("run_time__gte", 1e12)
+        .run(&t)
+        .expect("valid column");
+    assert!(none.is_empty());
+    let text = none.fig4().render();
+    assert_eq!(text.lines().filter(|l| l.ends_with("(n = 0)")).count(), 4);
+
+    let all = SearchSpec::default().run(&t).expect("empty filter");
+    let text = all.fig4().render();
+    assert!(text.contains("Jobs vs Runtime (h) (n = 3)"), "{text}");
+    assert!(
+        text.contains("Jobs vs Max Metadata Reqs (1/s) (n = 0)"),
+        "{text}"
+    );
+    assert_eq!(all.fig4(), fig4_baseline(&all));
 }

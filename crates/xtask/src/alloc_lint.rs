@@ -1,31 +1,32 @@
 //! Hot-path allocation lint (pass 2 of `cargo xtask lint`).
 //!
-//! The benches hold the steady-state pipeline at **0 allocs/op**:
-//! the byte codec (`collect::codec`), the columnar block codec and
-//! shard read path (`tsdb::block`, `tsdb::shard`), the WAL frame scan
-//! and segment codec (`tsdb::wal`, `tsdb::segment`, `tsdb::vfs`), and
-//! broker framing (`broker::tcp`). An allocation that creeps into one
-//! of those modules silently converts a measured invariant into a
-//! regression the benches only catch later, on a loaded machine. This
-//! pass deny-lists those modules and flags allocation *constructs*
-//! syntactically — constructor paths (`Vec::new`, `String::from`,
-//! `Box::new`, …), allocating method calls (`.clone()`, `.collect()`,
-//! `.to_vec()`, …), and the `format!`/`vec!` macros. The streaming
-//! analysis hot path (`metrics::stream`, `metrics::sketch`) is held to
-//! the same bar: `BENCH_stream_path.json` records both at 0 allocs/op
-//! per update. The portal's fused Fig. 4 scan (`portal::fused`) and
-//! query cache (`portal::cache`) join the scope:
-//! `BENCH_query_path.json` records the warm scan+merge and cache-hit
-//! paths at 0 allocs/op. So does the node side of a collection — the
+//! The steady-state pipeline runs at **0 allocs/op**: the byte codec
+//! (`collect::codec`), the columnar block codec and shard read path
+//! (`tsdb::block`, `tsdb::shard`), the WAL frame scan and segment codec
+//! (`tsdb::wal`, `tsdb::segment`, `tsdb::vfs`), and broker framing
+//! (`broker::tcp`). An allocation that creeps into one of those modules
+//! silently converts a measured invariant into a regression that is
+//! only caught later, on a loaded machine. This pass deny-lists those
+//! modules and flags allocation *constructs* syntactically —
+//! constructor paths (`Vec::new`, `String::from`, `Box::new`, …),
+//! allocating method calls (`.clone()`, `.collect()`, `.to_vec()`, …),
+//! and the `format!`/`vec!` macros. The streaming analysis hot path
+//! (`metrics::stream`, `metrics::sketch`) is held to the same bar, and
+//! so are the portal's fused Fig. 4 scan (`portal::fused`) and query
+//! cache (`portal::cache`): `tests/alloc_invariants.rs` asserts a
+//! steady-state flag or sketch update, the warm scan+merge, a warm
+//! cache hit and sealed-block reads (in-memory and recovered) at 0
+//! allocations in tier-1. So does the node side of a collection — the
 //! pseudo-file renderers (`simnode::pseudofs`), the collectors and the
-//! sampler (`collect::collectors`, `collect::engine`):
-//! `BENCH_sample_path.json` holds `Sampler::sample_into` at 0 allocs/op,
-//! and the tokenizer and the integer writer both sides of that path
-//! read and write through (`collect::tokens`, `simnode::digits`).
-//! And the consumer side of the same path (`collect::consumer` over the
-//! decoder in `collect::codec`): `crates/collect/tests/decode_props.rs`
-//! holds a steady-state `StatsConsumer::poll_with` at 0 allocations per
-//! message.
+//! sampler (`collect::collectors`, `collect::engine`), with the
+//! tokenizer and the integer writer both sides of that path read and
+//! write through (`collect::tokens`, `simnode::digits`):
+//! `crates/collect/tests/collect_parse_props.rs` holds
+//! `Sampler::sample_into` at 0 allocations (as does the hot loop behind
+//! `BENCH_sample_path.json`). And the consumer side of the same path
+//! (`collect::consumer` over the decoder in `collect::codec`):
+//! `crates/collect/tests/decode_props.rs` holds a steady-state
+//! `StatsConsumer::poll_with` at 0 allocations per message.
 //!
 //! Cold paths inside a hot module (error formatting, constructors,
 //! recovery) are annotated in the source rather than allowlisted in a

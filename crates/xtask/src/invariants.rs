@@ -4,9 +4,12 @@
 //! rotting: the `cargo xtask` alias must stay wired, the loom model
 //! suites (broker queue, worker pool, tsdb shard) must stay
 //! loom-gated (so plain `cargo test` is unaffected) and reachable
-//! from CI along with the parallel-path bench, and every loom-using
-//! crate must keep rustc's `unexpected_cfgs` lint taught about
-//! `cfg(loom)` (CI runs clippy with `-D warnings`).
+//! from CI along with the one performance record — the two surviving
+//! hot-loop benches (`sample_path`, `query_path`) with their JSON
+//! artifacts, the system benchmark's quick run, and the allocation
+//! invariants tier-1 enforces (`tests/alloc_invariants.rs`) — and every
+//! loom-using crate must keep rustc's `unexpected_cfgs` lint taught
+//! about `cfg(loom)` (CI runs clippy with `-D warnings`).
 
 use crate::{alloc_lint, panic_lint};
 use std::fs;
@@ -58,12 +61,12 @@ pub fn check(root: &Path, lock_classes: &[String]) -> Result<Vec<String>, String
             "--cfg loom",
             "--test loom_pool",
             "--test loom_shard",
-            "--bench parallel_path",
-            "BENCH_parallel_path.json",
-            "--bench stream_path",
-            "BENCH_stream_path.json",
+            "--bench sample_path",
+            "BENCH_sample_path.json",
             "--bench query_path",
             "BENCH_query_path.json",
+            "benchmark/Cargo.toml -- --quick",
+            "--test alloc_invariants",
             // The five-pass suite must stay a required CI job with its
             // JSON artifact, and the TSan job is the lock-order pass's
             // dynamic cross-check.
