@@ -21,13 +21,17 @@
 //!   [`QueryCache`].
 //! * `tsdb_aggregate_month` — `TsDb::aggregate` of one event over a
 //!   month of 8 hosts × 8 Table-I series into 1 h buckets, wall at
-//!   W ∈ {1, 2}.
+//!   W ∈ {1, 2}: an hour-aligned `Sum`, so sealed blocks fold from
+//!   their seal-time rollups, and small enough that the spawn gate
+//!   keeps it inline at both. The per-point decode fold it replaced is
+//!   the frozen [`AGGREGATE_MONTH_BEFORE`] constant.
 //!
 //! Results go to `BENCH_query_path.json` at the workspace root. Its
 //! `acceptance` block reports, not enforces: the allocation-free warm
-//! scan and warm hit are asserted in `tests/alloc_invariants.rs` where
-//! tier-1 runs them, and "W = 2 is not slower than W = 1" is a
-//! wall-clock observation (`wall_no_regression`), not an invariant.
+//! scan, warm hit and one-allocation aggregate are asserted in
+//! `tests/alloc_invariants.rs` where tier-1 runs them, and "W = 2 is
+//! not slower than W = 1" is a wall-clock observation
+//! (`wall_no_regression`, both threaded cases), not an invariant.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
@@ -120,6 +124,12 @@ const WORKERS: [usize; 2] = [1, 2];
 /// (now a test-local oracle in `portal/tests/fused_props.rs`).
 const BASELINE_SEARCH_FIG4: (f64, f64) = (188_223.0, 81.0);
 const BASELINE_MERGE_NS: f64 = 86_906.0;
+
+/// `tsdb_aggregate_month` at one worker — (ns, allocations) of the
+/// per-point fold that decoded every matching block — frozen from the
+/// `BENCH_query_path.json` committed at PR 20, the last run before
+/// sealed blocks carried hourly rollups.
+const AGGREGATE_MONTH_BEFORE: (f64, f64) = (296_624.0, 1.0);
 
 /// The month fixture of the aggregate case: `MONTH_HOSTS` hosts × eight
 /// Table-I-shaped series at the paper's 10-minute cadence.
@@ -342,6 +352,8 @@ fn main() {
     // 15% headroom over the 1-worker wall: "adding a worker does not
     // regress", not "threads are free".
     let wall_ok = fused_ratio <= 1.15;
+    let agg_wall_ok = agg_ratio <= 1.15;
+    let agg_speedup = AGGREGATE_MONTH_BEFORE.0 / agg_wall.first().map_or(f64::NAN, |s| s.ns);
     let scan_allocs = scan_only.get().1;
     let scan_ok = scan_allocs == 0.0;
     let warm_fig4_allocs = cache_warm_fig4.get().1;
@@ -363,12 +375,17 @@ fn main() {
     report("cache cold fig4", &cache_cold);
     report("cache warm fig4 hit", &cache_warm_fig4);
     report("cache warm search hit", &cache_warm_search);
+    println!(
+        "  {:<28} {:>12.0} ns/op {:>9.1} allocs/op (frozen, PR 20)",
+        "per-point aggregate month", AGGREGATE_MONTH_BEFORE.0, AGGREGATE_MONTH_BEFORE.1
+    );
     for (stat, w) in agg_wall.iter().zip(WORKERS) {
         report(&format!("tsdb aggregate month {w}w wall"), stat);
     }
     println!(
         "  reported: scan allocs {scan_allocs:.0} == 0: {scan_ok}; warm-hit allocs {warm_fig4_allocs:.0} == 0: {warm_ok}; \
-         fused wall worst/1w {fused_ratio:.2}: {wall_ok}; aggregate wall worst/1w {agg_ratio:.2}"
+         fused wall worst/1w {fused_ratio:.2}: {wall_ok}; aggregate wall worst/1w {agg_ratio:.2}: {agg_wall_ok}, \
+         {agg_speedup:.1}x under the frozen per-point fold"
     );
 
     let arm = |stat: &MinStat| {
@@ -387,7 +404,8 @@ fn main() {
     json.push_str(
         "  \"methodology\": \"A case's arms interleaved in one iteration loop, min over iterations, \
          counting global allocator. wall is the real threaded path at W workers on this host; \
-         baseline_search_fig4 is frozen history (PR 18), not measured.\",\n",
+         baseline_search_fig4 (PR 18) and tsdb_aggregate_month.before (PR 20) are frozen history, \
+         not measured.\",\n",
     );
     json.push_str(&format!(
         "  \"baseline_search_fig4\": {{\"frozen_at\": \"PR 18\", \"sequential\": \
@@ -407,16 +425,21 @@ fn main() {
         arm(&cache_warm_search)
     ));
     json.push_str(&format!(
-        "  \"tsdb_aggregate_month\": {{\"series\": {}, \"points\": {}, \"wall\": {{{}}}, \"wall_worst_over_1w\": {agg_ratio:.3}}},\n",
+        "  \"tsdb_aggregate_month\": {{\"series\": {}, \"points\": {}, \
+         \"before\": {{\"frozen_at\": \"PR 20\", \"ns_per_op\": {:.1}, \"allocs_per_op\": {:.2}}}, \
+         \"wall\": {{{}}}, \"speedup_1w\": {agg_speedup:.2}, \"wall_worst_over_1w\": {agg_ratio:.3}}},\n",
         month.n_series(),
         month.n_points(),
+        AGGREGATE_MONTH_BEFORE.0,
+        AGGREGATE_MONTH_BEFORE.1,
         wall_json(&agg_wall)
     ));
     json.push_str(&format!(
         "  \"acceptance\": {{\n    \
          \"fused_scan_allocs_per_op\": {scan_allocs:.0}, \"scan_allocs_ok\": {scan_ok},\n    \
          \"cache_warm_fig4_allocs_per_op\": {warm_fig4_allocs:.0}, \"warm_hit_allocs_ok\": {warm_ok},\n    \
-         \"wall_worst_over_1w\": {fused_ratio:.3}, \"wall_no_regression\": {wall_ok}\n  }}\n}}\n"
+         \"wall_worst_over_1w\": {fused_ratio:.3}, \"wall_no_regression\": {wall_ok},\n    \
+         \"aggregate_wall_worst_over_1w\": {agg_ratio:.3}, \"aggregate_wall_no_regression\": {agg_wall_ok}\n  }}\n}}\n"
     ));
 
     let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))

@@ -33,6 +33,16 @@
 //! by decoding the one overlapping block, inserting, and re-encoding
 //! it; no other block is touched.
 //!
+//! Sealing also derives the block's **hourly rollup**: for every
+//! absolute hour `t / ROLLUP_SECS` the block touches, the partial
+//! `(sum, n)` of its points in time order, stored behind the columns in
+//! the same buffer. Folds that need only sums and counts over whole
+//! hours ([`SeriesBlocks::for_each_partial_in`]) read those cells
+//! instead of decoding. The rollup is a pure function of the points —
+//! rebuilt by one decode when a persisted block is reinstalled, never
+//! written to disk — and a block that outgrew the seal threshold, is
+//! unsorted, or is mostly empty hours simply has none and is decoded.
+//!
 //! Queries never materialize an intermediate `Vec<DataPoint>`:
 //! [`SeriesBlocks::for_each_in`] streams decoded points to a closure,
 //! and [`SeriesCursor`] is the pull-based equivalent for callers that
@@ -57,6 +67,19 @@ static NEXT_BLOCK_ID: AtomicU64 = AtomicU64::new(1);
 /// late out-of-order point stays cheap, large enough that the varint
 /// columns amortize their two-word header.
 pub const SEAL_THRESHOLD: usize = 512;
+
+/// Width of one rollup cell: a sealed block carries, per absolute hour
+/// `t / ROLLUP_SECS` it touches, the partial `(sum, n)` of its points.
+pub const ROLLUP_SECS: u64 = 3600;
+
+/// Stored size of one rollup cell: the `f64` sum then the `u16` count,
+/// both little-endian.
+const CELL_BYTES: usize = 10;
+
+/// A block so sparse that its cells would outnumber its points by more
+/// than this gets no rollup (decoding it is cheaper than walking its
+/// empty hours).
+const ROLLUP_MAX_CELLS_PER_POINT: u64 = 4;
 
 /// Append a LEB128 varint. (Shared with the WAL/segment record codecs.)
 pub(crate) fn put_varint(out: &mut Vec<u8>, mut x: u64) {
@@ -185,9 +208,16 @@ pub struct SealedBlock {
     max_t: u64,
     /// Byte offset where the value column starts inside `cols`.
     ts_len: usize,
+    /// Byte offset where the value column ends and the rollup cells
+    /// start inside `cols` (`== cols.len()` for a block without one).
+    roll_off: usize,
     /// Both columns in one exact-size buffer: the delta-of-delta
     /// zigzag-varint timestamp column, then the XOR-previous
-    /// byte-aligned value column (with its [`XOR_PAD`] tail).
+    /// byte-aligned value column (with its [`XOR_PAD`] tail) — and
+    /// after them the hourly rollup, dense from hour `min_t /
+    /// ROLLUP_SECS`, [`CELL_BYTES`] per cell. The rollup is derived
+    /// from the points at seal and again at [`SealedBlock::from_parts`];
+    /// it is never persisted.
     cols: Vec<u8>,
     /// Process-unique id (see [`NEXT_BLOCK_ID`]); `0` only on
     /// default-constructed, never-encoded blocks.
@@ -224,17 +254,24 @@ impl SealedBlock {
             prev_bits = v.to_bits();
         }
         let ts_len = scratch.ts.len();
+        let roll_off = ts_len + scratch.vs.len() + XOR_PAD;
+        let points_t = ts.get(..count).unwrap_or(ts);
+        let cells = rollup_cells(points_t);
         // alloc: cold (seal builds the block's owned storage, once per ~block of points)
-        let mut cols = Vec::with_capacity(ts_len + scratch.vs.len() + XOR_PAD);
+        let mut cols = Vec::with_capacity(roll_off + cells * CELL_BYTES);
         cols.extend_from_slice(&scratch.ts);
         cols.extend_from_slice(&scratch.vs);
         // Padding window for the decoder's unconditional 8-byte loads.
         cols.extend_from_slice(&[0u8; XOR_PAD]);
+        if cells > 0 {
+            push_rollup(&mut cols, points_t, vs);
+        }
         SealedBlock {
             count,
             min_t: ts.first().copied().unwrap_or(0),
             max_t: ts.last().copied().unwrap_or(0),
             ts_len,
+            roll_off,
             cols,
             id: NEXT_BLOCK_ID.fetch_add(1, Ordering::Relaxed),
         }
@@ -245,10 +282,16 @@ impl SealedBlock {
         self.cols.get(..self.ts_len).unwrap_or(&[])
     }
 
-    /// The value column bytes, including the pad tail (shared with the
-    /// segment codec).
+    /// The value column bytes, including the pad tail but not the
+    /// rollup behind it (shared with the segment codec).
     pub(crate) fn vs_col(&self) -> &[u8] {
-        self.cols.get(self.ts_len..).unwrap_or(&[])
+        self.cols.get(self.ts_len..self.roll_off).unwrap_or(&[])
+    }
+
+    /// The rollup cells, [`CELL_BYTES`] each, dense from hour `min_t /
+    /// ROLLUP_SECS`; empty for a block without a rollup.
+    fn cells(&self) -> &[u8] {
+        self.cols.get(self.roll_off..).unwrap_or(&[])
     }
 
     /// Reassemble a block from persisted parts: the metadata words and
@@ -256,7 +299,9 @@ impl SealedBlock {
     /// tail, exactly as [`SealedBlock::ts_col`]/[`SealedBlock::vs_col`]
     /// expose them). One exact-size allocation; the block gets a fresh
     /// process-unique id, so decoded-block caches never confuse it
-    /// with a pre-crash incarnation.
+    /// with a pre-crash incarnation. The rollup is not among the
+    /// persisted parts: one decode through stack columns rebuilds
+    /// exactly the cells the block was sealed with.
     pub(crate) fn from_parts(
         count: usize,
         min_t: u64,
@@ -264,15 +309,36 @@ impl SealedBlock {
         ts: &[u8],
         vs: &[u8],
     ) -> SealedBlock {
+        let mut ts_buf = [0u64; SEAL_THRESHOLD];
+        let mut vs_buf = [0f64; SEAL_THRESHOLD];
+        let mut decoded = 0usize;
+        let slots = ts_buf.iter_mut().zip(vs_buf.iter_mut());
+        for ((slot_t, slot_v), (t, v)) in slots.zip(BlockCursor::over_columns(ts, vs, count)) {
+            (*slot_t, *slot_v) = (t, v);
+            decoded += 1;
+        }
+        let dec_t = ts_buf.get(..decoded).unwrap_or(&[]);
+        let dec_v = vs_buf.get(..decoded).unwrap_or(&[]);
+        // Cells are indexed from `min_t`'s hour: a block that outgrew
+        // the stack columns, or whose metadata disagrees with them,
+        // forfeits the rollup.
+        let whole =
+            decoded == count && dec_t.first() == Some(&min_t) && dec_t.last() == Some(&max_t);
+        let cells = if whole { rollup_cells(dec_t) } else { 0 };
+        let roll_off = ts.len() + vs.len();
         // alloc: cold (block reconstruction from replayed columns, recovery-time only)
-        let mut cols = Vec::with_capacity(ts.len() + vs.len());
+        let mut cols = Vec::with_capacity(roll_off + cells * CELL_BYTES);
         cols.extend_from_slice(ts);
         cols.extend_from_slice(vs);
+        if cells > 0 {
+            push_rollup(&mut cols, dec_t, dec_v);
+        }
         SealedBlock {
             count,
             min_t,
             max_t,
             ts_len: ts.len(),
+            roll_off,
             cols,
             id: NEXT_BLOCK_ID.fetch_add(1, Ordering::Relaxed),
         }
@@ -331,9 +397,54 @@ impl SealedBlock {
         self.max_t
     }
 
-    /// Encoded size in bytes of both columns.
+    /// Encoded size in bytes of both columns — what the segment writer
+    /// persists. The rollup is extra: see [`SealedBlock::rollup_bytes`].
     pub fn encoded_bytes(&self) -> usize {
-        self.cols.len()
+        self.roll_off
+    }
+
+    /// Bytes of the hourly rollup riding behind the columns (0 for a
+    /// block without one).
+    pub fn rollup_bytes(&self) -> usize {
+        self.cells().len()
+    }
+
+    /// The hour range `[h0, h1)` of this block's cells that a fold of
+    /// `[t0, t1)` takes in place of its points, or `None` when the
+    /// block has to be decoded: it has no rollup, or an edge of the
+    /// window cuts through an hour the block may hold points in (`t0`
+    /// must be hour-aligned; `t1` too, unless the block ends before it).
+    fn cell_range(&self, t0: u64, t1: u64) -> Option<(u64, u64)> {
+        if self.rollup_bytes() == 0 || !t0.is_multiple_of(ROLLUP_SECS) {
+            return None;
+        }
+        if t1.is_multiple_of(ROLLUP_SECS) {
+            Some((t0 / ROLLUP_SECS, t1 / ROLLUP_SECS))
+        } else if self.max_t < t1 {
+            Some((t0 / ROLLUP_SECS, u64::MAX))
+        } else {
+            None
+        }
+    }
+
+    /// Stream the block's non-empty hour cells with `h0 <= hour < h1`
+    /// to `f` as `(hour * ROLLUP_SECS, sum, n)`, in time order; cells
+    /// outside the range are skipped by index, not read.
+    fn for_each_cell_in(&self, h0: u64, h1: u64, mut f: impl FnMut(u64, f64, u32)) {
+        let first = self.min_t / ROLLUP_SECS;
+        let skip = usize::try_from(h0.saturating_sub(first)).unwrap_or(usize::MAX);
+        let end = usize::try_from(h1.saturating_sub(first)).unwrap_or(usize::MAX);
+        let hours = first.saturating_add(skip as u64)..;
+        let cells = self.cells().chunks_exact(CELL_BYTES).take(end).skip(skip);
+        for (hour, cell) in hours.zip(cells) {
+            let (sum, n) = cell.split_at(8);
+            if let (Ok(sum), Ok(n)) = (sum.try_into(), n.try_into()) {
+                let n = u16::from_le_bytes(n);
+                if n > 0 {
+                    f(hour * ROLLUP_SECS, f64::from_le_bytes(sum), u32::from(n));
+                }
+            }
+        }
     }
 
     /// A streaming decoder positioned at the first point.
@@ -423,6 +534,55 @@ impl SealedBlock {
         }
         n
     }
+}
+
+/// Cells an hourly rollup of a block with these timestamps takes — 0
+/// when the block gets none: empty, grown past [`SEAL_THRESHOLD`] (a
+/// cell counts in a `u16` and rebuilds through stack columns), not
+/// sorted, or sparser than [`ROLLUP_MAX_CELLS_PER_POINT`].
+fn rollup_cells(ts: &[u64]) -> usize {
+    let (Some(&first), Some(&last)) = (ts.first(), ts.last()) else {
+        return 0;
+    };
+    if ts.len() > SEAL_THRESHOLD || !ts.is_sorted() {
+        return 0;
+    }
+    let cells = last / ROLLUP_SECS - first / ROLLUP_SECS + 1;
+    if cells > ROLLUP_MAX_CELLS_PER_POINT * ts.len() as u64 {
+        return 0;
+    }
+    cells as usize
+}
+
+/// Append one rollup cell.
+fn push_cell(cols: &mut Vec<u8>, sum: f64, n: u16) {
+    cols.extend_from_slice(&sum.to_le_bytes());
+    cols.extend_from_slice(&n.to_le_bytes());
+}
+
+/// Append the hourly rollup of a block's points — [`rollup_cells`]`(ts)`
+/// cells, which the caller has reserved: each hour's values summed in
+/// time order from `0.0`, hours the block skips stored as `(0.0, 0)`.
+fn push_rollup(cols: &mut Vec<u8>, ts: &[u64], vs: &[f64]) {
+    let mut points = ts.iter().zip(vs);
+    let Some((&t, &v)) = points.next() else {
+        return;
+    };
+    let mut hour = t / ROLLUP_SECS;
+    let (mut sum, mut n) = (0.0 + v, 1u16);
+    for (&t, &v) in points {
+        let h = t / ROLLUP_SECS;
+        if h != hour {
+            push_cell(cols, sum, n);
+            for _ in hour + 1..h {
+                push_cell(cols, 0.0, 0);
+            }
+            (hour, sum, n) = (h, 0.0, 0);
+        }
+        sum += v;
+        n += 1;
+    }
+    push_cell(cols, sum, n);
 }
 
 /// Streaming decoder over one [`SealedBlock`].
@@ -544,9 +704,13 @@ impl SeriesBlocks {
         self.sealed_points
     }
 
-    /// Encoded bytes across sealed blocks (head excluded).
+    /// Bytes the sealed blocks hold — both columns and the rollup
+    /// behind them (head excluded).
     pub fn sealed_bytes(&self) -> usize {
-        self.sealed.iter().map(SealedBlock::encoded_bytes).sum()
+        self.sealed
+            .iter()
+            .map(|b| b.encoded_bytes() + b.rollup_bytes())
+            .sum()
     }
 
     /// Timestamp of the earliest stored point, from block metadata —
@@ -702,6 +866,24 @@ impl SeriesBlocks {
     /// Stream every point with `t0 <= t < t1` to `f`, in timestamp
     /// order, without materializing an intermediate vector.
     pub fn for_each_in(&self, t0: u64, t1: u64, mut f: impl FnMut(u64, f64)) {
+        self.for_each_partial_in(t0, t1, false, |t, v, _| f(t, v));
+    }
+
+    /// [`SeriesBlocks::for_each_in`] for folds that only need sums and
+    /// counts per whole hour: with `hourly` set, a sealed block that
+    /// carries a rollup and holds no hour the window's edges cut
+    /// through (`t0` hour-aligned; `t1` too, unless the block ends
+    /// before it) is served from its cells — one `(hour * ROLLUP_SECS,
+    /// sum, n)` per non-empty hour, nothing decoded — and every other
+    /// block and the head still stream `(t, v, 1)` per point. Time
+    /// order holds across both kinds.
+    pub fn for_each_partial_in(
+        &self,
+        t0: u64,
+        t1: u64,
+        hourly: bool,
+        mut f: impl FnMut(u64, f64, u32),
+    ) {
         if t1 <= t0 {
             return;
         }
@@ -716,7 +898,9 @@ impl SeriesBlocks {
             if block.min_t() >= t1 {
                 break;
             }
-            if block.len() <= SEAL_THRESHOLD {
+            if let Some((h0, h1)) = block.cell_range(t0, t1).filter(|_| hourly) {
+                block.for_each_cell_in(h0, h1, &mut f);
+            } else if block.len() <= SEAL_THRESHOLD {
                 let n = block.decode_to_slices(&mut ts_buf, &mut vs_buf);
                 let dec_t = ts_buf.get(..n).unwrap_or(&[]);
                 let dec_v = vs_buf.get(..n).unwrap_or(&[]);
@@ -724,7 +908,7 @@ impl SeriesBlocks {
                 let hi = dec_t.partition_point(|&t| t < t1);
                 let m = hi.saturating_sub(lo);
                 for (&t, &v) in dec_t.iter().skip(lo).zip(dec_v.iter().skip(lo)).take(m) {
-                    f(t, v);
+                    f(t, v, 1);
                 }
             } else {
                 // Out-of-order merges can grow a block past the seal
@@ -735,7 +919,7 @@ impl SeriesBlocks {
                         break;
                     }
                     if t >= t0 {
-                        f(t, v);
+                        f(t, v, 1);
                     }
                 }
             }
@@ -750,8 +934,25 @@ impl SeriesBlocks {
             .zip(self.head_v.iter().skip(lo))
             .take(n)
         {
-            f(t, v);
+            f(t, v, 1);
         }
+    }
+
+    /// What [`SeriesBlocks::for_each_partial_in`] would walk for the
+    /// same arguments, from block metadata alone: cells of the blocks
+    /// it serves from rollups, points of the blocks it decodes and of
+    /// the head. The unit a caller's spawn gate counts.
+    pub fn work_units_in(&self, t0: u64, t1: u64, hourly: bool) -> usize {
+        let sealed: usize = self
+            .sealed
+            .iter()
+            .filter(|b| b.max_t() >= t0 && b.min_t() < t1)
+            .map(|b| match b.cell_range(t0, t1) {
+                Some(_) if hourly => b.rollup_bytes() / CELL_BYTES,
+                _ => b.len(),
+            })
+            .sum();
+        sealed + self.head_t.len()
     }
 
     /// Stream every stored point to `f`, in timestamp order.
@@ -946,6 +1147,53 @@ mod tests {
     }
 
     #[test]
+    fn rollup_rides_behind_the_columns() {
+        // A full block at the paper's cadence touches 86 hours.
+        let ts: Vec<u64> = (0..512).map(|i| 1_450_000_000 + 600 * i).collect();
+        let vs: Vec<f64> = (0..512).map(|i| (i % 97) as f64).collect();
+        let block = SealedBlock::encode(&ts, &vs);
+        assert_eq!(block.rollup_bytes(), 86 * CELL_BYTES);
+        assert!(block.rollup_bytes() <= 900);
+        // The persisted parts are the two columns and nothing else.
+        assert_eq!(
+            block.ts_col().len() + block.vs_col().len(),
+            block.encoded_bytes()
+        );
+        assert!(block.vs_col().ends_with(&[0u8; XOR_PAD]));
+        let mut cells = Vec::new();
+        block.for_each_cell_in(0, u64::MAX, |t, sum, n| cells.push((t, sum, n)));
+        assert_eq!(cells.len(), 86);
+        assert_eq!(cells.iter().map(|c| c.2).sum::<u32>(), 512);
+        // 1_450_000_000 is 2800 s past the hour: two samples land in
+        // the first cell.
+        assert_eq!(cells[0], (1_449_997_200, 0.0 + 1.0, 2));
+        // Cells outside the asked hours are skipped by index.
+        let h0 = 1_450_000_000 / ROLLUP_SECS + 10;
+        let mut some = Vec::new();
+        block.for_each_cell_in(h0, h0 + 3, |t, _, _| some.push(t / ROLLUP_SECS));
+        assert_eq!(some, vec![h0, h0 + 1, h0 + 2]);
+    }
+
+    #[test]
+    fn blocks_that_cannot_be_served_by_hours_get_no_rollup() {
+        let vs = vec![1.0f64; SEAL_THRESHOLD + 1];
+        let oversize: Vec<u64> = (0..=SEAL_THRESHOLD as u64).map(|i| i * 600).collect();
+        assert_eq!(SealedBlock::encode(&oversize, &vs).rollup_bytes(), 0);
+        let unsorted = [7200u64, 3600, 10_800];
+        assert_eq!(SealedBlock::encode(&unsorted, &vs).rollup_bytes(), 0);
+        // Two points nine hours apart: ten cells for two points.
+        let sparse = [0u64, 9 * ROLLUP_SECS];
+        assert_eq!(SealedBlock::encode(&sparse, &vs).rollup_bytes(), 0);
+        let dense_enough = [0u64, 7 * ROLLUP_SECS];
+        assert_eq!(
+            SealedBlock::encode(&dense_enough, &vs).rollup_bytes(),
+            8 * CELL_BYTES
+        );
+        assert_eq!(SealedBlock::encode(&[], &[]).rollup_bytes(), 0);
+        assert_eq!(SealedBlock::default().rollup_bytes(), 0);
+    }
+
+    #[test]
     fn seal_threshold_rolls_blocks() {
         let mut s = SeriesBlocks::new();
         for i in 0..(SEAL_THRESHOLD as u64 * 2 + 10) {
@@ -1027,6 +1275,46 @@ mod tests {
                 prop_assert_eq!(&got, &want);
                 let cur: Vec<(u64, f64)> = s.cursor_in(t0, t1).collect();
                 prop_assert_eq!(&cur, &want);
+            }
+        }
+
+        /// The rollup is a pure function of the points: a block
+        /// reassembled from its persisted parts carries byte for byte
+        /// the cells it was sealed with, and each cell is its hour's
+        /// values summed in time order.
+        #[test]
+        fn rollup_is_rebuilt_identically_from_parts(
+            steps in proptest::collection::vec(0u64..5000, 1..600),
+            vs in proptest::collection::vec(-1e9f64..1e9, 600)
+        ) {
+            let mut t = 1_450_000_000u64;
+            let ts: Vec<u64> = steps.iter().map(|s| { t += s; t }).collect();
+            let vs = &vs[..ts.len()];
+            let block = SealedBlock::encode(&ts, vs);
+            let rebuilt = SealedBlock::from_parts(
+                block.len(), block.min_t(), block.max_t(), block.ts_col(), block.vs_col());
+            prop_assert_eq!(rebuilt.cells(), block.cells());
+            prop_assert_eq!(rebuilt.ts_col(), block.ts_col());
+            prop_assert_eq!(rebuilt.vs_col(), block.vs_col());
+            prop_assert_eq!(block.rollup_bytes() > 0, ts.len() <= SEAL_THRESHOLD);
+
+            let mut want: Vec<(u64, u64, u32)> = Vec::new();
+            for (&t, &v) in ts.iter().zip(vs) {
+                let hour = t / ROLLUP_SECS * ROLLUP_SECS;
+                match want.last_mut() {
+                    Some(c) if c.0 == hour => {
+                        c.1 = (f64::from_bits(c.1) + v).to_bits();
+                        c.2 += 1;
+                    }
+                    _ => want.push((hour, (0.0 + v).to_bits(), 1)),
+                }
+            }
+            let mut got = Vec::new();
+            rebuilt.for_each_cell_in(0, u64::MAX, |t, sum, n| got.push((t, sum.to_bits(), n)));
+            if block.rollup_bytes() > 0 {
+                prop_assert_eq!(got, want);
+            } else {
+                prop_assert!(got.is_empty());
             }
         }
 

@@ -23,7 +23,9 @@ use tacc_stats::portal::fused::{self, FusedScratch, PanelCfg, PANELS};
 use tacc_stats::portal::hist::FIG4_PANELS;
 use tacc_stats::portal::{QueryCache, SearchSpec};
 use tacc_stats::simnode::intern::Sym;
-use tacc_stats::tsdb::{DurOptions, MemVfs, SeriesKey, TagFilter, TsDb};
+use tacc_stats::tsdb::{
+    Aggregation, DataPoint, DurOptions, MemVfs, SeriesKey, TagFilter, TsDb, SEAL_THRESHOLD,
+};
 
 thread_local! {
     /// Allocation events (allocs and reallocs) made by this thread.
@@ -228,25 +230,31 @@ fn read_week(db: &TsDb, keys: &[SeriesKey]) -> ((u64, f64), u64) {
     (seen, n)
 }
 
-#[test]
-fn sealed_block_reads_do_not_allocate_in_memory_or_recovered() {
-    const SHARDS: usize = 4;
-    let mem = TsDb::with_shards(SHARDS);
+/// The fortnight in an in-memory store, and in one rebuilt by
+/// `TsDb::recover` from the files a durable twin left behind.
+fn fortnight_in_memory_and_recovered(shards: usize) -> (TsDb, TsDb) {
+    let mem = TsDb::with_shards(shards);
     fortnight(&mem);
-    let keys = mem.keys(&TagFilter::any());
-    assert_eq!(keys.len(), 8);
 
     let vfs = Arc::new(MemVfs::new());
     let (durable, _) =
-        TsDb::recover(vfs.clone(), SHARDS, DurOptions::default()).expect("fresh store");
+        TsDb::recover(vfs.clone(), shards, DurOptions::default()).expect("fresh store");
     fortnight(&durable);
     durable.flush().expect("clean flush");
     drop(durable);
     let (recovered, report) =
-        TsDb::recover(Arc::new(vfs.crash_image()), SHARDS, DurOptions::default())
+        TsDb::recover(Arc::new(vfs.crash_image()), shards, DurOptions::default())
             .expect("recovers");
     assert!(report.balances(), "conservation accounting must balance");
     assert_eq!(recovered.n_points(), mem.n_points(), "nothing was lost");
+    (mem, recovered)
+}
+
+#[test]
+fn sealed_block_reads_do_not_allocate_in_memory_or_recovered() {
+    let (mem, recovered) = fortnight_in_memory_and_recovered(4);
+    let keys = mem.keys(&TagFilter::any());
+    assert_eq!(keys.len(), 8);
 
     // The first pass warms whatever a read may lazily set up.
     let (expect, _) = read_week(&mem, &keys);
@@ -261,4 +269,51 @@ fn sealed_block_reads_do_not_allocate_in_memory_or_recovered() {
         (expect, 0),
         "range_for_each, store rebuilt by TsDb::recover"
     );
+}
+
+/// One hour-aligned `Sum` over the fortnight, and what it allocated.
+fn hourly_sum(db: &TsDb) -> (Vec<DataPoint>, u64) {
+    let f = TagFilter::any().event("md_reqs");
+    let mut out = Vec::new();
+    let n = allocs_in(|| out = db.aggregate(&f, Aggregation::Sum, 0, 14 * 86_400, 3600));
+    (out, n)
+}
+
+#[test]
+fn hourly_aggregate_over_sealed_blocks_allocates_its_buckets_only() {
+    let (mem, recovered) = fortnight_in_memory_and_recovered(4);
+    assert!(mem.n_sealed_blocks() >= 24, "the window is mostly sealed");
+    assert_eq!(recovered.n_sealed_blocks(), mem.n_sealed_blocks());
+    let (want, n) = hourly_sum(&mem);
+    assert_eq!(want.len(), 14 * 24);
+    // Six samples an hour on each of two hosts.
+    let total: f64 = want.iter().map(|p| p.v).sum();
+    let expect: f64 = (0..14 * 144u64)
+        .map(|i| 2.0 * (3.0 * (i % 144) as f64 + 0.25) + 300.0)
+        .sum();
+    assert_eq!(total, expect);
+    assert_eq!(n, 1, "aggregate from rollups, in-memory store");
+    let (got, n) = hourly_sum(&recovered);
+    assert_eq!(got, want, "rollups rebuilt at recovery are the sealed ones");
+    assert_eq!(
+        n, 1,
+        "aggregate from rollups, store rebuilt by TsDb::recover"
+    );
+}
+
+#[test]
+fn a_seal_allocates_the_block_and_nothing_else() {
+    // The first seal grows the shard's encode scratch and the series'
+    // block list; the second is the steady state.
+    let n_pts = 2 * SEAL_THRESHOLD as u64;
+    let db = TsDb::with_shards(1);
+    let key = SeriesKey::new("c401-0000", "job", "table1", "gflops");
+    for i in 0..n_pts - 1 {
+        db.insert(key.clone(), i * 600, (i % 7) as f64);
+    }
+    assert_eq!(db.n_sealed_blocks(), 1);
+    let sealing = key.clone();
+    let n = allocs_in(|| db.insert(sealing, (n_pts - 1) * 600, 1.0));
+    assert_eq!(db.n_sealed_blocks(), 2);
+    assert_eq!(n, 1, "columns and rollup share the block's one buffer");
 }

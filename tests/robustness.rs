@@ -259,7 +259,7 @@ proptest! {
 mod durable_tsdb {
     use super::*;
     use tacc_stats::simnode::faults::DiskFaultPlan;
-    use tacc_stats::tsdb::{DurOptions, MemVfs, SeriesKey, TagFilter, TsDb};
+    use tacc_stats::tsdb::{Aggregation, DurOptions, MemVfs, SeriesKey, TagFilter, TsDb};
 
     const SHARDS: usize = 4;
 
@@ -292,11 +292,16 @@ mod durable_tsdb {
     /// faults are absorbed and ingest continues (the degraded-disk
     /// model). Returns points applied in memory.
     fn ingest(db: &TsDb, per_series: usize, stop_on_error: bool) -> u64 {
+        ingest_every(db, per_series, 7, stop_on_error)
+    }
+
+    /// [`ingest`] at a cadence of `step` seconds.
+    fn ingest_every(db: &TsDb, per_series: usize, step: u64, stop_on_error: bool) -> u64 {
         let keys = keys();
         let mut applied = 0;
         'outer: for p in 0..per_series {
             for (ki, k) in keys.iter().enumerate() {
-                let r = db.try_insert(k.clone(), (p as u64) * 7 + 3, (p * 13 + ki) as f64);
+                let r = db.try_insert(k.clone(), (p as u64) * step + 3, (p * 13 + ki) as f64);
                 applied += 1;
                 if r.is_err() && stop_on_error {
                     break 'outer;
@@ -379,6 +384,50 @@ mod durable_tsdb {
                 "power-loss@{kill_at}: lost {lost} > {} shards x sync_every {sync_every}",
                 SHARDS
             );
+        }
+
+        /// Rollups are derived, never persisted: after a kill at any
+        /// offset, `aggregate` over the recovered store — whose blocks
+        /// had their hour cells rebuilt by decoding — equals
+        /// `aggregate` over an in-memory store fed exactly the
+        /// surviving prefix, which built its cells at seal.
+        #[test]
+        fn aggregate_after_kill_equals_aggregate_of_surviving_prefix(seed in any::<u64>()) {
+            // Long enough for every series to seal a block at the
+            // paper's cadence, with a compaction threshold the
+            // re-logged heads (≈ 23 B a point) stay under.
+            let per_series = 700;
+            let o = DurOptions { sync_every: 1 + seed % 64, compact_wal_bytes: 100_000 };
+            let reference = TsDb::with_shards(SHARDS);
+            ingest_every(&reference, per_series, 600, false);
+
+            let kill_at = (seed >> 8) % 220_000;
+            let vfs = Arc::new(MemVfs::with_faults(DiskFaultPlan::kill_at(kill_at)));
+            if let Ok((db, _)) = TsDb::recover(vfs.clone(), SHARDS, o) {
+                ingest_every(&db, per_series, 600, true);
+            }
+            let img = Arc::new(vfs.crash_image_dropping_unsynced((seed % 29) as usize));
+            let (back, report) = TsDb::recover(img, SHARDS, o).unwrap();
+            prop_assert!(report.balances(), "kill@{kill_at}: {report:?}");
+            assert_prefix_of(&back, &reference);
+
+            let prefix = TsDb::with_shards(SHARDS);
+            for k in back.keys(&TagFilter::any()) {
+                for p in back.range(&k, 0, u64::MAX) {
+                    prefix.insert(k.clone(), p.t, p.v);
+                }
+            }
+            let f = TagFilter::any().dev_type("llite");
+            for agg in [Aggregation::Sum, Aggregation::Avg, Aggregation::Max] {
+                for (t0, t1) in [(0, u64::MAX), (7200, 250_000), (3600, 36_000)] {
+                    // Integer values: exact whatever the block layout.
+                    prop_assert_eq!(
+                        back.aggregate(&f, agg, t0, t1, 3600),
+                        prefix.aggregate(&f, agg, t0, t1, 3600),
+                        "kill@{}: {:?} [{}, {})", kill_at, agg, t0, t1
+                    );
+                }
+            }
         }
 
         /// A hostile-but-alive disk (scattered short writes and fsync
