@@ -2,20 +2,34 @@
 //!
 //! Node state is behind `parking_lot::RwLock`s so the collector threads
 //! (one per node in daemon mode) and the workload driver can run
-//! concurrently, as they do on a real system. Advancing the whole cluster
-//! fans out across threads with crossbeam's scoped threads.
+//! concurrently, as they do on a real system. Advancing a cluster large
+//! enough to pay for threads fans out with crossbeam's scoped threads.
 
 use crate::clock::{SimClock, SimDuration};
 use crate::node::SimNode;
 use crate::topology::NodeTopology;
 use crate::workload::NodeDemand;
 use parking_lot::RwLock;
+use std::num::NonZeroUsize;
 use std::sync::Arc;
+
+/// Fewest nodes a worker thread of [`SimCluster::advance_all`] is given.
+/// A busy Stampede node-step costs 2.5–2.9 µs in-fleet (the benchmark's
+/// `simnode.advance.ns_per_node_step`), so 200 nodes are ≈ 0.5 ms of
+/// work — enough to amortise spawning and joining a thread (tens of µs).
+/// Below it the cluster advances inline; a 64-node cluster always does.
+/// Node-steps are independent, so the gate moves wall time only, never a
+/// counter.
+const PAR_MIN_NODES_PER_WORKER: usize = 200;
 
 /// A collection of simulated nodes sharing a [`SimClock`].
 pub struct SimCluster {
     clock: SimClock,
     nodes: Vec<Arc<RwLock<SimNode>>>,
+    /// Threads `advance_all` may fan out over: the host's parallelism
+    /// (4 if unknown), asked once at construction rather than on every
+    /// call (the query reads cgroup files, ≈ 12–16 µs).
+    workers: usize,
 }
 
 impl SimCluster {
@@ -27,14 +41,9 @@ impl SimCluster {
         topology: NodeTopology,
     ) -> SimCluster {
         let nodes = (0..n)
-            .map(|i| {
-                Arc::new(RwLock::new(SimNode::new(
-                    format!("{prefix}-{i:04}"),
-                    topology.clone(),
-                )))
-            })
+            .map(|i| SimNode::new(format!("{prefix}-{i:04}"), topology.clone()))
             .collect();
-        SimCluster { clock, nodes }
+        SimCluster::from_nodes(clock, nodes)
     }
 
     /// Build a cluster from explicit nodes.
@@ -45,6 +54,7 @@ impl SimCluster {
                 .into_iter()
                 .map(|n| Arc::new(RwLock::new(n)))
                 .collect(),
+            workers: std::thread::available_parallelism().map_or(4, NonZeroUsize::get),
         }
     }
 
@@ -83,39 +93,37 @@ impl SimCluster {
 
     /// Advance every node by `dt` using per-node demands supplied by
     /// `demand_of` (node index → demand; `None` means idle), then advance
-    /// the shared clock. Fans out over worker threads for large clusters.
+    /// the shared clock. Fans out over worker threads only when each gets
+    /// at least `PAR_MIN_NODES_PER_WORKER` nodes; a worker's panic is
+    /// re-raised here.
     pub fn advance_all<F>(&self, dt: SimDuration, demand_of: F)
     where
         F: Fn(usize) -> Option<NodeDemand> + Sync,
     {
-        let n_workers = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(4)
-            .min(self.nodes.len().max(1));
-        if self.nodes.len() < 32 || n_workers == 1 {
+        let advance_chunk = |first: usize, nodes: &[Arc<RwLock<SimNode>>]| {
             let idle = NodeDemand::idle();
-            for (i, node) in self.nodes.iter().enumerate() {
+            for (i, node) in (first..).zip(nodes) {
                 let d = demand_of(i);
                 // lock-order: class=SimCluster.nodes
                 node.write().advance(dt, d.as_ref().unwrap_or(&idle));
             }
+        };
+        let workers = self
+            .workers
+            .min(self.nodes.len() / PAR_MIN_NODES_PER_WORKER);
+        if workers <= 1 {
+            advance_chunk(0, &self.nodes);
         } else {
-            let chunk = self.nodes.len().div_ceil(n_workers);
-            crossbeam::thread::scope(|s| {
+            let chunk = self.nodes.len().div_ceil(workers);
+            let scoped = crossbeam::thread::scope(|s| {
                 for (w, nodes) in self.nodes.chunks(chunk).enumerate() {
-                    let demand_of = &demand_of;
-                    s.spawn(move |_| {
-                        let idle = NodeDemand::idle();
-                        for (j, node) in nodes.iter().enumerate() {
-                            let i = w * chunk + j;
-                            let d = demand_of(i);
-                            // lock-order: class=SimCluster.nodes
-                            node.write().advance(dt, d.as_ref().unwrap_or(&idle));
-                        }
-                    });
+                    let advance_chunk = &advance_chunk;
+                    s.spawn(move |_| advance_chunk(w * chunk, nodes));
                 }
-            })
-            .expect("cluster advance worker panicked");
+            });
+            if let Err(panic) = scoped {
+                std::panic::resume_unwind(panic);
+            }
         }
         self.clock.advance(dt);
     }
@@ -165,9 +173,11 @@ mod tests {
 
     #[test]
     fn parallel_advance_matches_serial() {
-        // 64 nodes triggers the threaded path; totals must match the
+        // Past the gate at two workers (on any host), so the threaded
+        // path runs, with a ragged last chunk; totals must match the
         // serial result exactly (demands are pure).
-        let mk = || SimCluster::homogeneous(SimClock::new(), "c", 64, NodeTopology::stampede());
+        let n = 2 * PAR_MIN_NODES_PER_WORKER + 3;
+        let mk = || SimCluster::homogeneous(SimClock::new(), "c", n, NodeTopology::stampede());
         let busy = |i: usize| {
             Some(NodeDemand {
                 active_cores: 16,
@@ -175,7 +185,8 @@ mod tests {
                 ..NodeDemand::idle()
             })
         };
-        let par = mk();
+        let mut par = mk();
+        par.workers = 2;
         par.advance_all(SimDuration::from_secs(600), busy);
         let ser = mk();
         {
@@ -187,10 +198,14 @@ mod tests {
                 );
             }
         }
-        for i in 0..64 {
-            let a = par.node(i).read().devices(DeviceType::Cpustat)[0].read_all();
-            let b = ser.node(i).read().devices(DeviceType::Cpustat)[0].read_all();
-            assert_eq!(a, b, "node {i}");
+        for i in 0..n {
+            for dt in [DeviceType::Cpu, DeviceType::Cpustat, DeviceType::Rapl] {
+                let (p, s) = (par.node(i), ser.node(i));
+                let (p, s) = (p.read(), s.read());
+                for (a, b) in p.devices(dt).iter().zip(s.devices(dt)) {
+                    assert_eq!(a.totals(), b.totals(), "node {i} {dt}");
+                }
+            }
         }
     }
 }

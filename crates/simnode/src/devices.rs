@@ -5,6 +5,12 @@
 //! vector of fixed-width [`Counter`]s matching the device type's
 //! [`Schema`]. Workload models add *fractional* event amounts each
 //! simulation step; [`FracAccum`]s keep long-run totals exact.
+//!
+//! The workload model writes registers by schema position
+//! ([`SimDevice::add_at`], [`SimDevice::set_gauge_at`] with the
+//! [`crate::schema::pos`] constants): no name lookup, no allocation. The
+//! by-name [`SimDevice::add`] / [`SimDevice::set_gauge`] wrap them for
+//! tests and fault injection, and keep their programming-error panics.
 
 use crate::counter::{Counter, FracAccum};
 use crate::schema::{DeviceType, EventKind, Schema};
@@ -26,6 +32,7 @@ pub struct SimDevice {
 
 impl SimDevice {
     /// New device instance with all counters zeroed.
+    // alloc: cold-fn (construction: the schema, registers and name are built once per instance)
     pub fn new(dev_type: DeviceType, instance: impl Into<String>, arch: CpuArch) -> Self {
         let schema = dev_type.schema(arch);
         let counters = schema
@@ -61,6 +68,41 @@ impl SimDevice {
         self.frozen
     }
 
+    /// Add a fractional amount of events to the event at schema position
+    /// `idx` (a [`crate::schema::pos`] constant). A frozen device ignores
+    /// it; so does a position past the schema, which debug builds reject.
+    pub fn add_at(&mut self, idx: usize, amount: f64) {
+        debug_assert!(
+            idx < self.counters.len(),
+            "{}: no event {idx}",
+            self.dev_type
+        );
+        if self.frozen {
+            return;
+        }
+        if let (Some(frac), Some(counter)) = (self.fracs.get_mut(idx), self.counters.get_mut(idx)) {
+            counter.add(frac.step(amount));
+        }
+    }
+
+    /// Set the gauge at schema position `idx` to an absolute value. A
+    /// frozen device keeps its last value; debug builds reject a position
+    /// that is not a gauge.
+    pub fn set_gauge_at(&mut self, idx: usize, value: u64) {
+        debug_assert!(
+            self.schema.events.get(idx).map(|e| e.kind) == Some(EventKind::Gauge),
+            "{}: event {idx} is not a gauge",
+            self.dev_type
+        );
+        if self.frozen {
+            return;
+        }
+        if let Some(counter) = self.counters.get_mut(idx) {
+            counter.reset();
+            counter.add(value);
+        }
+    }
+
     /// Add a fractional amount of events to the named event. Panics if the
     /// event does not exist (a programming error in the workload model).
     pub fn add(&mut self, event: &str, amount: f64) {
@@ -71,8 +113,7 @@ impl SimDevice {
             .schema
             .index_of(event)
             .unwrap_or_else(|| panic!("{}: no event {event}", self.dev_type));
-        let whole = self.fracs[idx].step(amount);
-        self.counters[idx].add(whole);
+        self.add_at(idx, amount);
     }
 
     /// Set a gauge event to an absolute value. Panics if the event is a
@@ -83,20 +124,17 @@ impl SimDevice {
             .index_of(event)
             .unwrap_or_else(|| panic!("{}: no event {event}", self.dev_type));
         assert_eq!(
-            self.schema.events[idx].kind,
-            EventKind::Gauge,
+            self.schema.events.get(idx).map(|e| e.kind),
+            Some(EventKind::Gauge),
             "{}.{event} is not a gauge",
             self.dev_type
         );
-        if self.frozen {
-            return;
-        }
-        self.counters[idx].reset();
-        self.counters[idx].add(value);
+        self.set_gauge_at(idx, value);
     }
 
     /// Read all registers, truncated to their widths — what the collector
     /// sees.
+    // alloc: cold-fn (owned copy for tests and one-off reads; collectors use read_at)
     pub fn read_all(&self) -> Vec<u64> {
         self.counters.iter().map(Counter::read).collect()
     }
@@ -112,6 +150,7 @@ impl SimDevice {
     }
 
     /// Full-precision ground-truth totals (test oracle).
+    // alloc: cold-fn (test oracle: an owned copy of the totals)
     pub fn totals(&self) -> Vec<u64> {
         self.counters.iter().map(Counter::total).collect()
     }

@@ -9,14 +9,21 @@
 //! binary MSR reads ([`SimNode::read_msr`]), PCI-config-space uncore
 //! counter reads ([`SimNode::read_pci_counter`]), and — through
 //! [`crate::pseudofs`] — procfs/sysfs-style text files.
+//!
+//! Device instances live in a table indexed by the [`DeviceType`]
+//! discriminant (absent hardware is an empty `Vec`), and `advance` writes
+//! registers by schema position ([`crate::schema::pos`]): a step is
+//! arithmetic over registers, with no name lookup and no allocation.
 
 use crate::devices::SimDevice;
 use crate::faults::{ReadFault, ReadFaultMode};
-use crate::schema::DeviceType;
+use crate::schema::pos::{
+    cbo, cpu, cpustat, ib, imc, llite, lnet, mdc, mem, mic, net, osc, qpi, rapl,
+};
+use crate::schema::{has_cache_hit_events, DeviceType};
 use crate::topology::NodeTopology;
 use crate::workload::NodeDemand;
 use crate::SimDuration;
-use std::collections::BTreeMap;
 
 /// MSR address of IA32_FIXED_CTR0 (instructions retired).
 pub const MSR_FIXED_CTR0: u32 = 0x309;
@@ -88,7 +95,8 @@ pub struct SimNode {
     pub hostname: String,
     /// Hardware layout.
     pub topology: NodeTopology,
-    devices: BTreeMap<DeviceType, Vec<SimDevice>>,
+    /// Instances per device type, indexed by `dt as usize`.
+    devices: [Vec<SimDevice>; DeviceType::COUNT],
     processes: Vec<ProcessInfo>,
     next_pid: u32,
     crashed: bool,
@@ -96,70 +104,43 @@ pub struct SimNode {
     read_faults: Vec<ReadFault>,
 }
 
+/// The instances of `dt` a node of `topology` carries — none when the
+/// hardware is absent (no RAPL before Sandy Bridge, no IB, Lustre or Phi).
+// alloc: cold-fn (node construction)
+fn instances(dt: DeviceType, topology: &NodeTopology) -> Vec<SimDevice> {
+    let arch = topology.arch;
+    let numbered = |n: usize| -> Vec<SimDevice> {
+        (0..n)
+            .map(|i| SimDevice::new(dt, i.to_string(), arch))
+            .collect()
+    };
+    let lustre = &topology.lustre_filesystems;
+    match dt {
+        DeviceType::Cpu | DeviceType::Cpustat => numbered(topology.n_cpus()),
+        DeviceType::Imc | DeviceType::Qpi | DeviceType::Cbo | DeviceType::Mem => {
+            numbered(topology.sockets)
+        }
+        DeviceType::Rapl if arch.has_rapl() => numbered(topology.sockets),
+        DeviceType::Ib if topology.has_infiniband => vec![SimDevice::new(dt, "mlx4_0/1", arch)],
+        DeviceType::Net => vec![SimDevice::new(dt, "eth0", arch)],
+        DeviceType::Llite | DeviceType::Mdc | DeviceType::Osc => lustre
+            .iter()
+            .map(|fs| SimDevice::new(dt, fs.as_str(), arch))
+            .collect(),
+        DeviceType::Lnet if !lustre.is_empty() => vec![SimDevice::new(dt, "lnet", arch)],
+        DeviceType::Mic => (0..topology.mic_cards)
+            .map(|i| SimDevice::new(dt, format!("mic{i}"), arch))
+            .collect(),
+        DeviceType::Rapl | DeviceType::Ib | DeviceType::Lnet | DeviceType::Ps => Vec::new(),
+    }
+}
+
 impl SimNode {
     /// Build a node with all devices implied by its topology.
+    // alloc: cold-fn (node construction)
     pub fn new(hostname: impl Into<String>, topology: NodeTopology) -> Self {
-        let arch = topology.arch;
-        let mut devices: BTreeMap<DeviceType, Vec<SimDevice>> = BTreeMap::new();
-        let per_cpu = |dt: DeviceType| -> Vec<SimDevice> {
-            (0..topology.n_cpus())
-                .map(|c| SimDevice::new(dt, c.to_string(), arch))
-                .collect()
-        };
-        let per_socket = |dt: DeviceType| -> Vec<SimDevice> {
-            (0..topology.sockets)
-                .map(|s| SimDevice::new(dt, s.to_string(), arch))
-                .collect()
-        };
-        devices.insert(DeviceType::Cpu, per_cpu(DeviceType::Cpu));
-        devices.insert(DeviceType::Cpustat, per_cpu(DeviceType::Cpustat));
-        devices.insert(DeviceType::Imc, per_socket(DeviceType::Imc));
-        devices.insert(DeviceType::Qpi, per_socket(DeviceType::Qpi));
-        devices.insert(DeviceType::Cbo, per_socket(DeviceType::Cbo));
-        if arch.has_rapl() {
-            devices.insert(DeviceType::Rapl, per_socket(DeviceType::Rapl));
-        }
-        let mut mems = per_socket(DeviceType::Mem);
-        let mem_per_socket_kib = topology.memory_bytes / 1024 / topology.sockets as u64;
-        for m in &mut mems {
-            m.set_gauge("MemTotal", mem_per_socket_kib);
-        }
-        devices.insert(DeviceType::Mem, mems);
-        if topology.has_infiniband {
-            devices.insert(
-                DeviceType::Ib,
-                vec![SimDevice::new(DeviceType::Ib, "mlx4_0/1", arch)],
-            );
-        }
-        devices.insert(
-            DeviceType::Net,
-            vec![SimDevice::new(DeviceType::Net, "eth0", arch)],
-        );
-        if !topology.lustre_filesystems.is_empty() {
-            let per_fs = |dt: DeviceType| -> Vec<SimDevice> {
-                topology
-                    .lustre_filesystems
-                    .iter()
-                    .map(|fs| SimDevice::new(dt, fs.clone(), arch))
-                    .collect()
-            };
-            devices.insert(DeviceType::Llite, per_fs(DeviceType::Llite));
-            devices.insert(DeviceType::Mdc, per_fs(DeviceType::Mdc));
-            devices.insert(DeviceType::Osc, per_fs(DeviceType::Osc));
-            devices.insert(
-                DeviceType::Lnet,
-                vec![SimDevice::new(DeviceType::Lnet, "lnet", arch)],
-            );
-        }
-        if topology.mic_cards > 0 {
-            devices.insert(
-                DeviceType::Mic,
-                (0..topology.mic_cards)
-                    .map(|i| SimDevice::new(DeviceType::Mic, format!("mic{i}"), arch))
-                    .collect(),
-            );
-        }
-        SimNode {
+        let devices = DeviceType::ALL.map(|dt| instances(dt, &topology));
+        let mut node = SimNode {
             hostname: hostname.into(),
             topology,
             devices,
@@ -168,13 +149,26 @@ impl SimNode {
             crashed: false,
             boot_count: 1,
             read_faults: Vec::new(),
-        }
+        };
+        node.set_mem_total();
+        node
     }
 
     /// Device instances of a type (empty slice if the hardware is absent —
     /// e.g. no Lustre mounts, no Phi, no IB).
     pub fn devices(&self, dt: DeviceType) -> &[SimDevice] {
-        self.devices.get(&dt).map(Vec::as_slice).unwrap_or(&[])
+        self.devices.get(dt as usize).map_or(&[], Vec::as_slice)
+    }
+
+    /// The `MemTotal` gauge of every NUMA node: installed memory split
+    /// evenly over the sockets.
+    fn set_mem_total(&mut self) {
+        let per_socket_kib = self.topology.memory_bytes / 1024 / self.topology.sockets as u64;
+        if let Some(mems) = self.devices.get_mut(DeviceType::Mem as usize) {
+            for m in mems {
+                m.set_gauge_at(mem::MEM_TOTAL, per_socket_kib);
+            }
+        }
     }
 
     /// Current process table.
@@ -202,23 +196,17 @@ impl SimNode {
     /// Reboot after a crash: all counters reset to zero (as real hardware
     /// counters do), the process table empties.
     pub fn reboot(&mut self) {
-        for devs in self.devices.values_mut() {
-            for d in devs {
-                d.reset();
-            }
+        for d in self.devices.iter_mut().flatten() {
+            d.reset();
         }
-        let mem_per_socket_kib = self.topology.memory_bytes / 1024 / self.topology.sockets as u64;
-        if let Some(mems) = self.devices.get_mut(&DeviceType::Mem) {
-            for m in mems {
-                m.set_gauge("MemTotal", mem_per_socket_kib);
-            }
-        }
+        self.set_mem_total();
         self.processes.clear();
         self.crashed = false;
         self.boot_count += 1;
     }
 
     /// Spawn an application process; returns its pid.
+    // alloc: cold-fn (a process-table entry, once per job start)
     pub fn spawn_process(&mut self, comm: &str, uid: u32, threads: u32, cpus_allowed: u64) -> u32 {
         let pid = self.next_pid;
         self.next_pid += 1;
@@ -257,13 +245,21 @@ impl SimNode {
     /// Integrate `demand` over `dt`, advancing every counter on the node.
     ///
     /// A crashed node ignores the call.
+    ///
+    /// Every floating-point expression is the one the by-name model
+    /// evaluated, in the same order (`crates/simnode/tests/advance_props.rs`
+    /// holds every register and carry bit-identical to it); an amount the
+    /// same for every instance is computed once, outside its loop.
     pub fn advance(&mut self, dt: SimDuration, demand: &NodeDemand) {
         if self.crashed || dt.is_zero() {
             return;
         }
         let dt_s = dt.as_secs_f64();
-        let topo = self.topology.clone();
+        let topo = &self.topology;
         let arch = topo.arch;
+        // Declaration order of `DeviceType` — the table's index.
+        let [cpus, imcs, qpis, cbos, rapls, cpustats, mems, ibs, nets, llites, mdcs, oscs, lnets, mics, _ps] =
+            &mut self.devices;
 
         let active = demand.active_cores.min(topo.n_cores());
         let user = demand.cpu_user_frac;
@@ -272,7 +268,8 @@ impl SimNode {
 
         // --- Core counters + /proc/stat accounting, per logical CPU ---
         // Active cores are the first `active` physical cores; jobs run one
-        // hardware thread per core (typical HPC pinning).
+        // hardware thread per core (typical HPC pinning), so the active
+        // logical CPUs are exactly CPUs `0..active`.
         let clock = arch.clock_hz() as f64;
         // Cycles accrue whenever the core is busy (user or system); the
         // demanded CPI relates retired instructions to those cycles, so
@@ -294,42 +291,37 @@ impl SimNode {
         };
         let fp_scalar_node = fp_inst_rate * (1.0 - v) * dt_s;
         let fp_vector_node = fp_inst_rate * v * dt_s;
-        {
-            let cpus = self.devices.get_mut(&DeviceType::Cpu).expect("cpu devs");
-            for (c, dev) in cpus.iter_mut().enumerate() {
-                let core_active = topo.core_of_cpu(c) < active && c < topo.n_cores();
-                if !core_active {
-                    continue;
-                }
-                let an = active as f64;
-                dev.add("FIXED_CTR0", inst_per_active_cpu);
-                dev.add("FIXED_CTR1", clock * (user + sys) * dt_s);
-                dev.add("FIXED_CTR2", clock * (user + sys) * dt_s);
-                dev.add("FP_SCALAR", fp_scalar_node / an);
-                dev.add("FP_VECTOR", fp_vector_node / an);
-                let loads = inst_per_active_cpu * demand.loads_per_inst;
-                dev.add("LOAD_ALL", loads);
-                dev.add("LOAD_L1_HIT", loads * demand.l1_hit_frac);
-                if dev.schema().index_of("LOAD_L2_HIT").is_some() {
-                    dev.add("LOAD_L2_HIT", loads * demand.l2_hit_frac);
-                    dev.add("LOAD_LLC_HIT", loads * demand.llc_hit_frac);
-                }
+        let an = active as f64;
+        let fp_scalar_cpu = fp_scalar_node / an;
+        let fp_vector_cpu = fp_vector_node / an;
+        let loads = inst_per_active_cpu * demand.loads_per_inst;
+        let cache_hits = has_cache_hit_events(arch);
+        for dev in cpus.iter_mut().take(active) {
+            dev.add_at(cpu::FIXED_CTR0, inst_per_active_cpu);
+            dev.add_at(cpu::FIXED_CTR1, cycles_per_active_cpu);
+            dev.add_at(cpu::FIXED_CTR2, cycles_per_active_cpu);
+            dev.add_at(cpu::FP_SCALAR, fp_scalar_cpu);
+            dev.add_at(cpu::FP_VECTOR, fp_vector_cpu);
+            dev.add_at(cpu::LOAD_ALL, loads);
+            dev.add_at(cpu::LOAD_L1_HIT, loads * demand.l1_hit_frac);
+            if cache_hits {
+                dev.add_at(cpu::LOAD_L2_HIT, loads * demand.l2_hit_frac);
+                dev.add_at(cpu::LOAD_LLC_HIT, loads * demand.llc_hit_frac);
             }
         }
-        {
-            let stats = self.devices.get_mut(&DeviceType::Cpustat).expect("cpustat");
-            let jiffies = dt_s * 100.0;
-            for (c, dev) in stats.iter_mut().enumerate() {
-                let core_active = topo.core_of_cpu(c) < active && c < topo.n_cores();
-                if core_active {
-                    dev.add("user", jiffies * user);
-                    dev.add("system", jiffies * sys);
-                    dev.add("iowait", jiffies * iow);
-                    dev.add("idle", jiffies * (1.0 - user - sys - iow).max(0.0));
-                } else {
-                    dev.add("system", jiffies * 0.002);
-                    dev.add("idle", jiffies * 0.998);
-                }
+        let jiffies = dt_s * 100.0;
+        let (busy_user, busy_sys, busy_iow) = (jiffies * user, jiffies * sys, jiffies * iow);
+        let busy_idle = jiffies * (1.0 - user - sys - iow).max(0.0);
+        let (idle_sys, idle_idle) = (jiffies * 0.002, jiffies * 0.998);
+        for (c, dev) in cpustats.iter_mut().enumerate() {
+            if c < active {
+                dev.add_at(cpustat::USER, busy_user);
+                dev.add_at(cpustat::SYSTEM, busy_sys);
+                dev.add_at(cpustat::IOWAIT, busy_iow);
+                dev.add_at(cpustat::IDLE, busy_idle);
+            } else {
+                dev.add_at(cpustat::SYSTEM, idle_sys);
+                dev.add_at(cpustat::IDLE, idle_idle);
             }
         }
 
@@ -337,151 +329,121 @@ impl SimNode {
         let sockets = topo.sockets as f64;
         let bytes = demand.mem_bw_bytes_per_sec * dt_s;
         let cas_total = bytes / 64.0; // one CAS per 64 B cache line
-        {
-            let imcs = self.devices.get_mut(&DeviceType::Imc).expect("imc");
-            for dev in imcs.iter_mut() {
-                dev.add("CAS_READS", cas_total * (2.0 / 3.0) / sockets);
-                dev.add("CAS_WRITES", cas_total * (1.0 / 3.0) / sockets);
-                dev.add("CYCLES", clock * dt_s);
-            }
+        let (cas_reads, cas_writes) = (
+            cas_total * (2.0 / 3.0) / sockets,
+            cas_total * (1.0 / 3.0) / sockets,
+        );
+        let uncore_cycles = clock * dt_s;
+        for dev in imcs.iter_mut() {
+            dev.add_at(imc::CAS_READS, cas_reads);
+            dev.add_at(imc::CAS_WRITES, cas_writes);
+            dev.add_at(imc::CYCLES, uncore_cycles);
         }
-        {
-            // Cross-socket traffic modelled as a fixed share of memory
-            // traffic; QPI moves 8-byte flits.
-            let qpis = self.devices.get_mut(&DeviceType::Qpi).expect("qpi");
-            let data_flits = bytes * 0.25 / 8.0 / sockets;
-            for dev in qpis.iter_mut() {
-                dev.add("G0_DATA_FLITS", data_flits);
-                dev.add("G0_NON_DATA_FLITS", data_flits * 0.5);
-            }
+        // Cross-socket traffic modelled as a fixed share of memory
+        // traffic; QPI moves 8-byte flits.
+        let data_flits = bytes * 0.25 / 8.0 / sockets;
+        for dev in qpis.iter_mut() {
+            dev.add_at(qpi::G0_DATA_FLITS, data_flits);
+            dev.add_at(qpi::G0_NON_DATA_FLITS, data_flits * 0.5);
         }
-        {
-            let total_loads = inst_per_active_cpu * demand.loads_per_inst * active as f64;
-            let lookups = total_loads * (1.0 - demand.l1_hit_frac - demand.l2_hit_frac).max(0.0);
-            let hits = total_loads * demand.llc_hit_frac;
-            let cbos = self.devices.get_mut(&DeviceType::Cbo).expect("cbo");
-            for dev in cbos.iter_mut() {
-                dev.add("LLC_LOOKUP", lookups / sockets);
-                dev.add("LLC_MISS", (lookups - hits).max(0.0) / sockets);
-            }
+        let total_loads = inst_per_active_cpu * demand.loads_per_inst * active as f64;
+        let lookups = total_loads * (1.0 - demand.l1_hit_frac - demand.l2_hit_frac).max(0.0);
+        let hits = total_loads * demand.llc_hit_frac;
+        let (llc_lookup, llc_miss) = (lookups / sockets, (lookups - hits).max(0.0) / sockets);
+        for dev in cbos.iter_mut() {
+            dev.add_at(cbo::LLC_LOOKUP, llc_lookup);
+            dev.add_at(cbo::LLC_MISS, llc_miss);
         }
 
-        // --- RAPL energy (per socket) ---
-        if let Some(rapls) = self.devices.get_mut(&DeviceType::Rapl) {
-            // Simple linear power model per socket.
-            let busy = (user + sys) * active as f64 / topo.n_cores() as f64;
-            let pkg_w = 40.0 + 75.0 * busy;
-            let pp0_w = 25.0 + 65.0 * busy;
-            let bw_frac = (demand.mem_bw_bytes_per_sec / 5.0e10).min(1.0);
-            let dram_w = 6.0 + 14.0 * bw_frac;
-            let joules_to_units = 16384.0; // 2^14 units per joule
-            for dev in rapls.iter_mut() {
-                dev.add("MSR_PKG_ENERGY_STATUS", pkg_w * dt_s * joules_to_units);
-                dev.add("MSR_PP0_ENERGY_STATUS", pp0_w * dt_s * joules_to_units);
-                dev.add("MSR_DRAM_ENERGY_STATUS", dram_w * dt_s * joules_to_units);
-            }
+        // --- RAPL energy (per socket): a linear power model ---
+        let busy = (user + sys) * active as f64 / topo.n_cores() as f64;
+        let pkg_w = 40.0 + 75.0 * busy;
+        let pp0_w = 25.0 + 65.0 * busy;
+        let bw_frac = (demand.mem_bw_bytes_per_sec / 5.0e10).min(1.0);
+        let dram_w = 6.0 + 14.0 * bw_frac;
+        let joules_to_units = 16384.0; // 2^14 units per joule
+        for dev in rapls.iter_mut() {
+            dev.add_at(rapl::MSR_PKG_ENERGY_STATUS, pkg_w * dt_s * joules_to_units);
+            dev.add_at(rapl::MSR_PP0_ENERGY_STATUS, pp0_w * dt_s * joules_to_units);
+            dev.add_at(
+                rapl::MSR_DRAM_ENERGY_STATUS,
+                dram_w * dt_s * joules_to_units,
+            );
         }
 
         // --- Memory gauges ---
-        {
-            let used_kib = (demand.mem_used_bytes / 1024).max(512 << 10);
-            let mems = self.devices.get_mut(&DeviceType::Mem).expect("mem");
-            let per_socket = used_kib / topo.sockets as u64;
-            for dev in mems.iter_mut() {
-                dev.set_gauge("MemUsed", per_socket);
-                dev.set_gauge("FilePages", per_socket / 5);
-                dev.set_gauge("AnonPages", per_socket * 7 / 10);
-            }
+        let used_kib = (demand.mem_used_bytes / 1024).max(512 << 10);
+        let per_socket = used_kib / topo.sockets as u64;
+        for dev in mems.iter_mut() {
+            dev.set_gauge_at(mem::MEM_USED, per_socket);
+            dev.set_gauge_at(mem::FILE_PAGES, per_socket / 5);
+            dev.set_gauge_at(mem::ANON_PAGES, per_socket * 7 / 10);
         }
 
         // --- Networks ---
-        if let Some(ibs) = self.devices.get_mut(&DeviceType::Ib) {
-            let ib_bytes = demand.ib_bytes_per_sec * dt_s;
-            let pkts = ib_bytes / demand.ib_pkt_size.max(16.0);
-            for dev in ibs.iter_mut() {
-                // IB data counters count 4-byte words.
-                dev.add("port_xmit_data", ib_bytes / 4.0);
-                dev.add("port_rcv_data", ib_bytes / 4.0);
-                dev.add("port_xmit_pkts", pkts);
-                dev.add("port_rcv_pkts", pkts);
-            }
+        let ib_bytes = demand.ib_bytes_per_sec * dt_s;
+        let pkts = ib_bytes / demand.ib_pkt_size.max(16.0);
+        for dev in ibs.iter_mut() {
+            // IB data counters count 4-byte words.
+            dev.add_at(ib::PORT_XMIT_DATA, ib_bytes / 4.0);
+            dev.add_at(ib::PORT_RCV_DATA, ib_bytes / 4.0);
+            dev.add_at(ib::PORT_XMIT_PKTS, pkts);
+            dev.add_at(ib::PORT_RCV_PKTS, pkts);
         }
-        {
-            let nets = self.devices.get_mut(&DeviceType::Net).expect("net");
-            let gbytes = demand.gige_bytes_per_sec * dt_s;
-            for dev in nets.iter_mut() {
-                dev.add("rx_bytes", gbytes / 2.0);
-                dev.add("tx_bytes", gbytes / 2.0);
-                dev.add("rx_packets", gbytes / 2.0 / 1448.0);
-                dev.add("tx_packets", gbytes / 2.0 / 1448.0);
-            }
+        let gbytes = demand.gige_bytes_per_sec * dt_s;
+        for dev in nets.iter_mut() {
+            dev.add_at(net::RX_BYTES, gbytes / 2.0);
+            dev.add_at(net::TX_BYTES, gbytes / 2.0);
+            dev.add_at(net::RX_PACKETS, gbytes / 2.0 / 1448.0);
+            dev.add_at(net::TX_PACKETS, gbytes / 2.0 / 1448.0);
         }
 
-        // --- Lustre ---
-        let n_fs = self.devices(DeviceType::Llite).len();
+        // --- Lustre: mount i takes demand.lustre[i]; a mount without
+        // demand sees no traffic ---
         let mut lnet_tx = 0.0f64;
         let mut lnet_rx = 0.0f64;
         let mut lnet_msgs = 0.0f64;
-        for fs_idx in 0..n_fs {
-            let ld = match demand.lustre.get(fs_idx) {
-                Some(ld) => ld.clone(),
-                None => continue,
-            };
-            {
-                let llites = self.devices.get_mut(&DeviceType::Llite).expect("llite");
-                let dev = &mut llites[fs_idx];
-                dev.add("read_bytes", ld.read_bytes_per_sec * dt_s);
-                dev.add("write_bytes", ld.write_bytes_per_sec * dt_s);
-                dev.add("open", ld.opens_per_sec * dt_s);
-                dev.add("close", ld.opens_per_sec * dt_s);
-                dev.add("getattr", ld.getattr_per_sec * dt_s);
-                dev.add("statfs", 0.01 * dt_s);
-                dev.add("seek", ld.osc_reqs_per_sec * 0.5 * dt_s);
-                dev.add("fsync", 0.001 * dt_s);
-            }
-            {
-                let mdcs = self.devices.get_mut(&DeviceType::Mdc).expect("mdc");
-                let dev = &mut mdcs[fs_idx];
-                let reqs = ld.mdc_reqs_per_sec * dt_s;
-                dev.add("reqs", reqs);
-                dev.add("wait", reqs * ld.mdc_wait_us);
-            }
-            {
-                let oscs = self.devices.get_mut(&DeviceType::Osc).expect("osc");
-                let dev = &mut oscs[fs_idx];
-                let reqs = ld.osc_reqs_per_sec * dt_s;
-                dev.add("reqs", reqs);
-                dev.add("wait", reqs * ld.osc_wait_us);
-                dev.add("read_bytes", ld.read_bytes_per_sec * dt_s);
-                dev.add("write_bytes", ld.write_bytes_per_sec * dt_s);
-            }
+        let mounts = llites.iter_mut().zip(mdcs.iter_mut()).zip(oscs.iter_mut());
+        for (((client, meta), object), ld) in mounts.zip(&demand.lustre) {
+            client.add_at(llite::READ_BYTES, ld.read_bytes_per_sec * dt_s);
+            client.add_at(llite::WRITE_BYTES, ld.write_bytes_per_sec * dt_s);
+            client.add_at(llite::OPEN, ld.opens_per_sec * dt_s);
+            client.add_at(llite::CLOSE, ld.opens_per_sec * dt_s);
+            client.add_at(llite::GETATTR, ld.getattr_per_sec * dt_s);
+            client.add_at(llite::STATFS, 0.01 * dt_s);
+            client.add_at(llite::SEEK, ld.osc_reqs_per_sec * 0.5 * dt_s);
+            client.add_at(llite::FSYNC, 0.001 * dt_s);
+            let reqs = ld.mdc_reqs_per_sec * dt_s;
+            meta.add_at(mdc::REQS, reqs);
+            meta.add_at(mdc::WAIT, reqs * ld.mdc_wait_us);
+            let reqs = ld.osc_reqs_per_sec * dt_s;
+            object.add_at(osc::REQS, reqs);
+            object.add_at(osc::WAIT, reqs * ld.osc_wait_us);
+            object.add_at(osc::READ_BYTES, ld.read_bytes_per_sec * dt_s);
+            object.add_at(osc::WRITE_BYTES, ld.write_bytes_per_sec * dt_s);
             lnet_tx += ld.write_bytes_per_sec * dt_s;
             lnet_rx += ld.read_bytes_per_sec * dt_s;
             lnet_msgs += (ld.mdc_reqs_per_sec + ld.osc_reqs_per_sec) * dt_s;
         }
-        if let Some(lnets) = self.devices.get_mut(&DeviceType::Lnet) {
-            for dev in lnets.iter_mut() {
-                // Metadata RPCs move small (~1 KiB) messages.
-                dev.add("tx_bytes", lnet_tx + lnet_msgs * 512.0);
-                dev.add("rx_bytes", lnet_rx + lnet_msgs * 512.0);
-                dev.add("tx_msgs", lnet_msgs + (lnet_tx / (1 << 20) as f64));
-                dev.add("rx_msgs", lnet_msgs + (lnet_rx / (1 << 20) as f64));
-            }
+        for dev in lnets.iter_mut() {
+            // Metadata RPCs move small (~1 KiB) messages.
+            dev.add_at(lnet::TX_BYTES, lnet_tx + lnet_msgs * 512.0);
+            dev.add_at(lnet::RX_BYTES, lnet_rx + lnet_msgs * 512.0);
+            dev.add_at(lnet::TX_MSGS, lnet_msgs + (lnet_tx / (1 << 20) as f64));
+            dev.add_at(lnet::RX_MSGS, lnet_msgs + (lnet_rx / (1 << 20) as f64));
         }
 
         // --- Xeon Phi ---
-        if let Some(mics) = self.devices.get_mut(&DeviceType::Mic) {
-            // KNC SE10P: 61 cores × 4 hardware threads = 244 logical CPUs.
-            let mic_cpus = 244.0;
-            let jiffies = dt_s * 100.0 * mic_cpus;
-            for dev in mics.iter_mut() {
-                dev.add("user_sum", jiffies * demand.mic_user_frac);
-                dev.add("sys_sum", jiffies * 0.005);
-                dev.add(
-                    "idle_sum",
-                    jiffies * (1.0 - demand.mic_user_frac - 0.005).max(0.0),
-                );
-            }
+        // KNC SE10P: 61 cores × 4 hardware threads = 244 logical CPUs.
+        let mic_cpus = 244.0;
+        let mic_jiffies = dt_s * 100.0 * mic_cpus;
+        for dev in mics.iter_mut() {
+            dev.add_at(mic::USER_SUM, mic_jiffies * demand.mic_user_frac);
+            dev.add_at(mic::SYS_SUM, mic_jiffies * 0.005);
+            dev.add_at(
+                mic::IDLE_SUM,
+                mic_jiffies * (1.0 - demand.mic_user_frac - 0.005).max(0.0),
+            );
         }
 
         // --- Process table ---
@@ -516,21 +478,23 @@ impl SimNode {
     /// counters are events 0..3 of the `cpu` schema, the programmable
     /// ones follow, the RAPL registers are events 0..3 of `rapl` — so a
     /// read touches exactly one counter.
-    pub fn read_msr(&self, cpu: usize, addr: u32) -> Option<u64> {
-        if self.crashed || cpu >= self.topology.n_cpus() {
+    pub fn read_msr(&self, cpu_id: usize, addr: u32) -> Option<u64> {
+        if self.crashed || cpu_id >= self.topology.n_cpus() {
             return None;
         }
-        let socket = self.topology.socket_of_cpu(cpu);
+        let socket = self.topology.socket_of_cpu(cpu_id);
         let (dt, dev, idx) = match addr {
-            MSR_FIXED_CTR0 => (DeviceType::Cpu, cpu, 0),
-            MSR_FIXED_CTR1 => (DeviceType::Cpu, cpu, 1),
-            MSR_FIXED_CTR2 => (DeviceType::Cpu, cpu, 2),
-            a if (MSR_PMC0..MSR_PMC0 + 8).contains(&a) => {
-                (DeviceType::Cpu, cpu, 3 + (a - MSR_PMC0) as usize)
-            }
-            MSR_PKG_ENERGY_STATUS => (DeviceType::Rapl, socket, 0),
-            MSR_PP0_ENERGY_STATUS => (DeviceType::Rapl, socket, 1),
-            MSR_DRAM_ENERGY_STATUS => (DeviceType::Rapl, socket, 2),
+            MSR_FIXED_CTR0 => (DeviceType::Cpu, cpu_id, cpu::FIXED_CTR0),
+            MSR_FIXED_CTR1 => (DeviceType::Cpu, cpu_id, cpu::FIXED_CTR1),
+            MSR_FIXED_CTR2 => (DeviceType::Cpu, cpu_id, cpu::FIXED_CTR2),
+            a if (MSR_PMC0..MSR_PMC0 + 8).contains(&a) => (
+                DeviceType::Cpu,
+                cpu_id,
+                cpu::FP_SCALAR + (a - MSR_PMC0) as usize,
+            ),
+            MSR_PKG_ENERGY_STATUS => (DeviceType::Rapl, socket, rapl::MSR_PKG_ENERGY_STATUS),
+            MSR_PP0_ENERGY_STATUS => (DeviceType::Rapl, socket, rapl::MSR_PP0_ENERGY_STATUS),
+            MSR_DRAM_ENERGY_STATUS => (DeviceType::Rapl, socket, rapl::MSR_DRAM_ENERGY_STATUS),
             _ => return None,
         };
         self.devices(dt).get(dev)?.read_at(idx)
@@ -553,7 +517,7 @@ impl SimNode {
     /// Direct mutable access to a device (used by tests and failure
     /// injection).
     pub fn device_mut(&mut self, dt: DeviceType, idx: usize) -> Option<&mut SimDevice> {
-        self.devices.get_mut(&dt)?.get_mut(idx)
+        self.devices.get_mut(dt as usize)?.get_mut(idx)
     }
 
     /// Install the set of pseudo-file read faults currently active on
@@ -579,15 +543,15 @@ impl SimNode {
     /// so `"mlx4_0"` freezes the IB port instance `"mlx4_0/1"`. Returns
     /// how many instances changed state.
     pub fn set_frozen(&mut self, dt: DeviceType, instance: &str, frozen: bool) -> usize {
-        let Some(devs) = self.devices.get_mut(&dt) else {
+        let Some(devs) = self.devices.get_mut(dt as usize) else {
             return 0;
         };
         let mut n = 0;
         for d in devs {
-            let matches = d.instance == instance
-                || (d.instance.len() > instance.len()
-                    && d.instance.starts_with(instance)
-                    && d.instance.as_bytes()[instance.len()] == b'/');
+            let matches = d
+                .instance
+                .strip_prefix(instance)
+                .is_some_and(|rest| rest.is_empty() || rest.starts_with('/'));
             if matches {
                 d.set_frozen(frozen);
                 n += 1;
@@ -636,6 +600,17 @@ mod tests {
         assert_eq!(n.devices(DeviceType::Llite).len(), 2);
         assert_eq!(n.devices(DeviceType::Mic).len(), 1);
         assert_eq!(n.devices(DeviceType::Ib).len(), 1);
+    }
+
+    #[test]
+    fn device_table_is_keyed_by_type() {
+        for topo in [NodeTopology::stampede(), NodeTopology::lonestar5()] {
+            let n = SimNode::new("c0-0", topo);
+            for dt in DeviceType::ALL {
+                assert!(n.devices(dt).iter().all(|d| d.dev_type == dt), "{dt}");
+            }
+            assert!(n.devices(DeviceType::Ps).is_empty());
+        }
     }
 
     #[test]

@@ -270,8 +270,13 @@ pub enum DeviceType {
 }
 
 impl DeviceType {
-    /// All device types, in canonical raw-file order.
-    pub const ALL: [DeviceType; 15] = [
+    /// Number of device types: `dt as usize` is below it, so a table
+    /// keyed by device type is an array indexed by the discriminant.
+    pub const COUNT: usize = 15;
+
+    /// All device types, in canonical raw-file order — which is
+    /// declaration order, so `ALL[dt as usize] == dt`.
+    pub const ALL: [DeviceType; DeviceType::COUNT] = [
         DeviceType::Cpu,
         DeviceType::Imc,
         DeviceType::Qpi,
@@ -333,7 +338,7 @@ impl DeviceType {
                     E::counter("LOAD_ALL", Unit::Events, 48),
                     E::counter("LOAD_L1_HIT", Unit::Events, 48),
                 ];
-                if arch.programmable_counters() >= 8 {
+                if has_cache_hit_events(arch) {
                     v.push(E::counter("LOAD_L2_HIT", Unit::Events, 48));
                     v.push(E::counter("LOAD_LLC_HIT", Unit::Events, 48));
                 }
@@ -433,6 +438,177 @@ impl DeviceType {
     }
 }
 
+/// Whether the `cpu` schema of `arch` carries the optional
+/// `LOAD_L2_HIT` / `LOAD_LLC_HIT` events ([`pos::cpu`] positions 7–8):
+/// only with eight programmable counters is there room to program them.
+pub(crate) fn has_cache_hit_events(arch: crate::topology::CpuArch) -> bool {
+    arch.programmable_counters() >= 8
+}
+
+/// Schema positions of every event [`DeviceType::schema`] declares, one
+/// module per device type: `pos::cpu::FP_SCALAR` is
+/// `DeviceType::Cpu.schema(arch).index_of("FP_SCALAR")` on every
+/// architecture (a unit test holds each constant to that). The workload
+/// model addresses registers by these, never by name.
+pub mod pos {
+    /// `cpu`: fixed counters, then the programmable ones.
+    pub mod cpu {
+        /// Instructions retired (IA32_FIXED_CTR0).
+        pub const FIXED_CTR0: usize = 0;
+        /// Core clock cycles (IA32_FIXED_CTR1).
+        pub const FIXED_CTR1: usize = 1;
+        /// Reference cycles (IA32_FIXED_CTR2).
+        pub const FIXED_CTR2: usize = 2;
+        /// Scalar FP instructions (PMC0).
+        pub const FP_SCALAR: usize = 3;
+        /// Vector FP instructions.
+        pub const FP_VECTOR: usize = 4;
+        /// All loads.
+        pub const LOAD_ALL: usize = 5;
+        /// Loads hitting L1.
+        pub const LOAD_L1_HIT: usize = 6;
+        /// Loads hitting L2 — only on eight-counter architectures.
+        pub const LOAD_L2_HIT: usize = 7;
+        /// Loads hitting the LLC — only on eight-counter architectures.
+        pub const LOAD_LLC_HIT: usize = 8;
+    }
+    /// `imc`: integrated memory controller.
+    pub mod imc {
+        /// CAS read commands.
+        pub const CAS_READS: usize = 0;
+        /// CAS write commands.
+        pub const CAS_WRITES: usize = 1;
+        /// Uncore clock cycles.
+        pub const CYCLES: usize = 2;
+    }
+    /// `qpi`: QPI link layer.
+    pub mod qpi {
+        /// Data flits.
+        pub const G0_DATA_FLITS: usize = 0;
+        /// Non-data flits.
+        pub const G0_NON_DATA_FLITS: usize = 1;
+    }
+    /// `cbo`: LLC coherence boxes.
+    pub mod cbo {
+        /// LLC lookups.
+        pub const LLC_LOOKUP: usize = 0;
+        /// LLC misses.
+        pub const LLC_MISS: usize = 1;
+    }
+    /// `rapl`: energy-status registers.
+    pub mod rapl {
+        /// Package energy.
+        pub const MSR_PKG_ENERGY_STATUS: usize = 0;
+        /// Power-plane-0 (cores) energy.
+        pub const MSR_PP0_ENERGY_STATUS: usize = 1;
+        /// DRAM energy.
+        pub const MSR_DRAM_ENERGY_STATUS: usize = 2;
+    }
+    /// `cpustat`: `/proc/stat` time accounting.
+    pub mod cpustat {
+        /// User jiffies.
+        pub const USER: usize = 0;
+        /// Nice jiffies.
+        pub const NICE: usize = 1;
+        /// System jiffies.
+        pub const SYSTEM: usize = 2;
+        /// Idle jiffies.
+        pub const IDLE: usize = 3;
+        /// I/O-wait jiffies.
+        pub const IOWAIT: usize = 4;
+    }
+    /// `mem`: `/proc/meminfo` gauges.
+    pub mod mem {
+        /// Installed memory (KiB).
+        pub const MEM_TOTAL: usize = 0;
+        /// Memory in use (KiB).
+        pub const MEM_USED: usize = 1;
+        /// Page-cache pages (KiB).
+        pub const FILE_PAGES: usize = 2;
+        /// Anonymous pages (KiB).
+        pub const ANON_PAGES: usize = 3;
+    }
+    /// `ib`: Infiniband port counters.
+    pub mod ib {
+        /// Words transmitted.
+        pub const PORT_XMIT_DATA: usize = 0;
+        /// Words received.
+        pub const PORT_RCV_DATA: usize = 1;
+        /// Packets transmitted.
+        pub const PORT_XMIT_PKTS: usize = 2;
+        /// Packets received.
+        pub const PORT_RCV_PKTS: usize = 3;
+    }
+    /// `net`: `/proc/net/dev` counters.
+    pub mod net {
+        /// Bytes received.
+        pub const RX_BYTES: usize = 0;
+        /// Packets received.
+        pub const RX_PACKETS: usize = 1;
+        /// Bytes transmitted.
+        pub const TX_BYTES: usize = 2;
+        /// Packets transmitted.
+        pub const TX_PACKETS: usize = 3;
+    }
+    /// `llite`: Lustre client per-filesystem stats.
+    pub mod llite {
+        /// Bytes read.
+        pub const READ_BYTES: usize = 0;
+        /// Bytes written.
+        pub const WRITE_BYTES: usize = 1;
+        /// Opens.
+        pub const OPEN: usize = 2;
+        /// Closes.
+        pub const CLOSE: usize = 3;
+        /// getattr calls.
+        pub const GETATTR: usize = 4;
+        /// statfs calls.
+        pub const STATFS: usize = 5;
+        /// Seeks.
+        pub const SEEK: usize = 6;
+        /// fsync calls.
+        pub const FSYNC: usize = 7;
+    }
+    /// `mdc`: Lustre metadata client.
+    pub mod mdc {
+        /// Requests.
+        pub const REQS: usize = 0;
+        /// Summed wait (µs).
+        pub const WAIT: usize = 1;
+    }
+    /// `osc`: Lustre object-storage client.
+    pub mod osc {
+        /// Requests.
+        pub const REQS: usize = 0;
+        /// Summed wait (µs).
+        pub const WAIT: usize = 1;
+        /// Bytes read.
+        pub const READ_BYTES: usize = 2;
+        /// Bytes written.
+        pub const WRITE_BYTES: usize = 3;
+    }
+    /// `lnet`: Lustre networking.
+    pub mod lnet {
+        /// Bytes transmitted.
+        pub const TX_BYTES: usize = 0;
+        /// Bytes received.
+        pub const RX_BYTES: usize = 1;
+        /// Messages transmitted.
+        pub const TX_MSGS: usize = 2;
+        /// Messages received.
+        pub const RX_MSGS: usize = 3;
+    }
+    /// `mic`: Xeon Phi utilization.
+    pub mod mic {
+        /// User jiffies summed over the card's CPUs.
+        pub const USER_SUM: usize = 0;
+        /// System jiffies summed over the card's CPUs.
+        pub const SYS_SUM: usize = 1;
+        /// Idle jiffies summed over the card's CPUs.
+        pub const IDLE_SUM: usize = 2;
+    }
+}
+
 impl fmt::Display for DeviceType {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
@@ -460,6 +636,169 @@ mod tests {
                 let rendered = s.render();
                 let parsed = Schema::parse(&rendered).expect("parse");
                 assert_eq!(parsed, s, "schema roundtrip for {d} on {arch:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn all_is_indexed_by_discriminant() {
+        assert_eq!(DeviceType::ALL.len(), DeviceType::COUNT);
+        for (i, d) in DeviceType::ALL.iter().enumerate() {
+            assert_eq!(*d as usize, i, "{d}");
+        }
+    }
+
+    /// Every position constant names its event on every architecture,
+    /// and together they cover every event of every schema they serve.
+    #[test]
+    fn position_constants_match_every_schema() {
+        use pos::*;
+        let table: [(DeviceType, &[(usize, &str)]); 14] = [
+            (
+                DeviceType::Cpu,
+                &[
+                    (cpu::FIXED_CTR0, "FIXED_CTR0"),
+                    (cpu::FIXED_CTR1, "FIXED_CTR1"),
+                    (cpu::FIXED_CTR2, "FIXED_CTR2"),
+                    (cpu::FP_SCALAR, "FP_SCALAR"),
+                    (cpu::FP_VECTOR, "FP_VECTOR"),
+                    (cpu::LOAD_ALL, "LOAD_ALL"),
+                    (cpu::LOAD_L1_HIT, "LOAD_L1_HIT"),
+                    (cpu::LOAD_L2_HIT, "LOAD_L2_HIT"),
+                    (cpu::LOAD_LLC_HIT, "LOAD_LLC_HIT"),
+                ],
+            ),
+            (
+                DeviceType::Imc,
+                &[
+                    (imc::CAS_READS, "CAS_READS"),
+                    (imc::CAS_WRITES, "CAS_WRITES"),
+                    (imc::CYCLES, "CYCLES"),
+                ],
+            ),
+            (
+                DeviceType::Qpi,
+                &[
+                    (qpi::G0_DATA_FLITS, "G0_DATA_FLITS"),
+                    (qpi::G0_NON_DATA_FLITS, "G0_NON_DATA_FLITS"),
+                ],
+            ),
+            (
+                DeviceType::Cbo,
+                &[(cbo::LLC_LOOKUP, "LLC_LOOKUP"), (cbo::LLC_MISS, "LLC_MISS")],
+            ),
+            (
+                DeviceType::Rapl,
+                &[
+                    (rapl::MSR_PKG_ENERGY_STATUS, "MSR_PKG_ENERGY_STATUS"),
+                    (rapl::MSR_PP0_ENERGY_STATUS, "MSR_PP0_ENERGY_STATUS"),
+                    (rapl::MSR_DRAM_ENERGY_STATUS, "MSR_DRAM_ENERGY_STATUS"),
+                ],
+            ),
+            (
+                DeviceType::Cpustat,
+                &[
+                    (cpustat::USER, "user"),
+                    (cpustat::NICE, "nice"),
+                    (cpustat::SYSTEM, "system"),
+                    (cpustat::IDLE, "idle"),
+                    (cpustat::IOWAIT, "iowait"),
+                ],
+            ),
+            (
+                DeviceType::Mem,
+                &[
+                    (mem::MEM_TOTAL, "MemTotal"),
+                    (mem::MEM_USED, "MemUsed"),
+                    (mem::FILE_PAGES, "FilePages"),
+                    (mem::ANON_PAGES, "AnonPages"),
+                ],
+            ),
+            (
+                DeviceType::Ib,
+                &[
+                    (ib::PORT_XMIT_DATA, "port_xmit_data"),
+                    (ib::PORT_RCV_DATA, "port_rcv_data"),
+                    (ib::PORT_XMIT_PKTS, "port_xmit_pkts"),
+                    (ib::PORT_RCV_PKTS, "port_rcv_pkts"),
+                ],
+            ),
+            (
+                DeviceType::Net,
+                &[
+                    (net::RX_BYTES, "rx_bytes"),
+                    (net::RX_PACKETS, "rx_packets"),
+                    (net::TX_BYTES, "tx_bytes"),
+                    (net::TX_PACKETS, "tx_packets"),
+                ],
+            ),
+            (
+                DeviceType::Llite,
+                &[
+                    (llite::READ_BYTES, "read_bytes"),
+                    (llite::WRITE_BYTES, "write_bytes"),
+                    (llite::OPEN, "open"),
+                    (llite::CLOSE, "close"),
+                    (llite::GETATTR, "getattr"),
+                    (llite::STATFS, "statfs"),
+                    (llite::SEEK, "seek"),
+                    (llite::FSYNC, "fsync"),
+                ],
+            ),
+            (DeviceType::Mdc, &[(mdc::REQS, "reqs"), (mdc::WAIT, "wait")]),
+            (
+                DeviceType::Osc,
+                &[
+                    (osc::REQS, "reqs"),
+                    (osc::WAIT, "wait"),
+                    (osc::READ_BYTES, "read_bytes"),
+                    (osc::WRITE_BYTES, "write_bytes"),
+                ],
+            ),
+            (
+                DeviceType::Lnet,
+                &[
+                    (lnet::TX_BYTES, "tx_bytes"),
+                    (lnet::RX_BYTES, "rx_bytes"),
+                    (lnet::TX_MSGS, "tx_msgs"),
+                    (lnet::RX_MSGS, "rx_msgs"),
+                ],
+            ),
+            (
+                DeviceType::Mic,
+                &[
+                    (mic::USER_SUM, "user_sum"),
+                    (mic::SYS_SUM, "sys_sum"),
+                    (mic::IDLE_SUM, "idle_sum"),
+                ],
+            ),
+        ];
+        let archs = CpuArch::HOST_ARCHS
+            .into_iter()
+            .chain([CpuArch::KnightsCorner]);
+        for arch in archs {
+            for (dt, events) in table {
+                let s = dt.schema(arch);
+                let optional = |p: usize| {
+                    dt == DeviceType::Cpu
+                        && p >= pos::cpu::LOAD_L2_HIT
+                        && !has_cache_hit_events(arch)
+                };
+                let mut present = 0;
+                for &(p, name) in events {
+                    match s.index_of(name) {
+                        Some(i) => {
+                            assert_eq!(i, p, "{dt}.{name} on {arch:?}");
+                            present += 1;
+                        }
+                        None => assert!(optional(p), "{dt}.{name} missing on {arch:?}"),
+                    }
+                }
+                assert_eq!(
+                    present,
+                    s.len(),
+                    "{dt} on {arch:?}: an event has no constant"
+                );
             }
         }
     }

@@ -26,7 +26,10 @@
 //! `BENCH_sample_path.json`). And the consumer side of the same path
 //! (`collect::consumer` over the decoder in `collect::codec`):
 //! `crates/collect/tests/decode_props.rs` holds a steady-state
-//! `StatsConsumer::poll_with` at 0 allocations per message.
+//! `StatsConsumer::poll_with` at 0 allocations per message. The
+//! simulated substrate under all of it joins them: a warm
+//! `SimNode::advance` (`simnode::node` over `simnode::devices`) is held
+//! at 0 allocations by `tests/alloc_invariants.rs`.
 //!
 //! Cold paths inside a hot module (error formatting, constructors,
 //! recovery) are annotated in the source rather than allowlisted in a
@@ -61,8 +64,10 @@ pub const SCOPE: &[&str] = &[
     "crates/collect/src/engine.rs",
     "crates/collect/src/seqs.rs",
     "crates/collect/src/tokens.rs",
+    "crates/simnode/src/devices.rs",
     "crates/simnode/src/digits.rs",
     "crates/simnode/src/mem.rs",
+    "crates/simnode/src/node.rs",
     "crates/simnode/src/pseudofs.rs",
     "crates/broker/src/tcp.rs",
     "crates/tsdb/src/block.rs",

@@ -23,6 +23,9 @@ use tacc_stats::portal::fused::{self, FusedScratch, PanelCfg, PANELS};
 use tacc_stats::portal::hist::FIG4_PANELS;
 use tacc_stats::portal::{QueryCache, SearchSpec};
 use tacc_stats::simnode::intern::Sym;
+use tacc_stats::simnode::topology::NodeTopology;
+use tacc_stats::simnode::workload::{LustreDemand, NodeDemand};
+use tacc_stats::simnode::{SimDuration, SimNode};
 use tacc_stats::tsdb::{
     Aggregation, DataPoint, DurOptions, MemVfs, SeriesKey, TagFilter, TsDb, SEAL_THRESHOLD,
 };
@@ -195,6 +198,49 @@ fn steady_state_flag_and_sketch_updates_do_not_allocate() {
         }
     });
     assert_eq!(n, 0, "QuantileSketch::update past warm-up");
+}
+
+#[test]
+fn warm_node_advance_does_not_allocate() {
+    let busy = NodeDemand {
+        active_cores: 16,
+        cpu_user_frac: 0.9,
+        cpu_sys_frac: 0.02,
+        flops_per_sec: 1e11,
+        vector_frac: 0.8,
+        mem_bw_bytes_per_sec: 4e10,
+        mem_used_bytes: 20 << 30,
+        ib_bytes_per_sec: 2e8,
+        mic_user_frac: 0.3,
+        lustre: vec![
+            LustreDemand {
+                mdc_reqs_per_sec: 100.0,
+                osc_reqs_per_sec: 50.0,
+                read_bytes_per_sec: 1e7,
+                write_bytes_per_sec: 5e6,
+                ..LustreDemand::default()
+            };
+            2
+        ],
+        ..NodeDemand::default()
+    };
+    let idle = NodeDemand::idle();
+    for (name, topo) in [
+        ("Stampede", NodeTopology::stampede()),
+        ("Lonestar 5", NodeTopology::lonestar5()),
+    ] {
+        let mut node = SimNode::new("c401-0000", topo);
+        node.spawn_process("wrf.exe", 5000, 16, 0xFFFF);
+        node.advance(SimDuration::from_secs(600), &busy);
+        for (what, demand) in [("busy", &busy), ("idle", &idle)] {
+            let n = allocs_in(|| {
+                for _ in 0..8 {
+                    node.advance(SimDuration::from_secs(600), demand);
+                }
+            });
+            assert_eq!(n, 0, "SimNode::advance, {what} demand, {name} node");
+        }
+    }
 }
 
 /// Two weeks of 2 hosts × 4 series at the paper's 10-minute cadence:
