@@ -11,11 +11,11 @@
 //!
 //! * `fused_search_fig4` — search plus all four Fig. 4 panels through
 //!   the fused single-pass engine with a warm [`FusedScratch`], and the
-//!   real threaded wall of `run_par` + `fig4_par` at W ∈ {1, 2} (the
-//!   reference host has two vCPUs; the spawn gate keeps a 5 000-row
-//!   table inline at both). The pipeline it replaced — filter scan,
-//!   re-sort, four `column()` → `Histogram::build` passes — is the
-//!   frozen [`BASELINE_SEARCH_FIG4`] constant, not code.
+//!   real threaded wall of `matched_indices` + the fused scan on a pool
+//!   at W ∈ {1, 2} (the reference host has two vCPUs; the spawn gate
+//!   keeps a 5 000-row table inline at both). The pipeline it replaced
+//!   — filter scan, re-sort, four `column()` → `Histogram::build`
+//!   passes — is the frozen [`BASELINE_SEARCH_FIG4`] constant, not code.
 //! * `fused_scan` — the scan stage alone with a warm scratch.
 //! * `query_cache` — cold miss vs warm hit through the watermark-keyed
 //!   [`QueryCache`].
@@ -44,7 +44,7 @@ use tacc_metrics::ingest::{ingest_job, JOBS_TABLE};
 use tacc_metrics::table1::{JobMetrics, MetricId};
 use tacc_portal::cache::QueryCache;
 use tacc_portal::fused::{self, FusedScratch, PanelCfg, PANELS};
-use tacc_portal::hist::FIG4_PANELS;
+use tacc_portal::hist::{Fig4Panels, FIG4_PANELS};
 use tacc_portal::search::SearchSpec;
 use tacc_scheduler::job::{Job, JobStatus, QueueName};
 use tacc_simnode::apps::AppModel;
@@ -286,8 +286,12 @@ fn main() {
         // flat.
         for (stat, pool) in fused_wall.iter_mut().zip(&pools) {
             stat.push(timed(|| {
-                let list = spec.run_par(table, pool).expect("columns exist");
-                (list.len(), list.fig4_par(pool).runtime.total())
+                let idxs = spec
+                    .matched_indices(table, Some(pool))
+                    .expect("columns exist");
+                let rows: Vec<_> = idxs.iter().map(|&i| &table.rows()[i as usize]).collect();
+                let fused = fused::scan(&rows, &cfgs, Some(pool), &mut FusedScratch::default());
+                (rows.len(), Fig4Panels::from_fused(&fused).runtime.total())
             }));
         }
 
@@ -369,7 +373,7 @@ fn main() {
     );
     report("fused search+fig4", &fused_seq);
     for (stat, w) in fused_wall.iter().zip(WORKERS) {
-        report(&format!("  run_par+fig4_par {w}w wall"), stat);
+        report(&format!("  pooled search+fig4 {w}w wall"), stat);
     }
     report("fused scan (warm scratch)", &scan_only);
     report("cache cold fig4", &cache_cold);

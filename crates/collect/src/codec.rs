@@ -274,7 +274,6 @@ impl SchemaBlock {
     }
 }
 
-#[derive(Clone)]
 struct CacheEntry {
     block: Arc<SchemaBlock>,
     /// Device and process records of the last sample decoded against
@@ -291,7 +290,6 @@ struct CacheEntry {
 /// the cache can change what a decode costs and never what it returns.
 /// At most [`MAX_CACHED_BLOCKS`] blocks of at most
 /// [`MAX_CACHED_BLOCK_BYTES`] each are kept (oldest out first).
-#[derive(Clone)]
 pub struct SchemaCache {
     entries: Vec<CacheEntry>,
     /// Blocks kept at most: [`MAX_CACHED_BLOCKS`], or 0 for the
@@ -332,15 +330,6 @@ impl SchemaCache {
     /// True when nothing is cached.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// Adopt the blocks `other` learned that this cache lacks.
-    pub fn absorb(&mut self, other: SchemaCache) {
-        for e in other.entries {
-            if !self.entries.iter().any(|m| m.block.key == e.block.key) {
-                self.insert(e);
-            }
-        }
     }
 
     /// Keep `entry` (oldest out first); its slot, if the cache keeps

@@ -7,14 +7,13 @@
 
 use crate::archive::Archive;
 use crate::codec::{self, Decoded, Envelope, SchemaCache};
-use crate::record::{ParseError, Sample};
+use crate::record::Sample;
 use crate::seqs::SeqSet;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Duration;
 use tacc_broker::{Broker, Consumer, Delivery};
 use tacc_simnode::intern::Sym;
-use tacc_simnode::pool::WorkerPool;
 use tacc_simnode::SimTime;
 
 /// Drains a broker queue into the archive and hands each sample to an
@@ -259,82 +258,6 @@ impl StatsConsumer {
         while self.poll_with(now, Duration::ZERO, |host, s| out.push((host, s.clone()))) {}
         out
     }
-
-    /// Drain everything currently queued, fanning the CPU-bound work
-    /// (payload decode) out over `pool` while keeping every stateful
-    /// decision sequential in arrival order: the merge walks the
-    /// deliveries through the same accept path as
-    /// [`StatsConsumer::poll_with`], so sequence dedup/gap detection,
-    /// header-once bookkeeping, archive appends and dead-lettering all
-    /// observe exactly what [`StatsConsumer::drain`] would, and the
-    /// returned samples come back in arrival order.
-    ///
-    /// A pool with no extra workers runs everything inline anyway, so
-    /// that configuration takes the plain [`StatsConsumer::drain`] path.
-    // alloc: cold-fn (batch fan-out: stages every delivery and returns owned samples by contract)
-    pub fn drain_parallel(&mut self, now: SimTime, pool: &WorkerPool) -> Vec<(Sym, Sample)> {
-        if pool.workers() <= 1 {
-            return self.drain(now);
-        }
-        let mut deliveries = Vec::new();
-        while let Some(d) = self.consumer.get(Duration::ZERO) {
-            deliveries.push(d);
-        }
-        if deliveries.is_empty() {
-            return Vec::new();
-        }
-        // One contiguous run of deliveries per worker, each decoded as a
-        // pure function of its payload against the worker's own copy of
-        // the schema cache.
-        let chunk = deliveries.len().div_ceil(pool.workers());
-        let known = &self.schemas;
-        let parts = pool.map_parts(deliveries.len().div_ceil(chunk), |part, _scratch| {
-            let mut schemas = known.clone();
-            let run = deliveries.iter().skip(part * chunk).take(chunk);
-            let msgs: Vec<ParsedMsg> = run
-                .map(|d| parse_message(&d.payload, &mut schemas))
-                .collect();
-            (msgs, schemas)
-        });
-        let mut parsed = Vec::with_capacity(deliveries.len());
-        for (msgs, learned) in parts {
-            // Keep what the workers learned: the next batch starts warm.
-            self.schemas.absorb(learned);
-            parsed.extend(msgs);
-        }
-        // Sequential merge in arrival order: all consumer state mutates
-        // here, exactly as the one-at-a-time path would.
-        let mut parsed = parsed.into_iter();
-        let mut out = Vec::new();
-        for delivery in deliveries {
-            // The parts tile 0..n, so there is a result per delivery;
-            // decode inline rather than assume.
-            let res = parsed
-                .next()
-                .unwrap_or_else(|| parse_message(&delivery.payload, &mut self.schemas));
-            match res {
-                Ok((envelope, mut decoded)) => {
-                    if self.accept(delivery, &envelope, &decoded, now) {
-                        out.extend(decoded.samples.pop().map(|s| (envelope.hostname, s)));
-                    }
-                }
-                Err(_) => self.reject(delivery),
-            }
-        }
-        out
-    }
-}
-
-/// One delivery decoded off-thread: the envelope plus each sample and
-/// its span in the payload (the delivery outlives the merge, so nothing
-/// is rendered or copied here).
-type ParsedMsg = Result<(Envelope, Decoded), ParseError>;
-
-/// Decode a payload into fresh storage. Pure but for `schemas`, which
-/// is the worker's own: any number of these can run concurrently.
-fn parse_message(payload: &[u8], schemas: &mut SchemaCache) -> ParsedMsg {
-    let mut decoded = Decoded::default();
-    codec::decode_into(payload, schemas, &mut decoded).map(|envelope| (envelope, decoded))
 }
 
 #[cfg(test)]
@@ -483,121 +406,6 @@ mod tests {
             .unwrap()
             .unwrap();
         assert_eq!(rf.samples.len(), 1, "no double archiving");
-    }
-
-    /// Republish every message from `src` onto two fresh queues of a
-    /// new broker, preserving arrival order and routing keys, so a
-    /// sequential and a parallel consumer see byte-identical streams.
-    fn mirror_stream(src: &Broker) -> Broker {
-        let mirror = Broker::new();
-        mirror.declare("seq");
-        mirror.declare("par");
-        let c = src.consume("stats").unwrap();
-        while let Some(d) = c.try_get() {
-            mirror.publish("seq", d.routing_key.as_str(), d.payload.clone());
-            mirror.publish("par", d.routing_key.as_str(), d.payload.clone());
-            c.ack(d.tag);
-        }
-        mirror
-    }
-
-    #[test]
-    fn drain_parallel_matches_drain() {
-        // A multi-host stream with a duplicate, a gap, and two poison
-        // messages: the parallel fan-out must land in exactly the same
-        // state as the sequential drain.
-        let broker = Broker::new();
-        broker.declare("stats");
-        let mut nodes = Vec::new();
-        for h in ["c401-0001", "c401-0002", "c401-0003"] {
-            let node = SimNode::new(h, NodeTopology::stampede());
-            let fs = NodeFs::new(&node);
-            let cfg = discover(&fs, BuildOptions::default()).unwrap();
-            let sampler = Sampler::new(h, &cfg);
-            let d = TaccStatsd::new(
-                sampler,
-                SimDuration::from_mins(10),
-                "stats",
-                Box::new(LocalPublisher(broker.clone())),
-                SimTime::from_secs(0),
-            );
-            nodes.push((node, d));
-        }
-        for t in [0u64, 600, 1200] {
-            for (node, d) in nodes.iter_mut() {
-                let fs = NodeFs::new(node);
-                d.tick(&fs, SimTime::from_secs(t));
-            }
-        }
-        // Inject an ack-loss replay (duplicate of one host's message)
-        // and two unparseable payloads mid-stream.
-        let c = broker.consume("stats").unwrap();
-        let orig = c.try_get().unwrap();
-        broker.publish("stats", orig.routing_key.as_str(), orig.payload.clone());
-        c.nack(orig.tag);
-        drop(c);
-        broker.publish(
-            "stats",
-            "weird",
-            bytes::Bytes::from_static(b"not a raw file"),
-        );
-        broker.publish(
-            "stats",
-            "weird",
-            bytes::Bytes::from_static(b"\xff\xfe junk"),
-        );
-
-        let mirror = mirror_stream(&broker);
-        let seq_archive = Arc::new(Archive::new());
-        let par_archive = Arc::new(Archive::new());
-        let mut seq = StatsConsumer::new(&mirror, "seq", Arc::clone(&seq_archive)).unwrap();
-        let mut par = StatsConsumer::new(&mirror, "par", Arc::clone(&par_archive)).unwrap();
-        seq.set_dead_letter("seq.dead");
-        par.set_dead_letter("par.dead");
-
-        let pool = WorkerPool::new(4);
-        let now = SimTime::from_secs(1201);
-        let got_seq = seq.drain(now);
-        let got_par = par.drain_parallel(now, &pool);
-
-        assert_eq!(got_par, got_seq, "same samples in the same order");
-        assert_eq!(par.received, seq.received);
-        assert_eq!(par.duplicates, seq.duplicates);
-        assert_eq!(par.parse_failures, seq.parse_failures);
-        assert_eq!(par.dead_lettered, seq.dead_lettered);
-        assert_eq!(par.gap_events, seq.gap_events);
-        assert_eq!(mirror.depth("seq"), 0);
-        assert_eq!(mirror.depth("par"), 0);
-        assert_eq!(mirror.depth("par.dead"), 2);
-        // Byte-identical archives, headers included.
-        for h in ["c401-0001", "c401-0002", "c401-0003"] {
-            let a = seq_archive.read(h, SimTime::from_secs(0)).unwrap();
-            let b = par_archive.read(h, SimTime::from_secs(0)).unwrap();
-            assert_eq!(a, b, "{h} archive must match");
-            assert_eq!(b.matches("$hostname").count(), 1, "{h} header once");
-        }
-        assert_eq!(
-            par_archive.latency_stats().count,
-            seq_archive.latency_stats().count
-        );
-    }
-
-    #[test]
-    fn drain_parallel_inline_pool_and_empty_queue() {
-        // A 1-worker pool runs the same code inline; an empty queue
-        // yields an empty vec without touching the pool.
-        let (node, mut d, broker, archive) = setup();
-        let fs = NodeFs::new(&node);
-        let mut consumer = StatsConsumer::new(&broker, "stats", Arc::clone(&archive)).unwrap();
-        let pool = WorkerPool::new(1);
-        assert!(consumer
-            .drain_parallel(SimTime::from_secs(0), &pool)
-            .is_empty());
-        d.tick(&fs, SimTime::from_secs(0));
-        let got = consumer.drain_parallel(SimTime::from_secs(1), &pool);
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].0, "c401-0001");
-        assert_eq!(consumer.received, 1);
     }
 
     #[test]

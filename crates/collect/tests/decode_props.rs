@@ -17,8 +17,8 @@
 //!   span is byte for byte what rendering its sample produces.
 //! * [`RefConsumer`] is the accept path as it stood: parse, dedup by a
 //!   set of seen seqs, re-render every sample. Fed the same stream,
-//!   `poll_once`, `poll_with` and `drain_parallel` end with its archive
-//!   bytes and its counters.
+//!   `poll_once`, `poll_with` and `drain` end with its archive bytes
+//!   and its counters.
 //! * A counting allocator holds `poll_with` at 0 allocations per
 //!   message in steady state and `poll_once` at no more than 6.
 //!
@@ -45,7 +45,6 @@ use tacc_collect::record::{
 use tacc_collect::Archive;
 use tacc_simnode::clock::NANOS_PER_SEC;
 use tacc_simnode::intern::Sym;
-use tacc_simnode::pool::WorkerPool;
 use tacc_simnode::pseudofs::NodeFs;
 use tacc_simnode::schema::{DeviceType, Schema};
 use tacc_simnode::topology::{CpuArch, NodeTopology};
@@ -950,7 +949,7 @@ fn stream(rng: &mut TestRng, n: usize) -> Vec<Vec<u8>> {
 
 proptest! {
     /// (iii) The same stream through the new accept path — by value,
-    /// borrowed, and fanned out over a pool — and through the old one
+    /// borrowed, and drained into a vector — and through the old one
     /// ends in the same archive bytes, the same counters, the same
     /// dedup answers and the same dead letters.
     #[test]
@@ -958,7 +957,7 @@ proptest! {
         let mut rng = TestRng::seed_from_u64(seed);
         let messages = stream(&mut rng, 40);
         let broker = Broker::new();
-        for q in ["once", "with", "par"] {
+        for q in ["once", "with", "drain"] {
             broker.declare(q);
             for m in &messages {
                 broker.publish(q, "any", Bytes::copy_from_slice(m));
@@ -973,7 +972,7 @@ proptest! {
             .collect();
 
         let archives: Vec<Arc<Archive>> = (0..3).map(|_| Arc::new(Archive::new())).collect();
-        let mut consumers: Vec<StatsConsumer> = ["once", "with", "par"]
+        let mut consumers: Vec<StatsConsumer> = ["once", "with", "drain"]
             .iter()
             .zip(&archives)
             .map(|(q, a)| {
@@ -991,14 +990,15 @@ proptest! {
         while broker.depth("with") > 0 {
             consumers[1].poll_with(now, Duration::ZERO, |h, s| got[1].push((h, s.clone())));
         }
-        let pool = WorkerPool::new(3);
-        got[2] = consumers[2].drain_parallel(now, &pool);
+        while broker.depth("drain") > 0 {
+            got[2].extend(consumers[2].drain(now));
+        }
 
         let want_files = archive_bytes(&reference.archive);
         for ((c, a), (got, q)) in consumers
             .iter()
             .zip(&archives)
-            .zip(got.iter().zip(["once", "with", "par"]))
+            .zip(got.iter().zip(["once", "with", "drain"]))
         {
             prop_assert_eq!(got, &want, "{}: samples handed on", q);
             prop_assert_eq!(c.received, reference.received, "{}", q);

@@ -10,8 +10,8 @@
 //!   time-series database, driven in simulated time,
 //! * [`population`] — the fast path for §V-scale experiments: schedule a
 //!   full synthetic quarter for queue dynamics, then simulate each job's
-//!   nodes in isolation (parallelized with crossbeam) to compute its
-//!   Table I metrics and ingest them,
+//!   nodes in isolation (chunked across the [`pool::WorkerPool`]) to
+//!   compute its Table I metrics and ingest them,
 //! * [`online`] — §VI-B automated real-time analysis: watches the
 //!   daemon-mode sample stream and raises alerts (e.g. metadata storms)
 //!   within a sampling interval of onset, long before the cron-mode

@@ -11,10 +11,11 @@
 //! 2. **Per-job collection + metrics** then run independently per job —
 //!    each job's nodes are simulated in isolation, sampled
 //!    prolog/epilog plus interior intervals, streamed through
-//!    [`JobAccum`], and ingested. Jobs fan out across the shared
-//!    [`WorkerPool`], which is sound because jobs share no mutable
-//!    state; within one job, [`simulate_job_on`] fans the *ranks* out
-//!    as per-node [`JobAccum`] partials merged at the end.
+//!    [`JobAccum`], and ingested. Contiguous chunks of jobs fan out
+//!    across a [`WorkerPool`], which is sound because jobs share no
+//!    mutable state, and their results are ingested in chunk order, so
+//!    the database is the same at any worker count. Within one job the
+//!    ranks are per-node [`JobAccum`] partials merged at the end.
 //!
 //! The isolation step is faithful for every Table I metric: counters
 //! are cumulative and per-node, and a fresh node is indistinguishable
@@ -23,7 +24,6 @@
 //! host.
 
 use crate::pool::WorkerPool;
-use crossbeam::channel;
 use tacc_collect::discovery::{discover, BuildOptions};
 use tacc_collect::engine::Sampler;
 use tacc_jobdb::Database;
@@ -112,53 +112,41 @@ impl PopulationRunner {
         let unstarted = sched.queued();
         finished.append(&mut sched.drain_finished());
 
-        // Phase 2: per-job node simulation + metrics, fanned out on the
-        // scoped worker pool (with one thread the tasks run inline on
-        // the caller before the drain below — the unbounded channel
-        // makes both schedules equivalent).
+        // Phase 2: per-job node simulation + metrics, one contiguous
+        // chunk of jobs per worker (a 1-worker pool runs them inline).
         let pool = WorkerPool::new(self.threads);
-        let (tx, rx) = channel::unbounded::<(Job, JobMetrics)>();
         let chunk = finished.len().div_ceil(pool.workers()).max(1);
-        let topo_normal = self.workload.topology.clone();
+        let topo_normal = &self.workload.topology;
         let topo_lm = NodeTopology::stampede_largemem();
-        let interior = self.interior_samples;
-        pool.scope(|scope| {
-            for jobs in finished.chunks(chunk) {
-                let tx = tx.clone();
-                let topo_normal = topo_normal.clone();
-                let topo_lm = topo_lm.clone();
-                scope.spawn(move |_scratch| {
-                    for job in jobs {
-                        let topo = if job.queue == QueueName::LargeMem {
-                            &topo_lm
-                        } else {
-                            &topo_normal
-                        };
-                        let metrics = simulate_job(job, topo, interior);
-                        tx.send((job.clone(), metrics)).expect("collector alive");
-                    }
-                });
+        let topo_of = |job: &Job| {
+            if job.queue == QueueName::LargeMem {
+                &topo_lm
+            } else {
+                topo_normal
             }
-            drop(tx);
-            // Phase 3: ingest serially as results arrive.
-            let mut db = Database::new();
-            let rules = FlagRules::default();
-            let mut n_jobs = 0;
-            for (job, metrics) in rx {
-                let mem_gb = if job.queue == QueueName::LargeMem {
-                    topo_lm.memory_bytes as f64 / 1e9
-                } else {
-                    topo_normal.memory_bytes as f64 / 1e9
-                };
-                ingest_job(&mut db, &job, &metrics, &rules, mem_gb);
-                n_jobs += 1;
-            }
-            PopulationResult {
-                db,
-                n_jobs,
-                unstarted,
-            }
-        })
+        };
+        let metrics = pool.map_parts(finished.len().div_ceil(chunk), |part, _scratch| {
+            finished
+                .chunks(chunk)
+                .nth(part)
+                .unwrap_or_default()
+                .iter()
+                .map(|job| simulate_job(job, topo_of(job), self.interior_samples))
+                .collect::<Vec<JobMetrics>>()
+        });
+
+        // Phase 3: ingest serially, in chunk order.
+        let mut db = Database::new();
+        let rules = FlagRules::default();
+        for (job, metrics) in finished.iter().zip(metrics.iter().flatten()) {
+            let mem_gb = topo_of(job).memory_bytes as f64 / 1e9;
+            ingest_job(&mut db, job, metrics, &rules, mem_gb);
+        }
+        PopulationResult {
+            db,
+            n_jobs: finished.len(),
+            unstarted,
+        }
     }
 }
 
@@ -240,29 +228,6 @@ pub fn simulate_job(job: &Job, topo: &NodeTopology, interior: usize) -> JobMetri
     acc.finalize()
 }
 
-/// Like [`simulate_job`], but fan the ranks out across `pool` and
-/// merge the per-node partials in rank order. Each rank feeds only its
-/// own host, so the merged accumulator — and therefore the finalized
-/// metrics — is identical to the sequential path.
-pub fn simulate_job_on(
-    job: &Job,
-    topo: &NodeTopology,
-    interior: usize,
-    pool: &WorkerPool,
-) -> JobMetrics {
-    if job.run_time().is_zero() {
-        return JobMetrics::new();
-    }
-    let partials = pool.map_parts(job.n_nodes, |rank, _scratch| {
-        simulate_rank(job, topo, interior, rank)
-    });
-    let mut acc = JobAccum::new();
-    for partial in partials {
-        acc.merge(partial);
-    }
-    acc.finalize()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -309,37 +274,18 @@ mod tests {
     }
 
     #[test]
-    fn pooled_job_simulation_matches_sequential() {
-        // A multi-node job simulated rank-parallel on the pool must
-        // produce exactly the sequential metrics — the partials merge
-        // per host, and each rank owns its host.
-        let runner = PopulationRunner::q4_2015(11, 50);
-        let mut generator = WorkloadGenerator::new(runner.workload.clone());
-        let submissions = generator.generate();
-        let mut sched = Scheduler::new(100, 4);
-        let mut multi = None;
-        for (t, req) in submissions {
-            if req.n_nodes >= 3 {
-                let id = sched.submit(req, t);
-                sched.step(t);
-                sched.step(t + SimDuration::from_hours(48));
-                multi = sched.drain_finished().into_iter().find(|j| j.id == id);
-                break;
-            }
-        }
-        let job = multi.expect("workload contains a multi-node job");
-        let sequential = simulate_job(&job, &NodeTopology::stampede(), 3);
-        for workers in [1usize, 4] {
-            let pool = WorkerPool::new(workers);
-            let pooled = simulate_job_on(&job, &NodeTopology::stampede(), 3, &pool);
-            for id in MetricId::ALL {
-                assert_eq!(
-                    sequential.get(id),
-                    pooled.get(id),
-                    "{id} with {workers} workers"
-                );
-            }
-        }
+    fn population_is_the_same_at_any_worker_count() {
+        let run = |threads: usize| {
+            let mut runner = PopulationRunner::q4_2015(5, 120);
+            runner.threads = threads;
+            let result = runner.run();
+            (result.n_jobs, result.db.render())
+        };
+        let (n1, one) = run(1);
+        let (n4, four) = run(4);
+        assert!(n1 >= 120, "ingested {n1}");
+        assert_eq!(n1, n4);
+        assert!(one == four, "db.render() differs between 1 and 4 workers");
     }
 
     #[test]

@@ -175,9 +175,6 @@ pub struct MonitoringSystem {
     archive: Arc<Archive>,
     broker: Option<Broker>,
     consumer: Option<StatsConsumer>,
-    /// Worker pool for the parallel drain/query paths; `None` keeps
-    /// every stage on the caller thread.
-    pool: Option<Arc<WorkerPool>>,
     db: Database,
     tsdb: Option<TsDb>,
     /// Recovery accounting from opening a durable tsdb
@@ -343,7 +340,6 @@ impl MonitoringSystem {
             archive,
             broker,
             consumer,
-            pool: None,
             db: Database::new(),
             tsdb,
             tsdb_recovery,
@@ -459,15 +455,13 @@ impl MonitoringSystem {
         &self.sketches
     }
 
-    /// Attach a worker pool: the daemon-mode consumer drain fans
-    /// per-host streams out across it, and the time-series mirror (if
-    /// enabled) runs its dense aggregate folds as parallel per-shard
-    /// scans. Results are identical to the sequential path.
+    /// Attach a worker pool to the time-series mirror (if enabled): its
+    /// dense aggregate folds run as parallel per-shard scans, with
+    /// results identical to the sequential path.
     pub fn set_pool(&mut self, pool: Arc<WorkerPool>) {
         if let Some(tsdb) = &mut self.tsdb {
-            tsdb.set_pool(Arc::clone(&pool));
+            tsdb.set_pool(pool);
         }
-        self.pool = Some(pool);
     }
 
     /// Queue job submissions (time-ordered or not; they are sorted).
@@ -491,8 +485,8 @@ impl MonitoringSystem {
     /// The ingest watermark: a monotonic count of jobs ingested into
     /// the database, i.e. a version number for its contents. The
     /// portal's [`tacc_portal::cache::QueryCache`] keys entries on
-    /// this — results cached at an older watermark are stale by
-    /// construction and dropped on next touch.
+    /// this — the first query at a newer watermark drops every result
+    /// cached at an older one.
     pub fn ingest_watermark(&self) -> u64 {
         self.ingested as u64
     }
@@ -1007,16 +1001,9 @@ impl MonitoringSystem {
                     }
                 }
             };
-            match self.pool.as_deref() {
-                Some(pool) if pool.workers() > 1 => {
-                    for (host, sample) in consumer.drain_parallel(now2, pool) {
-                        on_sample(host, &sample);
-                    }
-                }
-                // Each sample is lent from the consumer's own storage:
-                // nothing is collected into a Vec first.
-                _ => while consumer.poll_with(now2, Duration::ZERO, &mut on_sample) {},
-            }
+            // Each sample is lent from the consumer's own storage:
+            // nothing is collected into a Vec first.
+            while consumer.poll_with(now2, Duration::ZERO, &mut on_sample) {}
             if let Some(online) = &mut self.online {
                 online.check_silence(now2);
             }
@@ -1159,8 +1146,8 @@ mod tests {
     #[test]
     fn daemon_mode_with_pool_matches_sequential() {
         // The same workload through a pooled system and a plain one:
-        // the parallel drain and sharded-tsdb scans must not change a
-        // single ingested metric or archive byte count.
+        // the sharded-tsdb scans must not change a single ingested
+        // metric or archive byte count.
         let run = |pool: Option<Arc<WorkerPool>>| {
             let mut cfg = SystemConfig::small(3, crate::config::Mode::daemon());
             cfg.enable_tsdb = true;

@@ -5,21 +5,20 @@
 //! are pure functions of `(query, database contents)`. The database
 //! only changes when a finished job is ingested, and
 //! `MonitoringSystem` counts those ingests as a monotonic **ingest
-//! watermark**. That makes the cache key trivial and exact: `(query
-//! fingerprint, watermark)`. A hit at the current watermark is
-//! byte-identical to a recomputation; any entry stored at an older
-//! watermark is stale by construction and is dropped on next touch.
-//! No invalidation scan, no dirty bits — advancing the watermark
-//! invalidates the whole cache implicitly.
+//! watermark**. So the cache holds artefacts of one watermark only: the
+//! first call at a new watermark clears it (counted as `invalidated`),
+//! and every entry left is byte-identical to a recomputation. No
+//! invalidation scan, no dirty bits.
 //!
-//! Entries are bounded by an LRU cap plus a TTL on a caller-supplied
-//! logical clock (`now_secs` — the simulation clock in this codebase,
-//! so eviction is deterministic and testable; no wall-clock reads).
-//! Values are stored behind [`Arc`]s: a warm hit is a refcount bump,
-//! no row rescan, no re-render, no allocation. The cache also owns the
-//! fused-scan scratch ([`FusedScratch`]), so repeated Fig. 4 misses
-//! reuse the same slot buffers and the scan stage stays at zero
-//! steady-state allocations.
+//! Everything else is [`TtlLru`], the one cache policy the tsdb's
+//! decoded-block caches also run: an LRU cap, a TTL on a caller-supplied
+//! logical clock (`now_secs` — the simulation clock in this codebase, so
+//! eviction is deterministic and testable; no wall-clock reads), and an
+//! optional shared [`MemoryBudget`]. Values are stored behind [`Arc`]s: a
+//! warm hit is a refcount bump, no row rescan, no re-render, no
+//! allocation. The cache also owns the fused-scan scratch
+//! ([`FusedScratch`]), so repeated Fig. 4 misses reuse the same slot
+//! buffers and the scan stage stays at zero steady-state allocations.
 //!
 //! This module is on the panic-lint deny tier and the hot-path
 //! alloc-lint scope (`cargo xtask lint`): the hit path is panic-free
@@ -28,10 +27,9 @@
 use crate::fused::FusedScratch;
 use crate::hist::{Fig4Panels, Histogram};
 use crate::search::{JobList, SearchSpec};
-use std::collections::HashMap;
 use std::sync::Arc;
 use tacc_jobdb::table::{Table, TableError};
-use tacc_simnode::mem::{MemoryBudget, Pressure};
+use tacc_simnode::mem::{CacheCounters, MemoryBudget, TtlLru, TtlLruConfig};
 use tacc_simnode::pool::WorkerPool;
 use tacc_tsdb::TsDb;
 
@@ -55,8 +53,8 @@ struct Key {
 }
 
 /// A cached artefact, stored and returned behind an [`Arc`] so hits
-/// cost a refcount bump rather than a copy.
-#[derive(Debug)]
+/// (and clones) cost a refcount bump rather than a copy.
+#[derive(Clone, Debug)]
 pub enum CachedValue {
     /// Matched row indices into the jobs table.
     Rows(Arc<Vec<u32>>),
@@ -67,17 +65,11 @@ pub enum CachedValue {
 }
 
 impl CachedValue {
-    /// A second handle to the same artefact (refcount bump only).
-    fn snapshot(&self) -> CachedValue {
-        match self {
-            CachedValue::Rows(v) => CachedValue::Rows(Arc::clone(v)),
-            CachedValue::Panels(p) => CachedValue::Panels(Arc::clone(p)),
-            CachedValue::Detail(d) => CachedValue::Detail(Arc::clone(d)),
-        }
-    }
-
-    /// Approximate resident bytes of the artefact, charged against the
-    /// cache's [`MemoryBudget`] when one is attached.
+    /// Approximate resident bytes of the artefact plus its bookkeeping,
+    /// charged against the cache's [`MemoryBudget`] when one is
+    /// attached. The bookkeeping is a value handle and four stamps (the
+    /// 56 bytes an entry has always been charged on 64-bit targets), so
+    /// a given budget evicts the same entries it always has.
     fn cost(&self) -> u64 {
         fn hist(h: &Histogram) -> u64 {
             (std::mem::size_of::<Histogram>()
@@ -92,18 +84,9 @@ impl CachedValue {
             }
             CachedValue::Detail(d) => d.len() as u64,
         };
-        payload + std::mem::size_of::<Entry>() as u64
+        let overhead = std::mem::size_of::<CachedValue>() + 4 * std::mem::size_of::<u64>();
+        payload + overhead as u64
     }
-}
-
-#[derive(Debug)]
-struct Entry {
-    watermark: u64,
-    stored_at: u64,
-    last_used: u64,
-    /// Budget bytes charged for this entry at store time.
-    cost: u64,
-    value: CachedValue,
 }
 
 /// Cache sizing and freshness knobs.
@@ -126,12 +109,13 @@ impl Default for CacheConfig {
     }
 }
 
-/// Hit/miss counters, exposed for tests and the portal status line.
+/// Hit/miss counters, exposed for tests and the portal status line: a
+/// view over the [`CacheCounters`] of the underlying [`TtlLru`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups served from a live entry.
     pub hits: u64,
-    /// Lookups that had to recompute (includes the three below).
+    /// Lookups that had to recompute.
     pub misses: u64,
     /// Entries dropped to enforce `capacity`.
     pub evicted: u64,
@@ -154,15 +138,11 @@ pub struct CacheStats {
 /// [`render_job_detail`](crate::detail::render_job_detail).
 #[derive(Debug)]
 pub struct QueryCache {
-    cfg: CacheConfig,
-    entries: HashMap<Key, Entry>,
-    /// Logical LRU clock: bumped on every lookup/store.
-    tick: u64,
-    stats: CacheStats,
-    /// Budget-tracked bytes currently charged for live entries.
-    bytes: u64,
-    /// Optional shared memory budget (soft/hard envelope).
-    budget: Option<Arc<MemoryBudget>>,
+    /// Entries of `watermark` only. The watermark clear is its only
+    /// caller-side removal, so `removed` counts invalidations.
+    lru: TtlLru<Key, CachedValue>,
+    /// The ingest watermark the live entries were computed at.
+    watermark: u64,
     /// Fused-scan slot buffers, reused across Fig. 4 misses.
     fused: FusedScratch,
 }
@@ -177,16 +157,11 @@ impl QueryCache {
     /// An empty cache with the given config.
     pub fn new(cfg: CacheConfig) -> QueryCache {
         QueryCache {
-            cfg: CacheConfig {
-                capacity: cfg.capacity.max(1),
-                ttl_secs: cfg.ttl_secs,
-            },
-            // alloc: cold (constructor; one empty map per cache)
-            entries: HashMap::new(),
-            tick: 0,
-            stats: CacheStats::default(),
-            bytes: 0,
-            budget: None,
+            lru: TtlLru::new(TtlLruConfig {
+                capacity: cfg.capacity,
+                ttl: cfg.ttl_secs,
+            }),
+            watermark: 0,
             fused: FusedScratch::default(),
         }
     }
@@ -198,180 +173,79 @@ impl QueryCache {
     /// budget may be shared with other caches (e.g. the tsdb
     /// decoded-block caches) so they compete for one envelope.
     pub fn set_budget(&mut self, budget: Arc<MemoryBudget>) {
-        // Charge existing contents so the ledger stays balanced.
-        let carried = self.bytes;
-        if budget.try_grant(carried).is_err() {
-            // Existing contents alone overflow the hard limit: drop
-            // them (cheapest consistent state) and start clean.
-            self.stats.pressure_evicted += self.entries.len() as u64;
-            self.entries.clear();
-            self.bytes = 0;
-        }
-        self.budget = Some(budget);
+        self.lru.set_budget(budget);
     }
 
     /// Counters so far.
     pub fn stats(&self) -> CacheStats {
-        self.stats
+        let c = self.lru.counters();
+        CacheStats {
+            hits: c.hits,
+            misses: c.misses,
+            evicted: c.evicted_lru,
+            invalidated: c.removed,
+            expired: c.expired,
+            pressure_evicted: c.evicted_pressure,
+            rejected: c.rejected,
+        }
     }
 
-    /// Budget-tracked bytes currently held by live entries.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
+    /// The underlying policy's counters, whose fates reconcile exactly:
+    /// `inserted == len + evicted_lru + expired + evicted_pressure +
+    /// replaced + removed` (`removed` being the watermark clears).
+    pub fn counters(&self) -> CacheCounters {
+        self.lru.counters()
     }
 
     /// Live entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.lru.len()
     }
 
     /// True when no entries are live.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.lru.is_empty()
     }
 
-    /// Drop every entry (counters are kept; budget charges released).
-    pub fn clear(&mut self) {
-        if let Some(b) = &self.budget {
-            b.release(self.bytes);
+    /// Bring the cache to `watermark` and `now_secs`: a new watermark
+    /// drops every entry, then entries past the TTL expire.
+    fn sync(&mut self, watermark: u64, now_secs: u64) {
+        if watermark != self.watermark {
+            self.lru.clear();
+            self.watermark = watermark;
         }
-        self.bytes = 0;
-        self.entries.clear();
+        self.lru.advance(now_secs);
     }
 
-    /// Remove one entry, returning its budget charge. Every removal
-    /// site funnels through here so `bytes` and the attached budget
-    /// stay reconciled.
-    fn remove_entry(&mut self, key: &Key) -> bool {
-        match self.entries.remove(key) {
-            Some(e) => {
-                self.bytes = self.bytes.saturating_sub(e.cost);
-                if let Some(b) = &self.budget {
-                    b.release(e.cost);
-                }
-                true
-            }
-            None => false,
-        }
+    /// A second handle to the live entry under `key` (refcount bump only).
+    fn hit(&mut self, key: Key) -> Option<CachedValue> {
+        self.lru.get(&key).cloned()
     }
 
-    /// Evict the least-recently-used entry. `false` on an empty cache.
-    fn evict_lru(&mut self) -> bool {
-        let oldest = self
-            .entries
-            .iter()
-            .min_by_key(|(_, e)| e.last_used)
-            .map(|(k, _)| *k);
-        match oldest {
-            Some(k) => self.remove_entry(&k),
-            None => false,
-        }
-    }
-
-    fn lookup(&mut self, key: Key, watermark: u64, now_secs: u64) -> Option<CachedValue> {
-        self.tick += 1;
-        let tick = self.tick;
-        let ttl = self.cfg.ttl_secs;
-        enum Why {
-            Stale,
-            Old,
-        }
-        let why = match self.entries.get_mut(&key) {
-            None => {
-                self.stats.misses += 1;
-                return None;
-            }
-            Some(e) if e.watermark != watermark => Why::Stale,
-            Some(e) if now_secs.saturating_sub(e.stored_at) > ttl => Why::Old,
-            Some(e) => {
-                e.last_used = tick;
-                self.stats.hits += 1;
-                return Some(e.value.snapshot());
-            }
-        };
-        self.remove_entry(&key);
-        match why {
-            Why::Stale => self.stats.invalidated += 1,
-            Why::Old => self.stats.expired += 1,
-        }
-        self.stats.misses += 1;
-        None
-    }
-
-    fn store(&mut self, key: Key, watermark: u64, now_secs: u64, value: CachedValue) {
+    fn keep(&mut self, key: Key, value: CachedValue) {
         let cost = value.cost();
-        if self.entries.contains_key(&key) {
-            // Refresh in place: release the old charge first (not an
-            // eviction — same key).
-            self.remove_entry(&key);
-        } else if self.entries.len() >= self.cfg.capacity && self.evict_lru() {
-            self.stats.evicted += 1;
-        }
-        if let Some(b) = self.budget.as_ref().map(Arc::clone) {
-            // Evict cold entries until the new one fits under the hard
-            // limit; if even an empty cache cannot fit it, return the
-            // artefact uncached.
-            while b.try_grant(cost).is_err() {
-                if self.evict_lru() {
-                    self.stats.pressure_evicted += 1;
-                } else {
-                    self.stats.rejected += 1;
-                    return;
-                }
-            }
-        }
-        self.bytes += cost;
-        self.tick += 1;
-        self.entries.insert(
-            key,
-            Entry {
-                watermark,
-                stored_at: now_secs,
-                last_used: self.tick,
-                cost,
-                value,
-            },
-        );
-        // Over the soft threshold: shed cold entries back toward the
-        // envelope, always keeping the entry just stored.
-        if let Some(b) = self.budget.as_ref().map(Arc::clone) {
-            while b.pressure() >= Pressure::Soft && self.entries.len() > 1 {
-                if self.evict_lru() {
-                    self.stats.pressure_evicted += 1;
-                } else {
-                    break;
-                }
-            }
-        }
+        self.lru.insert(key, value, cost);
     }
 
-    /// The matched row indices for `spec` at `watermark`: served from
-    /// cache when live, otherwise computed via
-    /// [`SearchSpec::run`]-equivalent scanning (on `pool` when given)
-    /// and stored.
+    /// The matched row indices for `spec`: served from cache when live,
+    /// otherwise computed via [`SearchSpec::matched_indices`] (on `pool`
+    /// when given) and stored. The caller has synced the watermark.
     fn search_indices(
         &mut self,
         spec: &SearchSpec,
         table: &Table,
         pool: Option<&WorkerPool>,
-        watermark: u64,
-        now_secs: u64,
     ) -> Result<Arc<Vec<u32>>, TableError> {
         let key = Key {
             kind: Kind::Search,
             fp: spec.fingerprint(),
         };
-        if let Some(CachedValue::Rows(idxs)) = self.lookup(key, watermark, now_secs) {
+        if let Some(CachedValue::Rows(idxs)) = self.hit(key) {
             return Ok(idxs);
         }
         // alloc: cold (cache miss: one index vec per distinct query per watermark)
         let idxs = Arc::new(spec.matched_indices(table, pool)?);
-        self.store(
-            key,
-            watermark,
-            now_secs,
-            CachedValue::Rows(Arc::clone(&idxs)),
-        );
+        self.keep(key, CachedValue::Rows(Arc::clone(&idxs)));
         Ok(idxs)
     }
 
@@ -387,7 +261,8 @@ impl QueryCache {
         watermark: u64,
         now_secs: u64,
     ) -> Result<JobList<'t>, TableError> {
-        let idxs = self.search_indices(spec, table, pool, watermark, now_secs)?;
+        self.sync(watermark, now_secs);
+        let idxs = self.search_indices(spec, table, pool)?;
         Ok(JobList::from_indices(table, &idxs))
     }
 
@@ -403,23 +278,19 @@ impl QueryCache {
         watermark: u64,
         now_secs: u64,
     ) -> Result<Arc<Fig4Panels>, TableError> {
+        self.sync(watermark, now_secs);
         let key = Key {
             kind: Kind::Fig4,
             fp: spec.fingerprint(),
         };
-        if let Some(CachedValue::Panels(p)) = self.lookup(key, watermark, now_secs) {
+        if let Some(CachedValue::Panels(p)) = self.hit(key) {
             return Ok(p);
         }
-        let idxs = self.search_indices(spec, table, pool, watermark, now_secs)?;
+        let idxs = self.search_indices(spec, table, pool)?;
         let list = JobList::from_indices(table, &idxs);
         // alloc: cold (cache miss: one panel set per distinct query per watermark)
         let panels = Arc::new(list.fig4_scratch(pool, &mut self.fused));
-        self.store(
-            key,
-            watermark,
-            now_secs,
-            CachedValue::Panels(Arc::clone(&panels)),
-        );
+        self.keep(key, CachedValue::Panels(Arc::clone(&panels)));
         Ok(panels)
     }
 
@@ -432,20 +303,16 @@ impl QueryCache {
         watermark: u64,
         now_secs: u64,
     ) -> Arc<str> {
+        self.sync(watermark, now_secs);
         let key = Key {
             kind: Kind::Detail,
             fp: fnv1a(jobid.as_bytes()),
         };
-        if let Some(CachedValue::Detail(page)) = self.lookup(key, watermark, now_secs) {
+        if let Some(CachedValue::Detail(page)) = self.hit(key) {
             return page;
         }
         let page: Arc<str> = Arc::from(crate::detail::render_job_detail(db, jobid));
-        self.store(
-            key,
-            watermark,
-            now_secs,
-            CachedValue::Detail(Arc::clone(&page)),
-        );
+        self.keep(key, CachedValue::Detail(Arc::clone(&page)));
         page
     }
 }
@@ -493,143 +360,14 @@ impl Fnv {
 mod tests {
     use super::*;
 
-    fn rows_entry(seed: u64) -> CachedValue {
-        CachedValue::Rows(Arc::new(vec![seed as u32]))
-    }
-
-    fn key(fp: u64) -> Key {
-        Key {
-            kind: Kind::Search,
-            fp,
-        }
-    }
-
-    fn stored_rows(v: &CachedValue) -> Vec<u32> {
-        match v {
-            CachedValue::Rows(r) => r.as_ref().clone(),
-            other => panic!("expected Rows, got {other:?}"),
-        }
-    }
-
     #[test]
-    fn hit_miss_and_watermark_invalidation() {
-        let mut c = QueryCache::default();
-        assert!(c.lookup(key(1), 0, 0).is_none());
-        c.store(key(1), 0, 0, rows_entry(7));
-        let hit = c.lookup(key(1), 0, 0).expect("hit at same watermark");
-        assert_eq!(stored_rows(&hit), vec![7]);
-        // Watermark advance invalidates.
-        assert!(c.lookup(key(1), 1, 0).is_none());
-        assert!(c.is_empty(), "stale entry dropped");
-        let s = c.stats();
-        assert_eq!((s.hits, s.misses, s.invalidated), (1, 2, 1));
-    }
-
-    #[test]
-    fn ttl_expires_entries_on_logical_clock() {
-        let mut c = QueryCache::new(CacheConfig {
-            capacity: 4,
-            ttl_secs: 10,
-        });
-        c.store(key(1), 0, 100, rows_entry(1));
-        assert!(c.lookup(key(1), 0, 110).is_some(), "at ttl edge");
-        assert!(c.lookup(key(1), 0, 111).is_none(), "past ttl");
-        assert_eq!(c.stats().expired, 1);
-    }
-
-    #[test]
-    fn lru_eviction_at_capacity() {
-        let mut c = QueryCache::new(CacheConfig {
-            capacity: 2,
-            ttl_secs: 1000,
-        });
-        c.store(key(1), 0, 0, rows_entry(1));
-        c.store(key(2), 0, 0, rows_entry(2));
-        // Touch key 1 so key 2 is the LRU.
-        assert!(c.lookup(key(1), 0, 0).is_some());
-        c.store(key(3), 0, 0, rows_entry(3));
-        assert_eq!(c.len(), 2);
-        assert!(c.lookup(key(1), 0, 0).is_some(), "recently used survives");
-        assert!(c.lookup(key(2), 0, 0).is_none(), "LRU evicted");
-        assert!(c.lookup(key(3), 0, 0).is_some());
-        assert_eq!(c.stats().evicted, 1);
-    }
-
-    #[test]
-    fn restore_of_same_key_does_not_evict_others() {
-        let mut c = QueryCache::new(CacheConfig {
-            capacity: 2,
-            ttl_secs: 1000,
-        });
-        c.store(key(1), 0, 0, rows_entry(1));
-        c.store(key(2), 0, 0, rows_entry(2));
-        c.store(key(1), 1, 0, rows_entry(9)); // refresh in place
-        assert_eq!(c.len(), 2);
-        assert_eq!(c.stats().evicted, 0);
-        assert!(c.lookup(key(2), 0, 0).is_some());
-    }
-
-    #[test]
-    fn budget_sheds_cold_entries_and_never_exceeds_hard() {
-        let mut c = QueryCache::new(CacheConfig {
-            capacity: 64,
-            ttl_secs: 1000,
-        });
-        let per_entry = rows_entry(0).cost();
-        // Soft fits ~3 entries, hard ~5 — storing 10 must shed.
-        let budget = Arc::new(MemoryBudget::new(3 * per_entry, 5 * per_entry));
-        c.set_budget(Arc::clone(&budget));
-        for i in 0..10 {
-            c.store(key(i), 0, 0, rows_entry(i));
-        }
-        assert!(budget.peak() <= budget.hard_limit(), "hard cap holds");
-        assert_eq!(c.bytes(), budget.used(), "ledger reconciles");
-        assert!(c.stats().pressure_evicted > 0, "soft threshold shed");
-        assert!(c.len() < 10);
-        // The newest entry always survives its own store.
-        assert!(c.lookup(key(9), 0, 0).is_some());
-        // clear() releases every charge.
-        c.clear();
-        assert_eq!(budget.used(), 0);
-        assert_eq!(c.bytes(), 0);
-    }
-
-    #[test]
-    fn oversized_artefact_is_rejected_not_cached() {
-        let mut c = QueryCache::new(CacheConfig {
-            capacity: 8,
-            ttl_secs: 1000,
-        });
-        let tiny = Arc::new(MemoryBudget::new(8, 16));
-        c.set_budget(tiny);
-        c.store(key(1), 0, 0, rows_entry(1));
-        assert_eq!(c.len(), 0, "cannot fit even an empty cache");
-        assert_eq!(c.stats().rejected, 1);
-        assert!(c.lookup(key(1), 0, 0).is_none());
-    }
-
-    #[test]
-    fn removal_sites_release_budget_charges() {
-        let mut c = QueryCache::new(CacheConfig {
-            capacity: 8,
-            ttl_secs: 10,
-        });
-        let per_entry = rows_entry(0).cost();
-        let budget = Arc::new(MemoryBudget::new(100 * per_entry, 200 * per_entry));
-        c.set_budget(Arc::clone(&budget));
-        c.store(key(1), 0, 100, rows_entry(1));
-        c.store(key(2), 0, 100, rows_entry(2));
-        assert_eq!(budget.used(), 2 * per_entry);
-        // Watermark invalidation releases.
-        assert!(c.lookup(key(1), 5, 100).is_none());
-        assert_eq!(budget.used(), per_entry);
-        // TTL expiry releases.
-        assert!(c.lookup(key(2), 0, 200).is_none());
-        assert_eq!(budget.used(), 0);
-        // Refresh-in-place swaps the charge, not doubles it.
-        c.store(key(3), 0, 200, rows_entry(3));
-        c.store(key(3), 1, 200, rows_entry(4));
-        assert_eq!(budget.used(), per_entry);
+    fn entry_charge_keeps_its_overhead() {
+        // Frozen from the engine this cache replaced: a row set of n
+        // indices was charged 4n bytes plus a 56-byte entry.
+        let rows = CachedValue::Rows(Arc::new(vec![7; 10]));
+        assert_eq!(rows.cost(), 40 + 56);
+        let page = CachedValue::Detail(Arc::from("abc"));
+        assert_eq!(page.cost(), 3 + 56);
     }
 
     #[test]

@@ -64,8 +64,7 @@ impl SearchSpec {
     }
 
     /// The conjunction of predicates this spec describes — the single
-    /// source of truth shared by [`SearchSpec::run`] and
-    /// [`SearchSpec::run_par`].
+    /// source of truth of [`SearchSpec::matched_indices`].
     fn filter(&self) -> Filter {
         let mut f = Filter::new();
         if let Some(e) = &self.exec {
@@ -145,7 +144,7 @@ impl SearchSpec {
     /// re-sort. Unordered tables fall back to per-chunk stable sorts
     /// folded by pairwise galloping merges, which reproduces the
     /// stable `sort_by` exactly.
-    pub(crate) fn matched_indices(
+    pub fn matched_indices(
         &self,
         table: &Table,
         pool: Option<&WorkerPool>,
@@ -206,19 +205,6 @@ impl SearchSpec {
     /// Run the search against a jobs table.
     pub fn run<'t>(&self, table: &'t Table) -> Result<JobList<'t>, TableError> {
         let idxs = self.matched_indices(table, None)?;
-        Ok(JobList::from_indices(table, &idxs))
-    }
-
-    /// Run the search as a parallel partition scan on `pool`. Returns
-    /// exactly the rows [`SearchSpec::run`] would (see
-    /// [`SearchSpec::matched_indices`] for the chunking and ordering
-    /// argument).
-    pub fn run_par<'t>(
-        &self,
-        table: &'t Table,
-        pool: &WorkerPool,
-    ) -> Result<JobList<'t>, TableError> {
-        let idxs = self.matched_indices(table, Some(pool))?;
         Ok(JobList::from_indices(table, &idxs))
     }
 }
@@ -410,17 +396,12 @@ impl<'t> JobList<'t> {
         self.fig4_scratch(None, &mut FusedScratch::default())
     }
 
-    /// [`JobList::fig4`] chunked across `pool` with per-worker partials
-    /// folded by an elementwise tree merge. Bit-identical to the
-    /// sequential panels; threads only spawn when each worker gets
-    /// enough rows to amortize startup.
-    pub fn fig4_par(&self, pool: &WorkerPool) -> Fig4Panels {
-        self.fig4_scratch(Some(pool), &mut FusedScratch::default())
-    }
-
     /// The fused scan with caller-owned scratch: a warm `scratch` (the
     /// [`crate::cache::QueryCache`] holds one) makes the scan-and-merge
-    /// stage allocation-free.
+    /// stage allocation-free. With a `pool`, the rows are chunked across
+    /// it with per-worker partials folded by an elementwise tree merge —
+    /// bit-identical to the sequential panels; threads only spawn when
+    /// each worker gets enough rows to amortize startup.
     pub fn fig4_scratch(
         &self,
         pool: Option<&WorkerPool>,
@@ -617,7 +598,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_search_matches_sequential() {
+    fn pooled_search_and_fig4_match_inline() {
         let db = db_with_jobs();
         let t = db.table(JOBS_TABLE).unwrap();
         let specs = [
@@ -641,38 +622,17 @@ mod tests {
         for workers in [1usize, 4] {
             let pool = WorkerPool::new(workers);
             for spec in &specs {
-                let seq = spec.run(t).unwrap();
-                let par = spec.run_par(t, &pool).unwrap();
-                assert_eq!(seq.rows(), par.rows(), "workers={workers}");
-                assert_eq!(seq.flagged(), par.flagged());
+                let inline = spec.run(t).unwrap();
+                let pooled = spec.matched_indices(t, Some(&pool)).unwrap();
+                let rows = JobList::from_indices(t, &pooled);
+                assert_eq!(inline.rows(), rows.rows(), "workers={workers}");
+                assert_eq!(
+                    inline.fig4(),
+                    rows.fig4_scratch(Some(&pool), &mut FusedScratch::default())
+                );
             }
-        }
-    }
-
-    #[test]
-    fn parallel_search_reports_bad_columns() {
-        let db = db_with_jobs();
-        let t = db.table(JOBS_TABLE).unwrap();
-        let pool = WorkerPool::new(2);
-        let err = SearchSpec::default()
-            .field("NoSuchMetric__gte", 1.0)
-            .run_par(t, &pool);
-        assert!(err.is_err());
-    }
-
-    #[test]
-    fn parallel_fig4_matches_sequential() {
-        let db = db_with_jobs();
-        let t = db.table(JOBS_TABLE).unwrap();
-        let list = SearchSpec::default().run(t).unwrap();
-        let seq = list.fig4();
-        for workers in [1usize, 4] {
-            let pool = WorkerPool::new(workers);
-            let par = list.fig4_par(&pool);
-            assert_eq!(seq.runtime, par.runtime);
-            assert_eq!(seq.nodes, par.nodes);
-            assert_eq!(seq.queue_wait, par.queue_wait);
-            assert_eq!(seq.metadata_reqs, par.metadata_reqs);
+            let bad = SearchSpec::default().field("NoSuchMetric__gte", 1.0);
+            assert!(bad.matched_indices(t, Some(&pool)).is_err());
         }
     }
 

@@ -1,14 +1,14 @@
 //! Property tests for the fused portal query engine: the fused Fig. 4
 //! scan must be **bit-identical** to the pre-fused per-column pipeline
-//! for any input and any worker count, and the indices-based
-//! `run`/`run_par` must return exactly the rows the old
-//! `Query`-then-stable-sort path did — including on tables whose rows
-//! are *not* in jobid order (the galloping-merge fallback).
+//! for any input and any worker count, and `matched_indices` must return
+//! the same jobid-ordered rows inline and on a pool — including on
+//! tables whose rows are *not* in jobid order (the galloping-merge
+//! fallback).
 
 use proptest::prelude::*;
-use tacc_jobdb::table::Table;
+use tacc_jobdb::table::{Row, Table};
 use tacc_jobdb::{TableSchema, Value, ValueType};
-use tacc_portal::fused::PAR_MIN_ROWS_PER_WORKER;
+use tacc_portal::fused::{FusedScratch, PAR_MIN_ROWS_PER_WORKER};
 use tacc_portal::{Fig4Panels, JobList, SearchSpec};
 use tacc_simnode::pool::WorkerPool;
 
@@ -87,10 +87,16 @@ fn assert_fig4_eq(rows: &[JobRow], workers: usize) {
     assert_eq!(list.fig4(), baseline, "sequential fused != baseline");
     let pool = WorkerPool::new(workers);
     assert_eq!(
-        list.fig4_par(&pool),
+        list.fig4_scratch(Some(&pool), &mut FusedScratch::default()),
         baseline,
-        "fused par != baseline at {workers} workers"
+        "fused pooled != baseline at {workers} workers"
     );
+}
+
+/// The rows `spec` matches, scanned on `pool`.
+fn pooled_rows<'t>(spec: &SearchSpec, t: &'t Table, pool: &WorkerPool) -> Vec<&'t Row> {
+    let idxs = spec.matched_indices(t, Some(pool)).expect("valid column");
+    idxs.iter().map(|&i| &t.rows()[i as usize]).collect()
 }
 
 proptest! {
@@ -101,11 +107,11 @@ proptest! {
         assert_fig4_eq(&decode_rows(&raw), workers);
     }
 
-    /// Indices-based run/run_par == each other on jobid-ordered tables
+    /// Inline and pooled `matched_indices` agree on jobid-ordered tables
     /// (ordered-concat path) and on shuffled tables (merge fallback),
     /// with a real filter in play.
     #[test]
-    fn run_par_matches_run(
+    fn pooled_search_matches_inline(
         raw in raw_rows(120),
         workers in 1usize..6,
         shuffle_seed in 0u64..1000,
@@ -125,8 +131,7 @@ proptest! {
         let spec = SearchSpec::default().field("MetaDataRate__gte", threshold);
         let pool = WorkerPool::new(workers);
         let seq = spec.run(&t).expect("valid column");
-        let par = spec.run_par(&t, &pool).expect("valid column");
-        prop_assert_eq!(seq.rows(), par.rows());
+        prop_assert_eq!(seq.rows(), &pooled_rows(&spec, &t, &pool)[..]);
         // And the jobid order really holds.
         let ids: Vec<i64> = seq
             .rows()
@@ -195,9 +200,11 @@ fn threaded_paths_match_inline_above_gate() {
         "fixture must clear the spawn gate"
     );
     let seq = spec.run(&t).unwrap();
-    let par = spec.run_par(&t, &pool).unwrap();
-    assert_eq!(seq.rows(), par.rows());
-    assert_eq!(fig4_baseline(&seq), par.fig4_par(&pool));
+    assert_eq!(seq.rows(), &pooled_rows(&spec, &t, &pool)[..]);
+    assert_eq!(
+        fig4_baseline(&seq),
+        seq.fig4_scratch(Some(&pool), &mut FusedScratch::default())
+    );
 }
 
 /// What `tacc-stats-sim search` prints for a filter matching nothing,

@@ -3,10 +3,12 @@
 //! Node state is behind `parking_lot::RwLock`s so the collector threads
 //! (one per node in daemon mode) and the workload driver can run
 //! concurrently, as they do on a real system. Advancing a cluster large
-//! enough to pay for threads fans out with crossbeam's scoped threads.
+//! enough to pay for threads fans out over the cluster's
+//! [`WorkerPool`].
 
 use crate::clock::{SimClock, SimDuration};
 use crate::node::SimNode;
+use crate::pool::WorkerPool;
 use crate::topology::NodeTopology;
 use crate::workload::NodeDemand;
 use parking_lot::RwLock;
@@ -26,10 +28,10 @@ const PAR_MIN_NODES_PER_WORKER: usize = 200;
 pub struct SimCluster {
     clock: SimClock,
     nodes: Vec<Arc<RwLock<SimNode>>>,
-    /// Threads `advance_all` may fan out over: the host's parallelism
-    /// (4 if unknown), asked once at construction rather than on every
-    /// call (the query reads cgroup files, ≈ 12–16 µs).
-    workers: usize,
+    /// What `advance_all` fans out over: as many workers as the host's
+    /// parallelism (4 if unknown), asked once at construction rather
+    /// than on every call (the query reads cgroup files, ≈ 12–16 µs).
+    pool: WorkerPool,
 }
 
 impl SimCluster {
@@ -54,7 +56,9 @@ impl SimCluster {
                 .into_iter()
                 .map(|n| Arc::new(RwLock::new(n)))
                 .collect(),
-            workers: std::thread::available_parallelism().map_or(4, NonZeroUsize::get),
+            pool: WorkerPool::new(
+                std::thread::available_parallelism().map_or(4, NonZeroUsize::get),
+            ),
         }
     }
 
@@ -109,21 +113,19 @@ impl SimCluster {
             }
         };
         let workers = self
-            .workers
+            .pool
+            .workers()
             .min(self.nodes.len() / PAR_MIN_NODES_PER_WORKER);
         if workers <= 1 {
             advance_chunk(0, &self.nodes);
         } else {
             let chunk = self.nodes.len().div_ceil(workers);
-            let scoped = crossbeam::thread::scope(|s| {
-                for (w, nodes) in self.nodes.chunks(chunk).enumerate() {
-                    let advance_chunk = &advance_chunk;
-                    s.spawn(move |_| advance_chunk(w * chunk, nodes));
-                }
-            });
-            if let Err(panic) = scoped {
-                std::panic::resume_unwind(panic);
-            }
+            self.pool
+                .run_parts(self.nodes.len().div_ceil(chunk), |part, _scratch| {
+                    if let Some(nodes) = self.nodes.chunks(chunk).nth(part) {
+                        advance_chunk(part * chunk, nodes);
+                    }
+                });
         }
         self.clock.advance(dt);
     }
@@ -186,7 +188,7 @@ mod tests {
             })
         };
         let mut par = mk();
-        par.workers = 2;
+        par.pool = WorkerPool::new(2);
         par.advance_all(SimDuration::from_secs(600), busy);
         let ser = mk();
         {
@@ -207,5 +209,22 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn parallel_advance_reraises_a_demand_panic() {
+        // The setup of `parallel_advance_matches_serial`: the last node
+        // sits in the second chunk, which a pool worker advances.
+        let n = 2 * PAR_MIN_NODES_PER_WORKER + 3;
+        let mut c = SimCluster::homogeneous(SimClock::new(), "c", n, NodeTopology::stampede());
+        c.pool = WorkerPool::new(2);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            c.advance_all(SimDuration::from_secs(600), |i| {
+                assert!(i + 1 < n, "no demand for the last node");
+                None
+            });
+        }));
+        assert!(caught.is_err(), "a worker's panic must reach the caller");
+        assert_eq!(c.clock().now().as_secs(), 0, "the clock stops at the panic");
     }
 }

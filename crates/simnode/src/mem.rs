@@ -286,7 +286,22 @@ impl<K: Eq + Hash + Clone, V> TtlLru<K, V> {
     /// Attach a shared budget; entry costs are granted against it and
     /// released as entries drop. Pressure-driven eviction only happens
     /// with a budget attached.
+    ///
+    /// Entries the cache already holds are charged to the new budget
+    /// (and released from any previous one), so every cost released on
+    /// a drop was granted first and sibling caches on the budget are
+    /// never under-counted. If the carried bytes alone would cross the
+    /// hard threshold, every entry is dropped instead, counted as
+    /// `evicted_pressure`.
     pub fn set_budget(&mut self, budget: Arc<MemoryBudget>) {
+        if let Some(old) = &self.budget {
+            old.release(self.bytes);
+        }
+        if budget.try_grant(self.bytes).is_err() {
+            self.counters.evicted_pressure += self.map.len() as u64;
+            self.map.clear();
+            self.bytes = 0;
+        }
         self.budget = Some(budget);
     }
 
@@ -335,54 +350,43 @@ impl<K: Eq + Hash + Clone, V> TtlLru<K, V> {
             return;
         }
         self.now = now;
-        if self.cfg.ttl == u64::MAX {
+        let ttl = self.cfg.ttl;
+        if ttl == u64::MAX {
             return;
         }
-        loop {
-            let ttl = self.cfg.ttl;
-            let expired = self
-                .map
-                .iter()
-                .find(|(_, s)| now.saturating_sub(s.stored_at) > ttl)
-                // alloc: cold (ttl sweep; keys are small handles)
-                .map(|(k, _)| k.clone());
-            match expired {
-                Some(k) => {
-                    self.drop_entry(&k);
-                    self.counters.expired += 1;
-                }
-                None => break,
+        let (mut freed, mut expired) = (0u64, 0u64);
+        self.map.retain(|_, s| {
+            let live = now.saturating_sub(s.stored_at) <= ttl;
+            if !live {
+                freed += s.cost;
+                expired += 1;
             }
+            live
+        });
+        self.bytes = self.bytes.saturating_sub(freed);
+        if let Some(b) = &self.budget {
+            b.release(freed);
         }
+        self.counters.expired += expired;
     }
 
-    /// Look up `key`: a live, unexpired entry is a hit (its LRU stamp
-    /// is refreshed); an expired entry is dropped and counted, and the
-    /// lookup is a miss.
+    /// Look up `key`: a present entry is a hit (its LRU stamp is
+    /// refreshed). Every entry is within the TTL — [`TtlLru::advance`],
+    /// the only thing that moves the clock, sweeps the rest — so there
+    /// is no expiry check here.
     pub fn get(&mut self, key: &K) -> Option<&V> {
         self.tick += 1;
-        let tick = self.tick;
-        let now = self.now;
-        let ttl = self.cfg.ttl;
-        let expired = match self.map.get_mut(key) {
+        match self.map.get_mut(key) {
+            Some(s) => {
+                s.last_used = self.tick;
+                self.counters.hits += 1;
+                Some(&s.value)
+            }
             None => {
                 self.counters.misses += 1;
-                return None;
+                None
             }
-            Some(s) if now.saturating_sub(s.stored_at) > ttl => true,
-            Some(s) => {
-                s.last_used = tick;
-                false
-            }
-        };
-        if expired {
-            self.drop_entry(key);
-            self.counters.expired += 1;
-            self.counters.misses += 1;
-            return None;
         }
-        self.counters.hits += 1;
-        self.map.get(key).map(|s| &s.value)
     }
 
     /// Insert `value` under `key` with a declared size of `cost`
@@ -393,7 +397,7 @@ impl<K: Eq + Hash + Clone, V> TtlLru<K, V> {
     /// cached (it would breach the hard threshold even with the cache
     /// emptied — counted as `rejected`).
     pub fn insert(&mut self, key: K, value: V, cost: u64) -> bool {
-        if self.drop_entry(&key) {
+        if self.take(&key).is_some() {
             self.counters.replaced += 1;
         }
         while self.map.len() >= self.cfg.capacity {
@@ -449,13 +453,9 @@ impl<K: Eq + Hash + Clone, V> TtlLru<K, V> {
 
     /// Remove `key`, returning its value (counted as `removed`).
     pub fn remove(&mut self, key: &K) -> Option<V> {
-        let slot = self.map.remove(key)?;
-        self.bytes = self.bytes.saturating_sub(slot.cost);
-        if let Some(b) = &self.budget {
-            b.release(slot.cost);
-        }
+        let value = self.take(key)?;
         self.counters.removed += 1;
-        Some(slot.value)
+        Some(value)
     }
 
     /// Drop every entry (each counted as `removed`).
@@ -470,19 +470,15 @@ impl<K: Eq + Hash + Clone, V> TtlLru<K, V> {
         self.counters.removed += n;
     }
 
-    /// Remove `key` without classifying the drop (callers count it).
-    /// Returns true when an entry was dropped.
-    fn drop_entry(&mut self, key: &K) -> bool {
-        match self.map.remove(key) {
-            Some(slot) => {
-                self.bytes = self.bytes.saturating_sub(slot.cost);
-                if let Some(b) = &self.budget {
-                    b.release(slot.cost);
-                }
-                true
-            }
-            None => false,
+    /// Remove `key` and release its cost, without classifying the drop
+    /// (callers count it).
+    fn take(&mut self, key: &K) -> Option<V> {
+        let slot = self.map.remove(key)?;
+        self.bytes = self.bytes.saturating_sub(slot.cost);
+        if let Some(b) = &self.budget {
+            b.release(slot.cost);
         }
+        Some(slot.value)
     }
 
     /// Evict the least-recently-used entry (uncounted; callers attach
@@ -495,10 +491,7 @@ impl<K: Eq + Hash + Clone, V> TtlLru<K, V> {
             .min_by_key(|(_, s)| s.last_used)
             // alloc: cold (eviction; keys are small handles)
             .map(|(k, _)| k.clone());
-        match oldest {
-            Some(k) => self.drop_entry(&k),
-            None => false,
-        }
+        oldest.is_some_and(|k| self.take(&k).is_some())
     }
 }
 
@@ -618,6 +611,34 @@ mod tests {
         assert!(a.insert(2, 2, 40));
         assert_eq!(a.len(), 1);
         assert!(a.counters().evicted_pressure > 0);
+    }
+
+    #[test]
+    fn set_budget_charges_entries_already_held() {
+        let b = Arc::new(MemoryBudget::new(200, 200));
+        let mut warm = cache(8, u64::MAX);
+        assert!(warm.insert(1, 1, 30));
+        assert!(warm.insert(2, 2, 30));
+        warm.set_budget(Arc::clone(&b));
+        assert_eq!(b.used(), 60, "the carried entries are charged");
+        let mut sibling = cache(8, u64::MAX);
+        sibling.set_budget(Arc::clone(&b));
+        assert!(sibling.insert(1, 1, 50));
+        // Dropping a carried entry releases only what it was granted:
+        // the sibling's bytes stay on the ledger.
+        assert_eq!(warm.remove(&1), Some(1));
+        assert_eq!(b.used(), 30 + 50);
+        warm.clear();
+        assert_eq!(b.used(), 50);
+        // A carry that alone breaks the hard limit drops every entry.
+        let mut big = cache(8, u64::MAX);
+        for k in 0..3 {
+            assert!(big.insert(k, k, 60));
+        }
+        big.set_budget(Arc::clone(&b));
+        assert!(big.is_empty());
+        assert_eq!((big.bytes(), big.counters().evicted_pressure), (0, 3));
+        assert_eq!(b.used(), 50, "nothing was granted for the dropped carry");
     }
 
     #[test]

@@ -1,16 +1,18 @@
 //! Hand-rolled scoped worker pool for the parallel ingest/query path.
 //!
 //! The paper's deployment runs one collector pipeline per cluster while
-//! thousands of nodes publish concurrently; the reproduction's pipeline
-//! stages (consumer fan-out, tsdb shard scans, portal partition scans)
-//! need a way to run independent partitions on several cores without
-//! pulling in an external runtime. This module is the whole runtime:
-//! a [`WorkerPool`] owns a worker count and a pile of reusable
-//! [`Scratch`] buffers, and [`WorkerPool::scope`] runs borrowed
-//! closures on short-lived worker threads that are always joined before
-//! `scope` returns — so tasks may borrow from the caller's stack, and a
-//! panicking task propagates to the caller at join (no poisoned pool,
-//! no detached threads).
+//! thousands of nodes publish concurrently; the reproduction's fan-out
+//! sites (tsdb shard scans, portal partition scans, per-job simulation,
+//! cluster advance) need a way to run independent partitions on several
+//! cores without pulling in an external runtime. This module is the
+//! whole runtime: a [`WorkerPool`] owns a worker count and a pile of
+//! reusable [`Scratch`] buffers, and its one entry point,
+//! [`WorkerPool::run_parts`] (with [`WorkerPool::map_parts`] /
+//! [`WorkerPool::map_parts_into`] collecting results in part order),
+//! runs `f(part, scratch)` for every part on short-lived worker threads
+//! that are joined before the call returns — so parts may borrow from
+//! the caller's stack, and a panicking part propagates to the caller at
+//! join (no poisoned pool, no detached threads).
 //!
 //! Design constraints, in order:
 //!
@@ -21,39 +23,37 @@
 //!   "reuse" means scratch reuse, not thread reuse.
 //! * **Panic-free module.** This file is on the `cargo xtask lint`
 //!   deny-list: no unwraps, no indexing, no asserts outside tests.
-//! * **Loom-checkable handoff.** The queue/condvar handoff is built on
-//!   a `cfg(loom)`-switched sync shim (the same idiom as
+//! * **Loom-checkable handoff.** The part cursor and the scratch pile
+//!   are built on a `cfg(loom)`-switched sync shim (the same idiom as
 //!   `tacc-broker`), so `--cfg loom` runs the model in
 //!   `tests/loom_pool.rs` against the instrumented primitives.
 //! * **Degenerate pools stay sequential.** A pool with one worker (or
 //!   one part) runs everything inline on the caller thread — no
-//!   threads, no queue, no extra allocations — so a 1-worker
-//!   configuration is observably the sequential path.
-
-use std::collections::VecDeque;
+//!   threads, no extra allocations — so a 1-worker configuration is
+//!   observably the sequential path.
 
 /// Sync primitives: instrumented stand-ins under `--cfg loom`, the
-/// vendored `parking_lot` shapes otherwise. Both expose identical
-/// `lock()`/`wait()` surfaces, so the pool body is cfg-free.
+/// vendored `parking_lot` shapes otherwise. Both expose an identical
+/// `lock()` surface, so the pool body is cfg-free.
 mod sync {
     #[cfg(loom)]
     pub(crate) use loom::sync::atomic::{AtomicUsize, Ordering};
     #[cfg(loom)]
-    pub(crate) use loom::sync::{Condvar, Mutex};
+    pub(crate) use loom::sync::Mutex;
     #[cfg(not(loom))]
-    pub(crate) use parking_lot::{Condvar, Mutex};
+    pub(crate) use parking_lot::Mutex;
     #[cfg(not(loom))]
     pub(crate) use std::sync::atomic::{AtomicUsize, Ordering};
 }
 
-use sync::{AtomicUsize, Condvar, Mutex, Ordering};
+use sync::{AtomicUsize, Mutex, Ordering};
 
 /// Per-worker reusable buffers, handed to every task a worker runs.
 ///
 /// Tasks use these columns instead of allocating their own: decoded
 /// timestamp/value columns for tsdb scans, a byte buffer for
 /// render/parse work. A worker clears (but does not shrink) the scratch
-/// between tasks, and the pool keeps scratches across scopes, so steady
+/// between parts, and the pool keeps scratches across calls, so steady
 /// state runs at zero scratch allocations.
 #[derive(Debug, Default)]
 pub struct Scratch {
@@ -74,115 +74,14 @@ impl Scratch {
     }
 }
 
-/// A queued borrowed task: runs once with a worker's scratch.
-type Task<'env> = Box<dyn FnOnce(&mut Scratch) + Send + 'env>;
-
-/// Mutex-protected handoff state shared between `scope` and workers.
-struct QueueState<'env> {
-    tasks: VecDeque<Task<'env>>,
-    /// Set once the scope body has returned (or unwound): workers drain
-    /// the remaining tasks and exit instead of waiting for more.
-    closed: bool,
-}
-
-/// Task handoff channel for one `scope` invocation.
-struct TaskQueue<'env> {
-    state: Mutex<QueueState<'env>>,
-    cv: Condvar,
-}
-
-impl<'env> TaskQueue<'env> {
-    fn new() -> TaskQueue<'env> {
-        TaskQueue {
-            state: Mutex::new(QueueState {
-                tasks: VecDeque::new(),
-                closed: false,
-            }),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn push(&self, task: Task<'env>) {
-        let mut st = self.state.lock();
-        st.tasks.push_back(task);
-        drop(st);
-        self.cv.notify_one();
-    }
-
-    /// Pop the next task, blocking until one arrives or the queue is
-    /// closed *and* drained (then `None`). The closed flag lives under
-    /// the same mutex as the deque, so the check-then-wait cannot miss
-    /// a close notification.
-    fn pop(&self) -> Option<Task<'env>> {
-        let mut st = self.state.lock();
-        loop {
-            if let Some(t) = st.tasks.pop_front() {
-                return Some(t);
-            }
-            if st.closed {
-                return None;
-            }
-            self.cv.wait(&mut st);
-        }
-    }
-
-    fn close(&self) {
-        let mut st = self.state.lock();
-        st.closed = true;
-        drop(st);
-        self.cv.notify_all();
-    }
-}
-
-/// Closes the queue when dropped — including when the scope body
-/// unwinds — so workers never block forever on a dead producer.
-struct CloseOnDrop<'q, 'env>(&'q TaskQueue<'env>);
-
-impl Drop for CloseOnDrop<'_, '_> {
-    fn drop(&mut self) {
-        self.0.close();
-    }
-}
-
-/// Spawn handle passed to the closure given to [`WorkerPool::scope`].
-///
-/// Tasks spawned through it may borrow anything that outlives the
-/// `scope` call (`'env`); they are all finished before `scope` returns.
-pub struct Scope<'q, 'env> {
-    pool: &'q WorkerPool,
-    /// `None` in inline mode (pool of one worker): tasks run on the
-    /// caller thread at `spawn` time instead of being queued.
-    queue: Option<&'q TaskQueue<'env>>,
-}
-
-impl<'env> Scope<'_, 'env> {
-    /// Submit a task. With more than one worker it runs on some worker
-    /// thread before the enclosing `scope` returns; with one worker it
-    /// runs immediately on the caller thread. Either way it receives a
-    /// cleared reusable [`Scratch`].
-    pub fn spawn<F>(&self, f: F)
-    where
-        F: FnOnce(&mut Scratch) + Send + 'env,
-    {
-        match self.queue {
-            Some(q) => q.push(Box::new(f)),
-            None => {
-                let mut scratch = self.pool.check_out();
-                f(&mut scratch);
-                self.pool.check_in(scratch);
-            }
-        }
-    }
-}
-
 /// A fixed-width scoped worker pool with per-worker scratch reuse.
 ///
-/// The pool persists two things across scopes: the worker count and a
+/// The pool persists two things across calls: the worker count and a
 /// pile of [`Scratch`] buffers. Worker threads themselves are created
-/// per [`scope`](WorkerPool::scope)/[`run_parts`](WorkerPool::run_parts)
-/// call via [`std::thread::scope`] and joined before the call returns,
-/// which is what lets tasks borrow from the caller and what makes task
-/// panics propagate to the caller instead of wedging the pool.
+/// per [`run_parts`](WorkerPool::run_parts) call via
+/// [`std::thread::scope`] and joined before the call returns, which is
+/// what lets parts borrow from the caller and what makes a part's panic
+/// propagate to the caller instead of wedging the pool.
 pub struct WorkerPool {
     workers: usize,
     scratch: Mutex<Vec<Scratch>>,
@@ -217,47 +116,6 @@ impl WorkerPool {
         if pile.len() < self.workers {
             pile.push(s);
         }
-    }
-
-    /// Run `f` with a [`Scope`] for spawning borrowed tasks, and return
-    /// its result once every spawned task has finished.
-    ///
-    /// `f` runs on the caller thread *concurrently* with the workers,
-    /// so it may consume results (e.g. from a channel) while tasks are
-    /// still being produced and executed. If a task panics, the panic
-    /// is re-raised here once the workers are joined; if `f` itself
-    /// panics, the queue is still closed (via a drop guard) so workers
-    /// drain and exit rather than deadlocking the unwind.
-    pub fn scope<'env, R, F>(&self, f: F) -> R
-    where
-        F: FnOnce(&Scope<'_, 'env>) -> R,
-    {
-        if self.workers <= 1 {
-            return f(&Scope {
-                pool: self,
-                queue: None,
-            });
-        }
-        let queue = TaskQueue::new();
-        std::thread::scope(|ts| {
-            for _ in 0..self.workers {
-                ts.spawn(|| {
-                    let mut scratch = self.check_out();
-                    while let Some(task) = queue.pop() {
-                        scratch.clear();
-                        task(&mut scratch);
-                    }
-                    self.check_in(scratch);
-                });
-            }
-            let close = CloseOnDrop(&queue);
-            let r = f(&Scope {
-                pool: self,
-                queue: Some(&queue),
-            });
-            drop(close);
-            r
-        })
     }
 
     /// Run `f(part, scratch)` for every `part` in `0..parts`, spreading
@@ -346,62 +204,6 @@ impl std::fmt::Debug for WorkerPool {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize as StdAtomicUsize, Ordering as StdOrdering};
-    use std::sync::mpsc;
-
-    #[test]
-    fn scope_runs_every_task_once() {
-        for workers in [1, 2, 4, 8] {
-            let pool = WorkerPool::new(workers);
-            let ran = StdAtomicUsize::new(0);
-            pool.scope(|s| {
-                for _ in 0..37 {
-                    s.spawn(|_scratch| {
-                        ran.fetch_add(1, StdOrdering::Relaxed);
-                    });
-                }
-            });
-            assert_eq!(ran.load(StdOrdering::Relaxed), 37, "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn tasks_borrow_from_the_callers_stack() {
-        let pool = WorkerPool::new(4);
-        let inputs: Vec<u64> = (0..100).collect();
-        let total = StdAtomicUsize::new(0);
-        pool.scope(|s| {
-            for chunk in inputs.chunks(7) {
-                s.spawn(|_scratch| {
-                    let sum: u64 = chunk.iter().sum();
-                    total.fetch_add(sum as usize, StdOrdering::Relaxed);
-                });
-            }
-        });
-        assert_eq!(total.load(StdOrdering::Relaxed) as u64, (0..100).sum());
-    }
-
-    #[test]
-    fn caller_consumes_while_workers_produce() {
-        // The scope body must run concurrently with the workers so a
-        // channel-draining caller cannot deadlock against producers.
-        for workers in [1, 3] {
-            let pool = WorkerPool::new(workers);
-            let (tx, rx) = mpsc::channel::<usize>();
-            let got = pool.scope(|s| {
-                for i in 0..20 {
-                    let tx = tx.clone();
-                    s.spawn(move |_scratch| {
-                        tx.send(i).expect("receiver alive");
-                    });
-                }
-                drop(tx);
-                let mut got: Vec<usize> = rx.iter().collect();
-                got.sort_unstable();
-                got
-            });
-            assert_eq!(got, (0..20).collect::<Vec<_>>(), "workers={workers}");
-        }
-    }
 
     #[test]
     fn map_parts_preserves_part_order() {
@@ -430,41 +232,46 @@ mod tests {
     }
 
     #[test]
-    fn run_parts_covers_every_part() {
-        let pool = WorkerPool::new(4);
-        let hits: Vec<StdAtomicUsize> = (0..50).map(|_| StdAtomicUsize::new(0)).collect();
-        pool.run_parts(50, |part, _scratch| {
-            if let Some(h) = hits.get(part) {
-                h.fetch_add(1, StdOrdering::Relaxed);
-            }
-        });
-        assert!(hits.iter().all(|h| h.load(StdOrdering::Relaxed) == 1));
+    fn run_parts_covers_every_part_once() {
+        for workers in [1, 2, 4, 8] {
+            let pool = WorkerPool::new(workers);
+            // Parts borrow from the caller's stack.
+            let hits: Vec<StdAtomicUsize> = (0..50).map(|_| StdAtomicUsize::new(0)).collect();
+            pool.run_parts(50, |part, _scratch| {
+                if let Some(h) = hits.get(part) {
+                    h.fetch_add(1, StdOrdering::Relaxed);
+                }
+            });
+            assert!(
+                hits.iter().all(|h| h.load(StdOrdering::Relaxed) == 1),
+                "workers={workers}"
+            );
+        }
     }
 
     #[test]
-    fn scratch_is_cleared_between_tasks_and_reused_across_scopes() {
+    fn scratch_is_cleared_between_parts_and_reused_across_calls() {
         let pool = WorkerPool::new(1);
-        pool.scope(|s| {
-            s.spawn(|scratch| {
-                scratch.ts.extend_from_slice(&[1, 2, 3]);
-                scratch.bytes.extend_from_slice(b"abc");
-            });
+        pool.run_parts(1, |_part, scratch| {
+            scratch.ts.extend_from_slice(&[1, 2, 3]);
+            scratch.bytes.extend_from_slice(b"abc");
         });
-        pool.scope(|s| {
-            s.spawn(|scratch| {
-                assert!(scratch.ts.is_empty(), "scratch must be cleared");
-                assert!(scratch.bytes.is_empty(), "scratch must be cleared");
-                assert!(scratch.ts.capacity() >= 3, "scratch must be reused");
-            });
+        pool.run_parts(2, |_part, scratch| {
+            assert!(scratch.ts.is_empty(), "scratch must be cleared");
+            assert!(scratch.bytes.is_empty(), "scratch must be cleared");
+            assert!(scratch.ts.capacity() >= 3, "scratch must be reused");
+            scratch.ts.push(9);
         });
     }
 
     #[test]
-    fn task_panic_propagates_to_the_caller() {
+    fn part_panic_propagates_to_the_caller() {
         let pool = WorkerPool::new(2);
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.scope(|s| {
-                s.spawn(|_scratch| panic!("boom"));
+            pool.run_parts(4, |part, _scratch| {
+                if part == 3 {
+                    panic!("boom");
+                }
             });
         }));
         assert!(caught.is_err(), "worker panic must reach the caller");

@@ -1,6 +1,6 @@
-//! Model-checked worker-pool handoff: the queue/condvar task channel
-//! and the scratch check-out pile, explored across many randomized
-//! schedules.
+//! Model-checked worker-pool handoff: the atomic part cursor, the
+//! result slots and the scratch check-out pile, explored across many
+//! randomized schedules.
 //!
 //! Run with:
 //!
@@ -10,7 +10,7 @@
 //!
 //! Under `--cfg loom` the pool's sync shim (`pool::sync`) swaps the
 //! vendored `parking_lot` primitives for the `loom` stand-in's
-//! instrumented versions: every queue lock, condvar wait/notify, and
+//! instrumented versions: every slot or scratch-pile lock and every
 //! part-cursor `fetch_add` becomes a scheduler-perturbation point, and
 //! `loom::model` re-runs each closure under `LOOM_ITERS` (default 200)
 //! distinct randomized schedules. The invariants below must hold on
@@ -21,27 +21,6 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use tacc_simnode::pool::WorkerPool;
-
-/// Every spawned task runs exactly once before `scope` returns — no
-/// task is lost to a close/pop race and none runs twice — with the
-/// caller pushing tasks while workers concurrently drain.
-#[test]
-fn scope_handoff_runs_every_task_exactly_once() {
-    loom::model(|| {
-        let pool = WorkerPool::new(3);
-        let hits: Vec<AtomicUsize> = (0..8).map(|_| AtomicUsize::new(0)).collect();
-        pool.scope(|s| {
-            for hit in &hits {
-                s.spawn(|_scratch| {
-                    hit.fetch_add(1, Ordering::SeqCst);
-                });
-            }
-        });
-        for (i, hit) in hits.iter().enumerate() {
-            assert_eq!(hit.load(Ordering::SeqCst), 1, "task {i} must run once");
-        }
-    });
-}
 
 /// The atomic part cursor hands every part to exactly one worker, and
 /// `map_parts` slots each result at its part index regardless of which
@@ -61,28 +40,5 @@ fn map_parts_covers_every_part_exactly_once() {
         for (i, c) in claims.iter().enumerate() {
             assert_eq!(c.load(Ordering::SeqCst), 1, "part {i} claimed once");
         }
-    });
-}
-
-/// The scope body runs concurrently with the workers: a caller that
-/// blocks consuming worker output cannot deadlock against the task
-/// queue under any schedule.
-#[test]
-fn caller_consuming_worker_output_never_deadlocks() {
-    loom::model(|| {
-        let pool = WorkerPool::new(2);
-        let (tx, rx) = std::sync::mpsc::channel::<usize>();
-        let mut got = pool.scope(|s| {
-            for i in 0..4 {
-                let tx = tx.clone();
-                s.spawn(move |_scratch| {
-                    tx.send(i).expect("receiver alive inside scope");
-                });
-            }
-            drop(tx);
-            rx.iter().collect::<Vec<usize>>()
-        });
-        got.sort_unstable();
-        assert_eq!(got, vec![0, 1, 2, 3]);
     });
 }
