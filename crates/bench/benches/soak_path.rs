@@ -7,9 +7,10 @@
 //!   the paper's 10-minute cadence, ~1.5 M samples) with periodic
 //!   consumer stalls so admission control genuinely sheds, plus the
 //!   portal + tsdb query legs hammering the budget-governed caches.
-//! * `faulted` — the same fleet under a hostile [`FaultPlan`] (broker
-//!   outages, node crashes, request/ack drops), proving the message
-//!   conservation identities hold when everything goes wrong at once.
+//! * `faulted` — the same fleet under a hostile `FaultPlan` (broker
+//!   outages, a node crash, request/ack drops, device faults), proving
+//!   the message conservation identities hold when everything goes
+//!   wrong at once.
 //!
 //! Acceptance (checked here, recorded in `BENCH_soak.json`):
 //!
@@ -26,9 +27,8 @@
 //! assertions, smaller numbers).
 
 use std::time::Instant;
-use tacc_bench::fleet::{FleetConfig, SoakOutcome};
-use tacc_bench::{report_header, report_row};
-use tacc_simnode::{FaultPlan, SimDuration, SimTime};
+use tacc_bench::fleet::{run_soak, FleetConfig, SoakOutcome};
+use tacc_bench::report_header;
 
 /// JSON object for one leg's outcome.
 fn leg_json(label: &str, cfg: &FleetConfig, out: &SoakOutcome, wall_secs: f64) -> String {
@@ -101,64 +101,6 @@ fn steady_ratio(out: &SoakOutcome) -> f64 {
     }
 }
 
-fn print_leg(label: &str, cfg: &FleetConfig, out: &SoakOutcome, wall_secs: f64) {
-    println!(
-        "  {label:<8} {} nodes x {} ticks in {:.1}s wall",
-        cfg.nodes, cfg.ticks, wall_secs
-    );
-    report_row(
-        &format!("{label}: sustained samples/sec"),
-        "-",
-        &format!("{:.0}", out.received as f64 / wall_secs.max(1e-9)),
-    );
-    report_row(
-        &format!("{label}: thirds samples/sec"),
-        "flat",
-        &format!(
-            "{:.0} / {:.0} / {:.0} (ratio {:.3})",
-            out.thirds[0].samples_per_sec(),
-            out.thirds[1].samples_per_sec(),
-            out.thirds[2].samples_per_sec(),
-            steady_ratio(out)
-        ),
-    );
-    report_row(
-        &format!("{label}: sample->queryable latency"),
-        "-",
-        &format!(
-            "p50 {}s p99 {}s max {}s",
-            out.latency.p50_secs, out.latency.p99_secs, out.latency.max_secs
-        ),
-    );
-    report_row(
-        &format!("{label}: ledger"),
-        "conserved",
-        &format!(
-            "collected {} = received {} + shed {} + spooled {} + evicted {} + lost {} (slack {})",
-            out.collected,
-            out.received,
-            out.queue.shed_oldest,
-            out.spooled,
-            out.spool_evicted,
-            out.lost,
-            out.unaccounted()
-        ),
-    );
-    report_row(
-        &format!("{label}: memory"),
-        "peak <= hard",
-        &format!(
-            "peak {} / soft {} / hard {} ({} soft events, {} pressure evictions, {} rejected)",
-            out.mem_peak,
-            out.mem_soft,
-            out.mem_hard,
-            out.soft_events,
-            out.tsdb_cache.evicted_pressure + out.portal_cache.pressure_evicted,
-            out.tsdb_cache.rejected + out.portal_cache.rejected
-        ),
-    );
-}
-
 fn main() {
     let smoke = std::env::var("SOAK_SMOKE").is_ok_and(|v| v != "0" && !v.is_empty());
     let scale = if smoke { "smoke" } else { "full" };
@@ -181,23 +123,18 @@ fn main() {
         faulted_cfg.ticks = 360;
         faulted_cfg.settle_ticks = 30;
     }
-    let hosts: Vec<String> = (0..faulted_cfg.nodes)
-        .map(|i| format!("c{}-{:04}", 400 + i / 1000, i % 1000))
-        .collect();
-    let start = SimTime::from_secs(tacc_simnode::clock::Q4_2015_START_SECS);
-    let span = SimDuration::from_secs(faulted_cfg.ticks * faulted_cfg.interval_secs);
-    faulted_cfg.faults = FaultPlan::hostile(faulted_cfg.seed, &hosts, start, span);
+    faulted_cfg.hostile = Some(42);
 
     let t = Instant::now();
-    let clean = tacc_bench::fleet::run_soak(&clean_cfg);
-    let clean_wall = t.elapsed().as_secs_f64();
-    print_leg("clean", &clean_cfg, &clean, clean_wall);
+    let clean = run_soak(&clean_cfg);
+    let clean_json = leg_json("clean", &clean_cfg, &clean, t.elapsed().as_secs_f64());
+    println!("{clean_json}");
     let clean_violations = clean.check(true);
 
     let t = Instant::now();
-    let faulted = tacc_bench::fleet::run_soak(&faulted_cfg);
-    let faulted_wall = t.elapsed().as_secs_f64();
-    print_leg("faulted", &faulted_cfg, &faulted, faulted_wall);
+    let faulted = run_soak(&faulted_cfg);
+    let faulted_json = leg_json("faulted", &faulted_cfg, &faulted, t.elapsed().as_secs_f64());
+    println!("{faulted_json}");
     let faulted_violations = faulted.check(false);
 
     // --- acceptance ---
@@ -226,8 +163,7 @@ fn main() {
     // --- JSON ---
     let json = format!(
         "{{\n  \"bench\": \"soak_path\",\n  \"scale\": \"{scale}\",\n{},\n{},\n  \"acceptance\": {{\n    \"nodes_ok\": {nodes_ok}, \"ticks_ok\": {ticks_ok},\n    \"steady_state_ratio\": {ratio:.3}, \"steady_ok\": {steady_ok},\n    \"mem_ok\": {mem_ok}, \"conserved_clean\": {conserved_clean}, \"conserved_faulted\": {conserved_faulted},\n    \"shed_exercised\": {shed_exercised}\n  }}\n}}\n",
-        leg_json("clean", &clean_cfg, &clean, clean_wall),
-        leg_json("faulted", &faulted_cfg, &faulted, faulted_wall),
+        clean_json, faulted_json,
     );
     let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../..")

@@ -1,26 +1,16 @@
 //! Stampede-scale soak engine (DESIGN.md §17): fleet-wide steady-state
 //! throughput under backpressure and a fixed memory budget.
 //!
-//! [`run_soak`] steps `nodes` simulated hosts on a virtual clock at the
-//! paper's daemon cadence. Each tick:
-//!
-//! 1. every host's `tacc_statsd` renders its sample through the
-//!    zero-alloc codec and publishes to one bounded broker queue
-//!    (admission control: [`ShedPolicy`] + [`Broker::lag`] watermarks),
-//! 2. the consumer drains at a bounded per-tick budget — with periodic
-//!    stall windows, so the queue genuinely backs up and the shed /
-//!    backpressure machinery is exercised, not just present,
-//! 3. consumed samples land in the archive (raw-byte retention cap)
-//!    and mirror into the tsdb (per-shard decoded-block caches under
-//!    the shared [`MemoryBudget`]),
-//! 4. periodically the portal leg runs searches + Fig. 4 panels
-//!    through a [`QueryCache`] on the same budget, and tsdb range
-//!    queries decode sealed blocks through the governed block caches.
-//!
-//! After the measured window a **settle phase** runs with the broker
-//! healthy, stalls off, and an unbounded consumer budget, so spools
-//! replay and queues drain; only then is the conservation ledger
-//! snapshotted.
+//! [`run_soak`] drives a daemon-mode [`Pipeline`] (DESIGN.md §18) and
+//! wires nothing of its own. On top of the pipeline's stages it adds a
+//! consumer budget with periodic stalls (`drain(now, 0, …)`), so the
+//! bounded queue backs up and admission control ([`ShedPolicy`],
+//! [`tacc_broker::Broker::lag`] watermarks) acts; one [`MemoryBudget`]
+//! shared by the tsdb's decoded-block caches and a portal
+//! [`QueryCache`], which a query leg exercises every few ticks; and a
+//! settle phase after the measured window — [`Pipeline::heal`], no
+//! stalls, unbounded drains — so spools replay and the queue drains
+//! before the conservation ledger is snapshotted.
 //!
 //! # Conservation identities ([`SoakOutcome::check`])
 //!
@@ -50,32 +40,31 @@
 //! past-hard grants), and zero `rejected` inserts across the governed
 //! caches means eviction — never refusal — absorbed all pressure.
 
-use bytes::Bytes;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-use tacc_broker::{Broker, QueueStats, ShedPolicy};
-use tacc_collect::consumer::StatsConsumer;
-use tacc_collect::daemon::{Publisher, TaccStatsd};
-use tacc_collect::discovery::{discover, BuildOptions};
-use tacc_collect::engine::Sampler;
-use tacc_collect::{Archive, RetentionStats, Sample};
-use tacc_core::mem::{CacheCounters, MemoryBudget};
+use tacc_broker::{QueueStats, ShedPolicy};
+use tacc_collect::{RetentionStats, Sample};
+use tacc_core::{Mode, Pipeline, SystemConfig};
 use tacc_jobdb::Database;
 use tacc_metrics::flags::FlagRules;
 use tacc_metrics::ingest::{ingest_job, JOBS_TABLE};
 use tacc_metrics::table1::{JobMetrics, MetricId};
 use tacc_portal::cache::{CacheConfig, CacheStats, QueryCache};
 use tacc_portal::search::SearchSpec;
-use tacc_simnode::pseudofs::NodeFs;
+use tacc_simnode::mem::{CacheCounters, MemoryBudget};
 use tacc_simnode::schema::DeviceType;
-use tacc_simnode::topology::NodeTopology;
-use tacc_simnode::{FaultPlan, SimClock, SimCluster, SimDuration, SimNode, SimTime};
+use tacc_simnode::{FaultPlan, SimDuration, SimTime};
 use tacc_tsdb::{SeriesKey, TsDb};
 
-/// The soak queue name.
-const QUEUE: &str = "stats";
+/// The soak's daemon mode: a `stats` queue bounded at `capacity`.
+fn stats_queue(capacity: usize, policy: ShedPolicy) -> Mode {
+    Mode::Daemon {
+        queue: "stats".to_string(),
+        capacity,
+        policy,
+    }
+}
 
 /// Soak run configuration. [`FleetConfig::smoke`] is the CI-sized
 /// preset; the committed `BENCH_soak.json` uses [`FleetConfig::full`].
@@ -88,10 +77,9 @@ pub struct FleetConfig {
     /// Sampling cadence in simulated seconds (the paper's daemon mode
     /// collects every 10 minutes).
     pub interval_secs: u64,
-    /// Bounded ready-backlog of the stats queue, in messages.
-    pub queue_capacity: usize,
-    /// What the queue does at capacity.
-    pub policy: ShedPolicy,
+    /// The daemon-mode configuration: the stats queue, the bound on its
+    /// ready backlog in messages, and what it does at the bound.
+    pub mode: Mode,
     /// Messages the consumer processes per tick outside stalls. Sized
     /// just above the production rate, so backlogs drain gradually and
     /// queueing latency is real.
@@ -117,14 +105,13 @@ pub struct FleetConfig {
     pub query_hosts: u64,
     /// Finished jobs in the portal fixture table.
     pub portal_jobs: usize,
-    /// Fault plan applied to the run (broker outages, node crashes,
-    /// request/ack drops). [`FaultPlan::none`] for the clean leg.
-    pub faults: FaultPlan,
-    /// Extra settle ticks after the measured window (broker healthy,
+    /// Seed of a [`FaultPlan::hostile`] plan (broker outages, a node
+    /// crash, request/ack drops, device faults) over the fleet's
+    /// hostnames and the measured window; `None` for the clean leg.
+    pub hostile: Option<u64>,
+    /// Extra settle ticks after the measured window (pipeline healed,
     /// stalls off, unbounded consumer budget).
     pub settle_ticks: u64,
-    /// Seed for host naming / fixture determinism.
-    pub seed: u64,
 }
 
 impl FleetConfig {
@@ -135,8 +122,7 @@ impl FleetConfig {
             nodes: 64,
             ticks: 48,
             interval_secs: 600,
-            queue_capacity: 96,
-            policy: ShedPolicy::DropOldest,
+            mode: stats_queue(96, ShedPolicy::DropOldest),
             consumer_budget: 80,
             stall_every: 12,
             stall_len: 3,
@@ -146,9 +132,8 @@ impl FleetConfig {
             query_every: 4,
             query_hosts: 8,
             portal_jobs: 400,
-            faults: FaultPlan::none(),
+            hostile: None,
             settle_ticks: 12,
-            seed: 42,
         }
     }
 
@@ -160,8 +145,7 @@ impl FleetConfig {
             nodes: 2048,
             ticks: 720,
             interval_secs: 600,
-            queue_capacity: 3072,
-            policy: ShedPolicy::DropOldest,
+            mode: stats_queue(3072, ShedPolicy::DropOldest),
             consumer_budget: 2560,
             stall_every: 48,
             stall_len: 4,
@@ -171,44 +155,9 @@ impl FleetConfig {
             query_every: 8,
             query_hosts: 16,
             portal_jobs: 2000,
-            faults: FaultPlan::none(),
+            hostile: None,
             settle_ticks: 24,
-            seed: 42,
         }
-    }
-}
-
-/// Fault-injecting broker transport for the fleet: drops publish
-/// requests and acknowledgements per the plan's deterministic
-/// per-`(seed, host, seq)` hashes. (Outage windows are driven by the
-/// soak loop via [`Broker::stop`]/[`Broker::restart`], matching how
-/// `MonitoringSystem` applies them.)
-///
-/// Drop decisions are pure in `(host, seq)` and the spool replays a
-/// message under its *original* seq, so a dropped seq would jam
-/// in-order replay forever. The shared `chaos_on` flag models the
-/// network healing: the settle phase clears it, letting spools drain
-/// so the ledger snapshot sees terminal states, not a stuck retry.
-struct ChaosPublisher {
-    broker: Broker,
-    plan: Arc<FaultPlan>,
-    chaos_on: Arc<AtomicBool>,
-}
-
-impl Publisher for ChaosPublisher {
-    fn publish(&mut self, queue: &str, routing_key: &str, seq: u64, payload: Bytes) -> bool {
-        let chaos = self.chaos_on.load(Ordering::Relaxed);
-        if chaos && self.plan.drops_request(routing_key, seq) {
-            return false;
-        }
-        let ok = self.broker.publish(queue, routing_key, payload);
-        // Ack dropped: the broker kept the message, but the daemon sees
-        // a failure and will retransmit — the duplicate the consumer's
-        // sequence dedup exists for.
-        if ok && chaos && self.plan.drops_ack(routing_key, seq) {
-            return false;
-        }
-        ok
     }
 }
 
@@ -265,7 +214,7 @@ pub struct SoakOutcome {
     pub lost: u64,
     /// Final stats of the bounded queue.
     pub queue: QueueStats,
-    /// High-watermark ticks: how often [`Broker::lag`] reported high.
+    /// High-watermark ticks: how often [`tacc_broker::Broker::lag`] reported high.
     pub high_watermark_ticks: u64,
     /// Peak queue depth observed at tick boundaries.
     pub peak_depth: usize,
@@ -416,82 +365,41 @@ fn jobs_fixture(n: usize) -> Database {
     db
 }
 
-/// Mirror one consumed sample into the tsdb: per-device-type value
-/// sums become (host, dev, "all", "sum") series — enough structure for
-/// sealed blocks and cross-host aggregation without re-deriving the
-/// full Table I pipeline per sample.
-fn mirror_sample(tsdb: &TsDb, host: &str, sample: &Sample, points: &mut u64) {
-    const MIRRORED: [DeviceType; 3] = [DeviceType::Cpustat, DeviceType::Mdc, DeviceType::Lnet];
-    let t = sample.time.as_secs();
-    for dt in MIRRORED {
-        let mut sum = 0u64;
-        let mut any = false;
-        for rec in sample.devices_of(dt) {
-            any = true;
-            sum = sum.wrapping_add(rec.values.iter().copied().fold(0u64, u64::wrapping_add));
-        }
-        if any {
-            let key = SeriesKey::new(host, dt.name(), "all", "sum");
-            tsdb.insert(key, t, sum as f64);
-            *points += 1;
-        }
-    }
-}
-
 /// Drive one soak run to completion. See the module docs for the
 /// phases and the identities the returned [`SoakOutcome`] satisfies.
 pub fn run_soak(cfg: &FleetConfig) -> SoakOutcome {
-    let start = SimTime::from_secs(tacc_simnode::clock::Q4_2015_START_SECS);
     let interval = SimDuration::from_secs(cfg.interval_secs);
-    let plan = Arc::new(cfg.faults.clone());
-
-    // --- Fleet construction -------------------------------------------------
-    let topo = NodeTopology::stampede();
-    let hostnames: Vec<String> = (0..cfg.nodes)
-        .map(|i| format!("c{}-{:04}", 400 + i / 1000, i % 1000))
-        .collect();
-    let nodes: Vec<SimNode> = hostnames
-        .iter()
-        .map(|h| SimNode::new(h, topo.clone()))
-        .collect();
-    let cluster = SimCluster::from_nodes(SimClock::starting_at(start), nodes);
-
-    let broker = Broker::new();
-    broker.declare_bounded(QUEUE, cfg.queue_capacity, cfg.policy);
-
-    let archive = Arc::new(Archive::new());
-    archive.set_retention_bytes(cfg.archive_retention_bytes);
-    let mut consumer = match StatsConsumer::new(&broker, QUEUE, Arc::clone(&archive)) {
-        Some(c) => c,
-        None => return SoakOutcome::default(),
+    let sys = SystemConfig {
+        interval,
+        enable_tsdb: true,
+        ..SystemConfig::small(cfg.nodes, cfg.mode.clone())
     };
-
-    let chaos_on = Arc::new(AtomicBool::new(true));
-    let mut daemons: Vec<TaccStatsd> = Vec::with_capacity(cfg.nodes);
-    for node in cluster.nodes() {
-        let guard = node.read();
-        let fs = NodeFs::new(&guard);
-        let Ok(ncfg) = discover(&fs, BuildOptions::default()) else {
-            continue;
-        };
-        let sampler = Sampler::new(&guard.hostname, &ncfg);
-        daemons.push(TaccStatsd::new(
-            sampler,
-            interval,
-            QUEUE,
-            Box::new(ChaosPublisher {
-                broker: broker.clone(),
-                plan: Arc::clone(&plan),
-                chaos_on: Arc::clone(&chaos_on),
-            }),
-            start,
-        ));
+    let start = sys.start;
+    let mut pipeline = Pipeline::new(&sys);
+    let (Some(broker), Some(queue)) = (
+        pipeline.broker().cloned(),
+        pipeline.consumer().map(|c| c.queue().to_string()),
+    ) else {
+        return SoakOutcome::default();
+    };
+    let hostnames: Vec<String> = pipeline
+        .headers()
+        .iter()
+        .map(|h| h.hostname.as_str().to_string())
+        .collect();
+    if let Some(seed) = cfg.hostile {
+        let span = SimDuration::from_secs(cfg.ticks * cfg.interval_secs);
+        pipeline.set_fault_plan(FaultPlan::hostile(seed, &hostnames, start, span));
     }
+    pipeline
+        .archive()
+        .set_retention_bytes(cfg.archive_retention_bytes);
 
     // --- Memory governance --------------------------------------------------
     let budget = Arc::new(MemoryBudget::new(cfg.soft_bytes, cfg.hard_bytes));
-    let tsdb = TsDb::new();
-    tsdb.set_cache_budget(Arc::clone(&budget));
+    if let Some(tsdb) = pipeline.tsdb() {
+        tsdb.set_cache_budget(Arc::clone(&budget));
+    }
     let mut qcache = QueryCache::new(CacheConfig {
         capacity: 256,
         ttl_secs: cfg.interval_secs * 64,
@@ -507,98 +415,27 @@ pub fn run_soak(cfg: &FleetConfig) -> SoakOutcome {
         ..SoakOutcome::default()
     };
     let mut lat_hist: HashMap<u64, u64> = HashMap::new();
-    let mut node_down: Vec<bool> = vec![false; daemons.len()];
-    let third_len = (cfg.ticks / 3).max(1);
-    let mut third_walls = [0.0f64; 3];
-    let mut third_received = [0u64; 3];
-
-    let consume = |consumer: &mut StatsConsumer,
-                   budget_msgs: usize,
-                   now: SimTime,
-                   lat_hist: &mut HashMap<u64, u64>,
-                   tsdb_points: &mut u64|
-     -> u64 {
-        let mut n = 0u64;
-        for _ in 0..budget_msgs {
-            let polled = consumer.poll_with(now, std::time::Duration::ZERO, |host, sample| {
-                let delta = now.as_secs().saturating_sub(sample.time.as_secs());
-                *lat_hist.entry(delta).or_insert(0) += 1;
-                mirror_sample(&tsdb, host.as_str(), sample, tsdb_points);
-            });
-            if !polled {
-                break;
-            }
-            n += 1;
-        }
-        n
+    let mut record = |now: SimTime, sample: &Sample| {
+        let delta = now.as_secs().saturating_sub(sample.time.as_secs());
+        *lat_hist.entry(delta).or_insert(0) += 1;
     };
-
+    let at = |tick: u64| start + SimDuration::from_secs(tick * cfg.interval_secs);
+    let third_len = (cfg.ticks / 3).max(1);
     for tick in 0..cfg.ticks {
-        let now = start + SimDuration::from_secs(tick * cfg.interval_secs);
-        let third = ((tick / third_len) as usize).min(2);
+        let now = at(tick);
         let wall = Instant::now();
-
-        // Broker outage windows.
-        let down = plan.broker_down(now);
-        if down != broker.is_stopped() {
-            if down {
-                broker.stop();
-            } else {
-                broker.restart();
-            }
-        }
-
-        // Node crash / reboot transitions.
-        for (daemon, down_flag) in daemons.iter_mut().zip(node_down.iter_mut()) {
-            let host = daemon.sampler().header().hostname.as_str();
-            let in_outage = plan
-                .node_outages
-                .iter()
-                .any(|o| o.host == host && o.window.contains(now));
-            if in_outage && !*down_flag {
-                daemon.on_crash();
-            } else if !in_outage && *down_flag {
-                daemon.on_reboot(now);
-            }
-            *down_flag = in_outage;
-        }
-
-        // Advance the simulated hardware, then collect + publish.
-        cluster.advance_all(interval, |_| None);
-        for (i, daemon) in daemons.iter_mut().enumerate() {
-            if node_down.get(i).copied().unwrap_or(false) {
-                continue;
-            }
-            if let Some(node) = cluster.nodes().get(i) {
-                let guard = node.read();
-                let fs = NodeFs::new(&guard);
-                daemon.tick(&fs, now);
-            }
-        }
-
+        pipeline.apply_faults(now);
+        pipeline.advance(interval, |_| None);
+        pipeline.collect(now, |_, _, _| {});
         // Watermarks observed at the tick boundary (what a scheduler
         // would throttle on).
-        if let Some(lag) = broker.lag(QUEUE) {
+        if let Some(lag) = broker.lag(&queue) {
             out.peak_depth = out.peak_depth.max(lag.depth);
-            if lag.high() {
-                out.high_watermark_ticks += 1;
-            }
+            out.high_watermark_ticks += u64::from(lag.high());
         }
-
-        // Consumer leg, stalled periodically.
         let stalled = cfg.stall_every > 0 && tick % cfg.stall_every < cfg.stall_len;
-        if !stalled {
-            let n = consume(
-                &mut consumer,
-                cfg.consumer_budget,
-                now,
-                &mut lat_hist,
-                &mut out.tsdb_points,
-            );
-            if let Some(r) = third_received.get_mut(third) {
-                *r += n;
-            }
-        }
+        let budget = if stalled { 0 } else { cfg.consumer_budget };
+        let n = pipeline.drain(now, budget, |_, _, s| record(now, s));
 
         // Query leg: portal searches + tsdb range scans through the
         // budget-governed caches.
@@ -617,8 +454,8 @@ pub fn run_soak(cfg: &FleetConfig) -> SoakOutcome {
             // budget once blocks seal (~tick 512 at SEAL_THRESHOLD).
             for k in 0..cfg.query_hosts {
                 let idx = ((tick * cfg.query_hosts + k) as usize * 31) % hostnames.len().max(1);
-                if let Some(host) = hostnames.get(idx) {
-                    let key = SeriesKey::new(host, DeviceType::Mdc.name(), "all", "sum");
+                if let (Some(host), Some(tsdb)) = (hostnames.get(idx), pipeline.tsdb()) {
+                    let key = SeriesKey::new(host, DeviceType::Mdc.name(), "all", "reqs");
                     let mut acc = 0.0f64;
                     tsdb.range_for_each(&key, 0, u64::MAX, |_, v| acc += v);
                     std::hint::black_box(acc);
@@ -626,88 +463,55 @@ pub fn run_soak(cfg: &FleetConfig) -> SoakOutcome {
             }
         }
 
-        if let Some(w) = third_walls.get_mut(third) {
-            *w += wall.elapsed().as_secs_f64();
-        }
+        let third = &mut out.thirds[((tick / third_len) as usize).min(2)];
+        third.received += n as u64;
+        third.wall_secs += wall.elapsed().as_secs_f64();
     }
 
     // --- Settle phase -------------------------------------------------------
-    // Broker healthy, network healed, stalls off, unbounded consumer
-    // budget: spools replay (collections continue at cadence — they
-    // are counted), and the queue drains to empty before the ledger
-    // snapshot.
-    chaos_on.store(false, Ordering::Relaxed);
-    if broker.is_stopped() {
-        broker.restart();
-    }
+    // Broker healthy, network healed, crashed nodes back, stalls off:
+    // spools replay (collections continue at cadence — they are
+    // counted), and a healthy consumer keeps pace with each host's
+    // replay burst, so replays are not shed against the bounded queue
+    // they drain into.
+    pipeline.heal();
     for tick in cfg.ticks..cfg.ticks + cfg.settle_ticks {
-        let now = start + SimDuration::from_secs(tick * cfg.interval_secs);
-        for (i, daemon) in daemons.iter_mut().enumerate() {
-            // Crashed-forever nodes stay down only while their outage
-            // window lasts; reboot any stragglers for the settle.
-            if node_down.get(i).copied().unwrap_or(false) {
-                daemon.on_reboot(now);
-                if let Some(f) = node_down.get_mut(i) {
-                    *f = false;
-                }
-            }
-            if let Some(node) = cluster.nodes().get(i) {
-                let guard = node.read();
-                let fs = NodeFs::new(&guard);
-                daemon.tick(&fs, now);
-            }
-            // Consume alongside each host's replay burst: the settle
-            // models a healthy consumer keeping pace, so replays are
-            // not shed against the bounded queue they drained into.
-            let _ = consume(
-                &mut consumer,
-                usize::MAX,
-                now,
-                &mut lat_hist,
-                &mut out.tsdb_points,
-            );
+        let now = at(tick);
+        for i in 0..hostnames.len() {
+            pipeline.collect_node(i, now, None, |_, _, _| {});
+            pipeline.drain(now, usize::MAX, |_, _, s| record(now, s));
         }
     }
     // Final drain: anything the last replays enqueued.
-    let drain_t =
-        start + SimDuration::from_secs((cfg.ticks + cfg.settle_ticks) * cfg.interval_secs);
-    let _ = consume(
-        &mut consumer,
-        usize::MAX,
-        drain_t,
-        &mut lat_hist,
-        &mut out.tsdb_points,
-    );
+    let end = at(cfg.ticks + cfg.settle_ticks);
+    pipeline.drain(end, usize::MAX, |_, _, s| record(end, s));
 
     // --- Ledger snapshot ----------------------------------------------------
-    for daemon in &daemons {
+    for daemon in pipeline.daemons() {
         out.collected += daemon.collected;
         out.spooled += daemon.spool().len() as u64;
         out.spool_evicted += daemon.spool().evicted().len() as u64;
         out.lost += daemon.lost_seqs().len() as u64;
     }
-    out.received = consumer.received;
-    out.duplicates = consumer.duplicates;
-    out.parse_failures = consumer.parse_failures;
-    out.gap_events = consumer.gap_events;
+    if let Some(consumer) = pipeline.consumer() {
+        out.received = consumer.received;
+        out.duplicates = consumer.duplicates;
+        out.parse_failures = consumer.parse_failures;
+        out.gap_events = consumer.gap_events;
+    }
     out.queue = broker
         .stats()
         .queues
-        .get(QUEUE)
+        .get(&queue)
         .copied()
         .unwrap_or_default();
-    for (i, w) in third_walls.iter().enumerate() {
-        if let Some(t) = out.thirds.get_mut(i) {
-            t.wall_secs = *w;
-            t.received = third_received.get(i).copied().unwrap_or(0);
-        }
-    }
     out.latency = percentiles(&lat_hist);
     out.mem_peak = budget.peak();
     out.soft_events = budget.soft_events();
-    out.tsdb_cache = tsdb.cache_stats();
+    out.tsdb_cache = pipeline.tsdb().map(TsDb::cache_stats).unwrap_or_default();
+    out.tsdb_points = pipeline.tsdb().map_or(0, |t| t.n_points() as u64);
     out.portal_cache = qcache.stats();
-    out.archive = archive.retention_stats();
+    out.archive = pipeline.archive().retention_stats();
     out
 }
 
@@ -720,7 +524,7 @@ mod tests {
         let cfg = FleetConfig {
             nodes: 12,
             ticks: 24,
-            queue_capacity: 16,
+            mode: stats_queue(16, ShedPolicy::DropOldest),
             consumer_budget: 15,
             stall_every: 8,
             stall_len: 2,
@@ -746,8 +550,7 @@ mod tests {
         let cfg = FleetConfig {
             nodes: 12,
             ticks: 24,
-            queue_capacity: 16,
-            policy: ShedPolicy::RejectNewest,
+            mode: stats_queue(16, ShedPolicy::RejectNewest),
             consumer_budget: 15,
             stall_every: 8,
             stall_len: 3,
@@ -767,30 +570,39 @@ mod tests {
         );
     }
 
-    #[test]
-    fn faulted_soak_keeps_message_identities_exact() {
-        let mut cfg = FleetConfig {
+    fn faulted() -> FleetConfig {
+        FleetConfig {
             nodes: 10,
             ticks: 30,
-            queue_capacity: 24,
+            mode: stats_queue(24, ShedPolicy::DropOldest),
             consumer_budget: 14,
             stall_every: 10,
             stall_len: 2,
             portal_jobs: 40,
+            hostile: Some(7),
             settle_ticks: 12,
             ..FleetConfig::smoke()
-        };
-        let hosts: Vec<String> = (0..cfg.nodes)
-            .map(|i| format!("c{}-{:04}", 400 + i / 1000, i % 1000))
-            .collect();
-        let start = SimTime::from_secs(tacc_simnode::clock::Q4_2015_START_SECS);
-        let span = SimDuration::from_secs(cfg.ticks * cfg.interval_secs);
-        cfg.faults = FaultPlan::hostile(7, &hosts, start, span);
-        let out = run_soak(&cfg);
+        }
+    }
+
+    #[test]
+    fn faulted_soak_keeps_message_identities_exact() {
+        let out = run_soak(&faulted());
         assert_eq!(out.check(false), Vec::<String>::new());
         assert!(
             out.duplicates > 0 || out.lost > 0 || out.spool_evicted > 0,
             "a hostile plan should leave visible scars: {out:?}"
         );
+    }
+
+    #[test]
+    fn same_config_gives_the_same_outcome() {
+        // Everything but wall time is a function of the configuration.
+        let run = || {
+            let mut out = run_soak(&faulted());
+            out.thirds.iter_mut().for_each(|t| t.wall_secs = 0.0);
+            format!("{out:?}")
+        };
+        assert_eq!(run(), run());
     }
 }

@@ -1,5 +1,6 @@
 //! System configuration.
 
+use tacc_broker::ShedPolicy;
 use tacc_simnode::topology::NodeTopology;
 use tacc_simnode::{SimDuration, SimTime};
 
@@ -21,6 +22,10 @@ pub enum Mode {
     Daemon {
         /// Broker queue name.
         queue: String,
+        /// Bound on the queue's ready backlog in messages (0 = unbounded).
+        capacity: usize,
+        /// What the queue does at `capacity`.
+        policy: ShedPolicy,
     },
 }
 
@@ -34,10 +39,12 @@ impl Mode {
         }
     }
 
-    /// The default daemon mode.
+    /// The default daemon mode (an unbounded queue).
     pub fn daemon() -> Mode {
         Mode::Daemon {
             queue: "tacc_stats".to_string(),
+            capacity: 0,
+            policy: ShedPolicy::DropOldest,
         }
     }
 }

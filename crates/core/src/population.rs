@@ -23,9 +23,7 @@
 //! the accumulator a sequential feed builds, because each rank owns its
 //! host.
 
-use crate::pool::WorkerPool;
-use tacc_collect::discovery::{discover, BuildOptions};
-use tacc_collect::engine::Sampler;
+use crate::pipeline::sampler_for;
 use tacc_jobdb::Database;
 use tacc_metrics::accum::JobAccum;
 use tacc_metrics::flags::FlagRules;
@@ -34,6 +32,7 @@ use tacc_metrics::table1::JobMetrics;
 use tacc_scheduler::job::{Job, QueueName};
 use tacc_scheduler::sched::Scheduler;
 use tacc_scheduler::workload::{WorkloadConfig, WorkloadGenerator};
+use tacc_simnode::pool::WorkerPool;
 use tacc_simnode::pseudofs::NodeFs;
 use tacc_simnode::topology::NodeTopology;
 use tacc_simnode::workload::NodeDemand;
@@ -168,12 +167,8 @@ pub fn simulate_rank(job: &Job, topo: &NodeTopology, interior: usize, rank: usiz
     }
     let n_samples = interior + 2;
     let hostname = format!("c{:03}-{rank:03}", job.id % 1000);
-    let mut node = SimNode::new(hostname.clone(), topo.clone());
-    let cfg = {
-        let fs = NodeFs::new(&node);
-        discover(&fs, BuildOptions::default()).expect("fresh node")
-    };
-    let mut sampler = Sampler::new(&hostname, &cfg);
+    let mut node = SimNode::new(hostname, topo.clone());
+    let mut sampler = sampler_for(&node);
     let idle_rank = rank >= job.n_nodes.saturating_sub(job.idle_nodes);
     if !idle_rank {
         let n_procs = job.wayness.min(topo.n_cores()).max(1);

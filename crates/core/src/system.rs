@@ -1,26 +1,20 @@
 //! The assembled monitoring system.
 //!
-//! [`MonitoringSystem`] wires the whole paper together: a simulated
-//! cluster, the batch scheduler with prolog/epilog hooks, a per-node
-//! collector in either §III-A operation mode, the broker + consumer of
-//! daemon mode, the central archive, the streaming Table I metric
-//! pipeline, the job database the portal queries, the optional §VI-A
-//! time-series mirror, and the §VI-B online analyzer with automated job
-//! suspension.
+//! [`MonitoringSystem`] is the paper's job-level view on top of the
+//! [`Pipeline`] (simulated cluster, per-node collectors in either §III-A
+//! operation mode, broker, consumer, archive, the optional §VI-A
+//! time-series mirror): the batch scheduler with prolog/epilog hooks,
+//! the streaming Table I metric pipeline, the job database the portal
+//! queries, XALT, the shared metadata server, and the §VI-B online
+//! analyzer with automated job suspension and adaptive cadence.
 
 use crate::config::{Mode, SystemConfig};
 use crate::online::{AdaptiveConfig, Alert, OnlineAnalyzer, OnlineConfig};
-use crate::pool::WorkerPool;
-use bytes::Bytes;
-use std::collections::{HashMap, HashSet, VecDeque};
+use crate::pipeline::{DeliveryReport, Pipeline};
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
-use std::time::Duration;
 use tacc_broker::Broker;
-use tacc_collect::consumer::StatsConsumer;
-use tacc_collect::cron::{CronCollector, CronConfig};
-use tacc_collect::daemon::{LocalPublisher, Publisher, TaccStatsd};
-use tacc_collect::discovery::{discover, BuildOptions};
-use tacc_collect::engine::{OverheadAccount, Sampler};
+use tacc_collect::engine::OverheadAccount;
 use tacc_collect::record::{HostHeader, Sample};
 use tacc_collect::spool::SpoolConfig;
 use tacc_collect::Archive;
@@ -32,158 +26,28 @@ use tacc_metrics::sketch::SketchRegistry;
 use tacc_scheduler::job::{JobId, JobRequest, JobStatus};
 use tacc_scheduler::sched::{SchedEvent, Scheduler};
 use tacc_scheduler::xalt::XaltDb;
-use tacc_simnode::counter::wrapping_delta;
-use tacc_simnode::faults::{fault_path, DeviceFaultKind, FaultPlan, ReadFault, ReadFaultMode};
-use tacc_simnode::intern::Sym;
+use tacc_simnode::faults::FaultPlan;
 use tacc_simnode::lustre_server::MdsModel;
-use tacc_simnode::pseudofs::NodeFs;
-use tacc_simnode::schema::DeviceType;
+use tacc_simnode::pool::WorkerPool;
 use tacc_simnode::workload::NodeDemand;
-use tacc_simnode::{SimClock, SimCluster, SimDuration, SimNode, SimTime};
-use tacc_tsdb::{SeriesKey, TsDb};
+use tacc_simnode::{SimClock, SimDuration, SimTime};
+use tacc_tsdb::TsDb;
 
-/// Mirrors selected per-host rates into the time-series database
-/// (§VI-A): cumulative counters become bucketed rate series tagged
-/// (host, device type, device name, event).
-struct TsdbMirror {
-    prev: HashMap<SeriesKey, (u64, u64)>,
-}
-
-impl TsdbMirror {
-    fn new() -> TsdbMirror {
-        TsdbMirror {
-            prev: HashMap::new(),
+/// Feed one sample into the accumulator of every job it is tagged with.
+fn feed_accums(accums: &mut HashMap<JobId, JobAccum>, header: &HostHeader, sample: &Sample) {
+    for jid in &sample.jobids {
+        if let Ok(id) = jid.parse::<JobId>() {
+            accums.entry(id).or_default().feed(header, sample);
         }
     }
-
-    fn feed(&mut self, header: &HostHeader, sample: &Sample, tsdb: &TsDb) {
-        let t = sample.time.as_secs();
-        let host = header.hostname.as_str();
-        let mut track = |dt: DeviceType, event: &str, value: u64| {
-            let key = SeriesKey::new(host, dt.name(), "all", event);
-            if let Some((pt, pv)) = self.prev.get(&key).copied() {
-                let dtime = t.saturating_sub(pt) as f64;
-                if dtime > 0.0 {
-                    let rate = wrapping_delta(pv, value, 64) as f64 / dtime;
-                    tsdb.insert(key.clone(), t, rate);
-                }
-            }
-            self.prev.insert(key, (t, value));
-        };
-        let sum_of = |dt: DeviceType, ev: &str| -> u64 {
-            let Some(schema) = header.schemas.get(&dt) else {
-                return 0;
-            };
-            let Some(i) = schema.index_of(ev) else {
-                return 0;
-            };
-            sample.devices_of(dt).map(|r| r.values[i]).sum()
-        };
-        if header.schemas.contains_key(&DeviceType::Mdc) {
-            track(DeviceType::Mdc, "reqs", sum_of(DeviceType::Mdc, "reqs"));
-            track(DeviceType::Mdc, "wait", sum_of(DeviceType::Mdc, "wait"));
-        }
-        if header.schemas.contains_key(&DeviceType::Llite) {
-            track(
-                DeviceType::Llite,
-                "open_close",
-                sum_of(DeviceType::Llite, "open") + sum_of(DeviceType::Llite, "close"),
-            );
-        }
-        if header.schemas.contains_key(&DeviceType::Lnet) {
-            track(
-                DeviceType::Lnet,
-                "bytes",
-                sum_of(DeviceType::Lnet, "tx_bytes") + sum_of(DeviceType::Lnet, "rx_bytes"),
-            );
-        }
-        track(
-            DeviceType::Cpustat,
-            "user",
-            sum_of(DeviceType::Cpustat, "user"),
-        );
-    }
-}
-
-enum NodeCollectors {
-    Cron(Vec<CronCollector>),
-    Daemon(Vec<TaccStatsd>),
-}
-
-/// Fault-injecting broker transport: consults the [`FaultPlan`] for
-/// deterministic per-message network drops. A dropped *request* never
-/// reaches the broker; a dropped *acknowledgement* is delivered but the
-/// sender sees a failure and will replay it later (the at-least-once
-/// duplicate source).
-struct ChaosPublisher {
-    broker: Broker,
-    plan: FaultPlan,
-    host: String,
-}
-
-impl Publisher for ChaosPublisher {
-    fn publish(&mut self, queue: &str, routing_key: &str, seq: u64, payload: Bytes) -> bool {
-        if self.plan.drops_request(&self.host, seq) {
-            return false;
-        }
-        let ok = self.broker.publish(queue, routing_key, payload);
-        if ok && self.plan.drops_ack(&self.host, seq) {
-            return false;
-        }
-        ok
-    }
-}
-
-/// End-to-end delivery reconciliation for daemon mode: every sequence
-/// number any node ever assigned is classified into exactly one bucket,
-/// so `collected == delivered + dropped + lost + in_spool` holds by
-/// construction and the interesting assertions are about which bucket
-/// each fate lands in.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct DeliveryReport {
-    /// Samples collected across all nodes (== sequence numbers issued).
-    pub collected: u64,
-    /// Archived by the consumer (at least once).
-    pub delivered: u64,
-    /// Evicted from a full spool — bounded-buffer overflow, accounted.
-    pub dropped: u64,
-    /// Wiped from a spool by a node crash (or otherwise vanished).
-    pub lost: u64,
-    /// Still spooled awaiting replay.
-    pub in_spool: u64,
-    /// Redelivered duplicates the consumer skipped.
-    pub duplicates: u64,
-    /// Sequence-gap events the consumer observed on arrival.
-    pub gap_events: u64,
-    /// Device instances missing from samples due to failed pseudofs
-    /// reads (cumulative across nodes).
-    pub degraded_reads: u64,
-    /// Unique messages the consumer processed.
-    pub received: u64,
-    /// Unparseable messages routed to the dead-letter queue.
-    pub dead_lettered: u64,
 }
 
 /// The full monitoring system over a simulated cluster.
 pub struct MonitoringSystem {
     cfg: SystemConfig,
-    clock: SimClock,
-    cluster: SimCluster,
+    pipeline: Pipeline,
     scheduler: Scheduler,
-    collectors: NodeCollectors,
-    headers: Vec<HostHeader>,
-    archive: Arc<Archive>,
-    broker: Option<Broker>,
-    consumer: Option<StatsConsumer>,
     db: Database,
-    tsdb: Option<TsDb>,
-    /// Recovery accounting from opening a durable tsdb
-    /// ([`SystemConfig::tsdb_dir`]); `None` for in-memory stores.
-    tsdb_recovery: Option<tacc_tsdb::RecoveryReport>,
-    /// Why a requested durable tsdb could not be opened (the system
-    /// falls back to an in-memory mirror rather than refusing to run).
-    tsdb_open_error: Option<String>,
-    mirror: TsdbMirror,
     online: Option<OnlineAnalyzer>,
     /// Automatically cancel jobs the online analyzer blames.
     pub auto_suspend: bool,
@@ -210,141 +74,16 @@ pub struct MonitoringSystem {
     xalt: XaltDb,
     /// Shared metadata-server latency model (§VI-A interference).
     pub mds: MdsModel,
-    fault_plan: Option<FaultPlan>,
-    /// Which nodes the fault plan currently holds down (to fire
-    /// crash/reboot exactly once per window edge).
-    plan_node_down: Vec<bool>,
 }
 
 impl MonitoringSystem {
-    /// Build the system (cluster, scheduler, per-node collectors, and —
-    /// in daemon mode — broker and consumer).
+    /// Build the system: the [`Pipeline`] of `cfg.mode` plus the
+    /// scheduler and the job-level state on top of it.
     pub fn new(cfg: SystemConfig) -> MonitoringSystem {
-        let clock = SimClock::starting_at(cfg.start);
-        let mut nodes = Vec::with_capacity(cfg.total_nodes());
-        for i in 0..cfg.n_nodes {
-            nodes.push(SimNode::new(
-                format!("{}-{i:04}", cfg.host_prefix),
-                cfg.topology.clone(),
-            ));
-        }
-        for i in 0..cfg.n_largemem {
-            nodes.push(SimNode::new(
-                format!("{}-lm{i:02}", cfg.host_prefix),
-                cfg.largemem_topology.clone(),
-            ));
-        }
-        // Discover and build a sampler per node.
-        let mut samplers = Vec::with_capacity(nodes.len());
-        for node in &nodes {
-            let fs = NodeFs::new(node);
-            let dcfg = discover(&fs, BuildOptions::default()).expect("fresh node discovers");
-            samplers.push(Sampler::new(&node.hostname, &dcfg));
-        }
-        let headers: Vec<HostHeader> = samplers.iter().map(|s| s.header().clone()).collect();
-        let cluster = SimCluster::from_nodes(clock.clone(), nodes);
-        let scheduler = Scheduler::new(cfg.n_nodes, cfg.n_largemem);
-        let mut broker = None;
-        let mut consumer = None;
-        let archive = Arc::new(Archive::new());
-        let collectors = match &cfg.mode {
-            Mode::Cron {
-                rotate_second,
-                sync_second,
-                sync_spread_secs,
-            } => NodeCollectors::Cron(
-                samplers
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, s)| {
-                        // Deterministic per-node stagger within the window.
-                        let offset = (i as u64).wrapping_mul(0x9E37_79B9).wrapping_add(cfg.seed)
-                            % (*sync_spread_secs).max(1);
-                        CronCollector::new(
-                            s,
-                            CronConfig {
-                                interval: cfg.interval,
-                                rotate_second: *rotate_second,
-                                sync_second: sync_second + offset,
-                            },
-                            cfg.start,
-                        )
-                    })
-                    .collect(),
-            ),
-            Mode::Daemon { queue } => {
-                let b = Broker::new();
-                b.declare(queue);
-                let mut c = StatsConsumer::new(&b, queue, Arc::clone(&archive))
-                    .expect("queue just declared");
-                c.set_dead_letter(&format!("{queue}.dead_letter"));
-                consumer = Some(c);
-                let ds = samplers
-                    .into_iter()
-                    .map(|s| {
-                        TaccStatsd::new(
-                            s,
-                            cfg.interval,
-                            queue,
-                            Box::new(LocalPublisher(b.clone())),
-                            cfg.start,
-                        )
-                    })
-                    .collect();
-                broker = Some(b);
-                NodeCollectors::Daemon(ds)
-            }
-        };
-        // The tsdb mirror: in-memory by default; durable (WAL +
-        // segment files, crash-recovered on open) when a directory is
-        // configured. A durable store that fails to open degrades to
-        // in-memory — the monitor must keep running (§III "always
-        // on") — with the reason kept for inspection.
-        let mut tsdb_recovery = None;
-        let mut tsdb_open_error = None;
-        let tsdb = if cfg.enable_tsdb {
-            match &cfg.tsdb_dir {
-                Some(dir) => {
-                    let opened = tacc_tsdb::FsVfs::open(dir.clone()).and_then(|vfs| {
-                        TsDb::recover(
-                            Arc::new(vfs),
-                            tacc_tsdb::DEFAULT_SHARDS,
-                            tacc_tsdb::DurOptions::default(),
-                        )
-                    });
-                    match opened {
-                        Ok((db, report)) => {
-                            tsdb_recovery = Some(report);
-                            Some(db)
-                        }
-                        Err(e) => {
-                            tsdb_open_error = Some(format!("{}: {e}", dir.display()));
-                            Some(TsDb::new())
-                        }
-                    }
-                }
-                None => Some(TsDb::new()),
-            }
-        } else {
-            None
-        };
-        let n_total = cfg.total_nodes();
-        let enable_xalt = cfg.enable_xalt;
         MonitoringSystem {
-            cfg,
-            clock,
-            cluster,
-            scheduler,
-            collectors,
-            headers,
-            archive,
-            broker,
-            consumer,
+            pipeline: Pipeline::new(&cfg),
+            scheduler: Scheduler::new(cfg.n_nodes, cfg.n_largemem),
             db: Database::new(),
-            tsdb,
-            tsdb_recovery,
-            tsdb_open_error,
-            mirror: TsdbMirror::new(),
             online: None,
             auto_suspend: false,
             adaptive: None,
@@ -355,53 +94,25 @@ impl MonitoringSystem {
             rules: FlagRules::default(),
             pending: VecDeque::new(),
             accums: HashMap::new(),
-            node_assign: vec![None; n_total],
+            node_assign: vec![None; cfg.total_nodes()],
             job_pids: HashMap::new(),
             ingested: 0,
             suspended: Vec::new(),
-            xalt: XaltDb::new(enable_xalt),
+            xalt: XaltDb::new(cfg.enable_xalt),
             mds: MdsModel::default(),
-            fault_plan: None,
-            plan_node_down: vec![false; n_total],
+            cfg,
         }
     }
 
-    /// Install a [`FaultPlan`] (daemon mode only): every daemon's
-    /// transport is swapped for a fault-injecting one, and from now on
-    /// [`MonitoringSystem::step_once`] consults the plan for broker
-    /// outages, node crash/reboot windows, and device degradation.
+    /// Install a [`FaultPlan`] (daemon mode only; see
+    /// [`Pipeline::set_fault_plan`]): every step applies it.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        let NodeCollectors::Daemon(ds) = &mut self.collectors else {
-            panic!("fault plans drive the daemon pipeline; use daemon mode");
-        };
-        let broker = self.broker.as_ref().expect("daemon mode has a broker");
-        for (i, d) in ds.iter_mut().enumerate() {
-            d.set_publisher(Box::new(ChaosPublisher {
-                broker: broker.clone(),
-                plan: plan.clone(),
-                host: self.headers[i].hostname.to_string(),
-            }));
-        }
-        self.fault_plan = Some(plan);
+        self.pipeline.set_fault_plan(plan);
     }
 
-    /// Reconfigure every daemon's spool (daemon mode only; call before
-    /// driving the system).
+    /// Reconfigure every daemon's spool ([`Pipeline::set_spool`]).
     pub fn set_spool(&mut self, cfg: SpoolConfig) {
-        let NodeCollectors::Daemon(ds) = &mut self.collectors else {
-            panic!("spools exist only in daemon mode");
-        };
-        for (i, d) in ds.iter_mut().enumerate() {
-            let seed = self.headers[i]
-                .hostname
-                .as_str()
-                .bytes()
-                .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-                    (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-                });
-            d.set_spool_config(cfg, seed)
-                .expect("set_spool is called before any message is spooled");
-        }
+        self.pipeline.set_spool(cfg);
     }
 
     /// Enable §VI-B online analysis (daemon mode only; cron mode has no
@@ -430,9 +141,10 @@ impl MonitoringSystem {
             self.online.is_some(),
             "adaptive sampling is driven by the online analyzer; call enable_online first"
         );
-        let now = self.clock.now();
-        self.cadence = vec![self.cfg.interval; self.headers.len()];
-        self.cadence_changed = vec![now; self.headers.len()];
+        let now = self.clock().now();
+        let n = self.pipeline.headers().len();
+        self.cadence = vec![self.cfg.interval; n];
+        self.cadence_changed = vec![now; n];
         self.adaptive = Some(cfg);
     }
 
@@ -455,13 +167,9 @@ impl MonitoringSystem {
         &self.sketches
     }
 
-    /// Attach a worker pool to the time-series mirror (if enabled): its
-    /// dense aggregate folds run as parallel per-shard scans, with
-    /// results identical to the sequential path.
+    /// Attach a worker pool to the tsdb mirror ([`Pipeline::set_pool`]).
     pub fn set_pool(&mut self, pool: Arc<WorkerPool>) {
-        if let Some(tsdb) = &mut self.tsdb {
-            tsdb.set_pool(pool);
-        }
+        self.pipeline.set_pool(pool);
     }
 
     /// Queue job submissions (time-ordered or not; they are sorted).
@@ -474,7 +182,7 @@ impl MonitoringSystem {
 
     /// The simulated clock.
     pub fn clock(&self) -> &SimClock {
-        &self.clock
+        self.pipeline.clock()
     }
 
     /// The job database (portal queries run against this).
@@ -493,34 +201,34 @@ impl MonitoringSystem {
 
     /// The central raw-stats archive.
     pub fn archive(&self) -> &Archive {
-        &self.archive
+        self.pipeline.archive()
     }
 
     /// The broker (daemon mode only).
     pub fn broker(&self) -> Option<&Broker> {
-        self.broker.as_ref()
+        self.pipeline.broker()
     }
 
     /// The time-series database, if enabled.
     pub fn tsdb(&self) -> Option<&TsDb> {
-        self.tsdb.as_ref()
+        self.pipeline.tsdb()
     }
 
     /// Crash-recovery accounting from opening a durable tsdb
     /// ([`SystemConfig::tsdb_dir`]); `None` for in-memory mirrors.
     pub fn tsdb_recovery(&self) -> Option<&tacc_tsdb::RecoveryReport> {
-        self.tsdb_recovery.as_ref()
+        self.pipeline.tsdb_recovery()
     }
 
     /// Why the configured durable tsdb fell back to memory, if it did.
     pub fn tsdb_open_error(&self) -> Option<&str> {
-        self.tsdb_open_error.as_deref()
+        self.pipeline.tsdb_open_error()
     }
 
     /// Fsync the durable tsdb's write-ahead logs, making every point
     /// mirrored so far crash-proof. No-op (Ok) for in-memory mirrors.
     pub fn flush_tsdb(&self) -> Result<(), tacc_tsdb::DiskError> {
-        match &self.tsdb {
+        match self.tsdb() {
             Some(db) if db.is_durable() => db.flush(),
             _ => Ok(()),
         }
@@ -548,164 +256,22 @@ impl MonitoringSystem {
 
     /// Aggregate collection-overhead accounting across all nodes.
     pub fn overhead(&self) -> OverheadAccount {
-        let mut total = OverheadAccount::default();
-        let accounts: Vec<OverheadAccount> = match &self.collectors {
-            NodeCollectors::Cron(cs) => cs.iter().map(|c| c.sampler().account()).collect(),
-            NodeCollectors::Daemon(ds) => ds.iter().map(|d| d.sampler().account()).collect(),
-        };
-        for a in accounts {
-            total.busy = total.busy + a.busy;
-            total.collections += a.collections;
-            total.real_nanos += a.real_nanos;
-        }
-        total
+        self.pipeline.overhead()
     }
 
-    /// Crash a node: the hardware stops responding; in cron mode the
-    /// unsynced local log is lost, in daemon mode the in-memory spool
-    /// is wiped into the lost-sequence ledger. Returns samples lost.
+    /// Crash a node ([`Pipeline::crash_node`]); returns samples lost.
     pub fn crash_node(&mut self, node_idx: usize) -> usize {
-        self.cluster.node(node_idx).write().crash();
-        match &mut self.collectors {
-            NodeCollectors::Cron(cs) => cs[node_idx].on_crash(),
-            NodeCollectors::Daemon(ds) => ds[node_idx].on_crash(),
-        }
+        self.pipeline.crash_node(node_idx)
     }
 
-    /// Reboot a crashed node: the collector resumes its schedule from
-    /// the present (the dead window is not backfilled).
+    /// Reboot a crashed node ([`Pipeline::reboot_node`]).
     pub fn reboot_node(&mut self, node_idx: usize) {
-        self.cluster.node(node_idx).write().reboot();
-        let now = self.clock.now();
-        match &mut self.collectors {
-            NodeCollectors::Cron(cs) => cs[node_idx].skip_to(now),
-            NodeCollectors::Daemon(ds) => ds[node_idx].on_reboot(now),
-        }
+        self.pipeline.reboot_node(node_idx);
     }
 
-    /// Apply the fault plan's state for instant `now`: broker outage
-    /// windows, node crash/reboot at window edges, and per-device
-    /// degradation (missing/truncated pseudo-files, stuck counters).
-    fn apply_faults(&mut self, now: SimTime) {
-        let Some(plan) = self.fault_plan.clone() else {
-            return;
-        };
-        if let Some(broker) = &self.broker {
-            let down = plan.broker_down(now);
-            if down && !broker.is_stopped() {
-                broker.stop();
-            } else if !down && broker.is_stopped() {
-                broker.restart();
-            }
-        }
-        for outage in &plan.node_outages {
-            let Some(idx) = self.host_index(&outage.host) else {
-                continue;
-            };
-            let down = outage.window.contains(now);
-            if down && !self.plan_node_down[idx] {
-                self.plan_node_down[idx] = true;
-                self.crash_node(idx);
-            } else if !down && self.plan_node_down[idx] {
-                self.plan_node_down[idx] = false;
-                self.reboot_node(idx);
-            }
-        }
-        // Device faults are reasserted every step: a reboot thaws frozen
-        // counters and clears read faults, so whatever window is still
-        // open must be reinstalled.
-        let mut read_faults: HashMap<usize, Vec<ReadFault>> = HashMap::new();
-        let mut faulted_nodes: HashSet<usize> = HashSet::new();
-        for df in &plan.device_faults {
-            let Some(idx) = self.host_index(&df.host) else {
-                continue;
-            };
-            match df.kind {
-                DeviceFaultKind::StuckCounter => {
-                    self.cluster.node(idx).write().set_frozen(
-                        df.dev_type,
-                        &df.instance,
-                        df.window.contains(now),
-                    );
-                }
-                DeviceFaultKind::MissingFile | DeviceFaultKind::TruncatedRead => {
-                    faulted_nodes.insert(idx);
-                    if df.window.contains(now) {
-                        if let Some(prefix) = fault_path(df.dev_type, &df.instance) {
-                            read_faults.entry(idx).or_default().push(ReadFault {
-                                prefix,
-                                mode: match df.kind {
-                                    DeviceFaultKind::MissingFile => ReadFaultMode::Missing,
-                                    _ => ReadFaultMode::Truncated,
-                                },
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        for idx in faulted_nodes {
-            self.cluster
-                .node(idx)
-                .write()
-                .set_read_faults(read_faults.remove(&idx).unwrap_or_default());
-        }
-    }
-
-    /// Reconcile end-to-end delivery accounting (daemon mode only):
-    /// every sequence number is classified exactly once.
+    /// End-to-end delivery accounting ([`Pipeline::delivery_report`]).
     pub fn delivery_report(&self) -> DeliveryReport {
-        let NodeCollectors::Daemon(ds) = &self.collectors else {
-            panic!("delivery accounting requires daemon mode");
-        };
-        let consumer = self.consumer.as_ref().expect("daemon mode has a consumer");
-        let mut r = DeliveryReport::default();
-        for (i, d) in ds.iter().enumerate() {
-            let host = self.headers[i].hostname.as_str();
-            r.collected += d.collected;
-            r.degraded_reads += d.sampler().degraded_reads();
-            for seq in 0..d.next_seq() {
-                if consumer.has_seen(host, seq) {
-                    r.delivered += 1;
-                } else if d.spool().contains(seq) {
-                    r.in_spool += 1;
-                } else if d.spool().evicted().contains(&seq) {
-                    r.dropped += 1;
-                } else {
-                    // Crash-wiped (in the lost ledger) or otherwise
-                    // vanished — lost either way.
-                    r.lost += 1;
-                }
-            }
-        }
-        r.duplicates = consumer.duplicates;
-        r.gap_events = consumer.gap_events;
-        r.received = consumer.received;
-        r.dead_lettered = consumer.dead_lettered;
-        r
-    }
-
-    fn feed_sample(
-        headers: &[HostHeader],
-        accums: &mut HashMap<JobId, JobAccum>,
-        mirror: &mut TsdbMirror,
-        tsdb: Option<&TsDb>,
-        node_idx: usize,
-        sample: &Sample,
-    ) {
-        let header = &headers[node_idx];
-        for jid in &sample.jobids {
-            if let Ok(id) = jid.parse::<JobId>() {
-                accums.entry(id).or_default().feed(header, sample);
-            }
-        }
-        if let Some(tsdb) = tsdb {
-            mirror.feed(header, sample, tsdb);
-        }
-    }
-
-    fn host_index(&self, host: &str) -> Option<usize> {
-        self.headers.iter().position(|h| h.hostname == host)
+        self.pipeline.delivery_report()
     }
 
     fn set_jobs_on(&mut self, node_idx: usize) {
@@ -715,36 +281,15 @@ impl MonitoringSystem {
             .into_iter()
             .map(|j| j.to_string())
             .collect();
-        match &mut self.collectors {
-            NodeCollectors::Cron(cs) => cs[node_idx].set_jobs(ids),
-            NodeCollectors::Daemon(ds) => ds[node_idx].set_jobs(ids),
-        }
+        self.pipeline.set_jobs(node_idx, ids);
     }
 
     fn collect_marked_on(&mut self, node_idx: usize, now: SimTime, mark: &str) {
-        let node = self.cluster.node(node_idx);
-        let guard = node.read();
-        if guard.is_crashed() {
-            return; // no daemon, no cron job: a dead node collects nothing
-        }
-        let fs = NodeFs::new(&guard);
-        match &mut self.collectors {
-            NodeCollectors::Cron(cs) => {
-                let sample = cs[node_idx].collect_marked(&fs, now, mark);
-                drop(guard);
-                Self::feed_sample(
-                    &self.headers,
-                    &mut self.accums,
-                    &mut self.mirror,
-                    self.tsdb.as_ref(),
-                    node_idx,
-                    &sample,
-                );
-            }
-            NodeCollectors::Daemon(ds) => {
-                ds[node_idx].collect_marked(&fs, now, mark);
-            }
-        }
+        let accums = &mut self.accums;
+        self.pipeline
+            .collect_node(node_idx, now, Some(mark), |_, header, sample| {
+                feed_accums(accums, header, sample)
+            });
     }
 
     fn handle_started(&mut self, id: JobId, now: SimTime) {
@@ -755,7 +300,7 @@ impl MonitoringSystem {
             self.node_assign[node_idx] = Some((id, rank));
             let idle = rank >= job.n_nodes.saturating_sub(job.idle_nodes);
             if !idle {
-                let node = self.cluster.node(node_idx);
+                let node = self.pipeline.cluster().node(node_idx);
                 let mut guard = node.write();
                 let n_procs = job.wayness.min(guard.topology.n_cores()).max(1);
                 for _ in 0..n_procs {
@@ -780,7 +325,11 @@ impl MonitoringSystem {
         }
         if let Some(pids) = self.job_pids.remove(&id) {
             for (node_idx, pid) in pids {
-                self.cluster.node(node_idx).write().end_process(pid);
+                self.pipeline
+                    .cluster()
+                    .node(node_idx)
+                    .write()
+                    .end_process(pid);
             }
         }
     }
@@ -792,12 +341,12 @@ impl MonitoringSystem {
                 .remove(&job.id)
                 .map(|a| a.finalize())
                 .unwrap_or_default();
-            let mem_gb = self.cfg.largemem_topology.memory_bytes as f64 / 1e9;
-            let mem_gb = if job.queue.name() == "largemem" {
-                mem_gb
+            let topo = if job.queue.name() == "largemem" {
+                &self.cfg.largemem_topology
             } else {
-                self.cfg.topology.memory_bytes as f64 / 1e9
+                &self.cfg.topology
             };
+            let mem_gb = topo.memory_bytes as f64 / 1e9;
             // Close out the job's streaming flag state: the streamed
             // verdict replays the batch metrics, so it equals what
             // ingest_job is about to store (and the per-job state is
@@ -822,73 +371,47 @@ impl MonitoringSystem {
     /// its current cadence backs off multiplicatively toward
     /// `max_interval`.
     fn adapt_cadence(&mut self, now: SimTime) {
-        let Some(acfg) = self.adaptive else {
+        let (Some(acfg), Some(online)) = (self.adaptive, &self.online) else {
             return;
         };
-        let Some(online) = &self.online else {
-            return;
-        };
-        let NodeCollectors::Daemon(ds) = &mut self.collectors else {
-            return;
-        };
-        for (i, d) in ds.iter_mut().enumerate() {
-            let Some(header) = self.headers.get(i) else {
-                continue;
-            };
-            let (Some(&cur), Some(&since)) = (self.cadence.get(i), self.cadence_changed.get(i))
-            else {
-                continue;
-            };
-            let score = online.anomaly_score(header.hostname);
+        let slots = self.cadence.iter_mut().zip(&mut self.cadence_changed);
+        for (i, (cur, since)) in slots.enumerate() {
+            let score = online.anomaly_score(self.pipeline.headers()[i].hostname);
+            let quiet = now.duration_since(*since) >= *cur;
             let desired = if score >= acfg.hot_score {
                 acfg.min_interval
-            } else if now.duration_since(since) >= cur {
+            } else if quiet {
                 // One full quiet period at the current cadence: back
                 // off one multiplicative step.
-                let next =
-                    SimDuration::from_secs((cur.as_secs() as f64 * acfg.backoff).round() as u64);
-                if next > acfg.max_interval {
-                    acfg.max_interval
-                } else {
-                    next
-                }
+                let next = (cur.as_secs() as f64 * acfg.backoff).round() as u64;
+                SimDuration::from_secs(next).min(acfg.max_interval)
             } else {
-                cur
+                *cur
             };
-            if desired != cur {
-                if let Some(slot) = self.cadence.get_mut(i) {
-                    *slot = desired;
-                }
-                if let Some(slot) = self.cadence_changed.get_mut(i) {
-                    *slot = now;
-                }
-                d.set_interval(now, desired);
+            if desired != *cur {
+                *cur = desired;
+                *since = now;
+                self.pipeline.set_interval(i, now, desired);
                 self.cadence_log.push((now, i, desired));
-            } else if now.duration_since(since) >= cur {
+            } else if quiet {
                 // At the ceiling (or floor): restart the quiet timer so
                 // the elapsed check stays meaningful.
-                if let Some(slot) = self.cadence_changed.get_mut(i) {
-                    *slot = now;
-                }
+                *since = now;
             }
         }
     }
 
-    /// One driver step: submissions → scheduler events (prolog/epilog
-    /// collections) → cluster advance → collector ticks → consumer
-    /// drain (daemon) → online analysis → ingest finished jobs.
+    /// One driver step: fault state → submissions → scheduler events
+    /// (prolog/epilog collections) → cluster advance → collector ticks
+    /// → consumer drain with online analysis (daemon) → adaptive
+    /// cadence → ingest finished jobs.
     pub fn step_once(&mut self) {
-        let now = self.clock.now();
+        let now = self.clock().now();
         // Fault-plan state for this instant (broker outages, node
         // crash/reboot edges, device degradation).
-        self.apply_faults(now);
+        self.pipeline.apply_faults(now);
         // Submissions due.
-        while self
-            .pending
-            .front()
-            .map(|(t, _)| *t <= now)
-            .unwrap_or(false)
-        {
+        while self.pending.front().is_some_and(|(t, _)| *t <= now) {
             let (_, req) = self.pending.pop_front().expect("checked nonempty");
             self.scheduler.submit(req, now);
         }
@@ -933,80 +456,29 @@ impl MonitoringSystem {
                 }
             }
         }
-        self.cluster
-            .advance_all(self.cfg.step, |i| demands[i].clone());
-        let now2 = self.clock.now();
-        // Collector ticks.
-        match &mut self.collectors {
-            NodeCollectors::Cron(cs) => {
-                for (i, c) in cs.iter_mut().enumerate() {
-                    let node = self.cluster.node(i);
-                    let guard = node.read();
-                    if guard.is_crashed() {
-                        continue;
-                    }
-                    let fs = NodeFs::new(&guard);
-                    let samples = c.tick(&fs, now2, &self.archive);
-                    drop(guard);
-                    for s in samples {
-                        Self::feed_sample(
-                            &self.headers,
-                            &mut self.accums,
-                            &mut self.mirror,
-                            self.tsdb.as_ref(),
-                            i,
-                            &s,
-                        );
-                    }
-                }
-            }
-            NodeCollectors::Daemon(ds) => {
-                for (i, d) in ds.iter_mut().enumerate() {
-                    let node = self.cluster.node(i);
-                    let guard = node.read();
-                    if guard.is_crashed() {
-                        continue;
-                    }
-                    let fs = NodeFs::new(&guard);
-                    d.tick(&fs, now2);
-                }
-            }
-        }
+        let now2 = self.pipeline.advance(self.cfg.step, |i| demands[i].clone());
+        // Collector ticks: samples a cron sync brings in feed their jobs.
+        let accums = &mut self.accums;
+        self.pipeline.collect(now2, |_, header, sample| {
+            feed_accums(accums, header, sample)
+        });
         // Consumer drain + online analysis (daemon mode).
         let mut to_suspend: Vec<JobId> = Vec::new();
-        if let Some(consumer) = &mut self.consumer {
-            let headers = &self.headers;
-            let auto_suspend = self.auto_suspend;
-            let mut on_sample = |host: Sym, sample: &Sample| {
-                let Some(idx) = headers.iter().position(|h| h.hostname == host) else {
-                    return;
-                };
-                Self::feed_sample(
-                    headers,
-                    &mut self.accums,
-                    &mut self.mirror,
-                    self.tsdb.as_ref(),
-                    idx,
-                    sample,
-                );
-                if let Some(online) = &mut self.online {
-                    for alert in online.observe(now2, &headers[idx], sample) {
-                        if auto_suspend {
-                            for jid in &alert.jobids {
-                                if let Ok(id) = jid.parse::<JobId>() {
-                                    to_suspend.push(id);
-                                }
-                            }
-                        }
-                    }
-                }
+        let (accums, online) = (&mut self.accums, &mut self.online);
+        let auto_suspend = self.auto_suspend;
+        self.pipeline.drain(now2, usize::MAX, |_, header, sample| {
+            feed_accums(accums, header, sample);
+            let Some(online) = online.as_mut() else {
+                return;
             };
-            // Each sample is lent from the consumer's own storage:
-            // nothing is collected into a Vec first.
-            while consumer.poll_with(now2, Duration::ZERO, &mut on_sample) {}
-            if let Some(online) = &mut self.online {
-                online.check_silence(now2);
+            for alert in online.observe(now2, header, sample) {
+                if auto_suspend {
+                    to_suspend.extend(alert.jobids.iter().filter_map(|j| j.parse::<JobId>().ok()));
+                }
             }
+        });
+        if let Some(online) = &mut self.online {
+            online.check_silence(now2);
         }
         for id in to_suspend {
             self.suspend_job(id, now2);
@@ -1030,7 +502,7 @@ impl MonitoringSystem {
 
     /// Drive the system until the clock reaches `end`.
     pub fn run_until(&mut self, end: SimTime) {
-        while self.clock.now() < end {
+        while self.clock().now() < end {
             self.step_once();
         }
     }
@@ -1204,23 +676,6 @@ mod tests {
     }
 
     #[test]
-    fn overhead_accounting_accumulates() {
-        let mut sys = MonitoringSystem::new(SystemConfig::small(2, crate::config::Mode::daemon()));
-        sys.run_until(t0() + SimDuration::from_hours(2));
-        let acct = sys.overhead();
-        // 2 nodes × 13 interval samples.
-        assert!(acct.collections >= 24, "collections {}", acct.collections);
-        let per_node_elapsed = SimDuration::from_hours(2);
-        let ov = OverheadAccount {
-            busy: SimDuration::from_nanos(acct.busy.as_nanos() / 2),
-            collections: acct.collections / 2,
-            real_nanos: 0,
-        }
-        .overhead_fraction(per_node_elapsed);
-        assert!(ov < 1e-3, "overhead {ov}");
-    }
-
-    #[test]
     fn online_analyzer_detects_and_suspends_storm_job() {
         let mut sys = MonitoringSystem::new(SystemConfig::small(2, crate::config::Mode::daemon()));
         sys.enable_online(OnlineConfig::default(), true);
@@ -1288,70 +743,6 @@ mod tests {
             .any(|a| matches!(a.kind, AlertKind::SuddenDrop)));
         let collected = sys.delivery_report().collected;
         assert!(collected < 144, "collected {collected} of fixed 144");
-    }
-
-    #[test]
-    fn node_crash_loses_cron_data_but_not_daemon_data() {
-        // Cron mode.
-        let mut cron = MonitoringSystem::new(SystemConfig::small(1, Mode::cron()));
-        cron.run_until(t0() + SimDuration::from_hours(2));
-        let lost = cron.crash_node(0);
-        assert!(lost >= 12, "unsynced samples lost: {lost}");
-        // Daemon mode: same scenario, nothing lost.
-        let mut daemon =
-            MonitoringSystem::new(SystemConfig::small(1, crate::config::Mode::daemon()));
-        daemon.run_until(t0() + SimDuration::from_hours(2));
-        let lost = daemon.crash_node(0);
-        assert_eq!(lost, 0);
-        assert!(daemon.archive().total_samples() >= 12);
-    }
-
-    #[test]
-    fn tsdb_mirror_populates_series() {
-        let mut cfg = SystemConfig::small(2, crate::config::Mode::daemon());
-        cfg.enable_tsdb = true;
-        let mut sys = MonitoringSystem::new(cfg);
-        sys.enqueue_jobs(vec![(t0(), request(AppModel::io_heavy(), 2, 60))]);
-        sys.run_until(t0() + SimDuration::from_mins(90));
-        let tsdb = sys.tsdb().unwrap();
-        assert!(tsdb.n_series() > 0);
-        let f = tacc_tsdb::TagFilter::any().dev_type("mdc").event("reqs");
-        assert!(!tsdb.keys(&f).is_empty());
-        assert!(tsdb.n_points() > 0);
-    }
-
-    #[test]
-    fn durable_tsdb_mirror_survives_a_restart() {
-        // Two system lifetimes over the same store directory: the
-        // second must recover every point the first flushed.
-        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../../target")
-            .join(format!("tacc-sys-dur-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-
-        let mut cfg = SystemConfig::small(2, crate::config::Mode::daemon());
-        cfg.enable_tsdb = true;
-        cfg.tsdb_dir = Some(dir.clone());
-        let mut sys = MonitoringSystem::new(cfg.clone());
-        assert!(sys.tsdb_open_error().is_none());
-        let report = sys.tsdb_recovery().expect("durable store opened");
-        assert_eq!(report.fresh_shards, tacc_tsdb::DEFAULT_SHARDS as u64);
-        sys.enqueue_jobs(vec![(t0(), request(AppModel::io_heavy(), 2, 60))]);
-        sys.run_until(t0() + SimDuration::from_mins(90));
-        let points = sys.tsdb().unwrap().n_points();
-        let series = sys.tsdb().unwrap().n_series();
-        assert!(points > 0);
-        sys.flush_tsdb().unwrap();
-        drop(sys);
-
-        let sys = MonitoringSystem::new(cfg);
-        let report = *sys.tsdb_recovery().expect("durable store reopened");
-        assert!(report.balances(), "{report:?}");
-        assert!(report.is_clean(), "{report:?}");
-        assert_eq!(sys.tsdb().unwrap().n_points(), points);
-        assert_eq!(sys.tsdb().unwrap().n_series(), series);
-        drop(sys);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

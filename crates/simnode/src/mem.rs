@@ -24,9 +24,8 @@
 //!
 //! This module lives at the bottom of the dependency graph (like
 //! [`crate::pool`] and [`crate::intern`]) so the tsdb, the broker, and
-//! the portal can all share it; `tacc_core::mem` re-exports it under
-//! the façade. It is on the `cargo xtask lint` panic deny tier: no
-//! panicking constructs, no unchecked indexing.
+//! the portal can all share it. It is on the `cargo xtask lint` panic
+//! deny tier: no panicking constructs, no unchecked indexing.
 
 use std::collections::HashMap;
 use std::hash::Hash;

@@ -78,7 +78,7 @@ const KNOWN_ACQUIRERS: &[(&str, &str)] = &[
     (".resolve", "SymbolTable.inner"),
     (".route4", "SymbolTable.inner"),
 ];
-const INTERNER_FILES: &[&str] = &["crates/simnode/src/intern.rs", "crates/core/src/intern.rs"];
+const INTERNER_FILES: &[&str] = &["crates/simnode/src/intern.rs"];
 
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 enum LockKind {

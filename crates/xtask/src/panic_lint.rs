@@ -20,15 +20,14 @@
 //! guarantees depend on — `collect::daemon`, `collect::spool`,
 //! `broker::queue`, plus the transport endpoints `broker::tcp` and
 //! `collect::consumer`, and the shared data-representation layer every
-//! sample now rides: the interner (`simnode::intern` and its
-//! `core::intern` re-export), the byte codec (`collect::codec`), and
-//! the columnar block codec every stored point round-trips through
-//! (`tsdb::block`) — with the tokenizer and the integer writer that
-//! codec and the node side both read and write through
-//! (`collect::tokens`, `simnode::digits`). The parallel execution layer joins them: the
-//! scoped worker pool (`simnode::pool` and its `core::pool`
-//! re-export) runs under every fan-out site, and the shard layer
-//! (`tsdb::shard`) routes every stored sample — a panic in either
+//! sample now rides: the interner (`simnode::intern`), the byte codec
+//! (`collect::codec`), and the columnar block codec every stored point
+//! round-trips through (`tsdb::block`) — with the tokenizer and the
+//! integer writer that codec and the node side both read and write
+//! through (`collect::tokens`, `simnode::digits`). The parallel
+//! execution layer joins them: the scoped worker pool (`simnode::pool`)
+//! runs under every fan-out site, and the shard layer (`tsdb::shard`)
+//! routes every stored sample — a panic in either
 //! poisons a lock or wedges the pipeline. Those may never appear in
 //! the allowlist at all. The durability tier joins them: the virtual
 //! disk (`tsdb::vfs`), the WAL and segment codecs (`tsdb::wal`,
@@ -51,15 +50,11 @@ use std::fs;
 use std::path::Path;
 
 /// Hot-path source trees (or single files) the lint walks
-/// (workspace-relative). `crates/core/src/intern.rs` is a file entry:
-/// the rest of `tacc-core` is orchestration, but the interner re-export
-/// is part of the sample path's data representation.
+/// (workspace-relative).
 pub const SCOPE: &[&str] = &[
     "crates/collect/src",
     "crates/broker/src",
     "crates/simnode/src",
-    "crates/core/src/intern.rs",
-    "crates/core/src/pool.rs",
     "crates/tsdb/src/block.rs",
     "crates/tsdb/src/shard.rs",
     "crates/tsdb/src/vfs.rs",
@@ -86,8 +81,6 @@ pub const DENY: &[&str] = &[
     "crates/simnode/src/digits.rs",
     "crates/simnode/src/pool.rs",
     "crates/simnode/src/mem.rs",
-    "crates/core/src/intern.rs",
-    "crates/core/src/pool.rs",
     "crates/tsdb/src/block.rs",
     "crates/tsdb/src/shard.rs",
     "crates/tsdb/src/vfs.rs",
