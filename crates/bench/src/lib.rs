@@ -1,9 +1,9 @@
-//! # tacc-bench — shared fixtures for the benchmark harness
+//! # tacc-bench — shared fixtures for the hot-loop benches and the soak
 //!
-//! One Criterion bench target per table/figure/headline number of the
-//! paper (see DESIGN.md's experiment index). Each bench prints a
-//! `paper-vs-measured` block before timing, so `cargo bench` regenerates
-//! the evaluation artefacts and records their shapes.
+//! Four bench targets: `sample_path` and `query_path` (the hot loops of
+//! the stages that carry a benchmark workload's wall), `soak_path` (the
+//! fleet soak over [`fleet::run_soak`]) and `substrate_throughput`. The
+//! paper's claims are checked by `tacc_stats::claims`, not here.
 
 #![forbid(unsafe_code)]
 
@@ -17,12 +17,12 @@ use tacc_simnode::topology::NodeTopology;
 use tacc_simnode::{SimDuration, SimTime};
 
 /// Simulation epoch used across benches.
-pub fn t0() -> SimTime {
+fn t0() -> SimTime {
     SimTime::from_secs(tacc_simnode::clock::Q4_2015_START_SECS)
 }
 
 /// A ready-made job request for a given app model.
-pub fn request(seed: u64, model: AppModel, n_nodes: usize, runtime_mins: u64) -> JobRequest {
+fn request(seed: u64, model: AppModel, n_nodes: usize, runtime_mins: u64) -> JobRequest {
     let mut rng = StdRng::seed_from_u64(seed);
     let topo = NodeTopology::stampede();
     let app = model.instantiate(&mut rng, n_nodes, topo.n_cores(), &topo);

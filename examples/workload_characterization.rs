@@ -2,21 +2,21 @@
 //!
 //! Generates a Q4-2015-shaped population (scaled down from the paper's
 //! 404,002 jobs), runs it through scheduling and per-job collection, and
-//! repeats every §V-A search:
+//! repeats every §V-A search and the §V-B production-population
+//! correlations with the same measures `tacc_stats::claims` checks:
 //!
 //! * jobs using the Xeon Phi for more than 1% of CPU time (paper: 1.3%),
 //! * jobs with >1% / >50% of FP instructions vectorized (paper: 52% / 25%),
 //! * jobs using more than 20 GB of the 32 GB nodes (paper: 3%),
 //! * jobs with idle reserved nodes (paper: "over 2%"),
-//! * the §V-B production-population correlations between CPU_Usage and
-//!   the Lustre metrics (paper: −0.11, −0.20, −0.19).
+//! * r(CPU_Usage, Lustre metric) over production jobs (paper: −0.11,
+//!   −0.20, −0.19).
 //!
 //! Run with: `cargo run --release --example workload_characterization [n_jobs]`
 
+use tacc_stats::claims;
 use tacc_stats::core::population::PopulationRunner;
-use tacc_stats::jobdb::Query;
 use tacc_stats::metrics::ingest::JOBS_TABLE;
-use tacc_stats::tsdb::stats::pearson;
 
 fn main() {
     let n_jobs: usize = std::env::args()
@@ -34,71 +34,17 @@ fn main() {
         runner.n_nodes, result.n_jobs, result.unstarted
     );
     let t = result.db.table(JOBS_TABLE).expect("jobs table");
-    let total = t.len() as f64;
-    let pct = |n: usize| 100.0 * n as f64 / total;
+    for (label, paper, keyword, threshold) in claims::CHARACTERIZATION {
+        let pct = 100.0 * claims::share(t, keyword, threshold);
+        println!("{label:<38}: {pct:>6.1} %   (paper: {paper})");
+    }
 
-    let mic = Query::new(t)
-        .filter_kw("MIC_Usage__gt", 0.01)
-        .count()
-        .unwrap();
-    println!(
-        "MIC usage > 1% of CPU time      : {:>6.1}%   (paper: 1.3%)",
-        pct(mic)
-    );
-    let vec1 = Query::new(t)
-        .filter_kw("VecPercent__gt", 1.0)
-        .count()
-        .unwrap();
-    println!(
-        "Vectorization > 1%              : {:>6.1}%   (paper: 52%)",
-        pct(vec1)
-    );
-    let vec50 = Query::new(t)
-        .filter_kw("VecPercent__gt", 50.0)
-        .count()
-        .unwrap();
-    println!(
-        "Vectorization > 50%             : {:>6.1}%   (paper: 25%)",
-        pct(vec50)
-    );
-    let mem20 = Query::new(t)
-        .filter_kw("MemUsage__gt", 20.0)
-        .count()
-        .unwrap();
-    println!(
-        "Memory use > 20 GB of 32 GB     : {:>6.1}%   (paper: 3%)",
-        pct(mem20)
-    );
-    let idle = Query::new(t).filter_kw("idle__lt", 0.05).count().unwrap();
-    println!(
-        "Jobs with idle nodes            : {:>6.1}%   (paper: >2%)",
-        pct(idle)
-    );
-
-    // §V-B: correlations over the production population (production
-    // queues, completed, runtime > 1 h).
     println!("\n== §V-B production-population correlations ==");
-    let production = Query::new(t)
-        .filter_kw("status", "completed")
-        .filter_kw("queue__ne", "development")
-        .filter_kw("run_time__gte", 3600i64);
-    let rows = production.rows().unwrap();
+    let (n_production, r) = claims::lustre_correlations(t);
     println!(
-        "Production jobs (completed, production queues, > 1 h): {} (paper: 110,438)\n",
-        rows.len()
+        "Production jobs (completed, production queues, > 1 h): {n_production} (paper: 110,438)\n"
     );
-    let col = |name: &str| t.schema().index_of(name).unwrap();
-    let pairs_of = |metric: &str| -> Vec<(f64, f64)> {
-        rows.iter()
-            .filter_map(|r| {
-                let cpu = r.get(col("CPU_Usage")).as_f64()?;
-                let m = r.get(col(metric)).as_f64()?;
-                Some((cpu, m))
-            })
-            .collect()
-    };
-    for (metric, paper) in [("MDCReqs", -0.11), ("OSCReqs", -0.20), ("LnetAveBW", -0.19)] {
-        let r = pearson(&pairs_of(metric)).unwrap_or(0.0);
+    for ((metric, paper), r) in claims::CORRELATIONS.iter().zip(r) {
         println!("corr(CPU_Usage, {metric:<10}) = {r:>6.3}   (paper: {paper:>5.2})");
     }
     println!("\nAll correlations should be negative: I/O-bound jobs spend less time in");

@@ -14,111 +14,28 @@
 //! Run with: `cargo run --release --example wrf_case_study`
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
+use tacc_stats::claims;
 use tacc_stats::core::config::{Mode, SystemConfig};
-use tacc_stats::core::population::simulate_job;
 use tacc_stats::core::MonitoringSystem;
-use tacc_stats::jobdb::{Database, Query};
-use tacc_stats::metrics::flags::{Flag, FlagRules};
-use tacc_stats::metrics::ingest::{ingest_job, JOBS_TABLE};
+use tacc_stats::jobdb::Query;
+use tacc_stats::metrics::flags::Flag;
+use tacc_stats::metrics::ingest::JOBS_TABLE;
 use tacc_stats::portal::detail::JobTimeSeries;
 use tacc_stats::portal::search::SearchSpec;
 use tacc_stats::scheduler::job::{JobRequest, QueueName};
-use tacc_stats::scheduler::sched::Scheduler;
 use tacc_stats::simnode::apps::AppModel;
 use tacc_stats::simnode::topology::NodeTopology;
 use tacc_stats::simnode::{SimDuration, SimTime};
 
-/// Build the two-week WRF population of §V-A: 558 jobs over 10 minutes
-/// in runtime, a handful of which belong to the pathological user.
-fn wrf_population(seed: u64) -> Vec<(SimTime, JobRequest)> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let topo = NodeTopology::stampede();
-    let t0 = SimTime::from_secs(1_451_606_400); // 2016-01-01
-    let span_secs = 14 * 86_400u64;
-    let mut jobs = Vec::new();
-    // 554 healthy WRF jobs + 4 from the bad user = the paper's 558
-    // (the bad user's share of the two-week window; their 105 jobs are
-    // spread over the whole quarter).
-    for i in 0..558usize {
-        let bad = i >= 554;
-        let model = if bad {
-            AppModel::wrf_metadata_storm()
-        } else {
-            AppModel::wrf()
-        };
-        // The pathological user always ran ~4-node jobs (the Fig. 5 job).
-        let n_nodes = if bad {
-            4
-        } else {
-            *[1usize, 2, 4, 4, 8, 16].get(rng.gen_range(0..6)).unwrap()
-        };
-        let app = model.instantiate(&mut rng, n_nodes, topo.n_cores(), &topo);
-        let runtime = SimDuration::from_mins(rng.gen_range(15..600));
-        let submit = t0 + SimDuration::from_secs(rng.gen_range(0..span_secs));
-        jobs.push((
-            submit,
-            JobRequest {
-                user: if bad { "user9999" } else { "user0042" }.to_string(),
-                uid: if bad { 9999 } else { 5042 },
-                account: "TG-WRF".to_string(),
-                job_name: "wrf_forecast".to_string(),
-                queue: QueueName::Normal,
-                n_nodes,
-                wayness: topo.n_cores(),
-                runtime,
-                will_fail: false,
-                idle_nodes: 0,
-                app,
-            },
-        ));
-    }
-    jobs.sort_by_key(|(t, _)| *t);
-    jobs
-}
-
 fn main() {
     println!("== §V WRF / Lustre I/O case study ==\n");
 
-    // ---- Schedule + collect the two-week WRF population. ----
-    let submissions = wrf_population(2016);
-    let mut sched = Scheduler::new(256, 0);
-    let mut t = submissions[0].0;
-    let horizon = t + SimDuration::from_secs(16 * 86_400);
-    let mut iter = submissions.into_iter().peekable();
-    let mut finished = Vec::new();
-    while t <= horizon {
-        while iter.peek().map(|(st, _)| *st <= t).unwrap_or(false) {
-            let (_, req) = iter.next().unwrap();
-            sched.submit(req, t);
-        }
-        sched.step(t);
-        finished.append(&mut sched.drain_finished());
-        t = t + SimDuration::from_secs(300);
-    }
-    finished.append(&mut sched.drain_finished());
-    println!(
-        "Scheduled and completed {} WRF jobs over two weeks.",
-        finished.len()
-    );
-
-    let topo = NodeTopology::stampede();
-    let rules = FlagRules::default();
-    let mut db = Database::new();
-    for job in &finished {
-        // Sample at the paper's 10-minute cadence (Maximum metrics are
-        // defined over these windows), capped for very long jobs.
-        let interior = (job.run_time().as_secs() / 600).clamp(3, 40) as usize;
-        let metrics = simulate_job(job, &topo, interior);
-        ingest_job(
-            &mut db,
-            job,
-            &metrics,
-            &rules,
-            topo.memory_bytes as f64 / 1e9,
-        );
-    }
-    let table = db.table(JOBS_TABLE).unwrap();
+    // ---- The two-week WRF population of Fig. 4 (the one the claims
+    // table checks): 558 jobs, four of them the storm user's. ----
+    let table = claims::wrf_population()
+        .table(JOBS_TABLE)
+        .expect("jobs table");
 
     // ---- Fig. 4: the automatic histograms of the WRF query. ----
     let wrf = SearchSpec {
@@ -129,52 +46,31 @@ fn main() {
     .run(table)
     .unwrap();
     println!(
-        "\nPortal query: exec = wrf.exe, runtime > 10 min → {} jobs (paper: 558)\n",
+        "Portal query: exec = wrf.exe, runtime > 10 min → {} jobs (paper: 558)\n",
         wrf.len()
     );
     println!("{}", wrf.fig4().render());
     println!(
-        "Flagged sublist: {} jobs (all from the metadata-storm user)\n",
+        "Flagged sublist: {} jobs flagged HighMetadataRate\n",
         wrf.flagged_with(Flag::HighMetadataRate).len()
     );
 
     // ---- §V-B: the ORM aggregation comparing user vs population. ----
-    let bad = SearchSpec {
-        exec: Some("wrf.exe".to_string()),
-        user: Some("user9999".to_string()),
-        ..SearchSpec::default()
+    println!("§V-B aggregation (storm user vs the rest of the WRF population):");
+    for (column, paper) in [
+        ("CPU_Usage", "user 67% / popn 80%"),
+        ("MetaDataRate", "user 563,905 / popn 3,870"),
+        ("LLiteOpenClose", "user 30,884 / popn 2"),
+    ] {
+        let (user, popn) = claims::user_vs_population(table, column);
+        println!("  {column:<24} {user:>12.2} {popn:>12.2}  (paper: {paper})");
     }
-    .run(table)
-    .unwrap();
-    // "The general WRF population": every WRF job but the bad user's.
-    let healthy_rows = Query::new(table)
-        .filter_kw("exec", "wrf.exe")
-        .filter_kw("user__ne", "user9999");
-    let healthy_avg = |col: &str| healthy_rows.avg(col).unwrap().unwrap_or(0.0);
-    println!("§V-B aggregation (this run vs the paper's Q4-2015 values):");
-    println!(
-        "  {:<24} {:>12} {:>12}  (paper: user 67% / popn 80%)",
-        "CPU_Usage",
-        format!("{:.2}", bad.avg("CPU_Usage").unwrap_or(0.0)),
-        format!("{:.2}", healthy_avg("CPU_Usage")),
-    );
-    println!(
-        "  {:<24} {:>12} {:>12}  (paper: user 563,905 / popn 3,870)",
-        "MetaDataRate (req/s)",
-        format!("{:.0}", bad.avg("MetaDataRate").unwrap_or(0.0)),
-        format!("{:.0}", healthy_avg("MetaDataRate")),
-    );
-    println!(
-        "  {:<24} {:>12} {:>12}  (paper: user 30,884 / popn 2)",
-        "LLiteOpenClose (1/s)",
-        format!("{:.0}", bad.avg("LLiteOpenClose").unwrap_or(0.0)),
-        format!("{:.0}", healthy_avg("LLiteOpenClose")),
-    );
 
     // ---- Fig. 5: the detailed per-node view of one storm job. ----
     println!("\nRe-running one storm job through the full daemon-mode pipeline");
     println!("to regenerate its Fig. 5 detail page...\n");
     let mut rng = StdRng::seed_from_u64(99);
+    let topo = NodeTopology::stampede();
     let t0 = SimTime::from_secs(1_451_606_400);
     let app = AppModel::wrf_metadata_storm().instantiate(&mut rng, 4, topo.n_cores(), &topo);
     let mut sys = MonitoringSystem::new(SystemConfig::small(4, Mode::daemon()));

@@ -10,6 +10,7 @@
 //! tacc-stats-sim job-detail   --nodes 4
 //! tacc-stats-sim table1
 //! tacc-stats-sim search --db jobs.db --field MetaDataRate__gte=10000
+//! tacc-stats-sim experiments > EXPERIMENTS.md
 //! ```
 //!
 //! Argument parsing is hand-rolled (no external CLI crates in the
@@ -19,11 +20,12 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 use std::process::ExitCode;
+use tacc_stats::claims;
 use tacc_stats::core::config::{Mode, SystemConfig};
 use tacc_stats::core::online::OnlineConfig;
 use tacc_stats::core::population::{simulate_job, PopulationRunner};
 use tacc_stats::core::MonitoringSystem;
-use tacc_stats::jobdb::{Database, Query};
+use tacc_stats::jobdb::Database;
 use tacc_stats::metrics::ingest::JOBS_TABLE;
 use tacc_stats::portal::detail::JobTimeSeries;
 use tacc_stats::portal::search::SearchSpec;
@@ -31,7 +33,6 @@ use tacc_stats::scheduler::job::{JobRequest, QueueName};
 use tacc_stats::simnode::apps::{AppLibrary, AppModel};
 use tacc_stats::simnode::topology::NodeTopology;
 use tacc_stats::simnode::{SimDuration, SimTime};
-use tacc_stats::tsdb::stats::pearson;
 
 const USAGE: &str = "\
 tacc-stats-sim — TACC Stats (IPPS 2016) reproduction driver
@@ -51,6 +52,7 @@ COMMANDS:
     search        query a saved job database
                   --db FILE  [--exec NAME] [--user NAME]
                   [--field metric__op=VALUE]... (up to 3)
+    experiments   check every paper claim and print EXPERIMENTS.md
     help          print this message
 ";
 
@@ -168,52 +170,15 @@ fn cmd_characterize(flags: &Flags) -> Result<(), String> {
     let runner = PopulationRunner::q4_2015(seed, n_jobs);
     let result = runner.run();
     let t = result.db.table(JOBS_TABLE).ok_or("no jobs table")?;
-    let total = t.len() as f64;
-    let pct =
-        |q: Query| -> String { format!("{:5.1}%", 100.0 * q.count().unwrap_or(0) as f64 / total) };
     println!("\n§V-A characterization ({} jobs):", t.len());
-    println!(
-        "  MIC > 1% of CPU time   {}   (paper 1.3%)",
-        pct(Query::new(t).filter_kw("MIC_Usage__gt", 0.01))
-    );
-    println!(
-        "  vectorized > 1%        {}   (paper 52%)",
-        pct(Query::new(t).filter_kw("VecPercent__gt", 1.0))
-    );
-    println!(
-        "  vectorized > 50%       {}   (paper 25%)",
-        pct(Query::new(t).filter_kw("VecPercent__gt", 50.0))
-    );
-    println!(
-        "  memory > 20 GB         {}   (paper 3%)",
-        pct(Query::new(t).filter_kw("MemUsage__gt", 20.0))
-    );
-    println!(
-        "  idle nodes             {}   (paper >2%)",
-        pct(Query::new(t).filter_kw("idle__lt", 0.05))
-    );
-    let rows = Query::new(t)
-        .filter_kw("status", "completed")
-        .filter_kw("queue__ne", "development")
-        .filter_kw("run_time__gte", 3600i64)
-        .rows()
-        .map_err(|e| e.to_string())?;
-    let col = |n: &str| t.schema().index_of(n).expect("column");
-    println!("\n§V-B correlations over {} production jobs:", rows.len());
-    for (metric, paper) in [("MDCReqs", -0.11), ("OSCReqs", -0.20), ("LnetAveBW", -0.19)] {
-        let pairs: Vec<(f64, f64)> = rows
-            .iter()
-            .filter_map(|r| {
-                Some((
-                    r.get(col("CPU_Usage")).as_f64()?,
-                    r.get(col(metric)).as_f64()?,
-                ))
-            })
-            .collect();
-        println!(
-            "  corr(CPU_Usage, {metric:<10}) = {:>6.3}  (paper {paper:>5.2})",
-            pearson(&pairs).unwrap_or(0.0)
-        );
+    for (label, paper, keyword, threshold) in claims::CHARACTERIZATION {
+        let pct = 100.0 * claims::share(t, keyword, threshold);
+        println!("  {label:<38} {pct:5.1} %   (paper {paper})");
+    }
+    let (n_production, r) = claims::lustre_correlations(t);
+    println!("\n§V-B correlations over {n_production} production jobs:");
+    for ((metric, paper), r) in claims::CORRELATIONS.iter().zip(r) {
+        println!("  corr(CPU_Usage, {metric:<10}) = {r:>6.3}  (paper {paper:>5.2})");
     }
     if let Some(path) = flags.get("save").and_then(|v| v.last()) {
         std::fs::write(path, result.db.render()).map_err(|e| e.to_string())?;
@@ -311,6 +276,19 @@ fn cmd_search(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
+fn cmd_experiments() -> Result<(), String> {
+    print!("{}", claims::render_markdown());
+    let failures = claims::failures();
+    if failures.is_empty() {
+        Ok(())
+    } else {
+        Err(format!(
+            "claims not where their status says:\n{}",
+            failures.join("\n")
+        ))
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(command) = args.first().cloned() else {
@@ -330,6 +308,7 @@ fn main() -> ExitCode {
         "job-detail" => cmd_job_detail(&flags),
         "table1" => cmd_table1(),
         "search" => cmd_search(&flags),
+        "experiments" => cmd_experiments(),
         "help" | "--help" | "-h" => {
             print!("{USAGE}");
             Ok(())

@@ -12,3 +12,5 @@ pub use tacc_portal as portal;
 pub use tacc_scheduler as scheduler;
 pub use tacc_simnode as simnode;
 pub use tacc_tsdb as tsdb;
+
+pub mod claims;
