@@ -10,45 +10,37 @@
 //! allocator.
 //!
 //! * `fused_search_fig4` — search plus all four Fig. 4 panels through
-//!   the fused single-pass engine with a warm [`FusedScratch`], and the
-//!   real threaded wall of `matched_indices` + the fused scan on a pool
-//!   at W ∈ {1, 2} (the reference host has two vCPUs; the spawn gate
-//!   keeps a 5 000-row table inline at both). The pipeline it replaced
-//!   — filter scan, re-sort, four `column()` → `Histogram::build`
-//!   passes — is the frozen [`BASELINE_SEARCH_FIG4`] constant, not code.
-//! * `fused_scan` — the scan stage alone with a warm scratch.
+//!   the fused engine. The pipeline it replaced — filter scan, re-sort,
+//!   four `column()` → `Histogram::build` passes — is the frozen
+//!   [`BASELINE_SEARCH_FIG4`] constant, not code.
+//! * `fused_scan` — the scan stage alone.
 //! * `query_cache` — cold miss vs warm hit through the watermark-keyed
 //!   [`QueryCache`].
 //! * `tsdb_aggregate_month` — `TsDb::aggregate` of one event over a
-//!   month of 8 hosts × 8 Table-I series into 1 h buckets, wall at
-//!   W ∈ {1, 2}: an hour-aligned `Sum`, so sealed blocks fold from
-//!   their seal-time rollups, and small enough that the spawn gate
-//!   keeps it inline at both. The per-point decode fold it replaced is
-//!   the frozen [`AGGREGATE_MONTH_BEFORE`] constant.
+//!   month of 8 hosts × 8 Table-I series into 1 h buckets: an
+//!   hour-aligned `Sum`, so sealed blocks fold from their seal-time
+//!   rollups, one shard after another. The per-point decode fold it
+//!   replaced is the frozen [`AGGREGATE_MONTH_BEFORE`] constant.
 //!
 //! Results go to `BENCH_query_path.json` at the workspace root. Its
-//! `acceptance` block reports, not enforces: the allocation-free warm
-//! scan, warm hit and one-allocation aggregate are asserted in
-//! `tests/alloc_invariants.rs` where tier-1 runs them, and "W = 2 is
-//! not slower than W = 1" is a wall-clock observation
-//! (`wall_no_regression`, both threaded cases), not an invariant.
+//! `acceptance` block reports, not enforces: the allocation-free scan,
+//! warm hit and one-allocation aggregate are asserted in
+//! `tests/alloc_invariants.rs` where tier-1 runs them.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 use tacc_jobdb::Database;
 use tacc_metrics::flags::FlagRules;
 use tacc_metrics::ingest::{ingest_job, JOBS_TABLE};
 use tacc_metrics::table1::{JobMetrics, MetricId};
 use tacc_portal::cache::QueryCache;
-use tacc_portal::fused::{self, FusedScratch, PanelCfg, PANELS};
-use tacc_portal::hist::{Fig4Panels, FIG4_PANELS};
+use tacc_portal::fused::{self, PanelCfg, PANELS};
+use tacc_portal::hist::FIG4_PANELS;
 use tacc_portal::search::SearchSpec;
 use tacc_scheduler::job::{Job, JobStatus, QueueName};
 use tacc_simnode::apps::AppModel;
-use tacc_simnode::pool::WorkerPool;
 use tacc_simnode::topology::NodeTopology;
 use tacc_simnode::{SimDuration, SimTime};
 use tacc_tsdb::{Aggregation, SeriesKey, TagFilter, TsDb};
@@ -113,9 +105,6 @@ impl MinStat {
     }
 }
 
-/// Worker counts of the threaded arms: the reference host's two vCPUs.
-const WORKERS: [usize; 2] = [1, 2];
-
 /// The pre-fused pipeline on the 5 000-job fixture — (ns, allocations)
 /// of `run` + four column materializations + four three-pass histogram
 /// builds, and the ns of that which was merge/histogram remainder after
@@ -125,8 +114,8 @@ const WORKERS: [usize; 2] = [1, 2];
 const BASELINE_SEARCH_FIG4: (f64, f64) = (188_223.0, 81.0);
 const BASELINE_MERGE_NS: f64 = 86_906.0;
 
-/// `tsdb_aggregate_month` at one worker — (ns, allocations) of the
-/// per-point fold that decoded every matching block — frozen from the
+/// `tsdb_aggregate_month` — (ns, allocations) of the per-point fold
+/// that decoded every matching block — frozen from the
 /// `BENCH_query_path.json` committed at PR 20, the last run before
 /// sealed blocks carried hourly rollups.
 const AGGREGATE_MONTH_BEFORE: (f64, f64) = (296_624.0, 1.0);
@@ -238,31 +227,17 @@ fn main() {
     }
     .field("MetaDataRate__gte", 10_000.0);
     let cfgs = panel_cfgs(table);
-    let pools: Vec<Arc<WorkerPool>> = WORKERS
-        .iter()
-        .map(|&w| Arc::new(WorkerPool::new(w)))
-        .collect();
 
     const ITERS: u64 = 80;
     let mut fused_seq = MinStat::new();
-    let mut fused_wall: Vec<MinStat> = WORKERS.iter().map(|_| MinStat::new()).collect();
     let mut scan_only = MinStat::new();
     let mut cache_cold = MinStat::new();
     let mut cache_warm_fig4 = MinStat::new();
     let mut cache_warm_search = MinStat::new();
-    let mut agg_wall: Vec<MinStat> = WORKERS.iter().map(|_| MinStat::new()).collect();
+    let mut agg_seq = MinStat::new();
 
     // Long-lived state the warm arms reuse across iterations.
-    let mut seq_scratch = FusedScratch::default();
     let scan_list = spec.run(table).expect("columns exist");
-    let mut scan_scratch = FusedScratch::default();
-    // Prime the scan scratch so the alloc arm measures steady state.
-    black_box(fused::scan(
-        scan_list.rows(),
-        &cfgs,
-        None,
-        &mut scan_scratch,
-    ));
     let watermark = 1u64;
     let now = 0u64;
     let mut warm_cache = QueryCache::default();
@@ -274,31 +249,15 @@ fn main() {
         .expect("columns exist");
 
     for _ in 0..ITERS {
-        // The query through the fused single-pass engine with a warm
-        // scratch.
+        // The query through the fused engine.
         fused_seq.push(timed(|| {
             let list = spec.run(table).expect("columns exist");
-            let panels = list.fig4_scratch(None, &mut seq_scratch);
+            let panels = list.fig4();
             (list.len(), panels.runtime.total())
         }));
-        // The real threaded path. The spawn gate keeps a 5 000-row
-        // table inline at every worker count; this arm shows it stays
-        // flat.
-        for (stat, pool) in fused_wall.iter_mut().zip(&pools) {
-            stat.push(timed(|| {
-                let idxs = spec
-                    .matched_indices(table, Some(pool))
-                    .expect("columns exist");
-                let rows: Vec<_> = idxs.iter().map(|&i| &table.rows()[i as usize]).collect();
-                let fused = fused::scan(&rows, &cfgs, Some(pool), &mut FusedScratch::default());
-                (rows.len(), Fig4Panels::from_fused(&fused).runtime.total())
-            }));
-        }
 
-        // Scan stage alone, warm scratch.
-        scan_only.push(timed(|| {
-            fused::scan(scan_list.rows(), &cfgs, None, &mut scan_scratch).counts[0][0]
-        }));
+        // Scan stage alone.
+        scan_only.push(timed(|| fused::scan(scan_list.rows(), &cfgs).counts[0][0]));
 
         // Cache: a cold miss pays the full query; a warm hit at the
         // same watermark is a refcount bump.
@@ -324,11 +283,10 @@ fn main() {
         }));
     }
 
-    // One event of every host over the whole month, 1 h buckets: a
-    // 1-worker pool folds inline, two workers fan the series out. Its
+    // One event of every host over the whole month, 1 h buckets. Its
     // own loop: decoding a month of blocks would evict the jobs table
     // from under the portal arms.
-    let mut month = month_db();
+    let month = month_db();
     let md_reqs = TagFilter::any().event("md_reqs");
     println!(
         "  tsdb fixture: {} series, {} points",
@@ -336,28 +294,14 @@ fn main() {
         month.n_points()
     );
     for _ in 0..ITERS {
-        for (stat, pool) in agg_wall.iter_mut().zip(&pools) {
-            month.set_pool(Arc::clone(pool));
-            stat.push(timed(|| {
-                month
-                    .aggregate(&md_reqs, Aggregation::Sum, 0, MONTH_SECS, 3600)
-                    .len()
-            }));
-        }
+        agg_seq.push(timed(|| {
+            month
+                .aggregate(&md_reqs, Aggregation::Sum, 0, MONTH_SECS, 3600)
+                .len()
+        }));
     }
 
-    /// Slowest arm over the one-worker arm.
-    fn worst_over_1w(wall: &[MinStat]) -> f64 {
-        let worst = wall.iter().map(|s| s.ns).fold(f64::NEG_INFINITY, f64::max);
-        worst / wall.first().map_or(f64::NAN, |s| s.ns)
-    }
-    let fused_ratio = worst_over_1w(&fused_wall);
-    let agg_ratio = worst_over_1w(&agg_wall);
-    // 15% headroom over the 1-worker wall: "adding a worker does not
-    // regress", not "threads are free".
-    let wall_ok = fused_ratio <= 1.15;
-    let agg_wall_ok = agg_ratio <= 1.15;
-    let agg_speedup = AGGREGATE_MONTH_BEFORE.0 / agg_wall.first().map_or(f64::NAN, |s| s.ns);
+    let agg_speedup = AGGREGATE_MONTH_BEFORE.0 / agg_seq.ns;
     let scan_allocs = scan_only.get().1;
     let scan_ok = scan_allocs == 0.0;
     let warm_fig4_allocs = cache_warm_fig4.get().1;
@@ -372,10 +316,7 @@ fn main() {
         "pre-fused search+fig4", BASELINE_SEARCH_FIG4.0, BASELINE_SEARCH_FIG4.1
     );
     report("fused search+fig4", &fused_seq);
-    for (stat, w) in fused_wall.iter().zip(WORKERS) {
-        report(&format!("  pooled search+fig4 {w}w wall"), stat);
-    }
-    report("fused scan (warm scratch)", &scan_only);
+    report("fused scan", &scan_only);
     report("cache cold fig4", &cache_cold);
     report("cache warm fig4 hit", &cache_warm_fig4);
     report("cache warm search hit", &cache_warm_search);
@@ -383,31 +324,21 @@ fn main() {
         "  {:<28} {:>12.0} ns/op {:>9.1} allocs/op (frozen, PR 20)",
         "per-point aggregate month", AGGREGATE_MONTH_BEFORE.0, AGGREGATE_MONTH_BEFORE.1
     );
-    for (stat, w) in agg_wall.iter().zip(WORKERS) {
-        report(&format!("tsdb aggregate month {w}w wall"), stat);
-    }
+    report("tsdb aggregate month", &agg_seq);
     println!(
         "  reported: scan allocs {scan_allocs:.0} == 0: {scan_ok}; warm-hit allocs {warm_fig4_allocs:.0} == 0: {warm_ok}; \
-         fused wall worst/1w {fused_ratio:.2}: {wall_ok}; aggregate wall worst/1w {agg_ratio:.2}: {agg_wall_ok}, \
-         {agg_speedup:.1}x under the frozen per-point fold"
+         aggregate {agg_speedup:.1}x under the frozen per-point fold"
     );
 
     let arm = |stat: &MinStat| {
         let (ns, a) = stat.get();
         format!("{{\"ns_per_op\": {ns:.1}, \"allocs_per_op\": {a:.2}}}")
     };
-    let wall_json = |wall: &[MinStat]| {
-        wall.iter()
-            .zip(WORKERS)
-            .map(|(stat, w)| format!("\"{w}\": {}", arm(stat)))
-            .collect::<Vec<_>>()
-            .join(", ")
-    };
     let mut json = String::from("{\n  \"bench\": \"query_path\",\n");
     json.push_str(&format!("  \"host_cores\": {host_cores},\n"));
     json.push_str(
         "  \"methodology\": \"A case's arms interleaved in one iteration loop, min over iterations, \
-         counting global allocator. wall is the real threaded path at W workers on this host; \
+         counting global allocator. \
          baseline_search_fig4 (PR 18) and tsdb_aggregate_month.before (PR 20) are frozen history, \
          not measured.\",\n",
     );
@@ -417,9 +348,8 @@ fn main() {
         BASELINE_SEARCH_FIG4.0, BASELINE_SEARCH_FIG4.1
     ));
     json.push_str(&format!(
-        "  \"fused_search_fig4\": {{\n    \"sequential\": {},\n    \"wall\": {{{}}}\n  }},\n",
-        arm(&fused_seq),
-        wall_json(&fused_wall)
+        "  \"fused_search_fig4\": {{\"sequential\": {}}},\n",
+        arm(&fused_seq)
     ));
     json.push_str(&format!("  \"fused_scan\": {},\n", arm(&scan_only)));
     json.push_str(&format!(
@@ -431,19 +361,17 @@ fn main() {
     json.push_str(&format!(
         "  \"tsdb_aggregate_month\": {{\"series\": {}, \"points\": {}, \
          \"before\": {{\"frozen_at\": \"PR 20\", \"ns_per_op\": {:.1}, \"allocs_per_op\": {:.2}}}, \
-         \"wall\": {{{}}}, \"speedup_1w\": {agg_speedup:.2}, \"wall_worst_over_1w\": {agg_ratio:.3}}},\n",
+         \"sequential\": {}, \"speedup\": {agg_speedup:.2}}},\n",
         month.n_series(),
         month.n_points(),
         AGGREGATE_MONTH_BEFORE.0,
         AGGREGATE_MONTH_BEFORE.1,
-        wall_json(&agg_wall)
+        arm(&agg_seq)
     ));
     json.push_str(&format!(
         "  \"acceptance\": {{\n    \
          \"fused_scan_allocs_per_op\": {scan_allocs:.0}, \"scan_allocs_ok\": {scan_ok},\n    \
-         \"cache_warm_fig4_allocs_per_op\": {warm_fig4_allocs:.0}, \"warm_hit_allocs_ok\": {warm_ok},\n    \
-         \"wall_worst_over_1w\": {fused_ratio:.3}, \"wall_no_regression\": {wall_ok},\n    \
-         \"aggregate_wall_worst_over_1w\": {agg_ratio:.3}, \"aggregate_wall_no_regression\": {agg_wall_ok}\n  }}\n}}\n"
+         \"cache_warm_fig4_allocs_per_op\": {warm_fig4_allocs:.0}, \"warm_hit_allocs_ok\": {warm_ok}\n  }}\n}}\n"
     ));
 
     let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))

@@ -135,11 +135,6 @@ pub struct BrokerStats {
 }
 
 impl BrokerStats {
-    /// Total published across all queues.
-    pub fn total_published(&self) -> u64 {
-        self.queues.values().map(|q| q.published).sum()
-    }
-
     /// Total acked across all queues.
     pub fn total_acked(&self) -> u64 {
         self.queues.values().map(|q| q.acked).sum()

@@ -40,7 +40,6 @@ use tacc_simnode::faults::{
     fault_path, DeviceFaultKind, FaultPlan, ReadFault, ReadFaultMode, Window,
 };
 use tacc_simnode::intern::Sym;
-use tacc_simnode::pool::WorkerPool;
 use tacc_simnode::pseudofs::NodeFs;
 use tacc_simnode::schema::DeviceType;
 use tacc_simnode::workload::NodeDemand;
@@ -606,15 +605,6 @@ impl Pipeline {
             total.real_nanos += a.real_nanos;
         }
         total
-    }
-
-    /// Attach a worker pool to the tsdb (if enabled): its dense
-    /// aggregate folds run as parallel per-shard scans, with results
-    /// identical to the sequential path.
-    pub fn set_pool(&mut self, pool: Arc<WorkerPool>) {
-        if let Some(m) = &mut self.mirror {
-            m.tsdb.set_pool(pool);
-        }
     }
 
     /// The simulated clock.

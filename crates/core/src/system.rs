@@ -12,7 +12,6 @@ use crate::config::{Mode, SystemConfig};
 use crate::online::{AdaptiveConfig, Alert, OnlineAnalyzer, OnlineConfig};
 use crate::pipeline::{DeliveryReport, Pipeline};
 use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
 use tacc_broker::Broker;
 use tacc_collect::engine::OverheadAccount;
 use tacc_collect::record::{HostHeader, Sample};
@@ -22,13 +21,11 @@ use tacc_jobdb::Database;
 use tacc_metrics::accum::JobAccum;
 use tacc_metrics::flags::{FlagContext, FlagRules};
 use tacc_metrics::ingest::ingest_job;
-use tacc_metrics::sketch::SketchRegistry;
 use tacc_scheduler::job::{JobId, JobRequest, JobStatus};
 use tacc_scheduler::sched::{SchedEvent, Scheduler};
 use tacc_scheduler::xalt::XaltDb;
 use tacc_simnode::faults::FaultPlan;
 use tacc_simnode::lustre_server::MdsModel;
-use tacc_simnode::pool::WorkerPool;
 use tacc_simnode::workload::NodeDemand;
 use tacc_simnode::{SimClock, SimDuration, SimTime};
 use tacc_tsdb::TsDb;
@@ -59,10 +56,6 @@ pub struct MonitoringSystem {
     cadence_changed: Vec<SimTime>,
     /// Every cadence change: (when, node index, new interval).
     cadence_log: Vec<(SimTime, usize, SimDuration)>,
-    /// Per-metric quantile sketches fed at job ingest (portal
-    /// histogram/threshold defaults read these instead of rescanning
-    /// columns).
-    sketches: SketchRegistry,
     rules: FlagRules,
     pending: VecDeque<(SimTime, JobRequest)>,
     accums: HashMap<JobId, JobAccum>,
@@ -90,7 +83,6 @@ impl MonitoringSystem {
             cadence: Vec::new(),
             cadence_changed: Vec::new(),
             cadence_log: Vec::new(),
-            sketches: SketchRegistry::default(),
             rules: FlagRules::default(),
             pending: VecDeque::new(),
             accums: HashMap::new(),
@@ -160,16 +152,6 @@ impl MonitoringSystem {
     /// Every adaptive cadence change so far: (when, node, new interval).
     pub fn cadence_log(&self) -> &[(SimTime, usize, SimDuration)] {
         &self.cadence_log
-    }
-
-    /// The per-metric quantile sketches maintained at job ingest.
-    pub fn sketches(&self) -> &SketchRegistry {
-        &self.sketches
-    }
-
-    /// Attach a worker pool to the tsdb mirror ([`Pipeline::set_pool`]).
-    pub fn set_pool(&mut self, pool: Arc<WorkerPool>) {
-        self.pipeline.set_pool(pool);
     }
 
     /// Queue job submissions (time-ordered or not; they are sorted).
@@ -358,8 +340,6 @@ impl MonitoringSystem {
                 };
                 online.finish_job(&job.id.to_string(), &ctx, &metrics);
             }
-            // Feed the portal's quantile sketches.
-            self.sketches.observe_job(&metrics);
             ingest_job(&mut self.db, &job, &metrics, &self.rules, mem_gb);
             self.ingested += 1;
         }
@@ -613,48 +593,6 @@ mod tests {
         assert!(cache.stats().invalidated >= 1);
         let panels_fresh = cache.fig4(&spec, t, None, wm2, 2).unwrap();
         assert_eq!(*panels_fresh, spec.run(t).unwrap().fig4());
-    }
-
-    #[test]
-    fn daemon_mode_with_pool_matches_sequential() {
-        // The same workload through a pooled system and a plain one:
-        // the sharded-tsdb scans must not change a single ingested
-        // metric or archive byte count.
-        let run = |pool: Option<Arc<WorkerPool>>| {
-            let mut cfg = SystemConfig::small(3, crate::config::Mode::daemon());
-            cfg.enable_tsdb = true;
-            let mut sys = MonitoringSystem::new(cfg);
-            if let Some(p) = pool {
-                sys.set_pool(p);
-            }
-            sys.enqueue_jobs(vec![
-                (t0(), request(AppModel::namd(), 2, 60)),
-                (
-                    t0() + SimDuration::from_mins(10),
-                    request(AppModel::wrf(), 1, 45),
-                ),
-            ]);
-            sys.run_until(t0() + SimDuration::from_mins(120));
-            sys
-        };
-        let plain = run(None);
-        let pooled = run(Some(Arc::new(WorkerPool::new(4))));
-        assert_eq!(pooled.ingested, plain.ingested);
-        let tp = plain.db().table(JOBS_TABLE).unwrap();
-        let tq = pooled.db().table(JOBS_TABLE).unwrap();
-        assert_eq!(tq.len(), tp.len());
-        for col in ["CPU_Usage", "VecPercent", "flops", "cpi"] {
-            let a = Query::new(tp).avg(col).unwrap();
-            let b = Query::new(tq).avg(col).unwrap();
-            assert_eq!(a, b, "{col} must match the sequential pipeline");
-        }
-        assert_eq!(
-            pooled.archive().latency_stats().count,
-            plain.archive().latency_stats().count
-        );
-        let (a, b) = (plain.tsdb().unwrap(), pooled.tsdb().unwrap());
-        assert_eq!(a.n_points(), b.n_points());
-        assert_eq!(a.n_series(), b.n_series());
     }
 
     #[test]

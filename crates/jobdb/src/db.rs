@@ -44,16 +44,6 @@ impl Database {
         self.tables.get(name)
     }
 
-    /// Write access to a table.
-    pub fn table_mut(&mut self, name: &str) -> Option<&mut Table> {
-        self.tables.get_mut(name)
-    }
-
-    /// Table names.
-    pub fn table_names(&self) -> Vec<&str> {
-        self.tables.keys().map(String::as_str).collect()
-    }
-
     /// Insert a row into a named table.
     pub fn insert(&mut self, table: &str, values: Vec<Value>) -> Result<(), TableError> {
         self.tables

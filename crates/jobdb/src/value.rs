@@ -94,14 +94,6 @@ impl Value {
         }
     }
 
-    /// Boolean view.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// True if Null.
     pub fn is_null(&self) -> bool {
         matches!(self, Value::Null)

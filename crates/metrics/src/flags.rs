@@ -62,11 +62,6 @@ impl Flag {
         }
     }
 
-    /// Parse a canonical name back into a flag.
-    pub fn from_name(s: &str) -> Option<Flag> {
-        Flag::ALL.into_iter().find(|f| f.name() == s)
-    }
-
     /// Human-readable description for reports.
     pub fn describe(self) -> &'static str {
         match self {

@@ -23,8 +23,8 @@
 //! * [`stream`] — incremental flag evaluation: per-job streaming state
 //!   updated as samples arrive, provably equal to the batch path at
 //!   job end (the batch path is a wrapper over it).
-//! * [`sketch`] — Greenwald–Khanna quantile sketches maintained at
-//!   ingest so portal histograms/thresholds stop rescanning columns.
+//! * [`sketch`] — a Greenwald–Khanna quantile sketch with a
+//!   deterministic `εn` rank-error bound.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -41,6 +41,6 @@ pub mod table1;
 
 pub use accum::{HostAccum, JobAccum};
 pub use flags::{Flag, FlagRules};
-pub use sketch::{QuantileSketch, SketchRegistry, DEFAULT_EPS};
+pub use sketch::{QuantileSketch, DEFAULT_EPS};
 pub use stream::{FlagSet, FlagStream, FlagStreams};
 pub use table1::{JobMetrics, MetricId};

@@ -1,8 +1,7 @@
 //! Streaming quantile sketches (Greenwald–Khanna).
 //!
-//! The portal's histograms and threshold defaults used to rescan full
-//! database columns on every query. A [`QuantileSketch`] maintained at
-//! ingest answers the same questions from O(1/ε) state:
+//! A [`QuantileSketch`] answers quantile and rank questions about a
+//! stream of values from O(1/ε) state, without keeping the values:
 //!
 //! * **Structure.** The classic GK01 summary: a sorted list of tuples
 //!   `(v, g, Δ)` where `g` is the gap in minimum rank to the previous
@@ -23,8 +22,6 @@
 //!   0 allocs/op: `Vec::insert` shifts within capacity and compression
 //!   only shrinks. If a pathological stream outgrows the reservation
 //!   the vector regrows (correctness unaffected).
-
-use crate::table1::{JobMetrics, MetricId};
 
 /// One GK tuple: value, rank gap to predecessor, rank uncertainty.
 #[derive(Clone, Copy, Debug)]
@@ -47,8 +44,8 @@ pub struct QuantileSketch {
     compress_every: u64,
 }
 
-/// Default rank-error fraction ε for portal sketches: quantiles are
-/// within 0.5% of the population in rank.
+/// Default rank-error fraction ε: quantiles are within 0.5% of the
+/// population in rank.
 pub const DEFAULT_EPS: f64 = 0.005;
 
 impl QuantileSketch {
@@ -98,7 +95,7 @@ impl QuantileSketch {
     }
 
     /// Observe one value. Non-finite values are ignored (matching
-    /// [`JobMetrics::set`]). Steady-state 0 allocs/op.
+    /// [`crate::table1::JobMetrics::set`]). Steady-state 0 allocs/op.
     pub fn update(&mut self, v: f64) {
         if !v.is_finite() {
             return;
@@ -217,52 +214,6 @@ impl QuantileSketch {
     }
 }
 
-/// One sketch per Table-I metric, fed at job-ingest time.
-pub struct SketchRegistry {
-    sketches: Vec<QuantileSketch>,
-}
-
-impl SketchRegistry {
-    /// New registry with one ε-sketch per [`MetricId`].
-    // alloc: cold-fn (constructed once per system)
-    pub fn new(eps: f64) -> SketchRegistry {
-        SketchRegistry {
-            sketches: MetricId::ALL
-                .iter()
-                .map(|_| QuantileSketch::new(eps))
-                .collect(),
-        }
-    }
-
-    /// Feed every metric of a finished job into its sketch.
-    pub fn observe_job(&mut self, m: &JobMetrics) {
-        for (id, v) in m.iter() {
-            if let Some(s) = self.sketches.get_mut(id as usize) {
-                s.update(v);
-            }
-        }
-    }
-
-    /// The sketch for one metric.
-    pub fn sketch(&self, id: MetricId) -> Option<&QuantileSketch> {
-        // `ALL[i] as usize == i` is const-asserted in table1, so this
-        // is always `Some`; `get` keeps the module index-free.
-        self.sketches.get(id as usize)
-    }
-
-    /// Quantile shortcut: `None` if the metric has no data yet.
-    pub fn quantile(&self, id: MetricId, phi: f64) -> Option<f64> {
-        self.sketch(id).and_then(|s| s.quantile(phi))
-    }
-}
-
-impl Default for SketchRegistry {
-    // alloc: cold-fn (constructed once per system)
-    fn default() -> SketchRegistry {
-        SketchRegistry::new(DEFAULT_EPS)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -363,17 +314,5 @@ mod tests {
         }
         assert_eq!(s.quantile(0.5), Some(42.0));
         assert!(s.tuples() < 200, "{} tuples", s.tuples());
-    }
-
-    #[test]
-    fn registry_routes_by_metric() {
-        let mut reg = SketchRegistry::default();
-        let mut m = JobMetrics::new();
-        m.set(MetricId::Cpi, 1.5);
-        m.set(MetricId::MemUsage, 20.0);
-        reg.observe_job(&m);
-        assert_eq!(reg.quantile(MetricId::Cpi, 0.5), Some(1.5));
-        assert_eq!(reg.quantile(MetricId::MemUsage, 1.0), Some(20.0));
-        assert_eq!(reg.quantile(MetricId::Idle, 0.5), None);
     }
 }

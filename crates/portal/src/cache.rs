@@ -16,15 +16,16 @@
 //! eviction is deterministic and testable; no wall-clock reads), and an
 //! optional shared [`MemoryBudget`]. Values are stored behind [`Arc`]s: a
 //! warm hit is a refcount bump, no row rescan, no re-render, no
-//! allocation. The cache also owns the fused-scan scratch
-//! ([`FusedScratch`]), so repeated Fig. 4 misses reuse the same slot
-//! buffers and the scan stage stays at zero steady-state allocations.
+//! allocation.
+//!
+//! `search` and `fig4` take a `pool` argument that they ignore: every
+//! scan runs inline on the caller. The argument stays only because the
+//! system benchmark calls these two methods with it (always `None`).
 //!
 //! This module is on the panic-lint deny tier and the hot-path
 //! alloc-lint scope (`cargo xtask lint`): the hit path is panic-free
 //! and allocation-free; the miss paths are annotated cold.
 
-use crate::fused::FusedScratch;
 use crate::hist::{Fig4Panels, Histogram};
 use crate::search::{JobList, SearchSpec};
 use std::sync::Arc;
@@ -143,8 +144,6 @@ pub struct QueryCache {
     lru: TtlLru<Key, CachedValue>,
     /// The ingest watermark the live entries were computed at.
     watermark: u64,
-    /// Fused-scan slot buffers, reused across Fig. 4 misses.
-    fused: FusedScratch,
 }
 
 impl Default for QueryCache {
@@ -162,7 +161,6 @@ impl QueryCache {
                 ttl: cfg.ttl_secs,
             }),
             watermark: 0,
-            fused: FusedScratch::default(),
         }
     }
 
@@ -228,13 +226,12 @@ impl QueryCache {
     }
 
     /// The matched row indices for `spec`: served from cache when live,
-    /// otherwise computed via [`SearchSpec::matched_indices`] (on `pool`
-    /// when given) and stored. The caller has synced the watermark.
+    /// otherwise computed via [`SearchSpec::matched_indices`] and
+    /// stored. The caller has synced the watermark.
     fn search_indices(
         &mut self,
         spec: &SearchSpec,
         table: &Table,
-        pool: Option<&WorkerPool>,
     ) -> Result<Arc<Vec<u32>>, TableError> {
         let key = Key {
             kind: Kind::Search,
@@ -244,37 +241,37 @@ impl QueryCache {
             return Ok(idxs);
         }
         // alloc: cold (cache miss: one index vec per distinct query per watermark)
-        let idxs = Arc::new(spec.matched_indices(table, pool)?);
+        let idxs = Arc::new(spec.matched_indices(table)?);
         self.keep(key, CachedValue::Rows(Arc::clone(&idxs)));
         Ok(idxs)
     }
 
     /// Run `spec` through the cache: a warm hit rebuilds the
     /// [`JobList`] from stored row indices without rescanning or
-    /// re-filtering the table; a miss scans (on `pool` when given) and
-    /// stores the indices.
+    /// re-filtering the table; a miss scans and stores the indices.
+    /// `_pool` is ignored (see the module doc).
     pub fn search<'t>(
         &mut self,
         spec: &SearchSpec,
         table: &'t Table,
-        pool: Option<&WorkerPool>,
+        _pool: Option<&WorkerPool>,
         watermark: u64,
         now_secs: u64,
     ) -> Result<JobList<'t>, TableError> {
         self.sync(watermark, now_secs);
-        let idxs = self.search_indices(spec, table, pool)?;
+        let idxs = self.search_indices(spec, table)?;
         Ok(JobList::from_indices(table, &idxs))
     }
 
     /// The Fig. 4 panels for `spec` through the cache. A warm hit is a
     /// refcount bump; a miss reuses any cached row indices for the same
-    /// spec, runs the fused scan with the cache-owned scratch, and
-    /// stores the panels.
+    /// spec, runs the fused scan, and stores the panels. `_pool` is
+    /// ignored (see the module doc).
     pub fn fig4(
         &mut self,
         spec: &SearchSpec,
         table: &Table,
-        pool: Option<&WorkerPool>,
+        _pool: Option<&WorkerPool>,
         watermark: u64,
         now_secs: u64,
     ) -> Result<Arc<Fig4Panels>, TableError> {
@@ -286,10 +283,10 @@ impl QueryCache {
         if let Some(CachedValue::Panels(p)) = self.hit(key) {
             return Ok(p);
         }
-        let idxs = self.search_indices(spec, table, pool)?;
+        let idxs = self.search_indices(spec, table)?;
         let list = JobList::from_indices(table, &idxs);
         // alloc: cold (cache miss: one panel set per distinct query per watermark)
-        let panels = Arc::new(list.fig4_scratch(pool, &mut self.fused));
+        let panels = Arc::new(list.fig4());
         self.keep(key, CachedValue::Panels(Arc::clone(&panels)));
         Ok(panels)
     }

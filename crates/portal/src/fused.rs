@@ -1,52 +1,32 @@
 //! Fused single-pass Fig. 4 scan: all four portal histogram panels
-//! computed from one chunked walk over the matched rows.
+//! computed from two walks over the matched rows.
 //!
 //! The pre-fused path ran `column()` → `hours()` → `Histogram::build`
 //! four times per query (twelve row passes, an intermediate `Vec<f64>`
 //! per panel, plus `build`'s own clone of the finite values). This
-//! module replaces all of it with two passes that parallelize over
-//! contiguous row chunks and merge exactly:
+//! module replaces all of it with two passes that fill every panel at
+//! once:
 //!
-//! 1. **Extent pass** — per-chunk `(n, min, max)` for every panel at
-//!    once ([`Extent`]; `min`/`max` merges are order-insensitive, so
-//!    any chunking reproduces the sequential fold bit for bit).
-//! 2. **Count pass** — per-chunk dense bucket partials: a fixed
-//!    `[[u32; BINS]; PANELS]` array per worker ([`Partial`], stack
-//!    storage, no per-chunk allocation), filled against bin geometry
-//!    derived once from the merged extents.
+//! 1. **Extent pass** — `(n, min, max)` for every panel ([`Extent`]).
+//! 2. **Count pass** — dense bucket counts, a fixed
+//!    `[[u32; BINS]; PANELS]` array on the stack, filled against bin
+//!    geometry derived once from the extents.
 //!
-//! Partials come back through the pool's reusable slot buffers
-//! ([`FusedScratch`]) and fold with an elementwise pairwise **tree
-//! merge** — `O(BINS · W)` integer adds total, `O(BINS · log W)`
-//! sequential depth — instead of the old concat-and-rebuild. Integer
-//! bin counts sum exactly and the per-value bin index depends only on
-//! the merged extents, so the fused result is bit-identical to the
-//! sequential [`Histogram::build`](crate::hist::Histogram) pipeline
-//! for any worker count (proptested in `tests/fused_props.rs`).
-//!
-//! Threads are only worth spawning when each worker gets enough rows
-//! to amortize thread startup: below
-//! [`PAR_MIN_ROWS_PER_WORKER`] rows per worker the scan runs inline on
-//! the caller (identical output — the chunking, not the threading,
-//! defines the arithmetic). This file is panic-free and allocation-free
-//! (`cargo xtask lint` deny tiers): no indexing, no unwraps, and zero
-//! steady-state allocations per scan once the scratch is warm.
+//! The per-value bin index depends only on the extents, and both are
+//! computed with the same transform and the same `lo`/`width` rule, so
+//! the result is bit-identical to the sequential
+//! [`Histogram::build`](crate::hist::Histogram) pipeline (proptested in
+//! `tests/fused_props.rs`). This file is panic-free and allocation-free
+//! (`cargo xtask lint` deny tiers): no indexing, no unwraps, and no heap
+//! allocation in a scan.
 
 use tacc_jobdb::table::Row;
-use tacc_simnode::pool::WorkerPool;
 
 /// Bins per panel — the Fig. 4 layout.
 pub const BINS: usize = 12;
 
 /// Panels per figure (runtime, nodes, queue wait, metadata requests).
 pub const PANELS: usize = 4;
-
-/// Minimum rows per worker before the scan spawns threads; below this
-/// the per-chunk work cannot amortize thread startup (~tens of µs on
-/// Linux), which is exactly what made the pre-fused 8-worker wall
-/// *slower* than 1 worker on small tables. Chunked arithmetic is
-/// unchanged either way, so gating affects wall time only.
-pub const PAR_MIN_ROWS_PER_WORKER: usize = 4096;
 
 /// One panel of the fused scan: which column feeds it and how values
 /// are transformed, mirroring the sequential pipeline exactly
@@ -87,12 +67,6 @@ impl Extent {
         self.min = self.min.min(v);
         self.max = self.max.max(v);
     }
-
-    fn absorb(&mut self, o: &Extent) {
-        self.n += o.n;
-        self.min = self.min.min(o.min);
-        self.max = self.max.max(o.max);
-    }
 }
 
 /// Bin geometry for one panel in transformed space: bin `i` spans
@@ -106,49 +80,17 @@ pub struct Grid {
     pub width: f64,
 }
 
-/// One worker's dense bucket partial: fixed-size integer count arrays
-/// for all four panels. Stack-allocated `Copy` data — handing it back
-/// through a reused slot buffer costs nothing.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Partial {
-    /// `counts[panel][bin]` over this worker's chunk.
-    pub counts: [[u32; BINS]; PANELS],
-}
-
-impl Partial {
-    /// The merge identity.
-    pub const ZERO: Partial = Partial {
-        counts: [[0; BINS]; PANELS],
-    };
-
-    fn absorb(&mut self, o: &Partial) {
-        for (mine, theirs) in self.counts.iter_mut().zip(o.counts.iter()) {
-            for (c, oc) in mine.iter_mut().zip(theirs.iter()) {
-                *c = c.saturating_add(*oc);
-            }
-        }
-    }
-}
-
-/// The merged result of a fused scan: per-panel extents, derived bin
-/// geometry, and summed bucket counts. Plain `Copy` data —
+/// The result of a fused scan: per-panel extents, derived bin geometry,
+/// and bucket counts. Plain `Copy` data —
 /// [`crate::hist::Fig4Panels::from_fused`] turns it into histograms.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FusedFig4 {
     /// Per-panel value extents.
     pub extents: [Extent; PANELS],
-    /// Per-panel bin geometry derived from the merged extents.
+    /// Per-panel bin geometry derived from the extents.
     pub grids: [Grid; PANELS],
-    /// Per-panel merged bucket counts.
+    /// Per-panel bucket counts.
     pub counts: [[u32; BINS]; PANELS],
-}
-
-/// Reusable per-call buffers for the fused scan: the pool's map-path
-/// slot vectors, kept across queries so a warm scan allocates nothing.
-#[derive(Debug, Default)]
-pub struct FusedScratch {
-    ext_slots: Vec<Option<[Extent; PANELS]>>,
-    cnt_slots: Vec<Option<Partial>>,
 }
 
 /// The sequential transform each panel applies before binning.
@@ -170,7 +112,7 @@ fn panel_value(row: &Row, cfg: &PanelCfg) -> Option<f64> {
     t.is_finite().then_some(t)
 }
 
-/// Extent pass over one chunk: all four panels in a single row walk.
+/// Extent pass: all four panels in a single row walk.
 fn scan_extents(rows: &[&Row], cfgs: &[PanelCfg; PANELS]) -> [Extent; PANELS] {
     let mut ext = [Extent::EMPTY; PANELS];
     for row in rows {
@@ -183,24 +125,28 @@ fn scan_extents(rows: &[&Row], cfgs: &[PanelCfg; PANELS]) -> [Extent; PANELS] {
     ext
 }
 
-/// Count pass over one chunk: dense bucket partials for all four
-/// panels against the merged bin geometry.
-fn scan_counts(rows: &[&Row], cfgs: &[PanelCfg; PANELS], grids: &[Grid; PANELS]) -> Partial {
-    let mut p = Partial::ZERO;
+/// Count pass: dense bucket counts for all four panels against the bin
+/// geometry.
+fn scan_counts(
+    rows: &[&Row],
+    cfgs: &[PanelCfg; PANELS],
+    grids: &[Grid; PANELS],
+) -> [[u32; BINS]; PANELS] {
+    let mut counts = [[0u32; BINS]; PANELS];
     for row in rows {
-        for ((cfg, g), counts) in cfgs.iter().zip(grids.iter()).zip(p.counts.iter_mut()) {
+        for ((cfg, g), panel) in cfgs.iter().zip(grids.iter()).zip(counts.iter_mut()) {
             if let Some(t) = panel_value(row, cfg) {
                 let idx = (((tx(t, cfg.log) - g.lo) / g.width) as usize).min(BINS - 1);
-                if let Some(c) = counts.get_mut(idx) {
+                if let Some(c) = panel.get_mut(idx) {
                     *c = c.saturating_add(1);
                 }
             }
         }
     }
-    p
+    counts
 }
 
-/// Bin geometry from a merged extent — the `Histogram::build` rule.
+/// Bin geometry from an extent — the `Histogram::build` rule.
 fn grid_of(e: &Extent, log: bool) -> Grid {
     if e.n == 0 {
         return Grid {
@@ -218,91 +164,10 @@ fn grid_of(e: &Extent, log: bool) -> Grid {
     Grid { lo, width }
 }
 
-/// Elementwise pairwise tree merge over the pool's slot buffer:
-/// neighbors at doubling gaps fold left, `O(log W)` levels. Both
-/// merge operators here (`min`/`max`/`+` on extents, saturating `+`
-/// on counts) are commutative and associative over the values the
-/// scan produces, so the merge order cannot change the result.
-fn tree_merge<T>(slots: &mut [Option<T>], absorb: impl Fn(&mut T, &T)) -> Option<T> {
-    let mut gap = 1;
-    while gap < slots.len() {
-        let mut i = 0;
-        while i + gap < slots.len() {
-            let right = slots.get_mut(i + gap).and_then(Option::take);
-            if let Some(r) = right {
-                match slots.get_mut(i) {
-                    Some(Some(l)) => absorb(l, &r),
-                    Some(slot) => *slot = Some(r),
-                    None => {}
-                }
-            }
-            i += 2 * gap;
-        }
-        gap *= 2;
-    }
-    slots.first_mut().and_then(Option::take)
-}
-
-/// The contiguous chunk of `rows` that part `i` of `parts` scans.
-fn chunk_of<'a, 't>(rows: &'a [&'t Row], i: usize, parts: usize) -> &'a [&'t Row] {
-    let chunk = rows.len().div_ceil(parts.max(1)).max(1);
-    let start = (i * chunk).min(rows.len());
-    let end = ((i + 1) * chunk).min(rows.len());
-    rows.get(start..end).unwrap_or(&[])
-}
-
-/// Run the fused four-panel scan over `rows`.
-///
-/// With `pool == None`, a 1-worker pool, or fewer than
-/// [`PAR_MIN_ROWS_PER_WORKER`] rows per worker, both passes run inline
-/// on the caller; otherwise the chunks run on the pool and merge via
-/// [`tree_merge`]. Output is bit-identical either way. A warm
-/// `scratch` makes the whole call allocation-free.
-pub fn scan(
-    rows: &[&Row],
-    cfgs: &[PanelCfg; PANELS],
-    pool: Option<&WorkerPool>,
-    scratch: &mut FusedScratch,
-) -> FusedFig4 {
-    let threaded =
-        pool.filter(|p| p.workers() > 1 && rows.len() >= PAR_MIN_ROWS_PER_WORKER * p.workers());
-    let (extents, grids, counts) = match threaded {
-        None => {
-            let extents = scan_extents(rows, cfgs);
-            let grids = grids_of(&extents, cfgs);
-            let counts = scan_counts(rows, cfgs, &grids).counts;
-            (extents, grids, counts)
-        }
-        Some(pool) => {
-            let parts = pool.workers();
-            pool.map_parts_into(parts, &mut scratch.ext_slots, |i, _s| {
-                scan_extents(chunk_of(rows, i, parts), cfgs)
-            });
-            let extents = tree_merge(&mut scratch.ext_slots, |l, r| {
-                for (a, b) in l.iter_mut().zip(r.iter()) {
-                    a.absorb(b);
-                }
-            })
-            .unwrap_or([Extent::EMPTY; PANELS]);
-            let grids = grids_of(&extents, cfgs);
-            pool.map_parts_into(parts, &mut scratch.cnt_slots, |i, _s| {
-                scan_counts(chunk_of(rows, i, parts), cfgs, &grids)
-            });
-            let counts = tree_merge(&mut scratch.cnt_slots, |l, r| l.absorb(r))
-                .unwrap_or(Partial::ZERO)
-                .counts;
-            (extents, grids, counts)
-        }
-    };
-    FusedFig4 {
-        extents,
-        grids,
-        counts,
-    }
-}
-
-/// Per-panel grids from merged extents.
-fn grids_of(extents: &[Extent; PANELS], cfgs: &[PanelCfg; PANELS]) -> [Grid; PANELS] {
+/// Run the fused four-panel scan over `rows`: the extent pass, the bin
+/// geometry, then the count pass. Allocation-free.
+pub fn scan(rows: &[&Row], cfgs: &[PanelCfg; PANELS]) -> FusedFig4 {
+    let extents = scan_extents(rows, cfgs);
     let mut grids = [Grid {
         lo: 0.0,
         width: 1.0,
@@ -310,49 +175,10 @@ fn grids_of(extents: &[Extent; PANELS], cfgs: &[PanelCfg; PANELS]) -> [Grid; PAN
     for ((g, e), cfg) in grids.iter_mut().zip(extents.iter()).zip(cfgs.iter()) {
         *g = grid_of(e, cfg.log);
     }
-    grids
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn tree_merge_folds_every_slot_once() {
-        for n in 0..10usize {
-            let mut slots: Vec<Option<u64>> = (0..n).map(|i| Some(1u64 << i)).collect();
-            let merged = tree_merge(&mut slots, |l, r| *l += *r);
-            if n == 0 {
-                assert_eq!(merged, None);
-            } else {
-                assert_eq!(merged, Some((1u64 << n) - 1), "n={n}");
-            }
-            assert!(slots.iter().all(Option::is_none), "n={n}: slots drained");
-        }
-    }
-
-    #[test]
-    fn tree_merge_handles_holes() {
-        let mut slots = vec![None, Some(3u64), None, Some(4u64), None];
-        assert_eq!(tree_merge(&mut slots, |l, r| *l += *r), Some(7));
-    }
-
-    #[test]
-    fn chunks_tile_the_row_range() {
-        // chunk_of is pure index math; verify tiling over a dummy
-        // length via the same arithmetic.
-        for len in [0usize, 1, 5, 8, 13] {
-            for parts in 1..6usize {
-                let chunk = len.div_ceil(parts.max(1)).max(1);
-                let mut covered = 0;
-                for i in 0..parts {
-                    let start = (i * chunk).min(len);
-                    let end = ((i + 1) * chunk).min(len);
-                    assert_eq!(start, covered.min(len));
-                    covered = end.max(covered);
-                }
-                assert_eq!(covered, len, "len={len} parts={parts}");
-            }
-        }
+    let counts = scan_counts(rows, cfgs, &grids);
+    FusedFig4 {
+        extents,
+        grids,
+        counts,
     }
 }

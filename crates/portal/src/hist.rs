@@ -4,7 +4,6 @@
 
 use crate::fused::{Extent, FusedFig4, Grid, BINS};
 use crate::render;
-use tacc_metrics::sketch::QuantileSketch;
 
 /// The canonical Fig. 4 panel layout: `(title, column, divisor, log)`
 /// per panel, in panel order. Single source of truth shared by the
@@ -154,69 +153,6 @@ impl Histogram {
         }
     }
 
-    /// Build from an ingest-time [`QuantileSketch`] instead of
-    /// rescanning a column.
-    ///
-    /// Bin edges follow the same extent/width rule as the exact build
-    /// (the sketch's min/max are exact, so the edges are identical);
-    /// each bin's count is the difference of two rank queries at the
-    /// bin's value boundaries. A rank query errs by at most `εn`
-    /// (GK invariant), so **every per-bin count is within `2εn` of the
-    /// exact histogram's**, up to values lying exactly on a bin edge
-    /// (the sketch counts an edge value into the lower bin, the exact
-    /// build into the upper). The conformance test below checks this
-    /// bound against [`Histogram::build`].
-    pub fn from_sketch(title: &str, sketch: &QuantileSketch, bins: usize, log: bool) -> Histogram {
-        assert!(bins > 0, "need at least one bin");
-        let (Some(min), Some(max)) = (sketch.min(), sketch.max()) else {
-            return Self::empty(title, bins, log);
-        };
-        let tx = |v: f64| -> f64 {
-            if log {
-                v.max(1e-9).log10()
-            } else {
-                v
-            }
-        };
-        let untx = |e: f64| -> f64 {
-            if log {
-                10f64.powf(e)
-            } else {
-                e
-            }
-        };
-        let (lo, hi) = (tx(min), tx(max));
-        let width = if hi > lo {
-            (hi - lo) / bins as f64
-        } else {
-            1.0
-        };
-        let mut counts = vec![0usize; bins];
-        let mut prev_cum = 0u64;
-        for (i, c) in counts.iter_mut().enumerate() {
-            // Cumulative count at the bin's upper value boundary; the
-            // last bin absorbs everything (as the exact build's
-            // `.min(bins - 1)` clamp does).
-            let cum = if i + 1 == bins {
-                sketch.count()
-            } else {
-                sketch.rank(untx(lo + (i + 1) as f64 * width)).max(prev_cum)
-            };
-            *c = (cum - prev_cum) as usize;
-            prev_cum = cum;
-        }
-        let edges = (0..bins).map(|i| untx(lo + i as f64 * width)).collect();
-        Histogram {
-            title: title.to_string(),
-            edges,
-            counts,
-            min,
-            max,
-            n: sketch.count() as usize,
-            log,
-        }
-    }
-
     /// Total count across bins (== number of finite values).
     pub fn total(&self) -> usize {
         self.counts.iter().sum()
@@ -355,11 +291,9 @@ mod tests {
     /// `bins` counts; rendering it must not index past that edge.
     #[test]
     fn empty_panels_render_their_title_line_only() {
-        let sketch = QuantileSketch::new(0.01);
         for h in [
             Histogram::linear("e", &[], 12),
             Histogram::log10("e", &[f64::NAN, f64::INFINITY], 12),
-            Histogram::from_sketch("e", &sketch, 12, true),
         ] {
             assert_eq!((h.edges.len(), h.counts.len()), (1, 12), "stored shape");
             assert_eq!(h.render(), "e (n = 0)\n");
@@ -403,61 +337,5 @@ mod tests {
             let h = Histogram::log10("p", &vals, bins);
             prop_assert_eq!(h.total(), vals.len());
         }
-    }
-
-    /// Sketch-vs-exact conformance: every per-bin count is within the
-    /// documented `2εn` bound (plus edge-tie slop) of the exact build.
-    #[test]
-    fn sketch_histogram_within_error_bound() {
-        let eps = 0.01;
-        let n = 20_000usize;
-        // Distinct, irrationally-spaced values so no value lands
-        // exactly on a bin edge (ties go the other way in the sketch).
-        let vals: Vec<f64> = (0..n)
-            .map(|i| ((i as f64 * 0.754_877_666_2).fract()) * 1_000.0 + i as f64 * 1e-7)
-            .collect();
-        let mut sk = QuantileSketch::new(eps);
-        for &v in &vals {
-            sk.update(v);
-        }
-        for bins in [1usize, 5, 16] {
-            let exact = Histogram::linear("c", &vals, bins);
-            let approx = Histogram::from_sketch("c", &sk, bins, false);
-            assert_eq!(approx.edges, exact.edges);
-            assert_eq!(approx.n, exact.n);
-            assert_eq!(approx.total(), exact.total());
-            let tol = (2.0 * eps * n as f64).ceil() as i64 + 1;
-            for (a, e) in approx.counts.iter().zip(&exact.counts) {
-                let diff = (*a as i64 - *e as i64).abs();
-                assert!(diff <= tol, "bins={bins}: |{a} - {e}| > {tol}");
-            }
-        }
-    }
-
-    /// Log-binned sketch histograms obey the same bound, and an empty
-    /// sketch mirrors the exact build's empty shape.
-    #[test]
-    fn sketch_histogram_log_and_empty() {
-        let eps = 0.01;
-        let vals: Vec<f64> = (0..10_000)
-            .map(|i| 10f64.powf((i as f64 * 0.618_033_988_7).fract() * 6.0 - 2.0))
-            .collect();
-        let mut sk = QuantileSketch::new(eps);
-        for &v in &vals {
-            sk.update(v);
-        }
-        let exact = Histogram::log10("l", &vals, 12);
-        let approx = Histogram::from_sketch("l", &sk, 12, true);
-        assert_eq!(approx.total(), exact.total());
-        let tol = (2.0 * eps * vals.len() as f64).ceil() as i64 + 1;
-        for (a, e) in approx.counts.iter().zip(&exact.counts) {
-            assert!((*a as i64 - *e as i64).abs() <= tol);
-        }
-
-        let empty = QuantileSketch::new(eps);
-        assert_eq!(
-            Histogram::from_sketch("e", &empty, 7, false),
-            Histogram::linear("e", &[], 7)
-        );
     }
 }

@@ -17,9 +17,9 @@
 //!   bandwidth, Infiniband traffic, CPU user fraction) plus the
 //!   metric pass/fail report.
 //! * [`render`] — text tables and sparklines.
-//! * [`fused`] — the fused single-pass Fig. 4 scan: all four panels'
-//!   extents and dense bucket partials from one chunked walk over the
-//!   matched rows, merged with an elementwise tree merge.
+//! * [`fused`] — the fused Fig. 4 scan: all four panels' extents, then
+//!   all four panels' dense bucket counts, each from one walk over the
+//!   matched rows.
 //! * [`cache`] — the watermark-keyed query cache fronting searches,
 //!   Fig. 4 panels, and job-detail pages.
 

@@ -3,15 +3,13 @@
 //! sublist, and the automatic Fig. 4 histograms.
 
 use crate::cache::Fnv;
-use crate::fused::{self, FusedScratch, PanelCfg};
+use crate::fused::{self, PanelCfg};
 use crate::hist::{Fig4Panels, FIG4_PANELS};
 use crate::render;
 use std::cmp::Ordering;
 use tacc_jobdb::table::{Row, Table, TableError};
 use tacc_jobdb::{Filter, Value};
-use tacc_metrics::sketch::SketchRegistry;
-use tacc_metrics::{Flag, MetricId};
-use tacc_simnode::pool::WorkerPool;
+use tacc_metrics::Flag;
 
 /// Maximum number of metric search fields, matching the portal ("up to
 /// three Search fields").
@@ -50,17 +48,6 @@ impl SearchSpec {
         );
         self.fields.push((keyword.to_string(), value));
         self
-    }
-
-    /// Add a `metric >= threshold` field whose threshold defaults to a
-    /// population quantile — answered by the ingest-time
-    /// [`SketchRegistry`] (rank error ≤ εn) instead of a full column
-    /// rescan. No-op if the metric has no data yet.
-    pub fn field_above_quantile(self, id: MetricId, phi: f64, sketches: &SketchRegistry) -> Self {
-        match sketches.quantile(id, phi) {
-            Some(threshold) => self.field(&format!("{}__gte", id.label()), threshold),
-            None => self,
-        }
     }
 
     /// The conjunction of predicates this spec describes — the single
@@ -134,138 +121,34 @@ impl SearchSpec {
 
     /// Row indices (into `table.rows()`) this spec matches, in the
     /// jobid order [`SearchSpec::run`] returns. The filter is compiled
-    /// once; rows are scanned inline, or in contiguous chunks on
-    /// `pool` when each worker would get at least
-    /// [`fused::PAR_MIN_ROWS_PER_WORKER`] rows (below that, thread
-    /// startup costs more than the scan). Per-chunk match lists are in
-    /// table order and chunks are contiguous, so for a jobid-ordered
-    /// table (the ingest order) the concatenation is already sorted —
-    /// a linear check replaces the old unconditional O(n log n)
-    /// re-sort. Unordered tables fall back to per-chunk stable sorts
-    /// folded by pairwise galloping merges, which reproduces the
-    /// stable `sort_by` exactly.
-    pub fn matched_indices(
-        &self,
-        table: &Table,
-        pool: Option<&WorkerPool>,
-    ) -> Result<Vec<u32>, TableError> {
+    /// once and the rows scanned in table order; for a jobid-ordered
+    /// table (the ingest order) that is already the answer, and
+    /// otherwise one stable `sort_by` on jobid orders them.
+    pub fn matched_indices(&self, table: &Table) -> Result<Vec<u32>, TableError> {
         let compiled = self.filter().compile(table)?;
         let jobid = table
             .schema()
             .index_of("jobid")
             .ok_or_else(|| TableError::NoSuchColumn("jobid".to_string()))?;
         let all = table.rows();
-        let threaded = pool.filter(|p| {
-            p.workers() > 1 && all.len() >= fused::PAR_MIN_ROWS_PER_WORKER * p.workers()
-        });
-        let mut chunks: Vec<Vec<u32>> = match threaded {
-            None => vec![all
-                .iter()
-                .enumerate()
-                .filter(|(_, r)| compiled.matches(r))
-                .map(|(i, _)| i as u32)
-                .collect()],
-            Some(pool) => {
-                let parts = pool.workers();
-                let chunk = all.len().div_ceil(parts).max(1);
-                pool.map_parts(parts, |i, _scratch| {
-                    let start = (i * chunk).min(all.len());
-                    let end = ((i + 1) * chunk).min(all.len());
-                    all[start..end]
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, r)| compiled.matches(r))
-                        .map(|(off, _)| (start + off) as u32)
-                        .collect()
-                })
-            }
-        };
-        let key = |i: &u32| all[*i as usize].get(jobid);
-        let le = |a: &u32, b: &u32| key(a).total_cmp(key(b)) != Ordering::Greater;
-        let sorted = chunks
+        let mut idxs: Vec<u32> = all
             .iter()
-            .flatten()
-            .zip(chunks.iter().flatten().skip(1))
-            .all(|(a, b)| le(a, b));
-        let idxs = if sorted {
-            chunks.concat()
-        } else {
-            for c in &mut chunks {
-                c.sort_by(|a, b| key(a).total_cmp(key(b)));
-            }
-            merge_pairwise(chunks, &le)
-        };
-        debug_assert!(
-            idxs.iter().zip(idxs.iter().skip(1)).all(|(a, b)| le(a, b)),
-            "matched_indices must return jobid-ordered rows"
-        );
+            .enumerate()
+            .filter(|(_, r)| compiled.matches(r))
+            .map(|(i, _)| i as u32)
+            .collect();
+        let key = |i: &u32| all[*i as usize].get(jobid);
+        if !idxs.is_sorted_by(|a, b| key(a).total_cmp(key(b)) != Ordering::Greater) {
+            idxs.sort_by(|a, b| key(a).total_cmp(key(b)));
+        }
         Ok(idxs)
     }
 
     /// Run the search against a jobs table.
     pub fn run<'t>(&self, table: &'t Table) -> Result<JobList<'t>, TableError> {
-        let idxs = self.matched_indices(table, None)?;
+        let idxs = self.matched_indices(table)?;
         Ok(JobList::from_indices(table, &idxs))
     }
-}
-
-/// Fold sorted chunks with a pairwise tree of two-way galloping
-/// merges. Ties go to the left operand, and earlier chunks hold
-/// earlier table positions, so the fold is equivalent to a stable
-/// mergesort of the concatenation — i.e. exactly the old stable
-/// `sort_by`.
-fn merge_pairwise(mut chunks: Vec<Vec<u32>>, le: &impl Fn(&u32, &u32) -> bool) -> Vec<u32> {
-    while chunks.len() > 1 {
-        let mut next = Vec::with_capacity(chunks.len().div_ceil(2));
-        let mut it = chunks.into_iter();
-        while let Some(a) = it.next() {
-            match it.next() {
-                Some(b) => next.push(gallop_merge(&a, &b, le)),
-                None => next.push(a),
-            }
-        }
-        chunks = next;
-    }
-    chunks.pop().unwrap_or_default()
-}
-
-/// Merge two sorted runs, taking ties from `a`. Runs of consecutive
-/// winners are located by galloping (exponential probe + partition
-/// point) and copied whole, so nearly-disjoint runs — the common shape
-/// when chunk key ranges barely overlap — merge in O(log n) probes
-/// instead of element-at-a-time.
-fn gallop_merge(a: &[u32], b: &[u32], le: &impl Fn(&u32, &u32) -> bool) -> Vec<u32> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        // Everything in `a` at or below b[j] goes first (ties left).
-        let take = gallop(&a[i..], |x| le(x, &b[j]));
-        out.extend_from_slice(&a[i..i + take]);
-        i += take;
-        if i >= a.len() {
-            break;
-        }
-        // Then everything in `b` strictly below a[i].
-        let take = gallop(&b[j..], |x| !le(&a[i], x));
-        out.extend_from_slice(&b[j..j + take]);
-        j += take;
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
-}
-
-/// Length of the maximal prefix of `s` satisfying `pred`: exponential
-/// probe to bracket the boundary, then a binary partition point inside
-/// the bracket.
-fn gallop(s: &[u32], pred: impl Fn(&u32) -> bool) -> usize {
-    let mut probe = 1usize;
-    while probe <= s.len() && s.get(probe - 1).is_some_and(&pred) {
-        probe *= 2;
-    }
-    let lo = probe / 2; // pred holds on s[..lo]
-    let hi = (probe - 1).min(s.len()); // boundary is within s[lo..hi]
-    lo + s[lo..hi].partition_point(pred)
 }
 
 /// A search result: references into the jobs table.
@@ -386,28 +269,13 @@ impl<'t> JobList<'t> {
     }
 
     /// The automatic Fig. 4 histogram set for this result, computed by
-    /// the fused single-pass scan ([`crate::fused::scan`]): one walk
-    /// over the rows fills all four panels' extents and dense bucket
-    /// counts, replacing four column materializations and four
-    /// three-pass histogram builds. Bit-identical to
-    /// [`Fig4Panels::new`] over [`JobList::column`]s (proptested in
-    /// `tests/fused_props.rs`).
+    /// the fused scan ([`crate::fused::scan`]): two walks over the rows
+    /// fill all four panels' extents and dense bucket counts, replacing
+    /// four column materializations and four three-pass histogram
+    /// builds. Bit-identical to [`Fig4Panels::new`] over
+    /// [`JobList::column`]s (proptested in `tests/fused_props.rs`).
     pub fn fig4(&self) -> Fig4Panels {
-        self.fig4_scratch(None, &mut FusedScratch::default())
-    }
-
-    /// The fused scan with caller-owned scratch: a warm `scratch` (the
-    /// [`crate::cache::QueryCache`] holds one) makes the scan-and-merge
-    /// stage allocation-free. With a `pool`, the rows are chunked across
-    /// it with per-worker partials folded by an elementwise tree merge —
-    /// bit-identical to the sequential panels; threads only spawn when
-    /// each worker gets enough rows to amortize startup.
-    pub fn fig4_scratch(
-        &self,
-        pool: Option<&WorkerPool>,
-        scratch: &mut FusedScratch,
-    ) -> Fig4Panels {
-        Fig4Panels::from_fused(&fused::scan(&self.rows, &self.panel_cfgs(), pool, scratch))
+        Fig4Panels::from_fused(&fused::scan(&self.rows, &self.panel_cfgs()))
     }
 
     /// Render the job list with the portal's metadata columns.
@@ -545,6 +413,8 @@ mod tests {
         .unwrap();
         assert_eq!(list.len(), 1);
         assert_eq!(list.column_str("user"), vec!["bob"]);
+        let bad = SearchSpec::default().field("NoSuchMetric__gte", 1.0);
+        assert!(bad.run(t).is_err());
     }
 
     #[test]
@@ -595,45 +465,6 @@ mod tests {
             .field("b__gte", 1.0)
             .field("c__gte", 1.0)
             .field("d__gte", 1.0);
-    }
-
-    #[test]
-    fn pooled_search_and_fig4_match_inline() {
-        let db = db_with_jobs();
-        let t = db.table(JOBS_TABLE).unwrap();
-        let specs = [
-            SearchSpec::default(),
-            SearchSpec {
-                exec: Some("wrf.exe".into()),
-                min_runtime_secs: Some(600),
-                ..SearchSpec::default()
-            }
-            .field("MetaDataRate__gte", 10_000.0),
-            SearchSpec {
-                start_after: Some(1500),
-                start_before: Some(2500),
-                ..SearchSpec::default()
-            },
-            SearchSpec {
-                user: Some("nobody".into()),
-                ..SearchSpec::default()
-            },
-        ];
-        for workers in [1usize, 4] {
-            let pool = WorkerPool::new(workers);
-            for spec in &specs {
-                let inline = spec.run(t).unwrap();
-                let pooled = spec.matched_indices(t, Some(&pool)).unwrap();
-                let rows = JobList::from_indices(t, &pooled);
-                assert_eq!(inline.rows(), rows.rows(), "workers={workers}");
-                assert_eq!(
-                    inline.fig4(),
-                    rows.fig4_scratch(Some(&pool), &mut FusedScratch::default())
-                );
-            }
-            let bad = SearchSpec::default().field("NoSuchMetric__gte", 1.0);
-            assert!(bad.matched_indices(t, Some(&pool)).is_err());
-        }
     }
 
     #[test]

@@ -213,7 +213,7 @@ impl OldCache {
         if let Some(OldValue::Rows(idxs)) = self.lookup(key, wm, now) {
             return idxs;
         }
-        let idxs = Arc::new(spec.matched_indices(t, None).expect("valid spec"));
+        let idxs = Arc::new(spec.matched_indices(t).expect("valid spec"));
         self.store(key, wm, now, OldValue::Rows(Arc::clone(&idxs)));
         idxs
     }

@@ -173,11 +173,6 @@ impl Scheduler {
         self.queue_normal.len() + self.queue_largemem.len()
     }
 
-    /// Free nodes in the normal pool.
-    pub fn free_normal_nodes(&self) -> usize {
-        self.free_normal.len()
-    }
-
     /// Cancel a running or queued job at `now` (the §VI-B automated
     /// response: "problem jobs to be quickly identified and suspended").
     /// Frees its nodes immediately. Returns true if the job existed and

@@ -143,11 +143,6 @@ impl MemoryBudget {
         self.peak.load(Ordering::Acquire)
     }
 
-    /// The soft threshold in bytes.
-    pub fn soft_limit(&self) -> u64 {
-        self.soft
-    }
-
     /// The hard threshold in bytes.
     pub fn hard_limit(&self) -> u64 {
         self.hard

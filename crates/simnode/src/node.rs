@@ -514,12 +514,6 @@ impl SimNode {
         self.devices(dt).get(socket)?.read_at(idx)
     }
 
-    /// Direct mutable access to a device (used by tests and failure
-    /// injection).
-    pub fn device_mut(&mut self, dt: DeviceType, idx: usize) -> Option<&mut SimDevice> {
-        self.devices.get_mut(dt as usize)?.get_mut(idx)
-    }
-
     /// Install the set of pseudo-file read faults currently active on
     /// this node (replacing any previous set). The fault driver calls
     /// this each step with the faults whose windows are open.

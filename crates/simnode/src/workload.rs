@@ -34,13 +34,6 @@ pub struct LustreDemand {
     pub write_bytes_per_sec: f64,
 }
 
-impl LustreDemand {
-    /// Total data bandwidth (bytes/s).
-    pub fn data_bw(&self) -> f64 {
-        self.read_bytes_per_sec + self.write_bytes_per_sec
-    }
-}
-
 /// Resource demand a job places on one node over a simulation step.
 ///
 /// All rates are per second of simulated time and describe the node as a

@@ -45,8 +45,8 @@
 //!
 //! Queries never materialize an intermediate `Vec<DataPoint>`:
 //! [`SeriesBlocks::for_each_in`] streams decoded points to a closure,
-//! and [`SeriesCursor`] is the pull-based equivalent for callers that
-//! want to drive iteration themselves (the portal's detail reads).
+//! and [`SeriesBlocks::for_each_partial_in`] is the same walk for folds
+//! that can take whole hours from the rollup cells.
 //!
 //! This module is on the `cargo xtask lint` deny list: no panicking
 //! constructs, no unchecked indexing.
@@ -938,23 +938,6 @@ impl SeriesBlocks {
         }
     }
 
-    /// What [`SeriesBlocks::for_each_partial_in`] would walk for the
-    /// same arguments, from block metadata alone: cells of the blocks
-    /// it serves from rollups, points of the blocks it decodes and of
-    /// the head. The unit a caller's spawn gate counts.
-    pub fn work_units_in(&self, t0: u64, t1: u64, hourly: bool) -> usize {
-        let sealed: usize = self
-            .sealed
-            .iter()
-            .filter(|b| b.max_t() >= t0 && b.min_t() < t1)
-            .map(|b| match b.cell_range(t0, t1) {
-                Some(_) if hourly => b.rollup_bytes() / CELL_BYTES,
-                _ => b.len(),
-            })
-            .sum();
-        sealed + self.head_t.len()
-    }
-
     /// Stream every stored point to `f`, in timestamp order.
     pub fn for_each(&self, mut f: impl FnMut(u64, f64)) {
         for block in &self.sealed {
@@ -966,82 +949,6 @@ impl SeriesBlocks {
         for (&t, &v) in self.head_t.iter().zip(self.head_v.iter()) {
             f(t, v);
         }
-    }
-
-    /// A pull-based cursor over `[t0, t1)`, positioned at the first
-    /// in-range point. Borrows the series storage.
-    pub fn cursor_in(&self, t0: u64, t1: u64) -> SeriesCursor<'_> {
-        let lo = self.head_t.partition_point(|&t| t < t0);
-        let head_t = self.head_t.get(lo..).unwrap_or(&[]);
-        let head_v = self.head_v.get(lo..).unwrap_or(&[]);
-        SeriesCursor {
-            blocks: self.sealed.iter(),
-            current: None,
-            head: head_t.iter().zip(head_v.iter()),
-            t0,
-            t1,
-        }
-    }
-}
-
-/// Pull-based borrowing cursor over one series range — the storage-side
-/// half of `TsDb`'s cursor API. Decodes sealed blocks incrementally and
-/// then walks the head; never allocates.
-pub struct SeriesCursor<'a> {
-    blocks: std::slice::Iter<'a, SealedBlock>,
-    current: Option<BlockCursor<'a>>,
-    head: std::iter::Zip<std::slice::Iter<'a, u64>, std::slice::Iter<'a, f64>>,
-    t0: u64,
-    t1: u64,
-}
-
-impl SeriesCursor<'_> {
-    /// The next in-range point, or `None` when the range is exhausted.
-    pub fn next_point(&mut self) -> Option<(u64, f64)> {
-        if self.t1 <= self.t0 {
-            return None;
-        }
-        loop {
-            if let Some(cur) = self.current.as_mut() {
-                for (t, v) in cur.by_ref() {
-                    if t >= self.t1 {
-                        break;
-                    }
-                    if t >= self.t0 {
-                        return Some((t, v));
-                    }
-                }
-                self.current = None;
-            }
-            match self.blocks.next() {
-                Some(block) if block.max_t() < self.t0 => continue,
-                Some(block) if block.min_t() >= self.t1 => {
-                    // Sealed range is past t1; drain the remaining
-                    // blocks so only the head is left to consider.
-                    for _ in self.blocks.by_ref() {}
-                }
-                Some(block) => {
-                    self.current = Some(block.cursor());
-                    continue;
-                }
-                None => {}
-            }
-            // Head: already positioned at the first point >= t0.
-            if let Some((&t, &v)) = self.head.next() {
-                if t < self.t1 {
-                    return Some((t, v));
-                }
-            }
-            return None;
-        }
-    }
-}
-
-impl Iterator for SeriesCursor<'_> {
-    type Item = (u64, f64);
-
-    fn next(&mut self) -> Option<(u64, f64)> {
-        self.next_point()
     }
 }
 
@@ -1229,8 +1136,6 @@ mod tests {
         let mut got = Vec::new();
         s.for_each_in(200, 400, |t, _| got.push(t));
         assert_eq!(got, vec![200, 300]);
-        let cur: Vec<u64> = s.cursor_in(200, 400).map(|(t, _)| t).collect();
-        assert_eq!(cur, vec![200, 300]);
     }
 
     #[test]
@@ -1241,8 +1146,6 @@ mod tests {
         s.for_each_in(5, 5, |_, _| n += 1);
         s.for_each_in(20, 10, |_, _| n += 1);
         assert_eq!(n, 0);
-        assert_eq!(s.cursor_in(20, 10).count(), 0);
-        assert_eq!(SeriesBlocks::new().cursor_in(0, 100).count(), 0);
     }
 
     proptest! {
@@ -1262,8 +1165,7 @@ mod tests {
             prop_assert_eq!(s.len(), reference.len());
             prop_assert_eq!(collect_all(&s), reference.clone());
 
-            // Sub-range queries agree with the reference slice, via
-            // both the streaming and the cursor API.
+            // Sub-range queries agree with the reference slice.
             for (t0, t1) in [(0u64, 5000u64), (100, 3000), (2500, 2500), (4000, 100)] {
                 let want: Vec<(u64, f64)> = reference
                     .iter()
@@ -1273,8 +1175,6 @@ mod tests {
                 let mut got = Vec::new();
                 s.for_each_in(t0, t1, |t, v| got.push((t, v)));
                 prop_assert_eq!(&got, &want);
-                let cur: Vec<(u64, f64)> = s.cursor_in(t0, t1).collect();
-                prop_assert_eq!(&cur, &want);
             }
         }
 

@@ -37,9 +37,7 @@ mod sync;
 pub mod vfs;
 mod wal;
 
-pub use block::{
-    BlockCursor, SealScratch, SealedBlock, SeriesBlocks, SeriesCursor, SEAL_THRESHOLD,
-};
+pub use block::{BlockCursor, SealScratch, SealedBlock, SeriesBlocks, SEAL_THRESHOLD};
 pub use recover::{DurOptions, RecoveryReport, SegmentCheck};
 pub use series::{SeriesKey, TagFilter};
 pub use shard::{default_cache_policy, shard_of, DEFAULT_SHARDS};

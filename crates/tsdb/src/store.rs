@@ -1,34 +1,30 @@
-//! The time-series store: insertion, range queries, aggregation,
+//! The time-series store: insertion, range reads, aggregation,
 //! downsampling.
 //!
 //! Series are stored columnar: each [`SeriesKey`] maps to sealed
-//! compressed blocks plus a mutable head ([`crate::block`]). Queries
-//! stream decoded points straight into their fold — `aggregate` and
-//! `aligned` never materialize an intermediate `Vec<DataPoint>`, and
-//! the [`TsDb::range_for_each`] / [`TsDb::with_cursor`] APIs let read
-//! paths (the portal's detail page) consume points without the
-//! copy-out `Vec` that [`TsDb::range`] keeps for convenience.
+//! compressed blocks plus a mutable head ([`crate::block`]). Each
+//! query has one read path, and none materializes an intermediate
+//! `Vec<DataPoint>`: [`TsDb::range_for_each`] streams one series'
+//! points to a closure (the portal's detail page reads through it),
+//! and [`TsDb::aggregate`] — with [`TsDb::aligned`] on top — folds
+//! every matching series straight into its buckets.
 //!
 //! The store is sharded ([`crate::shard`]): keys route by tag-id hash
 //! to [`crate::shard::DEFAULT_SHARDS`] independent shards, each behind
 //! its own reader-writer lock with its own decoded-block cache and
 //! seal scratch. Ingest and queries on series in different shards
-//! never contend. When a [`WorkerPool`] is attached
-//! ([`TsDb::set_pool`]) and the query is big enough to pay for the
-//! threads, `aggregate` runs its dense fold as one partition scan per
-//! shard on the pool and merges the per-shard partial buckets;
-//! otherwise the fold visits shards sequentially. Hour-aligned
-//! `Sum`/`Avg` windows fold sealed blocks from their seal-time hourly
-//! rollups ([`crate::block`]) instead of decoding them, on either arm.
-//! Counts, `Max` and `Min` are identical either way;
-//! `Sum`/`Avg` may differ by float-addition order across shard
-//! layouts, never by contents. Cross-shard queries lock shards one at
-//! a time, so a query concurrent with ingest sees each *shard*
-//! consistently but not a single global snapshot — the same guarantee
-//! the monitoring pipeline needs (readers of a series see a prefix of
-//! it), for much better write concurrency.
+//! never contend. `aggregate` folds the shards one after another into
+//! one dense bucket buffer; hour-aligned `Sum`/`Avg` windows fold
+//! sealed blocks from their seal-time hourly rollups ([`crate::block`])
+//! instead of decoding them. Counts, `Max` and `Min` are identical for
+//! any shard count; `Sum`/`Avg` may differ by float-addition order
+//! across shard layouts, never by contents. Cross-shard queries lock
+//! shards one at a time, so a query concurrent with ingest sees each
+//! *shard* consistently but not a single global snapshot — the same
+//! guarantee the monitoring pipeline needs (readers of a series see a
+//! prefix of it), for much better write concurrency.
 
-use crate::block::{SeriesBlocks, SeriesCursor, ROLLUP_SECS};
+use crate::block::{SeriesBlocks, ROLLUP_SECS};
 use crate::recover::{self, compact_shard, DurOptions, RecoveryReport};
 use crate::series::{SeriesKey, TagFilter};
 use crate::shard::{shard_of, Shard, ShardData, DEFAULT_SHARDS};
@@ -36,7 +32,6 @@ use crate::vfs::{DiskError, Vfs};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use tacc_simnode::mem::{CacheCounters, MemoryBudget, TtlLruConfig};
-use tacc_simnode::pool::WorkerPool;
 
 /// One timestamped value (seconds since the Unix epoch).
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -65,17 +60,6 @@ pub enum Aggregation {
 type Acc = (f64, usize, f64, f64);
 
 const ACC_ZERO: Acc = (0.0, 0, f64::NEG_INFINITY, f64::INFINITY);
-
-/// Minimum work per worker ([`SeriesBlocks::work_units_in`]: points to
-/// decode, rollup cells to add) before `aggregate` fans its fold out on
-/// the pool; below it the shards fold inline into one buffer. Workers
-/// are threads spawned per call and every shard brings a partial
-/// bucket vector to merge: a month of 8 series (34,560 points, 17k per
-/// worker, ≈ 150 µs of decoding each) ran 297 µs inline and 338 µs on
-/// two workers before this gate existed, so the bar sits at twice that
-/// share. Gating moves wall time only — the fold per shard is the same
-/// function either way.
-const PAR_MIN_UNITS_PER_WORKER: usize = 1 << 15;
 
 /// Durability context shared by all shards of a durable store.
 struct DurCtx {
@@ -119,7 +103,6 @@ impl DurabilityStats {
 /// Thread-safe tagged time-series database, sharded by key hash.
 pub struct TsDb {
     shards: Box<[Shard]>,
-    pool: Option<Arc<WorkerPool>>,
     /// Present when the store is durable ([`TsDb::recover`]).
     dur: Option<DurCtx>,
 }
@@ -140,7 +123,6 @@ impl TsDb {
     pub fn with_shards(n: usize) -> TsDb {
         TsDb {
             shards: (0..n.max(1)).map(|_| Shard::default()).collect(),
-            pool: None,
             dur: None,
         }
     }
@@ -174,7 +156,6 @@ impl TsDb {
         Ok((
             TsDb {
                 shards: built.into_boxed_slice(),
-                pool: None,
                 dur: Some(DurCtx { vfs, opts }),
             },
             report,
@@ -184,19 +165,6 @@ impl TsDb {
     /// Whether this store persists writes ([`TsDb::recover`]).
     pub fn is_durable(&self) -> bool {
         self.dur.is_some()
-    }
-
-    /// Attach a worker pool: `aggregate` dense folds become parallel
-    /// per-shard partition scans. Builder-style variant of
-    /// [`TsDb::set_pool`].
-    pub fn with_pool(mut self, pool: Arc<WorkerPool>) -> TsDb {
-        self.pool = Some(pool);
-        self
-    }
-
-    /// Attach a worker pool (see [`TsDb::with_pool`]).
-    pub fn set_pool(&mut self, pool: Arc<WorkerPool>) {
-        self.pool = Some(pool);
     }
 
     /// Number of shards the key space is split into.
@@ -468,16 +436,6 @@ impl TsDb {
         out
     }
 
-    /// Raw points of one series within `[t0, t1)`.
-    ///
-    /// Copies points out into a `Vec`; hot read paths should prefer
-    /// [`TsDb::range_for_each`] or [`TsDb::with_cursor`].
-    pub fn range(&self, key: &SeriesKey, t0: u64, t1: u64) -> Vec<DataPoint> {
-        let mut out = Vec::new();
-        self.range_for_each(key, t0, t1, |t, v| out.push(DataPoint { t, v }));
-        out
-    }
-
     /// Stream the points of one series within `[t0, t1)` to `f`, in
     /// timestamp order, serving sealed blocks from the owning shard's
     /// decoded-block cache — repeated reads over the same block decode
@@ -492,32 +450,11 @@ impl TsDb {
         self.shard(key).range_for_each(key, t0, t1, &mut f)
     }
 
-    /// Run `f` with a pull-based [`SeriesCursor`] over `[t0, t1)` of
-    /// one series. The cursor borrows the owning shard's read lock for
-    /// the duration of `f`, so points are decoded on demand and never
-    /// copied into an intermediate buffer. Returns `None` when the
-    /// series does not exist.
-    pub fn with_cursor<R>(
-        &self,
-        key: &SeriesKey,
-        t0: u64,
-        t1: u64,
-        f: impl FnOnce(&mut SeriesCursor<'_>) -> R,
-    ) -> Option<R> {
-        let data = self.shard(key).data.read();
-        data.series.get(key).map(|series| {
-            let mut cursor = series.cursor_in(t0, t1);
-            f(&mut cursor)
-        })
-    }
-
     /// Aggregate all series matching `filter` over `[t0, t1)`, bucketed
     /// into `bucket_secs`-wide windows aligned to `t0`. Buckets with no
     /// data are omitted. This is OpenTSDB's "aggregate along any subset
     /// of tags": the tags left `None` in the filter are the ones summed
-    /// over. With a pool attached, and enough work per worker to pay
-    /// for the threads, the dense fold runs as one partition scan per
-    /// shard, merged bucket-by-bucket.
+    /// over.
     ///
     /// `Sum` and `Avg` over hour-aligned windows (`t0` and
     /// `bucket_secs` multiples of [`ROLLUP_SECS`]) fold sealed blocks
@@ -549,18 +486,12 @@ impl TsDb {
         let hourly = matches!(agg, Aggregation::Sum | Aggregation::Avg)
             && t0.is_multiple_of(ROLLUP_SECS)
             && bucket_secs.is_multiple_of(ROLLUP_SECS);
-        let pool = self
-            .pool
-            .as_deref()
-            .filter(|p| p.workers() > 1 && self.shards.len() > 1);
         // Clamp the requested window to the data actually present
         // (block metadata only — nothing is decoded), so open-ended
-        // queries still take the dense-bucket path below; the same
-        // pass sizes the fold for the spawn gate.
+        // queries still take the dense-bucket path below.
         let mut data_min = u64::MAX;
         let mut data_max = 0u64;
         let mut any = false;
-        let mut units = 0usize;
         for shard in self.shards.iter() {
             let data = shard.data.read();
             for (key, series) in &data.series {
@@ -571,9 +502,6 @@ impl TsDb {
                     any = true;
                     data_min = data_min.min(lo);
                     data_max = data_max.max(hi);
-                }
-                if pool.is_some() {
-                    units += series.work_units_in(t0, t1, hourly);
                 }
             }
         }
@@ -597,39 +525,13 @@ impl TsDb {
                 lo_b,
                 hourly,
             };
-            let dense = match pool {
-                // Parallel partition scan: one dense partial per
-                // shard, merged bucket-by-bucket in shard order (so
-                // the result is deterministic for a given layout).
-                Some(pool) if units >= PAR_MIN_UNITS_PER_WORKER * pool.workers() => {
-                    let partials = pool.map_parts(self.shards.len(), |i, _scratch| {
-                        let mut part = vec![ACC_ZERO; span as usize];
-                        let data = self.shards[i].data.read();
-                        fold_dense(&data, filter, &window, &mut part);
-                        part
-                    });
-                    let mut dense = vec![ACC_ZERO; span as usize];
-                    for part in partials {
-                        for (e, p) in dense.iter_mut().zip(part) {
-                            e.0 += p.0;
-                            e.1 += p.1;
-                            e.2 = e.2.max(p.2);
-                            e.3 = e.3.min(p.3);
-                        }
-                    }
-                    dense
-                }
-                // Sequential: fold every shard into one dense buffer
-                // (a single allocation per query).
-                _ => {
-                    let mut dense = vec![ACC_ZERO; span as usize];
-                    for shard in self.shards.iter() {
-                        let data = shard.data.read();
-                        fold_dense(&data, filter, &window, &mut dense);
-                    }
-                    dense
-                }
-            };
+            // Fold every shard into one dense buffer (a single
+            // allocation per query).
+            let mut dense = vec![ACC_ZERO; span as usize];
+            for shard in self.shards.iter() {
+                let data = shard.data.read();
+                fold_dense(&data, filter, &window, &mut dense);
+            }
             return dense
                 .into_iter()
                 .enumerate()
@@ -705,9 +607,8 @@ struct Window {
 }
 
 /// Fold one shard's matching series into dense buckets (indices
-/// relative to `lo_b`). Shared by the sequential and parallel paths so
-/// both run the identical fold: per point, or — for an hourly window —
-/// per rollup cell where a sealed block has one covering it, sums and
+/// relative to `lo_b`): per point, or — for an hourly window — per
+/// rollup cell where a sealed block has one covering it, sums and
 /// counts only (nothing hourly reads the extrema).
 fn fold_dense(data: &ShardData, filter: &TagFilter, w: &Window, dense: &mut [Acc]) {
     let bucket = |t: u64| ((t - w.t0) / w.bucket_secs).saturating_sub(w.lo_b) as usize;
@@ -733,6 +634,15 @@ fn fold_dense(data: &ShardData, filter: &TagFilter, w: &Window, dense: &mut [Acc
             });
         }
     }
+}
+
+/// The points of one series within `[t0, t1)`, copied out through
+/// [`TsDb::range_for_each`] — the tests' reference view of a series.
+#[cfg(test)]
+fn range(db: &TsDb, key: &SeriesKey, t0: u64, t1: u64) -> Vec<DataPoint> {
+    let mut out = Vec::new();
+    db.range_for_each(key, t0, t1, |t, v| out.push(DataPoint { t, v }));
+    out
 }
 
 #[cfg(all(test, not(loom)))]
@@ -788,8 +698,8 @@ mod durable_tests {
     fn assert_series_are_prefixes(recovered: &TsDb, reference: &TsDb) -> usize {
         let mut total = 0;
         for k in reference.keys(&TagFilter::any()) {
-            let want = reference.range(&k, 0, u64::MAX);
-            let got = recovered.range(&k, 0, u64::MAX);
+            let want = range(reference, &k, 0, u64::MAX);
+            let got = range(recovered, &k, 0, u64::MAX);
             assert!(
                 got.len() <= want.len(),
                 "{k}: recovered {} > inserted {}",
@@ -952,7 +862,7 @@ mod durable_tests {
         assert_eq!(report.points_replayed, SEAL_THRESHOLD as u64);
         assert!(report.balances(), "{report:?}");
         assert_eq!(back.n_points(), SEAL_THRESHOLD);
-        let pts = back.range(&k, 0, u64::MAX);
+        let pts = range(&back, &k, 0, u64::MAX);
         assert_eq!(pts.len(), SEAL_THRESHOLD);
         assert_eq!(pts[SEAL_THRESHOLD - 1].v, (SEAL_THRESHOLD - 1) as f64);
     }
@@ -1041,7 +951,7 @@ mod tests {
         for t in [100u64, 200, 300, 400] {
             db.insert(key("c1", "reqs"), t, t as f64);
         }
-        let pts = db.range(&key("c1", "reqs"), 150, 350);
+        let pts = range(&db, &key("c1", "reqs"), 150, 350);
         assert_eq!(pts.len(), 2);
         assert_eq!(pts[0].t, 200);
         assert_eq!(db.n_series(), 1);
@@ -1054,7 +964,7 @@ mod tests {
         db.insert(key("c1", "reqs"), 300, 3.0);
         db.insert(key("c1", "reqs"), 100, 1.0);
         db.insert(key("c1", "reqs"), 200, 2.0);
-        let pts = db.range(&key("c1", "reqs"), 0, 1000);
+        let pts = range(&db, &key("c1", "reqs"), 0, 1000);
         let ts: Vec<u64> = pts.iter().map(|p| p.t).collect();
         assert_eq!(ts, vec![100, 200, 300]);
     }
@@ -1128,41 +1038,13 @@ mod tests {
         let mut got = Vec::new();
         let n = db.range_for_each(&key("c1", "reqs"), 100, 300, |t, v| got.push((t, v)));
         assert_eq!(n, got.len());
-        let want: Vec<(u64, f64)> = db
-            .range(&key("c1", "reqs"), 100, 300)
-            .iter()
-            .map(|p| (p.t, p.v))
-            .collect();
+        let want: Vec<(u64, f64)> = (10..30u64).map(|i| (i * 10, i as f64)).collect();
         assert_eq!(got, want);
         assert_eq!(
             db.range_for_each(&key("c9", "reqs"), 0, 100, |_, _| {}),
             0,
             "missing series visits nothing"
         );
-    }
-
-    #[test]
-    fn cursor_matches_range() {
-        let db = TsDb::new();
-        for i in 0..2000u64 {
-            db.insert(key("c1", "reqs"), i, (i * 2) as f64);
-        }
-        let via_cursor: Vec<(u64, f64)> = db
-            .with_cursor(&key("c1", "reqs"), 500, 1600, |cur| {
-                let mut out = Vec::new();
-                while let Some(p) = cur.next_point() {
-                    out.push(p);
-                }
-                out
-            })
-            .unwrap();
-        let via_range: Vec<(u64, f64)> = db
-            .range(&key("c1", "reqs"), 500, 1600)
-            .iter()
-            .map(|p| (p.t, p.v))
-            .collect();
-        assert_eq!(via_cursor, via_range);
-        assert!(db.with_cursor(&key("c9", "x"), 0, 1, |_| ()).is_none());
     }
 
     #[test]
@@ -1195,92 +1077,7 @@ mod tests {
                 "{shards} shards"
             );
             let k = key("c03", "reqs");
-            assert_eq!(db.range(&k, 100, 2000), reference.range(&k, 100, 2000));
-        }
-    }
-
-    #[test]
-    fn pooled_aggregate_matches_sequential() {
-        let seq = TsDb::new();
-        let par = TsDb::new().with_pool(Arc::new(WorkerPool::new(4)));
-        for h in 0..12 {
-            for i in 0..700u64 {
-                let k = key(&format!("n{h:02}"), "reqs");
-                seq.insert(k.clone(), i * 60, (h * 1000 + i) as f64);
-                par.insert(k, i * 60, (h * 1000 + i) as f64);
-            }
-        }
-        let f = TagFilter::any().event("reqs");
-        for agg in [
-            Aggregation::Sum,
-            Aggregation::Avg,
-            Aggregation::Max,
-            Aggregation::Min,
-        ] {
-            let a = seq.aggregate(&f, agg, 0, 700 * 60, 3600);
-            let b = par.aggregate(&f, agg, 0, 700 * 60, 3600);
-            assert_eq!(a.len(), b.len(), "{agg:?}");
-            for (pa, pb) in a.iter().zip(b.iter()) {
-                assert_eq!(pa.t, pb.t);
-                // Shard merge may reassociate float additions; the
-                // values here are integral and exact either way.
-                assert!(
-                    (pa.v - pb.v).abs() <= 1e-9 * (1.0 + pa.v.abs()),
-                    "{agg:?}: {} vs {}",
-                    pa.v,
-                    pb.v
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn pooled_aggregate_past_the_spawn_gate_matches_sequential() {
-        // pooled_aggregate_matches_sequential's 8,400 points stay under
-        // the spawn gate and fold inline; this store is big enough that
-        // both the per-point fold and the hourly cell fold clear it at
-        // two workers.
-        let seq = TsDb::new();
-        let par = TsDb::new().with_pool(Arc::new(WorkerPool::new(2)));
-        for h in 0..96 {
-            let k = key(&format!("g{h:02}"), "reqs");
-            for i in 0..4400u64 {
-                let v = ((h * 31 + i) % 1009) as f64;
-                seq.insert(k.clone(), i * 600, v);
-                par.insert(k.clone(), i * 600, v);
-            }
-        }
-        let f = TagFilter::any().event("reqs");
-        let t1 = 4400 * 600;
-        for (agg, bucket_secs) in [
-            (Aggregation::Sum, 3600),
-            (Aggregation::Avg, 7200),
-            (Aggregation::Sum, 600),
-            (Aggregation::Max, 3600),
-            (Aggregation::Min, 3600),
-        ] {
-            let hourly = !matches!(agg, Aggregation::Max | Aggregation::Min) && bucket_secs > 600;
-            let units: usize = par
-                .shards
-                .iter()
-                .map(|s| {
-                    let data = s.data.read();
-                    data.series
-                        .values()
-                        .map(|sb| sb.work_units_in(0, t1, hourly))
-                        .sum::<usize>()
-                })
-                .sum();
-            assert!(
-                units >= 2 * PAR_MIN_UNITS_PER_WORKER,
-                "{agg:?}/{bucket_secs}: {units} units stay inline"
-            );
-            // Integer values: exact under any association.
-            assert_eq!(
-                par.aggregate(&f, agg, 0, t1, bucket_secs),
-                seq.aggregate(&f, agg, 0, t1, bucket_secs),
-                "{agg:?}/{bucket_secs}"
-            );
+            assert_eq!(range(&db, &k, 100, 2000), range(&reference, &k, 100, 2000));
         }
     }
 
@@ -1352,9 +1149,9 @@ mod tests {
             // the second pass exercises the decoded-block cache.
             for h in 0..4u64 {
                 let k = key(&format!("w{h}"), "reqs");
-                let want = reference.range(&k, 500, 3500);
-                prop_assert_eq!(&db.range(&k, 500, 3500), &want);
-                prop_assert_eq!(&db.range(&k, 500, 3500), &want);
+                let want = range(&reference, &k, 500, 3500);
+                prop_assert_eq!(&range(&db, &k, 500, 3500), &want);
+                prop_assert_eq!(&range(&db, &k, 500, 3500), &want);
             }
             // Aggregates: counts and extrema exact, sums to rounding.
             let f = TagFilter::any().event("reqs");

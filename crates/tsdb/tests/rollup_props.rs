@@ -5,8 +5,9 @@
 //! points. Two test-local oracles hold it to what it replaced:
 //!
 //! * the **per-point oracle** — the parent commit's `aggregate` and
-//!   `fold_dense`, verbatim but for reading their points from
-//!   `TsDb::range`: one add per point, in shard → series → time order;
+//!   `fold_dense`, verbatim but for reading their points through
+//!   `TsDb::range_for_each`: one add per point, in shard → series → time
+//!   order;
 //! * the **cell oracle** — the same bucketing, but a sealed block the
 //!   window may take by whole hours is first reduced to per-hour
 //!   partials of its *decoded* points. It states the eligibility rules
@@ -73,7 +74,8 @@ fn snapshot(db: &TsDb) -> Vec<ShardData> {
         })
         .collect();
     for key in db.keys(&TagFilter::any()) {
-        let points = Points(db.range(&key, 0, u64::MAX));
+        let mut points = Points(Vec::new());
+        db.range_for_each(&key, 0, u64::MAX, |t, v| points.0.push(DataPoint { t, v }));
         shards[shard_of(&key, db.n_shards())]
             .series
             .insert(key, points);

@@ -14,7 +14,7 @@
 //! (`metrics::stream`, `metrics::sketch`) is held to the same bar, and
 //! so are the portal's fused Fig. 4 scan (`portal::fused`) and query
 //! cache (`portal::cache`): `tests/alloc_invariants.rs` asserts a
-//! steady-state flag or sketch update, the warm scan+merge, a warm
+//! steady-state flag or sketch update, the fused scan, a warm
 //! cache hit and sealed-block reads (in-memory and recovered) at 0
 //! allocations in tier-1. So does the node side of a collection — the
 //! pseudo-file renderers (`simnode::pseudofs`), the collectors and the

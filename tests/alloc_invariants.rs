@@ -19,7 +19,7 @@ use tacc_stats::metrics::flags::FlagRules;
 use tacc_stats::metrics::sketch::{QuantileSketch, DEFAULT_EPS};
 use tacc_stats::metrics::stream::FlagStreams;
 use tacc_stats::metrics::table1::MetricId;
-use tacc_stats::portal::fused::{self, FusedScratch, PanelCfg, PANELS};
+use tacc_stats::portal::fused::{self, PanelCfg, PANELS};
 use tacc_stats::portal::hist::FIG4_PANELS;
 use tacc_stats::portal::{QueryCache, SearchSpec};
 use tacc_stats::simnode::intern::Sym;
@@ -125,17 +125,13 @@ fn warm_fused_scan_does_not_allocate() {
             log,
         }
     });
-    let mut scratch = FusedScratch::default();
-    let cold = fused::scan(list.rows(), &cfgs, None, &mut scratch).counts;
+    let cold = fused::scan(list.rows(), &cfgs).counts;
     let n = allocs_in(|| {
         for _ in 0..8 {
-            assert_eq!(
-                fused::scan(list.rows(), &cfgs, None, &mut scratch).counts,
-                cold
-            );
+            assert_eq!(fused::scan(list.rows(), &cfgs).counts, cold);
         }
     });
-    assert_eq!(n, 0, "fused::scan with a reused FusedScratch");
+    assert_eq!(n, 0, "fused::scan");
 }
 
 #[test]

@@ -311,13 +311,20 @@ mod durable_tsdb {
         applied
     }
 
+    /// One series' points within `[t0, t1)`, in time order.
+    fn range(db: &TsDb, key: &SeriesKey, t0: u64, t1: u64) -> Vec<(u64, f64)> {
+        let mut out = Vec::new();
+        db.range_for_each(key, t0, t1, |t, v| out.push((t, v)));
+        out
+    }
+
     /// Recovered contents must be, per series, an exact prefix of the
     /// never-crashed reference's insertion order. Returns total points.
     fn assert_prefix_of(recovered: &TsDb, reference: &TsDb) -> u64 {
         let mut total = 0;
         for k in reference.keys(&TagFilter::any()) {
-            let want = reference.range(&k, 0, u64::MAX);
-            let got = recovered.range(&k, 0, u64::MAX);
+            let want = range(reference, &k, 0, u64::MAX);
+            let got = range(recovered, &k, 0, u64::MAX);
             assert!(
                 got.len() <= want.len(),
                 "{k}: more points than were written"
@@ -413,8 +420,8 @@ mod durable_tsdb {
 
             let prefix = TsDb::with_shards(SHARDS);
             for k in back.keys(&TagFilter::any()) {
-                for p in back.range(&k, 0, u64::MAX) {
-                    prefix.insert(k.clone(), p.t, p.v);
+                for (t, v) in range(&back, &k, 0, u64::MAX) {
+                    prefix.insert(k.clone(), t, v);
                 }
             }
             let f = TagFilter::any().dev_type("llite");
