@@ -36,8 +36,7 @@ use tacc_metrics::flags::FlagRules;
 use tacc_metrics::ingest::{ingest_job, JOBS_TABLE};
 use tacc_metrics::table1::{JobMetrics, MetricId};
 use tacc_portal::cache::QueryCache;
-use tacc_portal::fused::{self, PanelCfg, PANELS};
-use tacc_portal::hist::FIG4_PANELS;
+use tacc_portal::fused;
 use tacc_portal::search::SearchSpec;
 use tacc_scheduler::job::{Job, JobStatus, QueueName};
 use tacc_simnode::apps::AppModel;
@@ -191,24 +190,6 @@ fn jobs_fixture(n: usize) -> Database {
     db
 }
 
-/// [`FIG4_PANELS`] resolved against the table schema — what the fused
-/// scan bins against.
-fn panel_cfgs(table: &tacc_jobdb::table::Table) -> [PanelCfg; PANELS] {
-    let mut cfgs = [PanelCfg {
-        col: None,
-        divisor: 1.0,
-        log: false,
-    }; PANELS];
-    for (cfg, (_title, col, divisor, log)) in cfgs.iter_mut().zip(FIG4_PANELS.iter()) {
-        *cfg = PanelCfg {
-            col: table.schema().index_of(col),
-            divisor: *divisor,
-            log: *log,
-        };
-    }
-    cfgs
-}
-
 fn main() {
     let host_cores = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -226,7 +207,7 @@ fn main() {
         ..SearchSpec::default()
     }
     .field("MetaDataRate__gte", 10_000.0);
-    let cfgs = panel_cfgs(table);
+    let cfgs = fused::panel_cfgs(table);
 
     const ITERS: u64 = 80;
     let mut fused_seq = MinStat::new();
@@ -237,7 +218,7 @@ fn main() {
     let mut agg_seq = MinStat::new();
 
     // Long-lived state the warm arms reuse across iterations.
-    let scan_list = spec.run(table).expect("columns exist");
+    let scan_idxs = spec.matched_indices(table).expect("columns exist");
     let watermark = 1u64;
     let now = 0u64;
     let mut warm_cache = QueryCache::default();
@@ -257,7 +238,7 @@ fn main() {
         }));
 
         // Scan stage alone.
-        scan_only.push(timed(|| fused::scan(scan_list.rows(), &cfgs).counts[0][0]));
+        scan_only.push(timed(|| fused::scan(table, &scan_idxs, &cfgs).counts[0][0]));
 
         // Cache: a cold miss pays the full query; a warm hit at the
         // same watermark is a refcount bump.

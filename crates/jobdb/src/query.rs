@@ -8,8 +8,9 @@
 //! uses ORM aggregation ("averaging a metric field over a returned job
 //! list"). This module provides both.
 
+use crate::index::{ColumnIndex, NumColumn};
 use crate::table::{Row, Table, TableError};
-use crate::value::Value;
+use crate::value::{Value, ValueType};
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
@@ -119,53 +120,146 @@ impl Filter {
         &self.conds
     }
 
-    fn matches(&self, table: &Table, row: &Row) -> Result<bool, TableError> {
-        for c in &self.conds {
-            let idx = table
-                .schema()
-                .index_of(&c.column)
-                .ok_or_else(|| TableError::NoSuchColumn(c.column.clone()))?;
-            if !c.op.eval(row.get(idx), &c.value) {
-                return Ok(false);
-            }
-        }
-        Ok(true)
-    }
-
-    /// Resolve every predicate's column against `table` once, yielding
-    /// a filter that evaluates rows without any name lookups (and
-    /// without a `Result` per row). Column resolution errors surface
-    /// here instead of on the first row, so partitioned scans can share
-    /// one compiled filter across workers.
-    pub fn compile(&self, table: &Table) -> Result<CompiledFilter, TableError> {
-        let mut conds = Vec::with_capacity(self.conds.len());
-        for c in &self.conds {
-            let idx = table
-                .schema()
-                .index_of(&c.column)
-                .ok_or_else(|| TableError::NoSuchColumn(c.column.clone()))?;
-            conds.push((idx, c.op, c.value.clone()));
-        }
-        Ok(CompiledFilter { conds })
-    }
-}
-
-/// A [`Filter`] with its column names resolved to indices for one
-/// table (see [`Filter::compile`]). Evaluation is infallible and
-/// `&self`, so one compiled filter can drive any number of concurrent
-/// partition scans.
-#[derive(Clone, Debug)]
-pub struct CompiledFilter {
-    conds: Vec<(usize, CmpOp, Value)>,
-}
-
-impl CompiledFilter {
-    /// Does `row` satisfy every predicate? Rows must come from the
-    /// table the filter was compiled against.
-    pub fn matches(&self, row: &Row) -> bool {
-        self.conds
+    /// Resolve every predicate against `table`'s scan index once (see
+    /// [`CompiledFilter`]). An unknown column fails here, before any
+    /// row is read.
+    pub fn compile<'t>(&self, table: &'t Table) -> Result<CompiledFilter<'t>, TableError> {
+        let preds = self
+            .conds
             .iter()
-            .all(|(idx, op, value)| op.eval(row.get(*idx), value))
+            .map(|c| {
+                table
+                    .schema()
+                    .index_of(&c.column)
+                    .and_then(|col| Pred::resolve(table, col, c.op, &c.value))
+                    .ok_or_else(|| TableError::NoSuchColumn(c.column.clone()))
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(CompiledFilter {
+            rows: table.len(),
+            preds,
+        })
+    }
+}
+
+/// The lowest and the highest `f64` under `f64::total_cmp` (a negative
+/// and a positive NaN with every payload bit set).
+const TOTAL_MIN: f64 = f64::from_bits(u64::MAX);
+const TOTAL_MAX: f64 = f64::from_bits(i64::MAX as u64);
+
+/// One predicate resolved against a column of the scan index. Every
+/// answer it gives is one [`CmpOp::eval`] gave at compile time, so the
+/// scan and the row-at-a-time definition cannot disagree:
+/// * `on_null` is `eval(Null, rhs)`;
+/// * a numeric cell `x` against a numeric `rhs` answers by where `x`
+///   falls under `f64::total_cmp` (the rule `Value::total_cmp` applies
+///   to numbers), from `eval` on a cell below, equal to and above `rhs`;
+/// * a string cell against a string `rhs` answers from `eval` on the
+///   first cell holding each distinct string;
+/// * any other non-null cell answers `eval` on a representative value of
+///   the column's type: a mismatched or Null `rhs` does not depend on it.
+struct Pred<'t> {
+    on_null: bool,
+    test: Test<'t>,
+}
+
+enum Test<'t> {
+    /// Every non-null cell gives the same answer.
+    Const(&'t ColumnIndex, bool),
+    /// The answer for cells below, equal to and above `rhs`.
+    Num(NumColumn<'t>, f64, [bool; 3]),
+    /// Dictionary codes and the answer for each code.
+    Dict(&'t [u32], Vec<bool>),
+}
+
+impl<'t> Pred<'t> {
+    fn resolve(table: &'t Table, col: usize, op: CmpOp, rhs: &Value) -> Option<Pred<'t>> {
+        let index = table.column_index(col)?;
+        let ty = table.schema().columns.get(col)?.ty;
+        let test = match (index, rhs.as_f64(), rhs) {
+            (ColumnIndex::Num { .. }, Some(y), _) => Test::Num(
+                index.num()?,
+                y,
+                [TOTAL_MIN, y, TOTAL_MAX].map(|x| op.eval(&Value::Float(x), rhs)),
+            ),
+            (
+                ColumnIndex::Str {
+                    codes, first_row, ..
+                },
+                _,
+                Value::Str(_),
+            ) => Test::Dict(
+                codes,
+                first_row
+                    .iter()
+                    .map(|&r| op.eval(table.rows()[r as usize].get(col), rhs))
+                    .collect(),
+            ),
+            _ => Test::Const(index, op.eval(&representative(ty), rhs)),
+        };
+        Some(Pred {
+            on_null: op.eval(&Value::Null, rhs),
+            test,
+        })
+    }
+
+    /// Does row `i` satisfy the predicate?
+    fn holds(&self, i: usize) -> bool {
+        match &self.test {
+            Test::Const(index, c) => {
+                if index.is_null(i) {
+                    self.on_null
+                } else {
+                    *c
+                }
+            }
+            Test::Num(col, y, answer) => match col.get(i) {
+                Some(x) => answer[(x.total_cmp(y) as i8 + 1) as usize],
+                None => self.on_null,
+            },
+            Test::Dict(codes, answer) => codes
+                .get(i)
+                .and_then(|&c| answer.get(c as usize))
+                .copied()
+                .unwrap_or(self.on_null),
+        }
+    }
+}
+
+/// A non-null value of type `ty`.
+fn representative(ty: ValueType) -> Value {
+    match ty {
+        ValueType::Int => Value::Int(0),
+        ValueType::Float => Value::Float(0.0),
+        ValueType::Str => Value::Str(String::new()),
+        ValueType::Bool => Value::Bool(false),
+    }
+}
+
+/// A [`Filter`] resolved against one table's scan index
+/// ([`Filter::compile`]).
+pub struct CompiledFilter<'t> {
+    rows: usize,
+    preds: Vec<Pred<'t>>,
+}
+
+impl CompiledFilter<'_> {
+    /// Indices of the rows satisfying every predicate, ascending. The
+    /// first predicate scans its column; each further one refines that
+    /// candidate list in place. One allocation, whatever the row count.
+    pub fn scan(&self) -> Vec<u32> {
+        let mut out = Vec::with_capacity(self.rows);
+        let mut preds = self.preds.iter();
+        let all = 0..self.rows as u32;
+        match preds.next() {
+            None => out.extend(all),
+            Some(first) => out.extend(all.filter(|&i| first.holds(i as usize))),
+        }
+        for p in preds {
+            out.retain(|&i| p.holds(i as usize));
+        }
+        out.shrink_to_fit();
+        out
     }
 }
 
@@ -234,38 +328,37 @@ impl<'t> Query<'t> {
         self
     }
 
-    /// Evaluate: matching rows in order.
-    pub fn rows(&self) -> Result<Vec<&'t Row>, TableError> {
-        let mut out: Vec<&Row> = Vec::new();
-        for row in self.table.rows() {
-            if self.filter.matches(self.table, row)? {
-                out.push(row);
-            }
-        }
+    /// Row indices of the matches, in order: the compiled scan, then a
+    /// stable sort on the `order_by` column, then the limit.
+    fn indices(&self) -> Result<Vec<u32>, TableError> {
+        let mut idxs = self.filter.compile(self.table)?.scan();
         if let Some((col, desc)) = &self.order_by {
             let idx = self
                 .table
                 .schema()
                 .index_of(col)
                 .ok_or_else(|| TableError::NoSuchColumn(col.clone()))?;
-            out.sort_by(|a, b| {
-                let ord = a.get(idx).total_cmp(b.get(idx));
-                if *desc {
-                    ord.reverse()
-                } else {
-                    ord
-                }
-            });
+            self.table.sort_by_column(idx, *desc, &mut idxs);
         }
         if let Some(n) = self.limit {
-            out.truncate(n);
+            idxs.truncate(n);
         }
-        Ok(out)
+        Ok(idxs)
+    }
+
+    /// Evaluate: matching rows in order.
+    pub fn rows(&self) -> Result<Vec<&'t Row>, TableError> {
+        let all = self.table.rows();
+        Ok(self
+            .indices()?
+            .iter()
+            .filter_map(|&i| all.get(i as usize))
+            .collect())
     }
 
     /// Count matching rows.
     pub fn count(&self) -> Result<usize, TableError> {
-        Ok(self.rows()?.len())
+        Ok(self.indices()?.len())
     }
 
     /// Collect one column of the matching rows.
@@ -441,20 +534,35 @@ mod tests {
     }
 
     #[test]
-    fn compiled_filter_matches_interpreted_filter() {
+    fn compiled_scan_returns_ascending_row_indices() {
         let t = jobs();
         let f = Filter::new()
             .kw("exec", "wrf.exe")
             .kw("metadatarate__gte", 10_000.0);
-        let compiled = f.compile(&t).unwrap();
-        let via_query: Vec<&Row> = Query::new(&t).filter(f).rows().unwrap();
-        let via_compiled: Vec<&Row> = t.rows().iter().filter(|r| compiled.matches(r)).collect();
-        assert_eq!(via_query, via_compiled);
+        assert_eq!(f.compile(&t).unwrap().scan(), vec![1, 4]);
+        assert_eq!(
+            Filter::new().compile(&t).unwrap().scan(),
+            vec![0, 1, 2, 3, 4]
+        );
         // Bad columns fail at compile time, not per row.
         assert!(matches!(
             Filter::new().kw("ghost__gte", 1.0).compile(&t),
             Err(TableError::NoSuchColumn(_))
         ));
+    }
+
+    #[test]
+    fn mismatched_right_hand_sides_follow_eval() {
+        let t = jobs();
+        let n = |kw: &str, v: Value| Query::new(&t).filter_kw(kw, v).count().unwrap();
+        // A string sorts above every number, and every value above Null.
+        assert_eq!(n("nodes__lt", "4".into()), 5);
+        assert_eq!(n("user__gt", Value::Int(7)), 5);
+        assert_eq!(n("cpu_usage__ne", Value::Null), 5);
+        assert_eq!(n("cpu_usage__eq", Value::Null), 0);
+        assert_eq!(n("nodes__contains", "4".into()), 0);
+        // Int cells against a Float threshold compare numerically.
+        assert_eq!(n("nodes__gte", Value::Float(15.5)), 2);
     }
 
     #[test]

@@ -1,7 +1,10 @@
-//! Tables: declared schemas and typed rows.
+//! Tables: declared schemas and typed rows, with the scan index
+//! ([`crate::index`]) kept beside the rows.
 
+use crate::index::{cmp_num, ColumnIndex, NumColumn};
 use crate::value::{Value, ValueType};
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 
 /// One column: name plus declared type.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -102,18 +105,36 @@ impl std::fmt::Display for TableError {
 impl std::error::Error for TableError {}
 
 /// A typed table.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct Table {
     schema: TableSchema,
     rows: Vec<Row>,
+    /// The scan index, one column per schema column: derived from
+    /// `rows` on insert, not part of the table's value.
+    index: Vec<ColumnIndex>,
+}
+
+/// Schema and rows only: the index is derived from them (and an
+/// `f64`-wise comparison of it would make a table holding NaN unequal
+/// to itself).
+impl PartialEq for Table {
+    fn eq(&self, other: &Table) -> bool {
+        self.schema == other.schema && self.rows == other.rows
+    }
 }
 
 impl Table {
     /// New empty table.
     pub fn new(schema: TableSchema) -> Table {
+        let index = schema
+            .columns
+            .iter()
+            .map(|c| ColumnIndex::new(c.ty))
+            .collect();
         Table {
             schema,
             rows: Vec::new(),
+            index,
         }
     }
 
@@ -155,8 +176,49 @@ impl Table {
                 }
             }
         }
+        for (col, v) in self.index.iter_mut().zip(&values) {
+            col.push(self.rows.len(), v);
+        }
         self.rows.push(Row(values));
         Ok(())
+    }
+
+    /// The scan index column of `col`.
+    pub(crate) fn column_index(&self, col: usize) -> Option<&ColumnIndex> {
+        self.index.get(col)
+    }
+
+    /// The typed view of column `col` if it is an Int, Float or Bool
+    /// column: what a scan reads instead of `rows()[i].get(col)`.
+    pub fn num_column(&self, col: usize) -> Option<NumColumn<'_>> {
+        self.column_index(col)?.num()
+    }
+
+    /// Stably sort row indices by column `col` under
+    /// [`Value::total_cmp`] (descending if `desc`), leaving them as they
+    /// are when they already are in that order. Ascending indices into a
+    /// numeric column whose cells never decrease (a jobid column in
+    /// ingest order) are known to be in order without comparing a cell.
+    pub fn sort_by_column(&self, col: usize, desc: bool, idxs: &mut [u32]) {
+        let index = self.column_index(col);
+        if !desc && index.is_some_and(ColumnIndex::ascending) && idxs.is_sorted() {
+            return;
+        }
+        let num = index.and_then(ColumnIndex::num);
+        let asc = |a: &u32, b: &u32| match num {
+            Some(num) => cmp_num(num.get(*a as usize), num.get(*b as usize)),
+            None => {
+                let cell = |i: &u32| self.rows.get(*i as usize).map(|r| r.get(col));
+                match (cell(a), cell(b)) {
+                    (Some(x), Some(y)) => x.total_cmp(y),
+                    (x, y) => x.is_some().cmp(&y.is_some()),
+                }
+            }
+        };
+        let cmp = |a: &u32, b: &u32| if desc { asc(b, a) } else { asc(a, b) };
+        if !idxs.is_sorted_by(|a, b| cmp(a, b) != Ordering::Greater) {
+            idxs.sort_by(cmp);
+        }
     }
 
     /// Value of `column` in row `row_idx`.

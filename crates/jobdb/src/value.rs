@@ -123,7 +123,13 @@ impl Value {
     pub fn render(&self) -> String {
         match self {
             Value::Int(i) => format!("i{i}"),
-            // {:?} prints floats with enough precision to round-trip.
+            // {:?} prints floats with enough precision to round-trip,
+            // but every NaN as `NaN`: keep the bits of any other than
+            // the canonical one, so that `total_cmp` still finds the
+            // parsed value equal.
+            Value::Float(f) if f.is_nan() && f.to_bits() != f64::NAN.to_bits() => {
+                format!("fNaN:{:x}", f.to_bits())
+            }
             Value::Float(f) => format!("f{f:?}"),
             Value::Str(s) => format!("s{}", escape(s)),
             Value::Bool(b) => format!("b{}", if *b { 1 } else { 0 }),
@@ -138,7 +144,11 @@ impl Value {
         let rest = chars.as_str();
         Some(match tag {
             'i' => Value::Int(rest.parse().ok()?),
-            'f' => Value::Float(rest.parse().ok()?),
+            'f' => Value::Float(match rest.strip_prefix("NaN:") {
+                Some(bits) => Some(f64::from_bits(u64::from_str_radix(bits, 16).ok()?))
+                    .filter(|x| x.is_nan())?,
+                None => rest.parse().ok()?,
+            }),
             's' => Value::Str(unescape(rest)?),
             'b' => Value::Bool(match rest {
                 "1" => true,
@@ -252,6 +262,9 @@ mod tests {
             Value::Int(-42),
             Value::Float(3.25),
             Value::Float(f64::MAX),
+            Value::Float(f64::NAN),
+            Value::Float(-f64::NAN),
+            Value::Float(-0.0),
             Value::Str("wrf.exe".into()),
             Value::Str("tabs\tand\nnewlines\\".into()),
             Value::Bool(true),
@@ -277,6 +290,7 @@ mod tests {
         assert_eq!(Value::parse("nx"), None);
         assert_eq!(Value::parse("s\\q"), None);
         assert_eq!(Value::parse("qfoo"), None);
+        assert_eq!(Value::parse("fNaN:0"), None, "the bits must be a NaN");
     }
 
     proptest! {

@@ -26,6 +26,7 @@
 //! alloc-lint scope (`cargo xtask lint`): the hit path is panic-free
 //! and allocation-free; the miss paths are annotated cold.
 
+use crate::fused;
 use crate::hist::{Fig4Panels, Histogram};
 use crate::search::{JobList, SearchSpec};
 use std::sync::Arc;
@@ -260,12 +261,12 @@ impl QueryCache {
     ) -> Result<JobList<'t>, TableError> {
         self.sync(watermark, now_secs);
         let idxs = self.search_indices(spec, table)?;
-        Ok(JobList::from_indices(table, &idxs))
+        Ok(JobList::from_indices(table, idxs))
     }
 
     /// The Fig. 4 panels for `spec` through the cache. A warm hit is a
-    /// refcount bump; a miss reuses any cached row indices for the same
-    /// spec, runs the fused scan, and stores the panels. `_pool` is
+    /// refcount bump; a miss runs the fused scan over the spec's row
+    /// indices (cached ones if live) and stores the panels. `_pool` is
     /// ignored (see the module doc).
     pub fn fig4(
         &mut self,
@@ -284,9 +285,9 @@ impl QueryCache {
             return Ok(p);
         }
         let idxs = self.search_indices(spec, table)?;
-        let list = JobList::from_indices(table, &idxs);
+        let fused = fused::scan(table, &idxs, &fused::panel_cfgs(table));
         // alloc: cold (cache miss: one panel set per distinct query per watermark)
-        let panels = Arc::new(list.fig4());
+        let panels = Arc::new(Fig4Panels::from_fused(&fused));
         self.keep(key, CachedValue::Panels(Arc::clone(&panels)));
         Ok(panels)
     }

@@ -1,5 +1,5 @@
-//! Fused single-pass Fig. 4 scan: all four portal histogram panels
-//! computed from two walks over the matched rows.
+//! Fused Fig. 4 scan: all four portal histogram panels computed from
+//! two passes over the matched rows' panel columns.
 //!
 //! The pre-fused path ran `column()` → `hours()` → `Histogram::build`
 //! four times per query (twelve row passes, an intermediate `Vec<f64>`
@@ -12,6 +12,10 @@
 //!    `[[u32; BINS]; PANELS]` array on the stack, filled against bin
 //!    geometry derived once from the extents.
 //!
+//! Both passes read the jobs table's scan index
+//! ([`Table::num_column`]) at the matched row indices, one panel column
+//! at a time, never the boxed rows.
+//!
 //! The per-value bin index depends only on the extents, and both are
 //! computed with the same transform and the same `lo`/`width` rule, so
 //! the result is bit-identical to the sequential
@@ -20,7 +24,9 @@
 //! (`cargo xtask lint` deny tiers): no indexing, no unwraps, and no heap
 //! allocation in a scan.
 
-use tacc_jobdb::table::Row;
+use crate::hist::FIG4_PANELS;
+use tacc_jobdb::table::Table;
+use tacc_jobdb::NumColumn;
 
 /// Bins per panel — the Fig. 4 layout.
 pub const BINS: usize = 12;
@@ -102,22 +108,25 @@ fn tx(v: f64, log: bool) -> f64 {
     }
 }
 
-/// One panel's transformed value for one row, `None` for null columns,
-/// absent columns, and non-finite transforms — the exact skip set of
-/// the sequential `column()` + `is_finite()` pipeline.
-fn panel_value(row: &Row, cfg: &PanelCfg) -> Option<f64> {
-    let col = cfg.col?;
-    let v = row.get(col).as_f64()?;
+/// One panel's transformed value for row `i`, `None` for null cells,
+/// absent or non-numeric columns, and non-finite transforms — the exact
+/// skip set of the sequential `column()` + `is_finite()` pipeline.
+fn panel_value(col: Option<NumColumn<'_>>, cfg: &PanelCfg, i: u32) -> Option<f64> {
+    let v = col?.get(i as usize)?;
     let t = v / cfg.divisor;
     t.is_finite().then_some(t)
 }
 
-/// Extent pass: all four panels in a single row walk.
-fn scan_extents(rows: &[&Row], cfgs: &[PanelCfg; PANELS]) -> [Extent; PANELS] {
+/// Extent pass: one walk of the matched rows per panel column.
+fn scan_extents(
+    cols: &[Option<NumColumn<'_>>; PANELS],
+    idxs: &[u32],
+    cfgs: &[PanelCfg; PANELS],
+) -> [Extent; PANELS] {
     let mut ext = [Extent::EMPTY; PANELS];
-    for row in rows {
-        for (cfg, e) in cfgs.iter().zip(ext.iter_mut()) {
-            if let Some(t) = panel_value(row, cfg) {
+    for ((col, cfg), e) in cols.iter().zip(cfgs).zip(ext.iter_mut()) {
+        for &i in idxs {
+            if let Some(t) = panel_value(*col, cfg, i) {
                 e.push(t);
             }
         }
@@ -125,17 +134,18 @@ fn scan_extents(rows: &[&Row], cfgs: &[PanelCfg; PANELS]) -> [Extent; PANELS] {
     ext
 }
 
-/// Count pass: dense bucket counts for all four panels against the bin
-/// geometry.
+/// Count pass: dense bucket counts for every panel against its bin
+/// geometry, one walk of the matched rows per panel column.
 fn scan_counts(
-    rows: &[&Row],
+    cols: &[Option<NumColumn<'_>>; PANELS],
+    idxs: &[u32],
     cfgs: &[PanelCfg; PANELS],
     grids: &[Grid; PANELS],
 ) -> [[u32; BINS]; PANELS] {
     let mut counts = [[0u32; BINS]; PANELS];
-    for row in rows {
-        for ((cfg, g), panel) in cfgs.iter().zip(grids.iter()).zip(counts.iter_mut()) {
-            if let Some(t) = panel_value(row, cfg) {
+    for (((col, cfg), g), panel) in cols.iter().zip(cfgs).zip(grids).zip(counts.iter_mut()) {
+        for &i in idxs {
+            if let Some(t) = panel_value(*col, cfg, i) {
                 let idx = (((tx(t, cfg.log) - g.lo) / g.width) as usize).min(BINS - 1);
                 if let Some(c) = panel.get_mut(idx) {
                     *c = c.saturating_add(1);
@@ -164,10 +174,21 @@ fn grid_of(e: &Extent, log: bool) -> Grid {
     Grid { lo, width }
 }
 
-/// Run the fused four-panel scan over `rows`: the extent pass, the bin
-/// geometry, then the count pass. Allocation-free.
-pub fn scan(rows: &[&Row], cfgs: &[PanelCfg; PANELS]) -> FusedFig4 {
-    let extents = scan_extents(rows, cfgs);
+/// [`FIG4_PANELS`] resolved against `table`'s schema (an absent column
+/// yields an empty panel, as `column()` returning no values did).
+pub fn panel_cfgs(table: &Table) -> [PanelCfg; PANELS] {
+    FIG4_PANELS.map(|(_title, col, divisor, log)| PanelCfg {
+        col: table.schema().index_of(col),
+        divisor,
+        log,
+    })
+}
+
+/// Run the fused four-panel scan over rows `idxs` of `table`: the
+/// extent pass, the bin geometry, then the count pass. Allocation-free.
+pub fn scan(table: &Table, idxs: &[u32], cfgs: &[PanelCfg; PANELS]) -> FusedFig4 {
+    let cols = cfgs.map(|cfg| cfg.col.and_then(|c| table.num_column(c)));
+    let extents = scan_extents(&cols, idxs, cfgs);
     let mut grids = [Grid {
         lo: 0.0,
         width: 1.0,
@@ -175,7 +196,7 @@ pub fn scan(rows: &[&Row], cfgs: &[PanelCfg; PANELS]) -> FusedFig4 {
     for ((g, e), cfg) in grids.iter_mut().zip(extents.iter()).zip(cfgs.iter()) {
         *g = grid_of(e, cfg.log);
     }
-    let counts = scan_counts(rows, cfgs, &grids);
+    let counts = scan_counts(&cols, idxs, cfgs, &grids);
     FusedFig4 {
         extents,
         grids,

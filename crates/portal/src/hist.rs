@@ -7,10 +7,9 @@ use crate::render;
 
 /// The canonical Fig. 4 panel layout: `(title, column, divisor, log)`
 /// per panel, in panel order. Single source of truth shared by the
-/// sequential [`Fig4Panels::new`] titles, the fused scan's
-/// [`PanelCfg`](crate::fused::PanelCfg) derivation in
-/// [`JobList::fig4`](crate::search::JobList::fig4), and the benches —
-/// so the two paths cannot drift apart.
+/// sequential [`Fig4Panels::new`] titles and the fused scan's
+/// [`PanelCfg`](crate::fused::PanelCfg)s ([`crate::fused::panel_cfgs`])
+/// — so the two paths cannot drift apart.
 pub const FIG4_PANELS: [(&str, &str, f64, bool); 4] = [
     ("Jobs vs Runtime (h)", "run_time", 3600.0, false),
     ("Jobs vs Nodes", "nodes", 1.0, false),

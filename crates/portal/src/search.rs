@@ -3,10 +3,10 @@
 //! sublist, and the automatic Fig. 4 histograms.
 
 use crate::cache::Fnv;
-use crate::fused::{self, PanelCfg};
-use crate::hist::{Fig4Panels, FIG4_PANELS};
+use crate::fused;
+use crate::hist::Fig4Panels;
 use crate::render;
-use std::cmp::Ordering;
+use std::sync::Arc;
 use tacc_jobdb::table::{Row, Table, TableError};
 use tacc_jobdb::{Filter, Value};
 use tacc_metrics::Flag;
@@ -121,39 +121,33 @@ impl SearchSpec {
 
     /// Row indices (into `table.rows()`) this spec matches, in the
     /// jobid order [`SearchSpec::run`] returns. The filter is compiled
-    /// once and the rows scanned in table order; for a jobid-ordered
-    /// table (the ingest order) that is already the answer, and
-    /// otherwise one stable `sort_by` on jobid orders them.
+    /// against the table's scan index and its columns scanned; for a
+    /// jobid-ordered table (the ingest order) that is already the
+    /// answer, and otherwise one stable sort on the jobid column orders
+    /// them.
     pub fn matched_indices(&self, table: &Table) -> Result<Vec<u32>, TableError> {
         let compiled = self.filter().compile(table)?;
         let jobid = table
             .schema()
             .index_of("jobid")
             .ok_or_else(|| TableError::NoSuchColumn("jobid".to_string()))?;
-        let all = table.rows();
-        let mut idxs: Vec<u32> = all
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| compiled.matches(r))
-            .map(|(i, _)| i as u32)
-            .collect();
-        let key = |i: &u32| all[*i as usize].get(jobid);
-        if !idxs.is_sorted_by(|a, b| key(a).total_cmp(key(b)) != Ordering::Greater) {
-            idxs.sort_by(|a, b| key(a).total_cmp(key(b)));
-        }
+        let mut idxs = compiled.scan();
+        table.sort_by_column(jobid, false, &mut idxs);
         Ok(idxs)
     }
 
     /// Run the search against a jobs table.
     pub fn run<'t>(&self, table: &'t Table) -> Result<JobList<'t>, TableError> {
         let idxs = self.matched_indices(table)?;
-        Ok(JobList::from_indices(table, &idxs))
+        Ok(JobList::from_indices(table, Arc::new(idxs)))
     }
 }
 
-/// A search result: references into the jobs table.
+/// A search result: references into the jobs table, and the row
+/// indices they were taken from.
 pub struct JobList<'t> {
     table: &'t Table,
+    idxs: Arc<Vec<u32>>,
     rows: Vec<&'t Row>,
 }
 
@@ -162,12 +156,11 @@ impl<'t> JobList<'t> {
     /// query cache stores — without rescanning or re-filtering the
     /// table. Out-of-range indices (impossible for indices produced
     /// against the same table snapshot) are skipped.
-    pub(crate) fn from_indices(table: &'t Table, idxs: &[u32]) -> JobList<'t> {
+    pub(crate) fn from_indices(table: &'t Table, idxs: Arc<Vec<u32>>) -> JobList<'t> {
         let all = table.rows();
-        JobList {
-            table,
-            rows: idxs.iter().filter_map(|i| all.get(*i as usize)).collect(),
-        }
+        let mut rows = Vec::with_capacity(idxs.len());
+        rows.extend(idxs.iter().filter_map(|i| all.get(*i as usize)));
+        JobList { table, idxs, rows }
     }
 
     /// Number of jobs found.
@@ -249,33 +242,16 @@ impl<'t> JobList<'t> {
         self.rows_where_flags(|s| s.split(',').any(|f| f == flag.name()))
     }
 
-    /// Panel configs for the fused scan: [`FIG4_PANELS`] resolved
-    /// against this table's schema (absent columns yield empty panels,
-    /// matching the old `column()` returning no values).
-    fn panel_cfgs(&self) -> [PanelCfg; 4] {
-        let mut cfgs = [PanelCfg {
-            col: None,
-            divisor: 1.0,
-            log: false,
-        }; 4];
-        for (cfg, (_title, col, divisor, log)) in cfgs.iter_mut().zip(FIG4_PANELS.iter()) {
-            *cfg = PanelCfg {
-                col: self.table.schema().index_of(col),
-                divisor: *divisor,
-                log: *log,
-            };
-        }
-        cfgs
-    }
-
     /// The automatic Fig. 4 histogram set for this result, computed by
-    /// the fused scan ([`crate::fused::scan`]): two walks over the rows
-    /// fill all four panels' extents and dense bucket counts, replacing
-    /// four column materializations and four three-pass histogram
-    /// builds. Bit-identical to [`Fig4Panels::new`] over
-    /// [`JobList::column`]s (proptested in `tests/fused_props.rs`).
+    /// the fused scan ([`crate::fused::scan`]) over the result's row
+    /// indices: two walks over the four panel columns fill every panel's
+    /// extents and dense bucket counts, replacing four column
+    /// materializations and four three-pass histogram builds.
+    /// Bit-identical to [`Fig4Panels::new`] over [`JobList::column`]s
+    /// (proptested in `tests/fused_props.rs`).
     pub fn fig4(&self) -> Fig4Panels {
-        Fig4Panels::from_fused(&fused::scan(&self.rows, &self.panel_cfgs()))
+        let cfgs = fused::panel_cfgs(self.table);
+        Fig4Panels::from_fused(&fused::scan(self.table, &self.idxs, &cfgs))
     }
 
     /// Render the job list with the portal's metadata columns.

@@ -2,7 +2,8 @@
 //! scan must be **bit-identical** to the pre-fused per-column pipeline
 //! for any input, and `matched_indices` must return the matching rows
 //! in stable jobid order — including on tables whose rows are *not* in
-//! jobid order (the stable-sort step).
+//! jobid order (the stable-sort step) and rows whose jobid is Null
+//! (which sort first).
 
 use proptest::prelude::*;
 use tacc_jobdb::table::{Row, Table};
@@ -11,8 +12,9 @@ use tacc_portal::{Fig4Panels, JobList, SearchSpec};
 
 /// One synthetic job row: jobid plus the four Fig. 4 columns, each
 /// optionally Null (the ingest path never writes Null here, but the
-/// fused scan must match the baseline on them anyway).
-type JobRow = (i64, [Option<f64>; 4]);
+/// fused scan and the jobid sort must match their oracles on them
+/// anyway).
+type JobRow = (Option<i64>, [Option<f64>; 4]);
 
 /// A generated cell: selector + raw bits. `any::<f64>()` spans every
 /// bit pattern (NaN, infinities, subnormals), and selector 0 maps the
@@ -29,16 +31,22 @@ fn cell() -> impl Strategy<Value = RawCell> {
 }
 
 fn raw_rows(max: usize) -> impl Strategy<Value = Vec<RawRow>> {
-    proptest::collection::vec(((0i64..500, cell()), (cell(), cell()), cell()), 0..max)
+    proptest::collection::vec(((0i64..520, cell()), (cell(), cell()), cell()), 0..max)
 }
 
 fn decode(c: RawCell) -> Option<f64> {
     (c.0 != 0).then_some(c.1)
 }
 
+/// Jobids 500.. decode to Null (about one row in 26).
 fn decode_rows(raw: &[RawRow]) -> Vec<JobRow> {
     raw.iter()
-        .map(|((id, c0), (c1, c2), c3)| (*id, [decode(*c0), decode(*c1), decode(*c2), decode(*c3)]))
+        .map(|((id, c0), (c1, c2), c3)| {
+            (
+                (*id < 500).then_some(*id),
+                [decode(*c0), decode(*c1), decode(*c2), decode(*c3)],
+            )
+        })
         .collect()
 }
 
@@ -54,7 +62,7 @@ fn jobs_table(rows: &[JobRow]) -> Table {
     for (id, cols) in rows {
         let cell = |v: Option<f64>| v.map(Value::Float).unwrap_or(Value::Null);
         t.insert(vec![
-            Value::Int(*id),
+            id.map(Value::Int).unwrap_or(Value::Null),
             cell(cols[0]),
             cell(cols[1]),
             cell(cols[2]),
@@ -85,7 +93,7 @@ fn assert_fig4_eq(rows: &[JobRow]) {
 
 /// The oracle of the search order: the rows whose `MetaDataRate` is at
 /// least `threshold` under the table's total order (Null below every
-/// number, NaN above), stably sorted by jobid.
+/// number, NaN above), stably sorted by jobid (Null first).
 fn stable_sorted_matches(t: &Table, threshold: f64) -> Vec<&Row> {
     let min = Value::Float(threshold);
     let mut want: Vec<&Row> = t
@@ -107,8 +115,8 @@ proptest! {
 
     /// `matched_indices` returns the matching rows stably sorted by
     /// jobid, on jobid-ordered tables and on shuffled ones, with a real
-    /// filter in play. Jobids are drawn from 0..500, so longer tables
-    /// carry ties the stable sort must keep in table order.
+    /// filter in play. Jobids are drawn from 0..500 or Null, so longer
+    /// tables carry ties the stable sort must keep in table order.
     #[test]
     fn search_returns_matches_in_stable_jobid_order(
         raw in raw_rows(120),
@@ -137,26 +145,26 @@ fn fused_fig4_edge_cases() {
     // Empty result set.
     assert_fig4_eq(&[]);
     // Single row.
-    assert_fig4_eq(&[(1, [Some(3600.0), Some(2.0), Some(60.0), Some(10.0)])]);
+    assert_fig4_eq(&[(Some(1), [Some(3600.0), Some(2.0), Some(60.0), Some(10.0)])]);
     // All-NaN and all-Null columns.
     assert_fig4_eq(&[
-        (1, [Some(f64::NAN), None, Some(f64::NAN), None]),
-        (2, [Some(f64::NAN), None, Some(f64::NAN), None]),
+        (Some(1), [Some(f64::NAN), None, Some(f64::NAN), None]),
+        (Some(2), [Some(f64::NAN), None, Some(f64::NAN), None]),
     ]);
     // All-equal values (degenerate extent: hi == lo, width = 1.0).
     let row = [Some(7200.0), Some(4.0), Some(120.0), Some(500.0)];
-    assert_fig4_eq(&[(1, row), (2, row), (3, row)]);
+    assert_fig4_eq(&[(Some(1), row), (Some(2), row), (Some(3), row)]);
     // Negative and zero values through the log panel's 1e-9 clamp.
     assert_fig4_eq(&[
-        (1, [Some(10.0), Some(1.0), Some(0.0), Some(-5.0)]),
-        (2, [Some(20.0), Some(2.0), Some(1.0), Some(0.0)]),
-        (3, [Some(30.0), Some(3.0), Some(2.0), Some(1e9)]),
+        (Some(1), [Some(10.0), Some(1.0), Some(0.0), Some(-5.0)]),
+        (Some(2), [Some(20.0), Some(2.0), Some(1.0), Some(0.0)]),
+        (Some(3), [Some(30.0), Some(3.0), Some(2.0), Some(1e9)]),
     ]);
 }
 
-/// A shuffled table whose jobids come in pairs: the search must hold
-/// tied rows in table order, and the fused panels of the result must
-/// match the baseline.
+/// A shuffled table whose jobids come in pairs, with every 97th jobid
+/// Null: the search must hold tied rows in table order, and the fused
+/// panels of the result must match the baseline.
 #[test]
 fn shuffled_paired_jobids_sort_stably() {
     let n = 2_000;
@@ -166,7 +174,7 @@ fn shuffled_paired_jobids_sort_stably() {
         .map(|i| {
             let f = i as f64;
             (
-                ((i * 7919) % n / 2) as i64,
+                (i % 97 != 0).then_some(((i * 7919) % n / 2) as i64),
                 [
                     Some(300.0 + (f % 40.0) * 600.0),
                     Some(1.0 + (f % 16.0)),
@@ -190,7 +198,12 @@ fn shuffled_paired_jobids_sort_stably() {
 /// finite value render as their title line, they do not panic.
 #[test]
 fn panels_without_values_render() {
-    let row = |id: i64| (id, [Some(3600.0 * id as f64), Some(2.0), Some(60.0), None]);
+    let row = |id: i64| {
+        (
+            Some(id),
+            [Some(3600.0 * id as f64), Some(2.0), Some(60.0), None],
+        )
+    };
     let t = jobs_table(&[row(1), row(2), row(3)]);
 
     let none = SearchSpec::default()

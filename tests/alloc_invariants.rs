@@ -19,8 +19,7 @@ use tacc_stats::metrics::flags::FlagRules;
 use tacc_stats::metrics::sketch::{QuantileSketch, DEFAULT_EPS};
 use tacc_stats::metrics::stream::FlagStreams;
 use tacc_stats::metrics::table1::MetricId;
-use tacc_stats::portal::fused::{self, PanelCfg, PANELS};
-use tacc_stats::portal::hist::FIG4_PANELS;
+use tacc_stats::portal::fused;
 use tacc_stats::portal::{QueryCache, SearchSpec};
 use tacc_stats::simnode::intern::Sym;
 use tacc_stats::simnode::topology::NodeTopology;
@@ -78,10 +77,13 @@ fn lcg(state: &mut u64) -> f64 {
     ((*state >> 11) as f64) / ((1u64 << 53) as f64)
 }
 
-/// A jobs table carrying the four Fig. 4 columns.
+/// A jobs table carrying two metadata columns and the four Fig. 4
+/// columns.
 fn jobs_table(n: i64) -> Table {
     let mut t = Table::new(TableSchema::new(&[
         ("jobid", ValueType::Int),
+        ("exec", ValueType::Str),
+        ("user", ValueType::Str),
         ("run_time", ValueType::Float),
         ("nodes", ValueType::Float),
         ("queue_wait", ValueType::Float),
@@ -91,6 +93,8 @@ fn jobs_table(n: i64) -> Table {
         let f = id as f64;
         t.insert(vec![
             Value::Int(id),
+            if id % 3 == 0 { "wrf.exe" } else { "namd2" }.into(),
+            format!("user{:04}", id % 23).into(),
             Value::Float(300.0 + (f % 40.0) * 600.0),
             Value::Float(1.0 + f % 16.0),
             Value::Float(f % 7200.0),
@@ -115,23 +119,48 @@ fn counter_sees_this_threads_allocations() {
 #[test]
 fn warm_fused_scan_does_not_allocate() {
     let table = jobs_table(2000);
-    let list = spec().run(&table).expect("valid column");
-    assert!(list.len() > 1000);
-    let cfgs: [PanelCfg; PANELS] = std::array::from_fn(|i| {
-        let (_title, col, divisor, log) = FIG4_PANELS[i];
-        PanelCfg {
-            col: table.schema().index_of(col),
-            divisor,
-            log,
-        }
-    });
-    let cold = fused::scan(list.rows(), &cfgs).counts;
+    let idxs = spec().matched_indices(&table).expect("valid column");
+    assert!(idxs.len() > 1000);
+    let cfgs = fused::panel_cfgs(&table);
+    let cold = fused::scan(&table, &idxs, &cfgs).counts;
     let n = allocs_in(|| {
         for _ in 0..8 {
-            assert_eq!(fused::scan(list.rows(), &cfgs).counts, cold);
+            assert_eq!(fused::scan(&table, &idxs, &cfgs).counts, cold);
         }
     });
     assert_eq!(n, 0, "fused::scan");
+}
+
+/// A cold search allocates its result vector and its predicate tables,
+/// and nothing per row: the count is the same on 2,000 and on 20,000
+/// rows, for a numeric threshold, a string match and both together.
+#[test]
+fn cold_matched_indices_allocates_independently_of_row_count() {
+    let small = jobs_table(2_000);
+    let large = jobs_table(20_000);
+    let numeric = spec();
+    let string = SearchSpec {
+        exec: Some("wrf.exe".into()),
+        ..SearchSpec::default()
+    };
+    let both = SearchSpec {
+        user: Some("user0003".into()),
+        ..spec()
+    }
+    .field("run_time__lt", 12_000.0);
+    for spec in [numeric, string, both] {
+        let count = |t: &Table| {
+            let mut len = 0;
+            let n = allocs_in(|| len = spec.matched_indices(t).expect("valid columns").len());
+            assert!(
+                len > 0 && len < t.len(),
+                "{spec:?} matches some rows of {}",
+                t.len()
+            );
+            n
+        };
+        assert_eq!(count(&small), count(&large), "{spec:?}");
+    }
 }
 
 #[test]
