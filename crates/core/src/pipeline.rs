@@ -10,7 +10,7 @@
 //! or consumed from the broker — is mirrored into the tsdb, if enabled,
 //! and then lent to the driver's `on_sample(node_idx, header, sample)`.
 //! [`crate::MonitoringSystem`] drives it under the scheduler, job
-//! accumulation and online analysis; the fleet soak (`tacc-bench`)
+//! accumulation and online analysis; the fleet soak (`tacc_stats::soak`)
 //! under a consumer budget, stalls and a settle phase.
 //!
 //! **Faults.** [`Pipeline::set_fault_plan`] makes every daemon's

@@ -48,7 +48,7 @@ pub enum Pressure {
 /// The ledger counts *tracked* bytes — what the governed caches say
 /// they hold — not process RSS. Grants are refused rather than allowed
 /// past the hard threshold, so `peak() <= hard_limit()` holds by
-/// construction; the soak bench asserts exactly that.
+/// construction; the soak (`tests/soak.rs`) asserts exactly that.
 #[derive(Debug)]
 pub struct MemoryBudget {
     soft: u64,

@@ -23,7 +23,7 @@
 //! write through (`collect::tokens`, `simnode::digits`):
 //! `crates/collect/tests/collect_parse_props.rs` holds
 //! `Sampler::sample_into` at 0 allocations (as does the hot loop behind
-//! `BENCH_sample_path.json`). And the consumer side of the same path
+//! `BENCH_hot_paths.json`). And the consumer side of the same path
 //! (`collect::consumer` over the decoder in `collect::codec`):
 //! `crates/collect/tests/decode_props.rs` holds a steady-state
 //! `StatsConsumer::poll_with` at 0 allocations per message. The

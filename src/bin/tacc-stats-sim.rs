@@ -11,6 +11,7 @@
 //! tacc-stats-sim table1
 //! tacc-stats-sim search --db jobs.db --field MetaDataRate__gte=10000
 //! tacc-stats-sim experiments > EXPERIMENTS.md
+//! tacc-stats-sim soak > BENCH_soak.json
 //! ```
 //!
 //! Argument parsing is hand-rolled (no external CLI crates in the
@@ -20,7 +21,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 use std::process::ExitCode;
-use tacc_stats::claims;
 use tacc_stats::core::config::{Mode, SystemConfig};
 use tacc_stats::core::online::OnlineConfig;
 use tacc_stats::core::population::{simulate_job, PopulationRunner};
@@ -33,6 +33,7 @@ use tacc_stats::scheduler::job::{JobRequest, QueueName};
 use tacc_stats::simnode::apps::{AppLibrary, AppModel};
 use tacc_stats::simnode::topology::NodeTopology;
 use tacc_stats::simnode::{SimDuration, SimTime};
+use tacc_stats::{claims, soak};
 
 const USAGE: &str = "\
 tacc-stats-sim — TACC Stats (IPPS 2016) reproduction driver
@@ -53,6 +54,8 @@ COMMANDS:
                   --db FILE  [--exec NAME] [--user NAME]
                   [--field metric__op=VALUE]... (up to 3)
     experiments   check every paper claim and print EXPERIMENTS.md
+    soak          run the 2,048-node soak (a few minutes) and print
+                  BENCH_soak.json; exits 1 if a bar fails
     help          print this message
 ";
 
@@ -289,6 +292,16 @@ fn cmd_experiments() -> Result<(), String> {
     }
 }
 
+fn cmd_soak() -> Result<(), String> {
+    let (json, violations) = soak::full_record();
+    print!("{json}");
+    if violations.is_empty() {
+        Ok(())
+    } else {
+        Err(format!("soak bars violated:\n{}", violations.join("\n")))
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(command) = args.first().cloned() else {
@@ -309,6 +322,7 @@ fn main() -> ExitCode {
         "table1" => cmd_table1(),
         "search" => cmd_search(&flags),
         "experiments" => cmd_experiments(),
+        "soak" => cmd_soak(),
         "help" | "--help" | "-h" => {
             print!("{USAGE}");
             Ok(())

@@ -292,7 +292,7 @@ fn storm_request(seed: u64, n_nodes: usize, runtime_mins: u64) -> JobRequest {
 }
 
 /// A job that already ran from `t0()` (skips the scheduler).
-fn finished_job(seed: u64, model: AppModel, n_nodes: usize, runtime_mins: u64) -> Job {
+pub(crate) fn finished_job(seed: u64, model: AppModel, n_nodes: usize, runtime_mins: u64) -> Job {
     let req = request(seed, model, n_nodes, runtime_mins);
     Job {
         id: 4000 + seed,

@@ -14,3 +14,4 @@ pub use tacc_simnode as simnode;
 pub use tacc_tsdb as tsdb;
 
 pub mod claims;
+pub mod soak;

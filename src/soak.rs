@@ -1,5 +1,8 @@
 //! Stampede-scale soak engine (DESIGN.md §17): fleet-wide steady-state
 //! throughput under backpressure and a fixed memory budget.
+//! `tests/soak.rs` (tier-1) runs it at [`FleetConfig::smoke`] scale and
+//! pins its outcome; `tacc-stats-sim soak` prints [`full_record`], the
+//! committed `BENCH_soak.json`.
 //!
 //! [`run_soak`] drives a daemon-mode [`Pipeline`] (DESIGN.md §18) and
 //! wires nothing of its own. On top of the pipeline's stages it adds a
@@ -66,7 +69,7 @@ fn stats_queue(capacity: usize, policy: ShedPolicy) -> Mode {
     }
 }
 
-/// Soak run configuration. [`FleetConfig::smoke`] is the CI-sized
+/// Soak run configuration. [`FleetConfig::smoke`] is the tier-1
 /// preset; the committed `BENCH_soak.json` uses [`FleetConfig::full`].
 #[derive(Clone, Debug)]
 pub struct FleetConfig {
@@ -115,7 +118,7 @@ pub struct FleetConfig {
 }
 
 impl FleetConfig {
-    /// CI-sized soak: small fleet, short window, tight budget — runs
+    /// Test-sized soak: small fleet, short window, tight budget — runs
     /// in seconds, still crosses the soft threshold and sheds.
     pub fn smoke() -> FleetConfig {
         FleetConfig {
@@ -347,7 +350,7 @@ fn jobs_fixture(n: usize) -> Database {
     let mut db = Database::new();
     let rules = FlagRules::default();
     for id in 0..n as u64 {
-        let job = crate::finished_job(
+        let job = crate::claims::finished_job(
             id,
             if id % 3 == 0 {
                 tacc_simnode::apps::AppModel::wrf()
@@ -515,94 +518,131 @@ pub fn run_soak(cfg: &FleetConfig) -> SoakOutcome {
     out
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn smoke_soak_conserves_and_stays_under_budget() {
-        let cfg = FleetConfig {
-            nodes: 12,
-            ticks: 24,
-            mode: stats_queue(16, ShedPolicy::DropOldest),
-            consumer_budget: 15,
-            stall_every: 8,
-            stall_len: 2,
-            soft_bytes: 64 << 10,
-            hard_bytes: 128 << 10,
-            portal_jobs: 60,
-            settle_ticks: 8,
-            ..FleetConfig::smoke()
-        };
-        let out = run_soak(&cfg);
-        assert_eq!(out.check(true), Vec::<String>::new());
-        assert_eq!(out.collected, 12 * (24 + 8) as u64);
-        assert!(out.received > 0);
-        assert_eq!(out.queue.depth, 0, "settle drains the queue");
-        assert_eq!(out.queue.in_flight, 0);
-        assert!(out.shed() > 0, "stalls against a 16-deep queue must shed");
-        assert!(out.latency.p99_secs >= out.latency.p50_secs);
-        assert!(out.mem_peak <= cfg.hard_bytes);
+/// Final-third over first-third throughput: below 0.90 on the clean
+/// leg, something slows as the run ages (the decoded-block caches are
+/// live in the final third once series seal).
+fn steady_state_ratio(out: &SoakOutcome) -> f64 {
+    let first = out.thirds[0].samples_per_sec();
+    if first > 0.0 {
+        out.thirds[2].samples_per_sec() / first
+    } else {
+        0.0
     }
+}
 
-    #[test]
-    fn reject_newest_pushes_load_into_spools_and_conserves() {
-        let cfg = FleetConfig {
-            nodes: 12,
-            ticks: 24,
-            mode: stats_queue(16, ShedPolicy::RejectNewest),
-            consumer_budget: 15,
-            stall_every: 8,
-            stall_len: 3,
-            portal_jobs: 40,
-            settle_ticks: 10,
-            ..FleetConfig::smoke()
-        };
-        let out = run_soak(&cfg);
-        assert_eq!(out.check(true), Vec::<String>::new());
-        assert!(out.queue.shed_newest > 0, "full queue must refuse");
-        assert_eq!(out.queue.shed_oldest, 0);
-        // Refused publishes spool and replay: nothing is lost, so the
-        // only terminal non-received states are spool-side.
-        assert_eq!(
-            out.collected,
-            out.received + out.spooled + out.spool_evicted
-        );
-    }
+/// Run the committed record's two legs and render it as
+/// `BENCH_soak.json`. The legs: `clean`, [`FleetConfig::full`] — 2,048
+/// nodes for 720 ticks, five days at the paper's cadence — with
+/// periodic consumer stalls so admission control sheds; and `faulted`,
+/// the same fleet over half the window under a hostile [`FaultPlan`].
+/// The second value lists every violated bar (empty == all held):
+/// each leg's [`SoakOutcome::check`], the clean leg's steady-state
+/// ratio ≥ 0.90, and shedding actually exercised.
+pub fn full_record() -> (String, Vec<String>) {
+    let clean_cfg = FleetConfig::full();
+    let faulted_cfg = FleetConfig {
+        ticks: 360,
+        settle_ticks: 30,
+        hostile: Some(42),
+        ..clean_cfg.clone()
+    };
+    let leg = |label: &str, cfg: &FleetConfig| {
+        let wall = Instant::now();
+        let out = run_soak(cfg);
+        let json = leg_json(label, cfg, &out, wall.elapsed().as_secs_f64());
+        (out, json)
+    };
+    let (clean, clean_json) = leg("clean", &clean_cfg);
+    let (faulted, faulted_json) = leg("faulted", &faulted_cfg);
 
-    fn faulted() -> FleetConfig {
-        FleetConfig {
-            nodes: 10,
-            ticks: 30,
-            mode: stats_queue(24, ShedPolicy::DropOldest),
-            consumer_budget: 14,
-            stall_every: 10,
-            stall_len: 2,
-            portal_jobs: 40,
-            hostile: Some(7),
-            settle_ticks: 12,
-            ..FleetConfig::smoke()
-        }
-    }
+    let clean_violations = clean.check(true);
+    let faulted_violations = faulted.check(false);
+    let ratio = steady_state_ratio(&clean);
+    let mem_ok = [&clean, &faulted]
+        .iter()
+        .all(|o| o.mem_peak <= o.mem_hard && o.tsdb_cache.rejected + o.portal_cache.rejected == 0);
+    let bars = [
+        ("steady_ok", ratio >= 0.90),
+        ("mem_ok", mem_ok),
+        ("conserved_clean", clean_violations.is_empty()),
+        ("conserved_faulted", faulted_violations.is_empty()),
+        (
+            "shed_exercised",
+            clean.shed() > 0 || clean.high_watermark_ticks > 0,
+        ),
+    ];
+    let acceptance: Vec<String> = bars
+        .iter()
+        .map(|(n, ok)| format!("\"{n}\": {ok}"))
+        .collect();
+    let json = format!(
+        "{{\n  \"command\": \"tacc-stats-sim soak\",\n{clean_json},\n{faulted_json},\n  \"acceptance\": {{\n    \"steady_state_ratio\": {ratio:.3}, {}\n  }}\n}}\n",
+        acceptance.join(", ")
+    );
+    let violations = bars
+        .iter()
+        .filter(|(_, ok)| !ok)
+        .map(|(n, _)| format!("{n} is false"))
+        .chain(clean_violations.iter().map(|v| format!("clean: {v}")))
+        .chain(faulted_violations.iter().map(|v| format!("faulted: {v}")))
+        .collect();
+    (json, violations)
+}
 
-    #[test]
-    fn faulted_soak_keeps_message_identities_exact() {
-        let out = run_soak(&faulted());
-        assert_eq!(out.check(false), Vec::<String>::new());
-        assert!(
-            out.duplicates > 0 || out.lost > 0 || out.spool_evicted > 0,
-            "a hostile plan should leave visible scars: {out:?}"
-        );
-    }
-
-    #[test]
-    fn same_config_gives_the_same_outcome() {
-        // Everything but wall time is a function of the configuration.
-        let run = || {
-            let mut out = run_soak(&faulted());
-            out.thirds.iter_mut().for_each(|t| t.wall_secs = 0.0);
-            format!("{out:?}")
-        };
-        assert_eq!(run(), run());
-    }
+/// JSON object for one leg's outcome.
+fn leg_json(label: &str, cfg: &FleetConfig, out: &SoakOutcome, wall_secs: f64) -> String {
+    let sustained = if wall_secs > 0.0 {
+        out.received as f64 / wall_secs
+    } else {
+        0.0
+    };
+    format!(
+        "  \"{label}\": {{\n    \"nodes\": {}, \"ticks\": {}, \"interval_secs\": {}, \"wall_secs\": {:.2},\n    \"collected\": {}, \"received\": {}, \"duplicates\": {}, \"gap_events\": {},\n    \"shed_oldest\": {}, \"shed_newest\": {}, \"spooled\": {}, \"spool_evicted\": {}, \"lost\": {},\n    \"offered\": {}, \"published\": {}, \"acked\": {},\n    \"sustained_samples_per_sec\": {:.0},\n    \"thirds_samples_per_sec\": [{:.0}, {:.0}, {:.0}],\n    \"latency_secs\": {{\"p50\": {}, \"p99\": {}, \"max\": {}}},\n    \"queue\": {{\"capacity\": {}, \"peak_depth\": {}, \"high_watermark_ticks\": {}}},\n    \"memory\": {{\"soft\": {}, \"hard\": {}, \"peak\": {}, \"soft_events\": {}}},\n    \"tsdb_cache\": {{\"inserted\": {}, \"hits\": {}, \"evicted_lru\": {}, \"expired\": {}, \"evicted_pressure\": {}, \"rejected\": {}}},\n    \"portal_cache\": {{\"hits\": {}, \"misses\": {}, \"pressure_evicted\": {}, \"rejected\": {}}},\n    \"archive\": {{\"stored_bytes\": {}, \"retention_bytes\": {}, \"evicted_files\": {}, \"evicted_bytes\": {}}},\n    \"tsdb_points\": {}, \"unaccounted\": {}\n  }}",
+        cfg.nodes,
+        cfg.ticks,
+        cfg.interval_secs,
+        wall_secs,
+        out.collected,
+        out.received,
+        out.duplicates,
+        out.gap_events,
+        out.queue.shed_oldest,
+        out.queue.shed_newest,
+        out.spooled,
+        out.spool_evicted,
+        out.lost,
+        out.queue.offered,
+        out.queue.published,
+        out.queue.acked,
+        sustained,
+        out.thirds[0].samples_per_sec(),
+        out.thirds[1].samples_per_sec(),
+        out.thirds[2].samples_per_sec(),
+        out.latency.p50_secs,
+        out.latency.p99_secs,
+        out.latency.max_secs,
+        out.queue.capacity,
+        out.peak_depth,
+        out.high_watermark_ticks,
+        out.mem_soft,
+        out.mem_hard,
+        out.mem_peak,
+        out.soft_events,
+        out.tsdb_cache.inserted,
+        out.tsdb_cache.hits,
+        out.tsdb_cache.evicted_lru,
+        out.tsdb_cache.expired,
+        out.tsdb_cache.evicted_pressure,
+        out.tsdb_cache.rejected,
+        out.portal_cache.hits,
+        out.portal_cache.misses,
+        out.portal_cache.pressure_evicted,
+        out.portal_cache.rejected,
+        out.archive.stored_bytes,
+        out.archive.retention_bytes,
+        out.archive.evicted_files,
+        out.archive.evicted_bytes,
+        out.tsdb_points,
+        out.unaccounted(),
+    )
 }
