@@ -21,6 +21,10 @@
 //!   `query_cache.*` a cold miss and warm hits through `QueryCache`.
 //! * `tsdb.aggregate` (`portal_read`): `tsdb_aggregate_month`, one event
 //!   over a month of 8 hosts × 8 series into 1 h buckets.
+//! * `tsdb.insert` (`portal_read`): `tsdb_insert`, the live trickle's
+//!   ticks — an hour of points on each of 384 host series — into the
+//!   workload's store of about 5,800 series, per point; its batches
+//!   span a whole seal cycle, so seals are in the figure.
 //!
 //! Three hard bars: `sample_into` at most 26 µs and 0 allocations, a
 //! `TaccStatsd` collection at most 2 allocations (the shared `Bytes`
@@ -107,6 +111,10 @@ const SEARCH_FIG4_BEFORE: Frozen = ("eac929f", (188_223.0, 81.0));
 /// The month aggregate's per-point fold that decoded every matching
 /// block, before sealed blocks carried hourly rollups.
 const AGGREGATE_MONTH_BEFORE: Frozen = ("9af0c6f", (296_624.0, 1.0));
+
+/// `tsdb_insert` when each shard found its series down a `BTreeMap`
+/// ordered by key text, on the same fixture.
+const INSERT_BEFORE: Frozen = ("7b7854b", (522.2, 0.0));
 
 /// Hard bar on `collect`, hot.
 const COLLECT_BAR_NS: f64 = 26_000.0;
@@ -294,6 +302,70 @@ fn month_db() -> TsDb {
         }
     }
     db
+}
+
+/// Hosts of the `portal_read` store, and the four weeks at 600 s each
+/// host series is back-filled with.
+const PORTAL_HOSTS: usize = 64;
+const BACKFILL_POINTS: u64 = 4 * 7 * 144;
+
+/// Timestamps one trickle tick appends to every host series (an hour),
+/// and the ticks of one `tsdb_insert` batch: 86 ticks take a head from
+/// empty past the 512 points that seal it, so every batch holds one seal
+/// of each series.
+const TICK_POINTS: u64 = 6;
+const SEAL_CYCLE_TICKS: u64 = 86;
+const INSERT_BATCHES: u64 = 10;
+
+/// The `portal_read` store: `PORTAL_HOSTS` hosts × six series, beside the
+/// Fig. 5 panels of 200 jobs (six series per job host) — about 5,800
+/// series over the default 8 shards. Returns the store and its host
+/// series.
+fn portal_tsdb() -> (TsDb, Vec<SeriesKey>) {
+    const HOST_SERIES: [(&str, &str); 6] = [
+        ("mdc", "reqs"),
+        ("mdc", "wait"),
+        ("llite", "open_close"),
+        ("lnet", "bytes"),
+        ("cpustat", "user"),
+        ("mem", "used"),
+    ];
+    const PANELS: [&str; 6] = [
+        "gflops",
+        "mbw_gbs",
+        "mem_gb",
+        "lustre_mbs",
+        "ib_mbs",
+        "cpu_user",
+    ];
+    let db = TsDb::new();
+    let hosts: Vec<String> = (0..PORTAL_HOSTS).map(|h| format!("c403-{h:04}")).collect();
+    let keys: Vec<SeriesKey> = hosts
+        .iter()
+        .flat_map(|h| HOST_SERIES.map(|(dt, ev)| SeriesKey::new(h, dt, "all", ev)))
+        .collect();
+    for i in 0..BACKFILL_POINTS {
+        for (k, key) in keys.iter().enumerate() {
+            db.insert(key.clone(), i * 600, point_value(k, i));
+        }
+    }
+    for job in 0..200 {
+        let jobid = (9_000 + job).to_string();
+        for r in 0..1 + job % 8 {
+            let host = &hosts[(job * 13 + r) % PORTAL_HOSTS];
+            for (e, ev) in PANELS.iter().enumerate() {
+                let key = SeriesKey::new(host, "panel", &jobid, ev);
+                for i in 0..12 + (job as u64 % 60) {
+                    db.insert(key.clone(), i * 600, point_value(e, i));
+                }
+            }
+        }
+    }
+    (db, keys)
+}
+
+fn point_value(k: usize, i: u64) -> f64 {
+    (k % 6 + 1) as f64 * 100.0 + (i % 144) as f64 * 0.5
 }
 
 /// One stage-table row: what its cases run on, and the cases.
@@ -498,18 +570,59 @@ fn query_rows() -> Vec<Row> {
     ]
 }
 
+fn insert_row() -> Row {
+    // --- tsdb.insert: the live trickle into the portal_read store ---
+    let (db, keys) = portal_tsdb();
+    let mut i = BACKFILL_POINTS;
+    let blocks = db.n_sealed_blocks();
+    let tick = measure(INSERT_BATCHES, SEAL_CYCLE_TICKS, || {
+        for _ in 0..TICK_POINTS {
+            for (k, key) in keys.iter().enumerate() {
+                db.insert(key.clone(), i * 600, point_value(k, i));
+            }
+            i += 1;
+        }
+    });
+    assert!(
+        db.n_sealed_blocks() >= blocks + INSERT_BATCHES as usize * keys.len(),
+        "every batch seals each host series"
+    );
+    let per_tick = (keys.len() as u64 * TICK_POINTS) as f64;
+    Row {
+        name: "tsdb.insert",
+        fixture: format!(
+            "{} series over {} shards: {PORTAL_HOSTS} hosts x 6 series back-filled with {} \
+             points each, plus Fig. 5 panels of 200 jobs; one op is one point of a tick of \
+             {per_tick} inserts (an hour on every host series), {SEAL_CYCLE_TICKS} ticks a batch",
+            db.n_series(),
+            db.n_shards(),
+            BACKFILL_POINTS
+        ),
+        cases: vec![(
+            "tsdb_insert",
+            (tick.0 / per_tick, tick.1 / per_tick),
+            Some(INSERT_BEFORE),
+        )],
+    }
+}
+
 fn main() {
     let host_cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let rows: Vec<Row> = collect_rows().into_iter().chain(query_rows()).collect();
+    let rows: Vec<Row> = collect_rows()
+        .into_iter()
+        .chain(query_rows())
+        .chain([insert_row()])
+        .collect();
 
     let cost =
         |(ns, allocs): Cost| format!("\"ns_per_op\": {ns:.1}, \"allocs_per_op\": {allocs:.2}");
     let mut json = format!(
         "{{\n  \"bench\": \"hot_paths\",\n  \"host_cores\": {host_cores},\n  \"method\": \
          \"fastest batch's mean ns per op after warm-up ({BATCHES} x {ITERS} calls per collect \
-         case, {QUERY_BATCHES} x 1 per portal and tsdb case); allocations per op over every \
+         case, {QUERY_BATCHES} x 1 per portal and tsdb query case, {INSERT_BATCHES} x \
+         {SEAL_CYCLE_TICKS} trickle ticks for tsdb_insert); allocations per op over every \
          batch, counting global allocator; before columns are frozen constants\""
     );
     for row in &rows {

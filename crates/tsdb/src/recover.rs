@@ -48,7 +48,7 @@
 use crate::block::SealedBlock;
 use crate::segment::{SegmentScan, SegmentWriter};
 use crate::series::SeriesKey;
-use crate::shard::ShardData;
+use crate::shard::{SeriesMap, ShardData};
 use crate::vfs::{DiskError, DurFile, Vfs};
 use crate::wal::{append_repairing, decode_entry, put_frame, FrameScan, WalEntry, WalWriter};
 use std::collections::HashMap;
@@ -499,14 +499,14 @@ pub(crate) fn recover_shard(
                     key_map.insert(id, key);
                 }
                 WalEntry::Point { key_id, t, v } => match key_map.get(&key_id) {
-                    Some(key) => {
-                        data.series
-                            .entry(key.clone())
-                            .or_default()
-                            .push_unsealed(t, v);
-                        report.points_replayed += 1;
-                        points_in_wal += 1;
-                    }
+                    Some(key) => match data.series.get_or_insert(key) {
+                        Some(series) => {
+                            series.push_unsealed(t, v);
+                            report.points_replayed += 1;
+                            points_in_wal += 1;
+                        }
+                        None => report.record_anomalies += 1,
+                    },
                     None => report.record_anomalies += 1,
                 },
                 WalEntry::Seal { ordinal } => {
@@ -582,7 +582,7 @@ pub(crate) fn compact_shard(
     vfs: &dyn Vfs,
     idx: usize,
     opts: DurOptions,
-    series: &std::collections::BTreeMap<SeriesKey, crate::block::SeriesBlocks>,
+    series: &SeriesMap,
     dur: &mut ShardDur,
 ) -> Result<(), DiskError> {
     let next = dur.gen + 1;
@@ -636,7 +636,10 @@ fn install_block(
     report: &mut RecoveryReport,
 ) {
     let count = block.len() as u64;
-    let series = data.series.entry(key).or_default();
+    let Some(series) = data.series.get_or_insert(&key) else {
+        report.record_anomalies += 1;
+        return;
+    };
     let consumed = series.install_sealed(block) as u64;
     let expected = if from_marker { count } else { 0 };
     if consumed != expected {
@@ -679,7 +682,7 @@ mod tests {
         let vfs = MemVfs::new();
         let mut report = RecoveryReport::default();
         let (data, dur) = recover_shard(&vfs, 3, DurOptions::default(), &mut report).unwrap();
-        assert!(data.series.is_empty());
+        assert_eq!(data.series.len(), 0);
         assert_eq!(dur.gen, 0);
         assert_eq!(report.fresh_shards, 1);
         assert!(report.balances());
@@ -690,7 +693,7 @@ mod tests {
         let (data2, dur2) = recover_shard(&vfs, 3, DurOptions::default(), &mut report2).unwrap();
         assert_eq!(report2.fresh_shards, 0);
         assert_eq!(dur2.gen, 0);
-        assert!(data2.series.is_empty());
+        assert_eq!(data2.series.len(), 0);
         assert!(report2.balances());
     }
 

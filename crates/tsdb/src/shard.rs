@@ -12,6 +12,15 @@
 //! `cargo xtask lint` conformance check verifies this over every
 //! `MetricId` series key).
 //!
+//! Each shard keeps its series in a `SeriesMap`, one container with
+//! two access paths. Point lookups — every insert, a range read, WAL
+//! replay — hash the key's four interned ids. Walks — key listings,
+//! aggregates, compaction — visit series in key-text order, the order
+//! the store reports keys and folds aggregates in. Text is compared only
+//! once per series, when it is first seen: `Sym`'s `Ord` resolves both
+//! strings under the interner's read lock, so an ordered tree keyed by
+//! `SeriesKey` would pay some twenty such comparisons on every insert.
+//!
 //! Each shard also carries:
 //!
 //! * a [`SealScratch`] reused by every seal in the shard, so
@@ -38,7 +47,7 @@
 use crate::block::{SealScratch, SealedBlock, SeriesBlocks, SEAL_THRESHOLD};
 use crate::series::SeriesKey;
 use crate::sync::{Mutex, RwLock};
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use tacc_simnode::mem::{CacheCounters, MemoryBudget, TtlLru, TtlLruConfig};
@@ -106,11 +115,105 @@ impl DecodedBlock {
     }
 }
 
-/// Per-shard series storage plus the shard's reusable seal scratch.
+/// A shard's series: found by key in one hash probe, walked in
+/// key-text order.
+///
+/// `slots` holds the series in first-sight order and never reorders.
+/// `index` maps a key to its slot; `SeriesKey`'s `Hash` and `Eq` read
+/// only the four interned ids, so a lookup touches no text and no
+/// lock. `order` lists the slots sorted by key text, kept sorted by one
+/// binary-search insert per new series — the only place keys are
+/// compared by text. Nothing iterates `index`, so its hash order never
+/// leaks into a result.
+#[derive(Debug, Default)]
+pub(crate) struct SeriesMap {
+    slots: Vec<(SeriesKey, SeriesBlocks)>,
+    index: HashMap<SeriesKey, u32>,
+    order: Vec<u32>,
+}
+
+impl SeriesMap {
+    /// Number of series.
+    pub(crate) fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// The series stored under `key`.
+    pub(crate) fn get(&self, key: &SeriesKey) -> Option<&SeriesBlocks> {
+        let &slot = self.index.get(key)?;
+        self.slots.get(slot as usize).map(|(_, s)| s)
+    }
+
+    /// The series stored under `key`, created empty on first sight.
+    /// `None` only once a shard holds `u32::MAX` series.
+    pub(crate) fn get_or_insert(&mut self, key: &SeriesKey) -> Option<&mut SeriesBlocks> {
+        let slot = match self.index.get(key) {
+            Some(&slot) => slot,
+            None => self.insert_new(key)?,
+        };
+        self.slots.get_mut(slot as usize).map(|(_, s)| s)
+    }
+
+    /// Add an empty series under `key`, which is not yet present, and
+    /// return its slot.
+    // alloc: cold-fn (first sight of a series: its slot, index entry and order position)
+    fn insert_new(&mut self, key: &SeriesKey) -> Option<u32> {
+        let slot = u32::try_from(self.slots.len()).ok()?;
+        let slots = &self.slots;
+        let pos = self
+            .order
+            .partition_point(|&i| slots.get(i as usize).is_some_and(|(k, _)| k < key));
+        self.order.insert(pos, slot);
+        self.index.insert(key.clone(), slot);
+        self.slots.push((key.clone(), SeriesBlocks::default()));
+        Some(slot)
+    }
+
+    /// Every series, in key-text order.
+    pub(crate) fn iter(&self) -> Iter<'_> {
+        Iter {
+            order: self.order.iter(),
+            slots: &self.slots,
+        }
+    }
+
+    /// Every series' blocks, in key-text order.
+    pub(crate) fn values(&self) -> impl Iterator<Item = &SeriesBlocks> {
+        self.iter().map(|(_, s)| s)
+    }
+}
+
+impl<'a> IntoIterator for &'a SeriesMap {
+    type Item = (&'a SeriesKey, &'a SeriesBlocks);
+    type IntoIter = Iter<'a>;
+
+    fn into_iter(self) -> Iter<'a> {
+        self.iter()
+    }
+}
+
+/// [`SeriesMap::iter`]: the series in key-text order.
+pub(crate) struct Iter<'a> {
+    order: std::slice::Iter<'a, u32>,
+    slots: &'a [(SeriesKey, SeriesBlocks)],
+}
+
+impl<'a> Iterator for Iter<'a> {
+    type Item = (&'a SeriesKey, &'a SeriesBlocks);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let &slot = self.order.next()?;
+        self.slots.get(slot as usize).map(|(k, s)| (k, s))
+    }
+}
+
+/// Per-shard series storage (a [`SeriesMap`]) plus the shard's
+/// reusable seal scratch.
 #[derive(Debug, Default)]
 pub(crate) struct ShardData {
-    /// The shard's slice of the key space.
-    pub(crate) series: BTreeMap<SeriesKey, SeriesBlocks>,
+    /// The shard's slice of the key space: hashed point lookups,
+    /// key-text-ordered walks.
+    pub(crate) series: SeriesMap,
     /// Seal-time encode buffers shared by every series in the shard
     /// (ingest holds the shard write lock, so no series seals
     /// concurrently within a shard).
@@ -317,7 +420,9 @@ mod tests {
             seal_scratch,
             ..
         } = &mut *data;
-        let s = series.entry(key("c1", "reqs")).or_default();
+        let s = series
+            .get_or_insert(&key("c1", "reqs"))
+            .expect("fresh shard");
         for i in 0..points {
             s.push_with_scratch(i * 600, i as f64, seal_scratch);
         }

@@ -218,13 +218,12 @@ impl TsDb {
                 disk = Err(e);
             }
         }
-        let sealed = series
-            .entry(key.clone())
-            .or_default()
-            .push_with_scratch(t, v, seal_scratch);
-        if sealed {
+        let Some(blocks) = series.get_or_insert(&key) else {
+            return disk;
+        };
+        if blocks.push_with_scratch(t, v, seal_scratch) {
             if let Some(d) = dur.as_mut() {
-                if let Some(block) = series.get(&key).and_then(|s| s.sealed().last()) {
+                if let Some(block) = blocks.sealed().last() {
                     if let Err(e) = d.persist_seal(&key, block) {
                         d.io_errors += 1;
                         if disk.is_ok() {
@@ -427,11 +426,17 @@ impl TsDb {
         let mut out: Vec<SeriesKey> = Vec::new();
         for shard in self.shards.iter() {
             let data = shard.data.read();
-            out.extend(data.series.keys().filter(|k| filter.matches(k)).cloned());
+            out.extend(
+                data.series
+                    .iter()
+                    .map(|(k, _)| k)
+                    .filter(|k| filter.matches(k))
+                    .cloned(),
+            );
         }
-        // Each shard's BTreeMap iterates sorted, but shards interleave
-        // the global order; restore it so callers see what the single
-        // map used to produce.
+        // Each shard walks its series in key order, but shards
+        // interleave the global order; restore it so callers see one
+        // sorted list.
         out.sort();
         out
     }
@@ -1090,7 +1095,7 @@ mod tests {
         }
         assert_eq!(db.n_sealed_blocks(), 1);
         let data = db.shards[0].data.read();
-        let block = &data.series[&k].sealed()[0];
+        let block = &data.series.get(&k).expect("stored").sealed()[0];
         assert!(block.rollup_bytes() > 0);
         assert_eq!(
             db.storage_bytes(),

@@ -388,3 +388,72 @@ fn a_seal_allocates_the_block_and_nothing_else() {
     assert_eq!(db.n_sealed_blocks(), 2);
     assert_eq!(n, 1, "columns and rollup share the block's one buffer");
 }
+
+/// The `portal_read` store's shape: 64 hosts × 6 host series, and the
+/// stored Fig. 5 panels of 200 jobs (six series per job host), about
+/// 5,800 series over the default 8 shards. Every series holds a few
+/// hours of points, far from its first seal.
+fn portal_shaped() -> (TsDb, Vec<SeriesKey>) {
+    const HOST_SERIES: [(&str, &str); 6] = [
+        ("mdc", "reqs"),
+        ("mdc", "wait"),
+        ("llite", "open_close"),
+        ("lnet", "bytes"),
+        ("cpustat", "user"),
+        ("mem", "used"),
+    ];
+    const PANELS: [&str; 6] = [
+        "gflops",
+        "mbw_gbs",
+        "mem_gb",
+        "lustre_mbs",
+        "ib_mbs",
+        "cpu_user",
+    ];
+    let db = TsDb::new();
+    let hosts: Vec<String> = (0..64).map(|h| format!("c402-{h:04}")).collect();
+    let host_keys: Vec<SeriesKey> = hosts
+        .iter()
+        .flat_map(|h| HOST_SERIES.map(|(dt, ev)| SeriesKey::new(h, dt, "all", ev)))
+        .collect();
+    let mut state = 3u64;
+    for i in 0..24u64 {
+        for key in &host_keys {
+            db.insert(key.clone(), i * 600, lcg(&mut state));
+        }
+    }
+    for job in 0..200usize {
+        let jobid = format!("{}", 7_000 + job);
+        for r in 0..1 + job % 8 {
+            let host = &hosts[(job * 13 + r) % hosts.len()];
+            for ev in PANELS {
+                let key = SeriesKey::new(host, "panel", &jobid, ev);
+                for i in 0..12u64 {
+                    db.insert(key.clone(), i * 600, lcg(&mut state));
+                }
+            }
+        }
+    }
+    (db, host_keys)
+}
+
+#[test]
+fn warm_insert_into_a_seen_series_does_not_allocate() {
+    let (db, host_keys) = portal_shaped();
+    assert!(db.n_series() > 5_000, "{} series", db.n_series());
+    let blocks = db.n_sealed_blocks();
+    // One trickle tick: an hour of points on every host series.
+    let mut state = 5u64;
+    let mut inserted = 0;
+    let n = allocs_in(|| {
+        for i in 24..30u64 {
+            for key in &host_keys {
+                db.insert(key.clone(), i * 600, lcg(&mut state));
+                inserted += 1;
+            }
+        }
+    });
+    assert_eq!(inserted, 2_304);
+    assert_eq!(db.n_sealed_blocks(), blocks, "the tick seals nothing");
+    assert_eq!(n, 0, "TsDb::insert into seen series, no seal");
+}
