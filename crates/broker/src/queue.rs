@@ -1,7 +1,7 @@
 //! In-process broker core: queues, publish, consume, ack, redelivery.
 
 use crate::sync::{AtomicBool, Condvar, Mutex, Ordering};
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::Duration;
@@ -411,20 +411,6 @@ impl Consumer {
         }
     }
 
-    /// Acknowledge a delivery *and* try to reclaim its payload buffer
-    /// for reuse. The ack drops the queue's retained copy, so if the
-    /// caller's `delivery` held the only other handle the backing
-    /// buffer comes back as a `BytesMut` (full capacity, ready to be a
-    /// render or read buffer); `None` when the payload is still shared
-    /// (e.g. a spool retains it) or the ack failed.
-    pub fn ack_recycle(&self, delivery: Delivery) -> (bool, Option<BytesMut>) {
-        let acked = self.ack(delivery.tag);
-        if !acked {
-            return (false, None);
-        }
-        (true, delivery.payload.try_into_mut().ok())
-    }
-
     /// Negatively acknowledge: requeue the message at the front.
     pub fn nack(&self, tag: u64) -> bool {
         let mut inner = self.queue.inner.lock();
@@ -538,34 +524,6 @@ mod tests {
         assert_eq!(r1.payload, payload("m1"));
         assert_eq!(r2.payload, payload("m2"));
         assert_eq!(b.stats().queues["q"].redelivered, 2);
-    }
-
-    #[test]
-    fn ack_recycle_reclaims_unique_payload() {
-        let b = Broker::new();
-        b.declare("q");
-        b.publish("q", "n", payload("recyclable"));
-        let c = b.consume("q").unwrap();
-        let d = c.try_get().unwrap();
-        let (acked, buf) = c.ack_recycle(d);
-        assert!(acked);
-        let buf = buf.expect("consumer held the only handle after ack");
-        assert_eq!(&buf[..], b"recyclable");
-
-        // A payload someone else still holds is not reclaimed.
-        b.publish("q", "n", payload("shared"));
-        let d = c.try_get().unwrap();
-        let keep = d.payload.clone();
-        let (acked, buf) = c.ack_recycle(d);
-        assert!(acked && buf.is_none());
-        assert_eq!(&keep[..], b"shared");
-
-        // A failed ack (already-acked tag) reclaims nothing.
-        b.publish("q", "n", payload("x"));
-        let d = c.try_get().unwrap();
-        assert!(c.ack(d.tag));
-        let (acked, buf) = c.ack_recycle(d);
-        assert!(!acked && buf.is_none());
     }
 
     #[test]

@@ -128,7 +128,7 @@ impl BrokerServer {
     /// server closed first linger in TIME_WAIT; clients that disconnect
     /// before the old server goes away avoid that.
     // alloc: cold-fn (server startup + per-accepted-connection setup, never per-message)
-    pub fn start_on(broker: Broker, addr: SocketAddr) -> io::Result<BrokerServer> {
+    fn start_on(broker: Broker, addr: SocketAddr) -> io::Result<BrokerServer> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
@@ -306,10 +306,11 @@ pub struct BrokerClient {
     /// back after), so steady-state publishing does not allocate for
     /// framing — only the payload copy into the kernel remains.
     scratch: BytesMut,
-    /// Response frames are read into buffers from this pool. Delivery
-    /// payloads borrow their frame buffer; [`BrokerClient::ack_delivery`]
-    /// (or [`BrokerClient::recycle`]) returns it here, so a consume loop
-    /// cycles the same few buffers instead of allocating per frame.
+    /// Response frames are read into buffers from this pool, and the
+    /// frames the client consumes itself (ack and empty-get replies)
+    /// return here, so request/response traffic cycles the same few
+    /// buffers instead of allocating per frame. Delivery payloads
+    /// borrow their frame buffer and keep it.
     pool: Vec<BytesMut>,
 }
 
@@ -328,7 +329,7 @@ impl BrokerClient {
     /// Connect with explicit reconnect backoff parameters.
     /// `max_attempts` below 1 is normalized to 1 (a request always gets
     /// at least one try).
-    pub fn connect_with(
+    fn connect_with(
         addr: SocketAddr,
         base_backoff: Duration,
         max_backoff: Duration,
@@ -351,7 +352,8 @@ impl BrokerClient {
 
     /// Drop the current connection (the next request reconnects). Lets
     /// tests and orderly shutdowns close client-side first.
-    pub fn disconnect(&mut self) {
+    #[cfg(test)]
+    fn disconnect(&mut self) {
         self.stream = None;
     }
 
@@ -450,9 +452,7 @@ impl BrokerClient {
                 let redelivered = body.get_u8() != 0;
                 let routing_key = get_sym(&mut body)?;
                 // The payload is the tail of the frame buffer — parsed
-                // in place, never copied out. Hand the whole delivery to
-                // `ack_delivery` (or the payload to `recycle`) when done
-                // to return the buffer to this connection's read pool.
+                // in place, never copied out.
                 Ok(Some(Delivery {
                     tag,
                     routing_key,
@@ -480,22 +480,6 @@ impl BrokerClient {
         let (re, body) = result?;
         recycle_into(&mut self.pool, body);
         Ok(re == RE_OK)
-    }
-
-    /// Acknowledge a delivery *and* recycle its frame buffer into this
-    /// connection's read pool. The recycle succeeds when the caller
-    /// finished with the payload (no clones outstanding), which is the
-    /// common consume-loop shape: get → parse in place → ack.
-    pub fn ack_delivery(&mut self, queue: &str, delivery: Delivery) -> io::Result<bool> {
-        let tag = delivery.tag;
-        recycle_into(&mut self.pool, delivery.payload);
-        self.ack(queue, tag)
-    }
-
-    /// Return a finished payload buffer to the read pool without
-    /// acking — for rejected or dead-lettered deliveries.
-    pub fn recycle(&mut self, payload: Bytes) {
-        recycle_into(&mut self.pool, payload);
     }
 }
 
@@ -530,36 +514,6 @@ mod tests {
             .unwrap()
             .is_none());
         assert_eq!(server.broker().stats().queues["stats"].acked, 2);
-    }
-
-    #[test]
-    fn ack_delivery_recycles_frame_buffer() {
-        let server = BrokerServer::start(Broker::new()).unwrap();
-        let mut p = BrokerClient::connect(server.addr()).unwrap();
-        p.declare("stats").unwrap();
-        p.publish("stats", "n", b"payload-one").unwrap();
-        p.publish("stats", "n", b"payload-two").unwrap();
-
-        let mut c = BrokerClient::connect(server.addr()).unwrap();
-        let d = c
-            .get("stats", Duration::from_secs(1))
-            .unwrap()
-            .expect("message 1");
-        assert_eq!(&d.payload[..], b"payload-one");
-        let before = c.pool.len();
-        assert!(c.ack_delivery("stats", d).unwrap());
-        assert!(
-            c.pool.len() > before,
-            "delivery frame buffer must return to the read pool"
-        );
-        // The recycled buffer backs the next delivery read.
-        let d2 = c
-            .get("stats", Duration::from_secs(1))
-            .unwrap()
-            .expect("message 2");
-        assert_eq!(&d2.payload[..], b"payload-two");
-        assert!(c.ack_delivery("stats", d2).unwrap());
-        assert!(c.pool.len() <= POOL_CAP);
     }
 
     #[test]

@@ -12,19 +12,14 @@
 //!
 //! Day files are stored as raw byte buffers keyed by interned hostnames
 //! (`(Sym, u64)`), and every parse ([`Archive::parse`],
-//! [`Archive::parse_all`], [`Archive::all_samples`]) feeds the stored
-//! bytes to [`codec::parse_bytes`] *in place*, under the archive lock —
-//! replaying a day of archives never copies file contents. Disk loads
-//! ([`Archive::load_from_dir`]) read each file's bytes straight into
-//! the buffer the archive keeps (`std::fs::read`, one right-sized
-//! allocation, no UTF-8 re-validation staging); a true `mmap` needs
-//! `unsafe` plus a platform crate this workspace doesn't vendor, and a
-//! day file is small enough (~1 MiB) that a single positioned read is
-//! the same number of page faults. The borrow-based readers
-//! ([`Archive::with_bytes`]) extend the same contract to callers.
+//! [`Archive::parse_all`]) feeds the stored bytes to
+//! [`codec::parse_bytes`] *in place*, under the archive lock —
+//! replaying a day of archives never copies file contents. The
+//! borrow-based readers ([`Archive::with_bytes`]) extend the same
+//! contract to callers.
 
 use crate::codec;
-use crate::record::{ParseError, RawFile, Sample};
+use crate::record::{ParseError, RawFile};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use tacc_simnode::intern::Sym;
@@ -264,60 +259,6 @@ impl Archive {
             max_secs: inner.lat_max_secs,
         }
     }
-
-    /// Persist the archive to a directory tree shaped like the real
-    /// deployment's (`<dir>/<hostname>/<day-start-unix-seconds>`).
-    pub fn write_to_dir(&self, dir: &std::path::Path) -> std::io::Result<usize> {
-        let inner = self.inner.lock();
-        let mut written = 0;
-        for (&(host, day), bytes) in &inner.files {
-            let host_dir = dir.join(host.as_str());
-            std::fs::create_dir_all(&host_dir)?;
-            std::fs::write(host_dir.join(day.to_string()), bytes)?;
-            written += 1;
-        }
-        Ok(written)
-    }
-
-    /// Load an archive previously written by [`Archive::write_to_dir`].
-    /// Each file's bytes are read directly into the buffer the archive
-    /// stores — no `read_to_string` validation pass, no re-copy.
-    /// Latency bookkeeping is not reconstructed (files carry no arrival
-    /// times); analyses over the raw data work as usual.
-    pub fn load_from_dir(dir: &std::path::Path) -> std::io::Result<Archive> {
-        let archive = Archive::new();
-        for host_entry in std::fs::read_dir(dir)? {
-            let host_entry = host_entry?;
-            if !host_entry.file_type()?.is_dir() {
-                continue;
-            }
-            let host = Sym::new(&host_entry.file_name().to_string_lossy());
-            for day_entry in std::fs::read_dir(host_entry.path())? {
-                let day_entry = day_entry?;
-                let Ok(day_secs) = day_entry.file_name().to_string_lossy().parse::<u64>() else {
-                    continue;
-                };
-                let bytes = std::fs::read(day_entry.path())?;
-                let mut inner = archive.inner.lock();
-                inner.stored_bytes += bytes.len();
-                inner.files.insert((host, day_secs), bytes);
-            }
-        }
-        Ok(archive)
-    }
-
-    /// Convenience: every sample of every host, with hostname attached,
-    /// sorted by time.
-    pub fn all_samples(&self) -> Result<Vec<(String, Sample)>, String> {
-        let mut out: Vec<(String, Sample)> = Vec::new();
-        for rf in self.parse_all()? {
-            for s in rf.samples {
-                out.push((rf.header.hostname.to_string(), s));
-            }
-        }
-        out.sort_by_key(|(_, s)| s.time.0);
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
@@ -418,34 +359,6 @@ mod tests {
         assert_eq!(len, text.len());
         assert!(a.with_bytes("ghost", day, |b| b.len()).is_none());
         assert_eq!(a.read("c1", day).unwrap(), text);
-    }
-
-    #[test]
-    fn disk_roundtrip_preserves_files() {
-        let a = Archive::new();
-        for (host, t) in [("c1", 600u64), ("c2", 1200)] {
-            a.append(
-                host,
-                SimTime::from_secs(0),
-                &tiny_file_text(host, t),
-                &[SimTime::from_secs(t)],
-                SimTime::from_secs(t + 1),
-            );
-        }
-        let dir = std::env::temp_dir().join(format!("tacc-archive-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let written = a.write_to_dir(&dir).unwrap();
-        assert_eq!(written, 2);
-        let b = Archive::load_from_dir(&dir).unwrap();
-        assert_eq!(b.keys().len(), 2);
-        assert_eq!(
-            b.read("c1", SimTime::from_secs(0)),
-            a.read("c1", SimTime::from_secs(0))
-        );
-        let parsed = b.parse("c2", SimTime::from_secs(0)).unwrap().unwrap();
-        assert_eq!(parsed.header.hostname, "c2");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -225,7 +225,7 @@ const N_DEVICE_TYPES: usize = DeviceType::ALL.len();
 
 /// One maximal run of consecutive `!` schema lines, parsed once.
 #[derive(Debug)]
-pub struct SchemaBlock {
+struct SchemaBlock {
     /// The run's wire bytes, kept when the block is cached: the key.
     key: Box<[u8]>,
     /// Bytes and lines in the run.

@@ -97,11 +97,6 @@ impl StatsConsumer {
         self.dead_letter = Some(queue.to_string());
     }
 
-    /// The configured dead-letter queue, if any.
-    pub fn dead_letter(&self) -> Option<&str> {
-        self.dead_letter.as_deref()
-    }
-
     /// Has this host's sequence number been archived?
     pub fn has_seen(&self, host: &str, seq: u64) -> bool {
         self.seqs

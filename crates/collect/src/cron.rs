@@ -196,7 +196,8 @@ impl CronCollector {
     }
 
     /// Samples buffered locally (not yet in the archive).
-    pub fn unsynced_samples(&self) -> usize {
+    #[cfg(test)]
+    fn unsynced_samples(&self) -> usize {
         self.current.sample_times.len()
             + self
                 .pending

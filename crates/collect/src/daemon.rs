@@ -56,15 +56,6 @@ impl Publisher for LocalPublisher {
     }
 }
 
-/// TCP transport (the end-to-end network demo).
-pub struct TcpPublisher(pub tacc_broker::tcp::BrokerClient);
-
-impl Publisher for TcpPublisher {
-    fn publish(&mut self, queue: &str, routing_key: &str, _seq: u64, payload: Bytes) -> bool {
-        self.0.publish(queue, routing_key, &payload).is_ok()
-    }
-}
-
 /// Rejected spool reconfiguration: the spool still holds state that the
 /// delivery accounting depends on (see [`TaccStatsd::set_spool_config`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

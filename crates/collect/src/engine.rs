@@ -22,11 +22,11 @@ use tacc_simnode::{SimDuration, SimTime};
 
 /// Fixed per-collection setup cost (process wake-up, file opens) in the
 /// simulated cost model.
-pub const COST_BASE: SimDuration = SimDuration::from_millis(25);
+const COST_BASE: SimDuration = SimDuration::from_millis(25);
 /// Marginal simulated cost per device instance read.
-pub const COST_PER_INSTANCE_US: u64 = 550;
+const COST_PER_INSTANCE_US: u64 = 550;
 /// Marginal simulated cost per process-table entry.
-pub const COST_PER_PROCESS_US: u64 = 150;
+const COST_PER_PROCESS_US: u64 = 150;
 
 /// Cumulative overhead bookkeeping.
 #[derive(Clone, Copy, Debug, Default)]
@@ -57,14 +57,6 @@ impl OverheadAccount {
             return 0.0;
         }
         self.busy.as_secs_f64() / elapsed.as_secs_f64()
-    }
-
-    /// Overhead as a fraction of the whole node's core-time.
-    pub fn overhead_fraction_node(&self, n_cores: usize, elapsed: SimDuration) -> f64 {
-        if n_cores == 0 {
-            return 0.0;
-        }
-        self.overhead_fraction(elapsed) / n_cores as f64
     }
 
     /// Mean measured wall-clock cost per collection of this
@@ -336,8 +328,6 @@ mod tests {
             (0.5e-4..2.5e-4).contains(&ov),
             "overhead {ov} should be ~2e-4"
         );
-        // Node-wide it is 16x smaller still.
-        assert!(s.account().overhead_fraction_node(16, elapsed) < ov);
     }
 
     #[test]

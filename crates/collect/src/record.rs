@@ -59,7 +59,7 @@ pub enum ValueVec {
 impl ValueVec {
     /// Inline capacity: the widest Table-I schema (`ps`, 11 events)
     /// plus one slot of slack.
-    pub const INLINE: usize = 12;
+    const INLINE: usize = 12;
 
     /// New empty column.
     pub fn new() -> ValueVec {

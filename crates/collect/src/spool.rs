@@ -154,7 +154,8 @@ impl Spool {
     }
 
     /// Consecutive failed attempts since the last success.
-    pub fn consecutive_failures(&self) -> u32 {
+    #[cfg(test)]
+    fn consecutive_failures(&self) -> u32 {
         self.consecutive_failures
     }
 

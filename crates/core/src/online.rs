@@ -143,7 +143,7 @@ impl Default for AdaptiveConfig {
 
 /// Ring-buffer capacity for per-host CPU-rate history; the effective
 /// window is `min(zscore_window, ZRING_CAP)`.
-pub const ZRING_CAP: usize = 16;
+const ZRING_CAP: usize = 16;
 
 /// Fixed-capacity ring of recent rates — no allocation after the host
 /// entry itself is created.
@@ -230,7 +230,7 @@ impl OnlineAnalyzer {
     }
 
     /// New analyzer with explicit flag thresholds.
-    pub fn with_rules(cfg: OnlineConfig, rules: FlagRules) -> OnlineAnalyzer {
+    fn with_rules(cfg: OnlineConfig, rules: FlagRules) -> OnlineAnalyzer {
         OnlineAnalyzer {
             cfg,
             hosts: HashMap::new(),
@@ -247,7 +247,8 @@ impl OnlineAnalyzer {
     }
 
     /// Alerts of one kind.
-    pub fn alerts_of(&self, kind: AlertKind) -> Vec<&Alert> {
+    #[cfg(test)]
+    fn alerts_of(&self, kind: AlertKind) -> Vec<&Alert> {
         self.alerts.iter().filter(|a| a.kind == kind).collect()
     }
 
@@ -259,12 +260,14 @@ impl OnlineAnalyzer {
     }
 
     /// Current *streamed* (estimated) flag verdict for a job.
-    pub fn job_flags(&self, jobid: &str) -> FlagSet {
+    #[cfg(test)]
+    fn job_flags(&self, jobid: &str) -> FlagSet {
         self.streams.flags(Sym::new(jobid))
     }
 
     /// Number of live per-job flag streams.
-    pub fn live_job_streams(&self) -> usize {
+    #[cfg(test)]
+    fn live_job_streams(&self) -> usize {
         self.streams.len()
     }
 

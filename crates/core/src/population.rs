@@ -159,7 +159,7 @@ impl PopulationRunner {
 /// spaced interior samples; each sampling interval advances the node in
 /// 8 sub-steps so phase structure (output bursts, failures, compile
 /// phases) lands in the counters.
-pub fn simulate_rank(job: &Job, topo: &NodeTopology, interior: usize, rank: usize) -> JobAccum {
+fn simulate_rank(job: &Job, topo: &NodeTopology, interior: usize, rank: usize) -> JobAccum {
     let mut acc = JobAccum::new();
     let runtime = job.run_time();
     if runtime.is_zero() {

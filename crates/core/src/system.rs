@@ -142,7 +142,8 @@ impl MonitoringSystem {
 
     /// Current sampling cadence of one node (the configured interval
     /// until adaptive sampling changes it).
-    pub fn cadence_of(&self, node_idx: usize) -> SimDuration {
+    #[cfg(test)]
+    fn cadence_of(&self, node_idx: usize) -> SimDuration {
         self.cadence
             .get(node_idx)
             .copied()
@@ -471,7 +472,7 @@ impl MonitoringSystem {
     }
 
     /// Suspend (cancel) a job — the §VI-B automated response.
-    pub fn suspend_job(&mut self, id: JobId, now: SimTime) -> bool {
+    fn suspend_job(&mut self, id: JobId, now: SimTime) -> bool {
         if !self.scheduler.cancel(id, now) {
             return false;
         }

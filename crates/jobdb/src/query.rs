@@ -12,7 +12,6 @@ use crate::index::{ColumnIndex, NumColumn};
 use crate::table::{Row, Table, TableError};
 use crate::value::{Value, ValueType};
 use std::cmp::Ordering;
-use std::collections::BTreeMap;
 
 /// Comparison operators, with their Django-style suffix names.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -36,7 +35,7 @@ pub enum CmpOp {
 impl CmpOp {
     /// Parse a `column__op` keyword into `(column, op)`; a bare column
     /// name means equality.
-    pub fn split_kw(kw: &str) -> (&str, CmpOp) {
+    fn split_kw(kw: &str) -> (&str, CmpOp) {
         if let Some((col, suffix)) = kw.rsplit_once("__") {
             let op = match suffix {
                 "eq" => CmpOp::Eq,
@@ -405,21 +404,6 @@ impl<'t> Query<'t> {
     pub fn max(&self, column: &str) -> Result<Option<f64>, TableError> {
         Ok(self.numeric(column)?.into_iter().reduce(f64::max))
     }
-
-    /// Group matching rows by a column's rendered value; returns
-    /// group-key → row list, ordered by key.
-    pub fn group_by(&self, column: &str) -> Result<BTreeMap<String, Vec<&'t Row>>, TableError> {
-        let idx = self
-            .table
-            .schema()
-            .index_of(column)
-            .ok_or_else(|| TableError::NoSuchColumn(column.to_string()))?;
-        let mut out: BTreeMap<String, Vec<&Row>> = BTreeMap::new();
-        for row in self.rows()? {
-            out.entry(row.get(idx).to_string()).or_default().push(row);
-        }
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
@@ -506,15 +490,6 @@ mod tests {
         assert_eq!(q.min("nodes").unwrap(), Some(4.0));
         assert_eq!(q.max("metadatarate").unwrap(), Some(580000.0));
         assert_eq!(q.sum("nodes").unwrap(), 8.0);
-    }
-
-    #[test]
-    fn group_by_user() {
-        let t = jobs();
-        let groups = Query::new(&t).group_by("user").unwrap();
-        assert_eq!(groups.len(), 3);
-        assert_eq!(groups["alice"].len(), 2);
-        assert_eq!(groups["bob"].len(), 2);
     }
 
     #[test]

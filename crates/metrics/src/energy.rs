@@ -11,7 +11,7 @@ use crate::accum::JobAccum;
 use serde::{Deserialize, Serialize};
 
 /// RAPL unit: 2^-14 joule.
-pub const JOULES_PER_UNIT: f64 = 1.0 / 16384.0;
+const JOULES_PER_UNIT: f64 = 1.0 / 16384.0;
 
 /// Whole-job energy broken down the way the paper describes.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
@@ -29,7 +29,7 @@ pub struct EnergyReport {
 
 impl EnergyReport {
     /// Mean package power over the job (watts).
-    pub fn mean_pkg_watts(&self) -> f64 {
+    fn mean_pkg_watts(&self) -> f64 {
         if self.span_secs > 0.0 {
             self.pkg_joules / self.span_secs
         } else {
@@ -38,7 +38,7 @@ impl EnergyReport {
     }
 
     /// Mean DRAM power (watts).
-    pub fn mean_dram_watts(&self) -> f64 {
+    fn mean_dram_watts(&self) -> f64 {
         if self.span_secs > 0.0 {
             self.dram_joules / self.span_secs
         } else {
@@ -48,7 +48,7 @@ impl EnergyReport {
 
     /// Non-core (uncore + LLC) share of package energy — the paper's
     /// "all cores + LLC cache" vs "all cores" decomposition.
-    pub fn uncore_joules(&self) -> f64 {
+    fn uncore_joules(&self) -> f64 {
         (self.pkg_joules - self.pp0_joules).max(0.0)
     }
 

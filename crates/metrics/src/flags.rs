@@ -61,20 +61,6 @@ impl Flag {
             Flag::LowVectorization => "LowVectorization",
         }
     }
-
-    /// Human-readable description for reports.
-    pub fn describe(self) -> &'static str {
-        match self {
-            Flag::HighMetadataRate => "high metadata request rate (Lustre MDS at risk)",
-            Flag::HighGigE => "heavy GigE traffic (user MPI over Ethernet instead of IB)",
-            Flag::LargememWaste => "largemem queue but low memory use (wastes 1TB nodes)",
-            Flag::IdleNodes => "reserved nodes idle (misconfigured submission script)",
-            Flag::SuddenDrop => "sudden performance drop (likely application failure)",
-            Flag::SuddenRise => "sudden performance increase (likely compile step)",
-            Flag::HighCpi => "high cycles per instruction (memory layout or I/O issue)",
-            Flag::LowVectorization => "essentially unvectorized floating point",
-        }
-    }
 }
 
 // `FlagSet` packs flags by discriminant and iterates via `ALL`; keep

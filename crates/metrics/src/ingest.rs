@@ -15,7 +15,7 @@ pub const JOBS_TABLE: &str = "jobs";
 
 /// Metadata columns preceding the metric columns (portal job-list
 /// fields, §IV-B).
-pub const META_COLUMNS: [(&str, ValueType); 16] = [
+const META_COLUMNS: [(&str, ValueType); 16] = [
     ("jobid", ValueType::Int),
     ("user", ValueType::Str),
     ("uid", ValueType::Int),
@@ -51,18 +51,13 @@ pub fn jobs_schema() -> TableSchema {
 }
 
 /// Create the jobs table in a database.
-pub fn create_jobs_table(db: &mut Database) {
+fn create_jobs_table(db: &mut Database) {
     db.create_table(JOBS_TABLE, jobs_schema());
 }
 
 /// Build the row for one job. `node_memory_gb` parameterizes the
 /// largemem-waste flag rule.
-pub fn job_row(
-    job: &Job,
-    metrics: &JobMetrics,
-    rules: &FlagRules,
-    node_memory_gb: f64,
-) -> Vec<Value> {
+fn job_row(job: &Job, metrics: &JobMetrics, rules: &FlagRules, node_memory_gb: f64) -> Vec<Value> {
     let ctx = FlagContext {
         queue_name: job.queue.name().to_string(),
         node_memory_gb,

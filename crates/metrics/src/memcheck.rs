@@ -27,7 +27,7 @@ pub struct MemValidation {
 
 impl MemValidation {
     /// The spike mass the snapshot metric missed (GB, ≥ 0 up to noise).
-    pub fn missed_gb(&self) -> f64 {
+    fn missed_gb(&self) -> f64 {
         (self.hwm_gb - self.snapshot_gb).max(0.0)
     }
 

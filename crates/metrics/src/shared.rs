@@ -110,7 +110,7 @@ pub fn attribute(samples: &[Sample], uid_to_job: &HashMap<u32, String>) -> Share
 /// Whether the jobs on the node were pinned to disjoint core sets — the
 /// §VI-C precondition for reliable core-level extraction. Returns the
 /// pairs of jobs whose affinity masks overlap (empty = cleanly pinned).
-pub fn pinning_conflicts(usage: &SharedNodeUsage) -> Vec<(String, String)> {
+fn pinning_conflicts(usage: &SharedNodeUsage) -> Vec<(String, String)> {
     let jobs: Vec<(&String, u64)> = usage.per_job.iter().map(|(j, s)| (j, s.cpu_mask)).collect();
     let mut out = Vec::new();
     for i in 0..jobs.len() {

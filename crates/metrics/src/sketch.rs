@@ -85,7 +85,8 @@ impl QuantileSketch {
     }
 
     /// Current number of stored tuples (the O(1/ε) working size).
-    pub fn tuples(&self) -> usize {
+    #[cfg(test)]
+    fn tuples(&self) -> usize {
         self.entries.len()
     }
 

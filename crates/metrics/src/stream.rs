@@ -191,7 +191,7 @@ impl FlagStream {
 
     /// Set the job context the largemem rule needs. Recomputes that
     /// slot, so context may arrive before or after memory samples.
-    pub fn set_context(&mut self, largemem: bool, node_memory_gb: f64) {
+    fn set_context(&mut self, largemem: bool, node_memory_gb: f64) {
         self.largemem = largemem;
         self.node_memory_gb = node_memory_gb;
         self.recompute(SLOT_LARGEMEM);
@@ -199,7 +199,7 @@ impl FlagStream {
 
     /// Set the job's performance trend (resolves the catastrophe slot
     /// into `SuddenRise` vs `SuddenDrop`).
-    pub fn set_trend(&mut self, trend: Option<TrendDirection>) {
+    fn set_trend(&mut self, trend: Option<TrendDirection>) {
         self.trend = trend;
     }
 
@@ -353,11 +353,6 @@ impl FlagStreams {
         self.jobs
             .entry(job)
             .or_insert_with(|| FlagStream::new(rules))
-    }
-
-    /// Set a job's queue/memory context.
-    pub fn set_context(&mut self, job: Sym, largemem: bool, node_memory_gb: f64) {
-        self.entry(job).set_context(largemem, node_memory_gb);
     }
 
     /// Feed one metric estimate for a job; returns the updated verdict.

@@ -114,13 +114,8 @@ impl MetricId {
         }
     }
 
-    /// Find a metric by its Table I label.
-    pub fn from_label(s: &str) -> Option<MetricId> {
-        MetricId::ALL.iter().copied().find(|m| m.label() == s)
-    }
-
     /// The definition column of Table I.
-    pub fn definition(self) -> &'static str {
+    fn definition(self) -> &'static str {
         match self {
             MetricId::MetaDataRate => "Maximum Metadata server operation rate",
             MetricId::MDCReqs => "Average Metadata server operation rate",
@@ -159,7 +154,7 @@ impl MetricId {
     }
 
     /// The Table I group this metric belongs to.
-    pub fn group(self) -> &'static str {
+    fn group(self) -> &'static str {
         match self {
             MetricId::MetaDataRate
             | MetricId::MDCReqs
@@ -374,14 +369,6 @@ impl JobMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn labels_roundtrip() {
-        for m in MetricId::ALL {
-            assert_eq!(MetricId::from_label(m.label()), Some(m));
-        }
-        assert_eq!(MetricId::from_label("nope"), None);
-    }
 
     #[test]
     fn all_has_27_metrics_in_4_groups() {

@@ -57,7 +57,7 @@ struct Key {
 /// A cached artefact, stored and returned behind an [`Arc`] so hits
 /// (and clones) cost a refcount bump rather than a copy.
 #[derive(Clone, Debug)]
-pub enum CachedValue {
+enum CachedValue {
     /// Matched row indices into the jobs table.
     Rows(Arc<Vec<u32>>),
     /// The four Fig. 4 panels.

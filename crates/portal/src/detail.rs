@@ -4,14 +4,11 @@
 //! quantities plotted over time for each node reserved for the job:
 //! Gigaflops; Memory Bandwidth in GB/s; Memory Usage in GB; Lustre
 //! Filesystem Bandwidth in MB/s; Internode Infiniband traffic due to MPI
-//! in MB/s; CPU User fraction." Plus the process table and the metric
-//! pass/fail report of §IV-B.
+//! in MB/s; CPU User fraction."
 
 use crate::render;
 use std::collections::HashMap;
 use tacc_collect::record::{RawFile, Sample};
-use tacc_metrics::flags::{Flag, FlagContext, FlagRules};
-use tacc_metrics::table1::JobMetrics;
 use tacc_simnode::counter::wrapping_delta;
 use tacc_simnode::intern::Sym;
 use tacc_simnode::schema::DeviceType;
@@ -273,45 +270,6 @@ pub fn render_job_detail(db: &TsDb, jobid: &str) -> String {
     out
 }
 
-/// The metric pass/fail report shown on the detail page ("a report
-/// indicating which of the computed metrics passed or failed comparison
-/// tests").
-pub fn metric_report(metrics: &JobMetrics, ctx: &FlagContext, rules: &FlagRules) -> String {
-    let flags: Vec<Flag> = rules.evaluate(ctx, metrics);
-    let mut out = String::from("=== Metric report ===\n");
-    out.push_str(&metrics.render_table());
-    if flags.is_empty() {
-        out.push_str("All comparison tests passed.\n");
-    } else {
-        out.push_str("FAILED comparison tests:\n");
-        for f in &flags {
-            out.push_str(&format!("  [{f}] {}\n", f.describe()));
-        }
-    }
-    out
-}
-
-/// The process sub-table of the detail view ("individual processes and
-/// their memory usage, cpu affinities, and thread count").
-pub fn process_report(sample: &Sample) -> String {
-    let header = ["PID", "Comm", "UID", "VmHWM(MB)", "VmRSS(MB)", "Threads"];
-    let rows: Vec<Vec<String>> = sample
-        .processes
-        .iter()
-        .map(|p| {
-            vec![
-                p.pid.to_string(),
-                p.comm.to_string(),
-                p.uid.to_string(),
-                format!("{:.0}", p.values[1] as f64 / 1024.0),
-                format!("{:.0}", p.values[2] as f64 / 1024.0),
-                p.values[7].to_string(),
-            ]
-        })
-        .collect();
-    render::table(&header, &rows)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -436,29 +394,5 @@ mod tests {
         let empty = render_job_detail(&db, "999999");
         assert!(empty.contains("=== Job 999999"));
         assert!(!empty.contains("c401-"));
-    }
-
-    #[test]
-    fn process_report_renders() {
-        let files = job_raw_files();
-        let last = files[0].samples.last().unwrap();
-        let rep = process_report(last);
-        assert!(rep.contains("wrf.exe"));
-        assert!(rep.contains("9999"));
-    }
-
-    #[test]
-    fn metric_report_lists_failures() {
-        use tacc_metrics::table1::MetricId;
-        let mut m = JobMetrics::new();
-        m.set(MetricId::MetaDataRate, 500_000.0);
-        m.set(MetricId::CpuUsage, 0.67);
-        let ctx = FlagContext {
-            queue_name: "normal".to_string(),
-            node_memory_gb: 34.0,
-        };
-        let rep = metric_report(&m, &ctx, &FlagRules::default());
-        assert!(rep.contains("FAILED"));
-        assert!(rep.contains("HighMetadataRate"));
     }
 }

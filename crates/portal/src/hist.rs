@@ -38,7 +38,7 @@ pub struct Histogram {
 
 impl Histogram {
     /// Build a linear histogram with `bins` equal-width bins.
-    pub fn linear(title: &str, values: &[f64], bins: usize) -> Histogram {
+    fn linear(title: &str, values: &[f64], bins: usize) -> Histogram {
         Self::build(title, values, bins, false)
     }
 

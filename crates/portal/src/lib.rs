@@ -14,8 +14,7 @@
 //!   metadata requests.
 //! * [`detail`] — the per-job detail view (Fig. 5): six per-node
 //!   time-series panels (GFLOPS, memory bandwidth, memory usage, Lustre
-//!   bandwidth, Infiniband traffic, CPU user fraction) plus the
-//!   metric pass/fail report.
+//!   bandwidth, Infiniband traffic, CPU user fraction).
 //! * [`render`] — text tables and sparklines.
 //! * [`fused`] — the fused Fig. 4 scan: all four panels' extents, then
 //!   all four panels' dense bucket counts, each from one walk over the
@@ -31,7 +30,6 @@ pub mod detail;
 pub mod fused;
 pub mod hist;
 pub mod render;
-pub mod report;
 pub mod search;
 
 pub use cache::QueryCache;

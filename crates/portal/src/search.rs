@@ -13,7 +13,7 @@ use tacc_metrics::Flag;
 
 /// Maximum number of metric search fields, matching the portal ("up to
 /// three Search fields").
-pub const MAX_SEARCH_FIELDS: usize = 3;
+const MAX_SEARCH_FIELDS: usize = 3;
 
 /// A portal search: metadata filters plus metric threshold fields.
 #[derive(Clone, Debug, Default)]
@@ -187,7 +187,7 @@ impl<'t> JobList<'t> {
 
     /// [`JobList::column`] into a caller-owned buffer: `out` is
     /// cleared and refilled, so repeat callers reuse its allocation.
-    pub fn column_into(&self, name: &str, out: &mut Vec<f64>) {
+    fn column_into(&self, name: &str, out: &mut Vec<f64>) {
         out.clear();
         let Some(idx) = self.table.schema().index_of(name) else {
             return;
@@ -228,12 +228,6 @@ impl<'t> JobList<'t> {
             .copied()
             .filter(|r| r.get(idx).as_str().map(&pred).unwrap_or(false))
             .collect()
-    }
-
-    /// The sublist of jobs with at least one automatic flag ("Every
-    /// search also returns a sublist of jobs that have been flagged").
-    pub fn flagged(&self) -> Vec<&'t Row> {
-        self.rows_where_flags(|s| !s.is_empty())
     }
 
     /// Jobs carrying a specific flag. Typed: a nonexistent flag name
@@ -399,8 +393,6 @@ mod tests {
         let t = db.table(JOBS_TABLE).unwrap();
         let all = SearchSpec::default().run(t).unwrap();
         assert_eq!(all.len(), 3);
-        let flagged = all.flagged();
-        assert_eq!(flagged.len(), 1);
         assert_eq!(all.flagged_with(Flag::HighMetadataRate).len(), 1);
         assert_eq!(all.flagged_with(Flag::HighGigE).len(), 0);
     }

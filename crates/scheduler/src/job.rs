@@ -34,12 +34,6 @@ impl QueueName {
             QueueName::Development => "development",
         }
     }
-
-    /// Whether jobs in this queue count as production jobs for §V-B
-    /// ("jobs run in production queues").
-    pub fn is_production(self) -> bool {
-        matches!(self, QueueName::Normal | QueueName::LargeMem)
-    }
 }
 
 /// Completion status.
@@ -207,9 +201,6 @@ mod tests {
 
     #[test]
     fn queue_properties() {
-        assert!(QueueName::Normal.is_production());
-        assert!(QueueName::LargeMem.is_production());
-        assert!(!QueueName::Development.is_production());
         assert_eq!(QueueName::LargeMem.name(), "largemem");
     }
 }

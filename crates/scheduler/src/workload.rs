@@ -95,11 +95,6 @@ impl WorkloadGenerator {
         }
     }
 
-    /// The app library in use.
-    pub fn library(&self) -> &AppLibrary {
-        &self.library
-    }
-
     fn sample_nodes(&mut self) -> usize {
         let r: f64 = self.rng.gen();
         let n = match r {

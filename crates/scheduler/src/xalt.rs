@@ -28,7 +28,7 @@ pub struct XaltRecord {
 
 /// Deterministic environment for a known executable; unknown executables
 /// get the bare toolchain.
-pub fn environment_for(exec: &str) -> XaltRecord {
+fn environment_for(exec: &str) -> XaltRecord {
     let (modules, libraries): (Vec<&str>, Vec<&str>) = match exec {
         "wrf.exe" => (
             vec![

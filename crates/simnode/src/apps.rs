@@ -304,7 +304,7 @@ impl AppModel {
     }
 
     /// Home-built MPI codes — the long tail. Broad spreads everywhere.
-    pub fn custom_mpi() -> AppModel {
+    fn custom_mpi() -> AppModel {
         AppModel {
             cpu_user: 0.85,
             vector_frac: 0.2,
@@ -347,7 +347,7 @@ impl AppModel {
     /// User running their own MPI build over Ethernet instead of IB —
     /// one of the portal's flag rules ("High GigE traffic indicates users
     /// running their own MPI builds over the Ethernet").
-    pub fn gige_mpi() -> AppModel {
+    fn gige_mpi() -> AppModel {
         AppModel {
             cpu_user: 0.40,
             cpu_iowait: 0.02,
@@ -364,7 +364,7 @@ impl AppModel {
     /// (archive scans, `ls -R`-style workflows): metadata-bound with
     /// mediocre CPU utilization. A real and common population segment —
     /// and a contributor to the §V-B negative CPU↔MDCReqs correlation.
-    pub fn postprocess() -> AppModel {
+    fn postprocess() -> AppModel {
         AppModel {
             cpu_user: 0.58,
             cpu_iowait: 0.25,
@@ -392,7 +392,7 @@ impl AppModel {
 
     /// Offload application actually using the Xeon Phi (only ~1.3% of
     /// jobs did, per §V-A).
-    pub fn mic_offload() -> AppModel {
+    fn mic_offload() -> AppModel {
         AppModel {
             mic_frac: 0.35,
             vector_frac: 0.75,
@@ -665,14 +665,6 @@ impl AppLibrary {
         }
         &self.entries.last().expect("non-empty library").0
     }
-
-    /// Find a model by executable name.
-    pub fn by_exec(&self, exec: &str) -> Option<&AppModel> {
-        self.entries
-            .iter()
-            .map(|(m, _)| m)
-            .find(|m| m.exec_name == exec)
-    }
 }
 
 #[cfg(test)]
@@ -799,12 +791,5 @@ mod tests {
         let d = i.demand(0, 0.5);
         assert!(d.gige_bytes_per_sec > 1e7);
         assert_eq!(d.ib_bytes_per_sec, 0.0);
-    }
-
-    #[test]
-    fn by_exec_finds_models() {
-        let lib = AppLibrary::standard();
-        assert!(lib.by_exec("wrf.exe").is_some());
-        assert!(lib.by_exec("nope.exe").is_none());
     }
 }

@@ -238,25 +238,6 @@ impl SimClock {
         let prev = self.now_ns.fetch_add(d.as_nanos(), Ordering::AcqRel);
         SimTime::from_nanos(prev + d.as_nanos())
     }
-
-    /// Advance the clock to `t` if `t` is in the future; returns the
-    /// (possibly unchanged) current instant.
-    pub fn advance_to(&self, t: SimTime) -> SimTime {
-        let target = t.as_nanos();
-        let mut cur = self.now_ns.load(Ordering::Acquire);
-        while cur < target {
-            match self.now_ns.compare_exchange_weak(
-                cur,
-                target,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return t,
-                Err(actual) => cur = actual,
-            }
-        }
-        SimTime::from_nanos(cur)
-    }
 }
 
 impl Default for SimClock {
@@ -292,15 +273,6 @@ mod tests {
         let c2 = c.clone();
         c.advance(SimDuration::from_secs(600));
         assert_eq!(c2.now().as_secs(), 600);
-    }
-
-    #[test]
-    fn advance_to_never_goes_backwards() {
-        let c = SimClock::starting_at(SimTime::from_secs(1000));
-        let now = c.advance_to(SimTime::from_secs(500));
-        assert_eq!(now.as_secs(), 1000);
-        let now = c.advance_to(SimTime::from_secs(2000));
-        assert_eq!(now.as_secs(), 2000);
     }
 
     #[test]

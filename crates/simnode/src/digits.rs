@@ -9,9 +9,9 @@
 //! is exactly what `{}` and `{:x}` write.
 
 /// Digits of `u64::MAX` in decimal.
-pub const MAX_DEC: usize = 20;
+const MAX_DEC: usize = 20;
 /// Digits of `u64::MAX` in hexadecimal.
-pub const MAX_HEX: usize = 16;
+const MAX_HEX: usize = 16;
 
 /// `00`, `01`, … `99`: both digits of a pair in one load.
 const PAIRS: &[u8; 200] = b"00010203040506070809101112131415161718192021222324\
@@ -41,7 +41,7 @@ pub fn dec(mut v: u64, buf: &mut [u8; MAX_DEC]) -> &[u8] {
 
 /// `v` in lower-case hexadecimal, as ASCII digits in the tail of `buf`.
 #[inline]
-pub fn hex(mut v: u64, buf: &mut [u8; MAX_HEX]) -> &[u8] {
+fn hex(mut v: u64, buf: &mut [u8; MAX_HEX]) -> &[u8] {
     let mut len = 0;
     for slot in buf.iter_mut().rev() {
         let nibble = (v & 0xf) as u8;

@@ -297,7 +297,8 @@ impl FaultPlan {
     /// Length of the longest broker outage (zero if none are scheduled).
     /// A node-local spool sized to cover this window guarantees zero
     /// message loss from broker outages alone.
-    pub fn longest_broker_outage(&self) -> SimDuration {
+    #[cfg(test)]
+    fn longest_broker_outage(&self) -> SimDuration {
         self.broker_outages
             .iter()
             .map(Window::len)

@@ -53,7 +53,8 @@ impl MdsModel {
 
     /// Effective per-request wait (µs) for a client whose base service
     /// time is `base_wait_us`, under aggregate load.
-    pub fn effective_wait_us(&self, base_wait_us: f64, aggregate_reqs_per_sec: f64) -> f64 {
+    #[cfg(test)]
+    fn effective_wait_us(&self, base_wait_us: f64, aggregate_reqs_per_sec: f64) -> f64 {
         base_wait_us * self.wait_factor(aggregate_reqs_per_sec)
     }
 }

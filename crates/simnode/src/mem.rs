@@ -57,8 +57,6 @@ pub struct MemoryBudget {
     peak: AtomicU64,
     /// Grants that first crossed the soft threshold.
     soft_events: AtomicU64,
-    /// Grants refused because they would cross the hard threshold.
-    hard_events: AtomicU64,
 }
 
 impl MemoryBudget {
@@ -71,20 +69,13 @@ impl MemoryBudget {
             used: AtomicU64::new(0),
             peak: AtomicU64::new(0),
             soft_events: AtomicU64::new(0),
-            hard_events: AtomicU64::new(0),
         }
-    }
-
-    /// A budget that never refuses or pressures (both thresholds at
-    /// `u64::MAX`).
-    pub fn unbounded() -> MemoryBudget {
-        MemoryBudget::new(u64::MAX, u64::MAX)
     }
 
     /// Try to account `bytes` against the budget. On success the bytes
     /// are tracked and the occupancy *after* the grant is returned; a
     /// grant that would push usage past the hard threshold is refused
-    /// (`Err`), leaves the ledger untouched, and counts a hard event.
+    /// (`Err`) and leaves the ledger untouched.
     pub fn try_grant(&self, bytes: u64) -> Result<Pressure, Pressure> {
         let granted = self
             .used
@@ -104,10 +95,7 @@ impl MemoryBudget {
                     Ok(Pressure::Ok)
                 }
             }
-            Err(_) => {
-                self.hard_events.fetch_add(1, Ordering::Relaxed);
-                Err(Pressure::Hard)
-            }
+            Err(_) => Err(Pressure::Hard),
         }
     }
 
@@ -151,11 +139,6 @@ impl MemoryBudget {
     /// Times a grant first pushed usage above the soft threshold.
     pub fn soft_events(&self) -> u64 {
         self.soft_events.load(Ordering::Relaxed)
-    }
-
-    /// Times a grant was refused at the hard threshold.
-    pub fn hard_events(&self) -> u64 {
-        self.hard_events.load(Ordering::Relaxed)
     }
 }
 
@@ -507,7 +490,6 @@ mod tests {
         // A grant that would cross hard is refused and untracked.
         assert_eq!(b.try_grant(100), Err(Pressure::Hard));
         assert_eq!(b.used(), 120);
-        assert_eq!(b.hard_events(), 1);
         b.release(120);
         assert_eq!(b.used(), 0);
         assert_eq!(b.pressure(), Pressure::Ok);

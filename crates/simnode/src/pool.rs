@@ -174,7 +174,7 @@ impl WorkerPool {
     /// portal's fused Fig. 4 scan does) runs the whole map path at zero
     /// steady-state allocations — the same contract the per-worker
     /// [`Scratch`] buffers give task-local state.
-    pub fn map_parts_into<T, F>(&self, parts: usize, slots: &mut Vec<Option<T>>, f: F)
+    fn map_parts_into<T, F>(&self, parts: usize, slots: &mut Vec<Option<T>>, f: F)
     where
         T: Send,
         F: Fn(usize, &mut Scratch) -> T + Sync,

@@ -146,7 +146,7 @@ impl EventDesc {
     }
 
     /// Gauge (snapshot) event.
-    pub fn gauge(name: &str, unit: Unit) -> Self {
+    fn gauge(name: &str, unit: Unit) -> Self {
         EventDesc {
             name: Sym::new(name),
             unit,
@@ -508,8 +508,10 @@ pub mod pos {
     pub mod cpustat {
         /// User jiffies.
         pub const USER: usize = 0;
-        /// Nice jiffies.
-        pub const NICE: usize = 1;
+        /// Nice jiffies (nothing writes them; the schema test checks the
+        /// position).
+        #[cfg(test)]
+        pub(crate) const NICE: usize = 1;
         /// System jiffies.
         pub const SYSTEM: usize = 2;
         /// Idle jiffies.

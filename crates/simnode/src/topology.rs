@@ -47,7 +47,7 @@ impl CpuArch {
     ];
 
     /// CPUID (family, model) pair, as it appears in `/proc/cpuinfo`.
-    pub const fn family_model(self) -> (u32, u32) {
+    const fn family_model(self) -> (u32, u32) {
         match self {
             CpuArch::Nehalem => (6, 0x1A),
             CpuArch::Westmere => (6, 0x2C),
@@ -86,7 +86,7 @@ impl CpuArch {
     }
 
     /// The `model name` string rendered into `/proc/cpuinfo`.
-    pub const fn model_name(self) -> &'static str {
+    const fn model_name(self) -> &'static str {
         match self {
             CpuArch::Nehalem => "Intel(R) Xeon(R) CPU X5550 @ 2.67GHz",
             CpuArch::Westmere => "Intel(R) Xeon(R) CPU X5680 @ 3.33GHz",
@@ -117,22 +117,6 @@ impl CpuArch {
             CpuArch::SandyBridge | CpuArch::IvyBridge | CpuArch::Haswell => 8,
             CpuArch::KnightsCorner => 2,
         }
-    }
-
-    /// Whether the uncore (QPI, IMC, CBo) counters live in PCI
-    /// configuration space (true from Sandy Bridge EP onwards; Nehalem and
-    /// Westmere expose uncore events through MSRs).
-    pub const fn uncore_in_pci_space(self) -> bool {
-        matches!(
-            self,
-            CpuArch::SandyBridge | CpuArch::IvyBridge | CpuArch::Haswell
-        )
-    }
-
-    /// Whether the architecture supports AVX (256-bit) vector FP. Nehalem
-    /// and Westmere top out at 128-bit SSE.
-    pub const fn has_avx(self) -> bool {
-        !matches!(self, CpuArch::Nehalem | CpuArch::Westmere)
     }
 
     /// Double-precision FLOPs per maximally-vectorized FP instruction.
@@ -354,10 +338,6 @@ mod tests {
 
     #[test]
     fn arch_capabilities() {
-        assert!(!CpuArch::Nehalem.has_avx());
-        assert!(CpuArch::SandyBridge.has_avx());
-        assert!(!CpuArch::Westmere.uncore_in_pci_space());
-        assert!(CpuArch::Haswell.uncore_in_pci_space());
         assert!(!CpuArch::Nehalem.has_rapl());
         assert!(CpuArch::Haswell.has_rapl());
     }

@@ -238,7 +238,7 @@ impl SealedBlock {
     /// Like [`SealedBlock::encode`], but staging both columns through
     /// the caller's reusable scratch so the only allocation left in a
     /// steady-state seal is the block's own exact-size column buffer.
-    pub fn encode_with_scratch(ts: &[u64], vs: &[f64], scratch: &mut SealScratch) -> SealedBlock {
+    fn encode_with_scratch(ts: &[u64], vs: &[f64], scratch: &mut SealScratch) -> SealedBlock {
         let count = ts.len().min(vs.len());
         scratch.ts.clear();
         scratch.vs.clear();
@@ -477,7 +477,7 @@ impl SealedBlock {
     /// long); returns the number of points written. Decodes each
     /// column in its own tight loop — the batch path scans use so the
     /// varint state machine never interleaves with caller work.
-    pub fn decode_to_slices(&self, ts: &mut [u64], vs: &mut [f64]) -> usize {
+    fn decode_to_slices(&self, ts: &mut [u64], vs: &mut [f64]) -> usize {
         let n = self.count.min(ts.len()).min(vs.len());
         let ts_col = self.ts_col();
         let vs_col = self.vs_col();

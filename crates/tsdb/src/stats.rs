@@ -37,16 +37,6 @@ pub fn mean(xs: &[f64]) -> Option<f64> {
     }
 }
 
-/// Sample standard deviation (None for fewer than 2 values).
-pub fn stddev(xs: &[f64]) -> Option<f64> {
-    if xs.len() < 2 {
-        return None;
-    }
-    let m = mean(xs)?;
-    let var = xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (xs.len() - 1) as f64;
-    Some(var.sqrt())
-}
-
 /// p-quantile (0..=1) by linear interpolation on a sorted copy.
 pub fn quantile(xs: &[f64], p: f64) -> Option<f64> {
     if xs.is_empty() || !(0.0..=1.0).contains(&p) {
@@ -99,10 +89,7 @@ mod tests {
         assert_eq!(quantile(&xs, 0.0), Some(1.0));
         assert_eq!(quantile(&xs, 1.0), Some(4.0));
         assert_eq!(quantile(&xs, 0.5), Some(2.5));
-        let sd = stddev(&xs).unwrap();
-        assert!((sd - 1.2909944487358056).abs() < 1e-12);
         assert_eq!(mean(&[]), None);
-        assert_eq!(stddev(&[1.0]), None);
         assert_eq!(quantile(&xs, 1.5), None);
     }
 

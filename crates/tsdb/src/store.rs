@@ -93,9 +93,10 @@ pub struct DurabilityStats {
     pub max_gen: u64,
 }
 
+#[cfg(test)]
 impl DurabilityStats {
     /// Points at risk: appended-but-unsynced plus failed appends.
-    pub fn points_at_risk(&self) -> u64 {
+    fn points_at_risk(&self) -> u64 {
         (self.points_appended - self.points_synced) + self.points_failed
     }
 }

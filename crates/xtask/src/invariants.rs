@@ -65,7 +65,7 @@ pub fn check(root: &Path, lock_classes: &[String]) -> Result<Vec<String>, String
             "BENCH_hot_paths.json",
             "benchmark/Cargo.toml -- --quick",
             "--test alloc_invariants",
-            // The five-pass suite must stay a required CI job with its
+            // The six-pass suite must stay a required CI job with its
             // JSON artifact, and the TSan job is the lock-order pass's
             // dynamic cross-check.
             "xtask-lint",

@@ -1,7 +1,7 @@
 //! `cargo xtask` — workspace static-analysis suite for the TACC Stats
 //! reproduction.
 //!
-//! Five passes, run by `cargo xtask lint` (DESIGN.md §13):
+//! Six passes, run by `cargo xtask lint` (DESIGN.md §13):
 //!
 //! 1. **lock-order** ([`lock_order`]): extract every `.lock()` /
 //!    `.read()` / `.write()` acquisition across broker/simnode/tsdb,
@@ -16,7 +16,10 @@
 //!    not contain panic-capable constructs, modulo a ratchet;
 //! 5. **conformance** ([`conformance`] + [`invariants`]): schema ↔
 //!    metric agreement plus workspace wiring (CI jobs, loom gating,
-//!    lock classes documented in DESIGN.md).
+//!    lock classes documented in DESIGN.md);
+//! 6. **dead-surface** ([`dead_surface`]): an unrestricted `pub fn` /
+//!    `pub const` / `pub static` of a runtime crate must be named in
+//!    some other file.
 //!
 //! The suite produces a unified [`report::LintReport`] with JSON
 //! output for CI (`--json`) and ratchet regeneration
@@ -30,6 +33,7 @@
 pub mod alloc_lint;
 pub mod conformance;
 pub mod crash_order;
+pub mod dead_surface;
 pub mod invariants;
 pub mod lexer;
 pub mod lock_order;
@@ -49,7 +53,7 @@ pub fn workspace_root() -> PathBuf {
         .unwrap_or_else(|| PathBuf::from("."))
 }
 
-/// Run the full five-pass suite against `root`. `Err` means a pass
+/// Run the full six-pass suite against `root`. `Err` means a pass
 /// could not run at all (missing file, bad allowlist syntax), which is
 /// just as fatal as a violation.
 pub fn run_report(root: &Path) -> Result<LintReport, String> {
@@ -121,6 +125,16 @@ pub fn run_report(root: &Path) -> Result<LintReport, String> {
         name: "conformance",
         files: 0,
         violations,
+        allowlisted: 0,
+        annotated: 0,
+        info: Vec::new(),
+    });
+
+    // Pass 6: dead-surface.
+    passes.push(Pass {
+        name: "dead-surface",
+        files: dead_surface::defining_files(root)?,
+        violations: dead_surface::check(root)?,
         allowlisted: 0,
         annotated: 0,
         info: Vec::new(),

@@ -1,4 +1,4 @@
-//! Unified `LintReport` for the five-pass suite, with machine-readable
+//! Unified `LintReport` for the six-pass suite, with machine-readable
 //! JSON output for CI (hand-rolled serialisation — xtask stays
 //! dependency-free) and `--fix-ratchet` allowlist regeneration.
 
@@ -10,7 +10,7 @@ use std::path::Path;
 /// One pass's outcome.
 pub struct Pass {
     /// Pass name (`lock-order`, `alloc-lint`, `crash-order`,
-    /// `panic-lint`, `conformance`).
+    /// `panic-lint`, `conformance`, `dead-surface`).
     pub name: &'static str,
     /// Files scanned (0 for wiring-style passes that read fixed files).
     pub files: usize,

@@ -1,6 +1,7 @@
-//! Negative and property tests for the three new lint passes
-//! (lock-order, alloc-lint, crash-order), driven through their
-//! in-memory `*_sources` entry points so no temp workspace is needed.
+//! Negative and property tests for the lint passes: lock-order,
+//! alloc-lint and crash-order through their in-memory `*_sources` entry
+//! points, dead-surface through fixture mini-workspaces on disk (its
+//! reference scope is part of what it checks).
 //!
 //! Each negative test plants exactly the bug class the pass exists to
 //! catch — an inverted lock pair, a `format!` on the codec hot path,
@@ -10,8 +11,9 @@
 //! every source-level scanner and assert none of them panic.
 
 use proptest::prelude::*;
+use std::fs;
 use xtask::lexer::{excluded_spans, item_fns, mask, method_call_sites, scan};
-use xtask::{alloc_lint, crash_order, lock_order};
+use xtask::{alloc_lint, crash_order, dead_surface, lock_order};
 
 fn src(path: &str, text: &str) -> Vec<(String, String)> {
     vec![(path.to_string(), text.to_string())]
@@ -323,6 +325,129 @@ fn openoptions_truncate_false_is_not_destructive() {
 }
 
 // ---------------------------------------------------------------
+// Pass 6: dead-surface
+// ---------------------------------------------------------------
+
+/// Write `files` into a fresh mini-workspace, run the pass over it, and
+/// return the violations.
+fn dead_surface_on(tag: &str, files: &[(&str, &str)]) -> Vec<String> {
+    let root =
+        std::env::temp_dir().join(format!("xtask-dead-surface-{}-{tag}", std::process::id()));
+    let _ = fs::remove_dir_all(&root);
+    for (rel, text) in files {
+        let path = root.join(rel);
+        fs::create_dir_all(path.parent().expect("file has a parent")).expect("mkdir");
+        fs::write(&path, text).expect("write fixture");
+    }
+    let result = dead_surface::check(&root);
+    fs::remove_dir_all(&root).ok();
+    result.expect("pass runs")
+}
+
+const DEF: &str = "crates/tsdb/src/store.rs";
+const CALLER: &str = "crates/core/src/system.rs";
+
+#[test]
+fn unreferenced_pub_fn_fails() {
+    let v = dead_surface_on(
+        "fn",
+        &[
+            (
+                DEF,
+                "pub fn orphan() -> u32 {\n    1\n}\npub fn used() {}\n",
+            ),
+            (CALLER, "fn f() {\n    used();\n}\n"),
+        ],
+    );
+    assert_eq!(v.len(), 1, "{v:?}");
+    assert!(
+        v[0].contains("store.rs:1") && v[0].contains("`pub fn orphan`"),
+        "{v:?}"
+    );
+}
+
+#[test]
+fn pub_fn_named_only_in_its_own_test_module_fails() {
+    let v = dead_surface_on(
+        "own-test",
+        &[(
+            DEF,
+            "pub fn helper() {}\n\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() {\n        super::helper();\n    }\n}\n",
+        )],
+    );
+    assert_eq!(v.len(), 1, "{v:?}");
+    assert!(v[0].contains("`pub fn helper`"), "{v:?}");
+}
+
+#[test]
+fn comments_doc_links_and_strings_are_not_references() {
+    let v = dead_surface_on(
+        "masked",
+        &[
+            (DEF, "pub fn ghost() {}\n"),
+            (
+                CALLER,
+                "//! See [`ghost`].\n/// Calls ghost() — not really.\nfn f() -> &'static str {\n    /* ghost */ \"ghost\"\n}\n",
+            ),
+        ],
+    );
+    assert_eq!(v.len(), 1, "{v:?}");
+    assert!(v[0].contains("`pub fn ghost`"), "{v:?}");
+}
+
+#[test]
+fn unreferenced_pub_const_fails() {
+    let v = dead_surface_on(
+        "const",
+        &[(
+            DEF,
+            "pub const LIMIT: u64 = 4;\npub const fn width() -> u64 {\n    LIMIT\n}\npub static mut COUNT: u64 = 0;\n",
+        )],
+    );
+    assert_eq!(v.len(), 3, "{v:?}");
+    assert!(v[0].contains("`pub const LIMIT`"), "{v:?}");
+    assert!(v[1].contains("`pub fn width`"), "{v:?}");
+    assert!(v[2].contains("`pub static COUNT`"), "{v:?}");
+}
+
+#[test]
+fn benchmark_xtask_and_crate_tests_are_reference_sites() {
+    let v = dead_surface_on(
+        "sites",
+        &[
+            (
+                DEF,
+                "pub fn frozen() {}\npub fn checked() {}\npub fn tested() {}\npub fn vendored() {}\n",
+            ),
+            ("benchmark/src/fleet.rs", "fn f() {\n    frozen();\n}\n"),
+            ("crates/xtask/src/conformance.rs", "fn f() {\n    checked();\n}\n"),
+            ("crates/tsdb/tests/props.rs", "fn f() {\n    tested();\n}\n"),
+            // Outside the reference scope: does not keep an item alive.
+            ("vendor/loom/src/lib.rs", "fn f() {\n    vendored();\n}\n"),
+        ],
+    );
+    assert_eq!(v.len(), 1, "{v:?}");
+    assert!(v[0].contains("`pub fn vendored`"), "{v:?}");
+}
+
+#[test]
+fn restricted_and_test_only_items_are_left_to_rustc() {
+    let v = dead_surface_on(
+        "ignored",
+        &[
+            (
+                DEF,
+                "pub(crate) fn inner() {}\npub(super) const K: u8 = 1;\n\n#[cfg(test)]\npub fn fixture() {}\n\n#[cfg(test)]\nmod tests {\n    pub fn helper() {}\n}\n",
+            ),
+            // Neither the lint crate nor the CLI binary defines checked items.
+            ("crates/xtask/src/lib.rs", "pub fn tool() {}\n"),
+            ("src/bin/cli.rs", "pub fn command() {}\n"),
+        ],
+    );
+    assert!(v.is_empty(), "{v:?}");
+}
+
+// ---------------------------------------------------------------
 // Byte soup: no pass may panic (or wedge) on arbitrary input.
 // ---------------------------------------------------------------
 
@@ -337,6 +462,7 @@ fn all_passes_survive(text: &str) {
     let _ = lock_order::analyze_sources(&files);
     let _ = alloc_lint::scan_sources(&files);
     let _ = crash_order::scan_sources(&files);
+    let _ = dead_surface::scan_sources(&files);
 }
 
 proptest! {
@@ -373,6 +499,8 @@ proptest! {
                 Just("\n".to_string()),
                 Just("#[cfg(test)]".to_string()),
                 Just("format!(".to_string()),
+                Just("pub const ".to_string()),
+                Just("pub fn x".to_string()),
             ],
             0..60,
         ),

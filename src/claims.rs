@@ -162,7 +162,7 @@ pub fn failures() -> Vec<String> {
 // ---- Measures shared with the CLI and the examples ----
 
 /// The user whose WRF jobs storm the metadata server (§V-B, Figs. 4–5).
-pub const STORM_USER: &str = "user9999";
+const STORM_USER: &str = "user9999";
 
 /// The five §V-A searches: label, the paper's share, and the Django
 /// keyword and threshold of the portal search.
@@ -250,7 +250,7 @@ pub fn wrf_population() -> &'static Database {
 }
 
 /// The Q4-2015-shaped population of §V-A: 3,000 jobs, seed 51.
-pub fn q4_population() -> &'static Database {
+fn q4_population() -> &'static Database {
     memo!(Database, PopulationRunner::q4_2015(51, 3000).run().db)
 }
 

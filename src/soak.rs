@@ -175,7 +175,7 @@ pub struct ThirdStats {
 
 impl ThirdStats {
     /// Samples per wall-clock second.
-    pub fn samples_per_sec(&self) -> f64 {
+    fn samples_per_sec(&self) -> f64 {
         if self.wall_secs > 0.0 {
             self.received as f64 / self.wall_secs
         } else {
