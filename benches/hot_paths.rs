@@ -18,9 +18,11 @@
 //!   storage, then the sample's wire bytes sliced for the archive.
 //! * `portal.fig4` and `portal.search` (`portal_read`):
 //!   `fused_search_fig4` is a search plus all four Fig. 4 panels;
-//!   `query_cache.*` a cold miss and warm hits through `QueryCache`.
-//! * `tsdb.aggregate` (`portal_read`): `tsdb_aggregate_month`, one event
-//!   over a month of 8 hosts × 8 series into 1 h buckets.
+//!   `query_cache.*` cold misses and warm hits through `QueryCache`,
+//!   `cold_fig4_wide` a miss whose spec matches nearly every job.
+//! * `tsdb.aggregate` (`portal_read`): `tsdb_aggregate_month`, the 64
+//!   host series of one kind among the ~5,800 of the `tsdb_insert`
+//!   store, over its four weeks into 1 h buckets.
 //! * `tsdb.insert` (`portal_read`): `tsdb_insert`, the live trickle's
 //!   ticks — an hour of points on each of 384 host series — into the
 //!   workload's store of about 5,800 series, per point; its batches
@@ -108,9 +110,13 @@ const CONSUME_BEFORE: Frozen = ("2443759", (29_300.0, 27.0));
 /// re-sort, four `column()` → `Histogram::build` passes — on the
 /// 5,000-job fixture.
 const SEARCH_FIG4_BEFORE: Frozen = ("eac929f", (188_223.0, 81.0));
-/// The month aggregate's per-point fold that decoded every matching
-/// block, before sealed blocks carried hourly rollups.
-const AGGREGATE_MONTH_BEFORE: Frozen = ("9af0c6f", (296_624.0, 1.0));
+/// The month aggregate and the cold Fig. 4 misses with a division per
+/// rollup cell, a branch per filter match and a `log10` per log-panel
+/// value: this file built against that commit, the fastest of five runs
+/// alternated with the replacing code's on one host.
+const AGGREGATE_MONTH_BEFORE: Frozen = ("f48946b", (238_013.0, 1.0));
+const COLD_FIG4_BEFORE: Frozen = ("f48946b", (95_061.0, 24.0));
+const COLD_FIG4_WIDE_BEFORE: Frozen = ("f48946b", (254_538.0, 21.0));
 
 /// `tsdb_insert` when each shard found its series down a `BTreeMap`
 /// ordered by key text, on the same fixture.
@@ -270,44 +276,11 @@ fn jobs_fixture(n: usize) -> Database {
     db
 }
 
-/// The month fixture of the aggregate case: `MONTH_HOSTS` hosts × eight
-/// Table-I-shaped series at the paper's 10-minute cadence.
-const MONTH_EVENTS: [&str; 8] = [
-    "gflops",
-    "mem_bw",
-    "mem_used",
-    "lustre_bw",
-    "lustre_iops",
-    "md_reqs",
-    "ib_bw",
-    "cpu_user",
-];
-const MONTH_SECS: u64 = 30 * 86_400;
-const MONTH_HOSTS: usize = 8;
-
-fn month_db() -> TsDb {
-    const CADENCE: u64 = 600;
-    let db = TsDb::new();
-    for h in 0..MONTH_HOSTS {
-        let hostname = format!("c401-{h:04}");
-        for (e, ev) in MONTH_EVENTS.iter().enumerate() {
-            let key = SeriesKey::new(&hostname, "job", "table1", ev);
-            for i in 0..(MONTH_SECS / CADENCE) {
-                let t = i * CADENCE;
-                let v = (h + 1) as f64 * 100.0
-                    + (e + 1) as f64 * ((t % 86_400) as f64 / 8640.0)
-                    + (i % 7) as f64 * 0.25;
-                db.insert(key.clone(), t, v);
-            }
-        }
-    }
-    db
-}
-
 /// Hosts of the `portal_read` store, and the four weeks at 600 s each
 /// host series is back-filled with.
 const PORTAL_HOSTS: usize = 64;
 const BACKFILL_POINTS: u64 = 4 * 7 * 144;
+const BACKFILL_SECS: u64 = BACKFILL_POINTS * 600;
 
 /// Timestamps one trickle tick appends to every host series (an hour),
 /// and the ticks of one `tsdb_insert` batch: 86 ticks take a head from
@@ -486,7 +459,7 @@ fn collect_rows() -> Vec<Row> {
     ]
 }
 
-fn query_rows() -> Vec<Row> {
+fn query_rows(store: &TsDb) -> Vec<Row> {
     // --- portal.fig4 / portal.search ---
     let jobs_db = jobs_fixture(5000);
     let table = jobs_db.table(JOBS_TABLE).expect("jobs table");
@@ -511,6 +484,21 @@ fn query_rows() -> Vec<Row> {
             .runtime
             .total()
     });
+    // Nearly every row matches (runtime >= 600 s drops one job in 40),
+    // so the scan and all four panels run over ~4,900 rows, the log
+    // panel's values spanning 0 to 6e5.
+    let wide = SearchSpec {
+        min_runtime_secs: Some(600),
+        ..SearchSpec::default()
+    }
+    .field("MetaDataRate__gte", 0.0);
+    let cold_fig4_wide = measure(QUERY_BATCHES, 1, || {
+        let mut c = QueryCache::default();
+        c.fig4(&wide, table, None, watermark, now)
+            .expect("columns exist")
+            .metadata_reqs
+            .total()
+    });
     let mut warm = QueryCache::default();
     let warm_fig4_hit = measure(QUERY_BATCHES, 1, || {
         warm.fig4(&spec, table, None, watermark, now)
@@ -525,14 +513,15 @@ fn query_rows() -> Vec<Row> {
     });
     let n_rows = table.rows().len();
 
-    // --- tsdb.aggregate: one event of every host over the whole month,
-    // 1 h buckets, an hour-aligned Sum, so sealed blocks fold from their
-    // seal-time rollups ---
-    let month = month_db();
-    let md_reqs = TagFilter::any().event("md_reqs");
+    // --- tsdb.aggregate: one host series kind of every host over the
+    // four back-filled weeks of the portal_read store, 1 h buckets, an
+    // hour-aligned Sum, so sealed blocks fold from their seal-time
+    // rollups ---
+    let mdc_reqs = TagFilter::any().dev_type("mdc").device("all").event("reqs");
+    let matching = store.keys(&mdc_reqs).len();
     let aggregate = measure(QUERY_BATCHES, 1, || {
-        month
-            .aggregate(&md_reqs, Aggregation::Sum, 0, MONTH_SECS, 3600)
+        store
+            .aggregate(&mdc_reqs, Aggregation::Sum, 0, BACKFILL_SECS, 3600)
             .len()
     });
 
@@ -541,7 +530,7 @@ fn query_rows() -> Vec<Row> {
             name: "portal.fig4 / portal.search",
             fixture: format!(
                 "{n_rows} ingested jobs, a third wrf.exe; spec exec=wrf.exe, runtime >= 600 s, \
-                 MetaDataRate >= 10000"
+                 MetaDataRate >= 10000; the wide spec runtime >= 600 s, MetaDataRate >= 0"
             ),
             cases: vec![
                 (
@@ -549,7 +538,12 @@ fn query_rows() -> Vec<Row> {
                     fused_search_fig4,
                     Some(SEARCH_FIG4_BEFORE),
                 ),
-                ("query_cache.cold_fig4", cold_fig4, None),
+                ("query_cache.cold_fig4", cold_fig4, Some(COLD_FIG4_BEFORE)),
+                (
+                    "query_cache.cold_fig4_wide",
+                    cold_fig4_wide,
+                    Some(COLD_FIG4_WIDE_BEFORE),
+                ),
                 ("query_cache.warm_fig4_hit", warm_fig4_hit, None),
                 ("query_cache.warm_search_hit", warm_search_hit, None),
             ],
@@ -557,9 +551,11 @@ fn query_rows() -> Vec<Row> {
         Row {
             name: "tsdb.aggregate",
             fixture: format!(
-                "{} series, {} points: {MONTH_HOSTS} hosts x 8 series over 30 days at 600 s",
-                month.n_series(),
-                month.n_points()
+                "the tsdb_insert store before its trickle ({} series, {} points); Sum of the \
+                 {matching} mdc/reqs host series over the {BACKFILL_POINTS} back-filled points \
+                 into 1 h buckets",
+                store.n_series(),
+                store.n_points()
             ),
             cases: vec![(
                 "tsdb_aggregate_month",
@@ -570,9 +566,8 @@ fn query_rows() -> Vec<Row> {
     ]
 }
 
-fn insert_row() -> Row {
+fn insert_row(db: TsDb, keys: Vec<SeriesKey>) -> Row {
     // --- tsdb.insert: the live trickle into the portal_read store ---
-    let (db, keys) = portal_tsdb();
     let mut i = BACKFILL_POINTS;
     let blocks = db.n_sealed_blocks();
     let tick = measure(INSERT_BATCHES, SEAL_CYCLE_TICKS, || {
@@ -610,11 +605,11 @@ fn main() {
     let host_cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let rows: Vec<Row> = collect_rows()
-        .into_iter()
-        .chain(query_rows())
-        .chain([insert_row()])
-        .collect();
+    let mut rows = collect_rows();
+    // One portal_read store: aggregated first, then trickled into.
+    let (store, keys) = portal_tsdb();
+    rows.extend(query_rows(&store));
+    rows.push(insert_row(store, keys));
 
     let cost =
         |(ns, allocs): Cost| format!("\"ns_per_op\": {ns:.1}, \"allocs_per_op\": {allocs:.2}");

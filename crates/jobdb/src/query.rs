@@ -202,27 +202,41 @@ impl<'t> Pred<'t> {
         })
     }
 
-    /// Does row `i` satisfy the predicate?
-    fn holds(&self, i: usize) -> bool {
+    /// Move the candidates that satisfy the predicate to the front of
+    /// `cands`, in order, and return how many there are. The `Test` is
+    /// matched once, outside the row loop.
+    fn retain(&self, cands: &mut [u32]) -> usize {
+        let on_null = self.on_null;
         match &self.test {
             Test::Const(index, c) => {
-                if index.is_null(i) {
-                    self.on_null
-                } else {
-                    *c
-                }
+                compact(cands, |i| if index.is_null(i) { on_null } else { *c })
             }
-            Test::Num(col, y, answer) => match col.get(i) {
+            Test::Num(col, y, answer) => compact(cands, |i| match col.get(i) {
                 Some(x) => answer[(x.total_cmp(y) as i8 + 1) as usize],
-                None => self.on_null,
-            },
-            Test::Dict(codes, answer) => codes
-                .get(i)
-                .and_then(|&c| answer.get(c as usize))
-                .copied()
-                .unwrap_or(self.on_null),
+                None => on_null,
+            }),
+            Test::Dict(codes, answer) => compact(cands, |i| {
+                codes
+                    .get(i)
+                    .and_then(|&c| answer.get(c as usize))
+                    .copied()
+                    .unwrap_or(on_null)
+            }),
         }
     }
+}
+
+/// In-place compaction without a branch on the answer: every candidate
+/// is written at the write position, which then advances by
+/// `keep(candidate)` as 0 or 1. Returns the kept count.
+fn compact(cands: &mut [u32], keep: impl Fn(usize) -> bool) -> usize {
+    let mut w = 0;
+    for r in 0..cands.len() {
+        let i = cands[r];
+        cands[w] = i;
+        w += usize::from(keep(i as usize));
+    }
+    w
 }
 
 /// A non-null value of type `ty`.
@@ -243,20 +257,17 @@ pub struct CompiledFilter<'t> {
 }
 
 impl CompiledFilter<'_> {
-    /// Indices of the rows satisfying every predicate, ascending. The
-    /// first predicate scans its column; each further one refines that
-    /// candidate list in place. One allocation, whatever the row count.
+    /// Indices of the rows satisfying every predicate, ascending: every
+    /// row is a candidate, and each predicate compacts the candidates
+    /// in place. One allocation, whatever the row count.
     pub fn scan(&self) -> Vec<u32> {
         let mut out = Vec::with_capacity(self.rows);
-        let mut preds = self.preds.iter();
-        let all = 0..self.rows as u32;
-        match preds.next() {
-            None => out.extend(all),
-            Some(first) => out.extend(all.filter(|&i| first.holds(i as usize))),
+        out.extend(0..self.rows as u32);
+        let mut n = out.len();
+        for p in &self.preds {
+            n = p.retain(&mut out[..n]);
         }
-        for p in preds {
-            out.retain(|&i| p.holds(i as usize));
-        }
+        out.truncate(n);
         out.shrink_to_fit();
         out
     }

@@ -83,18 +83,26 @@ type RawRow = ((RawValue, RawValue), (RawValue, RawValue), RawValue);
 type RawCond = (usize, usize, RawValue);
 
 fn raw_rows(max: usize) -> impl Strategy<Value = Vec<RawRow>> {
+    raw_rows_in(0..max)
+}
+
+fn raw_rows_in(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<RawRow>> {
     proptest::collection::vec(
         (
             (raw_value(), raw_value()),
             (raw_value(), raw_value()),
             raw_value(),
         ),
-        0..max,
+        len,
     )
 }
 
 fn raw_conds() -> impl Strategy<Value = Vec<RawCond>> {
-    proptest::collection::vec((0..COLUMNS.len(), 0..OPS.len(), raw_value()), 0..4)
+    raw_conds_in(0..4)
+}
+
+fn raw_conds_in(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<RawCond>> {
+    proptest::collection::vec((0..COLUMNS.len(), 0..OPS.len(), raw_value()), len)
 }
 
 fn table(raw: &[RawRow]) -> Table {
@@ -175,6 +183,17 @@ proptest! {
     fn column_scan_equals_row_at_a_time_eval_past_one_word(
         raw in raw_rows(200),
         conds in raw_conds(),
+    ) {
+        check(&raw, &conds)?;
+    }
+
+    /// Three-predicate conjunctions over tables past one null-bitset
+    /// word: each predicate compacts the survivors of the one before in
+    /// place, over a candidate list longer than a word.
+    #[test]
+    fn three_predicates_compact_in_place_past_one_word(
+        raw in raw_rows_in(65..200),
+        conds in raw_conds_in(3..4),
     ) {
         check(&raw, &conds)?;
     }

@@ -23,6 +23,27 @@
 //! `tests/fused_props.rs`). This file is panic-free and allocation-free
 //! (`cargo xtask lint` deny tiers): no indexing, no unwraps, and no heap
 //! allocation in a scan.
+//!
+//! The linear panels bin each value with `build`'s formula,
+//! `⌊(x − lo) / width⌋` capped at `BINS − 1`. The log panel does not
+//! take a `log10` per value. Once per scan it computes the value-space
+//! edges `10^(lo + k·width)`, k = 1..BINS−1 (`BINS − 1` `powf` calls),
+//! and a value's bin is the number of edges at or below it. That equals
+//! the formula's bin outside a relative guard band of 1e-9 around each
+//! edge:
+//!
+//! * the band is ≈ 4e-10 wide in log space;
+//! * the formula's `log10`, the edge's `powf` and the rounding of `(x −
+//!   lo) / width` and `lo + k·width` together err by ≈ 1e-14 in log
+//!   space (a few ulps of numbers below ~310);
+//! * so a value outside the band lies on the same side of every edge in
+//!   both computations.
+//!
+//! A value within the band of the edge below or above it takes the
+//! formula. A value close to a farther edge is closer still to the
+//! nearer one, so checking the two neighbours is enough. The formula is
+//! also used for every value when an edge is not finite, and values at
+//! or under the 1e-9 clamp all take the clamp's bin, computed once.
 
 use crate::hist::FIG4_PANELS;
 use tacc_jobdb::table::Table;
@@ -144,16 +165,88 @@ fn scan_counts(
 ) -> [[u32; BINS]; PANELS] {
     let mut counts = [[0u32; BINS]; PANELS];
     for (((col, cfg), g), panel) in cols.iter().zip(cfgs).zip(grids).zip(counts.iter_mut()) {
-        for &i in idxs {
-            if let Some(t) = panel_value(*col, cfg, i) {
-                let idx = (((tx(t, cfg.log) - g.lo) / g.width) as usize).min(BINS - 1);
-                if let Some(c) = panel.get_mut(idx) {
-                    *c = c.saturating_add(1);
-                }
-            }
+        if cfg.log {
+            let bins = LogBins::new(*g);
+            count(*col, cfg, idxs, panel, |t| bins.bin(t));
+        } else {
+            count(*col, cfg, idxs, panel, |t| g.bin(t));
         }
     }
     counts
+}
+
+/// Add every matched row's value to its bucket of `panel`.
+fn count(
+    col: Option<NumColumn<'_>>,
+    cfg: &PanelCfg,
+    idxs: &[u32],
+    panel: &mut [u32; BINS],
+    bin: impl Fn(f64) -> usize,
+) {
+    for &i in idxs {
+        if let Some(t) = panel_value(col, cfg, i) {
+            if let Some(c) = panel.get_mut(bin(t)) {
+                *c = c.saturating_add(1);
+            }
+        }
+    }
+}
+
+impl Grid {
+    /// The bucket of a transformed value — the `Histogram::build`
+    /// formula.
+    fn bin(&self, x: f64) -> usize {
+        (((x - self.lo) / self.width) as usize).min(BINS - 1)
+    }
+}
+
+/// Relative half-width of the guard band around each log-panel edge.
+const GUARD: f64 = 1e-9;
+
+/// The log panel's bins in value space: the inner edges `10^(lo +
+/// k·width)`, k = 1..BINS−1, against which a value is binned by
+/// comparisons instead of a `log10`.
+struct LogBins {
+    grid: Grid,
+    edges: [f64; BINS - 1],
+    /// The bin of every value at or under the 1e-9 clamp.
+    clamped: usize,
+    /// Every edge is finite: otherwise every value takes the formula.
+    finite: bool,
+}
+
+impl LogBins {
+    /// `BINS − 1` `powf` calls, once per scan.
+    fn new(grid: Grid) -> LogBins {
+        let mut edges = [0.0; BINS - 1];
+        for (k, e) in (1u32..).zip(edges.iter_mut()) {
+            *e = 10f64.powf(grid.lo + f64::from(k) * grid.width);
+        }
+        LogBins {
+            grid,
+            edges,
+            clamped: grid.bin(tx(1e-9, true)),
+            finite: edges.iter().all(|e| e.is_finite()),
+        }
+    }
+
+    /// The bucket of an untransformed value: the number of edges at or
+    /// below it, or the `log10` formula when it lies within the guard
+    /// band of the edge on either side.
+    fn bin(&self, t: f64) -> usize {
+        if t <= 1e-9 {
+            return self.clamped;
+        }
+        let past = self.edges.iter().fold(0, |n, &e| n + usize::from(t >= e));
+        let near = |e: &f64| (t - e).abs() <= GUARD * e;
+        let below = past.checked_sub(1).and_then(|k| self.edges.get(k));
+        let above = self.edges.get(past);
+        if self.finite && !below.is_some_and(near) && !above.is_some_and(near) {
+            past
+        } else {
+            self.grid.bin(tx(t, true))
+        }
+    }
 }
 
 /// Bin geometry from an extent — the `Histogram::build` rule.

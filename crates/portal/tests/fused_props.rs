@@ -105,6 +105,81 @@ fn stable_sorted_matches(t: &Table, threshold: f64) -> Vec<&Row> {
     want
 }
 
+/// How a log-panel value is placed: `(edge, kind, ulps)` — inner edge
+/// `k = 1 + edge % 11`; kind 0 the edge itself, 1 and 2 its guard band's
+/// lower and upper end, 3 the 1e-9 clamp; then moved `ulps` ulps.
+type EdgePick = (u8, u8, i8);
+
+fn edge_picks(rows: std::ops::Range<usize>) -> impl Strategy<Value = Vec<EdgePick>> {
+    proptest::collection::vec((0u8..11, 0u8..4, -4i8..5), rows)
+}
+
+/// `x` moved `ulps` units in the last place (toward +inf for positive
+/// `ulps`); `x` is positive and finite.
+fn nudge(x: f64, ulps: i8) -> f64 {
+    f64::from_bits(x.to_bits().wrapping_add_signed(i64::from(ulps)))
+}
+
+/// A table whose `MetaDataRate` column has extents `min` and `min ·
+/// 10^decades`, every other value at or around one of the bin edges
+/// `10^(lo + k·width)` those extents give the log panel — the values
+/// whose bin the edge comparisons cannot decide — or at the clamp when
+/// `min` is under it. The other panels count the row numbers.
+fn edge_rows(min_exp: f64, decades: f64, picks: &[EdgePick]) -> Vec<JobRow> {
+    let min = 10f64.powf(min_exp);
+    let max = min * 10f64.powf(decades);
+    let (lo, hi) = (min.max(1e-9).log10(), max.max(1e-9).log10());
+    let width = if hi > lo { (hi - lo) / 12.0 } else { 1.0 };
+    let guard = 1e-9;
+    let mut mdr = vec![min, max];
+    for &(edge, kind, ulps) in picks {
+        let e = 10f64.powf(lo + f64::from(1 + edge % 11) * width);
+        let x = match kind {
+            0 => e,
+            1 => e * (1.0 - guard),
+            2 => e * (1.0 + guard),
+            _ if min <= 1e-9 => 1e-9,
+            _ => e,
+        };
+        mdr.push(nudge(x, ulps).clamp(min, max));
+    }
+    mdr.iter()
+        .enumerate()
+        .map(|(i, &m)| {
+            let f = i as f64;
+            (
+                Some(i as i64),
+                [Some(f * 600.0), Some(1.0 + f % 16.0), Some(f), Some(m)],
+            )
+        })
+        .collect()
+}
+
+proptest! {
+    /// Log-panel values on, just beside and at the ends of the guard
+    /// band of every bin edge, and at the clamp: the fused scan bins
+    /// them as the `log10` formula does. `any::<f64>()` essentially
+    /// never lands this close to an edge.
+    #[test]
+    fn log_panel_edges_bin_like_the_baseline(
+        min_exp in -12.0f64..6.0,
+        decades in 0.0f64..14.0,
+        picks in edge_picks(0..69),
+    ) {
+        assert_fig4_eq(&edge_rows(min_exp, decades, &picks));
+    }
+
+    /// The same over tables past one null-bitset word.
+    #[test]
+    fn log_panel_edges_bin_like_the_baseline_past_one_word(
+        min_exp in -12.0f64..6.0,
+        decades in 0.0f64..14.0,
+        picks in edge_picks(63..200),
+    ) {
+        assert_fig4_eq(&edge_rows(min_exp, decades, &picks));
+    }
+}
+
 proptest! {
     /// Fused Fig. 4 == per-column baseline, bit for bit, over values
     /// including NaN/inf/Null.

@@ -427,23 +427,16 @@ impl SealedBlock {
         }
     }
 
-    /// Stream the block's non-empty hour cells with `h0 <= hour < h1`
-    /// to `f` as `(hour * ROLLUP_SECS, sum, n)`, in time order; cells
-    /// outside the range are skipped by index, not read.
-    fn for_each_cell_in(&self, h0: u64, h1: u64, mut f: impl FnMut(u64, f64, u32)) {
+    /// The block's hour cells with `h0 <= hour < h1`, as one run;
+    /// cells outside the range are skipped by index, not read.
+    fn hours_in(&self, h0: u64, h1: u64) -> HourCells<'_> {
         let first = self.min_t / ROLLUP_SECS;
         let skip = usize::try_from(h0.saturating_sub(first)).unwrap_or(usize::MAX);
         let end = usize::try_from(h1.saturating_sub(first)).unwrap_or(usize::MAX);
-        let hours = first.saturating_add(skip as u64)..;
-        let cells = self.cells().chunks_exact(CELL_BYTES).take(end).skip(skip);
-        for (hour, cell) in hours.zip(cells) {
-            let (sum, n) = cell.split_at(8);
-            if let (Ok(sum), Ok(n)) = (sum.try_into(), n.try_into()) {
-                let n = u16::from_le_bytes(n);
-                if n > 0 {
-                    f(hour * ROLLUP_SECS, f64::from_le_bytes(sum), u32::from(n));
-                }
-            }
+        let (cells, _) = self.cells().as_chunks::<CELL_BYTES>();
+        HourCells {
+            first_hour: first.saturating_add(skip as u64),
+            cells: cells.get(skip..end.min(cells.len())).unwrap_or(&[]),
         }
     }
 
@@ -583,6 +576,46 @@ fn push_rollup(cols: &mut Vec<u8>, ts: &[u64], vs: &[f64]) {
         n += 1;
     }
     push_cell(cols, sum, n);
+}
+
+/// One step of [`SeriesBlocks::for_each_partial_in`]: a point, or a
+/// whole run of hours a sealed block serves from its rollup.
+#[derive(Clone, Copy, Debug)]
+pub enum Partial<'a> {
+    /// One point `(t, v)`.
+    Point(u64, f64),
+    /// One sealed block's rollup cells for consecutive hours, clipped
+    /// to the window.
+    Hours(HourCells<'a>),
+}
+
+/// A run of rollup cells: `(sum, n)` for each hour in turn from
+/// [`HourCells::first_hour`] on, `(0.0, 0)` for an hour the block holds
+/// no point in.
+#[derive(Clone, Copy, Debug)]
+pub struct HourCells<'a> {
+    /// Absolute hour (`t / ROLLUP_SECS`) of the first cell.
+    pub first_hour: u64,
+    cells: &'a [[u8; CELL_BYTES]],
+}
+
+impl<'a> HourCells<'a> {
+    /// The cells' `(sum, n)`, one per hour.
+    pub fn iter(&self) -> impl Iterator<Item = (f64, u32)> + 'a {
+        self.cells
+            .iter()
+            .map(|&[s0, s1, s2, s3, s4, s5, s6, s7, n0, n1]| {
+                (
+                    f64::from_le_bytes([s0, s1, s2, s3, s4, s5, s6, s7]),
+                    u32::from(u16::from_le_bytes([n0, n1])),
+                )
+            })
+    }
+}
+
+/// Stack columns one block decodes into.
+fn zeroed_columns() -> ([u64; SEAL_THRESHOLD], [f64; SEAL_THRESHOLD]) {
+    ([0; SEAL_THRESHOLD], [0.0; SEAL_THRESHOLD])
 }
 
 /// Streaming decoder over one [`SealedBlock`].
@@ -866,31 +899,35 @@ impl SeriesBlocks {
     /// Stream every point with `t0 <= t < t1` to `f`, in timestamp
     /// order, without materializing an intermediate vector.
     pub fn for_each_in(&self, t0: u64, t1: u64, mut f: impl FnMut(u64, f64)) {
-        self.for_each_partial_in(t0, t1, false, |t, v, _| f(t, v));
+        self.for_each_partial_in(t0, t1, false, |p| {
+            if let Partial::Point(t, v) = p {
+                f(t, v);
+            }
+        });
     }
 
     /// [`SeriesBlocks::for_each_in`] for folds that only need sums and
     /// counts per whole hour: with `hourly` set, a sealed block that
     /// carries a rollup and holds no hour the window's edges cut
     /// through (`t0` hour-aligned; `t1` too, unless the block ends
-    /// before it) is served from its cells — one `(hour * ROLLUP_SECS,
-    /// sum, n)` per non-empty hour, nothing decoded — and every other
-    /// block and the head still stream `(t, v, 1)` per point. Time
+    /// before it) is handed over as one [`Partial::Hours`] run of its
+    /// cells in the window — nothing decoded — and every other block
+    /// and the head still stream one [`Partial::Point`] per point. Time
     /// order holds across both kinds.
     pub fn for_each_partial_in(
         &self,
         t0: u64,
         t1: u64,
         hourly: bool,
-        mut f: impl FnMut(u64, f64, u32),
+        mut f: impl FnMut(Partial<'_>),
     ) {
         if t1 <= t0 {
             return;
         }
         // Batch buffers: a whole block decodes into these stack
-        // columns, then the in-range subslice streams to `f`.
-        let mut ts_buf = [0u64; SEAL_THRESHOLD];
-        let mut vs_buf = [0f64; SEAL_THRESHOLD];
+        // columns, then the in-range subslice streams to `f`. They are
+        // zeroed on the first block that needs them, not per call.
+        let mut bufs = None;
         for block in &self.sealed {
             if block.max_t() < t0 {
                 continue;
@@ -899,16 +936,17 @@ impl SeriesBlocks {
                 break;
             }
             if let Some((h0, h1)) = block.cell_range(t0, t1).filter(|_| hourly) {
-                block.for_each_cell_in(h0, h1, &mut f);
+                f(Partial::Hours(block.hours_in(h0, h1)));
             } else if block.len() <= SEAL_THRESHOLD {
-                let n = block.decode_to_slices(&mut ts_buf, &mut vs_buf);
+                let (ts_buf, vs_buf) = bufs.get_or_insert_with(zeroed_columns);
+                let n = block.decode_to_slices(ts_buf, vs_buf);
                 let dec_t = ts_buf.get(..n).unwrap_or(&[]);
                 let dec_v = vs_buf.get(..n).unwrap_or(&[]);
                 let lo = dec_t.partition_point(|&t| t < t0);
                 let hi = dec_t.partition_point(|&t| t < t1);
                 let m = hi.saturating_sub(lo);
                 for (&t, &v) in dec_t.iter().skip(lo).zip(dec_v.iter().skip(lo)).take(m) {
-                    f(t, v, 1);
+                    f(Partial::Point(t, v));
                 }
             } else {
                 // Out-of-order merges can grow a block past the seal
@@ -919,7 +957,7 @@ impl SeriesBlocks {
                         break;
                     }
                     if t >= t0 {
-                        f(t, v, 1);
+                        f(Partial::Point(t, v));
                     }
                 }
             }
@@ -934,7 +972,7 @@ impl SeriesBlocks {
             .zip(self.head_v.iter().skip(lo))
             .take(n)
         {
-            f(t, v, 1);
+            f(Partial::Point(t, v));
         }
     }
 
@@ -1053,6 +1091,17 @@ mod tests {
         );
     }
 
+    /// The non-empty cells of `block` within hours `[h0, h1)`, as
+    /// `(hour * ROLLUP_SECS, sum, n)`.
+    fn cells_in(block: &SealedBlock, h0: u64, h1: u64) -> Vec<(u64, f64, u32)> {
+        let run = block.hours_in(h0, h1);
+        (run.first_hour..)
+            .zip(run.iter())
+            .filter(|(_, (_, n))| *n > 0)
+            .map(|(h, (sum, n))| (h * ROLLUP_SECS, sum, n))
+            .collect()
+    }
+
     #[test]
     fn rollup_rides_behind_the_columns() {
         // A full block at the paper's cadence touches 86 hours.
@@ -1067,8 +1116,7 @@ mod tests {
             block.encoded_bytes()
         );
         assert!(block.vs_col().ends_with(&[0u8; XOR_PAD]));
-        let mut cells = Vec::new();
-        block.for_each_cell_in(0, u64::MAX, |t, sum, n| cells.push((t, sum, n)));
+        let cells = cells_in(&block, 0, u64::MAX);
         assert_eq!(cells.len(), 86);
         assert_eq!(cells.iter().map(|c| c.2).sum::<u32>(), 512);
         // 1_450_000_000 is 2800 s past the hour: two samples land in
@@ -1076,8 +1124,10 @@ mod tests {
         assert_eq!(cells[0], (1_449_997_200, 0.0 + 1.0, 2));
         // Cells outside the asked hours are skipped by index.
         let h0 = 1_450_000_000 / ROLLUP_SECS + 10;
-        let mut some = Vec::new();
-        block.for_each_cell_in(h0, h0 + 3, |t, _, _| some.push(t / ROLLUP_SECS));
+        let some: Vec<u64> = cells_in(&block, h0, h0 + 3)
+            .iter()
+            .map(|c| c.0 / ROLLUP_SECS)
+            .collect();
         assert_eq!(some, vec![h0, h0 + 1, h0 + 2]);
     }
 
@@ -1209,8 +1259,10 @@ mod tests {
                     _ => want.push((hour, (0.0 + v).to_bits(), 1)),
                 }
             }
-            let mut got = Vec::new();
-            rebuilt.for_each_cell_in(0, u64::MAX, |t, sum, n| got.push((t, sum.to_bits(), n)));
+            let got: Vec<(u64, u64, u32)> = cells_in(&rebuilt, 0, u64::MAX)
+                .into_iter()
+                .map(|(t, sum, n)| (t, sum.to_bits(), n))
+                .collect();
             if block.rollup_bytes() > 0 {
                 prop_assert_eq!(got, want);
             } else {

@@ -24,7 +24,7 @@
 //! guarantee the monitoring pipeline needs (readers of a series see a
 //! prefix of it), for much better write concurrency.
 
-use crate::block::{SeriesBlocks, ROLLUP_SECS};
+use crate::block::{Partial, SeriesBlocks, ROLLUP_SECS};
 use crate::recover::{self, compact_shard, DurOptions, RecoveryReport};
 use crate::series::{SeriesKey, TagFilter};
 use crate::shard::{shard_of, Shard, ShardData, DEFAULT_SHARDS};
@@ -615,30 +615,55 @@ struct Window {
 /// Fold one shard's matching series into dense buckets (indices
 /// relative to `lo_b`): per point, or — for an hourly window — per
 /// rollup cell where a sealed block has one covering it, sums and
-/// counts only (nothing hourly reads the extrema).
+/// counts only (nothing hourly reads the extrema). Additions run in
+/// series → block → hour (or point) order.
+///
+/// No division per cell or point: a run of cells starts from its first
+/// hour's bucket and moves to the next bucket every `bucket_secs /
+/// ROLLUP_SECS` cells, and a point reuses the bucket `[lo, hi)` of the
+/// point before it unless it falls outside (a series' points rise in
+/// time, so that is once per bucket).
 fn fold_dense(data: &ShardData, filter: &TagFilter, w: &Window, dense: &mut [Acc]) {
-    let bucket = |t: u64| ((t - w.t0) / w.bucket_secs).saturating_sub(w.lo_b) as usize;
+    let hours_per_bucket = (w.bucket_secs / ROLLUP_SECS).max(1);
     for (key, series) in &data.series {
         if !filter.matches(key) {
             continue;
         }
-        if w.hourly {
-            series.for_each_partial_in(w.t0, w.t1, true, |t, sum, n| {
-                if let Some(e) = dense.get_mut(bucket(t)) {
-                    e.0 += sum;
-                    e.1 += n as usize;
+        let (mut lo, mut hi, mut b) = (u64::MAX, 0u64, 0usize);
+        series.for_each_partial_in(w.t0, w.t1, w.hourly, |p| match p {
+            Partial::Point(t, v) => {
+                if !(lo..hi).contains(&t) {
+                    let k = (t - w.t0) / w.bucket_secs;
+                    lo = w.t0 + k * w.bucket_secs;
+                    hi = lo.saturating_add(w.bucket_secs);
+                    b = k.saturating_sub(w.lo_b) as usize;
                 }
-            });
-        } else {
-            series.for_each_in(w.t0, w.t1, |t, v| {
-                if let Some(e) = dense.get_mut(bucket(t)) {
+                if let Some(e) = dense.get_mut(b) {
                     e.0 += v;
                     e.1 += 1;
                     e.2 = e.2.max(v);
                     e.3 = e.3.min(v);
                 }
-            });
-        }
+            }
+            Partial::Hours(run) => {
+                let from_t0 = run.first_hour - w.t0 / ROLLUP_SECS;
+                let mut b = (from_t0 / hours_per_bucket).saturating_sub(w.lo_b) as usize;
+                let mut left = hours_per_bucket - from_t0 % hours_per_bucket;
+                for (sum, n) in run.iter() {
+                    if n > 0 {
+                        if let Some(e) = dense.get_mut(b) {
+                            e.0 += sum;
+                            e.1 += n as usize;
+                        }
+                    }
+                    left -= 1;
+                    if left == 0 {
+                        b += 1;
+                        left = hours_per_bucket;
+                    }
+                }
+            }
+        });
     }
 }
 

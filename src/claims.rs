@@ -60,7 +60,7 @@ pub enum Band {
 
 impl Band {
     /// Whether `v` is inside the band (never for NaN).
-    pub fn holds(self, v: f64) -> bool {
+    fn holds(self, v: f64) -> bool {
         match self {
             Band::Within(lo, hi) => lo <= v && v < hi,
             Band::Above(x) => v > x,
