@@ -15,7 +15,9 @@
 //!   whole `TaccStatsd` collection into a transport that keeps nothing.
 //! * `collect.consumer_poll` (`fleet_clean`): `consume` is
 //!   `codec::decode_into` against a warm schema cache into reused
-//!   storage, then the sample's wire bytes sliced for the archive.
+//!   storage, then the sample's wire bytes sliced for the archive;
+//!   `empty_poll` is one `StatsConsumer::poll_with` on an empty queue,
+//!   the poll that ends every drain.
 //! * `portal.fig4` and `portal.search` (`portal_read`):
 //!   `fused_search_fig4` is a search plus all four Fig. 4 panels;
 //!   `query_cache.*` cold misses and warm hits through `QueryCache`,
@@ -28,10 +30,11 @@
 //!   workload's store of about 5,800 series, per point; its batches
 //!   span a whole seal cycle, so seals are in the figure.
 //!
-//! Three hard bars: `sample_into` at most 26 µs and 0 allocations, a
+//! Four hard bars: `sample_into` at most 26 µs and 0 allocations, a
 //! `TaccStatsd` collection at most 2 allocations (the shared `Bytes`
-//! handed to the transport: its buffer and its reference count), and a
-//! warm `decode_into` 0. The other allocation bars of these paths are
+//! handed to the transport: its buffer and its reference count), a
+//! warm `decode_into` 0, and an empty poll at most 1 µs and 0
+//! allocations. The other allocation bars of these paths are
 //! tier-1 tests (`tests/alloc_invariants.rs`).
 //!
 //! A "before" column is a constant frozen from the record that last
@@ -44,9 +47,13 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
+use tacc_broker::Broker;
+use tacc_collect::archive::Archive;
 use tacc_collect::codec;
 use tacc_collect::collectors::{PsCollector, Scratch};
+use tacc_collect::consumer::StatsConsumer;
 use tacc_collect::daemon::{Publisher, TaccStatsd};
 use tacc_collect::discovery::{discover, BuildOptions};
 use tacc_collect::engine::Sampler;
@@ -106,6 +113,10 @@ const COLLECT_RENDER_BEFORE: Frozen = ("de09b7a", (10_200.0, 0.0));
 /// `parse_bytes` (24.0 µs, 27 allocations) plus `render_sample_into`
 /// (5.3 µs, 0).
 const CONSUME_BEFORE: Frozen = ("2443759", (29_300.0, 27.0));
+/// An empty poll when the broker's `get` waited on a condition variable
+/// even with a zero timeout, sleeping the kernel's timer slack: this
+/// case built against that commit, the fastest of five runs.
+const EMPTY_POLL_BEFORE: Frozen = ("d00aa8b", (55_045.0, 0.0));
 /// Search + Fig. 4 through the pre-fused pipeline — filter scan,
 /// re-sort, four `column()` → `Histogram::build` passes — on the
 /// 5,000-job fixture.
@@ -124,6 +135,8 @@ const INSERT_BEFORE: Frozen = ("7b7854b", (522.2, 0.0));
 
 /// Hard bar on `collect`, hot.
 const COLLECT_BAR_NS: f64 = 26_000.0;
+/// Hard bar on an empty poll: a pop under an uncontended lock.
+const EMPTY_POLL_BAR_NS: f64 = 1_000.0;
 
 /// Fastest batch's ns per op over `batches` batches of `iters` calls,
 /// after five warm-up calls — preemption only ever inflates a batch, so
@@ -425,6 +438,18 @@ fn collect_rows() -> Vec<Row> {
         envelope.hostname
     });
     assert_eq!(consume.1, 0.0, "a warm decode_into must not allocate");
+    // An empty poll: a declared queue with nothing on it.
+    let broker = Broker::new();
+    broker.declare("stats");
+    let mut consumer =
+        StatsConsumer::new(&broker, "stats", Arc::new(Archive::new())).expect("declared");
+    let empty_poll = measure(BATCHES, ITERS, || consumer.poll_with(now, |_, _| {}));
+    assert_eq!(empty_poll.1, 0.0, "an empty poll must not allocate");
+    assert!(
+        empty_poll.0 <= EMPTY_POLL_BAR_NS,
+        "an empty poll took {:.0} ns, bar {EMPTY_POLL_BAR_NS:.0}",
+        empty_poll.0
+    );
 
     vec![
         Row {
@@ -450,11 +475,16 @@ fn collect_rows() -> Vec<Row> {
         Row {
             name: "collect.consumer_poll",
             fixture: format!(
-                "one {}-byte message of one stampede node, decode_into with a warm SchemaCache \
-                 into a reused Decoded plus the span slice. Bar: 0 allocs",
+                "consume: one {}-byte message of one stampede node, decode_into with a warm \
+                 SchemaCache into a reused Decoded plus the span slice; empty_poll: \
+                 StatsConsumer::poll_with on a declared, empty queue. Bars: consume 0 allocs, \
+                 empty_poll <= {EMPTY_POLL_BAR_NS:.0} ns and 0 allocs",
                 payload.len()
             ),
-            cases: vec![("consume", consume, Some(CONSUME_BEFORE))],
+            cases: vec![
+                ("consume", consume, Some(CONSUME_BEFORE)),
+                ("empty_poll", empty_poll, Some(EMPTY_POLL_BEFORE)),
+            ],
         },
     ]
 }

@@ -15,20 +15,18 @@
 //! * pull-based consumers with acknowledgement and redelivery
 //!   ([`Consumer::get`], [`Consumer::ack`]) — an unacked message is
 //!   returned to the queue when its consumer disconnects,
-//! * depth/throughput statistics ([`Broker::stats`]),
-//! * an optional real TCP transport ([`tcp::BrokerServer`],
-//!   [`tcp::BrokerClient`]) with a length-prefixed frame protocol, so the
-//!   daemon-mode demo can actually cross a socket.
+//! * depth/throughput statistics ([`Broker::stats`]).
 //!
-//! The in-process transport is the default for simulations (fast,
-//! deterministic); the TCP transport exists to prove the network path
-//! works end-to-end.
+//! Everything is in process, and a poll never blocks: the system runs on
+//! simulated time, so [`Consumer::get`] is one pop under the queue lock.
+//! Network faults between daemon and broker are injected on the
+//! publishing side (`core::Pipeline`'s chaos publisher, driven by a
+//! `FaultPlan`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod queue;
 mod sync;
-pub mod tcp;
 
 pub use crate::queue::{Broker, BrokerStats, Consumer, Delivery, QueueLag, QueueStats, ShedPolicy};

@@ -1,10 +1,9 @@
 //! In-process broker core: queues, publish, consume, ack, redelivery.
 
-use crate::sync::{AtomicBool, Condvar, Mutex, Ordering};
+use crate::sync::{AtomicBool, Mutex, Ordering};
 use bytes::Bytes;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
-use std::time::Duration;
 use tacc_simnode::intern::Sym;
 
 /// A message delivered to a consumer. Must be [`Consumer::ack`]ed, or it
@@ -68,7 +67,6 @@ struct QueueInner {
 #[derive(Debug, Default)]
 struct Queue {
     inner: Mutex<QueueInner>,
-    nonempty: Condvar,
 }
 
 /// Counters for one queue.
@@ -134,13 +132,6 @@ pub struct BrokerStats {
     pub queues: HashMap<String, QueueStats>,
 }
 
-impl BrokerStats {
-    /// Total acked across all queues.
-    pub fn total_acked(&self) -> u64 {
-        self.queues.values().map(|q| q.acked).sum()
-    }
-}
-
 #[derive(Default)]
 struct BrokerInner {
     queues: HashMap<String, Arc<Queue>>,
@@ -152,13 +143,12 @@ struct BrokerInner {
 /// ```
 /// use tacc_broker::Broker;
 /// use bytes::Bytes;
-/// use std::time::Duration;
 ///
 /// let broker = Broker::new();
 /// broker.declare("stats");
 /// broker.publish("stats", "c401-0001", Bytes::from_static(b"sample"));
 /// let consumer = broker.consume("stats").unwrap();
-/// let d = consumer.get(Duration::from_millis(10)).unwrap();
+/// let d = consumer.get().unwrap();
 /// assert_eq!(&d.payload[..], b"sample");
 /// assert!(consumer.ack(d.tag));
 /// ```
@@ -252,8 +242,6 @@ impl Broker {
             payload,
             redelivered: false,
         });
-        drop(inner);
-        q.nonempty.notify_one();
         true
     }
 
@@ -279,20 +267,11 @@ impl Broker {
     /// not a data-loss event). Idempotent.
     pub fn stop(&self) {
         self.stopped.store(true, Ordering::Release);
-        // Wake blocked getters so they observe the outage promptly.
-        let reg = self.registry.lock();
-        for q in reg.queues.values() {
-            q.nonempty.notify_all();
-        }
     }
 
     /// Bring the broker back up after [`Broker::stop`]. Idempotent.
     pub fn restart(&self) {
         self.stopped.store(false, Ordering::Release);
-        let reg = self.registry.lock();
-        for q in reg.queues.values() {
-            q.nonempty.notify_all();
-        }
     }
 
     /// Is the broker currently stopped?
@@ -362,39 +341,23 @@ pub struct Consumer {
 }
 
 impl Consumer {
-    /// Pop the next message, blocking up to `timeout`. `None` on timeout
-    /// or while the broker is stopped (messages are retained for after
-    /// the restart).
-    pub fn get(&self, timeout: Duration) -> Option<Delivery> {
+    /// Pop the next message. `None` when the queue is empty or the
+    /// broker is stopped (messages are retained for after the restart).
+    ///
+    /// Never blocks: every caller polls on simulated time, where there
+    /// is nothing to wait for. A zero-timeout wait on a condition
+    /// variable would still sleep the kernel's timer slack (≈ 50 µs on
+    /// Linux), and a condition variable would cost every publish a
+    /// wake-up syscall.
+    pub fn get(&self) -> Option<Delivery> {
         if self.stopped.load(Ordering::Acquire) {
             return None;
         }
         let mut inner = self.queue.inner.lock();
-        if inner.ready.is_empty() {
-            let deadline = std::time::Instant::now() + timeout;
-            while inner.ready.is_empty() && !self.stopped.load(Ordering::Acquire) {
-                if self
-                    .queue
-                    .nonempty
-                    .wait_until(&mut inner, deadline)
-                    .timed_out()
-                {
-                    break;
-                }
-            }
-        }
-        if self.stopped.load(Ordering::Acquire) {
-            return None;
-        }
         let d = inner.ready.pop_front()?;
         inner.delivered += 1;
         inner.unacked.insert(d.tag, (self.id, d.clone()));
         Some(d)
-    }
-
-    /// Pop without blocking.
-    pub fn try_get(&self) -> Option<Delivery> {
-        self.get(Duration::from_millis(0))
     }
 
     /// Acknowledge a delivery. Returns `false` for unknown tags (already
@@ -419,8 +382,6 @@ impl Consumer {
                 d.redelivered = true;
                 inner.redelivered += 1;
                 inner.ready.push_front(d);
-                drop(inner);
-                self.queue.nonempty.notify_one();
                 true
             }
             Some(entry) => {
@@ -457,15 +418,12 @@ impl Drop for Consumer {
         for d in msgs.into_iter().rev() {
             inner.ready.push_front(d);
         }
-        drop(inner);
-        self.queue.nonempty.notify_all();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::thread;
 
     fn payload(s: &str) -> Bytes {
         Bytes::copy_from_slice(s.as_bytes())
@@ -488,13 +446,13 @@ mod tests {
         }
         let c = b.consume("q").unwrap();
         for i in 0..5 {
-            let d = c.try_get().unwrap();
+            let d = c.get().unwrap();
             assert_eq!(d.payload, payload(&format!("m{i}")));
             assert!(!d.redelivered);
             assert!(c.ack(d.tag));
             assert!(!c.ack(d.tag), "double ack must fail");
         }
-        assert!(c.try_get().is_none());
+        assert!(c.get().is_none());
         let s = b.stats();
         let q = &s.queues["q"];
         assert_eq!((q.published, q.delivered, q.acked), (5, 5, 5));
@@ -511,15 +469,15 @@ mod tests {
         }
         {
             let c = b.consume("q").unwrap();
-            let d0 = c.try_get().unwrap();
-            let _d1 = c.try_get().unwrap(); // never acked
-            let _d2 = c.try_get().unwrap(); // never acked
+            let d0 = c.get().unwrap();
+            let _d1 = c.get().unwrap(); // never acked
+            let _d2 = c.get().unwrap(); // never acked
             c.ack(d0.tag);
             // c dropped here with 2 unacked.
         }
         let c2 = b.consume("q").unwrap();
-        let r1 = c2.try_get().unwrap();
-        let r2 = c2.try_get().unwrap();
+        let r1 = c2.get().unwrap();
+        let r2 = c2.get().unwrap();
         assert!(r1.redelivered && r2.redelivered);
         assert_eq!(r1.payload, payload("m1"));
         assert_eq!(r2.payload, payload("m2"));
@@ -533,36 +491,11 @@ mod tests {
         b.publish("q", "n", payload("a"));
         b.publish("q", "n", payload("b"));
         let c = b.consume("q").unwrap();
-        let d = c.try_get().unwrap();
+        let d = c.get().unwrap();
         assert!(c.nack(d.tag));
-        let again = c.try_get().unwrap();
+        let again = c.get().unwrap();
         assert_eq!(again.payload, payload("a"));
         assert!(again.redelivered);
-    }
-
-    #[test]
-    fn blocking_get_wakes_on_publish() {
-        let b = Broker::new();
-        b.declare("q");
-        let c = b.consume("q").unwrap();
-        let b2 = b.clone();
-        let t = thread::spawn(move || {
-            thread::sleep(Duration::from_millis(30));
-            b2.publish("q", "n", payload("late"));
-        });
-        let d = c.get(Duration::from_secs(5)).expect("should wake");
-        assert_eq!(d.payload, payload("late"));
-        t.join().unwrap();
-    }
-
-    #[test]
-    fn get_times_out_on_empty_queue() {
-        let b = Broker::new();
-        b.declare("q");
-        let c = b.consume("q").unwrap();
-        let start = std::time::Instant::now();
-        assert!(c.get(Duration::from_millis(20)).is_none());
-        assert!(start.elapsed() >= Duration::from_millis(15));
     }
 
     #[test]
@@ -585,7 +518,7 @@ mod tests {
         let c = b.consume("q").unwrap();
         let mut seen = 0;
         let mut per_key: HashMap<Sym, Vec<u32>> = HashMap::new();
-        while let Some(d) = c.try_get() {
+        while let Some(d) = c.get() {
             let body = String::from_utf8(d.payload.to_vec()).unwrap();
             let (_, i) = body.split_once(':').unwrap();
             per_key
@@ -611,37 +544,18 @@ mod tests {
         b.stop();
         assert!(b.is_stopped());
         assert!(!b.publish("q", "n", payload("during")), "publish must fail");
-        assert!(c.try_get().is_none(), "no deliveries during outage");
+        assert!(c.get().is_none(), "no deliveries during outage");
         b.stop(); // idempotent
         b.restart();
         b.restart(); // idempotent
                      // Pre-outage contents survived; publishes work again.
-        let d = c.try_get().unwrap();
+        let d = c.get().unwrap();
         assert_eq!(d.payload, payload("before"));
         assert!(c.ack(d.tag));
         assert!(b.publish("q", "n", payload("after")));
         assert_eq!(b.depth("q"), 1);
         let q = &b.stats().queues["q"];
         assert_eq!(q.published, 2, "rejected publish must not be counted");
-    }
-
-    #[test]
-    fn stop_wakes_blocked_getters() {
-        let b = Broker::new();
-        b.declare("q");
-        let c = b.consume("q").unwrap();
-        let b2 = b.clone();
-        let t = thread::spawn(move || {
-            thread::sleep(Duration::from_millis(30));
-            b2.stop();
-        });
-        let start = std::time::Instant::now();
-        assert!(c.get(Duration::from_secs(5)).is_none());
-        assert!(
-            start.elapsed() < Duration::from_secs(4),
-            "stop must wake the waiter"
-        );
-        t.join().unwrap();
     }
 
     #[test]
@@ -664,7 +578,7 @@ mod tests {
         // The survivors are the *newest* three, still in order.
         let c = b.consume("q").unwrap();
         for i in 2..5 {
-            assert_eq!(c.try_get().unwrap().payload, payload(&format!("m{i}")));
+            assert_eq!(c.get().unwrap().payload, payload(&format!("m{i}")));
         }
     }
 
@@ -680,7 +594,7 @@ mod tests {
         assert_eq!(q.capacity, 2);
         // Draining frees capacity again.
         let c = b.consume("q").unwrap();
-        let d = c.try_get().unwrap();
+        let d = c.get().unwrap();
         assert!(c.ack(d.tag));
         assert!(b.publish("q", "n", payload("c2")));
     }
@@ -691,7 +605,7 @@ mod tests {
         b.declare_bounded("q", 1, ShedPolicy::RejectNewest);
         assert!(b.publish("q", "n", payload("a")));
         let c = b.consume("q").unwrap();
-        let d = c.try_get().unwrap();
+        let d = c.get().unwrap();
         // Queue is at depth 0 now; fill it back to capacity.
         assert!(b.publish("q", "n", payload("b")));
         // Nack must requeue even though ready is at capacity — admission
@@ -722,7 +636,7 @@ mod tests {
         assert!(!b.lag("u").unwrap().high());
         // In-flight messages count toward lag but not toward capacity.
         let c = b.consume("q").unwrap();
-        let _d = c.try_get().unwrap();
+        let _d = c.get().unwrap();
         let lag = b.lag("q").unwrap();
         assert_eq!((lag.depth, lag.in_flight), (2, 1));
     }
@@ -757,9 +671,9 @@ mod tests {
         let c1 = b.consume("q").unwrap();
         let c2 = b.consume("q").unwrap();
         let mut got = 0;
-        while c1.try_get().map(|d| c1.ack(d.tag)).is_some() {
+        while c1.get().map(|d| c1.ack(d.tag)).is_some() {
             got += 1;
-            if let Some(d) = c2.try_get() {
+            if let Some(d) = c2.get() {
                 c2.ack(d.tag);
                 got += 1;
             }
@@ -767,7 +681,7 @@ mod tests {
         assert_eq!(got, 10);
         // c2 cannot ack a tag delivered to c1 (simulated cross-ack).
         b.publish("q", "n", payload("x"));
-        let d = c1.try_get().unwrap();
+        let d = c1.get().unwrap();
         assert!(!c2.ack(d.tag));
         assert!(c1.ack(d.tag));
     }

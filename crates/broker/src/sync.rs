@@ -11,9 +11,9 @@
 #[cfg(loom)]
 pub(crate) use loom::sync::atomic::{AtomicBool, Ordering};
 #[cfg(loom)]
-pub(crate) use loom::sync::{Condvar, Mutex};
+pub(crate) use loom::sync::Mutex;
 
 #[cfg(not(loom))]
-pub(crate) use parking_lot::{Condvar, Mutex};
+pub(crate) use parking_lot::Mutex;
 #[cfg(not(loom))]
 pub(crate) use std::sync::atomic::{AtomicBool, Ordering};

@@ -10,12 +10,16 @@
 //!
 //! Under `--cfg loom` the broker's sync layer (`crate::sync`) swaps
 //! `parking_lot`/`std` primitives for the `loom` stand-in's
-//! instrumented versions: every lock acquire, atomic access, and
-//! condvar notify becomes a scheduler-perturbation point, and
+//! instrumented versions: every lock acquire and atomic access becomes
+//! a scheduler-perturbation point, and
 //! `loom::model` re-runs each closure under `LOOM_ITERS` (default 200)
 //! distinct randomized schedules. The invariants below must hold on
 //! every explored schedule. Without `--cfg loom` this file compiles to
 //! nothing, so plain `cargo test` is unaffected.
+//!
+//! `Consumer::get` never blocks, so a model that waits for a message
+//! polls `get()` and yields between empty polls, under a wall-clock
+//! deadline.
 
 #![cfg(loom)]
 
@@ -50,9 +54,12 @@ fn concurrent_publish_conserves_messages() {
         let mut payloads: BTreeSet<Vec<u8>> = BTreeSet::new();
         let deadline = Instant::now() + Duration::from_secs(5);
         while payloads.len() < 4 && Instant::now() < deadline {
-            if let Some(d) = consumer.get(Duration::from_millis(20)) {
-                assert!(consumer.ack(d.tag));
-                payloads.insert(d.payload.to_vec());
+            match consumer.get() {
+                Some(d) => {
+                    assert!(consumer.ack(d.tag));
+                    payloads.insert(d.payload.to_vec());
+                }
+                None => thread::yield_now(),
             }
         }
         t1.join().expect("producer 1");
@@ -84,18 +91,21 @@ fn consumer_crash_redelivers_without_loss() {
             let doomed = bc.consume("stats").expect("queue declared");
             // Take up to two deliveries and never ack them; dropping
             // the consumer is the crash.
-            let _held = (doomed.try_get(), doomed.try_get());
+            let _held = (doomed.get(), doomed.get());
         });
         let survivor = broker.consume("stats").expect("queue declared");
         let mut seen: BTreeSet<Vec<u8>> = BTreeSet::new();
         let deadline = Instant::now() + Duration::from_secs(5);
         while seen.len() < 3 && Instant::now() < deadline {
-            if let Some(d) = survivor.get(Duration::from_millis(10)) {
-                assert!(survivor.ack(d.tag));
-                assert!(
-                    seen.insert(d.payload.to_vec()),
-                    "no payload delivered twice here"
-                );
+            match survivor.get() {
+                Some(d) => {
+                    assert!(survivor.ack(d.tag));
+                    assert!(
+                        seen.insert(d.payload.to_vec()),
+                        "no payload delivered twice here"
+                    );
+                }
+                None => thread::yield_now(),
             }
         }
         crasher.join().expect("crasher join");
@@ -173,7 +183,7 @@ fn spool_handoff_survives_broker_outage() {
         // the per-host sequence numbering.
         let consumer = broker.consume("stats").expect("queue declared");
         let mut seqs = Vec::new();
-        while let Some(d) = consumer.try_get() {
+        while let Some(d) = consumer.get() {
             let text = String::from_utf8(d.payload.to_vec()).expect("utf8 payload");
             seqs.push(text.parse::<u64>().expect("numeric payload"));
             assert!(consumer.ack(d.tag));
@@ -182,7 +192,7 @@ fn spool_handoff_survives_broker_outage() {
     });
 }
 
-/// stop() racing a blocked `get` never strands a message: the getter
+/// stop() racing a `get` never strands a message: the getter
 /// either received the delivery before the outage or the message is
 /// still queued (and deliverable) after restart.
 #[test]
@@ -196,7 +206,7 @@ fn stop_never_strands_a_delivery() {
         let stopper = thread::spawn(move || {
             bs.stop();
         });
-        let got = consumer.get(Duration::from_millis(20));
+        let got = consumer.get();
         stopper.join().expect("stopper join");
         broker.restart();
         match got {
@@ -207,9 +217,7 @@ fn stop_never_strands_a_delivery() {
             }
             None => {
                 // The outage won the race; the message is intact.
-                let d = consumer
-                    .get(Duration::from_millis(100))
-                    .expect("message survives the outage");
+                let d = consumer.get().expect("message survives the outage");
                 assert_eq!(&d.payload[..], b"sample");
                 assert!(consumer.ack(d.tag));
             }
@@ -236,7 +244,7 @@ fn shared_broker_clone_counts_once() {
         t.join().expect("join");
         assert_eq!(broker.depth("stats"), 1);
         let consumer = broker.consume("stats").expect("queue declared");
-        let d = consumer.get(Duration::from_millis(50)).expect("delivery");
+        let d = consumer.get().expect("delivery");
         assert!(consumer.ack(d.tag));
     });
 }

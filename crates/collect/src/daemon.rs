@@ -362,7 +362,6 @@ mod tests {
     use super::*;
     use crate::discovery::{discover, BuildOptions};
     use crate::record::RawFile;
-    use std::time::Duration;
     use tacc_simnode::topology::NodeTopology;
     use tacc_simnode::SimNode;
 
@@ -398,7 +397,7 @@ mod tests {
         // monotonically increasing sequence numbers.
         let c = broker.consume("stats").unwrap();
         for want_seq in 0..4u64 {
-            let msg = c.get(Duration::from_millis(10)).unwrap();
+            let msg = c.get().unwrap();
             let rf = RawFile::parse(std::str::from_utf8(&msg.payload).unwrap()).unwrap();
             assert_eq!(rf.header.hostname, "c401-0001");
             assert_eq!(rf.seq, Some(want_seq));
@@ -434,7 +433,7 @@ mod tests {
         assert_eq!(d.published, 2, "spooled + new interval sample");
         assert!(d.spool().is_empty());
         let c = broker.consume("stats").unwrap();
-        let first = c.get(Duration::from_millis(10)).unwrap();
+        let first = c.get().unwrap();
         let rf = RawFile::parse(std::str::from_utf8(&first.payload).unwrap()).unwrap();
         assert_eq!(
             rf.seq,
@@ -590,12 +589,12 @@ mod tests {
             );
         }
         let c = broker.consume("stats").unwrap();
-        let m1 = c.get(Duration::from_millis(10)).unwrap();
+        let m1 = c.get().unwrap();
         let rf1 = RawFile::parse(std::str::from_utf8(&m1.payload).unwrap()).unwrap();
         // First collection caught the live process.
         assert_eq!(rf1.samples[0].processes.len(), 1);
         assert!(rf1.samples[0].marks[0].starts_with("procstart"));
-        let m2 = c.get(Duration::from_millis(10)).unwrap();
+        let m2 = c.get().unwrap();
         let rf2 = RawFile::parse(std::str::from_utf8(&m2.payload).unwrap()).unwrap();
         assert!(rf2.samples[0].marks[0].starts_with("procend"));
     }

@@ -988,7 +988,7 @@ proptest! {
             got[0].extend(consumers[0].poll_once(now, Duration::ZERO));
         }
         while broker.depth("with") > 0 {
-            consumers[1].poll_with(now, Duration::ZERO, |h, s| got[1].push((h, s.clone())));
+            consumers[1].poll_with(now, |h, s| got[1].push((h, s.clone())));
         }
         while broker.depth("drain") > 0 {
             got[2].extend(consumers[2].drain(now));
@@ -1033,10 +1033,10 @@ proptest! {
             }
             let dlq = broker.consume(&format!("{q}.dead")).unwrap();
             for want in &reference.dead {
-                let d = dlq.try_get().expect("a dead letter per reject");
+                let d = dlq.get().expect("a dead letter per reject");
                 prop_assert_eq!(&d.payload[..], &want[..], "{}", q);
             }
-            prop_assert!(dlq.try_get().is_none());
+            prop_assert!(dlq.get().is_none());
         }
     }
 }
@@ -1062,7 +1062,7 @@ fn steady_state(n: u64) -> (StatsConsumer, Broker) {
     // Warm up: the header-once appends, the schema block, the dedup
     // bitmaps and the reused Sample reach their steady state.
     for _ in 0..8 {
-        assert!(consumer.poll_with(SimTime::from_secs(1_443_700_000), Duration::ZERO, |_, _| {}));
+        assert!(consumer.poll_with(SimTime::from_secs(1_443_700_000), |_, _| {}));
     }
     (consumer, broker)
 }
@@ -1079,7 +1079,7 @@ fn steady_state_polls_do_not_allocate() {
     let (mut clean, mut worst) = (0, 0);
     for _ in 0..N {
         let before = allocs();
-        assert!(consumer.poll_with(now, Duration::ZERO, |_, s| devices += s.devices.len()));
+        assert!(consumer.poll_with(now, |_, s| devices += s.devices.len()));
         let n = allocs() - before;
         clean += u64::from(n == 0);
         worst = worst.max(n);

@@ -26,7 +26,6 @@ use crate::config::{Mode, SystemConfig};
 use bytes::Bytes;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
-use std::time::Duration;
 use tacc_broker::Broker;
 use tacc_collect::consumer::StatsConsumer;
 use tacc_collect::cron::{CronCollector, CronConfig};
@@ -484,7 +483,7 @@ impl Pipeline {
         // Each sample is lent from the consumer's own storage: nothing is
         // collected into a Vec first.
         while n < max_msgs
-            && consumer.poll_with(now, Duration::ZERO, |host, sample| {
+            && consumer.poll_with(now, |host, sample| {
                 let Some((i, header)) = index.get(&host).map(|&i| (i, &headers[i])) else {
                     return;
                 };

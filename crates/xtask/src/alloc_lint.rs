@@ -2,11 +2,11 @@
 //!
 //! The steady-state pipeline runs at **0 allocs/op**: the byte codec
 //! (`collect::codec`), the columnar block codec and shard read path
-//! (`tsdb::block`, `tsdb::shard`), the WAL frame scan and segment codec
-//! (`tsdb::wal`, `tsdb::segment`, `tsdb::vfs`), and broker framing
-//! (`broker::tcp`). An allocation that creeps into one of those modules
-//! silently converts a measured invariant into a regression that is
-//! only caught later, on a loaded machine. This pass deny-lists those
+//! (`tsdb::block`, `tsdb::shard`), and the WAL frame scan and segment
+//! codec (`tsdb::wal`, `tsdb::segment`, `tsdb::vfs`). An allocation
+//! that creeps into one of those modules silently converts a measured
+//! invariant into a regression that is only caught later, on a loaded
+//! machine. This pass deny-lists those
 //! modules and flags allocation *constructs* syntactically —
 //! constructor paths (`Vec::new`, `String::from`, `Box::new`, …),
 //! allocating method calls (`.clone()`, `.collect()`, `.to_vec()`, …),
@@ -69,7 +69,6 @@ pub const SCOPE: &[&str] = &[
     "crates/simnode/src/mem.rs",
     "crates/simnode/src/node.rs",
     "crates/simnode/src/pseudofs.rs",
-    "crates/broker/src/tcp.rs",
     "crates/tsdb/src/block.rs",
     "crates/tsdb/src/shard.rs",
     "crates/tsdb/src/wal.rs",

@@ -2,11 +2,15 @@
 //!
 //! ```text
 //! cargo xtask lint [--json <path>] [--fix-ratchet]
+//! cargo xtask lint --report
 //! ```
 //!
 //! `--json` writes the machine-readable `LintReport` (the CI
 //! artifact); `--fix-ratchet` first rewrites the allowlists down to
-//! current finding counts (never up), then lints.
+//! current finding counts (never up), then lints. `--report` runs no
+//! pass: it prints the dead-surface module listing (crate modules
+//! whose only users outside their crate are examples, tests or
+//! benches) and exits successfully whatever it lists.
 
 use std::process::ExitCode;
 
@@ -35,8 +39,12 @@ fn lint(flags: &[String]) -> ExitCode {
                 }
             },
             "--fix-ratchet" => fix_ratchet = true,
+            "--report" if flags.len() == 1 => return module_report(),
             other => {
-                eprintln!("unknown lint flag `{other}`; available: --json <path>, --fix-ratchet");
+                eprintln!(
+                    "unknown lint flag `{other}`; available: --json <path>, --fix-ratchet, \
+                     or --report alone"
+                );
                 return ExitCode::FAILURE;
             }
         }
@@ -83,4 +91,23 @@ fn lint(flags: &[String]) -> ExitCode {
         eprintln!("xtask lint: {} violation(s)", violations.len());
         ExitCode::FAILURE
     }
+}
+
+fn module_report() -> ExitCode {
+    let report = match xtask::dead_surface::module_report(&xtask::workspace_root()) {
+        Ok(r) => r,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    println!(
+        "dead-surface report: {} module(s) whose only users outside their crate are \
+         examples, tests or benches",
+        report.len()
+    );
+    for (module, users) in report {
+        println!("  {module}: {}", users.join(", "));
+    }
+    ExitCode::SUCCESS
 }

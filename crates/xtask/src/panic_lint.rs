@@ -18,8 +18,8 @@
 //!
 //! A hard deny-list covers the modules the pipeline's delivery
 //! guarantees depend on — `collect::daemon`, `collect::spool`,
-//! `broker::queue`, plus the transport endpoints `broker::tcp` and
-//! `collect::consumer`, and the shared data-representation layer every
+//! `broker::queue`, plus the consumer endpoint `collect::consumer`,
+//! and the shared data-representation layer every
 //! sample now rides: the interner (`simnode::intern`), the byte codec
 //! (`collect::codec`), and the columnar block codec every stored point
 //! round-trips through (`tsdb::block`) — with the tokenizer and the
@@ -76,7 +76,6 @@ pub const DENY: &[&str] = &[
     "crates/collect/src/codec.rs",
     "crates/collect/src/tokens.rs",
     "crates/broker/src/queue.rs",
-    "crates/broker/src/tcp.rs",
     "crates/simnode/src/intern.rs",
     "crates/simnode/src/digits.rs",
     "crates/simnode/src/pool.rs",

@@ -130,7 +130,7 @@ pub fn fix_ratchets(root: &Path) -> Result<Vec<String>, String> {
             "# Panic-lint ratchet: `<path> <kind> <count>`. Counts only shrink;\n\
              # regenerate with `cargo xtask lint --fix-ratchet` after cleanups.\n\
              # Kinds: unwrap | expect | panic | indexing. The delivery-critical\n\
-             # modules (collect::{daemon,spool,consumer,codec}, broker::{queue,tcp},\n\
+             # modules (collect::{daemon,spool,consumer,codec}, broker::queue,\n\
              # the interner, tsdb::{block,shard}, the worker pool) are deny-listed\n\
              # by the lint itself and may never appear here. Every allowance below\n\
              # is simulator-internal (crates/simnode): constructor contract asserts\n\

@@ -447,6 +447,96 @@ fn restricted_and_test_only_items_are_left_to_rustc() {
     assert!(v.is_empty(), "{v:?}");
 }
 
+// Pass 6's `--report`: modules only examples and tests reach.
+
+/// Write `files` into a fresh mini-workspace and return the module
+/// report over it.
+fn module_report_on(tag: &str, files: &[(&str, &str)]) -> Vec<(String, Vec<String>)> {
+    let root =
+        std::env::temp_dir().join(format!("xtask-module-report-{}-{tag}", std::process::id()));
+    let _ = fs::remove_dir_all(&root);
+    for (rel, text) in files {
+        let path = root.join(rel);
+        fs::create_dir_all(path.parent().expect("file has a parent")).expect("mkdir");
+        fs::write(&path, text).expect("write fixture");
+    }
+    let result = dead_surface::module_report(&root);
+    fs::remove_dir_all(&root).ok();
+    result.expect("report runs")
+}
+
+const BROKER_LIB: &str = "mod queue;\npub mod tcp;\n\npub use queue::{Broker, Consumer};\n";
+
+#[test]
+fn a_module_only_an_example_reaches_is_listed() {
+    let r = module_report_on(
+        "example",
+        &[
+            ("crates/broker/src/lib.rs", BROKER_LIB),
+            (
+                "examples/demo.rs",
+                "use tacc_stats::broker::tcp::{BrokerClient, BrokerServer};\nuse tacc_stats::broker::Broker;\n",
+            ),
+            ("tests/net.rs", "fn f() {\n    tacc_broker::tcp::BrokerServer::start();\n}\n"),
+            // A root re-export is a use of the module it comes from.
+            ("benchmark/src/fleet.rs", "use tacc_broker::{Broker, QueueStats};\n"),
+        ],
+    );
+    assert_eq!(
+        r,
+        vec![(
+            "broker::tcp".to_string(),
+            vec!["examples/demo.rs".to_string(), "tests/net.rs".to_string()]
+        )]
+    );
+}
+
+#[test]
+fn one_production_user_keeps_a_module_off_the_report() {
+    let r = module_report_on(
+        "production",
+        &[
+            (
+                "crates/collect/src/lib.rs",
+                "pub mod archive;\npub mod codec;\npub mod engine;\n\npub use archive::Archive;\n",
+            ),
+            // Nested use groups, a re-exported item and a root-crate path.
+            (
+                "crates/core/src/pipeline.rs",
+                "use tacc_collect::{codec::{self, Decoded}, Archive};\n",
+            ),
+            (
+                "src/soak.rs",
+                "fn f() {\n    tacc_stats::collect::engine::Sampler::new();\n}\n",
+            ),
+            (
+                "tests/pipeline.rs",
+                "use tacc_stats::collect::{archive::Archive, codec};\n",
+            ),
+        ],
+    );
+    assert!(r.is_empty(), "{r:?}");
+}
+
+#[test]
+fn own_crate_users_comments_and_test_modules_do_not_count() {
+    let r = module_report_on(
+        "ignored",
+        &[
+            (
+                "crates/broker/src/lib.rs",
+                "pub mod tcp;\n\n#[cfg(test)]\nmod tests {\n    mod inner {}\n}\n",
+            ),
+            // Its own crate's tests and a comment name it: not listed.
+            ("crates/broker/tests/tcp.rs", "use tacc_broker::tcp::BrokerServer;\n"),
+            ("examples/demo.rs", "// tacc_broker::tcp is gone\nfn f() -> &'static str {\n    \"tacc_broker::tcp\"\n}\n"),
+            // A test-module `mod` is not a module of the crate.
+            ("tests/t.rs", "use tacc_broker::tests;\nuse tacc_broker::inner;\n"),
+        ],
+    );
+    assert!(r.is_empty(), "{r:?}");
+}
+
 // ---------------------------------------------------------------
 // Byte soup: no pass may panic (or wedge) on arbitrary input.
 // ---------------------------------------------------------------
@@ -463,6 +553,9 @@ fn all_passes_survive(text: &str) {
     let _ = alloc_lint::scan_sources(&files);
     let _ = crash_order::scan_sources(&files);
     let _ = dead_surface::scan_sources(&files);
+    let _ = dead_surface::module_report_sources(&files);
+    let lib = src("crates/broker/src/lib.rs", text);
+    let _ = dead_surface::module_report_sources(&[lib[0].clone(), files[0].clone()]);
 }
 
 proptest! {
@@ -501,6 +594,12 @@ proptest! {
                 Just("format!(".to_string()),
                 Just("pub const ".to_string()),
                 Just("pub fn x".to_string()),
+                Just("use tacc_stats::".to_string()),
+                Just("tacc_broker::".to_string()),
+                Just("pub use ".to_string()),
+                Just("mod m".to_string()),
+                Just("::".to_string()),
+                Just(",".to_string()),
             ],
             0..60,
         ),

@@ -6,16 +6,13 @@
 //! (tacc_statsd → broker → consumer) — and compares data-availability
 //! latency and crash data-loss. Then demonstrates the §VI-B loop:
 //! online detection of a metadata storm and automated suspension of the
-//! offending job. Finally it pushes a batch of samples across a real
-//! TCP socket to show the network path works end to end.
+//! offending job. Then it streams a failing job through online
+//! detection with an adaptive sampling cadence.
 //!
 //! Run with: `cargo run --release --example realtime_monitor`
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::time::Duration;
-use tacc_stats::broker::tcp::{BrokerClient, BrokerServer};
-use tacc_stats::broker::Broker;
 use tacc_stats::core::config::{Mode, SystemConfig};
 use tacc_stats::core::online::{AdaptiveConfig, OnlineConfig};
 use tacc_stats::core::MonitoringSystem;
@@ -191,36 +188,8 @@ fn main() {
     }
     let report = sys.delivery_report();
     println!(
-        "Samples collected with adaptive cadence: {} (fixed 5-min cadence would take {}).\n",
+        "Samples collected with adaptive cadence: {} (fixed 5-min cadence would take {}).",
         report.collected,
         4 * 4 * 12 // 4 nodes × 4 h × 12 samples/h
-    );
-
-    // ---- Real TCP path. ----
-    println!("== Daemon transport over a real TCP socket ==\n");
-    let server = BrokerServer::start(Broker::new()).expect("bind localhost");
-    let mut producer = BrokerClient::connect(server.addr()).expect("connect");
-    producer.declare("tacc_stats").unwrap();
-    for i in 0..100 {
-        let payload = format!("$tacc_stats sample {i}");
-        producer
-            .publish("tacc_stats", &format!("c401-{i:04}"), payload.as_bytes())
-            .unwrap();
-    }
-    let mut consumer = BrokerClient::connect(server.addr()).expect("connect");
-    let mut received = 0;
-    while let Some(d) = consumer
-        .get("tacc_stats", Duration::from_millis(100))
-        .unwrap()
-    {
-        consumer.ack("tacc_stats", d.tag).unwrap();
-        received += 1;
-    }
-    let stats = server.broker().stats();
-    println!(
-        "Published 100 messages over TCP ({}), consumed {} (acked {}).",
-        server.addr(),
-        received,
-        stats.total_acked()
     );
 }

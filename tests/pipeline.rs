@@ -3,6 +3,11 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+use tacc_stats::broker::Broker;
+use tacc_stats::collect::archive::Archive;
+use tacc_stats::collect::consumer::StatsConsumer;
 use tacc_stats::collect::record::RawFile;
 use tacc_stats::core::config::{Mode, SystemConfig};
 use tacc_stats::core::MonitoringSystem;
@@ -191,4 +196,26 @@ fn largemem_waste_flagging() {
     let all = SearchSpec::default().run(table).unwrap();
     assert_eq!(all.len(), 2);
     assert_eq!(all.flagged_with(Flag::LargememWaste).len(), 1);
+}
+
+/// Every simulated step ends in a drain whose last poll finds the queue
+/// empty, so that poll must return at once. A wait on a condition
+/// variable, even with a zero timeout, sleeps the kernel's timer slack
+/// (≈ 55 µs a call on Linux, ≈ 550 ms here); a pop takes well under a
+/// microsecond.
+#[test]
+fn an_empty_poll_never_sleeps() {
+    let broker = Broker::new();
+    broker.declare("stats");
+    let mut consumer =
+        StatsConsumer::new(&broker, "stats", Arc::new(Archive::new())).expect("declared");
+    let start = Instant::now();
+    for _ in 0..10_000 {
+        assert!(consumer.poll_once(t0(), Duration::ZERO).is_none());
+    }
+    let took = start.elapsed();
+    assert!(
+        took < Duration::from_millis(100),
+        "10,000 empty polls took {took:?}: a poll is blocking"
+    );
 }
