@@ -6,6 +6,9 @@
 //! target is its own crate, so the library's `forbid(unsafe_code)` does
 //! not reach it).
 //!
+//! * `simnode.advance` (`system_live`, where 9 steps in 10 are mostly
+//!   node steps): `node_step` is one `SimNode::advance` by 60 s on the
+//!   fleet shape below, nodes visited round-robin.
 //! * `collect.daemon_tick` (`fleet_clean`): `collect` is
 //!   `Sampler::sample_into` on the benchmark's fleet shape — 64 Stampede
 //!   nodes of 16 processes, each with its own sampler and `Sample`,
@@ -30,12 +33,12 @@
 //!   workload's store of about 5,800 series, per point; its batches
 //!   span a whole seal cycle, so seals are in the figure.
 //!
-//! Four hard bars: `sample_into` at most 26 µs and 0 allocations, a
-//! `TaccStatsd` collection at most 2 allocations (the shared `Bytes`
-//! handed to the transport: its buffer and its reference count), a
-//! warm `decode_into` 0, and an empty poll at most 1 µs and 0
-//! allocations. The other allocation bars of these paths are
-//! tier-1 tests (`tests/alloc_invariants.rs`).
+//! Five hard bars: a node step 0 allocations, `sample_into` at most
+//! 26 µs and 0 allocations, a `TaccStatsd` collection at most 2
+//! allocations (the shared `Bytes` handed to the transport: its buffer
+//! and its reference count), a warm `decode_into` 0, and an empty poll
+//! at most 1 µs and 0 allocations. The other allocation bars of these
+//! paths are tier-1 tests (`tests/alloc_invariants.rs`).
 //!
 //! A "before" column is a constant frozen from the record that last
 //! timed the replaced code, beside the commit that froze it; no replaced
@@ -103,6 +106,10 @@ type Cost = (f64, f64);
 /// A frozen "before" column: the commit that froze it, and its cost.
 type Frozen = (&'static str, Cost);
 
+/// A node step when each register was a heap-allocated `Counter` beside a
+/// `FracAccum` whose carry went through `f64::floor`: this case built
+/// against that commit, the fastest of five runs.
+const NODE_STEP_BEFORE: Frozen = ("889f1cb", (1_271.4, 0.0));
 /// `sample_into`, its `PsCollector` share and the `render_sample_into`
 /// of the 5.3 KB it renders to, on the fleet fixture at the commit
 /// before the node-side text path went byte-level.
@@ -197,11 +204,10 @@ fn node_fixture() -> (SimNode, Sampler, Vec<u8>) {
 /// Nodes of the `collect*` cases.
 const FLEET_NODES: usize = 64;
 
-/// The system benchmark's `fleet_clean` shape: Stampede nodes running
-/// one single-threaded process per core, mid-job (every counter of
-/// every device non-zero).
-fn fleet_fixture() -> Vec<(SimNode, Sampler, Sample)> {
-    let demand = NodeDemand {
+/// The system benchmark's `fleet_clean` demand: a Stampede node running
+/// one single-threaded process per core.
+fn fleet_demand() -> NodeDemand {
+    NodeDemand {
         active_cores: 16,
         cpu_user_frac: 0.83,
         cpu_sys_frac: 0.04,
@@ -227,17 +233,29 @@ fn fleet_fixture() -> Vec<(SimNode, Sampler, Sample)> {
             2
         ],
         ..NodeDemand::default()
-    };
+    }
+}
+
+/// Node `i` of the fleet: 16 processes under `demand`, mid-job (every
+/// counter of every device non-zero).
+fn fleet_node(i: usize, demand: &NodeDemand) -> SimNode {
+    let mut node = SimNode::new(format!("c401-{:04}", i + 1), NodeTopology::stampede());
+    for _ in 0..16 {
+        node.spawn_process("wrf.exe", 5000 + (i / 8) as u32, 1, u64::MAX);
+    }
+    node.advance(SimDuration::from_secs(86_400 + 600 * i as u64), demand);
+    node
+}
+
+/// The system benchmark's `fleet_clean` shape: each fleet node with its
+/// own sampler and `Sample`.
+fn fleet_fixture() -> Vec<(SimNode, Sampler, Sample)> {
+    let demand = fleet_demand();
     (0..FLEET_NODES)
         .map(|i| {
-            let host = format!("c401-{:04}", i + 1);
-            let mut node = SimNode::new(host.as_str(), NodeTopology::stampede());
-            for _ in 0..16 {
-                node.spawn_process("wrf.exe", 5000 + (i / 8) as u32, 1, u64::MAX);
-            }
-            node.advance(SimDuration::from_secs(86_400 + 600 * i as u64), &demand);
+            let node = fleet_node(i, &demand);
             let cfg = discover(&NodeFs::new(&node), BuildOptions::default()).expect("discovery");
-            let sampler = Sampler::new(&host, &cfg);
+            let sampler = Sampler::new(&node.hostname, &cfg);
             (node, sampler, Sample::default())
         })
         .collect()
@@ -359,6 +377,27 @@ struct Row {
     name: &'static str,
     fixture: String,
     cases: Vec<(&'static str, Cost, Option<Frozen>)>,
+}
+
+fn advance_row() -> Row {
+    // --- simnode.advance: each fleet node stepped in turn, so that no
+    // node's registers stay in cache between its steps ---
+    let demand = fleet_demand();
+    let mut nodes: Vec<SimNode> = (0..FLEET_NODES).map(|i| fleet_node(i, &demand)).collect();
+    let step = SimDuration::from_secs(60);
+    let mut turn = (0..FLEET_NODES).cycle();
+    let node_step = measure(BATCHES, ITERS, || {
+        nodes[turn.next().expect("cycle")].advance(step, &demand);
+    });
+    assert_eq!(node_step.1, 0.0, "a node step must not allocate");
+    Row {
+        name: "simnode.advance",
+        fixture: format!(
+            "node_step: {FLEET_NODES} stampede nodes of 16 processes under the fleet's busy \
+             demand, SimNode::advance by 60 s, round-robin. Bar: 0 allocs"
+        ),
+        cases: vec![("node_step", node_step, Some(NODE_STEP_BEFORE))],
+    }
 }
 
 fn collect_rows() -> Vec<Row> {
@@ -635,7 +674,8 @@ fn main() {
     let host_cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let mut rows = collect_rows();
+    let mut rows = vec![advance_row()];
+    rows.extend(collect_rows());
     // One portal_read store: aggregated first, then trickled into.
     let (store, keys) = portal_tsdb();
     rows.extend(query_rows(&store));

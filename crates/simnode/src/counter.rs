@@ -9,52 +9,46 @@
 //! accumulates full-precision values internally and exposes *wrapped*
 //! readings, so the collector's rollover logic is genuinely exercised.
 
-use serde::{Deserialize, Serialize};
+use crate::schema::Schema;
 
-/// A monotonically increasing hardware counter with a fixed register
-/// width.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct Counter {
-    /// Register width in bits (1..=64).
-    width: u32,
-    /// Full-precision accumulated value (never wraps in practice: u64
-    /// nanojoule-scale quantities over simulated months stay < 2^64).
+/// Registers a device instance holds inline: the widest schema a
+/// [`crate::devices::SimDevice`] carries, `cpu` with its two optional
+/// cache-hit events. (`ps` is wider, but its values are per-process
+/// records, never a device instance.)
+pub(crate) const REGS: usize = 9;
+
+/// 2^52: from it on, every `f64` is an integer; below it, adding it
+/// rounds away the fraction.
+const TWO_POW_52: f64 = 4_503_599_627_370_496.0;
+
+/// One simulated register: a full-precision event total, plus the
+/// fractional event count carried to the next add.
+///
+/// Workload models produce *rates* (e.g. 3.7e9 FLOPs per second); stepping
+/// the simulation by, say, 100 ms yields fractional event counts. The
+/// carry keeps the remainder so long-run totals are exact. The total never
+/// wraps in practice (u64 nanojoule-scale quantities over simulated months
+/// stay < 2^64); a read masks it to the register width.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Register {
     total: u64,
+    carry: f64,
 }
 
-impl Counter {
-    /// New zeroed counter of the given register width.
-    pub fn new(width: u32) -> Self {
-        assert!(
-            (1..=64).contains(&width),
-            "counter width {width} out of range"
-        );
-        Counter { width, total: 0 }
+impl Register {
+    /// Add a fractional amount of events: the whole part of carry plus
+    /// amount goes to the total, the fraction stays as the carry. A
+    /// negative or NaN amount adds nothing; an infinite one saturates.
+    pub fn add(&mut self, amount: f64) {
+        let (whole, carry) = split(self.carry + amount.max(0.0));
+        self.carry = carry;
+        self.total = self.total.wrapping_add(whole);
     }
 
-    /// Register width in bits.
-    pub fn width(&self) -> u32 {
-        self.width
-    }
-
-    /// Bit mask of the register.
-    pub fn mask(&self) -> u64 {
-        if self.width == 64 {
-            u64::MAX
-        } else {
-            (1u64 << self.width) - 1
-        }
-    }
-
-    /// Increment by `delta` events.
-    pub fn add(&mut self, delta: u64) {
-        self.total = self.total.wrapping_add(delta);
-    }
-
-    /// The value a register read returns: the accumulated total truncated
-    /// to the register width (i.e. after any wrap-arounds).
-    pub fn read(&self) -> u64 {
-        self.total & self.mask()
+    /// Set the total to an absolute value (a gauge). The carry is left
+    /// alone: gauges never take fractional adds.
+    pub fn set(&mut self, value: u64) {
+        self.total = value;
     }
 
     /// Full-precision total (ground truth, used by tests to validate the
@@ -63,10 +57,56 @@ impl Counter {
         self.total
     }
 
-    /// Reset to zero (counters reset on node reboot).
-    pub fn reset(&mut self) {
-        self.total = 0;
+    /// The fractional event count carried to the next add: in `[0, 1)`,
+    /// or NaN once an infinite amount was added.
+    pub fn carry(&self) -> f64 {
+        self.carry
     }
+}
+
+/// `total` split into whole events and the fraction carried on: with
+/// `whole = total.floor()`, `(whole.min(u64::MAX as f64) as u64, total -
+/// whole)` bit for bit, for every `total >= 0`, +∞ and NaN — but with no
+/// call: baseline x86-64 has no rounding instruction (SSE4.1's
+/// `roundsd`), so `f64::floor` is a call into a software routine, and
+/// the saturating cast is a dozen instructions.
+///
+/// Below 2^52, adding 2^52 rounds `total` to an integer: the sum's low
+/// mantissa bits are that integer, and subtracting 2^52 gives it back as
+/// an `f64`, exactly. If that rounded up, step down by one — without a
+/// branch, which would mispredict on half the fractions. At or above
+/// 2^52 every `f64` is already an integer; +∞ and NaN fail the
+/// comparison too and take that path.
+fn split(total: f64) -> (u64, f64) {
+    if total < TWO_POW_52 {
+        let biased = total + TWO_POW_52;
+        let rounded = biased - TWO_POW_52;
+        let up = rounded > total;
+        // The comparison's 0 or 1 times the bits of 1.0: 0.0 or 1.0.
+        let whole = rounded - f64::from_bits(u64::from(up) * 1f64.to_bits());
+        let events = biased.to_bits() - TWO_POW_52.to_bits() - u64::from(up);
+        (events, total - whole)
+    } else {
+        // The remainder is 0, or NaN for +∞ and NaN, as `floor` leaves it.
+        let whole = total;
+        (whole.min(u64::MAX as f64) as u64, total - whole)
+    }
+}
+
+/// The read masks of `schema`'s registers, in schema order (positions past
+/// the schema are 0). Panics if the schema has more than [`REGS`] events or
+/// a width outside 1..=64: a device built from it could not hold or mask
+/// its registers.
+pub(crate) fn register_masks(schema: &Schema) -> [u64; REGS] {
+    assert!(
+        schema.len() <= REGS && schema.events.iter().all(|e| (1..=64).contains(&e.width)),
+        "a device holds at most {REGS} registers of 1..=64 bits: {schema:?}"
+    );
+    let mut masks = [0; REGS];
+    for (mask, e) in masks.iter_mut().zip(&schema.events) {
+        *mask = u64::MAX >> (64 - e.width);
+    }
+    masks
 }
 
 /// Correct a delta between two fixed-width register reads for (at most
@@ -82,53 +122,28 @@ pub fn wrapping_delta(prev: u64, curr: u64, width: u32) -> u64 {
     curr.wrapping_sub(prev) & mask
 }
 
-/// Accumulate fractional event counts into integer counter increments
-/// without losing the fractional part across simulation steps.
-///
-/// Workload models produce *rates* (e.g. 3.7e9 FLOPs per second); stepping
-/// the simulation by, say, 100 ms yields fractional event counts. This
-/// accumulator carries the remainder so long-run totals are exact.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
-pub struct FracAccum {
-    carry: f64,
-}
-
-impl FracAccum {
-    /// New accumulator with zero carry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Convert a fractional amount into a whole-event increment, carrying
-    /// the remainder to the next call.
-    pub fn step(&mut self, amount: f64) -> u64 {
-        debug_assert!(amount.is_finite() && amount >= 0.0, "bad amount {amount}");
-        let total = self.carry + amount.max(0.0);
-        let whole = total.floor();
-        self.carry = total - whole;
-        // Clamp: a single step never plausibly exceeds u64 in this sim.
-        whole.min(u64::MAX as f64) as u64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schema::DeviceType;
+    use crate::topology::CpuArch;
     use proptest::prelude::*;
 
     #[test]
-    fn counter_wraps_at_width() {
-        let mut c = Counter::new(8);
-        c.add(300);
-        assert_eq!(c.read(), 300 % 256);
-        assert_eq!(c.total(), 300);
+    fn register_masks_follow_schema_widths() {
+        let rapl = register_masks(&DeviceType::Rapl.schema(CpuArch::SandyBridge));
+        assert_eq!(rapl[..3], [u64::from(u32::MAX); 3]);
+        assert_eq!(rapl[3..], [0; REGS - 3]);
+        let cpu = register_masks(&DeviceType::Cpu.schema(CpuArch::SandyBridge));
+        assert_eq!(cpu, [(1u64 << 48) - 1; REGS]);
+        let net = register_masks(&DeviceType::Net.schema(CpuArch::SandyBridge));
+        assert_eq!(net[..4], [u64::MAX; 4], "full width never masks");
     }
 
     #[test]
-    fn counter_full_width_never_masks() {
-        let mut c = Counter::new(64);
-        c.add(u64::MAX / 2);
-        assert_eq!(c.read(), u64::MAX / 2);
+    #[should_panic(expected = "at most 9 registers")]
+    fn a_schema_wider_than_the_registers_panics() {
+        register_masks(&DeviceType::Ps.schema(CpuArch::SandyBridge));
     }
 
     #[test]
@@ -145,14 +160,72 @@ mod tests {
     }
 
     #[test]
-    fn frac_accum_conserves_totals() {
-        let mut acc = FracAccum::new();
-        let mut sum = 0u64;
+    fn register_add_conserves_totals() {
+        let mut r = Register::default();
         for _ in 0..1000 {
-            sum += acc.step(0.3);
+            r.add(0.3);
         }
         // 1000 * 0.3 = 300 events, +-1 for the trailing carry.
-        assert!(sum == 299 || sum == 300, "sum = {sum}");
+        assert!(
+            r.total() == 299 || r.total() == 300,
+            "total = {}",
+            r.total()
+        );
+        assert!((0.0..1.0).contains(&r.carry()));
+    }
+
+    #[test]
+    fn gauge_set_keeps_the_carry() {
+        let mut r = Register::default();
+        r.add(2.5);
+        r.set(7);
+        assert_eq!((r.total(), r.carry()), (7, 0.5));
+    }
+
+    /// The parent's split of a total: `f64::floor` and a saturating cast.
+    fn split_by_floor(total: f64) -> (u64, f64) {
+        let whole = total.floor();
+        (whole.min(u64::MAX as f64) as u64, total - whole)
+    }
+
+    /// Whole events equal, and carries equal bit for bit (a NaN carry only
+    /// has to stay a NaN: its payload is the hardware's).
+    fn same_split(total: f64) -> bool {
+        let ((a, x), (b, y)) = (split(total), split_by_floor(total));
+        a == b && (x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()))
+    }
+
+    /// Exact at the values where the 2^52 trick could go wrong: either
+    /// side of every integer it must not cross, the guard itself, the
+    /// values past it, and the non-finite ones.
+    #[test]
+    fn split_matches_floor_at_the_edges() {
+        let two52 = TWO_POW_52;
+        let edges = [
+            0.0,
+            f64::from_bits(1),
+            f64::MIN_POSITIVE,
+            0.5,
+            1.0 - f64::EPSILON / 2.0,
+            1.0,
+            1.5,
+            2.5,
+            two52 - 1.5,
+            two52 - 0.5,
+            two52 - 0.25,
+            two52,
+            two52 + 1.0,
+            two52 * 2.0 + 2.0,
+            2f64.powi(63),
+            2f64.powi(64),
+            1e300,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        for x in edges {
+            assert!(same_split(x), "split({x:e}) = {:?}", split(x));
+        }
     }
 
     proptest! {
@@ -164,26 +237,34 @@ mod tests {
             delta in 0u64..1u64 << 30,
             width in 32u32..=64,
         ) {
-            let mut c = Counter::new(width);
-            c.add(start);
-            let prev = c.read();
-            c.add(delta);
-            let curr = c.read();
-            prop_assert_eq!(wrapping_delta(prev, curr, width), delta & c.mask());
+            let mask = u64::MAX >> (64 - width);
+            let mut r = Register::default();
+            r.set(start);
+            let prev = r.total() & mask;
+            r.add(delta as f64);
+            let curr = r.total() & mask;
+            prop_assert_eq!(wrapping_delta(prev, curr, width), delta & mask);
         }
 
-        /// FracAccum never loses more than one event over any sequence.
+        /// A register never loses more than one event over any sequence.
         #[test]
-        fn frac_accum_error_bounded(amounts in proptest::collection::vec(0.0f64..1e6, 1..100)) {
-            let mut acc = FracAccum::new();
-            let mut got = 0u64;
+        fn register_error_bounded(amounts in proptest::collection::vec(0.0f64..1e6, 1..100)) {
+            let mut r = Register::default();
             let mut want = 0.0f64;
             for a in &amounts {
-                got += acc.step(*a);
+                r.add(*a);
                 want += *a;
             }
-            let err = (want - got as f64).abs();
+            let err = (want - r.total() as f64).abs();
             prop_assert!(err <= 1.0 + want * 1e-9, "err = {err}");
+        }
+
+        /// Bit for bit the parent's split over every non-negative bit
+        /// pattern.
+        #[test]
+        fn split_matches_floor(bits in any::<u64>()) {
+            let x = f64::from_bits(bits >> 1);
+            prop_assert!(same_split(x), "split({x:e}) = {:?}", split(x));
         }
     }
 }

@@ -1,18 +1,20 @@
 //! Simulated counter devices.
 //!
 //! Each device instance (one CPU's core counters, one socket's IMC, one
-//! Lustre filesystem's llite stats, …) is a [`SimDevice`]: an ordered
-//! vector of fixed-width [`Counter`]s matching the device type's
-//! [`Schema`]. Workload models add *fractional* event amounts each
-//! simulation step; [`FracAccum`]s keep long-run totals exact.
+//! Lustre filesystem's llite stats, …) is a [`SimDevice`]: fixed-width
+//! [`Register`]s matching the device type's [`Schema`], held inline in
+//! the device (no heap block per register file). Workload models add
+//! *fractional* event amounts each simulation step; each register's carry
+//! keeps long-run totals exact.
 //!
 //! The workload model writes registers by schema position
-//! ([`SimDevice::add_at`], [`SimDevice::set_gauge_at`] with the
-//! [`crate::schema::pos`] constants): no name lookup, no allocation. The
-//! by-name [`SimDevice::add`] / [`SimDevice::set_gauge`] wrap them for
-//! tests and fault injection, and keep their programming-error panics.
+//! ([`SimDevice::add_at`], [`SimDevice::add_row`],
+//! [`SimDevice::set_gauge_at`] with the [`crate::schema::pos`] constants):
+//! no name lookup, no allocation. The by-name [`SimDevice::add`] /
+//! [`SimDevice::set_gauge`] wrap them for tests and fault injection, and
+//! keep their programming-error panics.
 
-use crate::counter::{Counter, FracAccum};
+use crate::counter::{register_masks, Register, REGS};
 use crate::schema::{DeviceType, EventKind, Schema};
 use crate::topology::CpuArch;
 
@@ -25,28 +27,31 @@ pub struct SimDevice {
     /// filesystem, `"mlx4_0/1"` for an IB port.
     pub instance: String,
     schema: Schema,
-    counters: Vec<Counter>,
-    fracs: Vec<FracAccum>,
+    /// The registers, in schema order; positions past the schema are unused.
+    regs: [Register; REGS],
+    /// Each register's read mask, from its schema width.
+    masks: [u64; REGS],
     frozen: bool,
 }
 
+/// An amount the workload model may add: finite and non-negative. Debug
+/// builds reject any other.
+fn good_amount(amount: f64) -> bool {
+    amount.is_finite() && amount >= 0.0
+}
+
 impl SimDevice {
-    /// New device instance with all counters zeroed.
-    // alloc: cold-fn (construction: the schema, registers and name are built once per instance)
+    /// New device instance with all counters zeroed. Panics if the schema
+    /// does not fit the inline registers.
+    // alloc: cold-fn (construction: the schema and name are built once per instance)
     pub fn new(dev_type: DeviceType, instance: impl Into<String>, arch: CpuArch) -> Self {
         let schema = dev_type.schema(arch);
-        let counters = schema
-            .events
-            .iter()
-            .map(|e| Counter::new(e.width))
-            .collect();
-        let fracs = vec![FracAccum::new(); schema.len()];
         SimDevice {
             dev_type,
             instance: instance.into(),
+            masks: register_masks(&schema),
             schema,
-            counters,
-            fracs,
+            regs: [Register::default(); REGS],
             frozen: false,
         }
     }
@@ -68,20 +73,46 @@ impl SimDevice {
         self.frozen
     }
 
+    /// The registers in schema order (test oracle: totals and carries).
+    pub fn registers(&self) -> &[Register] {
+        self.regs.get(..self.schema.len()).unwrap_or(&[])
+    }
+
     /// Add a fractional amount of events to the event at schema position
     /// `idx` (a [`crate::schema::pos`] constant). A frozen device ignores
     /// it; so does a position past the schema, which debug builds reject.
     pub fn add_at(&mut self, idx: usize, amount: f64) {
+        debug_assert!(idx < self.schema.len(), "{}: no event {idx}", self.dev_type);
         debug_assert!(
-            idx < self.counters.len(),
-            "{}: no event {idx}",
+            good_amount(amount),
+            "{}: bad amount {amount}",
+            self.dev_type
+        );
+        if self.frozen || idx >= self.schema.len() {
+            return;
+        }
+        if let Some(reg) = self.regs.get_mut(idx) {
+            reg.add(amount);
+        }
+    }
+
+    /// Add `amounts[i]` to the event at schema position `i`, for each `i`:
+    /// one frozen check for the whole row. A frozen device ignores it;
+    /// amounts past the schema are dropped, so a row may carry optional
+    /// events a narrower schema lacks. A zero amount leaves its register
+    /// exactly as it was (its carry is below 1).
+    #[inline]
+    pub fn add_row(&mut self, amounts: &[f64]) {
+        debug_assert!(
+            amounts.iter().all(|&a| good_amount(a)),
+            "{}: bad amounts {amounts:?}",
             self.dev_type
         );
         if self.frozen {
             return;
         }
-        if let (Some(frac), Some(counter)) = (self.fracs.get_mut(idx), self.counters.get_mut(idx)) {
-            counter.add(frac.step(amount));
+        for (reg, &amount) in self.regs.iter_mut().take(self.schema.len()).zip(amounts) {
+            reg.add(amount);
         }
     }
 
@@ -94,12 +125,11 @@ impl SimDevice {
             "{}: event {idx} is not a gauge",
             self.dev_type
         );
-        if self.frozen {
+        if self.frozen || idx >= self.schema.len() {
             return;
         }
-        if let Some(counter) = self.counters.get_mut(idx) {
-            counter.reset();
-            counter.add(value);
+        if let Some(reg) = self.regs.get_mut(idx) {
+            reg.set(value);
         }
     }
 
@@ -136,12 +166,16 @@ impl SimDevice {
     /// sees.
     // alloc: cold-fn (owned copy for tests and one-off reads; collectors use read_at)
     pub fn read_all(&self) -> Vec<u64> {
-        self.counters.iter().map(Counter::read).collect()
+        self.registers()
+            .iter()
+            .zip(&self.masks)
+            .map(|(reg, mask)| reg.total() & mask)
+            .collect()
     }
 
     /// Read one register by schema position, truncated to its width.
     pub fn read_at(&self, idx: usize) -> Option<u64> {
-        self.counters.get(idx).map(Counter::read)
+        Some(self.registers().get(idx)?.total() & self.masks.get(idx)?)
     }
 
     /// Read one register by event name.
@@ -152,18 +186,13 @@ impl SimDevice {
     /// Full-precision ground-truth totals (test oracle).
     // alloc: cold-fn (test oracle: an owned copy of the totals)
     pub fn totals(&self) -> Vec<u64> {
-        self.counters.iter().map(Counter::total).collect()
+        self.registers().iter().map(Register::total).collect()
     }
 
     /// Reset all counters (node reboot). Also thaws a frozen device —
     /// the fault driver re-freezes it if the fault window is still open.
     pub fn reset(&mut self) {
-        for c in &mut self.counters {
-            c.reset();
-        }
-        for f in &mut self.fracs {
-            *f = FracAccum::new();
-        }
+        self.regs = [Register::default(); REGS];
         self.frozen = false;
     }
 }
@@ -261,8 +290,40 @@ mod tests {
     #[test]
     fn reset_zeroes_everything() {
         let mut d = SimDevice::new(DeviceType::Net, "eth0", CpuArch::Haswell);
-        d.add("rx_bytes", 12345.0);
+        d.add("rx_bytes", 12345.5);
         d.reset();
         assert_eq!(d.read_all(), vec![0, 0, 0, 0]);
+        assert!(d.registers().iter().all(|r| r.carry() == 0.0));
+    }
+
+    #[test]
+    fn a_row_adds_like_one_add_at_per_position() {
+        let row = [1.5, 2.25, 3.0, 0.0, 4.75, 1e15 + 0.5, 6.0, 7.125, 8.5];
+        // Sandy Bridge's `cpu` schema takes the whole row, Westmere's the
+        // first seven amounts.
+        for (arch, len) in [(CpuArch::SandyBridge, 9), (CpuArch::Westmere, 7)] {
+            let mut by_row = SimDevice::new(DeviceType::Cpu, "0", arch);
+            let mut by_pos = by_row.clone();
+            for _ in 0..3 {
+                by_row.add_row(&row);
+                for (i, &amount) in row.iter().enumerate().take(len) {
+                    by_pos.add_at(i, amount);
+                }
+            }
+            assert_eq!(by_row.registers().len(), len);
+            for (a, b) in by_row.registers().iter().zip(by_pos.registers()) {
+                assert_eq!(a.total(), b.total());
+                assert_eq!(a.carry().to_bits(), b.carry().to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn frozen_device_ignores_a_row() {
+        let mut d = SimDevice::new(DeviceType::Cpustat, "0", CpuArch::SandyBridge);
+        d.add_row(&[1.0, 0.0, 2.0]);
+        d.set_frozen(true);
+        d.add_row(&[5.0, 5.0, 5.0, 5.0, 5.0]);
+        assert_eq!(d.read_all(), vec![1, 0, 2, 0, 0]);
     }
 }

@@ -12,15 +12,17 @@
 //!
 //! Device instances live in a table indexed by the [`DeviceType`]
 //! discriminant (absent hardware is an empty `Vec`), and `advance` writes
-//! registers by schema position ([`crate::schema::pos`]): a step is
-//! arithmetic over registers, with no name lookup and no allocation.
+//! registers by schema position ([`crate::schema::pos`]), each per-CPU
+//! device's block as one row ([`SimDevice::add_row`]): a step is
+//! arithmetic over inline registers, with no name lookup, no allocation
+//! and no library call.
 
 use crate::devices::SimDevice;
 use crate::faults::{ReadFault, ReadFaultMode};
 use crate::schema::pos::{
     cbo, cpu, cpustat, ib, imc, llite, lnet, mdc, mem, mic, net, osc, qpi, rapl,
 };
-use crate::schema::{has_cache_hit_events, DeviceType};
+use crate::schema::DeviceType;
 use crate::topology::NodeTopology;
 use crate::workload::NodeDemand;
 use crate::SimDuration;
@@ -133,6 +135,17 @@ fn instances(dt: DeviceType, topology: &NodeTopology) -> Vec<SimDevice> {
             .collect(),
         DeviceType::Rapl | DeviceType::Ib | DeviceType::Lnet | DeviceType::Ps => Vec::new(),
     }
+}
+
+/// A register row: each amount at its schema position, zero elsewhere.
+fn row<const N: usize>(at: &[(usize, f64)]) -> [f64; N] {
+    let mut row = [0.0; N];
+    for &(pos, amount) in at {
+        if let Some(slot) = row.get_mut(pos) {
+            *slot = amount;
+        }
+    }
+    row
 }
 
 impl SimNode {
@@ -295,34 +308,39 @@ impl SimNode {
         let fp_scalar_cpu = fp_scalar_node / an;
         let fp_vector_cpu = fp_vector_node / an;
         let loads = inst_per_active_cpu * demand.loads_per_inst;
-        let cache_hits = has_cache_hit_events(arch);
+        // One row per CPU; the cache-hit pair at its end falls off a
+        // seven-event schema.
+        let cpu_row: [f64; cpu::LOAD_LLC_HIT + 1] = row(&[
+            (cpu::FIXED_CTR0, inst_per_active_cpu),
+            (cpu::FIXED_CTR1, cycles_per_active_cpu),
+            (cpu::FIXED_CTR2, cycles_per_active_cpu),
+            (cpu::FP_SCALAR, fp_scalar_cpu),
+            (cpu::FP_VECTOR, fp_vector_cpu),
+            (cpu::LOAD_ALL, loads),
+            (cpu::LOAD_L1_HIT, loads * demand.l1_hit_frac),
+            (cpu::LOAD_L2_HIT, loads * demand.l2_hit_frac),
+            (cpu::LOAD_LLC_HIT, loads * demand.llc_hit_frac),
+        ]);
         for dev in cpus.iter_mut().take(active) {
-            dev.add_at(cpu::FIXED_CTR0, inst_per_active_cpu);
-            dev.add_at(cpu::FIXED_CTR1, cycles_per_active_cpu);
-            dev.add_at(cpu::FIXED_CTR2, cycles_per_active_cpu);
-            dev.add_at(cpu::FP_SCALAR, fp_scalar_cpu);
-            dev.add_at(cpu::FP_VECTOR, fp_vector_cpu);
-            dev.add_at(cpu::LOAD_ALL, loads);
-            dev.add_at(cpu::LOAD_L1_HIT, loads * demand.l1_hit_frac);
-            if cache_hits {
-                dev.add_at(cpu::LOAD_L2_HIT, loads * demand.l2_hit_frac);
-                dev.add_at(cpu::LOAD_LLC_HIT, loads * demand.llc_hit_frac);
-            }
+            dev.add_row(&cpu_row);
         }
+        // Nothing adds nice jiffies, and an idle CPU adds no user or
+        // iowait ones: their zero amounts leave those registers as they
+        // were.
         let jiffies = dt_s * 100.0;
-        let (busy_user, busy_sys, busy_iow) = (jiffies * user, jiffies * sys, jiffies * iow);
         let busy_idle = jiffies * (1.0 - user - sys - iow).max(0.0);
-        let (idle_sys, idle_idle) = (jiffies * 0.002, jiffies * 0.998);
+        let busy_row: [f64; cpustat::IOWAIT + 1] = row(&[
+            (cpustat::USER, jiffies * user),
+            (cpustat::SYSTEM, jiffies * sys),
+            (cpustat::IDLE, busy_idle),
+            (cpustat::IOWAIT, jiffies * iow),
+        ]);
+        let idle_row: [f64; cpustat::IDLE + 1] = row(&[
+            (cpustat::SYSTEM, jiffies * 0.002),
+            (cpustat::IDLE, jiffies * 0.998),
+        ]);
         for (c, dev) in cpustats.iter_mut().enumerate() {
-            if c < active {
-                dev.add_at(cpustat::USER, busy_user);
-                dev.add_at(cpustat::SYSTEM, busy_sys);
-                dev.add_at(cpustat::IOWAIT, busy_iow);
-                dev.add_at(cpustat::IDLE, busy_idle);
-            } else {
-                dev.add_at(cpustat::SYSTEM, idle_sys);
-                dev.add_at(cpustat::IDLE, idle_idle);
-            }
+            dev.add_row(if c < active { &busy_row } else { &idle_row });
         }
 
         // --- Uncore: memory controller, QPI, LLC boxes (per socket) ---

@@ -1,22 +1,25 @@
-//! `SimNode::advance` writes registers by schema position through a
-//! device table indexed by discriminant. This is the acceptance test of
-//! that rewrite: `ParentNode` below is the node as it was before it — a
-//! `BTreeMap<DeviceType, Vec<SimDevice>>` written through the by-name
-//! `SimDevice::add` / `set_gauge` — with `new`, `advance`, `reboot`,
-//! `crash`, the process calls and `set_frozen` copied verbatim from the
-//! parent commit. Over random topologies, demand sequences and faults,
-//! every register (total, wrapped reading, and the fractional carry), the
-//! frozen flags and the process table of the two must be bit-identical
-//! after every step.
+//! `SimNode::advance` writes inline registers by schema position, the
+//! per-CPU blocks as one row per device, through an exact floor that
+//! makes no library call. This is the acceptance test of that path:
+//! `ParentNode` below is the node as it was before it — a
+//! `BTreeMap<DeviceType, Vec<ParentDevice>>` written through the by-name
+//! `add` / `set_gauge` — and `ParentDevice`, `Counter` and `FracAccum`
+//! are the parent's register path, with `f64::floor`, copied here so that
+//! the oracle shares no code with what it checks. Over random
+//! topologies, demand sequences and faults, every register (total,
+//! wrapped reading, and the fractional carry's bit pattern), the frozen
+//! flags and the process table of the two must be identical after every
+//! step; and a single register add must equal the parent's step bit for
+//! bit over random and edge amounts.
 //!
 //! The vendored proptest is primitive-only, so raw draws from its
 //! `TestRng` are decoded into operations inside the test body.
 
 use proptest::prelude::TestRng;
 use std::collections::BTreeMap;
-use tacc_simnode::devices::SimDevice;
+use tacc_simnode::counter::Register;
 use tacc_simnode::node::ProcessInfo;
-use tacc_simnode::schema::DeviceType;
+use tacc_simnode::schema::{DeviceType, EventKind, Schema};
 use tacc_simnode::topology::{CpuArch, NodeTopology};
 use tacc_simnode::workload::{LustreDemand, NodeDemand};
 use tacc_simnode::{SimDuration, SimNode};
@@ -24,10 +27,125 @@ use tacc_simnode::{SimDuration, SimNode};
 /// Cases per property (more with `PROPTEST_CASES`).
 const CASES: u64 = 256;
 
+/// The parent's fixed-width counter.
+#[derive(Clone, Debug)]
+struct Counter {
+    width: u32,
+    total: u64,
+}
+
+impl Counter {
+    fn new(width: u32) -> Self {
+        assert!(
+            (1..=64).contains(&width),
+            "counter width {width} out of range"
+        );
+        Counter { width, total: 0 }
+    }
+
+    fn mask(&self) -> u64 {
+        if self.width == 64 {
+            u64::MAX
+        } else {
+            (1u64 << self.width) - 1
+        }
+    }
+
+    fn add(&mut self, delta: u64) {
+        self.total = self.total.wrapping_add(delta);
+    }
+
+    fn read(&self) -> u64 {
+        self.total & self.mask()
+    }
+
+    fn reset(&mut self) {
+        self.total = 0;
+    }
+}
+
+/// The parent's fractional accumulator, without its debug check on the
+/// amount (the register proptest feeds it +∞).
+#[derive(Clone, Debug, Default)]
+struct FracAccum {
+    carry: f64,
+}
+
+impl FracAccum {
+    fn step(&mut self, amount: f64) -> u64 {
+        let total = self.carry + amount.max(0.0);
+        let whole = total.floor();
+        self.carry = total - whole;
+        whole.min(u64::MAX as f64) as u64
+    }
+}
+
+/// The parent's by-name device.
+#[derive(Clone, Debug)]
+struct ParentDevice {
+    instance: String,
+    schema: Schema,
+    counters: Vec<Counter>,
+    fracs: Vec<FracAccum>,
+    frozen: bool,
+}
+
+impl ParentDevice {
+    fn new(dev_type: DeviceType, instance: impl Into<String>, arch: CpuArch) -> Self {
+        let schema = dev_type.schema(arch);
+        let counters = schema
+            .events
+            .iter()
+            .map(|e| Counter::new(e.width))
+            .collect();
+        let fracs = vec![FracAccum::default(); schema.len()];
+        ParentDevice {
+            instance: instance.into(),
+            schema,
+            counters,
+            fracs,
+            frozen: false,
+        }
+    }
+
+    fn set_frozen(&mut self, frozen: bool) {
+        self.frozen = frozen;
+    }
+
+    fn add(&mut self, event: &str, amount: f64) {
+        if self.frozen {
+            return;
+        }
+        let idx = self.schema.index_of(event).expect("event exists");
+        let whole = self.fracs[idx].step(amount);
+        self.counters[idx].add(whole);
+    }
+
+    fn set_gauge(&mut self, event: &str, value: u64) {
+        let idx = self.schema.index_of(event).expect("event exists");
+        assert_eq!(self.schema.events[idx].kind, EventKind::Gauge);
+        if self.frozen {
+            return;
+        }
+        self.counters[idx].reset();
+        self.counters[idx].add(value);
+    }
+
+    fn reset(&mut self) {
+        for c in &mut self.counters {
+            c.reset();
+        }
+        for f in &mut self.fracs {
+            *f = FracAccum::default();
+        }
+        self.frozen = false;
+    }
+}
+
 /// The parent commit's node, reduced to the state `advance` touches.
 struct ParentNode {
     topology: NodeTopology,
-    devices: BTreeMap<DeviceType, Vec<SimDevice>>,
+    devices: BTreeMap<DeviceType, Vec<ParentDevice>>,
     processes: Vec<ProcessInfo>,
     next_pid: u32,
     crashed: bool,
@@ -37,15 +155,15 @@ struct ParentNode {
 impl ParentNode {
     fn new(topology: NodeTopology) -> Self {
         let arch = topology.arch;
-        let mut devices: BTreeMap<DeviceType, Vec<SimDevice>> = BTreeMap::new();
-        let per_cpu = |dt: DeviceType| -> Vec<SimDevice> {
+        let mut devices: BTreeMap<DeviceType, Vec<ParentDevice>> = BTreeMap::new();
+        let per_cpu = |dt: DeviceType| -> Vec<ParentDevice> {
             (0..topology.n_cpus())
-                .map(|c| SimDevice::new(dt, c.to_string(), arch))
+                .map(|c| ParentDevice::new(dt, c.to_string(), arch))
                 .collect()
         };
-        let per_socket = |dt: DeviceType| -> Vec<SimDevice> {
+        let per_socket = |dt: DeviceType| -> Vec<ParentDevice> {
             (0..topology.sockets)
-                .map(|s| SimDevice::new(dt, s.to_string(), arch))
+                .map(|s| ParentDevice::new(dt, s.to_string(), arch))
                 .collect()
         };
         devices.insert(DeviceType::Cpu, per_cpu(DeviceType::Cpu));
@@ -65,19 +183,19 @@ impl ParentNode {
         if topology.has_infiniband {
             devices.insert(
                 DeviceType::Ib,
-                vec![SimDevice::new(DeviceType::Ib, "mlx4_0/1", arch)],
+                vec![ParentDevice::new(DeviceType::Ib, "mlx4_0/1", arch)],
             );
         }
         devices.insert(
             DeviceType::Net,
-            vec![SimDevice::new(DeviceType::Net, "eth0", arch)],
+            vec![ParentDevice::new(DeviceType::Net, "eth0", arch)],
         );
         if !topology.lustre_filesystems.is_empty() {
-            let per_fs = |dt: DeviceType| -> Vec<SimDevice> {
+            let per_fs = |dt: DeviceType| -> Vec<ParentDevice> {
                 topology
                     .lustre_filesystems
                     .iter()
-                    .map(|fs| SimDevice::new(dt, fs.clone(), arch))
+                    .map(|fs| ParentDevice::new(dt, fs.clone(), arch))
                     .collect()
             };
             devices.insert(DeviceType::Llite, per_fs(DeviceType::Llite));
@@ -85,14 +203,14 @@ impl ParentNode {
             devices.insert(DeviceType::Osc, per_fs(DeviceType::Osc));
             devices.insert(
                 DeviceType::Lnet,
-                vec![SimDevice::new(DeviceType::Lnet, "lnet", arch)],
+                vec![ParentDevice::new(DeviceType::Lnet, "lnet", arch)],
             );
         }
         if topology.mic_cards > 0 {
             devices.insert(
                 DeviceType::Mic,
                 (0..topology.mic_cards)
-                    .map(|i| SimDevice::new(DeviceType::Mic, format!("mic{i}"), arch))
+                    .map(|i| ParentDevice::new(DeviceType::Mic, format!("mic{i}"), arch))
                     .collect(),
             );
         }
@@ -106,7 +224,7 @@ impl ParentNode {
         }
     }
 
-    fn devices(&self, dt: DeviceType) -> &[SimDevice] {
+    fn devices(&self, dt: DeviceType) -> &[ParentDevice] {
         self.devices.get(&dt).map(Vec::as_slice).unwrap_or(&[])
     }
 
@@ -237,7 +355,7 @@ impl ParentNode {
                 let loads = inst_per_active_cpu * demand.loads_per_inst;
                 dev.add("LOAD_ALL", loads);
                 dev.add("LOAD_L1_HIT", loads * demand.l1_hit_frac);
-                if dev.schema().index_of("LOAD_L2_HIT").is_some() {
+                if dev.schema.index_of("LOAD_L2_HIT").is_some() {
                     dev.add("LOAD_L2_HIT", loads * demand.l2_hit_frac);
                     dev.add("LOAD_LLC_HIT", loads * demand.llc_hit_frac);
                 }
@@ -570,16 +688,41 @@ fn same_state(real: &SimNode, parent: &ParentNode) -> Result<(), String> {
         }
         for (x, y) in a.iter().zip(b) {
             let at = format!("{dt} {}", y.instance);
-            if x.instance != y.instance || x.is_frozen() != y.is_frozen() {
+            if x.instance != y.instance || x.is_frozen() != y.frozen {
                 return Err(format!("{at}: instance name or frozen flag differs"));
             }
-            if x.totals() != y.totals() || x.read_all() != y.read_all() {
-                return Err(format!("{at}: {:?} != parent {:?}", x.totals(), y.totals()));
+            let regs = x.registers();
+            if regs.len() != y.counters.len() {
+                return Err(format!(
+                    "{at}: {} registers, parent {}",
+                    regs.len(),
+                    y.counters.len()
+                ));
             }
-            // The debug form carries every `FracAccum` carry, printed
-            // round-trip exact: equal strings are bit-equal carries.
-            if format!("{x:?}") != format!("{y:?}") {
-                return Err(format!("{at}: fractional carry differs: {x:?} vs {y:?}"));
+            for (i, ((reg, counter), frac)) in
+                regs.iter().zip(&y.counters).zip(&y.fracs).enumerate()
+            {
+                if reg.total() != counter.total {
+                    return Err(format!(
+                        "{at} [{i}]: total {} != parent {}",
+                        reg.total(),
+                        counter.total
+                    ));
+                }
+                if x.read_at(i) != Some(counter.read()) {
+                    return Err(format!(
+                        "{at} [{i}]: reading {:?} != parent {}",
+                        x.read_at(i),
+                        counter.read()
+                    ));
+                }
+                if reg.carry().to_bits() != frac.carry.to_bits() {
+                    return Err(format!(
+                        "{at} [{i}]: carry {:e} != parent {:e}",
+                        reg.carry(),
+                        frac.carry
+                    ));
+                }
             }
         }
     }
@@ -673,6 +816,61 @@ fn positional_advance_is_bit_identical_to_the_by_name_parent() {
         let mut rng = TestRng::seed_from_u64(seed);
         if let Err(msg) = run_case(&mut rng) {
             panic!("case {case} (seed {seed:#x}): {msg}");
+        }
+    }
+}
+
+/// Amounts where an exact floor could slip: zero, the subnormals, just
+/// under one, either side of 2^52 (where adding 2^52 stops rounding away
+/// a fraction), far past it, and +∞.
+const EDGES: [f64; 12] = [
+    0.0,
+    f64::from_bits(1),
+    f64::MIN_POSITIVE,
+    1.0 - f64::EPSILON / 2.0,
+    4_503_599_627_370_495.5,      // 2^52 − 0.5
+    4_503_599_627_370_496.0,      // 2^52
+    4_503_599_627_370_497.0,      // 2^52 + 1
+    9_007_199_254_740_992.0,      // 2^53
+    9_223_372_036_854_775_808.0,  // 2^63
+    18_446_744_073_709_551_616.0, // 2^64
+    1e300,
+    f64::INFINITY,
+];
+
+/// A non-negative amount: an edge, any non-negative bit pattern (NaNs
+/// included, which both sides clamp to zero), or a fraction at a
+/// workload-like magnitude.
+fn amount(rng: &mut TestRng) -> f64 {
+    match rng.below(3) {
+        0 => EDGES[rng.below(EDGES.len() as u64) as usize],
+        1 => f64::from_bits(rng.next_u64() >> 1),
+        _ => rng.unit_f64() * 10f64.powi(rng.below(20) as i32),
+    }
+}
+
+#[test]
+fn register_add_is_the_parents_step_bit_for_bit() {
+    let cases = proptest::case_count().max(CASES) * 16;
+    let base = proptest::fnv1a("register_add_is_the_parents_step_bit_for_bit");
+    for case in 0..cases {
+        let seed = base ^ case.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let mut rng = TestRng::seed_from_u64(seed);
+        let mut reg = Register::default();
+        let (mut counter, mut frac) = (Counter::new(64), FracAccum::default());
+        for step in 0..1 + rng.below(16) {
+            let a = amount(&mut rng);
+            reg.add(a);
+            counter.add(frac.step(a));
+            assert!(
+                reg.total() == counter.total && reg.carry().to_bits() == frac.carry.to_bits(),
+                "case {case} (seed {seed:#x}) step {step}: add({a:e}) gives ({}, {:e}), \
+                 parent ({}, {:e})",
+                reg.total(),
+                reg.carry(),
+                counter.total,
+                frac.carry
+            );
         }
     }
 }

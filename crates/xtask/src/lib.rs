@@ -26,15 +26,21 @@
 //! (`--fix-ratchet`). The checker runs as a plain workspace binary
 //! (the `xtask` pattern), so it needs no external tooling and
 //! versions with the code it lints.
+//!
+//! `cargo xtask ab` ([`ab`]) is the other command: A/B pairs of the
+//! system benchmark, base revision against the working tree, with a
+//! sign-test verdict per end-to-end metric.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod ab;
 pub mod alloc_lint;
 pub mod conformance;
 pub mod crash_order;
 pub mod dead_surface;
 pub mod invariants;
+pub mod json;
 pub mod lexer;
 pub mod lock_order;
 pub mod panic_lint;

@@ -3,6 +3,7 @@
 //! ```text
 //! cargo xtask lint [--json <path>] [--fix-ratchet]
 //! cargo xtask lint --report
+//! cargo xtask ab --base <rev> [--workload W]… [--seed S]… [--pairs N]
 //! ```
 //!
 //! `--json` writes the machine-readable `LintReport` (the CI
@@ -10,7 +11,9 @@
 //! current finding counts (never up), then lints. `--report` runs no
 //! pass: it prints the dead-surface module listing (crate modules
 //! whose only users outside their crate are examples, tests or
-//! benches) and exits successfully whatever it lists.
+//! benches) and exits successfully whatever it lists. `ab` runs the
+//! system benchmark in alternating pairs, base revision against the
+//! working tree (see the library's `ab` module).
 
 use std::process::ExitCode;
 
@@ -18,8 +21,24 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("lint") | None => lint(&args[args.len().min(1)..]),
+        Some("ab") => ab(&args[1..]),
         Some(other) => {
-            eprintln!("unknown xtask command `{other}`; available: lint");
+            eprintln!("unknown xtask command `{other}`; available: lint, ab");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+fn ab(flags: &[String]) -> ExitCode {
+    let result = xtask::ab::Options::parse(flags)
+        .and_then(|opts| xtask::ab::run(&xtask::workspace_root(), &opts));
+    match result {
+        Ok(summary) => {
+            print!("{summary}");
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            eprintln!("xtask ab: {e}");
             ExitCode::FAILURE
         }
     }
