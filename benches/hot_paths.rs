@@ -8,7 +8,9 @@
 //!
 //! * `simnode.advance` (`system_live`, where 9 steps in 10 are mostly
 //!   node steps): `node_step` is one `SimNode::advance` by 60 s on the
-//!   fleet shape below, nodes visited round-robin.
+//!   fleet shape below, nodes visited round-robin, every node's CPUs in
+//!   lockstep; `node_step_split` the same after one step on a single
+//!   core, so that each CPU takes its own row.
 //! * `collect.daemon_tick` (`fleet_clean`): `collect` is
 //!   `Sampler::sample_into` on the benchmark's fleet shape — 64 Stampede
 //!   nodes of 16 processes, each with its own sampler and `Sample`,
@@ -33,11 +35,13 @@
 //!   workload's store of about 5,800 series, per point; its batches
 //!   span a whole seal cycle, so seals are in the figure.
 //!
-//! Five hard bars: a node step 0 allocations, `sample_into` at most
-//! 26 µs and 0 allocations, a `TaccStatsd` collection at most 2
-//! allocations (the shared `Bytes` handed to the transport: its buffer
-//! and its reference count), a warm `decode_into` 0, and an empty poll
-//! at most 1 µs and 0 allocations. The other allocation bars of these
+//! Six hard bars: a node step 0 allocations, a split node step 0
+//! allocations and at most 1.05× the parent's node step (every CPU
+//! taking its own row costs what it did before CPUs shared one),
+//! `sample_into` at most 26 µs and 0 allocations, a `TaccStatsd`
+//! collection at most 2 allocations (the shared `Bytes` handed to the
+//! transport: its buffer and its reference count), a warm `decode_into`
+//! 0, and an empty poll at most 1 µs and 0 allocations. The other allocation bars of these
 //! paths are tier-1 tests (`tests/alloc_invariants.rs`).
 //!
 //! A "before" column is a constant frozen from the record that last
@@ -106,10 +110,9 @@ type Cost = (f64, f64);
 /// A frozen "before" column: the commit that froze it, and its cost.
 type Frozen = (&'static str, Cost);
 
-/// A node step when each register was a heap-allocated `Counter` beside a
-/// `FracAccum` whose carry went through `f64::floor`: this case built
-/// against that commit, the fastest of five runs.
-const NODE_STEP_BEFORE: Frozen = ("889f1cb", (1_271.4, 0.0));
+/// A node step when every CPU took its own row, each through its own
+/// registers: the committed record of that commit.
+const NODE_STEP_BEFORE: Frozen = ("2899c72", (772.3, 0.0));
 /// `sample_into`, its `PsCollector` share and the `render_sample_into`
 /// of the 5.3 KB it renders to, on the fleet fixture at the commit
 /// before the node-side text path went byte-level.
@@ -140,6 +143,8 @@ const COLD_FIG4_WIDE_BEFORE: Frozen = ("f48946b", (254_538.0, 21.0));
 /// ordered by key text, on the same fixture.
 const INSERT_BEFORE: Frozen = ("7b7854b", (522.2, 0.0));
 
+/// Hard bar on `node_step_split`, as a share of `NODE_STEP_BEFORE`.
+const SPLIT_STEP_BAR: f64 = 1.05;
 /// Hard bar on `collect`, hot.
 const COLLECT_BAR_NS: f64 = 26_000.0;
 /// Hard bar on an empty poll: a pop under an uncontended lock.
@@ -390,13 +395,38 @@ fn advance_row() -> Row {
         nodes[turn.next().expect("cycle")].advance(step, &demand);
     });
     assert_eq!(node_step.1, 0.0, "a node step must not allocate");
+    // One step on a single core splits every node's CPUs apart for good.
+    let one_core = NodeDemand {
+        active_cores: 1,
+        ..demand.clone()
+    };
+    for node in &mut nodes {
+        node.advance(step, &one_core);
+    }
+    let node_step_split = measure(BATCHES, ITERS, || {
+        nodes[turn.next().expect("cycle")].advance(step, &demand);
+    });
+    assert_eq!(
+        node_step_split.1, 0.0,
+        "a split node step must not allocate"
+    );
+    let split_bar = SPLIT_STEP_BAR * NODE_STEP_BEFORE.1 .0;
+    assert!(
+        node_step_split.0 <= split_bar,
+        "a split node step took {:.1} ns, bar {split_bar:.1}",
+        node_step_split.0
+    );
     Row {
         name: "simnode.advance",
         fixture: format!(
             "node_step: {FLEET_NODES} stampede nodes of 16 processes under the fleet's busy \
-             demand, SimNode::advance by 60 s, round-robin. Bar: 0 allocs"
+             demand, SimNode::advance by 60 s, round-robin; node_step_split: the same after one \
+             step on one core. Bars: 0 allocs, node_step_split <= {split_bar:.1} ns"
         ),
-        cases: vec![("node_step", node_step, Some(NODE_STEP_BEFORE))],
+        cases: vec![
+            ("node_step", node_step, Some(NODE_STEP_BEFORE)),
+            ("node_step_split", node_step_split, Some(NODE_STEP_BEFORE)),
+        ],
     }
 }
 

@@ -1022,7 +1022,10 @@ mod tests {
         assert!(recs.iter().all(|r| r.values.len() == 9));
         assert!(recs[0].values[0] > 0, "instructions should be nonzero");
         // Matches ground truth.
-        assert_eq!(recs[3].values, n.devices(DeviceType::Cpu)[3].read_all(),);
+        assert_eq!(
+            recs[3].values,
+            n.device(DeviceType::Cpu, 3).unwrap().read_all()
+        );
     }
 
     #[test]
@@ -1037,7 +1040,7 @@ mod tests {
             let c = UncoreCollector::new(dev, 2, CpuArch::SandyBridge);
             let recs = c.collect(&fs);
             assert_eq!(recs.len(), 2, "{dt:?}");
-            assert_eq!(recs[0].values, n.devices(dt)[0].read_all());
+            assert_eq!(recs[0].values, n.device(dt, 0).unwrap().read_all());
         }
     }
 
@@ -1048,7 +1051,10 @@ mod tests {
         let recs = RaplCollector::new(2, 8).collect(&fs);
         assert_eq!(recs.len(), 2);
         assert!(recs[0].values[0] > 0);
-        assert_eq!(recs[1].values, n.devices(DeviceType::Rapl)[1].read_all());
+        assert_eq!(
+            recs[1].values,
+            n.device(DeviceType::Rapl, 1).unwrap().read_all()
+        );
     }
 
     #[test]
@@ -1058,7 +1064,12 @@ mod tests {
         let recs = CpustatCollector.collect(&fs);
         assert_eq!(recs.len(), 16); // aggregate line excluded
         assert_eq!(recs[0].instance, "0");
-        assert_eq!(recs[0].values, n.devices(DeviceType::Cpustat)[0].read_all());
+        for (c, rec) in recs.iter().enumerate() {
+            assert_eq!(
+                rec.values,
+                n.device(DeviceType::Cpustat, c).unwrap().read_all()
+            );
+        }
     }
 
     #[test]
@@ -1079,7 +1090,10 @@ mod tests {
         let recs = NetCollector.collect(&fs);
         assert_eq!(recs.len(), 1);
         assert_eq!(recs[0].instance, "eth0");
-        assert_eq!(recs[0].values, n.devices(DeviceType::Net)[0].read_all());
+        assert_eq!(
+            recs[0].values,
+            n.device(DeviceType::Net, 0).unwrap().read_all()
+        );
     }
 
     #[test]
@@ -1089,7 +1103,10 @@ mod tests {
         let recs = IbCollector::new(&["mlx4_0".to_string()]).collect(&fs);
         assert_eq!(recs.len(), 1);
         assert_eq!(recs[0].instance, "mlx4_0/1");
-        assert_eq!(recs[0].values, n.devices(DeviceType::Ib)[0].read_all());
+        assert_eq!(
+            recs[0].values,
+            n.device(DeviceType::Ib, 0).unwrap().read_all()
+        );
     }
 
     #[test]
@@ -1099,13 +1116,25 @@ mod tests {
         let llite = LliteCollector.collect(&fs);
         assert_eq!(llite.len(), 2);
         assert_eq!(llite[0].instance, "scratch");
-        assert_eq!(llite[0].values, n.devices(DeviceType::Llite)[0].read_all());
+        assert_eq!(
+            llite[0].values,
+            n.device(DeviceType::Llite, 0).unwrap().read_all()
+        );
         let mdc = MdcCollector.collect(&fs);
-        assert_eq!(mdc[0].values, n.devices(DeviceType::Mdc)[0].read_all());
+        assert_eq!(
+            mdc[0].values,
+            n.device(DeviceType::Mdc, 0).unwrap().read_all()
+        );
         let osc = OscCollector.collect(&fs);
-        assert_eq!(osc[0].values, n.devices(DeviceType::Osc)[0].read_all());
+        assert_eq!(
+            osc[0].values,
+            n.device(DeviceType::Osc, 0).unwrap().read_all()
+        );
         let lnet = LnetCollector.collect(&fs);
-        assert_eq!(lnet[0].values, n.devices(DeviceType::Lnet)[0].read_all());
+        assert_eq!(
+            lnet[0].values,
+            n.device(DeviceType::Lnet, 0).unwrap().read_all()
+        );
     }
 
     #[test]

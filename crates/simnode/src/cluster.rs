@@ -16,12 +16,15 @@ use std::num::NonZeroUsize;
 use std::sync::Arc;
 
 /// Fewest nodes a worker thread of [`SimCluster::advance_all`] is given.
-/// A busy Stampede node-step costs 2.5–2.9 µs in-fleet (the benchmark's
-/// `simnode.advance.ns_per_node_step`), so 200 nodes are ≈ 0.5 ms of
-/// work — enough to amortise spawning and joining a thread (tens of µs).
-/// Below it the cluster advances inline; a 64-node cluster always does.
-/// Node-steps are independent, so the gate moves wall time only, never a
-/// counter.
+/// A busy Stampede node-step costs 1.1–1.7 µs in-fleet (the benchmark's
+/// `simnode.advance.ns_per_node_step`, traced `fleet_clean`,
+/// `fleet_hostile` and `system_live` at seeds 42 and 2015, every node's
+/// CPUs in lockstep), so 200 nodes are ≈ 0.2–0.35 ms of work — still
+/// enough to amortise spawning and joining a thread (tens of µs). The
+/// benchmark runs pinned to one CPU, so it cannot time the threaded arm
+/// that would re-tune the gate. Below it the cluster advances inline; a
+/// 64-node cluster always does. Node-steps are independent, so the gate
+/// moves wall time only, never a counter.
 const PAR_MIN_NODES_PER_WORKER: usize = 200;
 
 /// A collection of simulated nodes sharing a [`SimClock`].
@@ -134,6 +137,7 @@ impl SimCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::devices::SimDevice;
     use crate::schema::DeviceType;
 
     #[test]
@@ -163,12 +167,11 @@ mod tests {
         assert_eq!(c.clock().now().as_secs(), 60);
         let n0 = c.node(0);
         let n1 = c.node(1);
-        let user0 = n0.read().devices(DeviceType::Cpustat)[0]
-            .read("user")
-            .unwrap();
-        let user1 = n1.read().devices(DeviceType::Cpustat)[0]
-            .read("user")
-            .unwrap();
+        let user = |n: &SimNode| {
+            n.device(DeviceType::Cpustat, 0)
+                .and_then(|d| d.read("user"))
+        };
+        let (user0, user1) = (user(&n0.read()).unwrap(), user(&n1.read()).unwrap());
         assert!(user0 > 0);
         assert_eq!(user1, 0);
     }
@@ -204,8 +207,9 @@ mod tests {
             for dt in [DeviceType::Cpu, DeviceType::Cpustat, DeviceType::Rapl] {
                 let (p, s) = (par.node(i), ser.node(i));
                 let (p, s) = (p.read(), s.read());
-                for (a, b) in p.devices(dt).iter().zip(s.devices(dt)) {
-                    assert_eq!(a.totals(), b.totals(), "node {i} {dt}");
+                for c in 0..p.topology.n_cpus() {
+                    let totals = |n: &SimNode| n.device(dt, c).map(SimDevice::totals);
+                    assert_eq!(totals(&p), totals(&s), "node {i} {dt} {c}");
                 }
             }
         }

@@ -27,8 +27,9 @@ const TWO_POW_52: f64 = 4_503_599_627_370_496.0;
 /// Workload models produce *rates* (e.g. 3.7e9 FLOPs per second); stepping
 /// the simulation by, say, 100 ms yields fractional event counts. The
 /// carry keeps the remainder so long-run totals are exact. The total never
-/// wraps in practice (u64 nanojoule-scale quantities over simulated months
-/// stay < 2^64); a read masks it to the register width.
+/// reaches 2^64 in practice (u64 nanojoule-scale quantities over simulated
+/// months stay far below it), and saturates there rather than wrap; a read
+/// masks it to the register width.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Register {
     total: u64,
@@ -38,11 +39,13 @@ pub struct Register {
 impl Register {
     /// Add a fractional amount of events: the whole part of carry plus
     /// amount goes to the total, the fraction stays as the carry. A
-    /// negative or NaN amount adds nothing; an infinite one saturates.
+    /// negative or NaN amount adds nothing; an infinite one saturates the
+    /// total at `u64::MAX`, where it stays (the carry is NaN from then
+    /// on, and every later add is `u64::MAX` whole events).
     pub fn add(&mut self, amount: f64) {
         let (whole, carry) = split(self.carry + amount.max(0.0));
         self.carry = carry;
-        self.total = self.total.wrapping_add(whole);
+        self.total = self.total.saturating_add(whole);
     }
 
     /// Set the total to an absolute value (a gauge). The carry is left
@@ -172,6 +175,23 @@ mod tests {
             r.total()
         );
         assert!((0.0..1.0).contains(&r.carry()));
+    }
+
+    #[test]
+    fn an_infinite_add_saturates_and_stays() {
+        let mut r = Register::default();
+        r.add(5.0);
+        r.add(f64::INFINITY);
+        assert_eq!(r.total(), u64::MAX);
+        for amount in [1.0, 2.5, 3.0, 0.0] {
+            r.add(amount);
+            assert_eq!(r.total(), u64::MAX, "after add({amount})");
+        }
+        // Finite adds past the top saturate too.
+        let mut r = Register::default();
+        r.set(u64::MAX - 1);
+        r.add(3.0);
+        assert_eq!(r.total(), u64::MAX);
     }
 
     #[test]

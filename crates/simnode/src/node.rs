@@ -16,6 +16,23 @@
 //! device's block as one row ([`SimDevice::add_row`]): a step is
 //! arithmetic over inline registers, with no name lookup, no allocation
 //! and no library call.
+//!
+//! CPUs that run in lockstep share registers. A job pinned one rank per
+//! core adds the same row to every CPU it runs on, so the leading CPUs
+//! of the `cpu` and `cpustat` tables form a *lockstep group*: the first
+//! `group` instances all read the registers of the group's last member,
+//! and `advance` adds the group's row once, to that member — so a step's
+//! rows still go to one contiguous run of devices, and its loops are the
+//! per-CPU loops with a `skip`. The group only shrinks, and the instances
+//! that leave it take a copy of its registers first: a step whose active
+//! CPUs end inside the group splits it there, and a `set_frozen` that
+//! changes a member's state splits it at that member (one that changes
+//! nothing keeps it). [`SimNode::reboot`] zeroes every register and thaws
+//! every device, so it re-forms the whole group. Every register and
+//! carry is the one a step of each instance on its own would give — the
+//! same state and the same row through the same arithmetic. Only this
+//! file knows: every read resolves an instance through
+//! [`SimNode::device`].
 
 use crate::devices::SimDevice;
 use crate::faults::{ReadFault, ReadFaultMode};
@@ -103,6 +120,12 @@ pub struct SimNode {
     next_pid: u32,
     crashed: bool,
     boot_count: u32,
+    /// The lockstep groups of the `cpu` and `cpustat` tables: how many
+    /// leading instances read the registers of the last of them (at least
+    /// 1 when the table has an instance). Two `u16`s fit the struct's
+    /// padding.
+    cpu_group: u16,
+    cpustat_group: u16,
     read_faults: Vec<ReadFault>,
 }
 
@@ -137,6 +160,30 @@ fn instances(dt: DeviceType, topology: &NodeTopology) -> Vec<SimDevice> {
     }
 }
 
+/// A lockstep group of the first `n` instances, as stored (past `u16::MAX`
+/// CPUs, only the first `u16::MAX` would share).
+fn group_of(n: usize) -> u16 {
+    u16::try_from(n).unwrap_or(u16::MAX)
+}
+
+/// Instances `from..group` of `devs` leave the lockstep group (instance 0
+/// never does). The group's registers live in its last member, so that
+/// member keeps them, and the new last member and every other leaving
+/// member take a copy.
+fn leave_group(devs: &mut [SimDevice], group: &mut u16, from: usize) {
+    let from = from.max(1);
+    let end = usize::from(*group);
+    if from >= end {
+        return;
+    }
+    if let Some((last, members)) = devs.get_mut(..end).and_then(<[_]>::split_last_mut) {
+        for dev in members.iter_mut().skip(from - 1) {
+            dev.copy_registers(last);
+        }
+    }
+    *group = group_of(from);
+}
+
 /// A register row: each amount at its schema position, zero elsewhere.
 fn row<const N: usize>(at: &[(usize, f64)]) -> [f64; N] {
     let mut row = [0.0; N];
@@ -161,16 +208,42 @@ impl SimNode {
             next_pid: 1000,
             crashed: false,
             boot_count: 1,
+            cpu_group: 0,
+            cpustat_group: 0,
             read_faults: Vec::new(),
         };
+        node.regroup();
         node.set_mem_total();
         node
     }
 
-    /// Device instances of a type (empty slice if the hardware is absent —
-    /// e.g. no Lustre mounts, no Phi, no IB).
-    pub fn devices(&self, dt: DeviceType) -> &[SimDevice] {
-        self.devices.get(dt as usize).map_or(&[], Vec::as_slice)
+    /// Instance `i` of `dt` as a read sees it — its registers, schema and
+    /// frozen flag — or `None` past the last (none at all when the
+    /// hardware is absent: no Lustre mounts, no Phi, no IB). A CPU of the
+    /// lockstep group reads through the group's last device, so the
+    /// device does not name the instance: [`SimNode::instance_name`] does.
+    pub fn device(&self, dt: DeviceType, i: usize) -> Option<&SimDevice> {
+        let devs = self.devices.get(dt as usize)?;
+        let group = usize::from(match dt {
+            DeviceType::Cpu => self.cpu_group,
+            DeviceType::Cpustat => self.cpustat_group,
+            _ => 0,
+        });
+        devs.get(if i < group { group - 1 } else { i })
+    }
+
+    /// The name of instance `i` of `dt` (`"3"` for CPU 3, `"scratch"` for
+    /// a Lustre mount, `"mlx4_0/1"` for an IB port), or `None` past the
+    /// last.
+    pub fn instance_name(&self, dt: DeviceType, i: usize) -> Option<&str> {
+        Some(self.devices.get(dt as usize)?.get(i)?.instance.as_str())
+    }
+
+    /// Every CPU in one lockstep group: right after construction and
+    /// reboot, when every register is zero and every device thawed.
+    fn regroup(&mut self) {
+        self.cpu_group = group_of(self.topology.n_cpus());
+        self.cpustat_group = group_of(self.topology.n_cpus());
     }
 
     /// The `MemTotal` gauge of every NUMA node: installed memory split
@@ -212,6 +285,7 @@ impl SimNode {
         for d in self.devices.iter_mut().flatten() {
             d.reset();
         }
+        self.regroup();
         self.set_mem_total();
         self.processes.clear();
         self.crashed = false;
@@ -262,7 +336,8 @@ impl SimNode {
     /// Every floating-point expression is the one the by-name model
     /// evaluated, in the same order (`crates/simnode/tests/advance_props.rs`
     /// holds every register and carry bit-identical to it); an amount the
-    /// same for every instance is computed once, outside its loop.
+    /// same for every instance is computed once, outside its loop, and a
+    /// row the same for the whole lockstep group is added once.
     pub fn advance(&mut self, dt: SimDuration, demand: &NodeDemand) {
         if self.crashed || dt.is_zero() {
             return;
@@ -321,7 +396,14 @@ impl SimNode {
             (cpu::LOAD_L2_HIT, loads * demand.l2_hit_frac),
             (cpu::LOAD_LLC_HIT, loads * demand.llc_hit_frac),
         ]);
-        for dev in cpus.iter_mut().take(active) {
+        // Active CPUs that end inside the lockstep group split it there;
+        // then the group's row goes to its last member, which holds its
+        // registers, and the CPUs before that member take no row.
+        if active > 0 {
+            leave_group(cpus, &mut self.cpu_group, active);
+        }
+        let shared = usize::from(self.cpu_group).saturating_sub(1);
+        for dev in cpus.iter_mut().take(active).skip(shared) {
             dev.add_row(&cpu_row);
         }
         // Nothing adds nice jiffies, and an idle CPU adds no user or
@@ -339,7 +421,11 @@ impl SimNode {
             (cpustat::SYSTEM, jiffies * 0.002),
             (cpustat::IDLE, jiffies * 0.998),
         ]);
-        for (c, dev) in cpustats.iter_mut().enumerate() {
+        if active > 0 {
+            leave_group(cpustats, &mut self.cpustat_group, active);
+        }
+        let shared = usize::from(self.cpustat_group).saturating_sub(1);
+        for (c, dev) in cpustats.iter_mut().enumerate().skip(shared) {
             dev.add_row(if c < active { &busy_row } else { &idle_row });
         }
 
@@ -515,7 +601,7 @@ impl SimNode {
             MSR_DRAM_ENERGY_STATUS => (DeviceType::Rapl, socket, rapl::MSR_DRAM_ENERGY_STATUS),
             _ => return None,
         };
-        self.devices(dt).get(dev)?.read_at(idx)
+        self.device(dt, dev)?.read_at(idx)
     }
 
     /// Read an uncore counter from (simulated) PCI configuration space.
@@ -529,7 +615,7 @@ impl SimNode {
             UncoreDev::Qpi => DeviceType::Qpi,
             UncoreDev::Cbo => DeviceType::Cbo,
         };
-        self.devices(dt).get(socket)?.read_at(idx)
+        self.device(dt, socket)?.read_at(idx)
     }
 
     /// Install the set of pseudo-file read faults currently active on
@@ -553,21 +639,40 @@ impl SimNode {
     /// Freeze or thaw a device instance's counters (a stuck-counter
     /// fault). `instance` matches exactly or as a `/`-separated prefix,
     /// so `"mlx4_0"` freezes the IB port instance `"mlx4_0/1"`. Returns
-    /// how many instances changed state.
+    /// how many instances matched.
+    ///
+    /// A CPU whose state changes leaves the lockstep group first, and
+    /// takes every later member with it.
     pub fn set_frozen(&mut self, dt: DeviceType, instance: &str, frozen: bool) -> usize {
         let Some(devs) = self.devices.get_mut(dt as usize) else {
             return 0;
         };
+        let mut group = match dt {
+            DeviceType::Cpu => Some(&mut self.cpu_group),
+            DeviceType::Cpustat => Some(&mut self.cpustat_group),
+            _ => None,
+        };
         let mut n = 0;
-        for d in devs {
+        for k in 0..devs.len() {
+            let Some(d) = devs.get(k) else {
+                break;
+            };
             let matches = d
                 .instance
                 .strip_prefix(instance)
                 .is_some_and(|rest| rest.is_empty() || rest.starts_with('/'));
-            if matches {
-                d.set_frozen(frozen);
-                n += 1;
+            if !matches {
+                continue;
             }
+            if d.is_frozen() != frozen {
+                if let Some(group) = group.as_deref_mut() {
+                    leave_group(devs, group, k);
+                }
+            }
+            if let Some(d) = devs.get_mut(k) {
+                d.set_frozen(frozen);
+            }
+            n += 1;
         }
         n
     }
@@ -577,6 +682,17 @@ impl SimNode {
 mod tests {
     use super::*;
     use crate::workload::LustreDemand;
+
+    /// Instance `i` of `dt`, which the test knows exists.
+    fn dev(n: &SimNode, dt: DeviceType, i: usize) -> &SimDevice {
+        n.device(dt, i)
+            .unwrap_or_else(|| panic!("{dt} has no instance {i}"))
+    }
+
+    /// How many instances of `dt` the node has.
+    fn count(n: &SimNode, dt: DeviceType) -> usize {
+        (0..).take_while(|&i| n.device(dt, i).is_some()).count()
+    }
 
     fn busy_demand() -> NodeDemand {
         NodeDemand {
@@ -606,12 +722,12 @@ mod tests {
     #[test]
     fn stampede_node_has_expected_devices() {
         let n = SimNode::new("c401-101", NodeTopology::stampede());
-        assert_eq!(n.devices(DeviceType::Cpu).len(), 16);
-        assert_eq!(n.devices(DeviceType::Imc).len(), 2);
-        assert_eq!(n.devices(DeviceType::Rapl).len(), 2);
-        assert_eq!(n.devices(DeviceType::Llite).len(), 2);
-        assert_eq!(n.devices(DeviceType::Mic).len(), 1);
-        assert_eq!(n.devices(DeviceType::Ib).len(), 1);
+        assert_eq!(count(&n, DeviceType::Cpu), 16);
+        assert_eq!(count(&n, DeviceType::Imc), 2);
+        assert_eq!(count(&n, DeviceType::Rapl), 2);
+        assert_eq!(count(&n, DeviceType::Llite), 2);
+        assert_eq!(count(&n, DeviceType::Mic), 1);
+        assert_eq!(count(&n, DeviceType::Ib), 1);
     }
 
     #[test]
@@ -619,9 +735,11 @@ mod tests {
         for topo in [NodeTopology::stampede(), NodeTopology::lonestar5()] {
             let n = SimNode::new("c0-0", topo);
             for dt in DeviceType::ALL {
-                assert!(n.devices(dt).iter().all(|d| d.dev_type == dt), "{dt}");
+                let n_dt = count(&n, dt);
+                assert!((0..n_dt).all(|i| dev(&n, dt, i).dev_type == dt), "{dt}");
+                assert_eq!(n.instance_name(dt, n_dt), None, "{dt}");
             }
-            assert!(n.devices(DeviceType::Ps).is_empty());
+            assert!(count(&n, DeviceType::Ps) == 0);
         }
     }
 
@@ -634,10 +752,10 @@ mod tests {
             ..NodeTopology::stampede()
         };
         let n = SimNode::new("c0-0", topo);
-        assert!(n.devices(DeviceType::Ib).is_empty());
-        assert!(n.devices(DeviceType::Mic).is_empty());
-        assert!(n.devices(DeviceType::Llite).is_empty());
-        assert!(n.devices(DeviceType::Lnet).is_empty());
+        assert!(count(&n, DeviceType::Ib) == 0);
+        assert!(count(&n, DeviceType::Mic) == 0);
+        assert!(count(&n, DeviceType::Llite) == 0);
+        assert!(count(&n, DeviceType::Lnet) == 0);
     }
 
     #[test]
@@ -645,7 +763,7 @@ mod tests {
         let mut n = SimNode::new("c401-101", NodeTopology::stampede());
         let d = busy_demand();
         n.advance(SimDuration::from_secs(600), &d);
-        let cpu0 = &n.devices(DeviceType::Cpu)[0];
+        let cpu0 = dev(&n, DeviceType::Cpu, 0);
         let inst = cpu0.read("FIXED_CTR0").unwrap();
         // 2.7 GHz * (0.9 user + 0.02 sys) / 0.8 cpi * 600 s.
         let expected = 2.7e9 * 0.92 / 0.8 * 600.0;
@@ -656,7 +774,7 @@ mod tests {
         // Node-wide FLOPs: scalar + 4*vector should equal 1e11 * 600.
         let mut scalar = 0u64;
         let mut vector = 0u64;
-        for c in n.devices(DeviceType::Cpu) {
+        for c in (0..16).map(|i| dev(&n, DeviceType::Cpu, i)) {
             scalar += c.read("FP_SCALAR").unwrap();
             vector += c.read("FP_VECTOR").unwrap();
         }
@@ -669,14 +787,14 @@ mod tests {
     fn advance_tracks_lustre_and_ib() {
         let mut n = SimNode::new("c401-101", NodeTopology::stampede());
         n.advance(SimDuration::from_secs(100), &busy_demand());
-        let mdc = &n.devices(DeviceType::Mdc)[0];
+        let mdc = dev(&n, DeviceType::Mdc, 0);
         assert_eq!(mdc.read("reqs"), Some(10_000));
         assert_eq!(mdc.read("wait"), Some(5_000_000));
-        let ib = &n.devices(DeviceType::Ib)[0];
+        let ib = dev(&n, DeviceType::Ib, 0);
         // 2e8 B/s * 100 s / 4 B per word = 5e9 words.
         assert_eq!(ib.read("port_xmit_data"), Some(5_000_000_000));
         // Second filesystem (work) untouched.
-        let mdc_work = &n.devices(DeviceType::Mdc)[1];
+        let mdc_work = dev(&n, DeviceType::Mdc, 1);
         assert_eq!(mdc_work.read("reqs"), Some(0));
     }
 
@@ -684,7 +802,7 @@ mod tests {
     fn idle_node_only_accrues_idle_jiffies() {
         let mut n = SimNode::new("c1-1", NodeTopology::stampede());
         n.advance(SimDuration::from_secs(60), &NodeDemand::idle());
-        let st = &n.devices(DeviceType::Cpustat)[0];
+        let st = dev(&n, DeviceType::Cpustat, 0);
         assert_eq!(st.read("user"), Some(0));
         let idle = st.read("idle").unwrap();
         assert!(idle >= 5900, "idle={idle}"); // ~59.88 s of jiffies
@@ -695,17 +813,17 @@ mod tests {
         let mut n = SimNode::new("c1-1", NodeTopology::stampede());
         n.advance(SimDuration::from_secs(600), &busy_demand());
         let via_msr = n.read_msr(0, MSR_FIXED_CTR0).unwrap();
-        let via_dev = n.devices(DeviceType::Cpu)[0].read("FIXED_CTR0").unwrap();
+        let via_dev = dev(&n, DeviceType::Cpu, 0).read("FIXED_CTR0").unwrap();
         assert_eq!(via_msr, via_dev);
         // PMC0 is FP_SCALAR (schema index 3).
         assert_eq!(
             n.read_msr(5, MSR_PMC0),
-            n.devices(DeviceType::Cpu)[5].read("FP_SCALAR")
+            dev(&n, DeviceType::Cpu, 5).read("FP_SCALAR")
         );
         // RAPL via any CPU of socket 1.
         assert_eq!(
             n.read_msr(8, MSR_PKG_ENERGY_STATUS),
-            n.devices(DeviceType::Rapl)[1].read("MSR_PKG_ENERGY_STATUS")
+            dev(&n, DeviceType::Rapl, 1).read("MSR_PKG_ENERGY_STATUS")
         );
         // Every address lands on the schema position of its event.
         let cpu_events = [
@@ -719,7 +837,7 @@ mod tests {
             (MSR_PMC0 + 5, "LOAD_LLC_HIT"),
         ];
         for (addr, ev) in cpu_events {
-            let want = n.devices(DeviceType::Cpu)[3].read(ev);
+            let want = dev(&n, DeviceType::Cpu, 3).read(ev);
             assert!(want.is_some_and(|v| v > 0), "{ev}");
             assert_eq!(n.read_msr(3, addr), want, "{ev}");
         }
@@ -731,20 +849,20 @@ mod tests {
         ] {
             assert_eq!(
                 n.read_msr(0, addr),
-                n.devices(DeviceType::Rapl)[0].read(ev),
+                dev(&n, DeviceType::Rapl, 0).read(ev),
                 "{ev}"
             );
         }
-        for (dev, dt) in [
+        for (uncore, dt) in [
             (UncoreDev::Imc, DeviceType::Imc),
             (UncoreDev::Qpi, DeviceType::Qpi),
             (UncoreDev::Cbo, DeviceType::Cbo),
         ] {
-            let all = n.devices(dt)[1].read_all();
+            let all = dev(&n, dt, 1).read_all();
             for (i, want) in all.iter().enumerate() {
-                assert_eq!(n.read_pci_counter(1, dev, i), Some(*want));
+                assert_eq!(n.read_pci_counter(1, uncore, i), Some(*want));
             }
-            assert_eq!(n.read_pci_counter(1, dev, all.len()), None);
+            assert_eq!(n.read_pci_counter(1, uncore, all.len()), None);
         }
         assert_eq!(n.read_msr(99, MSR_FIXED_CTR0), None);
         assert_eq!(n.read_msr(0, 0xdead), None);
@@ -755,7 +873,7 @@ mod tests {
         let mut n = SimNode::new("c1-1", NodeTopology::stampede());
         n.spawn_process("wrf.exe", 5000, 1, u64::MAX);
         n.advance(SimDuration::from_secs(60), &busy_demand());
-        let before = n.devices(DeviceType::Cpu)[0].read("FIXED_CTR0").unwrap();
+        let before = dev(&n, DeviceType::Cpu, 0).read("FIXED_CTR0").unwrap();
         assert!(before > 0);
         n.crash();
         assert!(n.read_msr(0, MSR_FIXED_CTR0).is_none());
@@ -763,9 +881,165 @@ mod tests {
         assert!(n.processes().is_empty());
         n.reboot();
         assert_eq!(n.boot_count(), 2);
-        assert_eq!(n.devices(DeviceType::Cpu)[0].read("FIXED_CTR0"), Some(0));
+        assert_eq!(dev(&n, DeviceType::Cpu, 0).read("FIXED_CTR0"), Some(0));
         // MemTotal gauge restored after reboot.
-        assert!(n.devices(DeviceType::Mem)[0].read("MemTotal").unwrap() > 0);
+        assert!(dev(&n, DeviceType::Mem, 0).read("MemTotal").unwrap() > 0);
+    }
+
+    /// The busy demand on the first `active` cores.
+    fn on(active: usize) -> NodeDemand {
+        NodeDemand {
+            active_cores: active,
+            ..busy_demand()
+        }
+    }
+
+    /// Every CPU's `dt` registers as a read sees them.
+    fn per_cpu(n: &SimNode, dt: DeviceType) -> Vec<Vec<u64>> {
+        (0..count(n, dt))
+            .map(|c| dev(n, dt, c).read_all())
+            .collect()
+    }
+
+    const MINUTE: SimDuration = SimDuration::from_secs(60);
+
+    #[test]
+    fn the_lockstep_groups_fit_the_padding() {
+        #[cfg(target_pointer_width = "64")]
+        assert_eq!(std::mem::size_of::<SimNode>(), 520);
+    }
+
+    #[test]
+    fn a_busy_step_adds_one_row_for_the_whole_group() {
+        let mut n = SimNode::new("c1-1", NodeTopology::stampede());
+        n.advance(MINUTE, &on(16));
+        assert_eq!((n.cpu_group, n.cpustat_group), (16, 16));
+        for dt in [DeviceType::Cpu, DeviceType::Cpustat] {
+            let regs = per_cpu(&n, dt);
+            assert!(regs.iter().all(|r| *r == regs[0]), "{dt}: {regs:?}");
+            assert!(regs[0].iter().any(|&v| v > 0), "{dt}");
+            // Only the group's last block was written.
+            let own = |c: usize| n.devices[dt as usize][c].read_all();
+            assert!(own(0).iter().chain(&own(14)).all(|&v| v == 0));
+            assert_eq!(own(15), regs[0]);
+        }
+        let inst = n.read_msr(0, MSR_FIXED_CTR0);
+        assert!(inst.is_some_and(|v| v > 0));
+        assert!((0..16).all(|c| n.read_msr(c, MSR_FIXED_CTR0) == inst));
+    }
+
+    #[test]
+    fn a_step_ending_inside_the_group_splits_it_there() {
+        let mut n = SimNode::new("c1-1", NodeTopology::stampede());
+        n.advance(MINUTE, &on(16));
+        let (cpu1, stat1) = (
+            per_cpu(&n, DeviceType::Cpu),
+            per_cpu(&n, DeviceType::Cpustat),
+        );
+        n.advance(MINUTE, &on(3));
+        assert_eq!((n.cpu_group, n.cpustat_group), (3, 3));
+        let (cpu2, stat2) = (
+            per_cpu(&n, DeviceType::Cpu),
+            per_cpu(&n, DeviceType::Cpustat),
+        );
+        // The three busy CPUs moved on together; the idle ones kept the
+        // first step's counts — their copy of CPU 0's registers.
+        assert!(cpu2[..3].iter().all(|r| *r == cpu2[0] && *r != cpu1[0]));
+        assert!(cpu2[3..].iter().all(|r| *r == cpu1[0]));
+        assert_eq!(n.read_msr(9, MSR_FIXED_CTR0), Some(cpu1[0][0]));
+        let (user, idle) = (0, 3);
+        assert!(stat2[3..]
+            .iter()
+            .all(|r| r[user] == stat1[0][user] && r[idle] > stat1[0][idle]));
+        assert!(stat2[..3].iter().all(|r| r[user] > stat1[0][user]));
+        // Each instance now takes its own row.
+        n.advance(MINUTE, &on(16));
+        let cpu3 = per_cpu(&n, DeviceType::Cpu);
+        assert!(cpu3[3..].iter().all(|r| *r == cpu3[3] && *r != cpu3[0]));
+    }
+
+    #[test]
+    fn freezing_a_cpu_of_the_group_splits_it_at_that_cpu() {
+        let mut n = SimNode::new("c1-1", NodeTopology::stampede());
+        n.advance(MINUTE, &on(16));
+        let first = dev(&n, DeviceType::Cpu, 0).read_all();
+        assert_eq!(n.set_frozen(DeviceType::Cpu, "5", true), 1);
+        assert_eq!((n.cpu_group, n.cpustat_group), (5, 16));
+        n.advance(MINUTE, &on(16));
+        let regs = per_cpu(&n, DeviceType::Cpu);
+        assert!(dev(&n, DeviceType::Cpu, 5).is_frozen());
+        assert_eq!(regs[5], first, "frozen on its copy of CPU 0's registers");
+        assert!(regs
+            .iter()
+            .enumerate()
+            .all(|(c, r)| c == 5 || *r == regs[0]));
+        assert_ne!(regs[0], first);
+        // Freezing CPU 0 takes every other CPU out of the group.
+        assert_eq!(n.set_frozen(DeviceType::Cpustat, "0", true), 1);
+        assert_eq!(n.cpustat_group, 1);
+        n.advance(MINUTE, &on(16));
+        let stats = per_cpu(&n, DeviceType::Cpustat);
+        assert!(stats[1..].iter().all(|r| *r == stats[1] && *r != stats[0]));
+    }
+
+    #[test]
+    fn a_thawed_cpu_steps_again_from_where_it_froze() {
+        let mut n = SimNode::new("c1-1", NodeTopology::stampede());
+        let mut twin = n.clone();
+        n.advance(MINUTE, &on(16));
+        twin.advance(MINUTE, &on(16));
+        n.set_frozen(DeviceType::Cpu, "0", true);
+        assert_eq!(n.cpu_group, 1);
+        n.set_frozen(DeviceType::Cpu, "0", false);
+        n.advance(MINUTE, &on(16));
+        twin.advance(MINUTE, &on(16));
+        assert!(!dev(&n, DeviceType::Cpu, 0).is_frozen());
+        assert_eq!(
+            per_cpu(&n, DeviceType::Cpu),
+            per_cpu(&twin, DeviceType::Cpu)
+        );
+    }
+
+    #[test]
+    fn a_no_op_thaw_keeps_the_group() {
+        let mut n = SimNode::new("c1-1", NodeTopology::stampede());
+        n.advance(MINUTE, &on(16));
+        assert_eq!(n.set_frozen(DeviceType::Cpu, "5", false), 1);
+        assert_eq!(n.set_frozen(DeviceType::Cpustat, "0", false), 1);
+        assert_eq!((n.cpu_group, n.cpustat_group), (16, 16));
+        n.advance(MINUTE, &on(16));
+        let regs = per_cpu(&n, DeviceType::Cpu);
+        assert!(regs.iter().all(|r| *r == regs[0]));
+    }
+
+    #[test]
+    fn a_crash_keeps_the_group_and_its_registers() {
+        let mut n = SimNode::new("c1-1", NodeTopology::stampede());
+        n.advance(MINUTE, &on(16));
+        let before = per_cpu(&n, DeviceType::Cpu);
+        n.crash();
+        n.advance(MINUTE, &on(3));
+        assert_eq!((n.cpu_group, n.cpustat_group), (16, 16));
+        assert_eq!(n.read_msr(7, MSR_FIXED_CTR0), None);
+        assert_eq!(per_cpu(&n, DeviceType::Cpu), before);
+    }
+
+    #[test]
+    fn reboot_reforms_a_split_group() {
+        let mut n = SimNode::new("c1-1", NodeTopology::stampede());
+        n.advance(MINUTE, &on(3));
+        n.set_frozen(DeviceType::Cpustat, "1", true);
+        assert_eq!((n.cpu_group, n.cpustat_group), (3, 1));
+        n.crash();
+        n.reboot();
+        assert_eq!((n.cpu_group, n.cpustat_group), (16, 16));
+        for dt in [DeviceType::Cpu, DeviceType::Cpustat] {
+            assert!(per_cpu(&n, dt).iter().flatten().all(|&v| v == 0), "{dt}");
+            assert!((0..16).all(|c| !dev(&n, dt, c).is_frozen()), "{dt}");
+        }
+        n.advance(MINUTE, &on(16));
+        let regs = per_cpu(&n, DeviceType::Cpustat);
+        assert!(regs.iter().all(|r| *r == regs[0]) && regs[0][0] > 0);
     }
 
     #[test]
@@ -799,11 +1073,11 @@ mod tests {
         for _ in 0..12 {
             n.advance(SimDuration::from_secs(600), &d);
         }
-        let r = n.devices(DeviceType::Rapl)[0]
+        let r = dev(&n, DeviceType::Rapl, 0)
             .read("MSR_PKG_ENERGY_STATUS")
             .unwrap();
         assert!(r < 1u64 << 32);
-        let total = n.devices(DeviceType::Rapl)[0].totals()[0];
+        let total = dev(&n, DeviceType::Rapl, 0).totals()[0];
         assert!(total > 1u64 << 32, "total={total} should have wrapped");
     }
 }

@@ -32,6 +32,12 @@ const READ_CAPACITY: usize = 1024;
 /// lists 16 pids, every other directory a handful of entries.
 const LIST_CAPACITY: usize = 16;
 
+/// Each instance of `dt` on `node`, in order: its name, and the device
+/// its registers are read from.
+fn instances(node: &SimNode, dt: DeviceType) -> impl Iterator<Item = (&str, &SimDevice)> {
+    (0..).map_while(move |i| Some((node.instance_name(dt, i)?, node.device(dt, i)?)))
+}
+
 /// The first `N` registers of `dev`, in schema order.
 fn regs<const N: usize>(dev: &SimDevice) -> [u64; N] {
     std::array::from_fn(|i| dev.read_at(i).unwrap_or(0))
@@ -180,11 +186,11 @@ impl<'a> NodeFs<'a> {
             "/sys/class/mic" => (DeviceType::Mic, ""),
             _ => return,
         };
-        for d in self.node.devices(dt) {
+        for (instance, _) in instances(self.node, dt) {
             // An IB instance is `<hca>/<port>`; its directory is the HCA.
             let stem = match dt {
-                DeviceType::Ib => d.instance.split('/').next().unwrap_or("hca0"),
-                _ => d.instance.as_str(),
+                DeviceType::Ib => instance.split('/').next().unwrap_or("hca0"),
+                _ => instance,
             };
             name.clear();
             name.push_str(stem);
@@ -194,10 +200,9 @@ impl<'a> NodeFs<'a> {
     }
 
     fn device(&self, dt: DeviceType, instance: &str) -> Option<&SimDevice> {
-        self.node
-            .devices(dt)
-            .iter()
-            .find(|d| d.instance == instance)
+        instances(self.node, dt)
+            .find(|&(name, _)| name == instance)
+            .map(|(_, dev)| dev)
     }
 
     /// Route `path` to its renderer, which appends the file to `out`.
@@ -212,7 +217,7 @@ impl<'a> NodeFs<'a> {
             "/proc/stat" => self.render_proc_stat(&mut t),
             "/proc/net/dev" => self.render_net_dev(&mut t),
             "/proc/sys/lnet/stats" => {
-                let dev = self.node.devices(DeviceType::Lnet).first()?;
+                let dev = self.node.device(DeviceType::Lnet, 0)?;
                 let [tx_bytes, rx_bytes, tx_msgs, rx_msgs] = regs(dev);
                 // Real format: msgs_alloc msgs_max errors send_count recv_count
                 //              route_count drop_count send_length recv_length
@@ -233,7 +238,7 @@ impl<'a> NodeFs<'a> {
                 return None;
             }
             let n: usize = idx.parse().ok()?;
-            let [total, used, file, anon] = regs(self.node.devices(DeviceType::Mem).get(n)?);
+            let [total, used, file, anon] = regs(self.node.device(DeviceType::Mem, n)?);
             let rows = [
                 (" MemTotal:       ", total),
                 (" MemFree:        ", total.saturating_sub(used)),
@@ -305,11 +310,8 @@ impl<'a> NodeFs<'a> {
             if parts.next().is_some() {
                 return None;
             }
-            let dev = self
-                .node
-                .devices(DeviceType::Ib)
-                .iter()
-                .find(|d| d.instance.split_once('/') == Some((hca, port)))?;
+            let (_, dev) = instances(self.node, DeviceType::Ib)
+                .find(|&(name, _)| name.split_once('/') == Some((hca, port)))?;
             t.d(dev.read(counter)?).s("\n");
             return Some(());
         }
@@ -359,9 +361,8 @@ impl<'a> NodeFs<'a> {
     }
 
     fn render_proc_stat(&self, t: &mut Text<'_>) {
-        let stats = self.node.devices(DeviceType::Cpustat);
         let mut totals = [0u64; 5];
-        for dev in stats {
+        for (_, dev) in instances(self.node, DeviceType::Cpustat) {
             for (total, v) in totals.iter_mut().zip(regs::<5>(dev)) {
                 *total += v;
             }
@@ -371,8 +372,8 @@ impl<'a> NodeFs<'a> {
             t.s(" ").d(v);
         }
         t.s("\n");
-        for dev in stats {
-            t.s("cpu").s(&dev.instance);
+        for (instance, dev) in instances(self.node, DeviceType::Cpustat) {
+            t.s("cpu").s(instance);
             for v in regs::<5>(dev) {
                 t.s(" ").d(v);
             }
@@ -385,13 +386,13 @@ impl<'a> NodeFs<'a> {
             "Inter-|   Receive                                                |  Transmit\n \
              face |bytes    packets errs drop fifo frame compressed multicast|bytes    packets errs drop fifo colls carrier compressed\n",
         );
-        for dev in self.node.devices(DeviceType::Net) {
+        for (instance, dev) in instances(self.node, DeviceType::Net) {
             let [rx_bytes, rx_packets, tx_bytes, tx_packets] = regs(dev);
             // The interface name, right-aligned in six columns.
-            for _ in dev.instance.chars().count()..6 {
+            for _ in instance.chars().count()..6 {
                 t.s(" ");
             }
-            t.s(&dev.instance).s(": ").d(rx_bytes).s(" ").d(rx_packets);
+            t.s(instance).s(": ").d(rx_bytes).s(" ").d(rx_packets);
             t.s(" 0 0 0 0 0 0 ").d(tx_bytes).s(" ").d(tx_packets);
             t.s(" 0 0 0 0 0 0\n");
         }
@@ -448,6 +449,11 @@ mod tests {
             .sum();
         assert_eq!(agg, sum);
         assert!(agg > 0);
+        // Every CPU ran the job: each line reads CPU 0's counts.
+        fn counts(l: &str) -> Vec<&str> {
+            l.split_whitespace().skip(1).collect()
+        }
+        assert!(lines[2..].iter().all(|l| counts(l) == counts(lines[1])));
     }
 
     #[test]

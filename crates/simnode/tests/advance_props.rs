@@ -1,6 +1,7 @@
 //! `SimNode::advance` writes inline registers by schema position, the
-//! per-CPU blocks as one row per device, through an exact floor that
-//! makes no library call. This is the acceptance test of that path:
+//! per-CPU blocks as one row per device (one row for all the CPUs that
+//! run in lockstep), through an exact floor that makes no library call.
+//! This is the acceptance test of that path:
 //! `ParentNode` below is the node as it was before it — a
 //! `BTreeMap<DeviceType, Vec<ParentDevice>>` written through the by-name
 //! `add` / `set_gauge` — and `ParentDevice`, `Counter` and `FracAccum`
@@ -9,8 +10,10 @@
 //! topologies, demand sequences and faults, every register (total,
 //! wrapped reading, and the fractional carry's bit pattern), the frozen
 //! flags and the process table of the two must be identical after every
-//! step; and a single register add must equal the parent's step bit for
-//! bit over random and edge amounts.
+//! step, and the run must take every lockstep transition (as the parent's
+//! registers show it); and a single register add must equal the parent's
+//! step bit for bit over random and edge amounts, except that a total
+//! that would pass `u64::MAX` stays there, where the parent wrapped.
 //!
 //! The vendored proptest is primitive-only, so raw draws from its
 //! `TestRng` are decoded into operations inside the test body.
@@ -676,19 +679,27 @@ fn step(rng: &mut TestRng) -> SimDuration {
     }
 }
 
-/// Every observable register, flag and carry of `real` equals `parent`'s.
+/// Every observable register, flag and carry of `real` equals `parent`'s,
+/// each instance read through `SimNode::device` and named by
+/// `SimNode::instance_name`.
 fn same_state(real: &SimNode, parent: &ParentNode) -> Result<(), String> {
     if real.is_crashed() != parent.crashed || real.boot_count() != parent.boot_count {
         return Err("crash state or boot count differs".into());
     }
     for dt in DeviceType::ALL {
-        let (a, b) = (real.devices(dt), parent.devices(dt));
-        if a.len() != b.len() {
-            return Err(format!("{dt}: {} instances, parent {}", a.len(), b.len()));
+        let b = parent.devices(dt);
+        if real.device(dt, b.len()).is_some() || real.instance_name(dt, b.len()).is_some() {
+            return Err(format!(
+                "{dt}: more than the parent's {} instances",
+                b.len()
+            ));
         }
-        for (x, y) in a.iter().zip(b) {
+        for (i, y) in b.iter().enumerate() {
             let at = format!("{dt} {}", y.instance);
-            if x.instance != y.instance || x.is_frozen() != y.frozen {
+            let (Some(x), Some(name)) = (real.device(dt, i), real.instance_name(dt, i)) else {
+                return Err(format!("{at}: no instance {i}"));
+            };
+            if name != y.instance || x.is_frozen() != y.frozen {
                 return Err(format!("{at}: instance name or frozen flag differs"));
             }
             let regs = x.registers();
@@ -733,46 +744,149 @@ fn same_state(real: &SimNode, parent: &ParentNode) -> Result<(), String> {
     Ok(())
 }
 
-/// Freeze targets: exact names, an IB port by its HCA prefix, and names
-/// that match nothing.
+/// How many leading instances of `dt` hold instance 0's registers in the
+/// parent — every total and carry, and the frozen flag too if `flags`.
+/// With flags, that is the most CPUs that can step as one.
+fn lockstep(parent: &ParentNode, dt: DeviceType, flags: bool) -> usize {
+    let devs = parent.devices(dt);
+    let Some(first) = devs.first() else {
+        return 0;
+    };
+    let same = |d: &ParentDevice| {
+        (!flags || d.frozen == first.frozen)
+            && d.counters
+                .iter()
+                .zip(&first.counters)
+                .all(|(a, b)| a.total == b.total)
+            && d.fracs
+                .iter()
+                .zip(&first.fracs)
+                .all(|(a, b)| a.carry.to_bits() == b.carry.to_bits())
+    };
+    devs.iter().take_while(|d| same(d)).count()
+}
+
+/// The lockstep transitions a run must take, as the parent sees them.
+#[derive(Clone, Copy, Debug)]
+enum Transition {
+    /// A step adds one row to two or more CPUs in lockstep.
+    Share,
+    /// A step's active CPUs end inside the lockstep CPUs.
+    Split,
+    /// A CPU in lockstep is frozen.
+    FreezeShared,
+    /// A frozen CPU whose registers are still CPU 0's is thawed.
+    ThawShared,
+    /// A thawed CPU in lockstep is thawed again.
+    NoOpThaw,
+    /// A running node crashes.
+    Crash,
+    /// A node whose CPUs went out of lockstep reboots.
+    Reshare,
+}
+
+const TRANSITIONS: usize = 7;
+
+/// The transition `set_frozen(dt, inst, frozen)` makes, if any.
+fn freeze_transition(
+    parent: &ParentNode,
+    dt: DeviceType,
+    inst: &str,
+    frozen: bool,
+) -> Option<Transition> {
+    if !matches!(dt, DeviceType::Cpu | DeviceType::Cpustat) {
+        return None;
+    }
+    let group = lockstep(parent, dt, false);
+    let k = inst
+        .parse::<usize>()
+        .ok()
+        .filter(|&k| k < group && group >= 2)?;
+    let was = parent.devices(dt).get(k)?.frozen;
+    match (was, frozen) {
+        (false, true) => Some(Transition::FreezeShared),
+        (true, false) => Some(Transition::ThawShared),
+        (false, false) => Some(Transition::NoOpThaw),
+        (true, true) => None,
+    }
+}
+
+/// The transition a step of `dt` with `d` makes, if any.
+fn step_transition(parent: &ParentNode, dt: SimDuration, d: &NodeDemand) -> Option<Transition> {
+    let group = lockstep(parent, DeviceType::Cpu, true);
+    if parent.crashed || dt.is_zero() || group < 2 {
+        return None;
+    }
+    let active = d.active_cores.min(parent.topology.n_cores());
+    if active > 0 && active < group {
+        Some(Transition::Split)
+    } else {
+        Some(Transition::Share)
+    }
+}
+
+/// Freeze targets: CPU names (the first four), other exact names, an IB
+/// port by its HCA prefix, and names that match nothing.
 const INSTANCES: [&str; 12] = [
     "0", "1", "3", "17", "scratch", "work", "mlx4_0", "mlx4_0/1", "eth0", "lnet", "mic1", "bogus",
 ];
 
 /// One random case: a topology and up to 32 operations, the state
-/// compared after each.
-fn run_case(rng: &mut TestRng) -> Result<(), String> {
+/// compared after each; counts the lockstep transitions it took.
+fn run_case(rng: &mut TestRng, seen: &mut [u64; TRANSITIONS]) -> Result<(), String> {
     let topo = topology(rng);
     let mut real = SimNode::new("c0-0", topo.clone());
     let mut parent = ParentNode::new(topo);
     same_state(&real, &parent).map_err(|e| format!("after new: {e}"))?;
+    let mut last_frozen = None;
     for op in 0..1 + rng.below(32) {
-        let what = match rng.below(100) {
-            0..=59 => {
+        let (what, transition) = match rng.below(100) {
+            0..=54 => {
                 let (dt, d) = (step(rng), demand(rng));
+                let t = step_transition(&parent, dt, &d);
                 real.advance(dt, &d);
                 parent.advance(dt, &d);
-                "advance"
+                ("advance", t)
             }
-            60..=69 => {
-                let dt = DeviceType::ALL[rng.below(DeviceType::COUNT as u64) as usize];
-                let inst = INSTANCES[rng.below(INSTANCES.len() as u64) as usize];
-                let frozen = rng.below(4) != 0;
+            55..=69 => {
+                // Half the faults hit a CPU, and half the thaws the last
+                // freeze, so that a CPU frozen out of lockstep is often
+                // thawed before its registers move on.
+                let frozen = rng.below(2) != 0;
+                let (dt, inst) = match last_frozen {
+                    Some(target) if !frozen && rng.below(2) == 0 => target,
+                    _ if rng.below(2) == 0 => (
+                        [DeviceType::Cpu, DeviceType::Cpustat][rng.below(2) as usize],
+                        INSTANCES[rng.below(4) as usize],
+                    ),
+                    _ => (
+                        DeviceType::ALL[rng.below(DeviceType::COUNT as u64) as usize],
+                        INSTANCES[rng.below(INSTANCES.len() as u64) as usize],
+                    ),
+                };
+                if frozen {
+                    last_frozen = Some((dt, inst));
+                }
+                let t = freeze_transition(&parent, dt, inst, frozen);
                 let n = real.set_frozen(dt, inst, frozen);
                 if n != parent.set_frozen(dt, inst, frozen) {
                     return Err(format!("op {op}: set_frozen({dt}, {inst}) count differs"));
                 }
-                "set_frozen"
+                ("set_frozen", t)
             }
             70..=74 => {
+                let t = (!parent.crashed).then_some(Transition::Crash);
                 real.crash();
                 parent.crash();
-                "crash"
+                ("crash", t)
             }
             75..=81 => {
+                let cpus = parent.devices(DeviceType::Cpu).len();
+                let split = lockstep(&parent, DeviceType::Cpu, true) < cpus;
+                let t = split.then_some(Transition::Reshare);
                 real.reboot();
                 parent.reboot();
-                "reboot"
+                ("reboot", t)
             }
             82..=91 => {
                 let uid = if rng.below(4) == 0 {
@@ -786,38 +900,57 @@ fn run_case(rng: &mut TestRng) -> Result<(), String> {
                 if pid != parent.spawn_process("app.exe", uid, threads, mask) {
                     return Err(format!("op {op}: spawn_process pid differs"));
                 }
-                "spawn_process"
+                ("spawn_process", None)
             }
             92..=96 => {
                 let pid = 1000 + rng.below(12) as u32;
                 if real.end_process(pid) != parent.end_process(pid) {
                     return Err(format!("op {op}: end_process({pid}) differs"));
                 }
-                "end_process"
+                ("end_process", None)
             }
             _ => {
                 let uid = parent.processes.first().map_or(0, |p| p.uid);
                 real.end_processes_of(uid);
                 parent.end_processes_of(uid);
-                "end_processes_of"
+                ("end_processes_of", None)
             }
         };
+        if let Some(t) = transition {
+            seen[t as usize] += 1;
+        }
         same_state(&real, &parent).map_err(|e| format!("op {op} ({what}): {e}"))?;
     }
     Ok(())
 }
 
+/// Every case agrees with the parent, and the run as a whole takes every
+/// lockstep transition.
 #[test]
 fn positional_advance_is_bit_identical_to_the_by_name_parent() {
     let cases = proptest::case_count().max(CASES);
     let base = proptest::fnv1a("positional_advance_is_bit_identical_to_the_by_name_parent");
+    let mut seen = [0u64; TRANSITIONS];
     for case in 0..cases {
         let seed = base ^ case.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let mut rng = TestRng::seed_from_u64(seed);
-        if let Err(msg) = run_case(&mut rng) {
+        if let Err(msg) = run_case(&mut rng, &mut seen) {
             panic!("case {case} (seed {seed:#x}): {msg}");
         }
     }
+    let all = [
+        Transition::Share,
+        Transition::Split,
+        Transition::FreezeShared,
+        Transition::ThawShared,
+        Transition::NoOpThaw,
+        Transition::Crash,
+        Transition::Reshare,
+    ];
+    for t in all {
+        assert!(seen[t as usize] > 0, "no {t:?} in {cases} cases: {seen:?}");
+    }
+    eprintln!("lockstep transitions over {cases} cases: {seen:?}");
 }
 
 /// Amounts where an exact floor could slip: zero, the subnormals, just
@@ -857,18 +990,17 @@ fn register_add_is_the_parents_step_bit_for_bit() {
         let seed = base ^ case.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let mut rng = TestRng::seed_from_u64(seed);
         let mut reg = Register::default();
-        let (mut counter, mut frac) = (Counter::new(64), FracAccum::default());
+        let (mut total, mut frac) = (0u64, FracAccum::default());
         for step in 0..1 + rng.below(16) {
             let a = amount(&mut rng);
             reg.add(a);
-            counter.add(frac.step(a));
+            total = total.saturating_add(frac.step(a));
             assert!(
-                reg.total() == counter.total && reg.carry().to_bits() == frac.carry.to_bits(),
+                reg.total() == total && reg.carry().to_bits() == frac.carry.to_bits(),
                 "case {case} (seed {seed:#x}) step {step}: add({a:e}) gives ({}, {:e}), \
-                 parent ({}, {:e})",
+                 parent ({total}, {:e})",
                 reg.total(),
                 reg.carry(),
-                counter.total,
                 frac.carry
             );
         }

@@ -27,7 +27,14 @@
 //! the base's quartile distance (q3 − q1). Quantities that
 //! are functions of the seed — `delivered_share`, `correct`, `failed` —
 //! must match exactly: a difference is a **behaviour change**, never
-//! noise. The whole comparison is written to
+//! noise.
+//!
+//! After its pairs, `ab` takes the traced rows itself: per workload and
+//! seed, one more run per side with `--trace 1`, its spans and output
+//! under `target/ab/trace-<rev>-seed<S>/`. Every per-layer metric
+//! `BENCHMARK.json` declares is printed as base → head with the ratio
+//! head / base — one run a side, so a row explains a verdict, it is not
+//! one. The whole comparison, traced rows included, is written to
 //! `target/ab/<base>..<head>.json`.
 
 use crate::json::{self, Value};
@@ -111,6 +118,8 @@ pub struct Benchmark {
     pub workloads: Vec<String>,
     /// The end-to-end metrics.
     pub metrics: Vec<MetricDef>,
+    /// The per-layer metrics' names, in declaration order.
+    pub layers: Vec<String>,
     /// `run_seconds`.
     pub run_seconds: u64,
 }
@@ -140,6 +149,14 @@ impl Benchmark {
             })
             .collect::<Option<Vec<_>>>()
             .ok_or("BENCHMARK.json: a metric lacks name, better or bound")?;
+        let layers = doc
+            .get("per_layer")
+            .and_then(Value::as_array)
+            .ok_or("BENCHMARK.json: no per_layer metrics")?
+            .iter()
+            .map(|m| Some(m.get("name")?.as_str()?.to_string()))
+            .collect::<Option<Vec<_>>>()
+            .ok_or("BENCHMARK.json: a per-layer metric lacks its name")?;
         let run_seconds = doc
             .get("run_seconds")
             .and_then(Value::as_f64)
@@ -147,6 +164,7 @@ impl Benchmark {
         Ok(Benchmark {
             workloads,
             metrics,
+            layers,
             run_seconds,
         })
     }
@@ -421,6 +439,73 @@ impl Cell {
     }
 }
 
+/// The traced run of each side for one workload and seed.
+#[derive(Clone, Debug)]
+pub struct Traced {
+    /// Workload.
+    pub workload: String,
+    /// Seed.
+    pub seed: u64,
+    /// The base's traced run.
+    pub base: RunResult,
+    /// The change's traced run.
+    pub head: RunResult,
+}
+
+/// One per-layer metric of a traced pair: each side's value (NaN if that
+/// side did not report it) and head / base (1 when they are equal).
+#[derive(Clone, Debug)]
+pub struct LayerRow {
+    /// The metric.
+    pub metric: String,
+    /// The base's value.
+    pub base: f64,
+    /// The change's value.
+    pub head: f64,
+    /// head / base.
+    pub ratio: f64,
+}
+
+impl Traced {
+    /// A row for each of `layers` that either side reported, in order.
+    pub fn rows(&self, layers: &[String]) -> Vec<LayerRow> {
+        layers
+            .iter()
+            .filter_map(|name| {
+                let (b, h) = (self.base.metric(name), self.head.metric(name));
+                if b.is_none() && h.is_none() {
+                    return None;
+                }
+                let (base, head) = (b.unwrap_or(f64::NAN), h.unwrap_or(f64::NAN));
+                Some(LayerRow {
+                    metric: name.clone(),
+                    base,
+                    head,
+                    ratio: if base == head { 1.0 } else { head / base },
+                })
+            })
+            .collect()
+    }
+
+    /// A summary line per row of `layers`.
+    pub fn lines(&self, layers: &[String]) -> Vec<String> {
+        self.rows(layers)
+            .iter()
+            .map(|r| {
+                format!(
+                    "{} seed {} traced {}: base {} → head {}, ratio {:.3}",
+                    self.workload,
+                    self.seed,
+                    r.metric,
+                    num(r.base),
+                    num(r.head),
+                    r.ratio
+                )
+            })
+            .collect()
+    }
+}
+
 /// One summary line of a comparison.
 fn summary_line(workload: &str, seed: u64, metric: &str, c: &Comparison) -> String {
     format!(
@@ -454,15 +539,17 @@ fn num(x: f64) -> String {
     format!("{x:.digits$}")
 }
 
-/// The whole comparison as JSON.
-fn report_json(
+/// The whole comparison as JSON: the pairs' rows under `results`, the
+/// traced rows under `traced`.
+pub fn report_json(
     base: &str,
     head: &str,
     opts: &Options,
-    seconds: u64,
+    bench: &Benchmark,
     cells: &[Cell],
-    defs: &[MetricDef],
+    traced: &[Traced],
 ) -> String {
+    let (seconds, defs) = (bench.run_seconds, bench.metrics.as_slice());
     let spread = |s: &Spread| {
         format!(
             "{{\"q1\": {}, \"median\": {}, \"q3\": {}}}",
@@ -517,6 +604,25 @@ fn report_json(
             );
         }
     }
+    out.push_str("\n  ],\n  \"traced\": [");
+    let mut first = true;
+    for t in traced {
+        for r in t.rows(&bench.layers) {
+            let sep = if first { "" } else { "," };
+            first = false;
+            let _ = write!(
+                out,
+                "{sep}\n    {{\"workload\": {}, \"seed\": {}, \"metric\": {}, \"base\": {}, \
+                 \"head\": {}, \"ratio\": {}}}",
+                json::string(&t.workload),
+                t.seed,
+                json::string(&r.metric),
+                json::number(r.base),
+                json::number(r.head),
+                json::number(r.ratio)
+            );
+        }
+    }
     let notes: Vec<String> = notes.iter().map(|n| json::string(n)).collect();
     let _ = write!(
         out,
@@ -565,23 +671,31 @@ fn build(tree: &Path, target_dir: &Path) -> Result<PathBuf, String> {
     Ok(target_dir.join("release/tacc-benchmark"))
 }
 
-/// One benchmark run in a fresh child process, from `tree`.
+/// One benchmark run in a fresh child process, from `tree`. A traced run
+/// (`trace_dir` given) writes its spans and its output there.
 fn run_once(
     bin: &Path,
     tree: &Path,
     workload: &str,
     seed: u64,
     seconds: u64,
+    trace_dir: Option<&Path>,
 ) -> Result<RunResult, String> {
-    let stdout = output(
-        Command::new(bin)
-            .current_dir(tree)
-            .args(["--workload", workload, "--seed"])
-            .arg(seed.to_string())
-            .arg("--seconds")
-            .arg(seconds.to_string())
-            .args(["--trace", "0"]),
-    )?;
+    let mut cmd = Command::new(bin);
+    cmd.current_dir(tree)
+        .args(["--workload", workload, "--seed"])
+        .arg(seed.to_string())
+        .arg("--seconds")
+        .arg(seconds.to_string());
+    match trace_dir {
+        Some(dir) => cmd.args(["--trace", "1", "--out-dir"]).arg(dir),
+        None => cmd.args(["--trace", "0"]),
+    };
+    let stdout = output(&mut cmd)?;
+    if let Some(dir) = trace_dir {
+        let path = dir.join(format!("{workload}.txt"));
+        std::fs::write(&path, &stdout).map_err(|e| format!("write {}: {e}", path.display()))?;
+    }
     RunResult::from_output(&stdout).map_err(|e| format!("{workload} seed {seed}: {e}"))
 }
 
@@ -651,7 +765,8 @@ pub fn run(root: &Path, opts: &Options) -> Result<String, String> {
                     pair + 1,
                     opts.pairs
                 );
-                let side = |bin: &Path, tree: &Path| run_once(bin, tree, workload, seed, seconds);
+                let side =
+                    |bin: &Path, tree: &Path| run_once(bin, tree, workload, seed, seconds, None);
                 let (b, h) = if pair % 2 == 0 {
                     let b = side(&base_bin, &base_tree)?;
                     (b, side(&head_bin, root)?)
@@ -669,6 +784,25 @@ pub fn run(root: &Path, opts: &Options) -> Result<String, String> {
         }
     }
 
+    let mut traced = Vec::new();
+    for workload in &workloads {
+        for &seed in &opts.seeds {
+            eprintln!("ab: {workload} seed {seed} traced");
+            let side = |bin: &Path, tree: &Path, rev: &str| {
+                let dir = ab.join(format!("trace-{rev}-seed{seed}"));
+                std::fs::create_dir_all(&dir)
+                    .map_err(|e| format!("mkdir {}: {e}", dir.display()))?;
+                run_once(bin, tree, workload, seed, seconds, Some(&dir))
+            };
+            traced.push(Traced {
+                workload: workload.clone(),
+                seed,
+                base: side(&base_bin, &base_tree, &base)?,
+                head: side(&head_bin, root, &head)?,
+            });
+        }
+    }
+
     let mut summary = String::new();
     for cell in &cells {
         let (rows, behaviour) = cell.compare(&bench.metrics);
@@ -680,8 +814,13 @@ pub fn run(root: &Path, opts: &Options) -> Result<String, String> {
             let _ = writeln!(summary, "behaviour change: {note}");
         }
     }
+    for t in &traced {
+        for line in t.lines(&bench.layers) {
+            let _ = writeln!(summary, "{line}");
+        }
+    }
     let out = ab.join(format!("{base}..{head}.json"));
-    let json = report_json(&base, &head, opts, seconds, &cells, &bench.metrics);
+    let json = report_json(&base, &head, opts, &bench, &cells, &traced);
     std::fs::write(&out, json).map_err(|e| format!("write {}: {e}", out.display()))?;
     let _ = writeln!(summary, "ab: wrote {}", out.display());
     Ok(summary)

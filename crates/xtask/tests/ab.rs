@@ -1,11 +1,13 @@
 //! `cargo xtask ab`'s statistics on fixture result lines: a 1.2× shift
 //! over ten pairs is "moved", pure noise is not, the gain rule is
 //! stricter than "moved", and a quantity that is a function of the seed
-//! is never noise.
+//! is never noise. Its traced rows compare each per-layer metric base →
+//! head, in the summary and in the JSON report.
 
 use proptest::prelude::TestRng;
 use xtask::ab::{
-    compare, sign_test_p, Benchmark, Cell, Comparison, MetricDef, Options, RunResult, Verdict,
+    compare, report_json, sign_test_p, Benchmark, Cell, Comparison, MetricDef, Options, RunResult,
+    Traced, Verdict,
 };
 
 /// A result line as the benchmark prints it last.
@@ -18,10 +20,14 @@ fn line(tick_ms: f64, samples_per_s: f64, delivered: f64, correct: bool) -> Stri
     )
 }
 
-fn defs() -> Vec<MetricDef> {
+fn bench() -> Benchmark {
     let text = std::fs::read_to_string(xtask::workspace_root().join("BENCHMARK.json"))
         .expect("BENCHMARK.json");
-    Benchmark::parse(&text).expect("parses").metrics
+    Benchmark::parse(&text).expect("parses")
+}
+
+fn defs() -> Vec<MetricDef> {
+    bench().metrics
 }
 
 /// Ten pairs of `system_live`-like runs: every run's values carry up to
@@ -234,4 +240,98 @@ fn benchmark_declarations_are_read() {
         .expect("declared");
     assert!(!tick.higher_is_better && tick.bound == 0.25);
     assert!(b.run_seconds > 0);
+    assert_eq!(b.layers.len(), 66);
+    assert_eq!(b.layers[0], "simnode.advance.ns_per_node_step");
+}
+
+/// A traced run's result line: the per-layer metrics it reports.
+fn traced_result(metrics: &[(&str, f64)]) -> RunResult {
+    let fields: Vec<String> = metrics
+        .iter()
+        .map(|(name, v)| format!("\"{name}\": {{\"value\": {v}, \"unit\": \"ns\"}}"))
+        .collect();
+    let line = format!(
+        "{{\"correct\": true, \"attempted\": 5790, \"failed\": 0, \"metrics\": {{{}}}}}",
+        fields.join(", ")
+    );
+    RunResult::from_output(&format!("stage table\n{line}\n")).expect("parses")
+}
+
+#[test]
+fn traced_rows_compare_each_per_layer_metric_base_to_head() {
+    let bench = bench();
+    let traced = Traced {
+        workload: "system_live".into(),
+        seed: 42,
+        base: traced_result(&[
+            ("core.step.ns_per_node_step", 4000.0),
+            ("simnode.advance.share", 0.24),
+            ("simnode.advance.ns_per_node_step", 3977.0),
+            ("core.jobs_ingested", 68.0),
+        ]),
+        head: traced_result(&[
+            ("simnode.advance.ns_per_node_step", 2024.0),
+            ("simnode.advance.share", 0.14),
+            ("core.jobs_ingested", 68.0),
+            ("tsdb.seal.blocks", 3.0),
+        ]),
+    };
+    let rows = traced.rows(&bench.layers);
+    // In BENCHMARK.json's order, whatever order the runs printed.
+    let names: Vec<&str> = rows.iter().map(|r| r.metric.as_str()).collect();
+    assert_eq!(
+        names,
+        [
+            "simnode.advance.ns_per_node_step",
+            "simnode.advance.share",
+            "tsdb.seal.blocks",
+            "core.step.ns_per_node_step",
+            "core.jobs_ingested",
+        ]
+    );
+    assert_eq!((rows[0].base, rows[0].head), (3977.0, 2024.0));
+    assert!((rows[0].ratio - 2024.0 / 3977.0).abs() < 1e-12);
+    // Equal values are a ratio of 1; a side that lacks the metric is NaN.
+    assert_eq!(rows[4].ratio, 1.0);
+    assert!(rows[2].base.is_nan() && rows[2].ratio.is_nan());
+    assert!(rows[3].head.is_nan());
+
+    let lines = traced.lines(&bench.layers);
+    assert_eq!(
+        lines[0],
+        "system_live seed 42 traced simnode.advance.ns_per_node_step: base 3977 → head 2024, \
+         ratio 0.509"
+    );
+    assert_eq!(
+        lines[1],
+        "system_live seed 42 traced simnode.advance.share: base 0.2400 → head 0.1400, ratio 0.583"
+    );
+
+    let mut rng = TestRng::seed_from_u64(3);
+    let opts = Options::parse(&["--base".to_string(), "2899c72".to_string()]).expect("parses");
+    let json = report_json(
+        "2899c72",
+        "abcdef0",
+        &opts,
+        &bench,
+        &[cell(&mut rng, 1.0, 0.05)],
+        &[traced],
+    );
+    let doc = xtask::json::parse(&json).expect("the report is JSON");
+    let rows = doc
+        .get("traced")
+        .and_then(|t| t.as_array())
+        .expect("traced rows");
+    assert_eq!(rows.len(), 5);
+    let field = |i: usize, key: &str| rows[i].get(key).and_then(|v| v.as_f64());
+    assert_eq!(
+        rows[1].get("metric").and_then(|m| m.as_str()),
+        Some("simnode.advance.share")
+    );
+    assert_eq!(
+        (field(1, "base"), field(1, "head")),
+        (Some(0.24), Some(0.14))
+    );
+    assert_eq!(field(2, "base"), None, "a missing side is null");
+    assert!(doc.get("results").and_then(|r| r.as_array()).is_some());
 }
