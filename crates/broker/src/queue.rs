@@ -504,17 +504,16 @@ mod tests {
         b.declare("q");
         let n_producers = 8;
         let per = 100;
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for p in 0..n_producers {
                 let b = b.clone();
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for i in 0..per {
                         b.publish("q", &format!("node{p}"), payload(&format!("{p}:{i}")));
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         let c = b.consume("q").unwrap();
         let mut seen = 0;
         let mut per_key: HashMap<Sym, Vec<u32>> = HashMap::new();

@@ -15,13 +15,11 @@
 //!    across a [`WorkerPool`], which is sound because jobs share no
 //!    mutable state, and their results are ingested in chunk order, so
 //!    the database is the same at any worker count. Within one job the
-//!    ranks are per-node [`JobAccum`] partials merged at the end.
+//!    ranks run one after another, each feeding its own host.
 //!
 //! The isolation step is faithful for every Table I metric: counters
 //! are cumulative and per-node, and a fresh node is indistinguishable
-//! from a rebooted one — and the per-rank partials merge into exactly
-//! the accumulator a sequential feed builds, because each rank owns its
-//! host.
+//! from a rebooted one.
 
 use crate::pipeline::sampler_for;
 use tacc_jobdb::Database;
@@ -61,8 +59,6 @@ pub struct PopulationRunner {
     /// Number of interior samples per job (in addition to
     /// prolog/epilog).
     pub interior_samples: usize,
-    /// Worker threads for the per-job phase.
-    pub threads: usize,
 }
 
 impl PopulationRunner {
@@ -79,14 +75,18 @@ impl PopulationRunner {
             n_nodes,
             n_largemem: (n_nodes / 40).max(4),
             interior_samples: 3,
-            threads: std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(4),
         }
     }
 
-    /// Run scheduling + per-job collection + ingestion.
+    /// Run scheduling + per-job collection + ingestion, the per-job
+    /// phase on as many workers as the host's parallelism.
     pub fn run(&self) -> PopulationResult {
+        let workers = std::thread::available_parallelism().map_or(4, |p| p.get());
+        self.run_on(&WorkerPool::new(workers))
+    }
+
+    /// [`run`](Self::run) with the per-job phase on `pool`.
+    fn run_on(&self, pool: &WorkerPool) -> PopulationResult {
         // Phase 1: schedule the whole population.
         let mut generator = WorkloadGenerator::new(self.workload.clone());
         let submissions = generator.generate();
@@ -113,8 +113,6 @@ impl PopulationRunner {
 
         // Phase 2: per-job node simulation + metrics, one contiguous
         // chunk of jobs per worker (a 1-worker pool runs them inline).
-        let pool = WorkerPool::new(self.threads);
-        let chunk = finished.len().div_ceil(pool.workers()).max(1);
         let topo_normal = &self.workload.topology;
         let topo_lm = NodeTopology::stampede_largemem();
         let topo_of = |job: &Job| {
@@ -124,12 +122,8 @@ impl PopulationRunner {
                 topo_normal
             }
         };
-        let metrics = pool.map_parts(finished.len().div_ceil(chunk), |part, _scratch| {
-            finished
-                .chunks(chunk)
-                .nth(part)
-                .unwrap_or_default()
-                .iter()
+        let metrics = pool.map_chunks(&finished, 1, |_, jobs| {
+            jobs.iter()
                 .map(|job| simulate_job(job, topo_of(job), self.interior_samples))
                 .collect::<Vec<JobMetrics>>()
         });
@@ -149,22 +143,15 @@ impl PopulationRunner {
     }
 }
 
-/// Simulate one rank (node) of a job in isolation and return its
-/// partial accumulation — one host's worth of [`JobAccum`] state.
-/// Ranks share nothing, so any number can run concurrently and the
-/// partials [`JobAccum::merge`] into exactly what a sequential feed of
-/// all ranks builds.
+/// Simulate one rank (node) of a job in isolation, feeding its samples
+/// into `acc` under the rank's own hostname.
 ///
 /// Sampling plan: prolog at start, epilog at end, `interior` evenly
 /// spaced interior samples; each sampling interval advances the node in
 /// 8 sub-steps so phase structure (output bursts, failures, compile
 /// phases) lands in the counters.
-fn simulate_rank(job: &Job, topo: &NodeTopology, interior: usize, rank: usize) -> JobAccum {
-    let mut acc = JobAccum::new();
+fn simulate_rank(job: &Job, topo: &NodeTopology, interior: usize, rank: usize, acc: &mut JobAccum) {
     let runtime = job.run_time();
-    if runtime.is_zero() {
-        return acc;
-    }
     let n_samples = interior + 2;
     let hostname = format!("c{:03}-{rank:03}", job.id % 1000);
     let mut node = SimNode::new(hostname, topo.clone());
@@ -207,7 +194,6 @@ fn simulate_rank(job: &Job, topo: &NodeTopology, interior: usize, rank: usize) -
         let s = sampler.sample(&fs, t_now, &jobids, &marks);
         acc.feed(sampler.header(), &s);
     }
-    acc
 }
 
 /// Simulate one job's nodes in isolation and compute its metrics,
@@ -218,7 +204,7 @@ pub fn simulate_job(job: &Job, topo: &NodeTopology, interior: usize) -> JobMetri
     }
     let mut acc = JobAccum::new();
     for rank in 0..job.n_nodes {
-        acc.merge(simulate_rank(job, topo, interior, rank));
+        simulate_rank(job, topo, interior, rank, &mut acc);
     }
     acc.finalize()
 }
@@ -232,9 +218,7 @@ mod tests {
 
     #[test]
     fn small_population_runs_and_ingests() {
-        let mut runner = PopulationRunner::q4_2015(7, 300);
-        runner.threads = 4;
-        let result = runner.run();
+        let result = PopulationRunner::q4_2015(7, 300).run_on(&WorkerPool::new(4));
         assert!(result.n_jobs >= 300, "ingested {}", result.n_jobs);
         assert_eq!(result.unstarted, 0);
         let t = result.db.table(JOBS_TABLE).unwrap();
@@ -270,10 +254,8 @@ mod tests {
 
     #[test]
     fn population_is_the_same_at_any_worker_count() {
-        let run = |threads: usize| {
-            let mut runner = PopulationRunner::q4_2015(5, 120);
-            runner.threads = threads;
-            let result = runner.run();
+        let run = |workers: usize| {
+            let result = PopulationRunner::q4_2015(5, 120).run_on(&WorkerPool::new(workers));
             (result.n_jobs, result.db.render())
         };
         let (n1, one) = run(1);

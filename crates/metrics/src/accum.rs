@@ -211,61 +211,6 @@ impl HostAccum {
         }
     }
 
-    /// Combine another partial accumulation of the *same host* into
-    /// this one: cumulative deltas add, interval deltas union, gauge
-    /// maxima take the max, and the observation span widens to cover
-    /// both parts. Schema/slot tables and per-instance previous-value
-    /// state keep this accumulator's entries and adopt the other's only
-    /// where absent (for the newest-sample state, the later timestamp
-    /// wins) — when the parts cover disjoint sample streams, merging is
-    /// exact.
-    fn merge(&mut self, other: HostAccum) {
-        for (dt, vals) in other.cum {
-            match self.cum.entry(dt) {
-                std::collections::btree_map::Entry::Vacant(e) => {
-                    e.insert(vals);
-                }
-                std::collections::btree_map::Entry::Occupied(mut e) => {
-                    let mine = e.get_mut();
-                    if mine.len() < vals.len() {
-                        mine.resize(vals.len(), 0.0);
-                    }
-                    for (a, b) in mine.iter_mut().zip(vals) {
-                        *a += b;
-                    }
-                }
-            }
-        }
-        for (t, iv) in other.intervals {
-            self.intervals.entry(t).or_insert(iv);
-        }
-        for (k, v) in other.prev {
-            match self.prev.entry(k) {
-                Entry::Vacant(e) => {
-                    e.insert(v);
-                }
-                Entry::Occupied(mut e) => {
-                    if v.0 > e.get().0 {
-                        *e.get_mut() = v;
-                    }
-                }
-            }
-        }
-        for (dt, schema) in other.schemas {
-            self.schemas.entry(dt).or_insert(schema);
-        }
-        for (dt, kinds) in other.slots {
-            self.slots.entry(dt).or_insert(kinds);
-        }
-        self.mem_max_kib = self.mem_max_kib.max(other.mem_max_kib);
-        self.t_first = match (self.t_first, other.t_first) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        self.t_last = self.t_last.max(other.t_last);
-        self.n_samples += other.n_samples;
-    }
-
     /// Cumulative delta of one event, summed over instances.
     fn cum_of(&self, dt: DeviceType, event: &str) -> Option<f64> {
         let schema = self.schemas.get(&dt)?;
@@ -315,24 +260,6 @@ impl JobAccum {
             .entry(header.hostname)
             .or_insert_with(|| HostAccum::new(header))
             .feed(sample);
-    }
-
-    /// Merge another job partial into this one. Hosts only one side
-    /// saw are adopted wholesale; hosts both sides saw combine via
-    /// [`HostAccum::merge`]. Partials produced by splitting a job's
-    /// sample stream per host (one rank per node, as
-    /// `tacc-core::population` does on the worker pool) merge into
-    /// exactly the accumulator the sequential feed would have built, so
-    /// `finalize` is bitwise identical.
-    pub fn merge(&mut self, other: JobAccum) {
-        for (host, acc) in other.hosts {
-            match self.hosts.entry(host) {
-                std::collections::btree_map::Entry::Vacant(e) => {
-                    e.insert(acc);
-                }
-                std::collections::btree_map::Entry::Occupied(mut e) => e.get_mut().merge(acc),
-            }
-        }
     }
 
     /// Mean over hosts of a per-host rate (cumulative delta / span).
@@ -781,103 +708,6 @@ mod tests {
         assert!((ave - 100.0).abs() < 1.0, "per-node average stays ~100");
         // LnetMaxBW ≥ LnetAveBW (max of sums vs per-node average).
         assert!(m.get(MetricId::LnetMaxBW).unwrap() >= m.get(MetricId::LnetAveBW).unwrap());
-    }
-
-    #[test]
-    fn merged_per_node_partials_match_sequential_feed() {
-        // Feed three nodes into one accumulator sequentially, and into
-        // three per-node partials merged at the end (the worker-pool
-        // fan-out shape): finalize must be bitwise identical.
-        let build = |acc: &mut JobAccum, node_idx: usize, busy: bool| {
-            let mut node = SimNode::new(format!("c401-{node_idx:04}"), NodeTopology::stampede());
-            let cfg = {
-                let fs = NodeFs::new(&node);
-                discover(&fs, BuildOptions::default()).unwrap()
-            };
-            let mut sampler = Sampler::new(&node.hostname.clone(), &cfg);
-            let d = if busy { demand() } else { NodeDemand::idle() };
-            node.advance(SimDuration::from_secs(1), &d);
-            for k in 0..=4u64 {
-                if k > 0 {
-                    node.advance(SimDuration::from_secs(600), &d);
-                }
-                let fs = NodeFs::new(&node);
-                let s = sampler.sample(&fs, SimTime::from_secs(600 * k), &["1".to_string()], &[]);
-                acc.feed(sampler.header(), &s);
-            }
-        };
-        let mut sequential = JobAccum::new();
-        let mut merged = JobAccum::new();
-        for (idx, busy) in [(0usize, true), (1, true), (2, false)] {
-            build(&mut sequential, idx, busy);
-            let mut partial = JobAccum::new();
-            build(&mut partial, idx, busy);
-            merged.merge(partial);
-        }
-        assert_eq!(merged.n_hosts(), sequential.n_hosts());
-        let a = sequential.finalize();
-        let b = merged.finalize();
-        for id in MetricId::ALL {
-            assert_eq!(a.get(id), b.get(id), "{id} must match exactly");
-        }
-        assert_eq!(a.trend, b.trend);
-    }
-
-    #[test]
-    fn merging_split_sample_streams_of_one_host_is_exact() {
-        // Split one host's in-order stream at a sample boundary and
-        // merge the halves: cumulative metrics survive because the
-        // second half re-observes its first sample as a baseline —
-        // merging then adds disjoint deltas and unions disjoint
-        // intervals.
-        let mut node = SimNode::new("c401-0000", NodeTopology::stampede());
-        let cfg = {
-            let fs = NodeFs::new(&node);
-            discover(&fs, BuildOptions::default()).unwrap()
-        };
-        let mut sampler = Sampler::new("c401-0000", &cfg);
-        let d = demand();
-        let mut samples = Vec::new();
-        for k in 0..=6u64 {
-            if k > 0 {
-                node.advance(SimDuration::from_secs(600), &d);
-            }
-            let fs = NodeFs::new(&node);
-            samples.push(sampler.sample(&fs, SimTime::from_secs(600 * k), &[], &[]));
-        }
-        let header = sampler.header().clone();
-        let mut sequential = JobAccum::new();
-        for s in &samples {
-            sequential.feed(&header, s);
-        }
-        let mut first = JobAccum::new();
-        for s in samples.iter().take(4) {
-            first.feed(&header, s);
-        }
-        let mut second = JobAccum::new();
-        // Overlap one sample: it is the second half's delta baseline.
-        for s in samples.iter().skip(3) {
-            second.feed(&header, s);
-        }
-        first.merge(second);
-        let a = sequential.finalize();
-        let b = first.finalize();
-        for id in [
-            MetricId::MDCReqs,
-            MetricId::Cpi,
-            MetricId::Flops,
-            MetricId::CpuUsage,
-            MetricId::MemUsage,
-            MetricId::MetaDataRate,
-        ] {
-            let (x, y) = (a.get(id), b.get(id));
-            match (x, y) {
-                (Some(x), Some(y)) => {
-                    assert!((x - y).abs() <= 1e-9 * (1.0 + x.abs()), "{id}: {x} vs {y}")
-                }
-                _ => assert_eq!(x, y, "{id} presence must match"),
-            }
-        }
     }
 
     #[test]

@@ -12,7 +12,6 @@
 //! detail view renders when the plugin is enabled.
 
 use crate::job::JobId;
-use parking_lot::RwLock;
 use std::collections::BTreeMap;
 
 /// One job's environment record.
@@ -92,7 +91,7 @@ fn environment_for(exec: &str) -> XaltRecord {
 #[derive(Default)]
 pub struct XaltDb {
     enabled: bool,
-    records: RwLock<BTreeMap<JobId, XaltRecord>>,
+    records: BTreeMap<JobId, XaltRecord>,
 }
 
 impl XaltDb {
@@ -101,7 +100,7 @@ impl XaltDb {
     pub fn new(enabled: bool) -> XaltDb {
         XaltDb {
             enabled,
-            records: RwLock::new(BTreeMap::new()),
+            records: BTreeMap::new(),
         }
     }
 
@@ -111,23 +110,22 @@ impl XaltDb {
     }
 
     /// Record a job launch (no-op when disabled).
-    pub fn record_launch(&self, job: JobId, exec: &str) {
+    pub fn record_launch(&mut self, job: JobId, exec: &str) {
         if !self.enabled {
             return;
         }
-        self.records.write().insert(job, environment_for(exec));
+        self.records.insert(job, environment_for(exec));
     }
 
     /// Look up a job's environment (None when disabled or unknown).
     pub fn lookup(&self, job: JobId) -> Option<XaltRecord> {
-        self.records.read().get(&job).cloned()
+        self.records.get(&job).cloned()
     }
 
     /// Jobs whose environment includes a given module (the audit query
     /// XALT enables: "who still links against X?").
     pub fn jobs_with_module(&self, module_prefix: &str) -> Vec<JobId> {
         self.records
-            .read()
             .iter()
             .filter(|(_, r)| r.modules.iter().any(|m| m.starts_with(module_prefix)))
             .map(|(id, _)| *id)
@@ -162,7 +160,7 @@ mod tests {
 
     #[test]
     fn disabled_plugin_records_nothing() {
-        let db = XaltDb::new(false);
+        let mut db = XaltDb::new(false);
         db.record_launch(1, "wrf.exe");
         assert_eq!(db.lookup(1), None);
         assert!(db.render(1).contains("not enabled"));
@@ -170,7 +168,7 @@ mod tests {
 
     #[test]
     fn enabled_plugin_records_and_audits() {
-        let db = XaltDb::new(true);
+        let mut db = XaltDb::new(true);
         db.record_launch(1, "wrf.exe");
         db.record_launch(2, "namd2");
         db.record_launch(3, "python");

@@ -1,9 +1,9 @@
 //! A simulated cluster: a set of nodes sharing one clock.
 //!
-//! Node state is behind `parking_lot::RwLock`s so the collector threads
-//! (one per node in daemon mode) and the workload driver can run
-//! concurrently, as they do on a real system. Advancing a cluster large
-//! enough to pay for threads fans out over the cluster's
+//! Each node sits behind a `parking_lot::RwLock` so callers can hand
+//! out node handles and read a node while holding the cluster by
+//! shared reference. Advancing a cluster large enough to pay for
+//! threads fans out over contiguous chunks of nodes on the cluster's
 //! [`WorkerPool`].
 
 use crate::clock::{SimClock, SimDuration};
@@ -107,29 +107,15 @@ impl SimCluster {
     where
         F: Fn(usize) -> Option<NodeDemand> + Sync,
     {
-        let advance_chunk = |first: usize, nodes: &[Arc<RwLock<SimNode>>]| {
-            let idle = NodeDemand::idle();
-            for (i, node) in (first..).zip(nodes) {
-                let d = demand_of(i);
-                // lock-order: class=SimCluster.nodes
-                node.write().advance(dt, d.as_ref().unwrap_or(&idle));
-            }
-        };
-        let workers = self
-            .pool
-            .workers()
-            .min(self.nodes.len() / PAR_MIN_NODES_PER_WORKER);
-        if workers <= 1 {
-            advance_chunk(0, &self.nodes);
-        } else {
-            let chunk = self.nodes.len().div_ceil(workers);
-            self.pool
-                .run_parts(self.nodes.len().div_ceil(chunk), |part, _scratch| {
-                    if let Some(nodes) = self.nodes.chunks(chunk).nth(part) {
-                        advance_chunk(part * chunk, nodes);
-                    }
-                });
-        }
+        self.pool
+            .map_chunks(&self.nodes, PAR_MIN_NODES_PER_WORKER, |first, nodes| {
+                let idle = NodeDemand::idle();
+                for (i, node) in (first..).zip(nodes) {
+                    let d = demand_of(i);
+                    // lock-order: class=SimCluster.nodes
+                    node.write().advance(dt, d.as_ref().unwrap_or(&idle));
+                }
+            });
         self.clock.advance(dt);
     }
 }

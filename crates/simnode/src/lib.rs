@@ -49,5 +49,5 @@ pub use cluster::SimCluster;
 pub use faults::FaultPlan;
 pub use intern::{Sym, SymbolTable};
 pub use node::SimNode;
-pub use pool::{Scratch, WorkerPool};
+pub use pool::WorkerPool;
 pub use topology::{CpuArch, NodeTopology};

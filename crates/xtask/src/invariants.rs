@@ -2,13 +2,12 @@
 //!
 //! These checks keep the verification infrastructure itself from
 //! rotting: the `cargo xtask` alias must stay wired, the loom model
-//! suites (broker queue, worker pool, tsdb shard) must stay
-//! loom-gated (so plain `cargo test` is unaffected) and reachable
-//! from CI along with the one performance record — the one hot-loop
-//! bench (`hot_paths`) with its JSON artifact, the system benchmark's
-//! quick run, and the allocation invariants tier-1 enforces
-//! (`tests/alloc_invariants.rs`) — and every
-//! loom-using crate must keep rustc's `unexpected_cfgs` lint taught
+//! suites (broker queue, tsdb shard) must stay loom-gated (so plain
+//! `cargo test` is unaffected) and reachable from CI along with the
+//! one performance record — the one hot-loop bench (`hot_paths`) with
+//! its JSON artifact, the system benchmark's quick run, and the
+//! allocation invariants tier-1 enforces (`tests/alloc_invariants.rs`)
+//! — and every loom-using crate must keep rustc's `unexpected_cfgs` lint taught
 //! about `cfg(loom)` (CI runs clippy with `-D warnings`).
 
 use crate::{alloc_lint, panic_lint};
@@ -16,8 +15,8 @@ use std::fs;
 use std::path::Path;
 
 /// Run the wiring checks. `lock_classes` is the lock-order analyzer's
-/// discovered class set — every class must be documented in
-/// DESIGN.md's concurrency section. Returns violations (empty = pass).
+/// discovered class set — DESIGN.md's `### Lock classes` table must
+/// list exactly those classes. Returns violations (empty = pass).
 pub fn check(root: &Path, lock_classes: &[String]) -> Result<Vec<String>, String> {
     let mut errors = Vec::new();
     let mut expect = |rel: &str, needles: &[&str]| -> Result<(), String> {
@@ -41,10 +40,6 @@ pub fn check(root: &Path, lock_classes: &[String]) -> Result<Vec<String>, String
         &["#![cfg(loom)]", "loom::model"],
     )?;
     expect(
-        "crates/simnode/tests/loom_pool.rs",
-        &["#![cfg(loom)]", "loom::model"],
-    )?;
-    expect(
         "crates/tsdb/tests/loom_shard.rs",
         &["#![cfg(loom)]", "loom::model"],
     )?;
@@ -59,7 +54,6 @@ pub fn check(root: &Path, lock_classes: &[String]) -> Result<Vec<String>, String
         &[
             "cargo xtask lint",
             "--cfg loom",
-            "--test loom_pool",
             "--test loom_shard",
             "--bench hot_paths",
             "BENCH_hot_paths.json",
@@ -87,33 +81,43 @@ pub fn check(root: &Path, lock_classes: &[String]) -> Result<Vec<String>, String
         }
     }
 
-    // Every lock class the analyzer discovers must be documented in the
-    // `### Lock classes` table of DESIGN.md's static-analysis section.
-    {
-        let rel = "DESIGN.md";
-        let path = root.join(rel);
-        let text = fs::read_to_string(&path)
-            .map_err(|e| format!("invariants: read {}: {e}", path.display()))?;
-        match text.find("### Lock classes") {
-            None => errors.push(format!(
-                "invariants: {rel} must contain a `### Lock classes` section"
-            )),
-            Some(at) => {
-                let section = &text[at..];
-                let section = section
-                    .find("\n## ")
-                    .map(|end| &section[..end])
-                    .unwrap_or(section);
-                for class in lock_classes {
-                    if !section.contains(class.as_str()) {
-                        errors.push(format!(
-                            "invariants: lock class `{class}` is not documented in \
-                             {rel}'s `### Lock classes` section"
-                        ));
-                    }
-                }
-            }
+    let path = root.join("DESIGN.md");
+    let design = fs::read_to_string(&path)
+        .map_err(|e| format!("invariants: read {}: {e}", path.display()))?;
+    errors.extend(lock_class_table(&design, lock_classes));
+    Ok(errors)
+}
+
+/// Check DESIGN.md's `### Lock classes` table against the analyzer's
+/// classes, both ways: a discovered class missing from the table's
+/// first column is an error, and so is a listed class the analyzer no
+/// longer finds.
+fn lock_class_table(design: &str, lock_classes: &[String]) -> Vec<String> {
+    let Some(at) = design.find("### Lock classes") else {
+        return vec!["invariants: DESIGN.md must contain a `### Lock classes` section".into()];
+    };
+    let section = &design[at..];
+    let section = section.find("\n## ").map_or(section, |end| &section[..end]);
+    let listed: Vec<&str> = section
+        .lines()
+        .filter_map(|line| line.strip_prefix("| `")?.split('`').next())
+        .collect();
+    let mut errors = Vec::new();
+    for class in lock_classes {
+        if !listed.contains(&class.as_str()) {
+            errors.push(format!(
+                "invariants: lock class `{class}` is not listed in \
+                 DESIGN.md's `### Lock classes` table"
+            ));
         }
     }
-    Ok(errors)
+    for class in listed {
+        if !lock_classes.iter().any(|c| c == class) {
+            errors.push(format!(
+                "invariants: DESIGN.md's `### Lock classes` table lists `{class}`, \
+                 which the lock-order analyzer does not find"
+            ));
+        }
+    }
+    errors
 }

@@ -17,7 +17,7 @@
 //!   elements of a lock-bearing collection field share the container's
 //!   class (`SimCluster.nodes`).
 //! * `STATIC_NAME` — a lock in a `static`.
-//! * `fn::var` — a lock created locally in `fn` (`map_parts::slots`).
+//! * `fn::var` — a lock created locally in `fn` (`run::slots`).
 //!
 //! # Attribution
 //!

@@ -25,10 +25,10 @@
 //! round-trips through (`tsdb::block`) — with the tokenizer and the
 //! integer writer that codec and the node side both read and write
 //! through (`collect::tokens`, `simnode::digits`). The parallel
-//! execution layer joins them: the scoped worker pool (`simnode::pool`)
+//! execution layer joins them: the scoped fan-out (`simnode::pool`)
 //! runs under every fan-out site, and the shard layer (`tsdb::shard`)
-//! routes every stored sample — a panic in either
-//! poisons a lock or wedges the pipeline. Those may never appear in
+//! routes every stored sample — a panic in the shard layer
+//! poisons a lock and wedges the pipeline. Those may never appear in
 //! the allowlist at all. The durability tier joins them: the virtual
 //! disk (`tsdb::vfs`), the WAL and segment codecs (`tsdb::wal`,
 //! `tsdb::segment`), and recovery itself (`tsdb::recover`) are the

@@ -89,6 +89,51 @@ fn zero_allowance_lines_are_rejected() {
     assert!(err.contains("delete the line"), "{err}");
 }
 
+/// Run the wiring invariants on a mini-workspace: the real workspace's
+/// wired files, with DESIGN.md replaced by the lock-classes fixture
+/// (its table lists `Outer.inner`, `Leaf.state` and `Retired.slots`).
+fn invariants_with_fixture_design(classes: &[&str]) -> Vec<String> {
+    let real = xtask::workspace_root();
+    let root = std::env::temp_dir().join(format!(
+        "xtask-selftest-invariants-{}-{}",
+        std::process::id(),
+        classes.len()
+    ));
+    for rel in [
+        ".cargo/config.toml",
+        ".github/workflows/ci.yml",
+        "crates/broker/Cargo.toml",
+        "crates/broker/tests/loom_queue.rs",
+        "crates/simnode/Cargo.toml",
+        "crates/tsdb/Cargo.toml",
+        "crates/tsdb/tests/loom_shard.rs",
+    ] {
+        let to = root.join(rel);
+        fs::create_dir_all(to.parent().expect("nested path")).expect("mkdir");
+        fs::copy(real.join(rel), to).expect("copy wired file");
+    }
+    fs::write(root.join("DESIGN.md"), fixture("lock_classes.md.fixture")).expect("write");
+    let classes: Vec<String> = classes.iter().map(|c| c.to_string()).collect();
+    let result = xtask::invariants::check(&root, &classes);
+    fs::remove_dir_all(&root).ok();
+    result.expect("invariants run")
+}
+
+#[test]
+fn lock_class_table_must_match_the_analyzer_both_ways() {
+    let all = invariants_with_fixture_design(&["Outer.inner", "Leaf.state", "Retired.slots"]);
+    assert!(all.is_empty(), "{all:?}");
+    // A listed class the analyzer no longer finds is stale.
+    let stale = invariants_with_fixture_design(&["Outer.inner", "Leaf.state"]);
+    assert_eq!(stale.len(), 1, "{stale:?}");
+    assert!(stale[0].contains("`Retired.slots`"), "{stale:?}");
+    // A discovered class the table does not list is undocumented.
+    let missing =
+        invariants_with_fixture_design(&["Outer.inner", "Leaf.state", "Retired.slots", "New.lock"]);
+    assert_eq!(missing.len(), 1, "{missing:?}");
+    assert!(missing[0].contains("`New.lock`"), "{missing:?}");
+}
+
 #[test]
 fn real_workspace_lint_is_clean() {
     let root = xtask::workspace_root();

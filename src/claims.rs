@@ -235,9 +235,7 @@ pub fn wrf_population() -> &'static Database {
         let jobs: Vec<(Job, usize)> = (0..558).map(job).collect();
         // Jobs share nothing: simulate chunks on the pool, ingest in order.
         let pool = WorkerPool::new(std::thread::available_parallelism().map_or(1, |p| p.get()));
-        let chunk = jobs.len().div_ceil(pool.workers());
-        let metrics = pool.map_parts(jobs.len().div_ceil(chunk), |part, _| {
-            let mine = jobs.chunks(chunk).nth(part).unwrap_or_default();
+        let metrics = pool.map_chunks(&jobs, 1, |_, mine| {
             let simulate = |(job, interior): &(Job, usize)| simulate_job(job, &topo, *interior);
             mine.iter().map(simulate).collect::<Vec<_>>()
         });

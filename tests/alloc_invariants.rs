@@ -24,7 +24,7 @@ use tacc_stats::portal::{QueryCache, SearchSpec};
 use tacc_stats::simnode::intern::Sym;
 use tacc_stats::simnode::topology::NodeTopology;
 use tacc_stats::simnode::workload::{LustreDemand, NodeDemand};
-use tacc_stats::simnode::{SimDuration, SimNode};
+use tacc_stats::simnode::{SimClock, SimCluster, SimDuration, SimNode};
 use tacc_stats::tsdb::{
     Aggregation, DataPoint, DurOptions, MemVfs, SeriesKey, TagFilter, TsDb, SEAL_THRESHOLD,
 };
@@ -266,6 +266,20 @@ fn warm_node_advance_does_not_allocate() {
             assert_eq!(n, 0, "SimNode::advance, {what} demand, {name} node");
         }
     }
+}
+
+/// The one-chunk path every benchmark workload runs: a 64-node cluster
+/// advances inline, so a warm `advance_all` allocates nothing.
+#[test]
+fn warm_inline_cluster_advance_does_not_allocate() {
+    let cluster = SimCluster::homogeneous(SimClock::new(), "c401", 64, NodeTopology::stampede());
+    cluster.advance_all(SimDuration::from_secs(600), |_| None);
+    let n = allocs_in(|| {
+        for _ in 0..4 {
+            cluster.advance_all(SimDuration::from_secs(600), |_| None);
+        }
+    });
+    assert_eq!(n, 0, "SimCluster::advance_all, 64 idle Stampede nodes");
 }
 
 /// Two weeks of 2 hosts × 4 series at the paper's 10-minute cadence:

@@ -7,14 +7,16 @@
 //! Two scenes, each at seeds 42 and 2015: cron mode over a day and a
 //! half (the archive fills at the staggered 03:00–05:00 sync, then
 //! jobs ingest), and daemon mode with a tsdb, online detection and
-//! adaptive cadence over a few hours. A change that is meant to alter
-//! behaviour updates the affected constants and says which output moved
-//! and why.
+//! adaptive cadence over a few hours. A third digest pins the §V
+//! population runner's rendered job database. A change that is meant
+//! to alter behaviour updates the affected constants and says which
+//! output moved and why.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tacc_stats::core::config::{Mode, SystemConfig};
 use tacc_stats::core::online::{AdaptiveConfig, OnlineConfig};
+use tacc_stats::core::population::PopulationRunner;
 use tacc_stats::core::MonitoringSystem;
 use tacc_stats::scheduler::job::{JobRequest, QueueName};
 use tacc_stats::simnode::apps::AppLibrary;
@@ -238,4 +240,14 @@ fn cron_scene_is_pinned() {
 fn daemon_scene_is_pinned() {
     assert_pinned("daemon, seed 42", &daemon_scene(42), &DAEMON_42);
     assert_pinned("daemon, seed 2015", &daemon_scene(2015), &DAEMON_2015);
+}
+
+/// `PopulationRunner::q4_2015(5, 120).run().db.render()`.
+const POPULATION_5_120: u64 = 0xd8ef_8a41_2b6a_7977;
+
+#[test]
+fn population_db_is_pinned() {
+    let db = PopulationRunner::q4_2015(5, 120).run().db.render();
+    let got = Fnv::new().bytes(db.as_bytes()).0;
+    assert_eq!(got, POPULATION_5_120, "population db: {got:#018x}");
 }

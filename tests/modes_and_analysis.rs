@@ -135,9 +135,7 @@ fn tsdb_interference_correlation() {
 /// non-negative.
 #[test]
 fn population_runner_invariants() {
-    let mut runner = PopulationRunner::q4_2015(11, 400);
-    runner.threads = 4;
-    let result = runner.run();
+    let result = PopulationRunner::q4_2015(11, 400).run();
     let t = result.db.table(JOBS_TABLE).unwrap();
     assert_eq!(t.len(), result.n_jobs);
     // Statuses partition the population.
