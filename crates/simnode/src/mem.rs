@@ -282,17 +282,6 @@ impl<K: Eq + Hash + Clone, V> TtlLru<K, V> {
         self.budget = Some(budget);
     }
 
-    /// Replace the policy, dropping every live entry (counted as
-    /// `removed`): changing capacity/TTL mid-flight would otherwise
-    /// leave entries that never obeyed the new policy.
-    pub fn set_policy(&mut self, cfg: TtlLruConfig) {
-        self.clear();
-        self.cfg = TtlLruConfig {
-            capacity: cfg.capacity.max(1),
-            ttl: cfg.ttl,
-        };
-    }
-
     /// The active policy.
     pub fn policy(&self) -> TtlLruConfig {
         self.cfg

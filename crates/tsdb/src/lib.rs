@@ -33,14 +33,13 @@ pub mod series;
 pub mod shard;
 pub mod stats;
 pub mod store;
-mod sync;
 pub mod vfs;
 mod wal;
 
 pub use block::{BlockCursor, SealScratch, SealedBlock, SeriesBlocks, SEAL_THRESHOLD};
 pub use recover::{DurOptions, RecoveryReport, SegmentCheck};
 pub use series::{SeriesKey, TagFilter};
-pub use shard::{default_cache_policy, shard_of, DEFAULT_SHARDS};
+pub use shard::{shard_of, DEFAULT_SHARDS};
 pub use store::{Aggregation, DataPoint, DurabilityStats, TsDb};
 pub use tacc_simnode::mem::{CacheCounters, MemoryBudget, TtlLru, TtlLruConfig};
 pub use vfs::{DiskError, DurFile, FsVfs, MemVfs, Vfs};

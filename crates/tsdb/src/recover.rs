@@ -243,8 +243,8 @@ pub(crate) fn check_segment_bytes(bytes: &[u8]) -> SegmentCheck {
     out
 }
 
-/// Per-shard durability writers, carried inside `ShardData` so the
-/// shard write lock serialises WAL appends with the in-memory apply.
+/// Per-shard durability writers, carried inside `ShardData` so an
+/// insert makes each WAL append together with its in-memory apply.
 pub(crate) struct ShardDur {
     /// Write-ahead log of the current generation.
     pub(crate) wal: WalWriter,
@@ -575,8 +575,9 @@ pub(crate) fn recover_shard(
 /// recovery. After the commit, the old generation's files are dead
 /// and removed best-effort.
 ///
-/// The caller holds the shard write lock, so `series` is a consistent
-/// snapshot and no appends race the swap.
+/// The caller has the shard borrowed mutably, so `series` is the
+/// shard's whole state and no append comes between the copy and the
+/// swap.
 // crash-order: new-generation (builds invisible next-gen files; the manifest Gen frame is the commit)
 pub(crate) fn compact_shard(
     vfs: &dyn Vfs,
@@ -650,7 +651,7 @@ fn install_block(
     report.points_consumed += consumed;
 }
 
-#[cfg(all(test, not(loom)))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::vfs::MemVfs;

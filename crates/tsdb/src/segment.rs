@@ -251,7 +251,7 @@ fn decode_block(payload: &[u8]) -> Option<DecodedBlock<'_>> {
     Some((key, count, min_t, max_t, ts, vs))
 }
 
-#[cfg(all(test, not(loom)))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::vfs::{MemVfs, Vfs};

@@ -1,14 +1,15 @@
 //! Store sharding: hash routing, per-shard state, and the per-shard
 //! decoded-block cache.
 //!
-//! The store is split into [`DEFAULT_SHARDS`] independent shards, each
-//! owning a disjoint slice of the key space behind its own
-//! reader-writer lock — so ingest and queries touching different
-//! series never contend, and a query fans out as one partition scan
-//! per shard. Routing is [`shard_of`]: an FNV-1a hash over the four
-//! interned tag ids of the [`SeriesKey`]. Interned ids are stable for
-//! the process lifetime, so routing is deterministic — every key maps
-//! to exactly one shard and the shards partition the key space (the
+//! The store is split into [`DEFAULT_SHARDS`] shards, each owning a
+//! disjoint slice of the key space together with that slice's durable
+//! files (one WAL, segment and manifest per shard) and its own
+//! decoded-block cache, so a query fans out as one partition scan per
+//! shard. The store has one owner and no locks: a shard's state sits
+//! in `RefCell`s that each call borrows only for as long as it runs.
+//! Routing is [`shard_of`]: an FNV-1a hash over the four
+//! tags' string hashes of the [`SeriesKey`], so every key maps to
+//! exactly one shard and the shards partition the key space (the
 //! `cargo xtask lint` conformance check verifies this over every
 //! `MetricId` series key).
 //!
@@ -46,9 +47,9 @@
 
 use crate::block::{SealScratch, SealedBlock, SeriesBlocks, SEAL_THRESHOLD};
 use crate::series::SeriesKey;
-use crate::sync::{Mutex, RwLock};
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::rc::Rc;
 use std::sync::Arc;
 use tacc_simnode::mem::{CacheCounters, MemoryBudget, TtlLru, TtlLruConfig};
 
@@ -66,14 +67,6 @@ const CACHE_BLOCKS: usize = 64;
 /// dropped even below capacity, so an idle store's cache drains to
 /// zero tracked bytes instead of pinning its budget forever.
 const CACHE_TTL_SECS: u64 = 86_400;
-
-/// The per-shard decoded-block cache policy ([`crate::TsDb::set_cache_policy`]).
-pub fn default_cache_policy() -> TtlLruConfig {
-    TtlLruConfig {
-        capacity: CACHE_BLOCKS,
-        ttl: CACHE_TTL_SECS,
-    }
-}
 
 /// Route a series key to a shard: FNV-1a folded over the four tags'
 /// *string* hashes (precomputed at intern time — one interner
@@ -215,28 +208,28 @@ pub(crate) struct ShardData {
     /// key-text-ordered walks.
     pub(crate) series: SeriesMap,
     /// Seal-time encode buffers shared by every series in the shard
-    /// (ingest holds the shard write lock, so no series seals
-    /// concurrently within a shard).
+    /// (a seal runs inside one insert, so at most one uses them).
     pub(crate) seal_scratch: SealScratch,
     /// Durability writers (WAL + segment + manifest) when the store
     /// was opened with [`crate::TsDb::recover`]; `None` for a purely
-    /// in-memory store. Living behind the shard write lock keeps WAL
-    /// appends serialised with their in-memory apply.
+    /// in-memory store. An insert borrows them together with the
+    /// series, so each WAL append is made with its in-memory apply.
     pub(crate) dur: Option<crate::recover::ShardDur>,
 }
 
-/// One store shard: its series map behind a reader-writer lock, and
-/// its decoded-block cache behind a separate mutex (reads take the
-/// data lock shared and touch the cache mutex only briefly, so
-/// concurrent readers of different blocks proceed in parallel). The
-/// cache clock rides on an atomic fed by ingest timestamps, so the
-/// hot insert path never touches the cache mutex.
+/// One store shard: its series map and its decoded-block cache, each
+/// in its own `RefCell` so a read can fill the cache while it holds
+/// the series. A cache borrow lasts one lookup. A read streaming to a
+/// caller's closure holds the series borrowed shared, so the closure
+/// may read the store again, while an insert from inside it would
+/// panic on the borrow. The cache's TTL clock is a plain `Cell` fed by
+/// ingest timestamps, so an insert never touches the cache.
 #[derive(Debug)]
 pub(crate) struct Shard {
-    pub(crate) data: RwLock<ShardData>,
-    cache: Mutex<TtlLru<u64, Arc<DecodedBlock>>>,
+    pub(crate) data: RefCell<ShardData>,
+    cache: RefCell<TtlLru<u64, Rc<DecodedBlock>>>,
     /// High-water ingest timestamp (seconds) — the cache's TTL clock.
-    cache_now: AtomicU64,
+    cache_now: Cell<u64>,
 }
 
 impl Default for Shard {
@@ -249,63 +242,55 @@ impl Shard {
     /// Build a shard around recovered per-shard state.
     pub(crate) fn with_data(data: ShardData) -> Shard {
         Shard {
-            data: RwLock::new(data),
-            cache: Mutex::new(TtlLru::new(default_cache_policy())),
-            cache_now: AtomicU64::new(0),
+            data: RefCell::new(data),
+            cache: RefCell::new(TtlLru::new(TtlLruConfig {
+                capacity: CACHE_BLOCKS,
+                ttl: CACHE_TTL_SECS,
+            })),
+            cache_now: Cell::new(0),
         }
     }
 
     /// Advance the cache's TTL clock to the ingest timestamp `t`
-    /// (monotonic). Lock-free: the clock is applied lazily on the next
-    /// cache access.
+    /// (monotonic). The clock is applied lazily on the next cache
+    /// access.
     pub(crate) fn note_ingest_time(&self, t: u64) {
-        self.cache_now.fetch_max(t, Ordering::Relaxed);
+        self.cache_now.set(self.cache_now.get().max(t));
     }
 
     /// Attach a shared memory budget to the decoded-block cache.
     pub(crate) fn set_cache_budget(&self, budget: Arc<MemoryBudget>) {
-        self.cache.lock().set_budget(budget);
-    }
-
-    /// Replace the decoded-block cache policy (drops cached blocks).
-    pub(crate) fn set_cache_policy(&self, cfg: TtlLruConfig) {
-        self.cache.lock().set_policy(cfg);
+        self.cache.borrow_mut().set_budget(budget);
     }
 
     /// The cache's traffic/eviction counters.
     pub(crate) fn cache_counters(&self) -> CacheCounters {
-        self.cache.lock().counters()
+        self.cache.borrow().counters()
     }
 
     /// Tracked bytes of live decoded blocks in this shard's cache.
     pub(crate) fn cache_bytes(&self) -> u64 {
-        self.cache.lock().bytes()
+        self.cache.borrow().bytes()
     }
 
     /// Decoded columns for `block`, from cache or by decoding now.
-    /// Decoding happens outside the cache lock; if two readers race on
-    /// the same block both decode and the second insert wins — wasted
-    /// work, never a wrong answer (sealed blocks are immutable).
-    fn cached(&self, block: &SealedBlock) -> Arc<DecodedBlock> {
-        let now = self.cache_now.load(Ordering::Relaxed);
+    fn cached(&self, block: &SealedBlock) -> Rc<DecodedBlock> {
         let id = block.id();
+        let mut cache = self.cache.borrow_mut();
         // Id 0 marks a never-encoded (default-constructed) block; it
         // is not unique, so it is decoded fresh and never cached.
         if id != 0 {
-            let mut cache = self.cache.lock();
-            cache.advance(now);
+            cache.advance(self.cache_now.get());
             if let Some(dec) = cache.get(&id) {
-                return Arc::clone(dec);
+                return Rc::clone(dec);
             }
         }
         let mut dec = DecodedBlock::default();
         block.decode_into(&mut dec.ts, &mut dec.vs);
         let cost = dec.cost();
-        let dec = Arc::new(dec); // alloc: cold (cache-miss decode; hits are the steady state)
+        let dec = Rc::new(dec); // alloc: cold (cache-miss decode; hits are the steady state)
         if id != 0 {
-            let mut cache = self.cache.lock();
-            cache.advance(now);
-            cache.insert(id, Arc::clone(&dec), cost);
+            cache.insert(id, Rc::clone(&dec), cost);
         }
         dec
     }
@@ -324,7 +309,7 @@ impl Shard {
         t1: u64,
         f: &mut F,
     ) -> usize {
-        let data = self.data.read();
+        let data = self.data.borrow();
         let Some(series) = data.series.get(key) else {
             return 0;
         };
@@ -378,7 +363,7 @@ impl Shard {
     }
 }
 
-#[cfg(all(test, not(loom)))]
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -414,7 +399,7 @@ mod tests {
     }
 
     fn fill_series(shard: &Shard, points: u64) {
-        let mut data = shard.data.write();
+        let mut data = shard.data.borrow_mut();
         let ShardData {
             series,
             seal_scratch,
@@ -456,16 +441,12 @@ mod tests {
     #[test]
     fn cache_ttl_expires_on_ingest_clock() {
         let shard = Shard::default();
-        shard.set_cache_policy(TtlLruConfig {
-            capacity: CACHE_BLOCKS,
-            ttl: 10_000,
-        });
         fill_series(&shard, SEAL_THRESHOLD as u64 + 10);
         let _ = collect(&shard, 0, 400_000);
         assert!(shard.cache_bytes() > 0);
-        // Ingest time marches far past the TTL: the next read finds
-        // every cached block expired and re-decodes.
-        shard.note_ingest_time(1_000_000);
+        // Ingest time marches past the TTL: the next read finds every
+        // cached block expired and re-decodes.
+        shard.note_ingest_time(CACHE_TTL_SECS + 1);
         let again = collect(&shard, 0, 400_000);
         assert!(!again.is_empty());
         assert!(shard.cache_counters().expired > 0);

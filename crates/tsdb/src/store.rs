@@ -9,20 +9,17 @@
 //! and [`TsDb::aggregate`] — with [`TsDb::aligned`] on top — folds
 //! every matching series straight into its buckets.
 //!
-//! The store is sharded ([`crate::shard`]): keys route by tag-id hash
-//! to [`crate::shard::DEFAULT_SHARDS`] independent shards, each behind
-//! its own reader-writer lock with its own decoded-block cache and
-//! seal scratch. Ingest and queries on series in different shards
-//! never contend. `aggregate` folds the shards one after another into
-//! one dense bucket buffer; hour-aligned `Sum`/`Avg` windows fold
-//! sealed blocks from their seal-time hourly rollups ([`crate::block`])
-//! instead of decoding them. Counts, `Max` and `Min` are identical for
-//! any shard count; `Sum`/`Avg` may differ by float-addition order
-//! across shard layouts, never by contents. Cross-shard queries lock
-//! shards one at a time, so a query concurrent with ingest sees each
-//! *shard* consistently but not a single global snapshot — the same
-//! guarantee the monitoring pipeline needs (readers of a series see a
-//! prefix of it), for much better write concurrency.
+//! The store is sharded ([`crate::shard`]): keys route by tag hash to
+//! [`crate::shard::DEFAULT_SHARDS`] shards, each holding its slice of
+//! the series with its own durable files, decoded-block cache and seal
+//! scratch. The store has one owner, and the compiler holds it to
+//! that: its shards sit in `RefCell`s, so a `TsDb` is not `Sync` and
+//! cannot be shared across threads. `aggregate` folds the shards one
+//! after another into one dense bucket buffer; hour-aligned `Sum`/`Avg`
+//! windows fold sealed blocks from their seal-time hourly rollups
+//! ([`crate::block`]) instead of decoding them. Counts, `Max` and `Min`
+//! are identical for any shard count; `Sum`/`Avg` may differ by
+//! float-addition order across shard layouts, never by contents.
 
 use crate::block::{Partial, SeriesBlocks, ROLLUP_SECS};
 use crate::recover::{self, compact_shard, DurOptions, RecoveryReport};
@@ -31,7 +28,7 @@ use crate::shard::{shard_of, Shard, ShardData, DEFAULT_SHARDS};
 use crate::vfs::{DiskError, Vfs};
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use tacc_simnode::mem::{CacheCounters, MemoryBudget, TtlLruConfig};
+use tacc_simnode::mem::{CacheCounters, MemoryBudget};
 
 /// One timestamped value (seconds since the Unix epoch).
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -101,7 +98,7 @@ impl DurabilityStats {
     }
 }
 
-/// Thread-safe tagged time-series database, sharded by key hash.
+/// Tagged time-series database, sharded by key hash, with one owner.
 pub struct TsDb {
     shards: Box<[Shard]>,
     /// Present when the store is durable ([`TsDb::recover`]).
@@ -179,7 +176,7 @@ impl TsDb {
 
     /// Insert one point. Out-of-order inserts are tolerated (kept
     /// sorted; a late point older than the sealed range merges into
-    /// the one block it overlaps). Only the owning shard is locked.
+    /// the one block it overlaps). Only the owning shard is touched.
     /// On a durable store a disk fault is absorbed (availability over
     /// durability — the in-memory store still applies the point); use
     /// [`TsDb::try_insert`] to observe it.
@@ -194,7 +191,7 @@ impl TsDb {
     /// at-risk count is visible via [`TsDb::durability_stats`]. On an
     /// in-memory store this never fails.
     ///
-    /// Durable-write protocol (per point, under the shard write lock):
+    /// Durable-write protocol (per point, within the owning shard):
     /// WAL append first, then the in-memory apply; if the apply sealed
     /// a block, the seal is persisted with the WAL-sync → segment
     /// append → segment-sync → marker sequence (see
@@ -206,7 +203,7 @@ impl TsDb {
             return Ok(());
         };
         shard.note_ingest_time(t);
-        let mut data = shard.data.write();
+        let mut data = shard.data.borrow_mut();
         let ShardData {
             series,
             seal_scratch,
@@ -252,7 +249,7 @@ impl TsDb {
     pub fn flush(&self) -> Result<(), DiskError> {
         let mut out = Ok(());
         for shard in self.shards.iter() {
-            if let Some(d) = shard.data.write().dur.as_mut() {
+            if let Some(d) = shard.data.borrow_mut().dur.as_mut() {
                 if let Err(e) = d.wal.sync() {
                     if out.is_ok() {
                         out = Err(e);
@@ -272,7 +269,7 @@ impl TsDb {
         };
         let mut out = Ok(());
         for (idx, shard) in self.shards.iter().enumerate() {
-            let mut data = shard.data.write();
+            let mut data = shard.data.borrow_mut();
             let ShardData { series, dur, .. } = &mut *data;
             if let Some(d) = dur.as_mut() {
                 if let Err(e) = compact_shard(&*ctx.vfs, idx, ctx.opts, series, d) {
@@ -289,16 +286,15 @@ impl TsDb {
     /// Re-read every shard's current segment file through the
     /// zero-copy cursor path and verify each block decodes to its
     /// recorded point count — the read-your-writes integrity check the
-    /// CI recovery smoke runs. Holds each shard's read lock during its
-    /// scan so no append tears the bytes underneath. Returns the
-    /// all-zeros check on in-memory stores.
+    /// CI recovery smoke runs. Returns the all-zeros check on
+    /// in-memory stores.
     pub fn verify_segments(&self) -> Result<recover::SegmentCheck, DiskError> {
         let Some(ctx) = self.dur.as_ref() else {
             return Ok(recover::SegmentCheck::default());
         };
         let mut out = recover::SegmentCheck::default();
         for (idx, shard) in self.shards.iter().enumerate() {
-            let data = shard.data.read();
+            let data = shard.data.borrow();
             let Some(d) = data.dur.as_ref() else {
                 continue;
             };
@@ -314,7 +310,7 @@ impl TsDb {
         self.dur.as_ref()?;
         let mut s = DurabilityStats::default();
         for shard in self.shards.iter() {
-            let data = shard.data.read();
+            let data = shard.data.borrow();
             if let Some(d) = data.dur.as_ref() {
                 s.points_appended += d.wal.appended_points;
                 s.points_synced += d.wal.synced_points;
@@ -344,14 +340,6 @@ impl TsDb {
         }
     }
 
-    /// Replace every shard cache's TTL+LRU policy (clears the caches;
-    /// counters survive). See [`crate::shard::default_cache_policy`].
-    pub fn set_cache_policy(&self, cfg: TtlLruConfig) {
-        for shard in self.shards.iter() {
-            shard.set_cache_policy(cfg);
-        }
-    }
-
     /// Decoded-block cache counters summed across shards
     /// (hits/misses/evictions — the same reconciliation identity as
     /// [`tacc_simnode::mem::CacheCounters`] documents holds for the
@@ -372,7 +360,10 @@ impl TsDb {
 
     /// Number of series stored.
     pub fn n_series(&self) -> usize {
-        self.shards.iter().map(|s| s.data.read().series.len()).sum()
+        self.shards
+            .iter()
+            .map(|s| s.data.borrow().series.len())
+            .sum()
     }
 
     /// Total points stored.
@@ -381,7 +372,7 @@ impl TsDb {
             .iter()
             .map(|s| {
                 s.data
-                    .read()
+                    .borrow()
                     .series
                     .values()
                     .map(SeriesBlocks::len)
@@ -398,7 +389,7 @@ impl TsDb {
             .iter()
             .map(|s| {
                 s.data
-                    .read()
+                    .borrow()
                     .series
                     .values()
                     .map(|sb| sb.sealed_bytes() + (sb.len() - sb.sealed_len()) * 16)
@@ -413,7 +404,7 @@ impl TsDb {
             .iter()
             .map(|s| {
                 s.data
-                    .read()
+                    .borrow()
                     .series
                     .values()
                     .map(SeriesBlocks::n_sealed)
@@ -426,7 +417,7 @@ impl TsDb {
     pub fn keys(&self, filter: &TagFilter) -> Vec<SeriesKey> {
         let mut out: Vec<SeriesKey> = Vec::new();
         for shard in self.shards.iter() {
-            let data = shard.data.read();
+            let data = shard.data.borrow();
             out.extend(
                 data.series
                     .iter()
@@ -445,7 +436,8 @@ impl TsDb {
     /// Stream the points of one series within `[t0, t1)` to `f`, in
     /// timestamp order, serving sealed blocks from the owning shard's
     /// decoded-block cache — repeated reads over the same block decode
-    /// it once. Returns the number of points visited.
+    /// it once. Returns the number of points visited. `f` may read the
+    /// store again; inserting from inside it panics.
     pub fn range_for_each(
         &self,
         key: &SeriesKey,
@@ -499,7 +491,7 @@ impl TsDb {
         let mut data_max = 0u64;
         let mut any = false;
         for shard in self.shards.iter() {
-            let data = shard.data.read();
+            let data = shard.data.borrow();
             for (key, series) in &data.series {
                 if !filter.matches(key) {
                     continue;
@@ -535,7 +527,7 @@ impl TsDb {
             // allocation per query).
             let mut dense = vec![ACC_ZERO; span as usize];
             for shard in self.shards.iter() {
-                let data = shard.data.read();
+                let data = shard.data.borrow();
                 fold_dense(&data, filter, &window, &mut dense);
             }
             return dense
@@ -551,7 +543,7 @@ impl TsDb {
         // bucket index → (sum, count, max, min)
         let mut buckets: BTreeMap<u64, Acc> = BTreeMap::new();
         for shard in self.shards.iter() {
-            let data = shard.data.read();
+            let data = shard.data.borrow();
             for (key, series) in &data.series {
                 if !filter.matches(key) {
                     continue;
@@ -676,7 +668,7 @@ fn range(db: &TsDb, key: &SeriesKey, t0: u64, t1: u64) -> Vec<DataPoint> {
     out
 }
 
-#[cfg(all(test, not(loom)))]
+#[cfg(test)]
 mod durable_tests {
     use super::*;
     use crate::block::SEAL_THRESHOLD;
@@ -1079,6 +1071,44 @@ mod tests {
     }
 
     #[test]
+    fn reads_inside_a_range_closure_match_reads_outside_it() {
+        // One shard, so both series share a series map and a block
+        // cache; `db` starts with a cold cache, so the reads inside the
+        // closure decode and cache blocks while the outer read streams.
+        let mk = || {
+            let db = TsDb::with_shards(1);
+            for i in 0..(SEAL_THRESHOLD as u64 * 2 + 10) {
+                db.insert(key("c1", "reqs"), i * 60, i as f64);
+                db.insert(key("c2", "reqs"), i * 60, (i % 7) as f64);
+            }
+            db
+        };
+        let (reference, db) = (mk(), mk());
+        let (a, b) = (key("c1", "reqs"), key("c2", "reqs"));
+        let f = TagFilter::any().event("reqs");
+        let want_a = range(&reference, &a, 0, u64::MAX);
+        let want_b = range(&reference, &b, 0, u64::MAX);
+        let want_agg = reference.aggregate(&f, Aggregation::Sum, 0, u64::MAX, 3600);
+        let mut got_a = Vec::new();
+        db.range_for_each(&a, 0, u64::MAX, |t, v| {
+            got_a.push(DataPoint { t, v });
+            if got_a.len() % 97 == 1 {
+                assert_eq!(range(&db, &b, 0, u64::MAX), want_b);
+                assert_eq!(db.n_points(), reference.n_points());
+                assert_eq!(
+                    db.aggregate(&f, Aggregation::Sum, 0, u64::MAX, 3600),
+                    want_agg
+                );
+            }
+        });
+        assert_eq!(got_a, want_a);
+        assert!(
+            db.cache_stats().misses > 0,
+            "the closure's reads decoded blocks"
+        );
+    }
+
+    #[test]
     fn shard_counts_do_not_change_query_results() {
         // The same inserts against 1..=8 shards answer every query the
         // same way (Sum within one bucket is order-sensitive only in
@@ -1120,7 +1150,7 @@ mod tests {
             db.insert(k.clone(), i * 600, 42.0);
         }
         assert_eq!(db.n_sealed_blocks(), 1);
-        let data = db.shards[0].data.read();
+        let data = db.shards[0].data.borrow();
         let block = &data.series.get(&k).expect("stored").sealed()[0];
         assert!(block.rollup_bytes() > 0);
         assert_eq!(
@@ -1176,7 +1206,7 @@ mod tests {
             prop_assert_eq!(db.keys(&TagFilter::any()),
                             reference.keys(&TagFilter::any()));
             // Per-series reads are bit-identical (same per-series
-            // storage, only the owning lock differs) — read twice so
+            // storage, only the owning shard differs) — read twice so
             // the second pass exercises the decoded-block cache.
             for h in 0..4u64 {
                 let k = key(&format!("w{h}"), "reqs");

@@ -24,7 +24,7 @@
 //! This module is on the `cargo xtask lint` deny list: no panicking
 //! constructs, no unchecked indexing.
 
-use crate::sync::Mutex;
+use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
@@ -513,7 +513,7 @@ impl Vfs for FsVfs {
     }
 }
 
-#[cfg(all(test, not(loom)))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

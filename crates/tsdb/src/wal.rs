@@ -488,7 +488,7 @@ pub(crate) fn append_repairing(file: &mut dyn DurFile, frame: &[u8]) -> Result<(
     }
 }
 
-#[cfg(all(test, not(loom)))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::vfs::{MemVfs, Vfs};

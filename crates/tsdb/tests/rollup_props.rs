@@ -26,8 +26,6 @@
 //! The vendored proptest runs 64 cases per property; each case draws
 //! [`STORES_PER_CASE`] stores, 256 per property.
 
-#![cfg(not(loom))]
-
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;

@@ -21,8 +21,6 @@
 //! order), at 1 and 8 shards. The same for a durable 8-shard store on a
 //! `MemVfs` after `compact()` and `TsDb::recover`.
 
-#![cfg(not(loom))]
-
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};

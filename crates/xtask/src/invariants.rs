@@ -1,23 +1,30 @@
 //! Workspace wiring invariants.
 //!
 //! These checks keep the verification infrastructure itself from
-//! rotting: the `cargo xtask` alias must stay wired, the loom model
-//! suites (broker queue, tsdb shard) must stay loom-gated (so plain
-//! `cargo test` is unaffected) and reachable from CI along with the
-//! one performance record — the one hot-loop bench (`hot_paths`) with
-//! its JSON artifact, the system benchmark's quick run, and the
-//! allocation invariants tier-1 enforces (`tests/alloc_invariants.rs`)
-//! — and every loom-using crate must keep rustc's `unexpected_cfgs` lint taught
-//! about `cfg(loom)` (CI runs clippy with `-D warnings`).
+//! rotting: the `cargo xtask` alias must stay wired, the broker's loom
+//! model suite must stay loom-gated (so plain `cargo test` is
+//! unaffected) and reachable from CI along with the one performance
+//! record — the one hot-loop bench (`hot_paths`) with its JSON
+//! artifact, the system benchmark's quick run, and the allocation
+//! invariants tier-1 enforces (`tests/alloc_invariants.rs`) — every
+//! crate the loom job builds with `--cfg loom` (the broker and simnode
+//! beneath it) must keep rustc's `unexpected_cfgs` lint taught about
+//! `cfg(loom)` (CI runs clippy with `-D warnings`), and DESIGN.md's
+//! lock-class table must be the graph the lock-order pass certifies.
 
 use crate::{alloc_lint, panic_lint};
 use std::fs;
 use std::path::Path;
 
-/// Run the wiring checks. `lock_classes` is the lock-order analyzer's
-/// discovered class set — DESIGN.md's `### Lock classes` table must
-/// list exactly those classes. Returns violations (empty = pass).
-pub fn check(root: &Path, lock_classes: &[String]) -> Result<Vec<String>, String> {
+/// Run the wiring checks. `lock_classes` and `lock_edges` are the
+/// lock-order analyzer's discovered classes and hold-while-acquiring
+/// edges — DESIGN.md's `### Lock classes` table must list exactly
+/// those. Returns violations (empty = pass).
+pub fn check(
+    root: &Path,
+    lock_classes: &[String],
+    lock_edges: &[(String, String)],
+) -> Result<Vec<String>, String> {
     let mut errors = Vec::new();
     let mut expect = |rel: &str, needles: &[&str]| -> Result<(), String> {
         let path = root.join(rel);
@@ -39,22 +46,17 @@ pub fn check(root: &Path, lock_classes: &[String]) -> Result<Vec<String>, String
         "crates/broker/tests/loom_queue.rs",
         &["#![cfg(loom)]", "loom::model"],
     )?;
-    expect(
-        "crates/tsdb/tests/loom_shard.rs",
-        &["#![cfg(loom)]", "loom::model"],
-    )?;
     expect("crates/broker/Cargo.toml", &["check-cfg = [\"cfg(loom)\"]"])?;
     expect(
         "crates/simnode/Cargo.toml",
         &["check-cfg = [\"cfg(loom)\"]"],
     )?;
-    expect("crates/tsdb/Cargo.toml", &["check-cfg = [\"cfg(loom)\"]"])?;
     expect(
         ".github/workflows/ci.yml",
         &[
             "cargo xtask lint",
             "--cfg loom",
-            "--test loom_shard",
+            "--test loom_queue",
             "--bench hot_paths",
             "BENCH_hot_paths.json",
             "benchmark/Cargo.toml -- --quick",
@@ -84,24 +86,39 @@ pub fn check(root: &Path, lock_classes: &[String]) -> Result<Vec<String>, String
     let path = root.join("DESIGN.md");
     let design = fs::read_to_string(&path)
         .map_err(|e| format!("invariants: read {}: {e}", path.display()))?;
-    errors.extend(lock_class_table(&design, lock_classes));
+    errors.extend(lock_class_table(&design, lock_classes, lock_edges));
     Ok(errors)
 }
 
-/// Check DESIGN.md's `### Lock classes` table against the analyzer's
-/// classes, both ways: a discovered class missing from the table's
-/// first column is an error, and so is a listed class the analyzer no
-/// longer finds.
-fn lock_class_table(design: &str, lock_classes: &[String]) -> Vec<String> {
+/// Check DESIGN.md's `### Lock classes` table against the analyzer,
+/// both ways. Its first column must be the discovered classes and its
+/// "Held while acquiring" column (the classes named there, or `—`) the
+/// discovered edges: a class or edge missing from the table is an
+/// error, and so is a listed one the analyzer no longer finds.
+fn lock_class_table(
+    design: &str,
+    lock_classes: &[String],
+    lock_edges: &[(String, String)],
+) -> Vec<String> {
     let Some(at) = design.find("### Lock classes") else {
         return vec!["invariants: DESIGN.md must contain a `### Lock classes` section".into()];
     };
     let section = &design[at..];
     let section = section.find("\n## ").map_or(section, |end| &section[..end]);
-    let listed: Vec<&str> = section
-        .lines()
-        .filter_map(|line| line.strip_prefix("| `")?.split('`').next())
-        .collect();
+    let mut listed: Vec<&str> = Vec::new();
+    let mut listed_edges: Vec<(&str, &str)> = Vec::new();
+    for line in section.lines() {
+        let cells: Vec<&str> = line.split('|').map(str::trim).collect();
+        let (Some(class), Some(held)) = (cells.get(1), cells.get(3)) else {
+            continue;
+        };
+        let Some(class) = class.strip_prefix('`').and_then(|c| c.strip_suffix('`')) else {
+            continue;
+        };
+        listed.push(class);
+        // Backticked names sit at the odd positions of a '`' split.
+        listed_edges.extend(held.split('`').skip(1).step_by(2).map(|to| (class, to)));
+    }
     let mut errors = Vec::new();
     for class in lock_classes {
         if !listed.contains(&class.as_str()) {
@@ -116,6 +133,22 @@ fn lock_class_table(design: &str, lock_classes: &[String]) -> Vec<String> {
             errors.push(format!(
                 "invariants: DESIGN.md's `### Lock classes` table lists `{class}`, \
                  which the lock-order analyzer does not find"
+            ));
+        }
+    }
+    for (from, to) in lock_edges {
+        if !listed_edges.contains(&(from.as_str(), to.as_str())) {
+            errors.push(format!(
+                "invariants: lock-order edge `{from}` → `{to}` is not listed in \
+                 DESIGN.md's `### Lock classes` table (\"Held while acquiring\")"
+            ));
+        }
+    }
+    for (from, to) in listed_edges {
+        if !lock_edges.iter().any(|(a, b)| a == from && b == to) {
+            errors.push(format!(
+                "invariants: DESIGN.md's `### Lock classes` table lists the edge \
+                 `{from}` → `{to}`, which the lock-order analyzer does not find"
             ));
         }
     }

@@ -16,7 +16,7 @@
 //!    not contain panic-capable constructs, modulo a ratchet;
 //! 5. **conformance** ([`conformance`] + [`invariants`]): schema ↔
 //!    metric agreement plus workspace wiring (CI jobs, loom gating,
-//!    lock classes documented in DESIGN.md);
+//!    lock classes and edges documented in DESIGN.md);
 //! 6. **dead-surface** ([`dead_surface`]): an unrestricted `pub fn` /
 //!    `pub const` / `pub static` of a runtime crate must be named in
 //!    some other file.
@@ -124,9 +124,9 @@ pub fn run_report(root: &Path) -> Result<LintReport, String> {
     });
 
     // Pass 5: conformance + wiring invariants (which consume the lock
-    // classes pass 1 discovered).
+    // classes and edges pass 1 discovered).
     let mut violations = conformance::check(root)?;
-    violations.extend(invariants::check(root, &analysis.classes)?);
+    violations.extend(invariants::check(root, &analysis.classes, &analysis.edges)?);
     passes.push(Pass {
         name: "conformance",
         files: 0,

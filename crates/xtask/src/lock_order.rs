@@ -1,7 +1,7 @@
 //! Lock-order deadlock analysis (pass 1 of `cargo xtask lint`).
 //!
-//! The sharded engine takes `Mutex`/`RwLock` guards in eleven modules
-//! across broker, simnode, and tsdb. A deadlock needs two locks
+//! The runtime takes `Mutex`/`RwLock` guards in four modules across
+//! broker, simnode, and tsdb. A deadlock needs two locks
 //! acquired in opposite orders on two threads — so the pass extracts
 //! every `.lock()` / `.read()` / `.write()` acquisition site,
 //! attributes each to a named **lock class** (the struct field or

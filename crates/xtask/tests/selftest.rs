@@ -89,15 +89,21 @@ fn zero_allowance_lines_are_rejected() {
     assert!(err.contains("delete the line"), "{err}");
 }
 
+/// The edges the lock-classes fixture's "Held while acquiring" column
+/// lists.
+const FIXTURE_EDGES: &[(&str, &str)] = &[("Outer.inner", "Leaf.state")];
+
 /// Run the wiring invariants on a mini-workspace: the real workspace's
 /// wired files, with DESIGN.md replaced by the lock-classes fixture
-/// (its table lists `Outer.inner`, `Leaf.state` and `Retired.slots`).
-fn invariants_with_fixture_design(classes: &[&str]) -> Vec<String> {
+/// (its table lists `Outer.inner`, `Leaf.state` and `Retired.slots`,
+/// and the edge `Outer.inner` → `Leaf.state`).
+fn invariants_with_fixture_design(classes: &[&str], edges: &[(&str, &str)]) -> Vec<String> {
     let real = xtask::workspace_root();
     let root = std::env::temp_dir().join(format!(
-        "xtask-selftest-invariants-{}-{}",
+        "xtask-selftest-invariants-{}-{}-{}",
         std::process::id(),
-        classes.len()
+        classes.len(),
+        edges.len()
     ));
     for rel in [
         ".cargo/config.toml",
@@ -105,8 +111,6 @@ fn invariants_with_fixture_design(classes: &[&str]) -> Vec<String> {
         "crates/broker/Cargo.toml",
         "crates/broker/tests/loom_queue.rs",
         "crates/simnode/Cargo.toml",
-        "crates/tsdb/Cargo.toml",
-        "crates/tsdb/tests/loom_shard.rs",
     ] {
         let to = root.join(rel);
         fs::create_dir_all(to.parent().expect("nested path")).expect("mkdir");
@@ -114,24 +118,56 @@ fn invariants_with_fixture_design(classes: &[&str]) -> Vec<String> {
     }
     fs::write(root.join("DESIGN.md"), fixture("lock_classes.md.fixture")).expect("write");
     let classes: Vec<String> = classes.iter().map(|c| c.to_string()).collect();
-    let result = xtask::invariants::check(&root, &classes);
+    let edges: Vec<(String, String)> = edges
+        .iter()
+        .map(|(a, b)| (a.to_string(), b.to_string()))
+        .collect();
+    let result = xtask::invariants::check(&root, &classes, &edges);
     fs::remove_dir_all(&root).ok();
     result.expect("invariants run")
 }
 
+const FIXTURE_CLASSES: &[&str] = &["Outer.inner", "Leaf.state", "Retired.slots"];
+
 #[test]
 fn lock_class_table_must_match_the_analyzer_both_ways() {
-    let all = invariants_with_fixture_design(&["Outer.inner", "Leaf.state", "Retired.slots"]);
+    let all = invariants_with_fixture_design(FIXTURE_CLASSES, FIXTURE_EDGES);
     assert!(all.is_empty(), "{all:?}");
     // A listed class the analyzer no longer finds is stale.
-    let stale = invariants_with_fixture_design(&["Outer.inner", "Leaf.state"]);
+    let stale = invariants_with_fixture_design(&["Outer.inner", "Leaf.state"], FIXTURE_EDGES);
     assert_eq!(stale.len(), 1, "{stale:?}");
     assert!(stale[0].contains("`Retired.slots`"), "{stale:?}");
     // A discovered class the table does not list is undocumented.
-    let missing =
-        invariants_with_fixture_design(&["Outer.inner", "Leaf.state", "Retired.slots", "New.lock"]);
+    let missing = invariants_with_fixture_design(
+        &["Outer.inner", "Leaf.state", "Retired.slots", "New.lock"],
+        FIXTURE_EDGES,
+    );
     assert_eq!(missing.len(), 1, "{missing:?}");
     assert!(missing[0].contains("`New.lock`"), "{missing:?}");
+}
+
+#[test]
+fn lock_edges_in_the_table_must_match_the_analyzer_both_ways() {
+    // A listed edge the analyzer no longer finds is stale.
+    let stale = invariants_with_fixture_design(FIXTURE_CLASSES, &[]);
+    assert_eq!(stale.len(), 1, "{stale:?}");
+    assert!(
+        stale[0].contains("`Outer.inner` → `Leaf.state`"),
+        "{stale:?}"
+    );
+    // A discovered edge the table does not list is undocumented.
+    let missing = invariants_with_fixture_design(
+        FIXTURE_CLASSES,
+        &[
+            ("Outer.inner", "Leaf.state"),
+            ("Leaf.state", "Retired.slots"),
+        ],
+    );
+    assert_eq!(missing.len(), 1, "{missing:?}");
+    assert!(
+        missing[0].contains("`Leaf.state` → `Retired.slots`"),
+        "{missing:?}"
+    );
 }
 
 #[test]
