@@ -11,22 +11,42 @@
 //!   ([`Broker::declare_bounded`], [`ShedPolicy`]) plus consumer-lag
 //!   watermarks ([`Broker::lag`]) — admission control for fleet-scale
 //!   soak runs where the consumer can fall behind,
-//! * many concurrent producers ([`Broker::publish`]),
+//! * any number of producers, each daemon publishing through its own
+//!   clone of one broker handle ([`Broker::publish`]),
 //! * pull-based consumers with acknowledgement and redelivery
 //!   ([`Consumer::get`], [`Consumer::ack`]) — an unacked message is
 //!   returned to the queue when its consumer disconnects,
 //! * depth/throughput statistics ([`Broker::stats`]).
 //!
 //! Everything is in process, and a poll never blocks: the system runs on
-//! simulated time, so [`Consumer::get`] is one pop under the queue lock.
-//! Network faults between daemon and broker are injected on the
-//! publishing side (`core::Pipeline`'s chaos publisher, driven by a
+//! simulated time, so [`Consumer::get`] is one pop from the queue's
+//! ready deque. Network faults between daemon and broker are injected on
+//! the publishing side (`core::Pipeline`'s chaos publisher, driven by a
 //! `FaultPlan`).
+//!
+//! The broker has one owner: the thread that drives simulated time. Its
+//! state sits in cells shared through `Rc`, not behind locks, so neither
+//! a [`Broker`] nor a [`Consumer`] can cross to another thread:
+//!
+//! ```compile_fail,E0277
+//! fn send<T: Send>(_: T) {}
+//! send(tacc_broker::Broker::new());
+//! ```
+//!
+//! ```compile_fail,E0277
+//! fn send<T: Send>(_: T) {}
+//! let broker = tacc_broker::Broker::new();
+//! broker.declare("stats");
+//! send(broker.consume("stats"));
+//! ```
+//!
+//! A publish and a poll are therefore whole operations, one after the
+//! other; `tests/queue_props.rs` checks the broker's accounting over
+//! random sequences of them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod queue;
-mod sync;
 
 pub use crate::queue::{Broker, BrokerStats, Consumer, Delivery, QueueLag, QueueStats, ShedPolicy};

@@ -1,9 +1,14 @@
 //! In-process broker core: queues, publish, consume, ack, redelivery.
+//!
+//! The registry and each queue sit in a `RefCell`, the outage flag in a
+//! `Cell`, shared by a broker's clones and its consumers through `Rc`
+//! (the crate docs say why). No method calls out while it holds a
+//! borrow, so two borrows never conflict.
 
-use crate::sync::{AtomicBool, Mutex, Ordering};
 use bytes::Bytes;
+use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
+use std::rc::Rc;
 use tacc_simnode::intern::Sym;
 
 /// A message delivered to a consumer. Must be [`Consumer::ack`]ed, or it
@@ -66,7 +71,7 @@ struct QueueInner {
 
 #[derive(Debug, Default)]
 struct Queue {
-    inner: Mutex<QueueInner>,
+    inner: RefCell<QueueInner>,
 }
 
 /// Counters for one queue.
@@ -134,11 +139,12 @@ pub struct BrokerStats {
 
 #[derive(Default)]
 struct BrokerInner {
-    queues: HashMap<String, Arc<Queue>>,
+    queues: HashMap<String, Rc<Queue>>,
     next_consumer_id: u64,
 }
 
-/// The message broker. Cheap to clone (shared state).
+/// The message broker. Cheap to clone: clones share one registry and
+/// one outage flag, so every daemon's publisher can hold its own handle.
 ///
 /// ```
 /// use tacc_broker::Broker;
@@ -154,14 +160,11 @@ struct BrokerInner {
 /// ```
 #[derive(Clone, Default)]
 pub struct Broker {
-    /// Queue registry. Lock class `Broker.registry` — named distinctly
-    /// from `Queue.inner` so the lock-order analyzer can attribute
-    /// every acquisition site; ordering rule: `Broker.registry` may be
-    /// held while taking `Queue.inner`, never the reverse.
-    registry: Arc<Mutex<BrokerInner>>,
+    /// Queue registry: name → queue, and the consumer-id counter.
+    registry: Rc<RefCell<BrokerInner>>,
     /// Outage flag: while set, publishes fail and consumers receive
     /// nothing, but queue contents survive (an orderly broker restart).
-    stopped: Arc<AtomicBool>,
+    stopped: Rc<Cell<bool>>,
 }
 
 impl Broker {
@@ -172,10 +175,11 @@ impl Broker {
 
     /// Declare (create if absent) a queue. Idempotent.
     pub fn declare(&self, queue: &str) {
-        let mut reg = self.registry.lock();
-        reg.queues
+        self.registry
+            .borrow_mut()
+            .queues
             .entry(queue.to_string())
-            .or_insert_with(|| Arc::new(Queue::default()));
+            .or_insert_with(|| Rc::new(Queue::default()));
     }
 
     /// Declare a queue with a bounded ready backlog and a shed policy
@@ -184,21 +188,18 @@ impl Broker {
     /// (contents and counters survive). `capacity == 0` means
     /// unbounded, i.e. plain [`Broker::declare`] semantics.
     pub fn declare_bounded(&self, queue: &str, capacity: usize, policy: ShedPolicy) {
-        let q = {
-            let mut reg = self.registry.lock();
-            Arc::clone(
-                reg.queues
-                    .entry(queue.to_string())
-                    .or_insert_with(|| Arc::new(Queue::default())),
-            )
-        };
-        let mut inner = q.inner.lock();
+        let mut reg = self.registry.borrow_mut();
+        let q = reg
+            .queues
+            .entry(queue.to_string())
+            .or_insert_with(|| Rc::new(Queue::default()));
+        let mut inner = q.inner.borrow_mut();
         inner.capacity = capacity;
         inner.policy = policy;
     }
 
-    fn queue(&self, queue: &str) -> Option<Arc<Queue>> {
-        self.registry.lock().queues.get(queue).cloned()
+    fn queue(&self, queue: &str) -> Option<Rc<Queue>> {
+        self.registry.borrow().queues.get(queue).cloned()
     }
 
     /// Publish a payload to a queue with a routing key. Returns `false`
@@ -207,13 +208,13 @@ impl Broker {
     /// or if a bounded queue at capacity runs [`ShedPolicy::RejectNewest`]
     /// (backpressure: the producer should retry or spool).
     pub fn publish(&self, queue: &str, routing_key: &str, payload: Bytes) -> bool {
-        if self.stopped.load(Ordering::Acquire) {
+        if self.stopped.get() {
             return false;
         }
         let Some(q) = self.queue(queue) else {
             return false;
         };
-        let mut inner = q.inner.lock();
+        let mut inner = q.inner.borrow_mut();
         inner.offered += 1;
         if inner.capacity > 0 && inner.ready.len() >= inner.capacity {
             match inner.policy {
@@ -250,14 +251,14 @@ impl Broker {
     pub fn consume(&self, queue: &str) -> Option<Consumer> {
         let q = self.queue(queue)?;
         let id = {
-            let mut reg = self.registry.lock();
+            let mut reg = self.registry.borrow_mut();
             reg.next_consumer_id += 1;
             reg.next_consumer_id
         };
         Some(Consumer {
             id,
             queue: q,
-            stopped: Arc::clone(&self.stopped),
+            stopped: Rc::clone(&self.stopped),
         })
     }
 
@@ -266,27 +267,27 @@ impl Broker {
     /// in-flight messages alike — are preserved (an orderly shutdown,
     /// not a data-loss event). Idempotent.
     pub fn stop(&self) {
-        self.stopped.store(true, Ordering::Release);
+        self.stopped.set(true);
     }
 
     /// Bring the broker back up after [`Broker::stop`]. Idempotent.
     pub fn restart(&self) {
-        self.stopped.store(false, Ordering::Release);
+        self.stopped.set(false);
     }
 
     /// Is the broker currently stopped?
     pub fn is_stopped(&self) -> bool {
-        self.stopped.load(Ordering::Acquire)
+        self.stopped.get()
     }
 
     /// Snapshot of broker statistics.
     pub fn stats(&self) -> BrokerStats {
-        let reg = self.registry.lock();
+        let reg = self.registry.borrow();
         let queues = reg
             .queues
             .iter()
             .map(|(name, q)| {
-                let qi = q.inner.lock();
+                let qi = q.inner.borrow();
                 (
                     name.clone(),
                     QueueStats {
@@ -310,17 +311,17 @@ impl Broker {
     /// Depth of one queue (0 if it does not exist).
     pub fn depth(&self, queue: &str) -> usize {
         self.queue(queue)
-            .map(|q| q.inner.lock().ready.len())
+            .map(|q| q.inner.borrow().ready.len())
             .unwrap_or(0)
     }
 
     /// Consumer-lag watermark for one queue (`None` if undeclared).
-    /// Cheap: one queue-lock snapshot of depth / in-flight / capacity.
+    /// Cheap: one snapshot of depth / in-flight / capacity.
     /// A scheduler or soak driver polls this to throttle offered load
     /// before the queue starts shedding ([`QueueLag::high`]).
     pub fn lag(&self, queue: &str) -> Option<QueueLag> {
         let q = self.queue(queue)?;
-        let inner = q.inner.lock();
+        let inner = q.inner.borrow();
         Some(QueueLag {
             depth: inner.ready.len(),
             in_flight: inner.unacked.len(),
@@ -336,8 +337,8 @@ impl Broker {
 /// consumer loses nothing that wasn't acked).
 pub struct Consumer {
     id: u64,
-    queue: Arc<Queue>,
-    stopped: Arc<AtomicBool>,
+    queue: Rc<Queue>,
+    stopped: Rc<Cell<bool>>,
 }
 
 impl Consumer {
@@ -350,10 +351,10 @@ impl Consumer {
     /// Linux), and a condition variable would cost every publish a
     /// wake-up syscall.
     pub fn get(&self) -> Option<Delivery> {
-        if self.stopped.load(Ordering::Acquire) {
+        if self.stopped.get() {
             return None;
         }
-        let mut inner = self.queue.inner.lock();
+        let mut inner = self.queue.inner.borrow_mut();
         let d = inner.ready.pop_front()?;
         inner.delivered += 1;
         inner.unacked.insert(d.tag, (self.id, d.clone()));
@@ -363,7 +364,7 @@ impl Consumer {
     /// Acknowledge a delivery. Returns `false` for unknown tags (already
     /// acked, or never delivered to this consumer).
     pub fn ack(&self, tag: u64) -> bool {
-        let mut inner = self.queue.inner.lock();
+        let mut inner = self.queue.inner.borrow_mut();
         match inner.unacked.get(&tag) {
             Some((cid, _)) if *cid == self.id => {
                 inner.unacked.remove(&tag);
@@ -376,7 +377,7 @@ impl Consumer {
 
     /// Negatively acknowledge: requeue the message at the front.
     pub fn nack(&self, tag: u64) -> bool {
-        let mut inner = self.queue.inner.lock();
+        let mut inner = self.queue.inner.borrow_mut();
         match inner.unacked.remove(&tag) {
             Some((cid, mut d)) if cid == self.id => {
                 d.redelivered = true;
@@ -397,26 +398,21 @@ impl Consumer {
 
 impl Drop for Consumer {
     fn drop(&mut self) {
-        let mut inner = self.queue.inner.lock();
-        let mine: Vec<u64> = inner
+        let mut inner = self.queue.inner.borrow_mut();
+        let mut mine: Vec<u64> = inner
             .unacked
             .iter()
             .filter(|(_, (cid, _))| *cid == self.id)
             .map(|(tag, _)| *tag)
             .collect();
         // Requeue in tag order so ordering is preserved as well as possible.
-        let mut msgs: Vec<Delivery> = mine
-            .into_iter()
-            .filter_map(|t| inner.unacked.remove(&t))
-            .map(|(_, mut d)| {
+        mine.sort_unstable();
+        for tag in mine.into_iter().rev() {
+            if let Some((_, mut d)) = inner.unacked.remove(&tag) {
                 d.redelivered = true;
-                d
-            })
-            .collect();
-        msgs.sort_by_key(|d| d.tag);
-        inner.redelivered += msgs.len() as u64;
-        for d in msgs.into_iter().rev() {
-            inner.ready.push_front(d);
+                inner.redelivered += 1;
+                inner.ready.push_front(d);
+            }
         }
     }
 }
@@ -496,42 +492,6 @@ mod tests {
         let again = c.get().unwrap();
         assert_eq!(again.payload, payload("a"));
         assert!(again.redelivered);
-    }
-
-    #[test]
-    fn many_producers_one_consumer() {
-        let b = Broker::new();
-        b.declare("q");
-        let n_producers = 8;
-        let per = 100;
-        std::thread::scope(|s| {
-            for p in 0..n_producers {
-                let b = b.clone();
-                s.spawn(move || {
-                    for i in 0..per {
-                        b.publish("q", &format!("node{p}"), payload(&format!("{p}:{i}")));
-                    }
-                });
-            }
-        });
-        let c = b.consume("q").unwrap();
-        let mut seen = 0;
-        let mut per_key: HashMap<Sym, Vec<u32>> = HashMap::new();
-        while let Some(d) = c.get() {
-            let body = String::from_utf8(d.payload.to_vec()).unwrap();
-            let (_, i) = body.split_once(':').unwrap();
-            per_key
-                .entry(d.routing_key)
-                .or_default()
-                .push(i.parse().unwrap());
-            c.ack(d.tag);
-            seen += 1;
-        }
-        assert_eq!(seen, n_producers * per);
-        // Per-producer FIFO order is preserved.
-        for (_, v) in per_key {
-            assert!(v.windows(2).all(|w| w[0] < w[1]));
-        }
     }
 
     #[test]

@@ -40,7 +40,7 @@ use tacc_simnode::pseudofs::NodeFs;
 use tacc_simnode::{SimDuration, SimTime};
 
 /// Where the daemon publishes samples.
-pub trait Publisher: Send {
+pub trait Publisher {
     /// Publish one rendered message carrying sequence number `seq`.
     /// Returns `false` on failure (broker unreachable / queue missing /
     /// message or acknowledgement lost in the network).

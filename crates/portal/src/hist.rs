@@ -121,13 +121,7 @@ impl Histogram {
     /// panels) rule as [`Histogram::build`], from the same `lo`/`width`
     /// arithmetic, so the result is bit-identical to a sequential build
     /// over the panel's values.
-    pub fn from_fused(
-        title: &str,
-        e: &Extent,
-        g: &Grid,
-        counts: &[u32; BINS],
-        log: bool,
-    ) -> Histogram {
+    fn from_fused(title: &str, e: &Extent, g: &Grid, counts: &[u32; BINS], log: bool) -> Histogram {
         if e.n == 0 {
             return Self::empty(title, BINS, log);
         }

@@ -1,7 +1,7 @@
 //! Simulated time.
 //!
 //! Every component of the reproduction — collectors, the cron scheduler,
-//! the daemon's sleep loop, job lifecycles — reads time from a shared
+//! the daemon's sleep loop, job lifecycles — reads time from the cluster's
 //! [`SimClock`] instead of the wall clock. This makes a quarter's worth of
 //! cluster activity simulate in seconds and keeps every experiment
 //! deterministic.
@@ -11,9 +11,8 @@
 //! 2015-10-01T00:00:00Z, the start of the quarter the paper's §V analyses
 //! cover.
 
+use std::cell::Cell;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Nanoseconds in one second.
 pub const NANOS_PER_SEC: u64 = 1_000_000_000;
@@ -200,13 +199,11 @@ impl fmt::Debug for SimDuration {
     }
 }
 
-/// Shared simulated clock.
-///
-/// Cloning a `SimClock` yields a handle onto the same underlying instant;
-/// advancing through any handle is visible to all.
-#[derive(Clone, Debug)]
+/// The simulated clock: one instant, advanced in place by its owner
+/// (a cluster) and read through shared references.
+#[derive(Debug)]
 pub struct SimClock {
-    now_ns: Arc<AtomicU64>,
+    now: Cell<SimTime>,
 }
 
 impl SimClock {
@@ -218,25 +215,20 @@ impl SimClock {
     /// A clock starting at the given instant.
     pub fn starting_at(start: SimTime) -> Self {
         SimClock {
-            now_ns: Arc::new(AtomicU64::new(start.as_nanos())),
+            now: Cell::new(start),
         }
-    }
-
-    /// A clock starting at the beginning of Q4 2015 (the quarter the
-    /// paper's population analyses cover).
-    pub fn q4_2015() -> Self {
-        Self::starting_at(SimTime::from_secs(Q4_2015_START_SECS))
     }
 
     /// Current simulated instant.
     pub fn now(&self) -> SimTime {
-        SimTime::from_nanos(self.now_ns.load(Ordering::Acquire))
+        self.now.get()
     }
 
     /// Advance the clock by `d` and return the new instant.
     pub fn advance(&self, d: SimDuration) -> SimTime {
-        let prev = self.now_ns.fetch_add(d.as_nanos(), Ordering::AcqRel);
-        SimTime::from_nanos(prev + d.as_nanos())
+        let now = self.now.get() + d;
+        self.now.set(now);
+        now
     }
 }
 
@@ -265,14 +257,6 @@ mod tests {
         let b = SimTime::from_secs(20);
         assert_eq!(a.duration_since(b), SimDuration::ZERO);
         assert_eq!(b.duration_since(a), SimDuration::from_secs(10));
-    }
-
-    #[test]
-    fn clock_handles_share_state() {
-        let c = SimClock::new();
-        let c2 = c.clone();
-        c.advance(SimDuration::from_secs(600));
-        assert_eq!(c2.now().as_secs(), 600);
     }
 
     #[test]

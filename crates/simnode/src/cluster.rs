@@ -65,7 +65,7 @@ impl SimCluster {
         }
     }
 
-    /// The shared clock.
+    /// The cluster's clock.
     pub fn clock(&self) -> &SimClock {
         &self.clock
     }

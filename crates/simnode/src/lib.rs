@@ -21,7 +21,7 @@
 //! and so on. Profiles are calibrated so that population statistics land in
 //! the bands the paper reports for Stampede (§V-A of the paper).
 //!
-//! Everything is deterministic: time comes from a shared [`clock::SimClock`]
+//! Everything is deterministic: time comes from one [`clock::SimClock`]
 //! and randomness from seeded RNGs.
 
 #![forbid(unsafe_code)]

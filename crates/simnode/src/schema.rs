@@ -45,20 +45,6 @@ pub enum Unit {
 }
 
 impl Unit {
-    /// Every unit, in declaration order (lint and round-trip coverage).
-    pub const ALL: [Unit; 10] = [
-        Unit::Events,
-        Unit::Bytes,
-        Unit::KiB,
-        Unit::Words4,
-        Unit::Jiffies,
-        Unit::Micros,
-        Unit::EnergyUnits,
-        Unit::Cycles,
-        Unit::Instructions,
-        Unit::Flops,
-    ];
-
     /// Multiplier converting one unit into its SI base (bytes, seconds,
     /// joules, or plain counts).
     pub fn to_base(self) -> f64 {
@@ -836,9 +822,23 @@ mod tests {
         assert!((Unit::EnergyUnits.to_base() - 6.103515625e-5).abs() < 1e-12);
     }
 
+    /// Every unit, in declaration order.
+    const ALL_UNITS: [Unit; 10] = [
+        Unit::Events,
+        Unit::Bytes,
+        Unit::KiB,
+        Unit::Words4,
+        Unit::Jiffies,
+        Unit::Micros,
+        Unit::EnergyUnits,
+        Unit::Cycles,
+        Unit::Instructions,
+        Unit::Flops,
+    ];
+
     #[test]
     fn unit_label_parse_roundtrip_for_all_units() {
-        for u in Unit::ALL {
+        for u in ALL_UNITS {
             assert_eq!(Unit::parse(u.label()), Some(u), "unit {u:?}");
         }
         assert_eq!(Unit::parse(""), None);
@@ -846,13 +846,13 @@ mod tests {
         // Labels are unique: the round-trip above would already catch a
         // collision, but make the intent explicit.
         let labels: std::collections::BTreeSet<&str> =
-            Unit::ALL.iter().map(|u| u.label()).collect();
-        assert_eq!(labels.len(), Unit::ALL.len());
+            ALL_UNITS.iter().map(|u| u.label()).collect();
+        assert_eq!(labels.len(), ALL_UNITS.len());
     }
 
     #[test]
     fn unit_to_base_is_finite_positive_for_all_units() {
-        for u in Unit::ALL {
+        for u in ALL_UNITS {
             let f = u.to_base();
             assert!(f.is_finite() && f > 0.0, "unit {u:?} → {f}");
         }
@@ -862,7 +862,7 @@ mod tests {
     fn to_base_roundtrips_through_base_values() {
         // Converting a raw value to base units and back must be exact
         // for the power-of-two factors and stable to 1 ulp for the rest.
-        for u in Unit::ALL {
+        for u in ALL_UNITS {
             let f = u.to_base();
             for raw in [1.0f64, 3.0, 1e6, 1e12] {
                 let back = (raw * f) / f;

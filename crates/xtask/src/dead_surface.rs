@@ -3,11 +3,22 @@
 //! ROADMAP's standing rule: code with no caller is deleted. This pass
 //! finds the first half of that mechanically — an unrestricted `pub fn`,
 //! `pub const` or `pub static` in a runtime crate (`crates/*/src` except
-//! `xtask`, plus the root `src/` without `src/bin`) whose name appears
-//! as a whole word in no *other* `.rs` file. Names are matched on
-//! [`mask`]ed text, so a comment, doc link or string does not count; a
-//! use in the defining file (including its own `#[cfg(test)]` module)
-//! does not count either.
+//! `xtask`, plus the root `src/` without `src/bin`) that no *other*
+//! `.rs` file uses. Names are matched as whole words on [`mask`]ed text,
+//! so a comment, doc link or string does not count; a use in the
+//! defining file (including its own `#[cfg(test)]` module) does not
+//! count either, and neither do three shapes that name an item without
+//! using it:
+//!
+//! * a same-named definition (`fn name`, `const NAME`, `mod name`, …):
+//!   another file's `Shard::set_policy` does not keep `TsDb::set_policy`
+//!   alive;
+//! * a `pub use …;` re-export, which only passes the name on;
+//! * a `Type::name` path whose `Type` is not the item's own: for an
+//!   associated item of `impl SimClock`, `PopulationRunner::q4_2015` is
+//!   another function, and a free item is never reached through a
+//!   type. `Self::name`, module paths and method calls (`.name(`) carry
+//!   no type the pass can read, so they count for every item so named.
 //!
 //! References are counted everywhere code can reach the item from
 //! outside its file: all of `crates/` (so `crates/xtask` and every
@@ -33,7 +44,7 @@
 //! it. Whether such a module should go is a human decision, so the
 //! listing is input, not a verdict.
 
-use crate::lexer::{excluded_spans, mask, Lines};
+use crate::lexer::{excluded_spans, impl_spans, impl_type_at, mask, Lines};
 use crate::util::read_scope;
 use std::collections::{HashMap, HashSet};
 use std::path::Path;
@@ -60,10 +71,12 @@ fn defines(rel: &str) -> bool {
 }
 
 /// One unrestricted `pub` item: its kind (`fn`, `const`, `static`),
-/// name and 1-based line.
+/// name, the type of the `impl` block it sits in (`None` for a free
+/// item) and 1-based line.
 struct PubItem {
     kind: &'static str,
     name: String,
+    owner: Option<String>,
     line: usize,
 }
 
@@ -72,6 +85,7 @@ struct PubItem {
 fn pub_items(masked: &str) -> Vec<PubItem> {
     let chars: Vec<char> = masked.chars().collect();
     let excluded = excluded_spans(masked);
+    let impls = impl_spans(masked);
     let lines = Lines::new(masked);
     let is_ident = |c: char| c.is_ascii_alphanumeric() || c == '_';
     let word_at = |mut i: usize| -> (String, usize) {
@@ -120,6 +134,7 @@ fn pub_items(masked: &str) -> Vec<PubItem> {
                 items.push(PubItem {
                     kind,
                     name,
+                    owner: impl_type_at(&impls, start).map(str::to_string),
                     line: lines.line_of(start),
                 });
             }
@@ -129,35 +144,90 @@ fn pub_items(masked: &str) -> Vec<PubItem> {
     items
 }
 
-/// Whole-word identifiers of one masked file.
-fn words(masked: &str) -> HashSet<&str> {
-    masked
-        .split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
-        .filter(|w| !w.is_empty())
-        .collect()
+/// Keywords after which a name is being defined, not used.
+const DEFINING: &[&str] = &[
+    "fn", "const", "static", "struct", "enum", "union", "trait", "type", "mod",
+];
+
+/// How one file uses a word: bare (unqualified, a method call, a module
+/// path or `Self::word`), and through which `Type::word` types.
+#[derive(Default)]
+struct Uses<'a> {
+    bare: bool,
+    types: HashSet<&'a str>,
+}
+
+impl Uses<'_> {
+    /// Whether these uses can reach an item of `impl owner` (`None`: a
+    /// free item).
+    fn reach(&self, owner: Option<&str>) -> bool {
+        self.bare || owner.is_some_and(|t| self.types.contains(t))
+    }
+}
+
+/// The uses of every word of one masked file, leaving out definitions
+/// and `pub use` re-exports.
+fn uses(masked: &str) -> HashMap<&str, Uses<'_>> {
+    let toks = tokens(masked);
+    let mut out: HashMap<&str, Uses> = HashMap::new();
+    let mut i = 0;
+    while i < toks.len() {
+        let Tok::Ident(word) = toks[i] else {
+            i += 1;
+            continue;
+        };
+        if word == "pub" && toks.get(i + 1) == Some(&Tok::Ident("use")) {
+            while i < toks.len() && toks[i] != Tok::Semi {
+                i += 1;
+            }
+            continue;
+        }
+        let before = |k: usize| i.checked_sub(k).map(|j| &toks[j]);
+        let defined = match before(1) {
+            Some(Tok::Ident(kw)) => {
+                DEFINING.contains(kw) || (*kw == "mut" && before(2) == Some(&Tok::Ident("static")))
+            }
+            _ => false,
+        };
+        if !defined {
+            let uses = out.entry(word).or_default();
+            match (before(1), before(2)) {
+                (Some(Tok::Sep), Some(Tok::Ident(t)))
+                    if *t != "Self" && t.starts_with(|c: char| c.is_ascii_uppercase()) =>
+                {
+                    uses.types.insert(t);
+                }
+                _ => uses.bare = true,
+            }
+        }
+        i += 1;
+    }
+    out
 }
 
 /// Scan in-memory sources (workspace-relative path, text); returns
 /// violations. `check` and the test suite share this.
 pub fn scan_sources(files: &[(String, String)]) -> Vec<String> {
     let masked: Vec<String> = files.iter().map(|(_, text)| mask(text)).collect();
-    // For each word, the number of files it appears in.
-    let mut files_naming: HashMap<&str, usize> = HashMap::new();
-    for m in &masked {
-        for w in words(m) {
-            *files_naming.entry(w).or_insert(0) += 1;
-        }
-    }
+    let uses: Vec<HashMap<&str, Uses>> = masked.iter().map(|m| uses(m)).collect();
     let mut errors = Vec::new();
-    for ((rel, _), m) in files.iter().zip(&masked) {
+    for (at, ((rel, _), m)) in files.iter().zip(&masked).enumerate() {
         if !defines(rel) {
             continue;
         }
         for item in pub_items(m) {
-            // The defining file names it once; any other file makes two.
-            if files_naming.get(item.name.as_str()).copied().unwrap_or(0) < 2 {
+            let used = uses.iter().enumerate().any(|(other, file)| {
+                other != at
+                    && file
+                        .get(item.name.as_str())
+                        .is_some_and(|u| u.reach(item.owner.as_deref()))
+            });
+            if !used {
+                let within = item
+                    .owner
+                    .map_or(String::new(), |t| format!(" (in `impl {t}`)"));
                 errors.push(format!(
-                    "dead-surface: {rel}:{}: `pub {} {}` is named in no other file — \
+                    "dead-surface: {rel}:{}: `pub {} {}`{within} is used in no other file — \
                      drop the `pub` (rustc's dead_code then says whether it has a caller)",
                     item.line, item.kind, item.name
                 ));
@@ -181,7 +251,7 @@ pub fn check(root: &Path) -> Result<Vec<String>, String> {
 }
 
 /// One token of a masked file, as far as paths need: an identifier or
-/// one of `::`, `{`, `}`, `,`. Anything else ends a path.
+/// one of `::`, `{`, `}`, `,`, `;`. Anything else ends a path.
 #[derive(PartialEq)]
 enum Tok<'a> {
     Ident(&'a str),
@@ -189,6 +259,7 @@ enum Tok<'a> {
     Open,
     Close,
     Comma,
+    Semi,
     Other,
 }
 
@@ -216,6 +287,7 @@ fn tokens(masked: &str) -> Vec<Tok<'_>> {
             b'{' => Tok::Open,
             b'}' => Tok::Close,
             b',' => Tok::Comma,
+            b';' => Tok::Semi,
             _ if b.is_ascii_whitespace() => continue,
             _ => Tok::Other,
         };

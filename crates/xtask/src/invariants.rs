@@ -1,16 +1,17 @@
 //! Workspace wiring invariants.
 //!
 //! These checks keep the verification infrastructure itself from
-//! rotting: the `cargo xtask` alias must stay wired, the broker's loom
-//! model suite must stay loom-gated (so plain `cargo test` is
-//! unaffected) and reachable from CI along with the one performance
-//! record — the one hot-loop bench (`hot_paths`) with its JSON
-//! artifact, the system benchmark's quick run, and the allocation
-//! invariants tier-1 enforces (`tests/alloc_invariants.rs`) — every
-//! crate the loom job builds with `--cfg loom` (the broker and simnode
-//! beneath it) must keep rustc's `unexpected_cfgs` lint taught about
-//! `cfg(loom)` (CI runs clippy with `-D warnings`), and DESIGN.md's
-//! lock-class table must be the graph the lock-order pass certifies.
+//! rotting: the `cargo xtask` alias must stay wired; the broker keeps
+//! the guards that stand in for a concurrency model — `compile_fail`
+//! doctests that reject sending a `Broker` or `Consumer` to another
+//! thread, and the op-sequence property over its queues, which CI
+//! also runs with more cases; CI keeps the one performance record
+//! (the hot-loop bench `hot_paths` with its JSON artifact, the system
+//! benchmark's quick run, and the allocation invariants tier-1
+//! enforces in `tests/alloc_invariants.rs`) and runs the nightly
+//! ThreadSanitizer job over `tacc-simnode`, where the remaining
+//! threads and shared locks are; and DESIGN.md's lock-class table
+//! must be the graph the lock-order pass certifies.
 
 use crate::{alloc_lint, panic_lint};
 use std::fs;
@@ -42,31 +43,30 @@ pub fn check(
         ".cargo/config.toml",
         &["xtask = \"run --quiet --package xtask --\""],
     )?;
+    expect("crates/broker/src/lib.rs", &["```compile_fail,E0277"])?;
     expect(
-        "crates/broker/tests/loom_queue.rs",
-        &["#![cfg(loom)]", "loom::model"],
-    )?;
-    expect("crates/broker/Cargo.toml", &["check-cfg = [\"cfg(loom)\"]"])?;
-    expect(
-        "crates/simnode/Cargo.toml",
-        &["check-cfg = [\"cfg(loom)\"]"],
+        "crates/broker/tests/queue_props.rs",
+        &[
+            "proptest!",
+            "fn op_sequences_keep_the_broker_accounting_exact",
+        ],
     )?;
     expect(
         ".github/workflows/ci.yml",
         &[
             "cargo xtask lint",
-            "--cfg loom",
-            "--test loom_queue",
+            "--test queue_props",
             "--bench hot_paths",
             "BENCH_hot_paths.json",
             "benchmark/Cargo.toml -- --quick",
             "--test alloc_invariants",
             // The six-pass suite must stay a required CI job with its
             // JSON artifact, and the TSan job is the lock-order pass's
-            // dynamic cross-check.
+            // dynamic cross-check, run where the threads are.
             "xtask-lint",
             "lint-report.json",
             "-Zsanitizer=thread",
+            "--target x86_64-unknown-linux-gnu -p tacc-simnode",
         ],
     )?;
 

@@ -737,15 +737,13 @@ impl ItemFn {
     }
 }
 
-/// Locate every `fn` item (with enclosing-impl attribution) in masked
-/// source. Nested functions are reported too; pick the innermost
-/// containing span when attributing a position.
-pub fn item_fns(masked: &str) -> Vec<ItemFn> {
+/// The `impl` blocks of masked source: each block's type (for trait
+/// impls, the implementing type after `for`) and the char span of its
+/// `{ … }` body, braces included. `impl<G> Path<G> { … }` and
+/// `impl T for U { … }` both name the type's last path segment.
+pub fn impl_spans(masked: &str) -> Vec<(String, usize, usize)> {
     let chars: Vec<char> = masked.chars().collect();
     let n = chars.len();
-    let lines = Lines::new(masked);
-
-    // Pass 1: impl spans. `impl<G> Path<G> { … }` / `impl T for U { … }`.
     let mut impls: Vec<(String, usize, usize)> = Vec::new();
     let mut i = 0;
     while i < n {
@@ -765,10 +763,12 @@ pub fn item_fns(masked: &str) -> Vec<ItemFn> {
         }
         // Read to the opening brace, remembering the last path ident
         // seen outside generic args; `for` resets it (trait impls name
-        // the implementing type after `for`).
+        // the implementing type after `for`), and a `where` clause names
+        // bounds, not the type.
         let mut k = j;
         let mut angle = 0i32;
         let mut last_ident = String::new();
+        let mut in_where = false;
         while k < n && chars[k] != '{' && chars[k] != ';' {
             let c = chars[k];
             if c == '<' {
@@ -785,11 +785,11 @@ pub fn item_fns(masked: &str) -> Vec<ItemFn> {
                     k += 1;
                 }
                 let w: String = chars[s..k].iter().collect();
-                if angle == 0 {
-                    if w == "for" || w == "where" {
-                        last_ident.clear();
-                    } else {
-                        last_ident = w;
+                if angle == 0 && !in_where {
+                    match w.as_str() {
+                        "for" => last_ident.clear(),
+                        "where" => in_where = true,
+                        _ => last_ident = w,
                     }
                 }
             } else {
@@ -821,6 +821,27 @@ pub fn item_fns(masked: &str) -> Vec<ItemFn> {
             i = k;
         }
     }
+    impls
+}
+
+/// The type of the innermost `impl` block of `impls` ([`impl_spans`])
+/// whose body contains char offset `pos`.
+pub fn impl_type_at(impls: &[(String, usize, usize)], pos: usize) -> Option<&str> {
+    impls
+        .iter()
+        .filter(|(_, s, e)| pos > *s && pos < *e)
+        .min_by_key(|(_, s, e)| e - s)
+        .map(|(t, _, _)| t.as_str())
+}
+
+/// Locate every `fn` item (with enclosing-impl attribution) in masked
+/// source. Nested functions are reported too; pick the innermost
+/// containing span when attributing a position.
+pub fn item_fns(masked: &str) -> Vec<ItemFn> {
+    let chars: Vec<char> = masked.chars().collect();
+    let n = chars.len();
+    let lines = Lines::new(masked);
+    let impls = impl_spans(masked);
 
     // Pass 2: fn items.
     let mut fns = Vec::new();
@@ -896,11 +917,7 @@ pub fn item_fns(masked: &str) -> Vec<ItemFn> {
         } else {
             (start, start)
         };
-        let impl_type = impls
-            .iter()
-            .filter(|(_, s, e)| start > *s && start < *e)
-            .min_by_key(|(_, s, e)| e - s)
-            .map(|(t, _, _)| t.clone());
+        let impl_type = impl_type_at(&impls, start).map(str::to_string);
         fns.push(ItemFn {
             name,
             impl_type,
@@ -1039,10 +1056,15 @@ mod tests {
 
     #[test]
     fn item_fns_attribute_impl_types_and_spans() {
-        let src = "struct S;\nimpl S {\n    fn a(&self) -> Result<Vec<u8>, ()> {\n        body();\n    }\n}\nimpl Other for S {\n    fn b(&self) {}\n}\nfn free() {}\n";
+        let src = "struct S;\nimpl S {\n    fn a(&self) -> Result<Vec<u8>, ()> {\n        body();\n    }\n}\nimpl Other for S {\n    fn b(&self) {}\n}\nfn free() {}\nimpl<T> W<T> where T: Bound {\n    fn c() {}\n}\n";
         let masked = mask(src);
         let fns = item_fns(&masked);
-        assert_eq!(fns.len(), 3, "{fns:?}");
+        assert_eq!(fns.len(), 4, "{fns:?}");
+        assert_eq!(
+            fns[3].impl_type.as_deref(),
+            Some("W"),
+            "a where clause names bounds, not the type"
+        );
         assert_eq!(fns[0].name, "a");
         assert_eq!(fns[0].impl_type.as_deref(), Some("S"));
         assert_eq!(fns[1].name, "b");

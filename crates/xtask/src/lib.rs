@@ -15,10 +15,10 @@
 //! 4. **panic-lint** ([`panic_lint`]): the collection hot path must
 //!    not contain panic-capable constructs, modulo a ratchet;
 //! 5. **conformance** ([`conformance`] + [`invariants`]): schema ↔
-//!    metric agreement plus workspace wiring (CI jobs, loom gating,
-//!    lock classes and edges documented in DESIGN.md);
+//!    metric agreement plus workspace wiring (CI jobs, the broker's
+//!    `!Send` guards, lock classes and edges documented in DESIGN.md);
 //! 6. **dead-surface** ([`dead_surface`]): an unrestricted `pub fn` /
-//!    `pub const` / `pub static` of a runtime crate must be named in
+//!    `pub const` / `pub static` of a runtime crate must be used in
 //!    some other file.
 //!
 //! The suite produces a unified [`report::LintReport`] with JSON

@@ -447,6 +447,83 @@ fn restricted_and_test_only_items_are_left_to_rustc() {
     assert!(v.is_empty(), "{v:?}");
 }
 
+#[test]
+fn a_same_named_definition_in_another_file_is_not_a_use() {
+    let v = dead_surface_on(
+        "definition",
+        &[
+            (
+                DEF,
+                "pub struct TsDb;\nimpl TsDb {\n    pub fn set_policy(&self) {}\n}\npub const LIMIT: u8 = 1;\n",
+            ),
+            (
+                "crates/tsdb/src/shard.rs",
+                "pub struct Shard;\nimpl Shard {\n    pub fn set_policy(&self) {}\n}\nconst LIMIT: u8 = 2;\nmod set_policy {}\n",
+            ),
+        ],
+    );
+    assert_eq!(v.len(), 3, "{v:?}");
+    assert!(
+        v[0].contains("shard.rs") && v[0].contains("`pub fn set_policy`"),
+        "{v:?}"
+    );
+    assert!(
+        v[1].contains("store.rs") && v[1].contains("`pub fn set_policy`"),
+        "{v:?}"
+    );
+    assert!(v[2].contains("`pub const LIMIT`"), "{v:?}");
+}
+
+#[test]
+fn a_pub_use_re_export_is_not_a_use() {
+    let v = dead_surface_on(
+        "reexport",
+        &[
+            (
+                DEF,
+                "pub fn default_policy() -> u8 {\n    1\n}\npub fn grouped() {}\npub fn imported() {}\n",
+            ),
+            (
+                "crates/tsdb/src/lib.rs",
+                "mod store;\npub use store::default_policy;\npub use crate::store::{grouped, imported};\n",
+            ),
+            // A plain `use` is an import that the file then uses.
+            (CALLER, "use tacc_tsdb::imported;\n"),
+        ],
+    );
+    assert_eq!(v.len(), 2, "{v:?}");
+    assert!(v[0].contains("`pub fn default_policy`"), "{v:?}");
+    assert!(v[1].contains("`pub fn grouped`"), "{v:?}");
+}
+
+#[test]
+fn a_path_through_another_type_is_not_a_use() {
+    let v = dead_surface_on(
+        "other-type",
+        &[
+            (
+                "crates/simnode/src/clock.rs",
+                "pub struct SimClock;\nimpl SimClock {\n    pub fn q4_2015() -> SimClock {\n        SimClock\n    }\n    pub fn starting_at() {}\n    pub fn new() {}\n    pub fn now(&self) {}\n}\npub fn free() {}\npub fn by_module() {}\n",
+            ),
+            (
+                "crates/core/src/population.rs",
+                "fn f(c: &SimClock) {\n    PopulationRunner::q4_2015();\n    Other::free();\n    simnode::SimClock::starting_at();\n    c.now();\n    clock::by_module();\n}\n",
+            ),
+            // `Self::` names no type the pass can read, so it counts.
+            (
+                "crates/core/src/pipeline.rs",
+                "impl Pipeline {\n    fn f() {\n        Self::new();\n    }\n}\n",
+            ),
+        ],
+    );
+    assert_eq!(v.len(), 2, "{v:?}");
+    assert!(
+        v[0].contains("`pub fn q4_2015` (in `impl SimClock`)"),
+        "{v:?}"
+    );
+    assert!(v[1].contains("`pub fn free`"), "{v:?}");
+}
+
 // Pass 6's `--report`: modules only examples and tests reach.
 
 /// Write `files` into a fresh mini-workspace and return the module

@@ -108,9 +108,8 @@ fn invariants_with_fixture_design(classes: &[&str], edges: &[(&str, &str)]) -> V
     for rel in [
         ".cargo/config.toml",
         ".github/workflows/ci.yml",
-        "crates/broker/Cargo.toml",
-        "crates/broker/tests/loom_queue.rs",
-        "crates/simnode/Cargo.toml",
+        "crates/broker/src/lib.rs",
+        "crates/broker/tests/queue_props.rs",
     ] {
         let to = root.join(rel);
         fs::create_dir_all(to.parent().expect("nested path")).expect("mkdir");
