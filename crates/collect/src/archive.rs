@@ -69,7 +69,9 @@ impl ArchiveInner {
     }
 }
 
-/// Thread-safe central archive.
+/// The central archive, shared through an `Arc` by the consumer and
+/// the pipeline that owns it, on one thread; the `Mutex` is what lets
+/// them append through `&self`.
 #[derive(Default)]
 pub struct Archive {
     inner: Mutex<ArchiveInner>,
@@ -107,27 +109,10 @@ impl Archive {
 
     /// Store (or append to) the raw file of `host` for the day containing
     /// `day_start`. `sample_times` are the collection instants of the
-    /// samples in `text`, used for latency accounting against `stored_at`.
-    pub fn append(
-        &self,
-        host: &str,
-        day_start: SimTime,
-        text: &str,
-        sample_times: &[SimTime],
-        stored_at: SimTime,
-    ) {
-        self.append_bytes(
-            Sym::new(host),
-            day_start,
-            text.as_bytes(),
-            sample_times,
-            stored_at,
-        );
-    }
-
-    /// Byte-level [`Archive::append`]: the consumer hands its render
-    /// buffer over without a UTF-8 round-trip, and the hostname arrives
-    /// pre-interned so the day-map key allocates nothing.
+    /// samples in `bytes`, used for latency accounting against
+    /// `stored_at`. The consumer and the cron sync hand their render
+    /// buffers over as they are, and the hostname arrives pre-interned
+    /// so the day-map key allocates nothing.
     pub fn append_bytes(
         &self,
         host: Sym,
@@ -180,19 +165,6 @@ impl Archive {
             .lock()
             .files
             .contains_key(&(Sym::new(host), day_start.as_secs()))
-    }
-
-    /// Raw text of one host-day file.
-    ///
-    /// Copies the file out (and lossily patches any invalid UTF-8);
-    /// replay paths should use [`Archive::parse`] or
-    /// [`Archive::with_bytes`], which borrow the stored bytes instead.
-    pub fn read(&self, host: &str, day_start: SimTime) -> Option<String> {
-        self.inner
-            .lock()
-            .files
-            .get(&(Sym::new(host), day_start.as_secs()))
-            .map(|b| String::from_utf8_lossy(b).into_owned())
     }
 
     /// Run `f` over the raw bytes of one host-day file, borrowed in
@@ -280,17 +252,22 @@ mod tests {
             arch: CpuArch::SandyBridge,
             schemas,
         };
-        format!("{}{} -\nmdc scratch 5 100\n", h.render(), t)
+        let mut text = Vec::new();
+        codec::render_header_into(&h, &mut text);
+        format!(
+            "{}{t} -\nmdc scratch 5 100\n",
+            String::from_utf8(text).unwrap()
+        )
     }
 
     #[test]
     fn append_and_parse_roundtrip() {
         let a = Archive::new();
         let day = SimTime::from_secs(0);
-        a.append(
-            "c1",
+        a.append_bytes(
+            Sym::new("c1"),
             day,
-            &tiny_file_text("c1", 600),
+            tiny_file_text("c1", 600).as_bytes(),
             &[SimTime::from_secs(600)],
             SimTime::from_secs(90_000),
         );
@@ -306,10 +283,10 @@ mod tests {
     fn latency_stats_accumulate() {
         let a = Archive::new();
         let day = SimTime::from_secs(0);
-        a.append(
-            "c1",
+        a.append_bytes(
+            Sym::new("c1"),
             day,
-            "",
+            b"",
             &[SimTime::from_secs(0), SimTime::from_secs(600)],
             SimTime::from_secs(3600),
         );
@@ -323,17 +300,17 @@ mod tests {
     fn appending_samples_extends_file() {
         let a = Archive::new();
         let day = SimTime::from_secs(0);
-        a.append(
-            "c1",
+        a.append_bytes(
+            Sym::new("c1"),
             day,
-            &tiny_file_text("c1", 600),
+            tiny_file_text("c1", 600).as_bytes(),
             &[],
             SimTime::from_secs(600),
         );
-        a.append(
-            "c1",
+        a.append_bytes(
+            Sym::new("c1"),
             day,
-            "1200 -\nmdc scratch 9 900\n",
+            b"1200 -\nmdc scratch 9 900\n",
             &[],
             SimTime::from_secs(1200),
         );
@@ -358,7 +335,8 @@ mod tests {
         let len = a.with_bytes("c1", day, |b| b.len()).unwrap();
         assert_eq!(len, text.len());
         assert!(a.with_bytes("ghost", day, |b| b.len()).is_none());
-        assert_eq!(a.read("c1", day).unwrap(), text);
+        let stored = a.with_bytes("c1", day, |b| b == text.as_bytes());
+        assert_eq!(stored, Some(true));
     }
 
     #[test]
@@ -367,10 +345,10 @@ mod tests {
         let day_len = 86_400u64;
         // Three days × 100 bytes each.
         for d in 0..3u64 {
-            a.append(
-                "c1",
+            a.append_bytes(
+                Sym::new("c1"),
                 SimTime::from_secs(d * day_len),
-                &"x".repeat(100),
+                &[b'x'; 100],
                 &[SimTime::from_secs(d * day_len)],
                 SimTime::from_secs(d * day_len + 1),
             );
@@ -386,10 +364,10 @@ mod tests {
         // Latency accounting survives eviction (delivery already happened).
         assert_eq!(a.total_samples(), 3);
         // Appends keep enforcing the bound.
-        a.append(
-            "c2",
+        a.append_bytes(
+            Sym::new("c2"),
             SimTime::from_secs(3 * day_len),
-            &"y".repeat(120),
+            &[b'y'; 120],
             &[],
             SimTime::from_secs(3 * day_len),
         );
@@ -403,6 +381,6 @@ mod tests {
         let a = Archive::new();
         assert_eq!(a.latency_stats(), LatencyStats::default());
         assert!(a.parse_all().unwrap().is_empty());
-        assert!(a.read("x", SimTime::from_secs(0)).is_none());
+        assert!(a.parse("x", SimTime::from_secs(0)).is_none());
     }
 }

@@ -23,10 +23,10 @@
 //!    archives them as they are. [`parse_bytes`] and
 //!    [`RawFile::parse`] are its stateless, owned-return wrappers.
 //!
-//! The legacy `String`-returning render methods on
-//! [`crate::record::RawFile`] are thin wrappers over the same generic
-//! rendering code (via the [`Out`] sink below), so the two APIs cannot
-//! drift: `parse_bytes(render_message_into(...)) == parse(render_message(...))`.
+//! Rendering has one sink, a `Vec<u8>`: the daemon's messages, the
+//! consumer's archived bytes and cron mode's day logs are all written
+//! by the `render_*_into` functions. [`RawFile::render`] is the one
+//! `String` helper, a UTF-8 view of [`render_file_into`].
 
 use crate::record::{
     DeviceRecord, HostHeader, ParseError, PsRecord, RawFile, Sample, ValueVec, FORMAT_VERSION,
@@ -41,146 +41,98 @@ use tacc_simnode::schema::{DeviceType, EventKind, Schema};
 use tacc_simnode::topology::CpuArch;
 use tacc_simnode::SimTime;
 
-/// Byte sink the rendering code writes through. Implemented for
-/// `Vec<u8>` (the reused-buffer hot path) and `String` (the legacy
-/// API), so rendering is written once and neither path pays a UTF-8
-/// conversion: every write is either a `&str` or a single ASCII byte.
-pub(crate) trait Out {
-    /// Append a string.
-    fn put_str(&mut self, s: &str);
-    /// Append one ASCII byte (`b < 0x80`).
-    fn put_ascii(&mut self, b: u8);
-    /// Append `v` in decimal, through the one integer writer
-    /// ([`tacc_simnode::digits`]).
-    fn put_u64(&mut self, v: u64);
-}
-
-impl Out for Vec<u8> {
-    fn put_str(&mut self, s: &str) {
-        self.extend_from_slice(s.as_bytes());
-    }
-    fn put_ascii(&mut self, b: u8) {
-        self.push(b);
-    }
-    fn put_u64(&mut self, v: u64) {
-        digits::push_dec(self, v);
-    }
-}
-
-impl Out for String {
-    fn put_str(&mut self, s: &str) {
-        self.push_str(s);
-    }
-    fn put_ascii(&mut self, b: u8) {
-        self.push(char::from(b));
-    }
-    fn put_u64(&mut self, v: u64) {
-        digits::push_dec_str(self, v);
-    }
-}
-
-/// Render the `$`/`!` header block.
-pub(crate) fn render_header<O: Out + ?Sized>(h: &HostHeader, out: &mut O) {
+/// Append the `$`/`!` header block to `out`.
+pub fn render_header_into(h: &HostHeader, out: &mut Vec<u8>) {
     let names = SymbolTable::global().reader();
-    out.put_str("$tacc_stats ");
-    out.put_str(FORMAT_VERSION);
-    out.put_ascii(b'\n');
-    out.put_str("$hostname ");
-    out.put_str(names.resolve(h.hostname));
-    out.put_ascii(b'\n');
-    out.put_str("$arch ");
-    out.put_str(h.arch.name());
-    out.put_ascii(b'\n');
+    out.extend_from_slice(b"$tacc_stats ");
+    out.extend_from_slice(FORMAT_VERSION.as_bytes());
+    out.push(b'\n');
+    out.extend_from_slice(b"$hostname ");
+    out.extend_from_slice(names.resolve(h.hostname).as_bytes());
+    out.push(b'\n');
+    out.extend_from_slice(b"$arch ");
+    out.extend_from_slice(h.arch.name().as_bytes());
+    out.push(b'\n');
     for (dt, schema) in &h.schemas {
-        out.put_ascii(b'!');
-        out.put_str(dt.name());
-        out.put_ascii(b' ');
-        // Inline `Schema::render` through the sink: a schema line is
-        // interned names and ASCII punctuation, no Strings needed.
+        out.push(b'!');
+        out.extend_from_slice(dt.name().as_bytes());
+        out.push(b' ');
+        // Inline `Schema::render`: a schema line is interned names and
+        // ASCII punctuation, no Strings needed.
         for (i, e) in schema.events.iter().enumerate() {
             if i > 0 {
-                out.put_ascii(b' ');
+                out.push(b' ');
             }
-            out.put_str(names.resolve(e.name));
-            out.put_ascii(b',');
-            out.put_str(e.unit.label());
-            out.put_ascii(b',');
-            out.put_ascii(match e.kind {
+            out.extend_from_slice(names.resolve(e.name).as_bytes());
+            out.push(b',');
+            out.extend_from_slice(e.unit.label().as_bytes());
+            out.push(b',');
+            out.push(match e.kind {
                 EventKind::Counter => b'C',
                 EventKind::Gauge => b'G',
             });
-            out.put_ascii(b',');
-            out.put_u64(u64::from(e.width));
+            out.push(b',');
+            digits::push_dec(out, u64::from(e.width));
         }
-        out.put_ascii(b'\n');
+        out.push(b'\n');
     }
 }
 
 /// Render a `$seq <n>` header line.
-pub(crate) fn render_seq<O: Out + ?Sized>(seq: u64, out: &mut O) {
-    out.put_str("$seq ");
-    out.put_u64(seq);
-    out.put_ascii(b'\n');
+pub(crate) fn render_seq(seq: u64, out: &mut Vec<u8>) {
+    out.extend_from_slice(b"$seq ");
+    digits::push_dec(out, seq);
+    out.push(b'\n');
 }
 
-/// Render one timestamped record group.
-pub(crate) fn render_sample<O: Out + ?Sized>(s: &Sample, out: &mut O) {
+/// Append one rendered sample (a timestamped record group) to `out`,
+/// exactly as it would be appended to an existing host-day log.
+pub fn render_sample_into(s: &Sample, out: &mut Vec<u8>) {
     // One lock acquisition for every name of the sample.
     let names = SymbolTable::global().reader();
-    out.put_u64(s.time.as_secs());
-    out.put_ascii(b' ');
+    digits::push_dec(out, s.time.as_secs());
+    out.push(b' ');
     if s.jobids.is_empty() {
-        out.put_ascii(b'-');
+        out.push(b'-');
     } else {
         let mut first = true;
         for j in &s.jobids {
             if !first {
-                out.put_ascii(b',');
+                out.push(b',');
             }
             first = false;
-            out.put_str(j);
+            out.extend_from_slice(j.as_bytes());
         }
     }
-    out.put_ascii(b'\n');
+    out.push(b'\n');
     for m in &s.marks {
-        out.put_ascii(b'%');
-        out.put_str(m);
-        out.put_ascii(b'\n');
+        out.push(b'%');
+        out.extend_from_slice(m.as_bytes());
+        out.push(b'\n');
     }
     for d in &s.devices {
-        out.put_str(d.dev_type.name());
-        out.put_ascii(b' ');
-        out.put_str(names.resolve(d.instance));
+        out.extend_from_slice(d.dev_type.name().as_bytes());
+        out.push(b' ');
+        out.extend_from_slice(names.resolve(d.instance).as_bytes());
         for v in &d.values {
-            out.put_ascii(b' ');
-            out.put_u64(*v);
+            out.push(b' ');
+            digits::push_dec(out, *v);
         }
-        out.put_ascii(b'\n');
+        out.push(b'\n');
     }
     for p in &s.processes {
-        out.put_str("ps ");
-        out.put_u64(u64::from(p.pid));
-        out.put_ascii(b' ');
-        out.put_str(names.resolve(p.comm));
-        out.put_ascii(b' ');
-        out.put_u64(u64::from(p.uid));
+        out.extend_from_slice(b"ps ");
+        digits::push_dec(out, u64::from(p.pid));
+        out.push(b' ');
+        out.extend_from_slice(names.resolve(p.comm).as_bytes());
+        out.push(b' ');
+        digits::push_dec(out, u64::from(p.uid));
         for v in &p.values {
-            out.put_ascii(b' ');
-            out.put_u64(*v);
+            out.push(b' ');
+            digits::push_dec(out, *v);
         }
-        out.put_ascii(b'\n');
+        out.push(b'\n');
     }
-}
-
-/// Append the `$`/`!` header block to `out`.
-pub fn render_header_into(h: &HostHeader, out: &mut Vec<u8>) {
-    render_header(h, out);
-}
-
-/// Append one rendered sample to `out`, exactly as it would be appended
-/// to an existing host-day log.
-pub fn render_sample_into(s: &Sample, out: &mut Vec<u8>) {
-    render_sample(s, out);
 }
 
 /// Append a complete single-sample daemon message (header, optional
@@ -188,21 +140,21 @@ pub fn render_sample_into(s: &Sample, out: &mut Vec<u8>) {
 /// buffer and `clear()` it between messages so the capacity — and the
 /// header bytes' worth of growth — is paid once, not per sample.
 pub fn render_message_into(h: &HostHeader, s: &Sample, seq: Option<u64>, out: &mut Vec<u8>) {
-    render_header(h, out);
+    render_header_into(h, out);
     if let Some(n) = seq {
         render_seq(n, out);
     }
-    render_sample(s, out);
+    render_sample_into(s, out);
 }
 
 /// Append a whole raw file (header, optional `$seq`, all samples).
 pub fn render_file_into(f: &RawFile, out: &mut Vec<u8>) {
-    render_header(&f.header, out);
+    render_header_into(&f.header, out);
     if let Some(n) = f.seq {
         render_seq(n, out);
     }
     for s in &f.samples {
-        render_sample(s, out);
+        render_sample_into(s, out);
     }
 }
 
@@ -876,47 +828,6 @@ mod tests {
     use tacc_simnode::SimTime;
 
     #[test]
-    fn put_u64_matches_display() {
-        for v in [
-            0u64,
-            1,
-            9,
-            10,
-            99,
-            100,
-            12345,
-            u64::from(u32::MAX),
-            u64::MAX - 1,
-            u64::MAX,
-        ] {
-            let mut buf = Vec::new();
-            buf.put_u64(v);
-            assert_eq!(buf, v.to_string().into_bytes());
-            let mut s = String::new();
-            s.put_u64(v);
-            assert_eq!(s, v.to_string());
-        }
-    }
-
-    #[test]
-    fn byte_and_string_renders_are_identical() {
-        let f = proptest_file(
-            "c401-0001",
-            vec![("scratch", vec![100, 5000])],
-            vec![(1001, "wrf.exe", 5000)],
-        );
-        let mut bytes = Vec::new();
-        render_file_into(&f, &mut bytes);
-        assert_eq!(bytes, f.render().into_bytes());
-        let mut msg_bytes = Vec::new();
-        render_message_into(&f.header, &f.samples[0], Some(7), &mut msg_bytes);
-        assert_eq!(
-            msg_bytes,
-            RawFile::render_message_with_seq(&f.header, &f.samples[0], 7).into_bytes()
-        );
-    }
-
-    #[test]
     fn render_into_appends_and_reuses_capacity() {
         let f = proptest_file("h", vec![("scratch", vec![1, 2])], vec![]);
         let mut buf = Vec::new();
@@ -1060,31 +971,15 @@ mod tests {
             prop_assert_eq!(parsed, f);
         }
 
-        /// Both sinks write any integer exactly as `Display` does.
+        /// The renderer's integer writer writes any integer exactly as
+        /// `Display` does.
         #[test]
-        fn put_u64_matches_display_for_arbitrary_values(v in any::<u64>(), shift in 0u32..64) {
+        fn push_dec_matches_display_for_arbitrary_values(v in any::<u64>(), shift in 0u32..64) {
             // Shifted so every digit count is drawn, not just 19-20.
             let v = v >> shift;
             let mut buf = Vec::new();
-            buf.put_u64(v);
+            digits::push_dec(&mut buf, v);
             prop_assert_eq!(buf, v.to_string().into_bytes());
-            let mut s = String::new();
-            s.put_u64(v);
-            prop_assert_eq!(s, v.to_string());
-        }
-
-        /// Byte rendering and legacy String rendering agree bytewise for
-        /// arbitrary inputs, so the two APIs cannot drift.
-        #[test]
-        fn byte_render_equals_string_render(
-            host in spicy_token(),
-            inst in spicy_token(),
-            vals in collection::vec(any::<u64>(), 2),
-        ) {
-            let f = proptest_file(&host, vec![(inst.as_str(), vals)], vec![]);
-            let mut buf = Vec::new();
-            render_file_into(&f, &mut buf);
-            prop_assert_eq!(buf, f.render().into_bytes());
         }
     }
 }

@@ -86,7 +86,7 @@ pub struct Scratch {
 }
 
 /// A collector for one device type.
-pub trait Collector: Send + Sync {
+pub trait Collector {
     /// The device type this collector produces.
     fn dev_type(&self) -> DeviceType;
     /// Append one record per instance of the device to `out`. Nothing

@@ -12,13 +12,15 @@
 //! will result in data loss."
 //!
 //! [`CronCollector::tick`] is driven by the simulation loop; it fires
-//! interval samples, daily rotation, and the staggered daily sync, all in
-//! simulated time. [`CronCollector::on_crash`] models the node-failure
-//! data loss.
+//! interval samples, the daily rotation at midnight, and the staggered
+//! daily sync, all in simulated time. The day log is kept as the raw
+//! bytes the archive stores, rendered by [`crate::codec`].
+//! [`CronCollector::on_crash`] models the node-failure data loss.
 
 use crate::archive::Archive;
+use crate::codec;
 use crate::engine::Sampler;
-use crate::record::{RawFile, Sample};
+use crate::record::Sample;
 use tacc_simnode::pseudofs::NodeFs;
 use tacc_simnode::{SimDuration, SimTime};
 
@@ -27,28 +29,15 @@ use tacc_simnode::{SimDuration, SimTime};
 pub struct CronConfig {
     /// Sampling interval (the paper's default: 10 minutes).
     pub interval: SimDuration,
-    /// Second-of-day of the daily log rotation (cron job; typically
-    /// midnight).
-    pub rotate_second: u64,
     /// Second-of-day of this node's staggered rsync to the central
     /// archive (randomized per node in the early morning).
     pub sync_second: u64,
 }
 
-impl Default for CronConfig {
-    fn default() -> Self {
-        CronConfig {
-            interval: SimDuration::from_mins(10),
-            rotate_second: 0,
-            sync_second: 4 * 3600,
-        }
-    }
-}
-
 /// A day's worth of local log plus bookkeeping for latency accounting.
 #[derive(Clone, Debug, Default)]
 struct LocalLog {
-    text: String,
+    bytes: Vec<u8>,
     sample_times: Vec<SimTime>,
 }
 
@@ -110,16 +99,16 @@ impl CronCollector {
     fn do_collect(&mut self, fs: &NodeFs<'_>, now: SimTime) -> Sample {
         let marks = std::mem::take(&mut self.queued_marks);
         let sample = self.sampler.sample(fs, now, &self.jobids, &marks);
-        if self.current.text.is_empty() {
-            self.current.text = self.sampler.header().render();
+        if self.current.bytes.is_empty() {
+            codec::render_header_into(self.sampler.header(), &mut self.current.bytes);
         }
-        self.current.text.push_str(&RawFile::render_sample(&sample));
+        codec::render_sample_into(&sample, &mut self.current.bytes);
         self.current.sample_times.push(now);
         sample
     }
 
     fn rotate(&mut self, new_day: SimTime) {
-        if !self.current.text.is_empty() {
+        if !self.current.bytes.is_empty() {
             let log = std::mem::take(&mut self.current);
             self.pending.push((self.current_day, log));
         }
@@ -128,10 +117,10 @@ impl CronCollector {
 
     fn sync(&mut self, archive: &Archive, now: SimTime) {
         for (day, log) in self.pending.drain(..) {
-            archive.append(
-                self.sampler.header().hostname.as_str(),
+            archive.append_bytes(
+                self.sampler.header().hostname,
                 day,
-                &log.text,
+                &log.bytes,
                 &log.sample_times,
                 now,
             );
@@ -157,9 +146,9 @@ impl CronCollector {
 
     fn maybe_rotate_and_sync(&mut self, now: SimTime, archive: &Archive) {
         let today = now.start_of_day();
-        // Daily rotation at rotate_second (midnight by default): rotate
-        // when we have moved past the boundary into a new day.
-        if today > self.current_day && now.seconds_into_day() >= self.cfg.rotate_second {
+        // Daily rotation at midnight: rotate when we have moved past the
+        // boundary into a new day.
+        if today > self.current_day {
             self.rotate(today);
         }
         // Daily sync at this node's staggered second-of-day.
@@ -220,7 +209,11 @@ mod tests {
         let fs = NodeFs::new(&node);
         let cfg = discover(&fs, BuildOptions::default()).unwrap();
         let sampler = Sampler::new("c401-0001", &cfg);
-        let cron = CronCollector::new(sampler, CronConfig::default(), SimTime::from_secs(0));
+        let cron_cfg = CronConfig {
+            interval: SimDuration::from_mins(10),
+            sync_second: 4 * 3600,
+        };
+        let cron = CronCollector::new(sampler, cron_cfg, SimTime::from_secs(0));
         (node, cron, Archive::new())
     }
 

@@ -33,9 +33,10 @@
 use crate::codec;
 use crate::engine::Sampler;
 use crate::record::Sample;
-use crate::spool::{Spool, SpoolConfig};
+use crate::spool::{Spool, DEFAULT_CAPACITY};
 use bytes::Bytes;
 use tacc_broker::Broker;
+use tacc_simnode::intern::{fnv1a_bytes, FNV_BASIS};
 use tacc_simnode::pseudofs::NodeFs;
 use tacc_simnode::{SimDuration, SimTime};
 
@@ -54,6 +55,12 @@ impl Publisher for LocalPublisher {
     fn publish(&mut self, queue: &str, routing_key: &str, _seq: u64, payload: Bytes) -> bool {
         self.0.publish(queue, routing_key, payload)
     }
+}
+
+/// Spool retry-jitter seed of a host: FNV-1a of its name, so hosts
+/// coming back from one outage do not retry in lockstep.
+fn jitter_seed(host: &str) -> u64 {
+    fnv1a_bytes(FNV_BASIS, host.as_bytes())
 }
 
 /// Rejected spool reconfiguration: the spool still holds state that the
@@ -126,7 +133,7 @@ pub struct TaccStatsd {
 
 impl TaccStatsd {
     /// New daemon publishing to `queue`, sampling every `interval`,
-    /// starting at `start`, with the default spool configuration.
+    /// starting at `start`, with a spool of the default capacity.
     pub fn new(
         sampler: Sampler,
         interval: SimDuration,
@@ -135,9 +142,6 @@ impl TaccStatsd {
         start: SimTime,
     ) -> TaccStatsd {
         let host = sampler.header().hostname.as_str();
-        let jitter_seed = host.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-        });
         let mut header_buf = Vec::new();
         codec::render_header_into(sampler.header(), &mut header_buf);
         TaccStatsd {
@@ -150,7 +154,7 @@ impl TaccStatsd {
             jobids: Vec::new(),
             pending_signal: None,
             seq: 0,
-            spool: Spool::new(SpoolConfig::default(), jitter_seed),
+            spool: Spool::new(DEFAULT_CAPACITY, jitter_seed(host)),
             lost_seqs: Vec::new(),
             header_buf,
             render_buf: Vec::new(),
@@ -183,23 +187,19 @@ impl TaccStatsd {
         self.seq
     }
 
-    /// Replace the spool configuration. Fails if messages are already
-    /// spooled or evictions have been recorded (reconfigure before the
-    /// run, not during an outage: swapping the spool mid-outage would
-    /// silently discard the replay backlog and the eviction ledger that
-    /// the delivery accounting reconciles against).
-    pub fn set_spool_config(
-        &mut self,
-        cfg: SpoolConfig,
-        jitter_seed: u64,
-    ) -> Result<(), SpoolBusy> {
+    /// Replace the spool with an empty one of `capacity` messages. Fails
+    /// if messages are already spooled or evictions have been recorded
+    /// (resize before the run, not during an outage: swapping the spool
+    /// mid-outage would silently discard the replay backlog and the
+    /// eviction ledger that the delivery accounting reconciles against).
+    pub fn set_spool_config(&mut self, capacity: usize) -> Result<(), SpoolBusy> {
         if !self.spool.is_empty() || !self.spool.evicted().is_empty() {
             return Err(SpoolBusy {
                 spooled: self.spool.len(),
                 evicted: self.spool.evicted().len(),
             });
         }
-        self.spool = Spool::new(cfg, jitter_seed);
+        self.spool = Spool::new(capacity, jitter_seed(self.host));
         Ok(())
     }
 

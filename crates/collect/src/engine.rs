@@ -220,7 +220,6 @@ impl Sampler {
 mod tests {
     use super::*;
     use crate::discovery::{discover, BuildOptions};
-    use crate::record::RawFile;
     use tacc_simnode::schema::DeviceType;
     use tacc_simnode::topology::NodeTopology;
     use tacc_simnode::workload::NodeDemand;
@@ -289,8 +288,9 @@ mod tests {
         let mut s = sampler_for(&node);
         let fs = NodeFs::new(&node);
         let sample = s.sample(&fs, SimTime::from_secs(1000), &[], &[]);
-        let msg = RawFile::render_message(s.header(), &sample);
-        let parsed = RawFile::parse(&msg).unwrap();
+        let mut msg = Vec::new();
+        crate::codec::render_message_into(s.header(), &sample, None, &mut msg);
+        let parsed = crate::codec::parse_bytes(&msg).unwrap();
         assert_eq!(parsed.header, *s.header());
         assert_eq!(parsed.samples, vec![sample]);
     }

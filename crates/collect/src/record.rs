@@ -24,7 +24,6 @@
 //! `parse(render(f)) == f`.
 
 use crate::codec;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 use tacc_simnode::intern::Sym;
@@ -200,14 +199,8 @@ impl<'a> IntoIterator for &'a ValueVec {
     }
 }
 
-// The workspace's serde is the vendored marker stub (no code path
-// serialises through it), so these are marker impls like the derives.
-impl Serialize for ValueVec {}
-
-impl<'de> Deserialize<'de> for ValueVec {}
-
 /// Values read from one device instance at one sample.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DeviceRecord {
     /// Device type.
     pub dev_type: DeviceType,
@@ -221,7 +214,7 @@ pub struct DeviceRecord {
 }
 
 /// Per-process record from the procfs collector (§III-B item 4).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PsRecord {
     /// Process id.
     pub pid: u32,
@@ -238,7 +231,7 @@ pub struct PsRecord {
 
 /// One timestamped record group: everything collected on a node at one
 /// instant.
-#[derive(Clone, Debug, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Default)]
 pub struct Sample {
     /// Collection time.
     pub time: SimTimeRepr,
@@ -255,7 +248,7 @@ pub struct Sample {
 
 /// Serializable wrapper for [`SimTime`] (seconds resolution in files, but
 /// nanoseconds kept in memory).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub struct SimTimeRepr(pub u64);
 
 impl From<SimTime> for SimTimeRepr {
@@ -293,7 +286,7 @@ impl Sample {
 
 /// Static per-host header: identity plus the schemas needed to interpret
 /// record lines.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HostHeader {
     /// Hostname, interned (one distinct value per node for the life of
     /// the process; every message repeats it).
@@ -304,17 +297,8 @@ pub struct HostHeader {
     pub schemas: BTreeMap<DeviceType, Schema>,
 }
 
-impl HostHeader {
-    /// Render the `$`/`!` header block.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        codec::render_header(self, &mut out);
-        out
-    }
-}
-
 /// A complete raw-stats file: header plus samples.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RawFile {
     /// Host identity and schemas.
     pub header: HostHeader,
@@ -358,48 +342,13 @@ impl RawFile {
         }
     }
 
-    /// Render the whole file.
+    /// Render the whole file as text: the bytes of
+    /// [`codec::render_file_into`], which writes only `&str`s and ASCII,
+    /// so the UTF-8 conversion never substitutes anything.
     pub fn render(&self) -> String {
-        let mut out = String::new();
-        codec::render_header(&self.header, &mut out);
-        if let Some(n) = self.seq {
-            codec::render_seq(n, &mut out);
-        }
-        for s in &self.samples {
-            codec::render_sample(s, &mut out);
-        }
-        out
-    }
-
-    /// Render one sample as it would be appended to an existing log.
-    /// Hot-path callers should prefer [`codec::render_sample_into`]
-    /// with a reused buffer.
-    pub fn render_sample(s: &Sample) -> String {
-        let mut out = String::new();
-        codec::render_sample(s, &mut out);
-        out
-    }
-
-    /// Render a single-sample message for the daemon→broker path: full
-    /// header plus one sample, so the consumer can interpret it without
-    /// out-of-band state. Hot-path callers should prefer
-    /// [`codec::render_message_into`] with a reused buffer.
-    pub fn render_message(header: &HostHeader, s: &Sample) -> String {
-        let mut out = String::new();
-        codec::render_header(header, &mut out);
-        codec::render_sample(s, &mut out);
-        out
-    }
-
-    /// Like [`RawFile::render_message`] but stamped with a per-host
-    /// sequence number (`$seq` header line) for at-least-once delivery
-    /// accounting.
-    pub fn render_message_with_seq(header: &HostHeader, s: &Sample, seq: u64) -> String {
-        let mut out = String::new();
-        codec::render_header(header, &mut out);
-        codec::render_seq(seq, &mut out);
-        codec::render_sample(s, &mut out);
-        out
+        let mut out = Vec::new();
+        codec::render_file_into(self, &mut out);
+        String::from_utf8_lossy(&out).into_owned()
     }
 
     /// Parse a rendered file: [`codec::parse_bytes`] over its bytes (the
@@ -456,6 +405,21 @@ mod tests {
                 values: vec![10, 20, 30, 0, 5, 1, 2, 16, 12345, 0xFFFF, 3].into(),
             }],
         }
+    }
+
+    /// A single-sample message as text, through the one renderer.
+    fn message(h: &HostHeader, s: &Sample, seq: Option<u64>) -> String {
+        let mut out = Vec::new();
+        codec::render_message_into(h, s, seq, &mut out);
+        String::from_utf8(out).unwrap()
+    }
+
+    /// [`header`]'s `$`/`!` block followed by `body`.
+    fn header_then(body: &str) -> String {
+        let mut out = Vec::new();
+        codec::render_header_into(&header(), &mut out);
+        out.extend_from_slice(body.as_bytes());
+        String::from_utf8(out).unwrap()
     }
 
     #[test]
@@ -533,7 +497,7 @@ mod tests {
     fn message_roundtrip() {
         let h = header();
         let s = sample(42);
-        let msg = RawFile::render_message(&h, &s);
+        let msg = message(&h, &s, None);
         let parsed = RawFile::parse(&msg).unwrap();
         assert_eq!(parsed.header, h);
         assert_eq!(parsed.samples, vec![s]);
@@ -543,14 +507,14 @@ mod tests {
     fn seq_roundtrips_through_message() {
         let h = header();
         let s = sample(42);
-        let msg = RawFile::render_message_with_seq(&h, &s, 137);
+        let msg = message(&h, &s, Some(137));
         assert!(msg.contains("$seq 137\n"), "{msg}");
         let parsed = RawFile::parse(&msg).unwrap();
         assert_eq!(parsed.seq, Some(137));
         assert_eq!(parsed.samples, vec![s]);
         // A message without a $seq line parses to None (cron-mode logs,
         // pre-sequence producers).
-        let legacy = RawFile::parse(&RawFile::render_message(&h, &sample(43))).unwrap();
+        let legacy = RawFile::parse(&message(&h, &sample(43), None)).unwrap();
         assert_eq!(legacy.seq, None);
     }
 
@@ -562,27 +526,21 @@ mod tests {
 
     #[test]
     fn parse_rejects_value_count_mismatch() {
-        let mut text = header().render();
-        text.push_str("100 3001\nmdc scratch 1 2 3\n");
+        let text = header_then("100 3001\nmdc scratch 1 2 3\n");
         let e = RawFile::parse(&text).unwrap_err();
         assert!(e.message.contains("value count"), "{e}");
     }
 
     #[test]
     fn parse_rejects_record_before_timestamp() {
-        let mut text = header().render();
-        text.push_str("mdc scratch 1 2\n");
+        let text = header_then("mdc scratch 1 2\n");
         assert!(RawFile::parse(&text).is_err());
     }
 
     #[test]
     fn parse_rejects_unknown_device_and_bad_values() {
-        let mut text = header().render();
-        text.push_str("100 -\nwarp 0 1 2\n");
-        assert!(RawFile::parse(&text).is_err());
-        let mut text2 = header().render();
-        text2.push_str("100 -\nmdc scratch 1 x\n");
-        assert!(RawFile::parse(&text2).is_err());
+        assert!(RawFile::parse(&header_then("100 -\nwarp 0 1 2\n")).is_err());
+        assert!(RawFile::parse(&header_then("100 -\nmdc scratch 1 x\n")).is_err());
     }
 
     #[test]

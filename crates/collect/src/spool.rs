@@ -17,28 +17,13 @@ use bytes::Bytes;
 use std::collections::VecDeque;
 use tacc_simnode::{SimDuration, SimTime};
 
-/// Spool sizing and backoff parameters.
-#[derive(Clone, Copy, Debug)]
-pub struct SpoolConfig {
-    /// Maximum messages held; pushing beyond evicts the oldest.
-    pub capacity: usize,
-    /// First retry delay after a failed publish.
-    pub base_backoff: SimDuration,
-    /// Ceiling for the exponential backoff.
-    pub max_backoff: SimDuration,
-}
-
-impl Default for SpoolConfig {
-    fn default() -> Self {
-        SpoolConfig {
-            // 256 messages at a 10-minute sampling interval covers a
-            // broker outage of ~42 hours per host.
-            capacity: 256,
-            base_backoff: SimDuration::from_secs(2),
-            max_backoff: SimDuration::from_mins(5),
-        }
-    }
-}
+/// Default capacity in messages: 256 at a 10-minute sampling interval
+/// covers a broker outage of ~42 hours per host.
+pub(crate) const DEFAULT_CAPACITY: usize = 256;
+/// First retry delay after a failed publish.
+const BASE_BACKOFF: SimDuration = SimDuration::from_secs(2);
+/// Ceiling for the exponential backoff.
+const MAX_BACKOFF: SimDuration = SimDuration::from_mins(5);
 
 /// One spooled message.
 #[derive(Clone, Debug)]
@@ -52,7 +37,7 @@ pub struct Spooled {
 /// Bounded FIFO of unsent messages with backoff-paced replay.
 #[derive(Debug)]
 pub struct Spool {
-    cfg: SpoolConfig,
+    capacity: usize,
     entries: VecDeque<Spooled>,
     evicted: Vec<u64>,
     consecutive_failures: u32,
@@ -61,20 +46,17 @@ pub struct Spool {
 }
 
 impl Spool {
-    /// New empty spool. `jitter_seed` decorrelates retry timing across
-    /// hosts (derive it from the hostname).
+    /// New empty spool holding at most `capacity` messages (pushing
+    /// beyond evicts the oldest). `jitter_seed` decorrelates retry
+    /// timing across hosts (derive it from the hostname).
     ///
     /// A zero `capacity` is normalized to 1: the collector hot path must
     /// never panic (the whole point of the spool is that the daemon
     /// survives), and a one-slot spool is the closest meaningful reading
     /// of "no buffering" that still keeps the eviction ledger accurate.
-    pub fn new(cfg: SpoolConfig, jitter_seed: u64) -> Spool {
-        let cfg = SpoolConfig {
-            capacity: cfg.capacity.max(1),
-            ..cfg
-        };
+    pub fn new(capacity: usize, jitter_seed: u64) -> Spool {
         Spool {
-            cfg,
+            capacity: capacity.max(1),
             entries: VecDeque::new(),
             evicted: Vec::new(),
             consecutive_failures: 0,
@@ -95,14 +77,14 @@ impl Spool {
 
     /// Configured capacity.
     pub fn capacity(&self) -> usize {
-        self.cfg.capacity
+        self.capacity
     }
 
     /// Append a message. If the spool is full the *oldest* entry is
     /// evicted (newest data is most valuable for monitoring) and its
     /// sequence number is returned and recorded in the eviction ledger.
     pub fn push(&mut self, seq: u64, payload: Bytes) -> Option<u64> {
-        let evicted = if self.entries.len() >= self.cfg.capacity {
+        let evicted = if self.entries.len() >= self.capacity {
             self.entries.pop_front().map(|oldest| {
                 self.evicted.push(oldest.seq);
                 oldest.seq
@@ -131,17 +113,17 @@ impl Spool {
     }
 
     /// Record a failed publish attempt at `now`: doubles the backoff
-    /// (capped) and schedules the next attempt with deterministic
-    /// jitter in `[0, base_backoff)`.
+    /// (from `BASE_BACKOFF`, 2 s, capped at `MAX_BACKOFF`, 5 min) and
+    /// schedules the next attempt with deterministic jitter in
+    /// `[0, BASE_BACKOFF)`.
     pub fn on_failure(&mut self, now: SimTime) {
         self.consecutive_failures = self.consecutive_failures.saturating_add(1);
         let exp = (self.consecutive_failures - 1).min(20);
-        let backoff = SimDuration::from_nanos(
-            (self.cfg.base_backoff.as_nanos() << exp).min(self.cfg.max_backoff.as_nanos()),
-        );
+        let backoff =
+            SimDuration::from_nanos((BASE_BACKOFF.as_nanos() << exp).min(MAX_BACKOFF.as_nanos()));
         let jitter = SimDuration::from_nanos(
             splitmix64(self.jitter_seed ^ self.consecutive_failures as u64)
-                % self.cfg.base_backoff.as_nanos().max(1),
+                % BASE_BACKOFF.as_nanos(),
         );
         self.next_attempt = now + backoff + jitter;
     }
@@ -198,21 +180,13 @@ fn splitmix64(x: u64) -> u64 {
 mod tests {
     use super::*;
 
-    fn cfg(capacity: usize) -> SpoolConfig {
-        SpoolConfig {
-            capacity,
-            base_backoff: SimDuration::from_secs(2),
-            max_backoff: SimDuration::from_secs(60),
-        }
-    }
-
     fn msg(seq: u64) -> Bytes {
         Bytes::from(format!("m{seq}"))
     }
 
     #[test]
     fn fifo_push_pop() {
-        let mut s = Spool::new(cfg(4), 0);
+        let mut s = Spool::new(4, 0);
         for i in 0..3 {
             assert_eq!(s.push(i, msg(i)), None);
         }
@@ -226,7 +200,7 @@ mod tests {
 
     #[test]
     fn overflow_evicts_oldest_and_keeps_ledger() {
-        let mut s = Spool::new(cfg(2), 0);
+        let mut s = Spool::new(2, 0);
         assert_eq!(s.push(10, msg(10)), None);
         assert_eq!(s.push(11, msg(11)), None);
         assert_eq!(s.push(12, msg(12)), Some(10));
@@ -238,13 +212,13 @@ mod tests {
 
     #[test]
     fn backoff_grows_and_caps() {
-        let mut s = Spool::new(cfg(4), 7);
+        let mut s = Spool::new(4, 7);
         s.push(0, msg(0));
         let t0 = SimTime::from_secs(1000);
         assert!(s.ready(t0));
         let mut delays = Vec::new();
         let mut now = t0;
-        for _ in 0..8 {
+        for _ in 0..10 {
             s.on_failure(now);
             delays.push(s.next_attempt().duration_since(now));
             now = s.next_attempt();
@@ -253,19 +227,17 @@ mod tests {
         assert!(delays[0] >= SimDuration::from_secs(2));
         assert!(delays[0] < SimDuration::from_secs(4)); // base + jitter < 2*base
         for w in delays.windows(2) {
-            assert!(
-                w[1] >= w[0] || w[0] > SimDuration::from_secs(60),
-                "{delays:?}"
-            );
+            assert!(w[1] >= w[0] || w[0] > MAX_BACKOFF, "{delays:?}");
         }
-        // Capped: never beyond max + jitter.
-        assert!(delays[7] <= SimDuration::from_secs(62), "{delays:?}");
+        // Capped after 2 s << 8 passes 5 min: never beyond max + jitter.
+        assert!(delays[9] >= MAX_BACKOFF, "{delays:?}");
+        assert!(delays[9] < MAX_BACKOFF + BASE_BACKOFF, "{delays:?}");
         s.on_failure(now);
         assert!(
             !s.ready(now),
             "backoff pushes the next attempt strictly past the failure"
         );
-        assert!(s.ready(now + SimDuration::from_secs(62)));
+        assert!(s.ready(now + MAX_BACKOFF + BASE_BACKOFF));
         s.on_success();
         assert!(s.ready(now), "success resets pacing");
         assert_eq!(s.consecutive_failures(), 0);
@@ -273,8 +245,8 @@ mod tests {
 
     #[test]
     fn jitter_decorrelates_hosts() {
-        let mut a = Spool::new(cfg(4), 1);
-        let mut b = Spool::new(cfg(4), 2);
+        let mut a = Spool::new(4, 1);
+        let mut b = Spool::new(4, 2);
         a.push(0, msg(0));
         b.push(0, msg(0));
         let t = SimTime::from_secs(50);
@@ -285,7 +257,7 @@ mod tests {
 
     #[test]
     fn wipe_returns_lost_seqs() {
-        let mut s = Spool::new(cfg(4), 0);
+        let mut s = Spool::new(4, 0);
         s.push(5, msg(5));
         s.push(6, msg(6));
         assert_eq!(s.wipe(), vec![5, 6]);
@@ -295,7 +267,7 @@ mod tests {
 
     #[test]
     fn empty_spool_is_never_ready() {
-        let s = Spool::new(cfg(1), 0);
+        let s = Spool::new(1, 0);
         assert!(!s.ready(SimTime::from_secs(1_000_000)));
     }
 }

@@ -28,11 +28,12 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 use tacc_broker::{Broker, ShedPolicy};
+use tacc_collect::codec;
 use tacc_collect::consumer::StatsConsumer;
 use tacc_collect::daemon::{LocalPublisher, TaccStatsd};
 use tacc_collect::discovery::{discover, BuildOptions};
 use tacc_collect::engine::Sampler;
-use tacc_collect::record::{HostHeader, RawFile, Sample};
+use tacc_collect::record::{HostHeader, Sample};
 use tacc_collect::Archive;
 use tacc_simnode::intern::Sym;
 use tacc_simnode::pseudofs::NodeFs;
@@ -61,7 +62,9 @@ fn message(host: &str, seq: u64) -> Bytes {
     let (header, sample) = fixture();
     let mut header = header.clone();
     header.hostname = Sym::new(host);
-    Bytes::from(RawFile::render_message_with_seq(&header, sample, seq))
+    let mut out = Vec::new();
+    codec::render_message_into(&header, sample, Some(seq), &mut out);
+    Bytes::from(out)
 }
 
 /// Reference model: the documented semantics of a bounded queue plus

@@ -7,16 +7,9 @@ use tacc_simnode::{SimDuration, SimTime};
 /// Which §III-A operation mode the system runs.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Mode {
-    /// Fig. 1: node-local logs, daily rotation, staggered daily rsync.
-    Cron {
-        /// Second-of-day when rotation happens (cron).
-        rotate_second: u64,
-        /// Base second-of-day of the staggered per-node sync; each node
-        /// adds a deterministic offset within `sync_spread_secs`.
-        sync_second: u64,
-        /// Width of the random per-node sync window.
-        sync_spread_secs: u64,
-    },
+    /// Fig. 1: node-local logs, rotation at midnight, a daily rsync
+    /// staggered per node over 03:00–05:00.
+    Cron,
     /// Fig. 2: `tacc_statsd` publishing every sample to the broker, a
     /// consumer archiving in real time.
     Daemon {
@@ -30,13 +23,9 @@ pub enum Mode {
 }
 
 impl Mode {
-    /// The default cron mode (midnight rotation, 03:00–05:00 sync).
+    /// The cron mode (midnight rotation, 03:00–05:00 sync).
     pub fn cron() -> Mode {
-        Mode::Cron {
-            rotate_second: 0,
-            sync_second: 3 * 3600,
-            sync_spread_secs: 2 * 3600,
-        }
+        Mode::Cron
     }
 
     /// The default daemon mode (an unbounded queue).
@@ -66,10 +55,6 @@ pub struct SystemConfig {
     pub mode: Mode,
     /// Sampling interval (paper default: 10 minutes).
     pub interval: SimDuration,
-    /// Simulation step (granularity of scheduling/cluster advance).
-    pub step: SimDuration,
-    /// Simulation start time.
-    pub start: SimTime,
     /// Whether to mirror samples into the time-series database (§VI-A).
     pub enable_tsdb: bool,
     /// Directory for the durable tsdb (per-shard WAL + segment files).
@@ -86,6 +71,11 @@ pub struct SystemConfig {
 }
 
 impl SystemConfig {
+    /// Simulation step (granularity of scheduling/cluster advance).
+    pub const STEP: SimDuration = SimDuration::from_secs(60);
+    /// Simulation start time: the first instant of Q4 2015.
+    pub const START: SimTime = SimTime::from_secs(tacc_simnode::clock::Q4_2015_START_SECS);
+
     /// A small Stampede-like test system.
     pub fn small(n_nodes: usize, mode: Mode) -> SystemConfig {
         SystemConfig {
@@ -96,8 +86,6 @@ impl SystemConfig {
             largemem_topology: NodeTopology::stampede_largemem(),
             mode,
             interval: SimDuration::from_mins(10),
-            step: SimDuration::from_secs(60),
-            start: SimTime::from_secs(tacc_simnode::clock::Q4_2015_START_SECS),
             enable_tsdb: false,
             tsdb_dir: None,
             enable_xalt: true,
@@ -121,6 +109,6 @@ mod tests {
         assert_eq!(c.total_nodes(), 4);
         assert_eq!(c.interval.as_secs(), 600);
         assert!(matches!(c.mode, Mode::Daemon { .. }));
-        assert!(matches!(Mode::cron(), Mode::Cron { .. }));
+        assert_eq!(Mode::cron(), Mode::Cron);
     }
 }

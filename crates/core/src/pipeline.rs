@@ -33,7 +33,6 @@ use tacc_collect::daemon::{LocalPublisher, Publisher, TaccStatsd};
 use tacc_collect::discovery::{discover, BuildOptions};
 use tacc_collect::engine::{OverheadAccount, Sampler};
 use tacc_collect::record::{HostHeader, Sample};
-use tacc_collect::spool::SpoolConfig;
 use tacc_collect::Archive;
 use tacc_simnode::faults::{
     fault_path, DeviceFaultKind, FaultPlan, ReadFault, ReadFaultMode, Window,
@@ -44,6 +43,12 @@ use tacc_simnode::schema::DeviceType;
 use tacc_simnode::workload::NodeDemand;
 use tacc_simnode::{SimClock, SimCluster, SimDuration, SimNode, SimTime};
 use tacc_tsdb::{RecoveryReport, SeriesKey, TsDb};
+
+/// Base second-of-day of the cron mode's daily sync (03:00); each node
+/// adds a deterministic offset within [`CRON_SYNC_SPREAD_SECS`].
+const CRON_SYNC_SECOND: u64 = 3 * 3600;
+/// Width of the cron mode's per-node sync window.
+const CRON_SYNC_SPREAD_SECS: u64 = 2 * 3600;
 
 /// Mirrored rate series: (device type, series event, the schema events
 /// summed over every instance of the device type).
@@ -194,27 +199,22 @@ impl Pipeline {
             .enumerate()
             .map(|(i, h)| (h.hostname, i))
             .collect();
-        let cluster = SimCluster::from_nodes(SimClock::starting_at(cfg.start), nodes);
+        let cluster = SimCluster::from_nodes(SimClock::starting_at(SystemConfig::START), nodes);
         let archive = Arc::new(Archive::new());
         let collectors = match &cfg.mode {
-            Mode::Cron {
-                rotate_second,
-                sync_second,
-                sync_spread_secs,
-            } => Collectors::Cron(
+            Mode::Cron => Collectors::Cron(
                 samplers
                     .into_iter()
                     .enumerate()
                     .map(|(i, s)| {
                         // Deterministic per-node stagger within the window.
                         let offset = (i as u64).wrapping_mul(0x9E37_79B9).wrapping_add(cfg.seed)
-                            % (*sync_spread_secs).max(1);
+                            % CRON_SYNC_SPREAD_SECS;
                         let cron = CronConfig {
                             interval: cfg.interval,
-                            rotate_second: *rotate_second,
-                            sync_second: sync_second + offset,
+                            sync_second: CRON_SYNC_SECOND + offset,
                         };
-                        CronCollector::new(s, cron, cfg.start)
+                        CronCollector::new(s, cron, SystemConfig::START)
                     })
                     .collect(),
             ),
@@ -233,7 +233,7 @@ impl Pipeline {
                     .into_iter()
                     .map(|s| {
                         let publisher = Box::new(LocalPublisher(broker.clone()));
-                        TaccStatsd::new(s, cfg.interval, queue, publisher, cfg.start)
+                        TaccStatsd::new(s, cfg.interval, queue, publisher, SystemConfig::START)
                     })
                     .collect();
                 Collectors::Daemon {
@@ -374,6 +374,7 @@ impl Pipeline {
                 DeviceFaultKind::StuckCounter => {
                     let frozen = open(&df.window);
                     let node = self.cluster.node(idx);
+                    // lock-order: class=SimCluster.nodes
                     node.write().set_frozen(df.dev_type, &df.instance, frozen);
                 }
                 DeviceFaultKind::MissingFile | DeviceFaultKind::TruncatedRead => {
@@ -395,7 +396,7 @@ impl Pipeline {
         for idx in faulted_nodes {
             self.cluster
                 .node(idx)
-                .write()
+                .write() // lock-order: class=SimCluster.nodes
                 .set_read_faults(read_faults.remove(&idx).unwrap_or_default());
         }
     }
@@ -438,6 +439,7 @@ impl Pipeline {
         mut on_sample: impl FnMut(usize, &HostHeader, &Sample),
     ) {
         let node = self.cluster.node(i);
+        // lock-order: class=SimCluster.nodes
         let guard = node.read();
         if guard.is_crashed() {
             return; // no daemon, no cron job: a dead node collects nothing
@@ -502,6 +504,7 @@ impl Pipeline {
     /// unsynced local log is lost, in daemon mode the in-memory spool is
     /// wiped into the lost-sequence ledger. Returns samples lost.
     pub fn crash_node(&mut self, node_idx: usize) -> usize {
+        // lock-order: class=SimCluster.nodes
         self.cluster.node(node_idx).write().crash();
         match &mut self.collectors {
             Collectors::Cron(cs) => cs[node_idx].on_crash(),
@@ -513,6 +516,7 @@ impl Pipeline {
     /// collector resumes its schedule from the present (the dead window
     /// is not backfilled).
     pub fn reboot_node(&mut self, node_idx: usize) {
+        // lock-order: class=SimCluster.nodes
         self.cluster.node(node_idx).write().reboot();
         let now = self.clock().now();
         match &mut self.collectors {
@@ -537,21 +541,14 @@ impl Pipeline {
         }
     }
 
-    /// Reconfigure every daemon's spool (daemon mode only; call before
-    /// driving the pipeline).
-    pub fn set_spool(&mut self, cfg: SpoolConfig) {
+    /// Resize every daemon's spool to `capacity` messages (daemon mode
+    /// only; call before driving the pipeline).
+    pub fn set_spool(&mut self, capacity: usize) {
         let Collectors::Daemon { daemons, .. } = &mut self.collectors else {
             panic!("spools exist only in daemon mode");
         };
-        for (d, header) in daemons.iter_mut().zip(&self.headers) {
-            let seed = header
-                .hostname
-                .as_str()
-                .bytes()
-                .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-                    (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-                });
-            d.set_spool_config(cfg, seed)
+        for d in daemons {
+            d.set_spool_config(capacity)
                 .expect("set_spool is called before any message is spooled");
         }
     }

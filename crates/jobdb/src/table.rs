@@ -3,11 +3,10 @@
 
 use crate::index::{cmp_num, ColumnIndex, NumColumn};
 use crate::value::{Value, ValueType};
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 
 /// One column: name plus declared type.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Column {
     /// Column name (e.g. `MetaDataRate`).
     pub name: String,
@@ -26,7 +25,7 @@ impl Column {
 }
 
 /// Ordered column list.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TableSchema {
     /// Columns in declaration order.
     pub columns: Vec<Column>,
@@ -57,7 +56,7 @@ impl TableSchema {
 }
 
 /// A row of values in schema order.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Row(pub Vec<Value>);
 
 impl Row {
@@ -105,7 +104,7 @@ impl std::fmt::Display for TableError {
 impl std::error::Error for TableError {}
 
 /// A typed table.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Table {
     schema: TableSchema,
     rows: Vec<Row>,

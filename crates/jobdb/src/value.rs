@@ -1,11 +1,10 @@
 //! Typed values and the persistence escaping rules.
 
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 
 /// The column types the job database needs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ValueType {
     /// 64-bit signed integer (timestamps, counts, node numbers).
     Int,
@@ -42,7 +41,7 @@ impl ValueType {
 
 /// A single cell value. `Null` is permitted in any column (metrics can be
 /// missing — e.g. MIC metrics on nodes without a Phi).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub enum Value {
     /// Integer.
     Int(i64),

@@ -8,13 +8,12 @@
 //! sampling.
 
 use crate::accum::JobAccum;
-use serde::{Deserialize, Serialize};
 
 /// RAPL unit: 2^-14 joule.
 const JOULES_PER_UNIT: f64 = 1.0 / 16384.0;
 
 /// Whole-job energy broken down the way the paper describes.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct EnergyReport {
     /// Package energy (cores + LLC + uncore), joules, summed over
     /// sockets and nodes.

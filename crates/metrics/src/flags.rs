@@ -7,11 +7,10 @@
 //! drops, and a high average cycles per instruction."
 
 use crate::table1::JobMetrics;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The pathologies the portal flags automatically.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Flag {
     /// Metadata request rate high enough to threaten the Lustre MDS
     /// ("always cause for concern to system administrators").
@@ -90,7 +89,7 @@ pub struct FlagContext {
 }
 
 /// Thresholds for each rule. Defaults follow the paper's narrative.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct FlagRules {
     /// MetaDataRate above this flags [`Flag::HighMetadataRate`] (req/s).
     pub metadata_rate: f64,

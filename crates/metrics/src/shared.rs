@@ -16,7 +16,6 @@
 //! pinned disjointly (the precondition for reliable core-level
 //! attribution) and flags overlaps.
 
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 use tacc_collect::record::Sample;
 use tacc_simnode::counter::wrapping_delta;
@@ -31,7 +30,7 @@ const PS_RSS: usize = 2;
 const PS_CPUS: usize = 9;
 
 /// Attributed usage of one job on a shared node.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct JobShare {
     /// CPU seconds consumed by the job's processes (user mode).
     pub cpu_seconds: f64,

@@ -1,6 +1,5 @@
 //! The metric set of Table I.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 use tacc_simnode::schema::DeviceType;
@@ -14,9 +13,7 @@ use tacc_simnode::schema::DeviceType;
 macro_rules! define_metric_ids {
     ($($variant:ident),+ $(,)?) => {
         /// Every metric of Table I, in table order.
-        #[derive(
-            Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-        )]
+        #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
         #[allow(missing_docs)] // each variant is documented by `definition()`
         pub enum MetricId {
             $($variant),+
@@ -284,7 +281,7 @@ impl fmt::Display for MetricId {
 /// §V-A: "Sudden performance increases suggest a job that consists of a
 /// compilation step before it runs, while sudden drops indicate
 /// application failure."
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TrendDirection {
     /// The weak window came first: activity rose (compile-then-run).
     Rise,
@@ -294,7 +291,7 @@ pub enum TrendDirection {
 
 /// Computed metric values for one job. Missing hardware (no Phi, no
 /// Lustre, no IB) leaves the corresponding metrics absent.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct JobMetrics {
     values: BTreeMap<MetricId, f64>,
     /// Direction of the catastrophe (set alongside [`MetricId::Catastrophe`]

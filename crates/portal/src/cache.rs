@@ -31,6 +31,7 @@ use crate::hist::{Fig4Panels, Histogram};
 use crate::search::{JobList, SearchSpec};
 use std::sync::Arc;
 use tacc_jobdb::table::{Table, TableError};
+use tacc_simnode::intern::{fnv1a_bytes, FNV_BASIS};
 use tacc_simnode::mem::{CacheCounters, MemoryBudget, TtlLru, TtlLruConfig};
 use tacc_simnode::pool::WorkerPool;
 use tacc_tsdb::TsDb;
@@ -304,7 +305,7 @@ impl QueryCache {
         self.sync(watermark, now_secs);
         let key = Key {
             kind: Kind::Detail,
-            fp: fnv1a(jobid.as_bytes()),
+            fp: fnv1a_bytes(FNV_BASIS, jobid.as_bytes()),
         };
         if let Some(CachedValue::Detail(page)) = self.hit(key) {
             return page;
@@ -315,38 +316,26 @@ impl QueryCache {
     }
 }
 
-/// FNV-1a over a byte slice.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = Fnv::new();
-    h.write(bytes);
-    h.finish()
-}
-
-/// Incremental FNV-1a 64-bit hasher — deterministic across runs
-/// (unlike `DefaultHasher`'s randomized keys), which is what makes
-/// spec fingerprints stable cache keys.
+/// Incremental FNV-1a 64-bit hasher over [`fnv1a_bytes`] —
+/// deterministic across runs (unlike `DefaultHasher`'s randomized
+/// keys), which is what makes spec fingerprints stable cache keys.
 pub(crate) struct Fnv(u64);
 
 impl Fnv {
     pub(crate) fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
+        Fnv(FNV_BASIS)
     }
 
     pub(crate) fn write_u8(&mut self, b: u8) {
-        self.0 ^= b as u64;
-        self.0 = self.0.wrapping_mul(0x100_0000_01b3);
+        self.write(&[b]);
     }
 
     pub(crate) fn write(&mut self, bytes: &[u8]) {
-        for b in bytes {
-            self.write_u8(*b);
-        }
+        self.0 = fnv1a_bytes(self.0, bytes);
     }
 
     pub(crate) fn write_u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.write_u8(b);
-        }
+        self.write(&v.to_le_bytes());
     }
 
     pub(crate) fn finish(&self) -> u64 {
@@ -370,9 +359,16 @@ mod tests {
 
     #[test]
     fn fnv_is_stable_and_input_sensitive() {
+        let fnv1a = |bytes: &[u8]| {
+            let mut h = Fnv::new();
+            h.write(bytes);
+            h.finish()
+        };
         assert_eq!(fnv1a(b"abc"), fnv1a(b"abc"));
         assert_ne!(fnv1a(b"abc"), fnv1a(b"abd"));
         assert_ne!(fnv1a(b""), fnv1a(b"\0"));
+        // The FNV-1a 64 reference value for "a".
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
         let mut a = Fnv::new();
         a.write_u64(0x0102_0304_0506_0708);
         let mut b = Fnv::new();

@@ -5,7 +5,6 @@
 //! status, node wayness, number of reserved nodes, and node hours
 //! consumed" — this module carries all of it.
 
-use serde::{Deserialize, Serialize};
 use tacc_simnode::apps::AppInstance;
 use tacc_simnode::{SimDuration, SimTime};
 
@@ -14,7 +13,7 @@ pub type JobId = u64;
 
 /// Batch queues, mirroring Stampede's (§V-A discusses `largemem`
 /// explicitly; "production queues" gate the §V-B correlation study).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum QueueName {
     /// The main production queue.
     Normal,
@@ -37,7 +36,7 @@ impl QueueName {
 }
 
 /// Completion status.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum JobStatus {
     /// Waiting for nodes.
     Queued,

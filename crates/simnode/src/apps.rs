@@ -17,7 +17,6 @@
 use crate::topology::NodeTopology;
 use crate::workload::{LustreDemand, NodeDemand};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Deterministic noise in `[-1, 1]` from a seed and coordinates
 /// (splitmix64 finalizer).
@@ -38,7 +37,7 @@ fn jitter(seed: u64, a: u64, b: u64, sigma: f64) -> f64 {
 }
 
 /// Temporal structure of an application run.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum PhasePlan {
     /// Uniform behaviour over the whole run.
     Steady,
@@ -71,7 +70,7 @@ pub enum PhasePlan {
 ///
 /// Rates are *per active core* where that makes sense (FLOPs, memory
 /// bandwidth) so models scale across node types, and per node otherwise.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct AppModel {
     /// Executable name as it would appear in procfs (e.g. `wrf.exe`).
     pub exec_name: String,
@@ -487,7 +486,7 @@ impl AppModel {
 }
 
 /// A concrete per-job realization of an [`AppModel`].
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct AppInstance {
     /// The model this instance was drawn from.
     pub model: AppModel,

@@ -24,6 +24,7 @@
 //! what makes chaos tests replayable from a single seed.
 
 use crate::clock::{SimDuration, SimTime};
+use crate::intern::{fnv1a_bytes, FNV_BASIS};
 use crate::schema::DeviceType;
 
 /// Half-open window of simulated time `[start, end)`.
@@ -233,25 +234,16 @@ pub struct FaultPlan {
     pub disk: DiskFaultPlan,
 }
 
-/// FNV-1a over a few words — a cheap, stable message-level hash.
+/// FNV-1a over a few words' little-endian bytes — a cheap, stable
+/// message-level hash.
 fn fnv1a(words: &[u64]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for w in words {
-        for b in w.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
+    words
+        .iter()
+        .fold(FNV_BASIS, |h, w| fnv1a_bytes(h, &w.to_le_bytes()))
 }
 
 fn str_hash(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    fnv1a_bytes(FNV_BASIS, s.as_bytes())
 }
 
 /// Map a hash to `[0, 1)`.

@@ -63,12 +63,17 @@ struct TableInner {
     ids: HashMap<&'static str, u32>,
 }
 
-/// FNV-1a offset basis.
-const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a offset basis: the state [`fnv1a_bytes`] starts from.
+pub const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a prime.
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 
-fn fnv1a_bytes(mut h: u64, bytes: &[u8]) -> u64 {
+/// Fold `bytes` into the 64-bit FNV-1a state `h` (start from
+/// [`FNV_BASIS`]). The one FNV-1a of the workspace: interned-string
+/// hashes, fault-plan draws, spool jitter seeds and portal cache keys
+/// all go through it, and each must stay stable across runs.
+#[inline]
+pub fn fnv1a_bytes(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
     }

@@ -14,10 +14,8 @@
 //! *other* users' operation wait times, which is exactly the §VI-A
 //! analysis target.
 
-use serde::{Deserialize, Serialize};
-
 /// Metadata-server latency model.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct MdsModel {
     /// Request rate (req/s) the MDS can sustain before latency diverges.
     pub capacity_reqs_per_sec: f64,

@@ -15,12 +15,11 @@
 //! OSC / lnet).
 
 use crate::intern::{Sym, SymbolTable};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Unit attached to an event, used when converting counter deltas into
 /// the rates of Table I.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Unit {
     /// Dimensionless event count.
     Events,
@@ -94,7 +93,7 @@ impl Unit {
 }
 
 /// How an event's value behaves over time.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum EventKind {
     /// Monotonically increasing register of a given bit width. Deltas are
     /// meaningful; rollover must be corrected by width.
@@ -106,7 +105,7 @@ pub enum EventKind {
 }
 
 /// A single event in a device schema.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct EventDesc {
     /// Event name, e.g. `FIXED_CTR0` or `port_xmit_data` — interned:
     /// the same few hundred names label every schema of every host, so
@@ -143,7 +142,7 @@ impl EventDesc {
 }
 
 /// An ordered set of events for one device type.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Schema {
     /// Events, in the order values appear in record lines.
     pub events: Vec<EventDesc>,
@@ -221,7 +220,7 @@ impl Schema {
 }
 
 /// The device types TACC Stats monitors (§III-B plus Table I of Ref. [3]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum DeviceType {
     /// Core hardware counters per logical CPU (fixed + programmable MSRs).
     Cpu,

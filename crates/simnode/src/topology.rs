@@ -13,14 +13,12 @@
 //! family/model against the same tables Intel documents and the real
 //! tacc_stats uses.
 
-use serde::{Deserialize, Serialize};
-
 /// The processor microarchitectures the paper lists as newly supported
 /// (§III-B: "Nehalem, Westmere, Ivy Bridge, and Haswell processors
 /// including both the core counters ... and uncore counters"), plus Sandy
 /// Bridge (Stampede's host processor) and Knights Corner (the Xeon Phi
 /// coprocessor).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum CpuArch {
     /// Intel Nehalem (family 6, model 0x1A).
     Nehalem,
@@ -139,7 +137,7 @@ impl CpuArch {
 }
 
 /// Static description of a compute node's hardware layout.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct NodeTopology {
     /// Host processor microarchitecture.
     pub arch: CpuArch,

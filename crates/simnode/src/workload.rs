@@ -11,10 +11,8 @@
 //! (FLOPs, CPI, cache hits, memory bandwidth), OS (CPU usage, memory),
 //! network (IB, GigE), and Lustre (metadata, object storage, bandwidth).
 
-use serde::{Deserialize, Serialize};
-
 /// Lustre demand against a single mounted filesystem.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct LustreDemand {
     /// Metadata-server request rate (MDC reqs/s).
     pub mdc_reqs_per_sec: f64,
@@ -39,7 +37,7 @@ pub struct LustreDemand {
 /// All rates are per second of simulated time and describe the node as a
 /// whole (they are spread over the node's active cores by
 /// [`crate::node::SimNode::advance`]).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct NodeDemand {
     /// Number of cores the job actually keeps busy on this node (the
     /// job's "wayness" clamped to the node). Idle-node jobs set this to 0.

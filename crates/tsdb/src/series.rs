@@ -8,13 +8,12 @@
 //! Resolution back to text ([`Sym::as_str`]) happens at display time in
 //! the portal, not in the storage engine.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use tacc_simnode::intern::Sym;
 
 /// The 4-tuple of tags labelling every series (§VI-A): host name, device
 /// type, device name, and event name.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SeriesKey {
     /// Host name, e.g. `c401-0001`.
     pub host: Sym,

@@ -71,7 +71,7 @@ impl std::error::Error for DiskError {}
 /// callers that need record atomicity must [`DurFile::truncate`] back
 /// to the last record boundary they know to be whole. `sync` makes
 /// everything appended so far durable.
-pub trait DurFile: Send + Sync {
+pub trait DurFile {
     /// Append `buf`; on failure a prefix may have been persisted.
     fn append(&mut self, buf: &[u8]) -> Result<(), DiskError>;
     /// Make every appended byte durable.
@@ -90,7 +90,7 @@ pub trait DurFile: Send + Sync {
 /// A flat namespace of [`DurFile`]s plus whole-file reads — everything
 /// recovery and the writers need, small enough that a deterministic
 /// in-memory model ([`MemVfs`]) implements it exactly.
-pub trait Vfs: Send + Sync {
+pub trait Vfs {
     /// Open `name` for appending, creating it if missing, first
     /// truncating it to `keep` bytes (recovery passes the length of
     /// the valid prefix so a torn tail never precedes fresh records).

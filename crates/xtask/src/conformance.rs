@@ -25,8 +25,10 @@
 //!    event a `MetricId` consumes, the tsdb's `shard_of` must be
 //!    deterministic, in range, and — across a population of hosts —
 //!    surjective for every supported shard count, so no shard is
-//!    structurally unreachable (an unreachable shard would silently
-//!    halve effective parallelism and hide data-placement bugs).
+//!    structurally unreachable (an unreachable shard would leave its
+//!    WAL, segment and block cache idle while the others take its keys,
+//!    and hide data-placement bugs; a shard is a slice of the key
+//!    space, not a unit of concurrency).
 
 use std::collections::BTreeSet;
 use std::fs;

@@ -4,7 +4,7 @@
 //! Six passes, run by `cargo xtask lint` (DESIGN.md §13):
 //!
 //! 1. **lock-order** ([`lock_order`]): extract every `.lock()` /
-//!    `.read()` / `.write()` acquisition across broker/simnode/tsdb,
+//!    `.read()` / `.write()` acquisition across every runtime crate,
 //!    attribute each to a named lock class, and certify the
 //!    may-hold-while-acquiring graph cycle-free;
 //! 2. **alloc-lint** ([`alloc_lint`]): the modules benchmarked at
@@ -81,7 +81,7 @@ pub fn run_report(root: &Path) -> Result<LintReport, String> {
     );
     passes.push(Pass {
         name: "lock-order",
-        files: count_files(root, lock_order::SCOPE)?,
+        files: count_files(root, &lock_order::scope(root)?)?,
         violations,
         allowlisted: allowlisted.min(analysis.unclassified.len()),
         annotated: 0,
@@ -156,6 +156,6 @@ pub fn run_lint(root: &Path) -> Result<Vec<String>, String> {
     Ok(run_report(root)?.violations())
 }
 
-fn count_files(root: &Path, scope: &[&str]) -> Result<usize, String> {
+fn count_files(root: &Path, scope: &[impl AsRef<str>]) -> Result<usize, String> {
     Ok(util::walk_scope(root, scope, "lint")?.len())
 }

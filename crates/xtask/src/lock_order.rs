@@ -1,7 +1,8 @@
 //! Lock-order deadlock analysis (pass 1 of `cargo xtask lint`).
 //!
-//! The runtime takes `Mutex`/`RwLock` guards in four modules across
-//! broker, simnode, and tsdb. A deadlock needs two locks
+//! The runtime takes `Mutex`/`RwLock` guards in a handful of modules
+//! across its crates; the pass reads every runtime crate's `src` and
+//! the root `src/` ([`scope`]). A deadlock needs two locks
 //! acquired in opposite orders on two threads — so the pass extracts
 //! every `.lock()` / `.read()` / `.write()` acquisition site,
 //! attributes each to a named **lock class** (the struct field or
@@ -55,8 +56,28 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::path::Path;
 
-/// Source trees the analyzer walks (workspace-relative).
-pub const SCOPE: &[&str] = &["crates/broker/src", "crates/simnode/src", "crates/tsdb/src"];
+/// Source trees the analyzer walks (workspace-relative): the `src` of
+/// every crate under `crates/` but the lint crate's own, plus the root
+/// `src/`. Read off the tree, so a new runtime crate is in scope the
+/// day it lands.
+pub fn scope(root: &Path) -> Result<Vec<String>, String> {
+    let crates = root.join("crates");
+    let mut dirs = Vec::new();
+    if crates.is_dir() {
+        let entries = std::fs::read_dir(&crates)
+            .map_err(|e| format!("lock-order: read_dir {}: {e}", crates.display()))?;
+        for entry in entries {
+            let entry = entry.map_err(|e| format!("lock-order: {e}"))?;
+            let name = entry.file_name().to_string_lossy().into_owned();
+            if name != "xtask" && entry.path().join("src").is_dir() {
+                dirs.push(format!("crates/{name}/src"));
+            }
+        }
+    }
+    dirs.sort();
+    dirs.push("src".to_string());
+    Ok(dirs)
+}
 
 /// Workspace-relative path of the unclassified-site ratchet file.
 pub const ALLOWLIST: &str = "crates/xtask/lock-allowlist.txt";
@@ -1079,7 +1100,7 @@ fn single_ident_arg(chars: &[char], pos: usize) -> Option<String> {
 
 /// Run the analyzer against the workspace.
 pub fn analyze(root: &Path) -> Result<Analysis, String> {
-    let files = read_scope(root, SCOPE, "lock-order")?;
+    let files = read_scope(root, &scope(root)?, "lock-order")?;
     Ok(analyze_sources(&files))
 }
 

@@ -10,10 +10,14 @@ use std::path::Path;
 /// returning sorted workspace-relative `.rs` paths. Entries that do not
 /// exist are skipped silently so passes run against the mini-workspaces
 /// the test suite fabricates.
-pub(crate) fn walk_scope(root: &Path, scope: &[&str], tag: &str) -> Result<Vec<String>, String> {
+pub(crate) fn walk_scope(
+    root: &Path,
+    scope: &[impl AsRef<str>],
+    tag: &str,
+) -> Result<Vec<String>, String> {
     let mut files = Vec::new();
     for dir in scope {
-        let top = root.join(dir);
+        let top = root.join(dir.as_ref());
         if top.is_file() {
             files.push(relative(root, &top));
             continue;
@@ -54,7 +58,7 @@ pub(crate) fn relative(root: &Path, p: &Path) -> String {
 /// Read each scope file as `(rel_path, contents)`.
 pub(crate) fn read_scope(
     root: &Path,
-    scope: &[&str],
+    scope: &[impl AsRef<str>],
     tag: &str,
 ) -> Result<Vec<(String, String)>, String> {
     walk_scope(root, scope, tag)?

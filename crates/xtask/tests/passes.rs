@@ -180,6 +180,46 @@ fn malformed_annotation_is_a_hard_error() {
     assert!(!a.errors.is_empty());
 }
 
+/// An inverted lock pair in a mini-workspace's crate `crate_dir` and
+/// another in the lint crate; returns the pass's violations and the
+/// scope it walked.
+fn lock_order_on(tag: &str, crate_dir: &str) -> (Vec<String>, Vec<String>) {
+    let root = std::env::temp_dir().join(format!("xtask-lock-order-{}-{tag}", std::process::id()));
+    let _ = fs::remove_dir_all(&root);
+    let inverted = format!(
+        "{STRUCT_AB}impl A {{\n    fn f(&self) {{\n        let g = self.m1.lock();\n        self.m2.lock();\n        drop(g);\n    }}\n    fn g(&self) {{\n        let g = self.m2.lock();\n        self.m1.lock();\n        drop(g);\n    }}\n}}\n"
+    );
+    for dir in [crate_dir, "crates/xtask/src"] {
+        fs::create_dir_all(root.join(dir)).expect("mkdir");
+        fs::write(root.join(dir).join("mini.rs"), &inverted).expect("write fixture");
+    }
+    let result = lock_order::check(&root).map(|(v, _)| v);
+    let scope = lock_order::scope(&root);
+    fs::remove_dir_all(&root).ok();
+    (result.expect("pass runs"), scope.expect("scope reads"))
+}
+
+#[test]
+fn every_runtime_crate_and_the_root_library_are_in_scope() {
+    // A crate the pass has never heard of, and the root `src/`: both
+    // must be read, so both inversions are found.
+    for (tag, dir, expect) in [
+        ("new-crate", "crates/newcrate/src", "crates/newcrate/src"),
+        ("root", "src", "src"),
+    ] {
+        let (violations, scope) = lock_order_on(tag, dir);
+        assert!(scope.iter().any(|s| s == expect), "{scope:?}");
+        assert!(
+            violations.iter().any(|v| v.contains("cycle")),
+            "{dir} was not analysed: {violations:?}"
+        );
+    }
+    // The lint crate is not runtime code: its inversion alone is clean.
+    let (violations, scope) = lock_order_on("xtask-only", "crates/xtask/src");
+    assert_eq!(scope, ["src"]);
+    assert!(violations.is_empty(), "{violations:?}");
+}
+
 // ---------------------------------------------------------------
 // Pass 2: alloc-lint
 // ---------------------------------------------------------------

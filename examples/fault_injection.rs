@@ -16,7 +16,6 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use tacc_stats::collect::spool::SpoolConfig;
 use tacc_stats::core::config::{Mode, SystemConfig};
 use tacc_stats::core::{DeliveryReport, MonitoringSystem};
 use tacc_stats::jobdb::Query;
@@ -95,11 +94,7 @@ fn main() {
         plan.drop_ack_prob,
     );
     let mut sys = MonitoringSystem::new(SystemConfig::small(4, Mode::daemon()));
-    sys.set_spool(SpoolConfig {
-        capacity: 4,
-        base_backoff: SimDuration::from_secs(2),
-        max_backoff: SimDuration::from_mins(5),
-    });
+    sys.set_spool(4);
     sys.set_fault_plan(plan);
     sys.enqueue_jobs(day_of_jobs());
     sys.run_until(t0() + day + SimDuration::from_hours(2));

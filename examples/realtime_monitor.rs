@@ -101,7 +101,7 @@ fn main() {
     let topo = NodeTopology::stampede();
     let storm = AppModel::wrf_metadata_storm().instantiate(&mut rng, 2, topo.n_cores(), &topo);
     let mut sys = MonitoringSystem::new(SystemConfig::small(4, Mode::daemon()));
-    sys.enable_online(OnlineConfig::default(), true);
+    sys.enable_online(OnlineConfig, true);
     sys.enqueue_jobs(vec![(
         t0(),
         JobRequest {
@@ -147,7 +147,7 @@ fn main() {
     // and room for the adaptive policy to move in both directions.
     cfg.interval = SimDuration::from_mins(5);
     let mut sys = MonitoringSystem::new(cfg);
-    sys.enable_online(OnlineConfig::default(), false);
+    sys.enable_online(OnlineConfig, false);
     sys.enable_adaptive(AdaptiveConfig::default());
     sys.enqueue_jobs(vec![(
         t0(),

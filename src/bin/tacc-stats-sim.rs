@@ -112,7 +112,7 @@ fn cmd_monitor(flags: &Flags) -> Result<(), String> {
     let online = matches!(mode, Mode::Daemon { .. });
     let mut sys = MonitoringSystem::new(SystemConfig::small(nodes, mode));
     if online {
-        sys.enable_online(OnlineConfig::default(), false);
+        sys.enable_online(OnlineConfig, false);
     }
     let lib = AppLibrary::standard();
     let mut rng = StdRng::seed_from_u64(seed);

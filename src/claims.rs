@@ -523,7 +523,7 @@ fn realtime() -> &'static [f64; 6] {
     memo!([f64; 6], {
         let secs_since = |t: SimTime, since| t.duration_since(since).as_secs_f64();
         let mut sys = MonitoringSystem::new(SystemConfig::small(2, Mode::daemon()));
-        sys.enable_online(OnlineConfig::default(), true);
+        sys.enable_online(OnlineConfig, true);
         sys.enqueue_jobs(vec![(t0(), storm_request(1, 2, 600))]);
         sys.run_until(after_hours(2));
         let storm_alert = |a: &&Alert| a.kind == AlertKind::MetadataStorm;
@@ -539,7 +539,7 @@ fn realtime() -> &'static [f64; 6] {
             let mut cfg = SystemConfig::small(4, Mode::daemon());
             cfg.interval = SimDuration::from_mins(5);
             let mut sys = MonitoringSystem::new(cfg);
-            sys.enable_online(OnlineConfig::default(), true);
+            sys.enable_online(OnlineConfig, true);
             if adaptive {
                 sys.enable_adaptive(AdaptiveConfig::default());
             }

@@ -377,7 +377,7 @@ pub fn run_soak(cfg: &FleetConfig) -> SoakOutcome {
         enable_tsdb: true,
         ..SystemConfig::small(cfg.nodes, cfg.mode.clone())
     };
-    let start = sys.start;
+    let start = SystemConfig::START;
     let mut pipeline = Pipeline::new(&sys);
     let (Some(broker), Some(queue)) = (
         pipeline.broker().cloned(),

@@ -33,8 +33,8 @@ fn bare(n: usize, mode: Mode, enable_tsdb: bool, span: SimDuration) -> Pipeline 
         ..SystemConfig::small(n, mode)
     };
     let mut p = Pipeline::new(&cfg);
-    while p.clock().now() < cfg.start + span {
-        step(&mut p, cfg.step);
+    while p.clock().now() < SystemConfig::START + span {
+        step(&mut p, SystemConfig::STEP);
     }
     p
 }
@@ -109,8 +109,8 @@ fn durable_tsdb_mirror_survives_a_restart() {
     assert!(sys.tsdb_open_error().is_none());
     let report = sys.tsdb_recovery().expect("durable store opened");
     assert_eq!(report.fresh_shards, tacc_stats::tsdb::DEFAULT_SHARDS as u64);
-    sys.enqueue_jobs(vec![(cfg.start, io_job(60))]);
-    sys.run_until(cfg.start + SimDuration::from_mins(90));
+    sys.enqueue_jobs(vec![(SystemConfig::START, io_job(60))]);
+    sys.run_until(SystemConfig::START + SimDuration::from_mins(90));
     let (points, series) = (
         sys.tsdb().unwrap().n_points(),
         sys.tsdb().unwrap().n_series(),
@@ -141,10 +141,10 @@ fn bare_pipeline_conserves_under_hostile_faults_and_heals() {
         .map(|h| h.hostname.as_str().to_string())
         .collect();
     let day = SimDuration::from_hours(24);
-    p.set_fault_plan(FaultPlan::hostile(7, &hosts, cfg.start, day));
+    p.set_fault_plan(FaultPlan::hostile(7, &hosts, SystemConfig::START, day));
 
-    while p.clock().now() < cfg.start + day {
-        step(&mut p, cfg.step);
+    while p.clock().now() < SystemConfig::START + day {
+        step(&mut p, SystemConfig::STEP);
         let r = p.delivery_report();
         assert!(conserved(&r), "at {:?}: {r:?}", p.clock().now());
     }
@@ -155,7 +155,7 @@ fn bare_pipeline_conserves_under_hostile_faults_and_heals() {
 
     p.heal();
     for _ in 0..120 {
-        step(&mut p, cfg.step);
+        step(&mut p, SystemConfig::STEP);
     }
     let r = p.delivery_report();
     assert!(conserved(&r), "{r:?}");
@@ -170,7 +170,7 @@ fn bare_pipeline_conserves_under_hostile_faults_and_heals() {
 fn tsdb_mirror_has_no_spike_after_a_reboot() {
     let mut cfg = SystemConfig::small(1, Mode::daemon());
     cfg.enable_tsdb = true;
-    let start = cfg.start;
+    let start = SystemConfig::START;
     let mut sys = MonitoringSystem::new(cfg);
     // A job drives the counters up before the crash.
     sys.enqueue_jobs(vec![(start, io_job(100))]);

@@ -8,7 +8,6 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use tacc_stats::collect::spool::SpoolConfig;
 use tacc_stats::core::config::{Mode, SystemConfig};
 use tacc_stats::core::MonitoringSystem;
 use tacc_stats::jobdb::Query;
@@ -57,11 +56,7 @@ fn hostile_day_conserves_every_sample() {
     let mut sys = MonitoringSystem::new(cfg);
     // Four messages of spool: the 2 h outage generates ~12 interval
     // samples per host, so the spool must overflow.
-    sys.set_spool(SpoolConfig {
-        capacity: 4,
-        base_backoff: SimDuration::from_secs(2),
-        max_backoff: SimDuration::from_mins(5),
-    });
+    sys.set_spool(4);
     sys.set_fault_plan(plan);
 
     // A day of two-node jobs, back to back across the cluster.

@@ -156,7 +156,7 @@ fn daemon_scene(seed: u64) -> Digests {
     cfg.seed = seed;
     cfg.enable_tsdb = true;
     let mut sys = MonitoringSystem::new(cfg);
-    sys.enable_online(OnlineConfig::default(), true);
+    sys.enable_online(OnlineConfig, true);
     sys.enable_adaptive(AdaptiveConfig::default());
     sys.enqueue_jobs(job_mix(seed, 6, 12, 4));
     sys.run_until(t0() + SimDuration::from_hours(8));

@@ -44,7 +44,7 @@ fn storm_request(n_nodes: usize, runtime_mins: u64) -> JobRequest {
 #[test]
 fn online_detection_latency_and_node_reclamation() {
     let mut sys = MonitoringSystem::new(SystemConfig::small(2, Mode::daemon()));
-    sys.enable_online(OnlineConfig::default(), true);
+    sys.enable_online(OnlineConfig, true);
     sys.enqueue_jobs(vec![
         (t0(), storm_request(2, 8 * 60)),
         // A healthy job queued behind the storm.

@@ -12,7 +12,6 @@ use tacc_stats::collect::daemon::{Publisher, TaccStatsd};
 use tacc_stats::collect::discovery::{discover, BuildOptions};
 use tacc_stats::collect::engine::Sampler;
 use tacc_stats::collect::record::RawFile;
-use tacc_stats::collect::spool::SpoolConfig;
 use tacc_stats::jobdb::Database;
 use tacc_stats::scheduler::job::{JobRequest, JobStatus, QueueName};
 use tacc_stats::scheduler::sched::{SchedEvent, Scheduler};
@@ -196,15 +195,7 @@ proptest! {
             Box::new(ScriptedPublisher { script, pos: 0, log: Arc::clone(&log) }),
             SimTime::from_secs(0),
         );
-        d.set_spool_config(
-            SpoolConfig {
-                capacity,
-                base_backoff: SimDuration::from_secs(2),
-                max_backoff: SimDuration::from_mins(5),
-            },
-            1,
-        )
-        .unwrap();
+        d.set_spool_config(capacity).unwrap();
         let mut t = 0u64;
         for _ in 0..ticks {
             d.tick(&fs, SimTime::from_secs(t));
